@@ -480,30 +480,11 @@ let cartesian_pass (lr : Ast.located_rule) =
 (* {1 Pass 7: FILTER sanity} *)
 
 let head_columns_of (r : Ast.rule) =
-  (* Mirrors {!Qf_datalog.Eval.head_columns}, but tolerates parameters in
-     the head (those are reported separately as QF013). *)
-  let base =
-    List.mapi
-      (fun i t ->
-        match t with
-        | Ast.Var v -> Some v
-        | Ast.Const _ -> Some (Printf.sprintf "c%d" i)
-        | Ast.Param _ -> None)
-      r.head.args
-  in
-  if List.exists Option.is_none base then None
-  else
-    let base = List.filter_map Fun.id base in
-    let seen = Hashtbl.create 8 in
-    Some
-      (List.map
-         (fun name ->
-           let n =
-             match Hashtbl.find_opt seen name with Some n -> n + 1 | None -> 1
-           in
-           Hashtbl.replace seen name n;
-           if n = 1 then name else Printf.sprintf "%s_%d" name n)
-         base)
+  (* {!Qf_datalog.Eval.head_columns}, or [None] for a parameter in the
+     head (reported separately as QF013). *)
+  if List.exists (function Ast.Param _ -> true | _ -> false) r.head.args
+  then None
+  else Some (Qf_datalog.Eval.head_columns r)
 
 let filter_pass (query : Ast.located_rule list) (filter : Filter.t)
     filter_span =

@@ -73,6 +73,9 @@ let walk_rule config catalog rule ~sip ~head_keys ~head_columns ~func ~keep =
   let threshold_hint = ref infinity in
   let step (envs, trace) lit =
     Qf_governor.Governor.check ();
+    (* Literal at a time, with no filters fused into an extension: the
+       decision below and the trace look at the rows after every
+       literal. *)
     let envs =
       match lit with
       | Ast.Pos a -> Eval.Envs.extend_pos ~sip catalog envs a

@@ -40,9 +40,11 @@ module Envs = struct
      - [Vals]: one boxed [Value.t array] per environment (the original
        representation) — rows are what the row-mode kernels consume.
      - [Codes]: all environments in one flat dictionary-code array of
-       stride [width] ([count * width] ints).  Binding extension probes
-       the {!Index.code_index} chains directly over code arrays, filters
-       compare codes, and parallel steps emit per-chunk {!Chunkrel.Buf}s
+       stride [width]: the first [count * width] ints of [data], which
+       may be longer (a step adopts its output buffer, spare capacity
+       and all).  Binding extension probes the {!Index.code_index} chains
+       directly over code arrays and evaluates the filters fused into it
+       on each candidate; parallel steps emit per-chunk {!Chunkrel.Buf}s
        merged by a single blit — no per-row boxing anywhere on the hot
        path. *)
   type repr =
@@ -111,15 +113,34 @@ module Envs = struct
   (* {2 Code-engine helpers}
 
      A [Codes] step produces per-chunk [Buf]s (each an [(emitted rows) *
-     stride] run of codes) and merges them with one pre-sized allocation
-     and [Array.blit] per chunk — the merge never boxes a row. *)
+     stride] run of codes).  A single piece — every step on a one-domain
+     pool or below the parallel threshold — is adopted without a copy,
+     unless more than half of its buffer is spare capacity; several are
+     merged with one pre-sized allocation and [Array.blit] per chunk.
+     Either way the merge never boxes a row. *)
 
   let merge_code_chunks ~width pieces =
-    let count = List.fold_left (fun acc (k, _) -> acc + k) 0 pieces in
-    let data = Array.make (count * width) 0 in
-    let pos = ref 0 in
-    List.iter (fun (_, b) -> pos := Buf.blit_into b data !pos) pieces;
-    Codes { width; count; data }
+    match pieces with
+    | [ (count, b) ] ->
+      let data = Buf.backing b in
+      let data =
+        if Array.length data > 2 * Buf.length b then Buf.to_array b else data
+      in
+      Codes { width; count; data }
+    | _ ->
+      let count = List.fold_left (fun acc (k, _) -> acc + k) 0 pieces in
+      let data = Array.make (count * width) 0 in
+      let pos = ref 0 in
+      List.iter (fun (_, b) -> pos := Buf.blit_into b data !pos) pieces;
+      Codes { width; count; data }
+
+  (* Run [run ~lo ~hi] over the rows [0, count): one chunk on a one-domain
+     pool or below the parallel threshold, else pool-sized chunks. *)
+  let code_chunks ~count run =
+    let pool = Pool.default () in
+    if Pool.size pool = 1 || count < Pool.par_threshold () then
+      [ run ~lo:0 ~hi:count ]
+    else Pool.run_chunks pool ~n:count run
 
   (* [filter_codes mk_pred ~width ~count ~data] keeps the rows satisfying
      the predicate ([mk_pred ()] is called once per chunk so predicates
@@ -139,13 +160,7 @@ module Envs = struct
       done;
       !kept, out
     in
-    let pool = Pool.default () in
-    let pieces =
-      if Pool.size pool = 1 || count < Pool.par_threshold () then
-        [ run ~lo:0 ~hi:count ]
-      else Pool.run_chunks pool ~n:count run
-    in
-    merge_code_chunks ~width pieces
+    merge_code_chunks ~width (code_chunks ~count run)
 
   (* Chain-walk membership over a full-arity code index: does any row of
      the indexed chunk match the probe codes exactly? *)
@@ -161,22 +176,128 @@ module Envs = struct
     let rec walk j = j >= 0 && (keys_eq j 0 || walk ci.next.(j)) in
     walk ci.heads.(h land ci.mask)
 
-  (* A term as seen by the code engine: a pre-encoded constant or a slot
-     offset into the current row. *)
-  let code_spec t = function
-    | Ast.Const v -> `Const (Dict.encode v)
-    | (Ast.Var _ | Ast.Param _) as term -> (
-      let key = Ast.binding_key term in
-      match slot_of t key with
-      | Some s -> `Slot s
-      | None -> errorf "unbound %s in non-positive subgoal" key)
-
   (* A transient full-arity code index for membership filtering.  Built
      with [Index.build] directly — NOT through the catalog cache — so the
      [index_cache] hit/miss counters stay identical to row mode, where
      membership goes through [Relation.mem] and never touches the cache. *)
   let membership_index rel =
     Index.code_index (Index.build rel (List.init (Relation.arity rel) Fun.id))
+
+  (* {2 Code-engine filters}
+
+     A negated or arithmetic literal is a predicate on a candidate row,
+     given as the base offset of an environment row in [data] and a row
+     of the matched tuple's chunk.  During binding extension the filters
+     [run_body] fuses into it run on each candidate inside the probe loop,
+     so a rejected candidate is never written out, merged or projected;
+     on their own ({!filter_neg}, {!filter_cmp}) they run on environment
+     rows alone.  [locate] finds a key in the candidate: [`Env s] reads
+     slot [s] of the environment row, [`Fresh col] the matched tuple's
+     column [col].  A predicate is built per chunk ([mk ()]) so it may own
+     scratch space. *)
+
+  let locate ~slots ~width ~fill_cols term =
+    let key = Ast.binding_key term in
+    match List.assoc_opt key slots with
+    | Some s when s < width -> `Env s
+    | Some s -> `Fresh fill_cols.(s - width)
+    | None -> errorf "unbound %s in non-positive subgoal" key
+
+  (* Comparisons decode and use [Value.compare]; constants are hoisted. *)
+  let code_cmp ~locate ~data left cmp right =
+    let value_of = function
+      | Ast.Const v -> fun (_ : int) (_ : int) -> v
+      | (Ast.Var _ | Ast.Param _) as term -> (
+        match locate term with
+        | `Env s -> fun base _ -> Dict.decode (Array.unsafe_get data (base + s))
+        | `Fresh col -> fun _ row -> Dict.decode (Array.unsafe_get col row))
+    in
+    let gl = value_of left and gr = value_of right in
+    fun () base row ->
+      Ast.comparison_eval (Value.compare (gl base row) (gr base row)) cmp
+
+  (* Negation probes [rel]'s membership index with the instantiated
+     codes. *)
+  let code_neg ~locate ~data rel (a : Ast.atom) =
+    let ci = membership_index rel in
+    let code_of = function
+      | Ast.Const v ->
+        let c = Dict.encode v in
+        fun (_ : int) (_ : int) -> c
+      | (Ast.Var _ | Ast.Param _) as term -> (
+        match locate term with
+        | `Env s -> fun base _ -> Array.unsafe_get data (base + s)
+        | `Fresh col -> fun _ row -> Array.unsafe_get col row)
+    in
+    let codes = Array.of_list (List.map code_of a.args) in
+    let n = Array.length codes in
+    fun () ->
+      let probe = Array.make n 0 in
+      fun base row ->
+        for k = 0 to n - 1 do
+          probe.(k) <- (Array.unsafe_get codes k) base row
+        done;
+        not (code_mem ci probe)
+
+  (* Filter a [Codes] set by such a predicate over its rows alone. *)
+  let filter_env_codes t ~width ~count ~data mk_pred =
+    let mk = mk_pred ~locate:(locate ~slots:t.slots ~width ~fill_cols:[||]) in
+    let mk () =
+      let pred = mk () in
+      fun base -> pred base 0
+    in
+    { t with repr = filter_codes mk ~width ~count ~data }
+
+  let term_getter t = function
+    | Ast.Const v -> fun (_ : Value.t array) -> v
+    | (Ast.Var _ | Ast.Param _) as term -> (
+      let key = Ast.binding_key term in
+      match slot_of t key with
+      | Some s -> fun row -> row.(s)
+      | None -> errorf "unbound %s in non-positive subgoal" key)
+
+  let filter_neg catalog t (a : Ast.atom) =
+    let rel = relation_for catalog a in
+    match t.repr with
+    | Vals rows ->
+      let getters = List.map (term_getter t) a.args in
+      (* Force the membership table on this domain before the fan-out:
+         [Relation.mem] materializes lazily and must not race. *)
+      Relation.prepare rel;
+      let rows =
+        par_filter
+          (fun row ->
+            let tup = Tuple.of_list (List.map (fun g -> g row) getters) in
+            not (Relation.mem rel tup))
+          rows
+      in
+      { t with repr = Vals rows }
+    | Codes { width; count; data } ->
+      filter_env_codes t ~width ~count ~data (fun ~locate ->
+          code_neg ~locate ~data rel a)
+
+  let filter_cmp t left cmp right =
+    match t.repr with
+    | Vals rows ->
+      let gl = term_getter t left and gr = term_getter t right in
+      let rows =
+        par_filter
+          (fun row ->
+            Ast.comparison_eval (Value.compare (gl row) (gr row)) cmp)
+          rows
+      in
+      { t with repr = Vals rows }
+    | Codes { width; count; data } ->
+      filter_env_codes t ~width ~count ~data (fun ~locate ->
+          code_cmp ~locate ~data left cmp right)
+
+  let not_a_filter (a : Ast.atom) =
+    invalid_arg ("Envs: positive subgoal " ^ a.pred ^ " used as a filter")
+
+  let filter catalog t = function
+    | Ast.Neg a -> filter_neg catalog t a
+    | Ast.Cmp (l, c, r) -> filter_cmp t l c r
+    | Ast.Pos a -> not_a_filter a
 
   (* How each argument position of an atom is consumed given current slots:
      part of the lookup key, a fresh binding, or an intra-tuple check
@@ -210,6 +331,16 @@ module Envs = struct
     in
     roles, List.rev !fresh
 
+  (* One chunk's output and tallies: [candidates] key-matched tuples,
+     [rejected] of them by a SIP reducer, [dropped] by a fused filter. *)
+  type piece = {
+    emitted : int;
+    out : Buf.buf;
+    candidates : int;
+    rejected : int;
+    dropped : int;
+  }
+
   (* Sideways-information-passing at binding extension: [sip] maps a
      binding key about to be bound ([Bind_new]) to a reducer
      over-approximating the values that can survive the rest of the rule
@@ -219,12 +350,16 @@ module Envs = struct
      ok-subgoal join would have dropped it later anyway, so results are
      unchanged — only the intermediate row count shrinks.
 
-     Rejections are totted up in one atomic and flushed as a single
+     Rejections are tallied per chunk and flushed as a single
      [sip.rows_pruned] count: the set of key-matched candidates examined
      is the same in both layouts and under any chunking, so the total is
      deterministic across layouts and pool sizes (the invariant the
-     differential suite pins down). *)
-  let extend_pos ?(sip = []) catalog t (a : Ast.atom) =
+     differential suite pins down).  The reducers run before the fused
+     [filters], so the count does not depend on them.
+
+     Returns the extended set with the number of key-matched candidates
+     and the number the fused filters dropped. *)
+  let extend ~sip ~filters catalog t (a : Ast.atom) =
     let rel = relation_for catalog a in
     let roles, fresh_keys = analyze_args t a in
     let key_positions =
@@ -269,22 +404,17 @@ module Envs = struct
         List.mapi (fun i key -> i, List.assoc_opt key sip) fresh_keys
         |> List.filter_map (fun (i, s) -> Option.map (fun s -> i, s) s)
     in
-    let rejects =
-      if sip_checks <> [] && Obs.enabled () then Some (Atomic.make 0) else None
-    in
-    let reject () =
-      match rejects with
-      | Some r -> ignore (Atomic.fetch_and_add r 1)
-      | None -> ()
-    in
     let slots =
       t.slots @ List.mapi (fun i key -> key, width + i) fresh_keys
     in
-    let result =
+    let result, candidates, rejected, dropped =
       match t.repr with
     | Vals rows ->
+      let candidates = Atomic.make 0 and rejected = Atomic.make 0 in
       let extend_row row =
         let key = Tuple.of_list (List.map (fun f -> f row) key_builders) in
+        let matches = Index.lookup idx key in
+        ignore (Atomic.fetch_and_add candidates (List.length matches));
         List.filter_map
           (fun tup ->
             let fresh_values = List.map (Tuple.get tup) fills in
@@ -301,7 +431,7 @@ module Envs = struct
                    (fun (i, s) -> Sip.mem_value s (List.nth fresh_values i))
                    sip_checks)
             then begin
-              reject ();
+              ignore (Atomic.fetch_and_add rejected 1);
               None
             end
             else begin
@@ -310,9 +440,14 @@ module Envs = struct
               List.iteri (fun i v -> row'.(width + i) <- v) fresh_values;
               Some row'
             end)
-          (Index.lookup idx key)
+          matches
       in
-      { slots; repr = Vals (par_concat_map extend_row rows) }
+      let extended = { slots; repr = Vals (par_concat_map extend_row rows) } in
+      let filtered = List.fold_left (filter catalog) extended filters in
+      ( filtered,
+        Atomic.get candidates,
+        Atomic.get rejected,
+        count extended - count filtered )
     | Codes { width = w; count; data } ->
       assert (w = width);
       (* Everything below runs over flat code arrays.  The probe key for
@@ -348,10 +483,47 @@ module Envs = struct
         Array.of_list (List.map (fun (i, s) -> fill_cols.(i), s) sip_checks)
       in
       let nsips = Array.length sip_cols in
+      let locate = locate ~slots ~width ~fill_cols in
+      let fused =
+        Array.of_list
+          (List.map
+             (function
+               | Ast.Cmp (l, c, r) -> code_cmp ~locate ~data l c r
+               | Ast.Neg a ->
+                 code_neg ~locate ~data (relation_for catalog a) a
+               | Ast.Pos a -> not_a_filter a)
+             filters)
+      in
       let run ~lo ~hi =
         let out = Buf.create ((hi - lo) * new_width) in
-        let emitted = ref 0 in
+        let emitted = ref 0 and candidates = ref 0 in
+        let rejected = ref 0 and dropped = ref 0 in
         let probe = Array.make nkeys 0 in
+        let preds = Array.map (fun mk -> mk ()) fused in
+        let npreds = Array.length preds in
+        let rec keys_eq row k =
+          k >= nkeys
+          || Array.unsafe_get (Array.unsafe_get ci.Index.key_cols k) row
+             = Array.unsafe_get probe k
+             && keys_eq row (k + 1)
+        in
+        let rec checks_ok row c =
+          c >= nchecks
+          ||
+          let ca, cb = Array.unsafe_get check_pairs c in
+          Array.unsafe_get ca row = Array.unsafe_get cb row
+          && checks_ok row (c + 1)
+        in
+        let rec sip_ok row k =
+          k >= nsips
+          ||
+          let col, s = Array.unsafe_get sip_cols k in
+          Sip.mem s (Array.unsafe_get col row) && sip_ok row (k + 1)
+        in
+        let rec preds_ok base row f =
+          f >= npreds
+          || (Array.unsafe_get preds f) base row && preds_ok base row (f + 1)
+        in
         for r = lo to hi - 1 do
           let base = r * width in
           for k = 0 to nkeys - 1 do
@@ -364,134 +536,64 @@ module Envs = struct
           let j = ref ci.Index.heads.(h land ci.Index.mask) in
           while !j >= 0 do
             let row = !j in
-            let rec keys_eq k =
-              k >= nkeys
-              || Array.unsafe_get
-                   (Array.unsafe_get ci.Index.key_cols k)
-                   row
-                 = Array.unsafe_get probe k
-                 && keys_eq (k + 1)
-            in
-            let rec checks_ok c =
-              c >= nchecks
-              ||
-              let ca, cb = Array.unsafe_get check_pairs c in
-              Array.unsafe_get ca row = Array.unsafe_get cb row
-              && checks_ok (c + 1)
-            in
-            let rec sip_ok k =
-              k >= nsips
-              ||
-              let col, s = Array.unsafe_get sip_cols k in
-              Sip.mem s (Array.unsafe_get col row) && sip_ok (k + 1)
-            in
-            if keys_eq 0 && checks_ok 0 then begin
-              if sip_ok 0 then begin
-                incr emitted;
-                for c = 0 to width - 1 do
-                  Buf.push out (Array.unsafe_get data (base + c))
-                done;
-                for k = 0 to n_fresh - 1 do
-                  Buf.push out
-                    (Array.unsafe_get (Array.unsafe_get fill_cols k) row)
-                done
-              end
-              else reject ()
+            if keys_eq row 0 then begin
+              incr candidates;
+              if checks_ok row 0 then
+                if not (sip_ok row 0) then incr rejected
+                else if not (preds_ok base row 0) then incr dropped
+                else begin
+                  incr emitted;
+                  for c = 0 to width - 1 do
+                    Buf.push out (Array.unsafe_get data (base + c))
+                  done;
+                  for k = 0 to n_fresh - 1 do
+                    Buf.push out
+                      (Array.unsafe_get (Array.unsafe_get fill_cols k) row)
+                  done
+                end
             end;
             j := ci.Index.next.(row)
           done
         done;
-        !emitted, out
+        {
+          emitted = !emitted;
+          out;
+          candidates = !candidates;
+          rejected = !rejected;
+          dropped = !dropped;
+        }
       in
-      let pool = Pool.default () in
-      let pieces =
-        if Pool.size pool = 1 || count < Pool.par_threshold () then
-          [ run ~lo:0 ~hi:count ]
-        else Pool.run_chunks pool ~n:count run
-      in
-      { slots; repr = merge_code_chunks ~width:new_width pieces }
+      let pieces = code_chunks ~count run in
+      let sum f = List.fold_left (fun acc p -> acc + f p) 0 pieces in
+      ( {
+          slots;
+          repr =
+            merge_code_chunks ~width:new_width
+              (List.map (fun p -> p.emitted, p.out) pieces);
+        },
+        sum (fun p -> p.candidates),
+        sum (fun p -> p.rejected),
+        sum (fun p -> p.dropped) )
     in
-    (match rejects with
-    | Some r -> Obs.count "sip.rows_pruned" (Atomic.get r)
-    | None -> ());
-    result
+    if sip_checks <> [] then Obs.count "sip.rows_pruned" rejected;
+    result, candidates, dropped
 
-  let term_getter t = function
-    | Ast.Const v -> fun (_ : Value.t array) -> v
-    | (Ast.Var _ | Ast.Param _) as term -> (
-      let key = Ast.binding_key term in
-      match slot_of t key with
-      | Some s -> fun row -> row.(s)
-      | None -> errorf "unbound %s in non-positive subgoal" key)
-
-  (* [specs] as per {!code_spec}; builds a per-chunk closure that writes
-     the instantiated code tuple into its own scratch array. *)
-  let probe_filler specs data =
-    let specs = Array.of_list specs in
-    let n = Array.length specs in
-    fun () ->
-      let scratch = Array.make n 0 in
-      fun base ->
-        for k = 0 to n - 1 do
-          scratch.(k) <-
-            (match Array.unsafe_get specs k with
-            | `Const c -> c
-            | `Slot s -> Array.unsafe_get data (base + s))
-        done;
-        scratch
-
-  let filter_neg catalog t (a : Ast.atom) =
-    let rel = relation_for catalog a in
-    match t.repr with
-    | Vals rows ->
-      let getters = List.map (term_getter t) a.args in
-      (* Force the membership table on this domain before the fan-out:
-         [Relation.mem] materializes lazily and must not race. *)
-      Relation.prepare rel;
-      let rows =
-        par_filter
-          (fun row ->
-            let tup = Tuple.of_list (List.map (fun g -> g row) getters) in
-            not (Relation.mem rel tup))
-          rows
-      in
-      { t with repr = Vals rows }
-    | Codes { width; count; data } ->
-      let ci = membership_index rel in
-      let mk = probe_filler (List.map (code_spec t) a.args) data in
-      let mk_pred () =
-        let fill = mk () in
-        fun base -> not (code_mem ci (fill base))
-      in
-      { t with repr = filter_codes mk_pred ~width ~count ~data }
-
-  (* A term as a [Value.t] reader over the flat code array (constants are
-     hoisted; slot codes decode through the lock-free dictionary). *)
-  let value_getter t data = function
-    | Ast.Const v -> fun (_ : int) -> v
-    | (Ast.Var _ | Ast.Param _) as term -> (
-      let key = Ast.binding_key term in
-      match slot_of t key with
-      | Some s -> fun base -> Dict.decode (Array.unsafe_get data (base + s))
-      | None -> errorf "unbound %s in non-positive subgoal" key)
-
-  let filter_cmp t left cmp right =
-    match t.repr with
-    | Vals rows ->
-      let gl = term_getter t left and gr = term_getter t right in
-      let rows =
-        par_filter
-          (fun row ->
-            Ast.comparison_eval (Value.compare (gl row) (gr row)) cmp)
-          rows
-      in
-      { t with repr = Vals rows }
-    | Codes { width; count; data } ->
-      let gl = value_getter t data left and gr = value_getter t data right in
-      let mk_pred () base =
-        Ast.comparison_eval (Value.compare (gl base) (gr base)) cmp
-      in
-      { t with repr = filter_codes mk_pred ~width ~count ~data }
+  (* One [eval.extend] span per positive subgoal, only when tracing:
+     rows in, key-matched candidates, rows out, and the candidates the
+     fused filters dropped. *)
+  let extend_pos ?(sip = []) ?(filters = []) catalog t (a : Ast.atom) =
+    if not (Obs.enabled ()) then
+      let result, _, _ = extend ~sip ~filters catalog t a in
+      result
+    else
+      Obs.with_span "eval.extend" (fun () ->
+          let result, candidates, dropped = extend ~sip ~filters catalog t a in
+          Obs.set_attr "pred" (Obs.Str a.pred);
+          Obs.set_attr "rows_in" (Obs.Int (count t));
+          Obs.set_attr "candidates" (Obs.Int candidates);
+          Obs.set_attr "rows_out" (Obs.Int (count result));
+          Obs.set_attr "filtered" (Obs.Int dropped);
+          result)
 
   let key_positions t keys =
     List.map
@@ -513,9 +615,10 @@ module Envs = struct
         rows;
       rel
     | Codes { width; count; data } ->
-      (* Gather the projected columns out of the stride layout, dedupe the
-         code rows in one open-addressing pass, and hand the surviving
-         distinct rows to the relation as an already-distinct chunk. *)
+      (* Gather the projected columns out of the stride layout.  Unless
+         [keys] covers every slot once (the rows are then distinct, see
+         the interface), dedupe the code rows in one open-addressing pass.
+         Either way the relation gets an already-distinct chunk. *)
       let pcols =
         Array.of_list
           (List.map
@@ -523,15 +626,17 @@ module Envs = struct
                Array.init count (fun r -> Array.unsafe_get data ((r * width) + p)))
              positions)
       in
-      let idxs = Chunkrel.distinct_rows pcols count in
-      let chunk =
-        {
-          Chunkrel.nrows = Array.length idxs;
-          cols = Chunkrel.gather_cols pcols idxs;
-          rows_cache = None;
-        }
+      let covers_all_slots =
+        List.sort Int.compare positions = List.init width Fun.id
       in
-      Relation.of_chunkrel (Schema.of_list columns) chunk
+      let nrows, cols =
+        if covers_all_slots then count, pcols
+        else
+          let idxs = Chunkrel.distinct_rows pcols count in
+          Array.length idxs, Chunkrel.gather_cols pcols idxs
+      in
+      Relation.of_chunkrel (Schema.of_list columns)
+        { Chunkrel.nrows; cols; rows_cache = None }
 
   let semijoin t ~keys ~keep =
     let positions = key_positions t keys in
@@ -549,10 +654,14 @@ module Envs = struct
       { t with repr = Vals rows }
     | Codes { width; count; data } ->
       let ci = membership_index keep in
-      let mk = probe_filler (List.map (fun s -> `Slot s) positions) data in
+      let positions = Array.of_list positions in
       let mk_pred () =
-        let fill = mk () in
-        fun base -> code_mem ci (fill base)
+        let probe = Array.make (Array.length positions) 0 in
+        fun base ->
+          for k = 0 to Array.length positions - 1 do
+            probe.(k) <- Array.unsafe_get data (base + positions.(k))
+          done;
+          code_mem ci probe
       in
       { t with repr = filter_codes mk_pred ~width ~count ~data }
 end
@@ -662,40 +771,68 @@ let order_body catalog (r : Ast.rule) =
 
 (* {1 Whole-rule evaluation} *)
 
-let head_columns (r : Ast.rule) =
-  let base =
-    List.mapi
-      (fun i t ->
-        match t with
-        | Ast.Var v -> v
-        | Ast.Const _ -> Printf.sprintf "c%d" i
-        | Ast.Param p -> errorf "parameter $%s in head" p)
-      r.head.args
-  in
-  (* Disambiguate duplicates: B, B -> B, B_2. *)
-  let seen = Hashtbl.create 8 in
+let unique_names names =
+  let taken = Hashtbl.create 8 in
+  List.iter (fun name -> Hashtbl.replace taken name ()) names;
+  let first = Hashtbl.create 8 in
   List.map
     (fun name ->
-      let n =
-        match Hashtbl.find_opt seen name with Some n -> n + 1 | None -> 1
+      if not (Hashtbl.mem first name) then begin
+        Hashtbl.replace first name ();
+        name
+      end
+      else begin
+        let rec fresh k =
+          let candidate = Printf.sprintf "%s_%d" name k in
+          if Hashtbl.mem taken candidate then fresh (k + 1) else candidate
+        in
+        let renamed = fresh 2 in
+        Hashtbl.replace taken renamed ();
+        renamed
+      end)
+    names
+
+let head_columns (r : Ast.rule) =
+  unique_names
+    (List.mapi
+       (fun i t ->
+         match t with
+         | Ast.Var v -> v
+         | Ast.Const _ -> Printf.sprintf "c%d" i
+         | Ast.Param p -> errorf "parameter $%s in head" p)
+       r.head.args)
+
+(* The ordered body as evaluation steps: each positive subgoal with the
+   negated and arithmetic literals [order_body] flushed directly after it
+   (all bound once it is), fused into its binding extension.  A literal
+   ready before any positive subgoal (constants only) is a step of its
+   own. *)
+let fuse_filters ordered =
+  let rec steps = function
+    | [] -> []
+    | Ast.Pos a :: rest ->
+      let rec take acc = function
+        | ((Ast.Neg _ | Ast.Cmp _) as lit) :: rest -> take (lit :: acc) rest
+        | rest -> List.rev acc, rest
       in
-      Hashtbl.replace seen name n;
-      if n = 1 then name else Printf.sprintf "%s_%d" name n)
-    base
+      let filters, rest = take [] rest in
+      `Extend (a, filters) :: steps rest
+    | lit :: rest -> `Filter lit :: steps rest
+  in
+  steps ordered
 
 let run_body ?sip catalog (r : Ast.rule) =
-  let ordered = order_body catalog r in
   List.fold_left
-    (fun envs lit ->
-      (* Literal boundaries are the evaluator's cancellation checkpoints:
+    (fun envs step ->
+      (* Step boundaries are the evaluator's cancellation checkpoints:
          a governed deadline interrupts a rule between joins (one atomic
-         load per literal when ungoverned). *)
+         load per step when ungoverned). *)
       Qf_governor.Governor.check ();
-      match lit with
-      | Ast.Pos a -> Envs.extend_pos ?sip catalog envs a
-      | Ast.Neg a -> Envs.filter_neg catalog envs a
-      | Ast.Cmp (l, c, rt) -> Envs.filter_cmp envs l c rt)
-    (Envs.start ()) ordered
+      match step with
+      | `Extend (a, filters) -> Envs.extend_pos ?sip ~filters catalog envs a
+      | `Filter lit -> Envs.filter catalog envs lit)
+    (Envs.start ())
+    (fuse_filters (order_body catalog r))
 
 let head_keys (r : Ast.rule) =
   List.map

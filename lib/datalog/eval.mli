@@ -39,9 +39,24 @@ module Envs : sig
       rule accepts for that key (reducers have no false negatives, so the
       final result set is unchanged — only intermediate rows shrink).
       Rejections are flushed as one [sip.rows_pruned] Obs count, whose
-      total is deterministic across layouts and pool sizes. *)
+      total is deterministic across layouts and pool sizes.
+
+      [filters] are negated and arithmetic literals whose terms are all
+      bound once [atom] is (default none).  The result is the extension
+      with each filter applied in turn, as {!filter_neg} and {!filter_cmp}
+      would, but the columnar engine evaluates them on each candidate
+      inside the probe loop — after the key match, the repeated-variable
+      checks and the [sip] reducers — so rows they reject are never
+      materialized.  [order_body]'s output gives them: the literals it
+      flushes directly after a positive subgoal.  Raises
+      [Invalid_argument] on a positive literal among them.
+
+      When tracing is on, each call records an [eval.extend] span with
+      attributes [pred], [rows_in], [candidates] (key-matched tuples),
+      [rows_out] and [filtered] (candidates dropped by [filters]). *)
   val extend_pos :
     ?sip:(string * Qf_relational.Sip.t) list ->
+    ?filters:Ast.literal list ->
     Qf_relational.Catalog.t ->
     t ->
     Ast.atom ->
@@ -56,7 +71,15 @@ module Envs : sig
   val filter_cmp : t -> Ast.term -> Ast.comparison -> Ast.term -> t
 
   (** [project envs ~keys ~columns] is the relation of distinct bindings of
-      [keys], with schema [columns].  Raises {!Error} on an unbound key. *)
+      [keys], with schema [columns].  Raises {!Error} on an unbound key.
+
+      Environments are always distinct: relations are sets, and two
+      matches of one environment differ in a freshly bound value, because
+      every other position of the matched tuple is a lookup key or checked
+      against a fresh binding; filters keep distinctness.  So when [keys]
+      is a permutation of every bound key, the projection is distinct
+      without a dedupe pass and the columnar engine skips it.  Keys that
+      repeat or leave out a bound key are deduplicated. *)
   val project : t -> keys:string list -> columns:string list -> Qf_relational.Relation.t
 
   (** [semijoin envs ~keys ~keep] keeps environments whose [keys]-projection
@@ -75,7 +98,10 @@ val order_body : Qf_relational.Catalog.t -> Ast.rule -> Ast.literal list
 (** {1 Whole-rule evaluation} *)
 
 (** Column names for a rule's head arguments: a [Var] contributes its name,
-    a constant contributes ["c<i>"]; duplicates are suffixed ["_2"], ... *)
+    a constant contributes ["c<i>"].  The first occurrence of a name keeps
+    it; each later one becomes [name_k] with the smallest [k >= 2] that is
+    neither a head name nor already taken: [B,B] gives [B; B_2] and
+    [B,B,B_2] gives [B; B_3; B_2].  Raises {!Error} on a parameter. *)
 val head_columns : Ast.rule -> string list
 
 (** [tabulate catalog rule] treats parameters as free grouping variables and

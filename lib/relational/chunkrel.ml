@@ -138,6 +138,7 @@ module Buf = struct
   let length b = b.len
   let get b i = b.data.(i)
   let to_array b = Array.sub b.data 0 b.len
+  let backing b = b.data
 
   let blit_into b dst pos =
     Array.blit b.data 0 dst pos b.len;

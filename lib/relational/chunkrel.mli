@@ -69,6 +69,12 @@ module Buf : sig
   val get : buf -> int -> int
   val to_array : buf -> int array
 
+  (** [backing b] is [b]'s storage array itself, without a copy: its
+      first [length b] entries are the contents, the rest is spare
+      capacity.  For a caller that adopts a finished buffer; pushing to
+      [b] afterwards may overwrite the adopted array. *)
+  val backing : buf -> int array
+
   (** [blit_into b dst pos] copies [b]'s contents into [dst] at [pos]
       and returns the next free position. *)
   val blit_into : buf -> int array -> int -> int

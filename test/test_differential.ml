@@ -113,11 +113,6 @@ let test_union_corpus_agrees () =
    that the parallel kernels actually engage on these small inputs.  The
    whole suite also runs again under QF_DOMAINS=4 (see dune), so this
    test's job is the *in-process* size switch. *)
-let with_pool_size size f =
-  let saved_size = Pool.size (Pool.default ()) in
-  Pool.set_default_size size;
-  Fun.protect ~finally:(fun () -> Pool.set_default_size saved_size) f
-
 let test_pool_size_insensitive () =
   let slice = List.filteri (fun i _ -> i mod 5 = 0) seeds in
   let run_slice () =
@@ -130,8 +125,8 @@ let test_pool_size_insensitive () =
         expected, List.map snd results)
       slice
   in
-  let sequential = with_pool_size 1 run_slice in
-  let parallel = with_pool_size 4 run_slice in
+  let sequential = Test_util.with_pool_size 1 run_slice in
+  let parallel = Test_util.with_pool_size 4 run_slice in
   List.iteri
     (fun i ((e1, rs1), (e2, rs2)) ->
       let seed = List.nth slice i in
@@ -163,12 +158,10 @@ let test_reduced_equals_unreduced_matrix () =
       let rel, threshold = instance_of_seed seed in
       List.iter
         (fun layout ->
-          Layout.set_override (Some layout);
-          Fun.protect ~finally:(fun () -> Layout.set_override None)
-          @@ fun () ->
+          Test_util.with_layout layout @@ fun () ->
           List.iter
             (fun pool_size ->
-              with_pool_size pool_size @@ fun () ->
+              Test_util.with_pool_size pool_size @@ fun () ->
               let cat = catalog_of rel in
               let _, plan =
                 Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3
@@ -210,15 +203,15 @@ let test_governed_matrix () =
       let rel, threshold = instance_of_seed seed in
       let flock = pair_flock threshold in
       let cat = catalog_of rel in
-      let expected = with_pool_size 1 (fun () -> Direct.run cat flock) in
+      let expected =
+        Test_util.with_pool_size 1 (fun () -> Direct.run cat flock)
+      in
       List.iter
         (fun layout ->
-          Layout.set_override (Some layout);
-          Fun.protect ~finally:(fun () -> Layout.set_override None)
-          @@ fun () ->
+          Test_util.with_layout layout @@ fun () ->
           List.iter
             (fun pool_size ->
-              with_pool_size pool_size @@ fun () ->
+              Test_util.with_pool_size pool_size @@ fun () ->
               List.iter
                 (fun budget ->
                   let g = Governor.create ~mem_budget:budget () in

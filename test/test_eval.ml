@@ -148,7 +148,134 @@ let test_duplicate_head_vars () =
   let r = tab (catalog ()) "answer(X,X) :- edge(X,X)" in
   check_bool "duplicated head column" true (R.mem r (Qf_relational.Tuple.of_array [| V.Int 4; V.Int 4 |]));
   check_bool "columns disambiguated" true
-    (Qf_relational.Schema.columns (R.schema r) = [ "X"; "X_2" ])
+    (Qf_relational.Schema.columns (R.schema r) = [ "X"; "X_2" ]);
+  (* The suffix must not collide with a name already in the head. *)
+  let r =
+    tab (catalog ()) "answer(X,X,X_2) :- edge(X,Y) AND edge(X_2,Z) AND Y < Z"
+  in
+  check_bool "suffix skips a head name" true
+    (Qf_relational.Schema.columns (R.schema r) = [ "X"; "X_3"; "X_2" ]);
+  check_bool "tuple in position" true
+    (R.mem r (Qf_relational.Tuple.of_array V.[| Int 1; Int 1; Int 3 |]))
+
+(* {1 Filters fused into binding extension}
+
+   Each case runs in both layouts, on one domain and on four with the
+   parallel threshold at 1, so even these few environments fan out. *)
+
+let expect_rows text expected =
+  List.iter
+    (fun layout ->
+      Test_util.with_layout layout @@ fun () ->
+      List.iter
+        (fun size ->
+          Test_util.with_pool_size ~par_threshold:1 size @@ fun () ->
+          let got = tab (catalog ()) text in
+          let want =
+            R.of_values
+              (Qf_relational.Schema.columns (R.schema got))
+              expected
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s (%s, %d domains)" text
+               (Qf_relational.Layout.to_string layout)
+               size)
+            (Test_util.rows want) (Test_util.rows got))
+        [ 1; 4 ])
+    [ Qf_relational.Layout.Row; Qf_relational.Layout.Columnar ]
+
+let test_fused_repeated_key_dedupes () =
+  (* Two keys over a two-slot environment, but one slot twice: the
+     projection is not a permutation and must dedupe. *)
+  expect_rows "answer(X,X) :- edge(X,Y)"
+    V.[ [ Int 1; Int 1 ]; [ Int 2; Int 2 ]; [ Int 3; Int 3 ]; [ Int 4; Int 4 ] ]
+
+let test_fused_permuted_keys () =
+  expect_rows "answer(Y,X) :- edge(X,Y)"
+    V.[
+      [ Int 2; Int 1 ]; [ Int 3; Int 2 ]; [ Int 4; Int 3 ]; [ Int 3; Int 1 ];
+      [ Int 4; Int 4 ];
+    ];
+  (* Parameter and head slots together, in another order than bound. *)
+  expect_rows "answer(Y) :- edge($s,Y)"
+    V.[
+      [ Int 1; Int 2 ]; [ Int 2; Int 3 ]; [ Int 3; Int 4 ]; [ Int 1; Int 3 ];
+      [ Int 4; Int 4 ];
+    ]
+
+let test_fused_comparisons () =
+  (* X is bound by the first subgoal, Z by the one the filter rides on. *)
+  expect_rows "answer(X,Z) :- edge(X,Y) AND edge(Y,Z) AND X < Z"
+    V.[
+      [ Int 1; Int 3 ]; [ Int 2; Int 4 ]; [ Int 1; Int 4 ]; [ Int 3; Int 4 ];
+    ];
+  expect_rows "answer(X,Y) :- edge(X,Y) AND Y <= 3"
+    V.[ [ Int 1; Int 2 ]; [ Int 2; Int 3 ]; [ Int 1; Int 3 ] ];
+  expect_rows "answer(N) :- color(N,C) AND C = red" V.[ [ Int 1 ]; [ Int 3 ] ]
+
+let test_fused_after_repeated_fresh () =
+  expect_rows "answer(X) :- edge(X,X) AND X > 2" V.[ [ Int 4 ] ];
+  expect_rows "answer(X) :- edge(X,X) AND X > 4" []
+
+let test_constants_only_comparison () =
+  (* Ready before any positive subgoal: a step of its own. *)
+  expect_rows "answer(X) :- edge(X,Y) AND 1 < 2"
+    V.[ [ Int 1 ]; [ Int 2 ]; [ Int 3 ]; [ Int 4 ] ];
+  expect_rows "answer(X) :- edge(X,Y) AND 2 < 1" []
+
+let test_fused_negation () =
+  expect_rows "answer(X,Y) :- edge(X,Y) AND NOT edge(Y,X)"
+    V.[
+      [ Int 1; Int 2 ]; [ Int 2; Int 3 ]; [ Int 3; Int 4 ]; [ Int 1; Int 3 ];
+    ];
+  (* A constant and a fresh binding in the negated atom, then a
+     comparison on the same candidate. *)
+  expect_rows "answer(N) :- color(N,C) AND NOT color(N,blue) AND N > 1"
+    V.[ [ Int 3 ] ]
+
+let test_fused_filters_follow_sip () =
+  (* The five two-step paths reach Z in {3, 4, 4, 4, 4}; the reducer keeps
+     only Z = 3, and X < Z would also drop the path 4-4-4.  The reducer
+     runs first, so it sees and counts all four Z = 4 candidates whether
+     or not filters are fused. *)
+  let module Obs = Qf_obs.Obs in
+  let sip = [ "Z", Qf_relational.Sip.of_values [| V.Int 3 |] ] in
+  List.iter
+    (fun layout ->
+      Test_util.with_layout layout @@ fun () ->
+      List.iter
+        (fun size ->
+          Test_util.with_pool_size ~par_threshold:1 size @@ fun () ->
+          let was = Obs.enabled () in
+          Obs.set_enabled true;
+          Obs.reset ();
+          Fun.protect
+            ~finally:(fun () ->
+              Obs.reset ();
+              Obs.set_enabled was)
+          @@ fun () ->
+          let cat = catalog () in
+          let envs =
+            Eval.Envs.extend_pos cat (Eval.Envs.start ())
+              { Ast.pred = "edge"; args = [ Ast.Var "X"; Ast.Var "Y" ] }
+          in
+          let envs =
+            Eval.Envs.extend_pos ~sip
+              ~filters:[ Ast.Cmp (Ast.Var "X", Ast.Lt, Ast.Var "Z") ]
+              cat envs
+              { Ast.pred = "edge"; args = [ Ast.Var "Y"; Ast.Var "Z" ] }
+          in
+          let config =
+            Printf.sprintf "%s, %d domains"
+              (Qf_relational.Layout.to_string layout)
+              size
+          in
+          check_int ("rows left: " ^ config) 1 (Eval.Envs.count envs);
+          check_int ("sip.rows_pruned: " ^ config) 4
+            (Option.value ~default:0
+               (List.assoc_opt "sip.rows_pruned" (Obs.report ()).Obs.counters)))
+        [ 1; 4 ])
+    [ Qf_relational.Layout.Row; Qf_relational.Layout.Columnar ]
 
 let test_order_body_starts_small () =
   let cat = catalog () in
@@ -201,6 +328,17 @@ let suite =
     Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
     Alcotest.test_case "union tabulation" `Quick test_union;
     Alcotest.test_case "duplicate head variables" `Quick test_duplicate_head_vars;
+    Alcotest.test_case "fused: repeated head key dedupes" `Quick
+      test_fused_repeated_key_dedupes;
+    Alcotest.test_case "fused: permuted keys" `Quick test_fused_permuted_keys;
+    Alcotest.test_case "fused: comparisons" `Quick test_fused_comparisons;
+    Alcotest.test_case "fused: after a repeated fresh variable" `Quick
+      test_fused_after_repeated_fresh;
+    Alcotest.test_case "constants-only comparison" `Quick
+      test_constants_only_comparison;
+    Alcotest.test_case "fused: negation" `Quick test_fused_negation;
+    Alcotest.test_case "fused: filters follow the SIP reducer" `Quick
+      test_fused_filters_follow_sip;
     Alcotest.test_case "join order heuristic" `Quick test_order_body_starts_small;
     Alcotest.test_case "incremental Envs API" `Quick test_envs_incremental_api;
   ]

@@ -19,15 +19,6 @@ module Fault = Qf_governor.Fault
 open Qf_core
 open Qf_testgen.Testgen
 
-let with_pool_size size f =
-  let saved_size = Pool.size (Pool.default ()) in
-  Pool.set_default_size size;
-  Fun.protect ~finally:(fun () -> Pool.set_default_size saved_size) f
-
-let with_layout layout f =
-  Layout.set_override (Some layout);
-  Fun.protect ~finally:(fun () -> Layout.set_override None) f
-
 (* Spill files of THIS process left behind anywhere under the temp dir:
    the hygiene invariant is that this list is empty after every governed
    run, including every faulted one. *)
@@ -145,14 +136,14 @@ let big_pair_relation n =
        (List.init n Fun.id))
 
 let test_spilled_join_agrees () =
-  with_pool_size 1 @@ fun () ->
+  Test_util.with_pool_size 1 @@ fun () ->
   let a = big_pair_relation 60 in
   let b = big_pair_relation 40 in
   let pairs = [ "I", "I" ] in
   let expected = Join.equi a b pairs in
   List.iter
     (fun layout ->
-      with_layout layout @@ fun () ->
+      Test_util.with_layout layout @@ fun () ->
       let g = Governor.create ~mem_budget:8192 () in
       let got = Governor.with_ctx g (fun () -> Join.equi a b pairs) in
       if not (R.equal expected got) then
@@ -166,7 +157,7 @@ let test_spilled_join_agrees () =
   assert_no_leaks "spilled join"
 
 let test_spilled_group_by_agrees () =
-  with_pool_size 1 @@ fun () ->
+  Test_util.with_pool_size 1 @@ fun () ->
   let rel = big_pair_relation 80 in
   let sort = List.sort compare in
   let expected =
@@ -174,7 +165,7 @@ let test_spilled_group_by_agrees () =
   in
   List.iter
     (fun layout ->
-      with_layout layout @@ fun () ->
+      Test_util.with_layout layout @@ fun () ->
       let g = Governor.create ~mem_budget:8192 () in
       let got =
         Governor.with_ctx g (fun () ->
@@ -192,7 +183,7 @@ let test_spilled_group_by_agrees () =
   assert_no_leaks "spilled group-by"
 
 let test_spilled_group_filter_agrees () =
-  with_pool_size 1 @@ fun () ->
+  Test_util.with_pool_size 1 @@ fun () ->
   let rel = big_pair_relation 80 in
   let expected =
     Aggregate.group_filter rel ~keys:[ "I" ] ~func:Aggregate.Count
@@ -200,7 +191,7 @@ let test_spilled_group_filter_agrees () =
   in
   List.iter
     (fun layout ->
-      with_layout layout @@ fun () ->
+      Test_util.with_layout layout @@ fun () ->
       let g = Governor.create ~mem_budget:8192 () in
       let got =
         Governor.with_ctx g (fun () ->
@@ -220,7 +211,7 @@ let tiny_budget = 4096
 let run_governed g f = Governor.with_ctx g f
 
 let test_executors_agree_under_tiny_budget () =
-  with_pool_size 1 @@ fun () ->
+  Test_util.with_pool_size 1 @@ fun () ->
   List.iter
     (fun seed ->
       let rel, threshold = instance ~seed gen_basket_instance in
@@ -246,7 +237,7 @@ let test_executors_agree_under_tiny_budget () =
   assert_no_leaks "tiny-budget executors"
 
 let test_plan_deadline_interrupts () =
-  with_pool_size 1 @@ fun () ->
+  Test_util.with_pool_size 1 @@ fun () ->
   let rel, threshold = instance ~seed:3 gen_basket_instance in
   let cat = catalog_of rel in
   let flock = pair_flock threshold in
@@ -278,10 +269,10 @@ let mining_scenario name ~layout ~mode =
   let rel, threshold = instance ~seed:11 gen_basket_instance in
   let cat = catalog_of rel in
   let flock = pair_flock threshold in
-  let expected = with_pool_size 1 (fun () -> Direct.run cat flock) in
+  let expected = Test_util.with_pool_size 1 (fun () -> Direct.run cat flock) in
   let run () =
-    with_pool_size 1 @@ fun () ->
-    with_layout layout @@ fun () ->
+    Test_util.with_pool_size 1 @@ fun () ->
+    Test_util.with_layout layout @@ fun () ->
     let g = Governor.create ~mem_budget:tiny_budget () in
     Governor.with_ctx g @@ fun () ->
     match mode with

@@ -24,17 +24,13 @@ module Pool = Qf_exec_pool.Pool
 open Qf_core
 open Qf_testgen.Testgen
 
-let with_layout mode f =
-  Layout.set_override (Some mode);
-  Fun.protect ~finally:(fun () -> Layout.set_override None) f
-
 (* Run [f] (a kernel application over freshly built inputs) under both
    layouts and check the results agree.  [f] receives nothing but must
    rebuild its inputs internally so each arm converts at its own
    boundary. *)
 let both_layouts name f =
-  let row = with_layout Layout.Row f in
-  let col = with_layout Layout.Columnar f in
+  let row = Test_util.with_layout Layout.Row f in
+  let col = Test_util.with_layout Layout.Columnar f in
   if not (R.equal row col) then
     QCheck.Test.fail_reportf "%s: row/columnar results differ\nrow:\n%a\ncolumnar:\n%a"
       name R.pp row R.pp col;
@@ -164,7 +160,7 @@ let group_filter_report_prop =
     (QCheck.pair arb_rel3 (QCheck.int_range 1 5)) (fun (rel, threshold) ->
       List.for_all
         (fun mode ->
-          with_layout mode (fun () ->
+          Test_util.with_layout mode (fun () ->
               let rel = rebuild [ "A"; "B"; "C" ] rel in
               let _, candidates =
                 Aggregate.group_filter_report rel ~keys:[ "A"; "B" ]
@@ -181,8 +177,8 @@ let check_equal name expected actual =
     Alcotest.failf "%s: row/columnar results differ" name
 
 let unit_both name f =
-  let row = with_layout Layout.Row f in
-  let col = with_layout Layout.Columnar f in
+  let row = Test_util.with_layout Layout.Row f in
+  let col = Test_util.with_layout Layout.Columnar f in
   check_equal name row col
 
 let test_empty_inputs () =
@@ -281,14 +277,15 @@ let test_corpus_layout_insensitive () =
           (* Reference: the row engine on a sequential pool. *)
           Pool.set_default_size 1;
           let expected =
-            with_layout Layout.Row (fun () -> Direct.run (catalog_of rel) flock)
+            Test_util.with_layout Layout.Row (fun () ->
+                Direct.run (catalog_of rel) flock)
           in
           List.iter
             (fun mode ->
               List.iter
                 (fun domains ->
                   Pool.set_default_size domains;
-                  with_layout mode (fun () ->
+                  Test_util.with_layout mode (fun () ->
                       List.iter
                         (fun (name, got) ->
                           if not (R.equal expected got) then
@@ -297,7 +294,25 @@ let test_corpus_layout_insensitive () =
                                disagrees with row direct (threshold %d)\n%s"
                               seed name (Layout.to_string mode) domains
                               threshold (pp_relation rel))
-                        (run_executors (catalog_of rel) flock)))
+                        (run_executors (catalog_of rel) flock);
+                      (* The tabulation skips its dedupe pass when it keeps
+                         every bound key, trusting that environment rows
+                         are distinct; a rebuild through [R.add], which
+                         dedupes, must not shrink it. *)
+                      List.iter
+                        (fun rule ->
+                          let tab =
+                            Qf_datalog.Eval.tabulate (catalog_of rel) rule
+                          in
+                          let rebuilt = R.create (R.schema tab) in
+                          R.iter (R.add rebuilt) tab;
+                          if R.cardinal rebuilt <> R.cardinal tab then
+                            Alcotest.failf
+                              "seed %d: tabulation under %s layout / %d \
+                               domains has duplicate rows (%d, %d distinct)"
+                              seed (Layout.to_string mode) domains
+                              (R.cardinal tab) (R.cardinal rebuilt))
+                        flock.Flock.query))
                 [ 1; 4 ])
             [ Layout.Row; Layout.Columnar ])
         seeds)

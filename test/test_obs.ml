@@ -222,28 +222,18 @@ let deterministic_signature seed =
       in
       spans, counters)
 
-let with_pool_size size f =
-  let saved = Pool.size (Pool.default ()) in
-  Pool.set_default_size size;
-  Fun.protect ~finally:(fun () -> Pool.set_default_size saved) f
-
-let with_par_threshold value f =
-  let saved = Sys.getenv_opt "QF_PAR_THRESHOLD" in
-  Unix.putenv "QF_PAR_THRESHOLD" value;
-  Fun.protect
-    ~finally:(fun () ->
-      (* env_int ignores the empty string, restoring the default. *)
-      Unix.putenv "QF_PAR_THRESHOLD" (Option.value saved ~default:""))
-    f
-
 let test_metrics_pool_size_independent () =
-  with_par_threshold "16" @@ fun () ->
   List.iter
     (fun seed ->
-      let reference = with_pool_size 1 (fun () -> deterministic_signature seed) in
+      let reference =
+        Test_util.with_pool_size 1 (fun () -> deterministic_signature seed)
+      in
       List.iter
         (fun size ->
-          let got = with_pool_size size (fun () -> deterministic_signature seed) in
+          let got =
+            Test_util.with_pool_size ~par_threshold:16 size (fun () ->
+                deterministic_signature seed)
+          in
           check_bool
             (Printf.sprintf "seed %d: signature at pool size %d = size 1" seed
                size)
@@ -321,6 +311,79 @@ let test_symmetric_reuse_visible_in_spans () =
     in
     check_bool "at least one step reused by symmetry" true (reused <> [])
 
+(* {1 Binding-extension spans} *)
+
+let extend_spans f =
+  with_obs (fun () ->
+      f ();
+      List.filter
+        (fun (s : Obs.span) -> s.Obs.name = "eval.extend")
+        (Obs.report ()).Obs.spans)
+
+let int_attr name s =
+  match attr name s with
+  | Some (Obs.Int n) -> n
+  | _ -> Alcotest.failf "eval.extend span without an int %s" name
+
+let test_extend_spans () =
+  let cat = Qf_relational.Catalog.create () in
+  Qf_relational.Catalog.add cat "edge"
+    (R.of_values [ "X"; "Y" ]
+       Qf_relational.Value.
+         [
+           [ Int 1; Int 2 ]; [ Int 2; Int 3 ]; [ Int 3; Int 4 ];
+           [ Int 1; Int 3 ]; [ Int 4; Int 4 ];
+         ]);
+  let rule =
+    match
+      Qf_datalog.Parser.parse_rule
+        "answer(X,Z) :- edge(X,Y) AND edge(Y,Z) AND X < Z"
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let spans =
+    extend_spans (fun () -> ignore (Qf_datalog.Eval.tabulate cat rule))
+  in
+  let shape s =
+    List.map
+      (fun k -> int_attr k s)
+      [ "rows_in"; "candidates"; "rows_out"; "filtered" ]
+  in
+  (* The second subgoal finds five two-step paths; the fused X < Z drops
+     the one from 4 back to 4. *)
+  Alcotest.(check (list (list int)))
+    "one span per subgoal: rows_in, candidates, rows_out, filtered"
+    [ [ 1; 5; 5; 0 ]; [ 5; 5; 4; 1 ] ]
+    (List.map shape spans);
+  (* On the basket corpus, every span accounts for its rows, and the
+     direct run's $1 < $2 at least drops the pairs with $1 = $2. *)
+  List.iter
+    (fun seed ->
+      let rel, threshold = instance ~seed gen_basket_instance in
+      let cat = catalog_of rel in
+      let flock = pair_flock threshold in
+      let spans =
+        extend_spans (fun () ->
+            ignore (Plan_exec.run cat (Optimizer.optimize cat flock));
+            ignore (Direct.run cat flock))
+      in
+      check_bool (Printf.sprintf "seed %d: spans recorded" seed) true
+        (spans <> []);
+      List.iter
+        (fun s ->
+          check_bool
+            (Printf.sprintf "seed %d: rows_out + filtered <= candidates" seed)
+            true
+            (int_attr "rows_out" s + int_attr "filtered" s
+            <= int_attr "candidates" s))
+        spans;
+      check_bool
+        (Printf.sprintf "seed %d: the fused $1 < $2 dropped rows" seed)
+        true
+        (List.exists (fun s -> int_attr "filtered" s > 0) spans))
+    [ 0; 5; 9 ]
+
 let suite =
   [
     Alcotest.test_case "disabled records nothing" `Quick
@@ -337,6 +400,8 @@ let suite =
       test_profile_matches_execution;
     Alcotest.test_case "symmetric reuse is visible in spans" `Quick
       test_symmetric_reuse_visible_in_spans;
+    Alcotest.test_case "eval.extend spans account for fused filters" `Quick
+      test_extend_spans;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_filter_step_metrics; prop_join_span_metrics ]

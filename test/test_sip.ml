@@ -216,25 +216,16 @@ let test_memo_cascade_across_levels () =
 
 (* {1 Differential matrix: layouts x pool sizes x memo budgets} *)
 
-let with_pool_size size f =
-  let saved = Pool.size (Pool.default ()) in
-  Pool.set_default_size size;
-  Fun.protect ~finally:(fun () -> Pool.set_default_size saved) f
-
-let with_layout layout f =
-  Layout.set_override (Some layout);
-  Fun.protect ~finally:(fun () -> Layout.set_override None) f
-
 let test_reduced_equals_unreduced_matrix () =
   List.iter
     (fun seed ->
       let rel, threshold = instance ~seed gen_basket_instance in
       List.iter
         (fun layout ->
-          with_layout layout @@ fun () ->
+          Test_util.with_layout layout @@ fun () ->
           List.iter
             (fun pool_size ->
-              with_pool_size pool_size @@ fun () ->
+              Test_util.with_pool_size pool_size @@ fun () ->
               let cat = catalog_of rel in
               let flock, plan =
                 Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3
@@ -275,8 +266,8 @@ let test_reduced_equals_unreduced_matrix () =
 let test_counters_pool_and_layout_independent () =
   let rel, threshold = instance ~seed:3 gen_basket_instance in
   let counters layout pool_size =
-    with_layout layout @@ fun () ->
-    with_pool_size pool_size @@ fun () ->
+    Test_util.with_layout layout @@ fun () ->
+    Test_util.with_pool_size pool_size @@ fun () ->
     let was = Obs.enabled () in
     Obs.set_enabled true;
     Obs.reset ();

@@ -13,3 +13,32 @@ let rows rel =
   List.map
     (fun tup -> Format.asprintf "%a" Qf_relational.Tuple.pp tup)
     (Qf_relational.Relation.to_sorted_list rel)
+
+(* {1 Configuration matrix}
+
+   Run a thunk with the physical layout, or the shared pool's size, forced
+   and restored afterwards.  [par_threshold] also forces the parallel
+   dispatch threshold (it is read when the pool is created), so the
+   parallel kernels engage even on tiny inputs. *)
+
+let with_layout layout f =
+  Qf_relational.Layout.set_override (Some layout);
+  Fun.protect ~finally:(fun () -> Qf_relational.Layout.set_override None) f
+
+let with_pool_size ?par_threshold size f =
+  let module Pool = Qf_exec_pool.Pool in
+  let saved_size = Pool.size (Pool.default ()) in
+  let saved_threshold = Sys.getenv_opt "QF_PAR_THRESHOLD" in
+  Option.iter
+    (fun t -> Unix.putenv "QF_PAR_THRESHOLD" (string_of_int t))
+    par_threshold;
+  Pool.set_default_size size;
+  Fun.protect
+    ~finally:(fun () ->
+      (* The pool reads the variable when it is re-created; an empty
+         value means unset. *)
+      if par_threshold <> None then
+        Unix.putenv "QF_PAR_THRESHOLD"
+          (Option.value saved_threshold ~default:"");
+      Pool.set_default_size saved_size)
+    f
