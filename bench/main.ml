@@ -44,8 +44,8 @@ let time3 f =
 
 (* Best of [k] runs: on a shared container the interference (CFS quota
    throttling, neighbour noise) is strictly additive, so the smallest
-   sample is the one nearest the true cost.  The E14 ablation compares
-   engines against each other, and a single throttled sample in a
+   sample is the one nearest the true cost.  The ablations compare
+   configurations against each other, and a single throttled sample in a
    median-of-3 can swing a ratio by an order of magnitude. *)
 let time_best k f =
   let v, t0 = time f in
@@ -531,9 +531,9 @@ let e11 () =
   in
   let baskets = Catalog.find catalog "baskets" in
   let path = Filename.temp_file "qf_e11" ".qfh" in
-  let file = Qf_storage.Heap_file.create path (Relation.schema baskets) in
-  Qf_storage.Heap_file.append_relation file baskets;
-  Qf_storage.Heap_file.flush file;
+  let file = Qf_relational.Heap_file.create path (Relation.schema baskets) in
+  Qf_relational.Heap_file.append_relation file baskets;
+  Qf_relational.Heap_file.flush file;
   let pages =
     let ic = open_in_bin path in
     let n = in_channel_length ic / 4096 in
@@ -557,9 +557,9 @@ let e11 () =
       (* DBMS path including the load from disk. *)
       let _, t_load_and_plan =
         time3 (fun () ->
-            let reopened = Qf_storage.Heap_file.open_existing path in
-            let rel = Qf_storage.Heap_file.to_relation reopened in
-            Qf_storage.Heap_file.close reopened;
+            let reopened = Qf_relational.Heap_file.open_existing path in
+            let rel = Qf_relational.Heap_file.to_relation reopened in
+            Qf_relational.Heap_file.close reopened;
             let cat = Catalog.create () in
             Catalog.add cat "baskets" rel;
             Plan_exec.run cat plan)
@@ -574,7 +574,7 @@ let e11 () =
         t_file
         (Relation.cardinal planned))
     [ 20; 50; 100 ];
-  Qf_storage.Heap_file.close file;
+  Qf_relational.Heap_file.close file;
   Sys.remove path;
   row
     "the paper's concession holds: the ad-hoc file algorithm beats the \
@@ -913,150 +913,6 @@ let e13 () =
   in
   examine "E3 medical / Fig. 5 plan" medical med_plan;
   if !json then e13_write_json !e13_entries
-
-(* {1 E14 — physical layout ablation: row vs columnar kernels × domains} *)
-
-module Layout = Qf_relational.Layout
-
-type e14_entry = {
-  e14_workload : string;
-  e14_layout : string;
-  e14_domains : int;
-  e14_best_s : float;
-  e14_vs_row : float;
-      (* row best / this engine's best at the same domain count *)
-}
-
-let e14_entries : e14_entry list ref = ref []
-
-let e14_json_file = "BENCH_columnar.json"
-
-let e14_write_json entries =
-  let oc = open_out e14_json_file in
-  let field (e : e14_entry) =
-    Printf.sprintf
-      {|    { "workload": %S, "layout": %S, "domains": %d, "best_s": %.6f, "vs_row": %.2f }|}
-      e.e14_workload e.e14_layout e.e14_domains e.e14_best_s e.e14_vs_row
-  in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E14\",\n  \"quick\": %b,\n  \"clock\": \
-     \"wall\",\n  \"entries\": [\n%s\n  ]\n}\n"
-    !quick
-    (String.concat ",\n" (List.map field (List.rev entries)));
-  close_out oc;
-  row "wrote %s (%d entries)@." e14_json_file (List.length entries)
-
-let e14 () =
-  header "E14"
-    "physical layout ablation — row vs columnar kernels over the E1 and E3 \
-     plans, per pool size";
-  row
-    "both layouts compute identical result sets; vs_row is the row \
-     engine's best over this engine's best at the same domain count@.";
-  let reps = if !quick then 3 else 7 in
-  let ablate name runs =
-    row "@.%-30s %8s %10s %12s %9s@." name "domains" "layout" "best (s)"
-      "vs row";
-    (* Warm both layouts once before anything is timed: the first
-       execution under each layout pays one-time costs the others don't —
-       materializing that layout's representation of the base relations
-       and populating the version-keyed index cache.  Without this the
-       first configs in sweep order absorb those costs and the ratios are
-       distorted (the very effect the E12 sweep's warm-up removes). *)
-    List.iter
-      (fun mode ->
-        Layout.set_override (Some mode);
-        ignore (runs ());
-        Layout.set_override None)
-      [ Layout.Row; Layout.Columnar ];
-    let expected = ref None in
-    List.iter
-      (fun domains ->
-        Pool.set_default_size domains;
-        let t_row = ref nan in
-        List.iter
-          (fun mode ->
-            Layout.set_override (Some mode);
-            Gc.compact ();
-            let result, t = time_best reps runs in
-            Layout.set_override None;
-            (match !expected with
-            | None -> expected := Some result
-            | Some e ->
-              check_equal
-                (Printf.sprintf "E14 %s / %s @ %d domains" name
-                   (Layout.to_string mode) domains)
-                e result);
-            let vs_row =
-              match mode with
-              | Layout.Row ->
-                t_row := t;
-                1.
-              | Layout.Columnar -> !t_row /. Float.max 1e-9 t
-            in
-            e14_entries :=
-              {
-                e14_workload = name;
-                e14_layout = Layout.to_string mode;
-                e14_domains = domains;
-                e14_best_s = t;
-                e14_vs_row = vs_row;
-              }
-              :: !e14_entries;
-            row "%-30s %8d %10s %12.3f %8.2fx@." name domains
-              (Layout.to_string mode) t vs_row)
-          [ Layout.Row; Layout.Columnar ])
-      [ 1; 2; 4 ]
-  in
-  (* Same workloads and plans as E12, so the layout ablation reads against
-     the same baseline the scaling sweep established. *)
-  let docs = if !quick then 600 else 2500 in
-  let market =
-    Qf_workload.Market.catalog
-      {
-        Qf_workload.Market.n_baskets = docs;
-        n_items = docs * 10;
-        avg_basket_size = 24;
-        zipf_exponent = 0.85;
-        seed = 101;
-      }
-  in
-  let pair_flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
-  let pair_plan =
-    match Apriori_gen.singleton_plan pair_flock with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  ablate "E1 market / a-priori plan" (fun () ->
-      Plan_exec.run market pair_plan);
-  let mconfig =
-    {
-      Qf_workload.Medical.default with
-      n_patients = (if !quick then 2500 else 8000);
-      n_symptoms = 12000;
-      n_medicines = 2000;
-      background_symptoms = 10;
-      background_medicines = 3;
-      symptom_zipf = 0.5;
-      medicine_zipf = 0.5;
-      seed = 31;
-    }
-  in
-  let { Qf_workload.Medical.catalog = medical; _ } =
-    Qf_workload.Medical.generate mconfig
-  in
-  let med_flock = medical_flock 20 in
-  let med_plan =
-    match
-      Apriori_gen.param_set_plan med_flock ~param_sets:[ [ "s" ]; [ "m" ] ]
-    with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  ablate "E3 medical / Fig. 5 plan" (fun () ->
-      Plan_exec.run medical med_plan);
-  Pool.set_default_size (Pool.default_size ());
-  if !json then e14_write_json !e14_entries
 
 (* {1 Bechamel micro-benchmarks: one Test per experiment's core contrast} *)
 
@@ -1646,7 +1502,6 @@ let all_experiments =
     "E11", e11;
     "E12", e12;
     "E13", e13;
-    "E14", e14;
     "E15", e15;
     "E16", e16;
     "E17", e17;

@@ -26,10 +26,28 @@ let load_program path =
   | Ok p -> Ok p
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
 
-(* Materialize the program's views (if any) into the catalog. *)
+(* Materialize the program's views (if any) into the catalog, and check
+   that every predicate the flock's bodies name is stored or a view, so
+   a missing relation is reported before planning needs its
+   statistics. *)
 let prepare catalog (p : Parse.program) =
-  if p.views = [] then Ok catalog
-  else Views.materialize catalog p.views
+  let ( let* ) = Result.bind in
+  let* catalog =
+    if p.views = [] then Ok catalog else Views.materialize catalog p.views
+  in
+  let body_preds =
+    List.concat_map
+      (fun (r : Qf_datalog.Ast.rule) ->
+        List.filter_map
+          (function
+            | Qf_datalog.Ast.Pos a | Qf_datalog.Ast.Neg a -> Some a.pred
+            | Qf_datalog.Ast.Cmp _ -> None)
+          r.body)
+      p.flock.Flock.query
+  in
+  match List.find_opt (fun pred -> not (Catalog.mem catalog pred)) body_preds with
+  | Some pred -> Error ("unknown predicate " ^ pred)
+  | None -> Ok catalog
 
 let db_arg =
   Cmdliner.Arg.(
@@ -40,11 +58,20 @@ let db_arg =
           "Load every relation from a store directory (see $(b,import)); \
            $(b,--data) bindings are applied on top.")
 
+(* A store that is missing or corrupt is an input error (exit 1), and
+   reading one never creates the directory. *)
+let load_store dir =
+  match Qf_storage.Store.to_catalog (Qf_storage.Store.open_existing dir) with
+  | cat -> Ok cat
+  | exception (Failure e | Sys_error e | Invalid_argument e) ->
+    Error (Printf.sprintf "loading store %s: %s" dir e)
+
 let load_catalog ?db specs =
-  let cat =
+  let ( let* ) = Result.bind in
+  let* cat =
     match db with
-    | Some dir -> Qf_storage.Store.to_catalog (Qf_storage.Store.open_dir dir)
-    | None -> Catalog.create ()
+    | Some dir -> load_store dir
+    | None -> Ok (Catalog.create ())
   in
   let rec go = function
     | [] -> Ok cat

@@ -64,7 +64,7 @@ let default_options =
    Reductions and reducers are memoized across rules and steps of one plan
    execution.  [pruned] accumulates rows removed by materialized
    reductions (the deterministic [base - reduced] difference, identical
-   across layouts and pool sizes). *)
+   across pool sizes). *)
 let reduce_rule work ~step_names ~canon ~cache ~sips ~pruned (r : Ast.rule) =
   let param_oks =
     List.filter_map

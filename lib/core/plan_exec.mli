@@ -26,7 +26,7 @@ type step_report = {
   sip_pruned : int;
       (** rows removed from base relations by materialized semijoin
           reducers while computing this step (deterministic: identical
-          across layouts and domain-pool sizes) *)
+          across domain-pool sizes) *)
 }
 
 type report = {

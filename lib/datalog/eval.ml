@@ -5,7 +5,6 @@ module Relation = Qf_relational.Relation
 module Index = Qf_relational.Index
 module Catalog = Qf_relational.Catalog
 module Statistics = Qf_relational.Statistics
-module Layout = Qf_relational.Layout
 module Dict = Qf_relational.Dict
 module Chunkrel = Qf_relational.Chunkrel
 module Buf = Chunkrel.Buf
@@ -34,85 +33,24 @@ module Envs = struct
   (* [slots] maps a binding key to its column in every row; rows all have
      width [List.length slots].
 
-     Two physical engines share the interface, picked by {!Layout.mode}
-     at {!start}:
-
-     - [Vals]: one boxed [Value.t array] per environment (the original
-       representation) — rows are what the row-mode kernels consume.
-     - [Codes]: all environments in one flat dictionary-code array of
-       stride [width]: the first [count * width] ints of [data], which
-       may be longer (a step adopts its output buffer, spare capacity
-       and all).  Binding extension probes the {!Index.code_index} chains
-       directly over code arrays and evaluates the filters fused into it
-       on each candidate; parallel steps emit per-chunk {!Chunkrel.Buf}s
-       merged by a single blit — no per-row boxing anywhere on the hot
-       path. *)
-  type repr =
-    | Vals of Value.t array list
-    | Codes of { width : int; count : int; data : int array }
-
+     All environments live in one flat dictionary-code array of stride
+     [width]: the first [count * width] ints of [data], which may be
+     longer (a step adopts its output buffer, spare capacity and all).
+     Binding extension probes the {!Index} chains directly over code
+     arrays and evaluates the filters fused into it on each candidate;
+     parallel steps emit per-chunk {!Chunkrel.Buf}s merged by a single
+     blit — no per-row boxing anywhere on the hot path. *)
+  type repr = { width : int; count : int; data : int array }
   type t = { slots : (string * int) list; repr : repr }
 
-  let start () =
-    let repr =
-      match Layout.mode () with
-      | Layout.Columnar -> Codes { width = 0; count = 1; data = [||] }
-      | Layout.Row -> Vals [ [||] ]
-    in
-    { slots = []; repr }
-
+  let start () = { slots = []; repr = { width = 0; count = 1; data = [||] } }
   let bound_keys t = List.map fst t.slots
-
-  let count t =
-    match t.repr with
-    | Vals rows -> List.length rows
-    | Codes { count; _ } -> count
-
+  let count t = t.repr.count
   let slot_of t key = List.assoc_opt key t.slots
 
-  (* {2 Parallel row fan-out}
+  (* {2 Step outputs}
 
-     The environment list is the evaluator's working set; binding
-     extension and the row filters are embarrassingly parallel over it.
-     Each chunk emits its slice in input order and the chunks are
-     concatenated in order, so the resulting row list is *identical* to
-     the sequential one — not merely equal as a set. *)
-
-  let par_concat_map f rows =
-    let pool = Pool.default () in
-    let n = List.length rows in
-    if Pool.size pool = 1 || n < Pool.par_threshold () then
-      List.concat_map f rows
-    else begin
-      let arr = Array.of_list rows in
-      Pool.run_chunks pool ~n (fun ~lo ~hi ->
-          let acc = ref [] in
-          for i = hi - 1 downto lo do
-            acc := f arr.(i) @ !acc
-          done;
-          !acc)
-      |> List.concat
-    end
-
-  let par_filter pred rows =
-    let pool = Pool.default () in
-    let n = List.length rows in
-    if Pool.size pool = 1 || n < Pool.par_threshold () then
-      List.filter pred rows
-    else begin
-      let arr = Array.of_list rows in
-      Pool.run_chunks pool ~n (fun ~lo ~hi ->
-          let acc = ref [] in
-          for i = hi - 1 downto lo do
-            if pred arr.(i) then acc := arr.(i) :: !acc
-          done;
-          !acc)
-      |> List.concat
-    end
-
-  (* {2 Code-engine helpers}
-
-     A [Codes] step produces per-chunk [Buf]s (each an [(emitted rows) *
+     A step produces per-chunk [Buf]s (each an [(emitted rows) *
      stride] run of codes).  A single piece — every step on a one-domain
      pool or below the parallel threshold — is adopted without a copy,
      unless more than half of its buffer is spare capacity; several are
@@ -126,13 +64,13 @@ module Envs = struct
       let data =
         if Array.length data > 2 * Buf.length b then Buf.to_array b else data
       in
-      Codes { width; count; data }
+      { width; count; data }
     | _ ->
       let count = List.fold_left (fun acc (k, _) -> acc + k) 0 pieces in
       let data = Array.make (count * width) 0 in
       let pos = ref 0 in
       List.iter (fun (_, b) -> pos := Buf.blit_into b data !pos) pieces;
-      Codes { width; count; data }
+      { width; count; data }
 
   (* Run [run ~lo ~hi] over the rows [0, count): one chunk on a one-domain
      pool or below the parallel threshold, else pool-sized chunks. *)
@@ -164,7 +102,7 @@ module Envs = struct
 
   (* Chain-walk membership over a full-arity code index: does any row of
      the indexed chunk match the probe codes exactly? *)
-  let code_mem (ci : Index.code_index) probe =
+  let code_mem (ci : Index.t) probe =
     let nkeys = Array.length probe in
     let h = Chunkrel.hash_codes probe in
     let rec keys_eq row k =
@@ -176,14 +114,15 @@ module Envs = struct
     let rec walk j = j >= 0 && (keys_eq j 0 || walk ci.next.(j)) in
     walk ci.heads.(h land ci.mask)
 
-  (* A transient full-arity code index for membership filtering.  Built
-     with [Index.build] directly — NOT through the catalog cache — so the
-     [index_cache] hit/miss counters stay identical to row mode, where
-     membership goes through [Relation.mem] and never touches the cache. *)
+  (* A transient full-arity index for membership filtering.  Built with
+     [Index.build] directly, not through the catalog cache: the
+     [index_cache.*] counters count the binding-extension lookups the
+     optimizer and plan executor reason about, and a negation or
+     semijoin probe is not one of them. *)
   let membership_index rel =
-    Index.code_index (Index.build rel (List.init (Relation.arity rel) Fun.id))
+    Index.build rel (List.init (Relation.arity rel) Fun.id)
 
-  (* {2 Code-engine filters}
+  (* {2 Filters}
 
      A negated or arithmetic literal is a predicate on a candidate row,
      given as the base offset of an environment row in [data] and a row
@@ -239,57 +178,24 @@ module Envs = struct
         done;
         not (code_mem ci probe)
 
-  (* Filter a [Codes] set by such a predicate over its rows alone. *)
-  let filter_env_codes t ~width ~count ~data mk_pred =
-    let mk = mk_pred ~locate:(locate ~slots:t.slots ~width ~fill_cols:[||]) in
+  (* Filter environments by such a predicate over their rows alone. *)
+  let filter_env t mk_pred =
+    let { width; count; data } = t.repr in
+    let mk =
+      mk_pred ~locate:(locate ~slots:t.slots ~width ~fill_cols:[||]) ~data
+    in
     let mk () =
       let pred = mk () in
       fun base -> pred base 0
     in
     { t with repr = filter_codes mk ~width ~count ~data }
 
-  let term_getter t = function
-    | Ast.Const v -> fun (_ : Value.t array) -> v
-    | (Ast.Var _ | Ast.Param _) as term -> (
-      let key = Ast.binding_key term in
-      match slot_of t key with
-      | Some s -> fun row -> row.(s)
-      | None -> errorf "unbound %s in non-positive subgoal" key)
-
   let filter_neg catalog t (a : Ast.atom) =
     let rel = relation_for catalog a in
-    match t.repr with
-    | Vals rows ->
-      let getters = List.map (term_getter t) a.args in
-      (* Force the membership table on this domain before the fan-out:
-         [Relation.mem] materializes lazily and must not race. *)
-      Relation.prepare rel;
-      let rows =
-        par_filter
-          (fun row ->
-            let tup = Tuple.of_list (List.map (fun g -> g row) getters) in
-            not (Relation.mem rel tup))
-          rows
-      in
-      { t with repr = Vals rows }
-    | Codes { width; count; data } ->
-      filter_env_codes t ~width ~count ~data (fun ~locate ->
-          code_neg ~locate ~data rel a)
+    filter_env t (fun ~locate ~data -> code_neg ~locate ~data rel a)
 
   let filter_cmp t left cmp right =
-    match t.repr with
-    | Vals rows ->
-      let gl = term_getter t left and gr = term_getter t right in
-      let rows =
-        par_filter
-          (fun row ->
-            Ast.comparison_eval (Value.compare (gl row) (gr row)) cmp)
-          rows
-      in
-      { t with repr = Vals rows }
-    | Codes { width; count; data } ->
-      filter_env_codes t ~width ~count ~data (fun ~locate ->
-          code_cmp ~locate ~data left cmp right)
+    filter_env t (fun ~locate ~data -> code_cmp ~locate ~data left cmp right)
 
   let not_a_filter (a : Ast.atom) =
     invalid_arg ("Envs: positive subgoal " ^ a.pred ^ " used as a filter")
@@ -352,10 +258,10 @@ module Envs = struct
 
      Rejections are tallied per chunk and flushed as a single
      [sip.rows_pruned] count: the set of key-matched candidates examined
-     is the same in both layouts and under any chunking, so the total is
-     deterministic across layouts and pool sizes (the invariant the
-     differential suite pins down).  The reducers run before the fused
-     [filters], so the count does not depend on them.
+     is the same under any chunking, so the total is deterministic across
+     pool sizes (the invariant the differential suite pins down).  The
+     reducers run before the fused [filters], so the count does not
+     depend on them.
 
      Returns the extended set with the number of key-matched candidates
      and the number the fused filters dropped. *)
@@ -374,17 +280,9 @@ module Envs = struct
     (* Memoized through the catalog: FILTER steps, optimizer probes and
        repeated runs against the same stored relations all share built
        indexes (invalidated by relation version). *)
-    let idx = Catalog.index catalog rel key_positions in
-    let width = List.length t.slots in
+    let ci = Catalog.index catalog rel key_positions in
+    let { width; count; data } = t.repr in
     let new_width = width + List.length fresh_keys in
-    let key_builders =
-      List.filter_map
-        (function
-          | Key_const v -> Some (fun (_ : Value.t array) -> v)
-          | Key_slot s -> Some (fun (row : Value.t array) -> row.(s))
-          | Bind_new | Check_new _ -> None)
-        roles
-    in
     (* For each matching tuple: positions to copy into new slots, and
        positions to check for intra-tuple repeated fresh variables. *)
     let fills = ref [] and checks = ref [] in
@@ -407,176 +305,131 @@ module Envs = struct
     let slots =
       t.slots @ List.mapi (fun i key -> key, width + i) fresh_keys
     in
-    let result, candidates, rejected, dropped =
-      match t.repr with
-    | Vals rows ->
-      let candidates = Atomic.make 0 and rejected = Atomic.make 0 in
-      let extend_row row =
-        let key = Tuple.of_list (List.map (fun f -> f row) key_builders) in
-        let matches = Index.lookup idx key in
-        ignore (Atomic.fetch_and_add candidates (List.length matches));
-        List.filter_map
-          (fun tup ->
-            let fresh_values = List.map (Tuple.get tup) fills in
-            let ok =
-              List.for_all
-                (fun (pos, i) ->
-                  Value.equal (Tuple.get tup pos) (List.nth fresh_values i))
-                checks
-            in
-            if not ok then None
-            else if
-              not
-                (List.for_all
-                   (fun (i, s) -> Sip.mem_value s (List.nth fresh_values i))
-                   sip_checks)
-            then begin
-              ignore (Atomic.fetch_and_add rejected 1);
-              None
-            end
-            else begin
-              let row' = Array.make new_width (Value.Int 0) in
-              Array.blit row 0 row' 0 width;
-              List.iteri (fun i v -> row'.(width + i) <- v) fresh_values;
-              Some row'
-            end)
-          matches
-      in
-      let extended = { slots; repr = Vals (par_concat_map extend_row rows) } in
-      let filtered = List.fold_left (filter catalog) extended filters in
-      ( filtered,
-        Atomic.get candidates,
-        Atomic.get rejected,
-        count extended - count filtered )
-    | Codes { width = w; count; data } ->
-      assert (w = width);
-      (* Everything below runs over flat code arrays.  The probe key for
-         an environment is its slot codes plus pre-encoded constant codes,
-         hashed exactly as the index hashed its key columns
-         ([Chunkrel.hash_codes] = [Chunkrel.hash_key] for equal keys). *)
-      let ci = Index.code_index idx in
-      let key_specs =
-        Array.of_list
-          (List.filter_map
-             (function
-               | Key_const v -> Some (`Const (Dict.encode v))
-               | Key_slot s -> Some (`Slot s)
-               | Bind_new | Check_new _ -> None)
-             roles)
-      in
-      let nkeys = Array.length key_specs in
-      let chunk_cols = ci.Index.chunk.Chunkrel.cols in
-      let fill_cols =
-        Array.of_list (List.map (fun pos -> chunk_cols.(pos)) fills)
-      in
-      let n_fresh = Array.length fill_cols in
-      (* An intra-tuple repeat check compares two columns of the *same*
-         candidate row, so it needs no per-row fresh-value staging. *)
-      let check_pairs =
-        Array.of_list
-          (List.map
-             (fun (pos, i) -> chunk_cols.(pos), fill_cols.(i))
-             checks)
-      in
-      let nchecks = Array.length check_pairs in
-      let sip_cols =
-        Array.of_list (List.map (fun (i, s) -> fill_cols.(i), s) sip_checks)
-      in
-      let nsips = Array.length sip_cols in
-      let locate = locate ~slots ~width ~fill_cols in
-      let fused =
-        Array.of_list
-          (List.map
-             (function
-               | Ast.Cmp (l, c, r) -> code_cmp ~locate ~data l c r
-               | Ast.Neg a ->
-                 code_neg ~locate ~data (relation_for catalog a) a
-               | Ast.Pos a -> not_a_filter a)
-             filters)
-      in
-      let run ~lo ~hi =
-        let out = Buf.create ((hi - lo) * new_width) in
-        let emitted = ref 0 and candidates = ref 0 in
-        let rejected = ref 0 and dropped = ref 0 in
-        let probe = Array.make nkeys 0 in
-        let preds = Array.map (fun mk -> mk ()) fused in
-        let npreds = Array.length preds in
-        let rec keys_eq row k =
-          k >= nkeys
-          || Array.unsafe_get (Array.unsafe_get ci.Index.key_cols k) row
-             = Array.unsafe_get probe k
-             && keys_eq row (k + 1)
-        in
-        let rec checks_ok row c =
-          c >= nchecks
-          ||
-          let ca, cb = Array.unsafe_get check_pairs c in
-          Array.unsafe_get ca row = Array.unsafe_get cb row
-          && checks_ok row (c + 1)
-        in
-        let rec sip_ok row k =
-          k >= nsips
-          ||
-          let col, s = Array.unsafe_get sip_cols k in
-          Sip.mem s (Array.unsafe_get col row) && sip_ok row (k + 1)
-        in
-        let rec preds_ok base row f =
-          f >= npreds
-          || (Array.unsafe_get preds f) base row && preds_ok base row (f + 1)
-        in
-        for r = lo to hi - 1 do
-          let base = r * width in
-          for k = 0 to nkeys - 1 do
-            probe.(k) <-
-              (match Array.unsafe_get key_specs k with
-              | `Const c -> c
-              | `Slot s -> Array.unsafe_get data (base + s))
-          done;
-          let h = Chunkrel.hash_codes probe in
-          let j = ref ci.Index.heads.(h land ci.Index.mask) in
-          while !j >= 0 do
-            let row = !j in
-            if keys_eq row 0 then begin
-              incr candidates;
-              if checks_ok row 0 then
-                if not (sip_ok row 0) then incr rejected
-                else if not (preds_ok base row 0) then incr dropped
-                else begin
-                  incr emitted;
-                  for c = 0 to width - 1 do
-                    Buf.push out (Array.unsafe_get data (base + c))
-                  done;
-                  for k = 0 to n_fresh - 1 do
-                    Buf.push out
-                      (Array.unsafe_get (Array.unsafe_get fill_cols k) row)
-                  done
-                end
-            end;
-            j := ci.Index.next.(row)
-          done
-        done;
-        {
-          emitted = !emitted;
-          out;
-          candidates = !candidates;
-          rejected = !rejected;
-          dropped = !dropped;
-        }
-      in
-      let pieces = code_chunks ~count run in
-      let sum f = List.fold_left (fun acc p -> acc + f p) 0 pieces in
-      ( {
-          slots;
-          repr =
-            merge_code_chunks ~width:new_width
-              (List.map (fun p -> p.emitted, p.out) pieces);
-        },
-        sum (fun p -> p.candidates),
-        sum (fun p -> p.rejected),
-        sum (fun p -> p.dropped) )
+    (* The probe key for an environment is its slot codes plus
+       pre-encoded constant codes, hashed exactly as the index hashed its
+       key columns ([Chunkrel.hash_codes] = [Chunkrel.hash_key] for equal
+       keys). *)
+    let key_specs =
+      Array.of_list
+        (List.filter_map
+           (function
+             | Key_const v -> Some (`Const (Dict.encode v))
+             | Key_slot s -> Some (`Slot s)
+             | Bind_new | Check_new _ -> None)
+           roles)
     in
-    if sip_checks <> [] then Obs.count "sip.rows_pruned" rejected;
-    result, candidates, dropped
+    let nkeys = Array.length key_specs in
+    let chunk_cols = ci.Index.chunk.Chunkrel.cols in
+    let fill_cols =
+      Array.of_list (List.map (fun pos -> chunk_cols.(pos)) fills)
+    in
+    let n_fresh = Array.length fill_cols in
+    (* An intra-tuple repeat check compares two columns of the *same*
+       candidate row, so it needs no per-row fresh-value staging. *)
+    let check_pairs =
+      Array.of_list
+        (List.map
+           (fun (pos, i) -> chunk_cols.(pos), fill_cols.(i))
+           checks)
+    in
+    let nchecks = Array.length check_pairs in
+    let sip_cols =
+      Array.of_list (List.map (fun (i, s) -> fill_cols.(i), s) sip_checks)
+    in
+    let nsips = Array.length sip_cols in
+    let locate = locate ~slots ~width ~fill_cols in
+    let fused =
+      Array.of_list
+        (List.map
+           (function
+             | Ast.Cmp (l, c, r) -> code_cmp ~locate ~data l c r
+             | Ast.Neg a ->
+               code_neg ~locate ~data (relation_for catalog a) a
+             | Ast.Pos a -> not_a_filter a)
+           filters)
+    in
+    let run ~lo ~hi =
+      let out = Buf.create ((hi - lo) * new_width) in
+      let emitted = ref 0 and candidates = ref 0 in
+      let rejected = ref 0 and dropped = ref 0 in
+      let probe = Array.make nkeys 0 in
+      let preds = Array.map (fun mk -> mk ()) fused in
+      let npreds = Array.length preds in
+      let rec keys_eq row k =
+        k >= nkeys
+        || Array.unsafe_get (Array.unsafe_get ci.Index.key_cols k) row
+           = Array.unsafe_get probe k
+           && keys_eq row (k + 1)
+      in
+      let rec checks_ok row c =
+        c >= nchecks
+        ||
+        let ca, cb = Array.unsafe_get check_pairs c in
+        Array.unsafe_get ca row = Array.unsafe_get cb row
+        && checks_ok row (c + 1)
+      in
+      let rec sip_ok row k =
+        k >= nsips
+        ||
+        let col, s = Array.unsafe_get sip_cols k in
+        Sip.mem s (Array.unsafe_get col row) && sip_ok row (k + 1)
+      in
+      let rec preds_ok base row f =
+        f >= npreds
+        || (Array.unsafe_get preds f) base row && preds_ok base row (f + 1)
+      in
+      for r = lo to hi - 1 do
+        let base = r * width in
+        for k = 0 to nkeys - 1 do
+          probe.(k) <-
+            (match Array.unsafe_get key_specs k with
+            | `Const c -> c
+            | `Slot s -> Array.unsafe_get data (base + s))
+        done;
+        let h = Chunkrel.hash_codes probe in
+        let j = ref ci.Index.heads.(h land ci.Index.mask) in
+        while !j >= 0 do
+          let row = !j in
+          if keys_eq row 0 then begin
+            incr candidates;
+            if checks_ok row 0 then
+              if not (sip_ok row 0) then incr rejected
+              else if not (preds_ok base row 0) then incr dropped
+              else begin
+                incr emitted;
+                for c = 0 to width - 1 do
+                  Buf.push out (Array.unsafe_get data (base + c))
+                done;
+                for k = 0 to n_fresh - 1 do
+                  Buf.push out
+                    (Array.unsafe_get (Array.unsafe_get fill_cols k) row)
+                done
+              end
+          end;
+          j := ci.Index.next.(row)
+        done
+      done;
+      {
+        emitted = !emitted;
+        out;
+        candidates = !candidates;
+        rejected = !rejected;
+        dropped = !dropped;
+      }
+    in
+    let pieces = code_chunks ~count run in
+    let sum f = List.fold_left (fun acc p -> acc + f p) 0 pieces in
+    let result =
+      {
+        slots;
+        repr =
+          merge_code_chunks ~width:new_width
+            (List.map (fun p -> p.emitted, p.out) pieces);
+      }
+    in
+    if sip_checks <> [] then
+      Obs.count "sip.rows_pruned" (sum (fun p -> p.rejected));
+    result, sum (fun p -> p.candidates), sum (fun p -> p.dropped)
 
   (* One [eval.extend] span per positive subgoal, only when tracing:
      rows in, key-matched candidates, rows out, and the candidates the
@@ -603,67 +456,45 @@ module Envs = struct
         | None -> errorf "Envs.project: unbound key %s" key)
       keys
 
+  (* Gather the projected columns out of the stride layout.  Unless
+     [keys] covers every slot once (the rows are then distinct, see the
+     interface), dedupe the code rows in one open-addressing pass.  Either
+     way the relation gets an already-distinct chunk. *)
   let project t ~keys ~columns =
     let positions = key_positions t keys in
-    match t.repr with
-    | Vals rows ->
-      let rel = Relation.create (Schema.of_list columns) in
-      List.iter
-        (fun row ->
-          Relation.add rel
-            (Tuple.of_list (List.map (Array.get row) positions)))
-        rows;
-      rel
-    | Codes { width; count; data } ->
-      (* Gather the projected columns out of the stride layout.  Unless
-         [keys] covers every slot once (the rows are then distinct, see
-         the interface), dedupe the code rows in one open-addressing pass.
-         Either way the relation gets an already-distinct chunk. *)
-      let pcols =
-        Array.of_list
-          (List.map
-             (fun p ->
-               Array.init count (fun r -> Array.unsafe_get data ((r * width) + p)))
-             positions)
-      in
-      let covers_all_slots =
-        List.sort Int.compare positions = List.init width Fun.id
-      in
-      let nrows, cols =
-        if covers_all_slots then count, pcols
-        else
-          let idxs = Chunkrel.distinct_rows pcols count in
-          Array.length idxs, Chunkrel.gather_cols pcols idxs
-      in
-      Relation.of_chunkrel (Schema.of_list columns)
-        { Chunkrel.nrows; cols; rows_cache = None }
+    let { width; count; data } = t.repr in
+    let pcols =
+      Array.of_list
+        (List.map
+           (fun p ->
+             Array.init count (fun r -> Array.unsafe_get data ((r * width) + p)))
+           positions)
+    in
+    let covers_all_slots =
+      List.sort Int.compare positions = List.init width Fun.id
+    in
+    let nrows, cols =
+      if covers_all_slots then count, pcols
+      else
+        let idxs = Chunkrel.distinct_rows pcols count in
+        Array.length idxs, Chunkrel.gather_cols pcols idxs
+    in
+    Relation.of_chunkrel (Schema.of_list columns)
+      { Chunkrel.nrows; cols; rows_cache = None }
 
   let semijoin t ~keys ~keep =
-    let positions = key_positions t keys in
-    match t.repr with
-    | Vals rows ->
-      (* Same lazy-materialization guard as [filter_neg]. *)
-      Relation.prepare keep;
-      let rows =
-        par_filter
-          (fun row ->
-            Relation.mem keep
-              (Tuple.of_list (List.map (Array.get row) positions)))
-          rows
-      in
-      { t with repr = Vals rows }
-    | Codes { width; count; data } ->
-      let ci = membership_index keep in
-      let positions = Array.of_list positions in
-      let mk_pred () =
-        let probe = Array.make (Array.length positions) 0 in
-        fun base ->
-          for k = 0 to Array.length positions - 1 do
-            probe.(k) <- Array.unsafe_get data (base + positions.(k))
-          done;
-          code_mem ci probe
-      in
-      { t with repr = filter_codes mk_pred ~width ~count ~data }
+    let positions = Array.of_list (key_positions t keys) in
+    let { width; count; data } = t.repr in
+    let ci = membership_index keep in
+    let mk_pred () =
+      let probe = Array.make (Array.length positions) 0 in
+      fun base ->
+        for k = 0 to Array.length positions - 1 do
+          probe.(k) <- Array.unsafe_get data (base + positions.(k))
+        done;
+        code_mem ci probe
+    in
+    { t with repr = filter_codes mk_pred ~width ~count ~data }
 end
 
 (* {1 Literal ordering} *)

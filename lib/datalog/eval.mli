@@ -39,15 +39,14 @@ module Envs : sig
       rule accepts for that key (reducers have no false negatives, so the
       final result set is unchanged — only intermediate rows shrink).
       Rejections are flushed as one [sip.rows_pruned] Obs count, whose
-      total is deterministic across layouts and pool sizes.
+      total is deterministic across pool sizes.
 
       [filters] are negated and arithmetic literals whose terms are all
       bound once [atom] is (default none).  The result is the extension
       with each filter applied in turn, as {!filter_neg} and {!filter_cmp}
-      would, but the columnar engine evaluates them on each candidate
-      inside the probe loop — after the key match, the repeated-variable
-      checks and the [sip] reducers — so rows they reject are never
-      materialized.  [order_body]'s output gives them: the literals it
+      would, but they are evaluated on each candidate inside the probe
+      loop — after the key match, the repeated-variable checks and the
+      [sip] reducers — so rows they reject are never materialized.  [order_body]'s output gives them: the literals it
       flushes directly after a positive subgoal.  Raises
       [Invalid_argument] on a positive literal among them.
 
@@ -78,7 +77,7 @@ module Envs : sig
       every other position of the matched tuple is a lookup key or checked
       against a fresh binding; filters keep distinctness.  So when [keys]
       is a permutation of every bound key, the projection is distinct
-      without a dedupe pass and the columnar engine skips it.  Keys that
+      without a dedupe pass, which is then skipped.  Keys that
       repeat or leave out a bound key are deduplicated. *)
   val project : t -> keys:string list -> columns:string list -> Qf_relational.Relation.t
 

@@ -52,96 +52,22 @@ let eval func schema tuples =
           else acc)
         (Tuple.get first pos) rest)
 
-(* {1 Row-layout parallel grouping}
+(* {1 Grouping}
 
    Group-by is the FILTER step's core operation and routinely runs over
-   millions of tabulated rows, so it gets the full two-phase treatment:
+   millions of tabulated rows.  Rows are grouped by their key *codes*: a
+   group id per distinct key row, assigned through either a dense
+   code→gid map (single key column with a small code domain — the
+   perfect-hash path) or open addressing over representative rows.
+   Aggregates then accumulate into per-gid arrays in one vectorized pass;
+   [SUM]/[MIN]/[MAX] decode the measure column's codes on the fly (an
+   array read per row), [COUNT] touches no values at all.
 
-   - phase 1 (parallel over row chunks): project each tuple's key and
-     scatter [(key, tuple)] into one of [d] buckets by key hash, so every
-     distinct key lands in exactly one partition;
-   - phase 2 (parallel over the [d] partitions): build the per-partition
-     group table and evaluate the aggregate per group.
-
-   No cross-domain merge is needed — partitioning by key hash makes the
-   partitions disjoint — and the cached tuple hash makes both the scatter
-   and the table probes O(1).  Results are the same (unordered) group
-   list as the sequential path. *)
-
-let group_by_parallel pool rel ~key_positions ~func =
-  let schema = Relation.schema rel in
-  let tuples = Relation.to_array rel in
-  let n = Array.length tuples in
-  let d = Pool.size pool in
-  let buckets_per_chunk =
-    Pool.run_chunks pool ~n (fun ~lo ~hi ->
-        let buckets = Array.make d [] in
-        for i = lo to hi - 1 do
-          let tup = tuples.(i) in
-          let key = Tuple.project key_positions tup in
-          let j = (Tuple.hash key land max_int) mod d in
-          buckets.(j) <- (key, tup) :: buckets.(j)
-        done;
-        buckets)
-  in
-  let partitions =
-    List.init d (fun j ->
-        List.map (fun buckets -> buckets.(j)) buckets_per_chunk)
-  in
-  let per_partition =
-    Pool.run_all pool
-      (List.map
-         (fun pieces () ->
-           let groups : Tuple.t list ref Tuple.Table.t =
-             Tuple.Table.create 64
-           in
-           List.iter
-             (List.iter (fun (key, tup) ->
-                  match Tuple.Table.find_opt groups key with
-                  | Some cell -> cell := tup :: !cell
-                  | None -> Tuple.Table.add groups key (ref [ tup ])))
-             pieces;
-           Tuple.Table.fold
-             (fun key cell acc -> (key, eval func schema !cell) :: acc)
-             groups [])
-         partitions)
-  in
-  List.concat per_partition
-
-let group_by_rows ?pool ?par_threshold rel ~keys ~func =
-  let threshold =
-    match par_threshold with Some v -> v | None -> Pool.par_threshold ()
-  in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  if Pool.size pool > 1 && Relation.cardinal rel >= threshold then
-    let key_positions =
-      Array.of_list (List.map (Schema.position (Relation.schema rel)) keys)
-    in
-    group_by_parallel pool rel ~key_positions ~func
-  else begin
-    let schema = Relation.schema rel in
-    let idx = Index.build_on rel keys in
-    let out = ref [] in
-    Index.iter_groups
-      (fun key tuples -> out := (key, eval func schema tuples) :: !out)
-      idx;
-    !out
-  end
-
-(* {1 Columnar grouping}
-
-   Rows are grouped by their key *codes*: a group id per distinct key
-   row, assigned through either a dense code→gid map (single key column
-   with a small code domain — the perfect-hash path) or open addressing
-   over representative rows.  Aggregates then accumulate into per-gid
-   arrays in one vectorized pass; [SUM]/[MIN]/[MAX] decode the measure
-   column's codes on the fly (an array read per row), [COUNT] touches no
-   values at all.
-
-   The parallel path reuses the two-phase scheme above, but over int
-   buffers: scatter row indices by key hash into [d] disjoint partitions,
-   then group and aggregate each partition independently; per-partition
-   results merge by [Array.blit]. *)
+   The parallel path has two phases over int buffers: scatter row indices
+   by key hash into [d] disjoint partitions (every distinct key lands in
+   exactly one), then group and aggregate each partition independently;
+   no cross-domain merge of groups is needed, and per-partition results
+   merge by [Array.blit]. *)
 
 (* Group the rows listed in [idxs]; returns [rep] (one representative row
    per group, in first-appearance order) and [gid] (parallel to [idxs]). *)
@@ -278,8 +204,9 @@ let partition_rows pool key_cols n =
       List.iter (fun c -> pos := Buf.blit_into c dst !pos) pieces;
       dst)
 
-let columnar_partitions ?pool ?par_threshold rel ~key_cols =
-  let chunk = Relation.codes rel in
+(* Row-index partitions of [chunk]: all rows as one on a one-domain
+   pool or below the parallel threshold, else {!partition_rows}. *)
+let partitions ?pool ?par_threshold (chunk : Chunkrel.t) ~key_cols =
   let n = chunk.Chunkrel.nrows in
   let threshold =
     match par_threshold with Some v -> v | None -> Pool.par_threshold ()
@@ -289,24 +216,27 @@ let columnar_partitions ?pool ?par_threshold rel ~key_cols =
     Some pool, partition_rows pool key_cols n
   else None, [ identity_idxs n ]
 
-let group_by_cols ?pool ?par_threshold rel ~keys ~func =
+(* The key columns of [rel]'s snapshot and, per partition, each group's
+   representative row with its aggregate value. *)
+let group_codes ?pool ?par_threshold rel ~keys ~func =
   let schema = Relation.schema rel in
   let chunk = Relation.codes rel in
-  let key_positions =
-    Array.of_list (List.map (Schema.position schema) keys)
+  let key_cols =
+    Array.of_list
+      (List.map (fun k -> chunk.Chunkrel.cols.(Schema.position schema k)) keys)
   in
-  let key_cols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) key_positions in
-  let pool, parts = columnar_partitions ?pool ?par_threshold rel ~key_cols in
+  let pool, parts = partitions ?pool ?par_threshold chunk ~key_cols in
   let job idxs () =
     let rep, gid = group_rows key_cols idxs in
-    let aggs = aggregate_gids chunk schema ~func ~rep ~gid ~idxs in
-    rep, aggs
+    rep, aggregate_gids chunk schema ~func ~rep ~gid ~idxs
   in
-  let per_part =
+  ( key_cols,
     match pool with
     | Some pool -> Pool.run_all pool (List.map job parts)
-    | None -> List.map (fun idxs -> job idxs ()) parts
-  in
+    | None -> List.map (fun idxs -> job idxs ()) parts )
+
+let group_by_cols ?pool ?par_threshold rel ~keys ~func =
+  let key_cols, per_part = group_codes ?pool ?par_threshold rel ~keys ~func in
   List.concat_map
     (fun (rep, aggs) ->
       List.init (Array.length rep) (fun g ->
@@ -345,26 +275,18 @@ let spill_group_by g rel ~keys ~func =
       let cost = 2 * Relation.approx_bytes part in
       Governor.charge g cost;
       Fun.protect ~finally:(fun () -> Governor.release g cost) @@ fun () ->
-      let idx = Index.build_on part keys in
-      Index.iter_groups
-        (fun key tuples -> out := (key, eval func schema tuples) :: !out)
-        idx)
+      out := group_by_cols part ~keys ~func :: !out)
     runs;
-  !out
+  List.concat !out
 
 let group_by ?pool ?par_threshold rel ~keys ~func =
   Governor.check ();
-  let in_memory () =
-    match Layout.mode () with
-    | Layout.Row -> group_by_rows ?pool ?par_threshold rel ~keys ~func
-    | Layout.Columnar -> group_by_cols ?pool ?par_threshold rel ~keys ~func
-  in
   let compute () =
     (* The group table holds every distinct key plus its tuple list;
        charge roughly twice the input, spill when it does not fit. *)
     Spill.governed
       ~need:(2 * Relation.approx_bytes rel)
-      in_memory
+      (fun () -> group_by_cols ?pool ?par_threshold rel ~keys ~func)
       (fun g ->
         if Obs.enabled () then Obs.count "governor.spill.groups" 1;
         spill_group_by g rel ~keys ~func)
@@ -378,45 +300,28 @@ let group_by ?pool ?par_threshold rel ~keys ~func =
         Obs.set_attr "groups_out" (Obs.Int (List.length groups));
         groups)
 
-(* Columnar FILTER: group, aggregate, filter by threshold, and gather the
+(* FILTER: group, aggregate, filter by threshold, and gather the
    surviving representative rows' key codes straight into the output
    chunk — no tuple is built for keys that fail the support test, and
    none at all for the survivors either. *)
 let group_filter_cols ?pool ?par_threshold rel ~keys ~func ~threshold =
-  let schema = Relation.schema rel in
-  let chunk = Relation.codes rel in
-  let key_positions =
-    Array.of_list (List.map (Schema.position schema) keys)
-  in
-  let key_cols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) key_positions in
-  let grouping () =
-    let pool, parts =
-      columnar_partitions ?pool ?par_threshold rel ~key_cols
-    in
-    let job idxs () =
-      let rep, gid = group_rows key_cols idxs in
-      let aggs = aggregate_gids chunk schema ~func ~rep ~gid ~idxs in
-      rep, aggs
-    in
-    match pool with
-    | Some pool -> Pool.run_all pool (List.map job parts)
-    | None -> List.map (fun idxs -> job idxs ()) parts
-  in
-  (* Keep the nested group-by span (and its attribute values) identical
-     to the row layout's, so profiled runs are layout-insensitive. *)
-  let per_part =
+  let grouping () = group_codes ?pool ?par_threshold rel ~keys ~func in
+  (* The nested group-by span carries the same attributes as
+     {!group_by}'s, so profiles read the same whichever entry point
+     grouped the rows. *)
+  let key_cols, per_part =
     if not (Obs.enabled ()) then grouping ()
     else
       Obs.with_span "aggregate.group_by"
         ~attrs:[ "rows_in", Obs.Int (Relation.cardinal rel) ]
         (fun () ->
-          let per_part = grouping () in
+          let ((_, per_part) as grouped) = grouping () in
           Obs.set_attr "groups_out"
             (Obs.Int
                (List.fold_left
                   (fun a (rep, _) -> a + Array.length rep)
                   0 per_part));
-          per_part)
+          grouped)
   in
   let candidates =
     List.fold_left (fun a (rep, _) -> a + Array.length rep) 0 per_part
@@ -439,7 +344,7 @@ let group_filter_cols ?pool ?par_threshold rel ~keys ~func ~threshold =
   List.iter (fun b -> pos := Buf.blit_into b kept !pos) kept_bufs;
   let out =
     Relation.of_chunkrel
-      (Schema.restrict schema keys)
+      (Schema.restrict (Relation.schema rel) keys)
       {
         Chunkrel.nrows = total;
         cols = Chunkrel.gather_cols key_cols kept;
@@ -448,10 +353,9 @@ let group_filter_cols ?pool ?par_threshold rel ~keys ~func ~threshold =
   in
   out, candidates
 
-(* Spilling FILTER (columnar layout's fallback): group via the spill
-   path, then threshold-filter the group list.  The nested group-by span
-   mirrors the in-memory paths' exactly, so governed profiled runs stay
-   layout-insensitive. *)
+(* Spilling FILTER: group via the spill path, then threshold-filter the
+   group list.  The nested group-by span mirrors the in-memory path's, so
+   governed profiled runs read the same as ungoverned ones. *)
 let spill_group_filter g rel ~keys ~func ~threshold =
   let grouping () = spill_group_by g rel ~keys ~func in
   let groups =
@@ -474,26 +378,13 @@ let spill_group_filter g rel ~keys ~func ~threshold =
 let group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold =
   Governor.check ();
   let compute () =
-    match Layout.mode () with
-    | Layout.Columnar ->
-      Spill.governed
-        ~need:(2 * Relation.approx_bytes rel)
-        (fun () ->
-          group_filter_cols ?pool ?par_threshold rel ~keys ~func ~threshold)
-        (fun g ->
-          if Obs.enabled () then Obs.count "governor.spill.groups" 1;
-          spill_group_filter g rel ~keys ~func ~threshold)
-    | Layout.Row ->
-      let groups = group_by ?pool ?par_threshold rel ~keys ~func in
-      let out =
-        Relation.create (Schema.restrict (Relation.schema rel) keys)
-      in
-      List.iter
-        (fun (key, v) ->
-          let x = numeric_exn "group_filter" v in
-          if x >= threshold then Relation.add out key)
-        groups;
-      out, List.length groups
+    Spill.governed
+      ~need:(2 * Relation.approx_bytes rel)
+      (fun () ->
+        group_filter_cols ?pool ?par_threshold rel ~keys ~func ~threshold)
+      (fun g ->
+        if Obs.enabled () then Obs.count "governor.spill.groups" 1;
+        spill_group_filter g rel ~keys ~func ~threshold)
   in
   if not (Obs.enabled ()) then compute ()
   else

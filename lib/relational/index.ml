@@ -1,6 +1,6 @@
 module Pool = Qf_exec_pool.Pool
 
-type code_index = {
+type t = {
   heads : int array;
   next : int array;
   mask : int;
@@ -8,34 +8,22 @@ type code_index = {
   chunk : Chunkrel.t;
 }
 
-(* The snapshot the index was built against: both sides (the tuple-keyed
-   group table and the bucket-chained code index) are derivable from it,
-   so whichever side a caller asks for reflects the same tuple set even
-   if the source relation mutates later. *)
-type source =
-  | Rows of Tuple.t array
-  | Chunk of Chunkrel.t
-
-type t = {
-  positions : int array;
-  source : source;
-  mutable groups : Tuple.t list ref Tuple.Table.t option;
-  mutable cidx : code_index option;
-}
-
-(* {1 Code-index build}
-
-   The bucket array is the radix table: a row's key hash, masked to the
+(* The bucket array is the radix table: a row's key hash, masked to the
    table size, names its partition; rows sharing a partition chain
    through [next].  Build is one pass and allocation-free beyond the two
    arrays.  Above the parallel threshold the key hashes are precomputed
    in parallel (disjoint writes per chunk); the chaining pass itself is
    sequential and memory-bound.  Tiny build sides skip the partitioned
-   hash pass entirely. *)
+   hash pass entirely.  The index holds the snapshot it was built
+   against, so it keeps describing the same tuple set even if the source
+   relation mutates later. *)
 
-let build_code_index (chunk : Chunkrel.t) positions =
+let build rel positions =
+  let chunk = Relation.codes rel in
   let n = chunk.Chunkrel.nrows in
-  let key_cols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) positions in
+  let key_cols =
+    Array.of_list (List.map (fun p -> chunk.Chunkrel.cols.(p)) positions)
+  in
   let cap = Chunkrel.hash_capacity n in
   let mask = cap - 1 in
   let heads = Array.make cap (-1) in
@@ -62,95 +50,5 @@ let build_code_index (chunk : Chunkrel.t) positions =
     done;
   { heads; next; mask; key_cols; chunk }
 
-let build_groups positions tuples =
-  let groups =
-    Tuple.Table.create (max 16 (Array.length tuples / 4))
-  in
-  Array.iter
-    (fun tup ->
-      let key = Tuple.project positions tup in
-      match Tuple.Table.find_opt groups key with
-      | Some cell -> cell := tup :: !cell
-      | None -> Tuple.Table.add groups key (ref [ tup ]))
-    tuples;
-  groups
-
-let build rel positions =
-  let positions = Array.of_list positions in
-  match Layout.mode () with
-  | Layout.Columnar ->
-    let chunk = Relation.codes rel in
-    {
-      positions;
-      source = Chunk chunk;
-      groups = None;
-      cidx = Some (build_code_index chunk positions);
-    }
-  | Layout.Row ->
-    let tuples = Relation.to_array rel in
-    {
-      positions;
-      source = Rows tuples;
-      groups = Some (build_groups positions tuples);
-      cidx = None;
-    }
-
-let build_on rel cols =
-  build rel (List.map (Schema.position (Relation.schema rel)) cols)
-
-let positions t = Array.to_list t.positions
-
-let ensure_groups t =
-  match t.groups with
-  | Some g -> g
-  | None ->
-    let tuples =
-      match t.source with
-      | Rows tuples -> tuples
-      | Chunk chunk -> Chunkrel.rows chunk
-    in
-    let g = build_groups t.positions tuples in
-    t.groups <- Some g;
-    g
-
-let code_index t =
-  match t.cidx with
-  | Some ci -> ci
-  | None ->
-    let chunk =
-      match t.source with
-      | Chunk chunk -> chunk
-      | Rows tuples ->
-        let arity =
-          if Array.length tuples = 0 then
-            (* No rows to measure: key columns are all that matter and
-               every position array is empty anyway. *)
-            1 + Array.fold_left max (-1) t.positions
-          else Tuple.arity tuples.(0)
-        in
-        Chunkrel.of_tuples ~arity tuples
-    in
-    let ci = build_code_index chunk t.positions in
-    t.cidx <- Some ci;
-    ci
-
-(* Same layout-independence rule as [Relation.approx_bytes]: the formula
-   sees only row and key-column counts, which both layouts agree on. *)
 let approx_bytes t =
-  let rows =
-    match t.source with
-    | Rows tuples -> Array.length tuples
-    | Chunk chunk -> chunk.Chunkrel.nrows
-  in
-  (16 * (Array.length t.positions + 2) * rows) + 256
-
-let lookup t key =
-  match Tuple.Table.find_opt (ensure_groups t) key with
-  | Some l -> !l
-  | None -> []
-
-let mem t key = Tuple.Table.mem (ensure_groups t) key
-let key_count t = Tuple.Table.length (ensure_groups t)
-
-let iter_groups f t =
-  Tuple.Table.iter (fun key cell -> f key !cell) (ensure_groups t)
+  (16 * (Array.length t.key_cols + 2) * t.chunk.Chunkrel.nrows) + 256

@@ -1,30 +1,22 @@
 (** Hash indexes on a subset of a relation's columns.
 
-    An index maps a key (the tuple of values at the indexed positions) to
-    the list of tuples carrying that key.  Indexes are built eagerly and
-    are not maintained under later mutation of the source relation — the
-    {!Catalog} index cache pairs each index with the relation version it
-    was built against and rebuilds when stale.
-
-    A built index is immutable, so concurrent lookups from several
-    domains are safe; the parallel join kernels rely on this.
-
-    An index serves two faces over the same snapshot: the tuple-keyed
-    group table (the {!lookup}/{!iter_groups} API below) and the
-    {!code_index} — a radix/bucket-chained structure over the columnar
-    code arrays that the columnar kernels probe without allocating.  Per
-    {!Layout.mode} one face is built eagerly at {!build}; the other is
-    derived lazily from the captured snapshot on first demand. *)
-
-type t
-
-(** The code-side face: [heads.(h land mask)] starts a chain through
-    [next] of the rows whose key codes hash to [h] (hash =
+    An index is a radix/bucket-chained table over a relation's columnar
+    snapshot ({!Relation.codes}): [heads.(h land mask)] starts a chain
+    through [next] of the rows whose key codes hash to [h] (hash =
     {!Chunkrel.hash_key} over [key_cols], equivalently
     {!Chunkrel.hash_codes} of the key-code array in position order);
-    [-1] terminates.  [key_cols] are the indexed columns of [chunk] in
-    {!positions} order. *)
-type code_index = {
+    [-1] terminates.  [key_cols] are the indexed columns of [chunk], in
+    the order of the positions the index was built on.  Probes compare
+    raw dictionary codes and never allocate.
+
+    Indexes are built eagerly and are not maintained under later
+    mutation of the source relation — the {!Catalog} index cache pairs
+    each index with the relation version it was built against and
+    rebuilds when stale.  A built index is immutable, so concurrent
+    probes from several domains are safe; the parallel join kernels rely
+    on this. *)
+
+type t = {
   heads : int array;
   next : int array;
   mask : int;
@@ -32,34 +24,10 @@ type code_index = {
   chunk : Chunkrel.t;
 }
 
-(** The code-side face, built on first demand when the index was built
-    in row mode. *)
-val code_index : t -> code_index
-
 (** [build rel positions] indexes [rel] on the columns at [positions]. *)
 val build : Relation.t -> int list -> t
 
-(** [build_on rel cols] indexes [rel] on the named columns. *)
-val build_on : Relation.t -> string list -> t
-
-(** The positions the index was built on. *)
-val positions : t -> int list
-
 (** Approximate in-memory size for the catalog's LRU byte budget; a
-    function of row and key-column counts only (layout-independent, like
-    {!Relation.approx_bytes}). *)
+    function of row and key-column counts only, like
+    {!Relation.approx_bytes}. *)
 val approx_bytes : t -> int
-
-(** Tuples whose indexed columns equal [key] (same order as the positions
-    the index was built on). *)
-val lookup : t -> Tuple.t -> Tuple.t list
-
-(** [mem idx key] — does any tuple carry this key?  Cheaper than
-    [lookup <> []] in spirit, identical in cost; provided for clarity. *)
-val mem : t -> Tuple.t -> bool
-
-(** Number of distinct keys. *)
-val key_count : t -> int
-
-(** [iter_groups f idx] calls [f key tuples] for every distinct key. *)
-val iter_groups : (Tuple.t -> Tuple.t list -> unit) -> t -> unit

@@ -70,7 +70,7 @@ let residual_columns a b pairs =
    column), so it is skipped before the chain walk.  Reducers never
    change the result set — only the work — and emit no counters of their
    own here, so join outputs and metrics stay deterministic. *)
-let sip_checks_cols ca sip =
+let sip_checks ca sip =
   let checks =
     Array.of_list
       (List.map (fun (p, s) -> ca.Chunkrel.cols.(p), s) sip)
@@ -85,9 +85,6 @@ let sip_checks_cols ca sip =
     in
     loop 0
 
-let sip_pass_row sip tup =
-  List.for_all (fun (p, s) -> Sip.mem_value s (Tuple.get tup p)) sip
-
 let use_pool pool n threshold =
   let pool = match pool with Some p -> p | None -> Pool.default () in
   if Pool.size pool > 1 && n >= threshold then Some pool else None
@@ -96,7 +93,7 @@ let threshold_of = function
   | Some v -> v
   | None -> Pool.par_threshold ()
 
-(* {1 Columnar probe machinery}
+(* {1 Probe machinery}
 
    Both kinds of probe walk the build side's bucket chains comparing raw
    key codes; no tuple is ever materialized.  Over set-semantics inputs
@@ -111,7 +108,7 @@ let threshold_of = function
    no output-side hash set at all. *)
 
 (* Per-probe-row chain walk: calls [emit j] for every matching build row. *)
-let probe_chain (ci : Index.code_index) akey_cols i emit =
+let probe_chain (ci : Index.t) akey_cols i emit =
   let h = ref 17 in
   let nk = Array.length akey_cols in
   for k = 0 to nk - 1 do
@@ -152,11 +149,12 @@ let merge_bufs chunks =
    build row) pair buffer; buffers merge by blit and the output columns
    are gathered once. *)
 
-let equi_cols ?pool ?par_threshold ~sip a b pos_a pos_b residual out_schema =
+let equi_in_memory ?pool ?par_threshold ~sip a b pos_a pos_b residual
+    out_schema =
   let ca = Relation.codes a in
-  let ci = Index.code_index (Index.build b (Array.to_list pos_b)) in
+  let ci = Index.build b (Array.to_list pos_b) in
   let akey_cols = Array.map (fun p -> ca.Chunkrel.cols.(p)) pos_a in
-  let sip_pass = sip_checks_cols ca sip in
+  let sip_pass = sip_checks ca sip in
   let sb = Relation.schema b in
   let residual_pos =
     Array.of_list (List.map (fun (c, _) -> Schema.position sb c) residual)
@@ -194,51 +192,17 @@ let equi_cols ?pool ?par_threshold ~sip a b pos_a pos_b residual out_schema =
   Relation.of_chunkrel out_schema
     { Chunkrel.nrows = m; cols = out_cols; rows_cache = None }
 
-let equi_rows ?pool ?par_threshold ~sip a b pos_a pos_b residual out_schema =
-  let sb = Relation.schema b in
-  let residual_pos =
-    Array.of_list (List.map (fun (c, _) -> Schema.position sb c) residual)
-  in
-  let out = Relation.create out_schema in
-  let idx = Index.build b (Array.to_list pos_b) in
-  let probe ta emit =
-    if sip_pass_row sip ta then begin
-      let key = Tuple.project pos_a ta in
-      List.iter
-        (fun tb -> emit (Tuple.append ta (Tuple.project residual_pos tb)))
-        (Index.lookup idx key)
-    end
-  in
-  (match use_pool pool (Relation.cardinal a) (threshold_of par_threshold) with
-  | None -> Relation.iter (fun ta -> probe ta (Relation.add out)) a
-  | Some pool ->
-    let tuples = Relation.to_array a in
-    let produced =
-      Pool.run_chunks pool ~n:(Array.length tuples) (fun ~lo ~hi ->
-          let acc = ref [] in
-          for i = lo to hi - 1 do
-            probe tuples.(i) (fun tup -> acc := tup :: !acc)
-          done;
-          !acc)
-    in
-    List.iter (List.iter (Relation.add out)) produced);
-  out
-
 (* {1 Grace-style spilling equi-join}
 
    When the governed budget cannot hold the in-memory build index, both
    sides hash-partition by their join-key into temp heap-file runs
    (equal keys land in the same partition index on both sides), and each
-   partition pair joins in memory under a per-partition charge.  Results
-   are identical to the in-memory paths: partitions are disjoint by key,
-   and set semantics dedups as usual.  SIP prechecks are skipped here —
-   they only prune probe rows that cannot match, so the output is
+   partition pair joins through [equi_in_memory] under a per-partition
+   charge.  Results are identical to the in-memory join: partitions are
+   disjoint by key, so their outputs are too.  SIP prechecks are skipped
+   here — they only prune probe rows that cannot match, so the output is
    unchanged either way. *)
 let spill_equi g a b pos_a pos_b residual out_schema =
-  let sb = Relation.schema b in
-  let residual_pos =
-    Array.of_list (List.map (fun (c, _) -> Schema.position sb c) residual)
-  in
   let out = Relation.create out_schema in
   let need = Relation.approx_bytes a + (2 * Relation.approx_bytes b) in
   let parts = Spill.partition_count g ~need in
@@ -257,15 +221,8 @@ let spill_equi g a b pos_a pos_b residual out_schema =
     let cost = Relation.approx_bytes pa + (2 * Relation.approx_bytes pb) in
     Governor.charge g cost;
     Fun.protect ~finally:(fun () -> Governor.release g cost) @@ fun () ->
-    let idx = Index.build pb (Array.to_list pos_b) in
-    Relation.iter
-      (fun ta ->
-        let key = Tuple.project pos_a ta in
-        List.iter
-          (fun tb ->
-            Relation.add out (Tuple.append ta (Tuple.project residual_pos tb)))
-          (Index.lookup idx key))
-      pa
+    Relation.iter (Relation.add out)
+      (equi_in_memory ~sip:[] pa pb pos_a pos_b residual out_schema)
   done;
   out
 
@@ -278,11 +235,8 @@ let equi ?pool ?par_threshold ?(sip = []) a b pairs =
     Schema.of_list (Schema.columns (Relation.schema a) @ List.map snd residual)
   in
   let in_memory () =
-    match Layout.mode () with
-    | Layout.Columnar ->
-      equi_cols ?pool ?par_threshold ~sip a b pos_a pos_b residual out_schema
-    | Layout.Row ->
-      equi_rows ?pool ?par_threshold ~sip a b pos_a pos_b residual out_schema
+    equi_in_memory ?pool ?par_threshold ~sip a b pos_a pos_b residual
+      out_schema
   in
   (* The build-side index (plus the probe pairs) is what an in-memory
      equi-join holds beyond its inputs; charge that, spill when it does
@@ -296,12 +250,13 @@ let equi ?pool ?par_threshold ?(sip = []) a b pairs =
 
 (* {1 Semi/anti joins} — membership filters over the probe side. *)
 
-let filter_by_presence_cols ?pool ?par_threshold ~sip ~keep_matching a b pos_a
-    pos_b =
+let filter_by_presence ?pool ?par_threshold ?(sip = []) ~keep_matching a b
+    pairs =
+  let pos_a, pos_b = positions_of_pairs a b pairs in
   let ca = Relation.codes a in
-  let ci = Index.code_index (Index.build b (Array.to_list pos_b)) in
+  let ci = Index.build b (Array.to_list pos_b) in
   let akey_cols = Array.map (fun p -> ca.Chunkrel.cols.(p)) pos_a in
-  let sip_pass = sip_checks_cols ca sip in
+  let sip_pass = sip_checks ca sip in
   let n = ca.Chunkrel.nrows in
   let kept =
     match use_pool pool n (threshold_of par_threshold) with
@@ -323,21 +278,6 @@ let filter_by_presence_cols ?pool ?par_threshold ~sip ~keep_matching a b pos_a
       |> merge_bufs
   in
   Relation.of_chunkrel (Relation.schema a) (Chunkrel.gather ca kept)
-
-let filter_by_presence ?pool ?par_threshold ?(sip = []) ~keep_matching a b
-    pairs =
-  let pos_a, pos_b = positions_of_pairs a b pairs in
-  match Layout.mode () with
-  | Layout.Columnar ->
-    filter_by_presence_cols ?pool ?par_threshold ~sip ~keep_matching a b pos_a
-      pos_b
-  | Layout.Row ->
-    let idx = Index.build b (Array.to_list pos_b) in
-    Relation.select ?pool ?par_threshold a (fun ta ->
-        sip_pass_row sip ta
-        &&
-        let found = Index.mem idx (Tuple.project pos_a ta) in
-        if keep_matching then found else not found)
 
 let semi ?pool ?par_threshold ?sip a b pairs =
   observed "join.semi" a b @@ fun () ->

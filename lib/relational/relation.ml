@@ -1,18 +1,18 @@
 module Pool = Qf_exec_pool.Pool
 
-(* A relation is an abstract handle over two interchangeable physical
-   layouts:
+(* A relation is a schema over one tuple set held in up to two forms:
 
-   - [table]: the row layout — a hash set of {!Tuple.t}s (the only layout
-     that supports insertion and O(1) membership);
-   - [chunk]: the columnar layout — a {!Chunkrel.t} of dictionary-encoded
-     code columns, tagged with the relation [version] it snapshots.
+   - [table]: a hash set of {!Tuple.t}s, the store behind insertion and
+     O(1) membership ([add], [mem], [equal]);
+   - [chunk]: the columnar snapshot — a {!Chunkrel.t} of
+     dictionary-encoded code columns, tagged with the relation [version]
+     it snapshots — which every kernel reads.
 
-   At least one layout is always present.  [codes] and [ensure_table]
-   materialize the missing one lazily; kernels producing columnar output
-   construct chunk-only relations through [of_chunkrel] and never build
-   the row table unless someone asks for it.  Mutation ([add]) goes
-   through the table and bumps [version], staling any cached chunk. *)
+   At least one form is always present.  [codes] and [ensure_table]
+   build the missing one lazily; kernels construct chunk-only relations
+   through [of_chunkrel] and never build the table unless someone
+   inserts or tests membership.  Mutation ([add]) goes through the table
+   and bumps [version], staling any cached chunk. *)
 
 type t = {
   id : int;
@@ -72,8 +72,8 @@ let ensure_table t =
     t.table <- Some tb;
     tb
 
-(* The columnar snapshot of the current version, built from the row table
-   on demand and cached until the next mutation. *)
+(* The columnar snapshot of the current version, built from the tuple
+   table on demand and cached until the next mutation. *)
 let codes t =
   match t.chunk with
   | Some chunk when t.chunk_version = t.version -> chunk
@@ -92,10 +92,7 @@ let codes t =
     t.chunk_version <- t.version;
     chunk
 
-let prepare t =
-  match Layout.mode () with
-  | Layout.Columnar -> ignore (codes t)
-  | Layout.Row -> ignore (ensure_table t)
+let prepare t = ignore (codes t)
 
 let add t tup =
   if Tuple.arity tup <> arity t then
@@ -108,14 +105,6 @@ let add t tup =
     t.card <- t.card + 1;
     t.version <- t.version + 1
   end
-
-(* Internal: insert a tuple known to be absent and of the right arity
-   (parallel kernels dedupe per hash partition before merging). *)
-let unsafe_add_new t tup =
-  let tb = ensure_table t in
-  Tuple.Table.add tb tup ();
-  t.card <- t.card + 1;
-  t.version <- t.version + 1
 
 let mem t tup = Tuple.Table.mem (ensure_table t) tup
 
@@ -136,23 +125,6 @@ let fold f t init =
 let to_list t = fold List.cons t []
 let to_sorted_list t = List.sort Tuple.compare (to_list t)
 
-let to_array t =
-  match t.table with
-  | None -> Array.copy (Chunkrel.rows (Option.get t.chunk))
-  | Some tb ->
-    let n = Tuple.Table.length tb in
-    if n = 0 then [||]
-    else begin
-      let dst = Array.make n (Tuple.of_array [||]) in
-      let i = ref 0 in
-      Tuple.Table.iter
-        (fun tup () ->
-          dst.(!i) <- tup;
-          incr i)
-        tb;
-      dst
-    end
-
 let of_list schema tuples =
   let rel = create schema in
   List.iter (add rel) tuples;
@@ -163,18 +135,13 @@ let of_values columns rows =
 
 (* {1 Scan kernels}
 
-   Two implementations each, chosen by {!Layout.mode}:
-
-   - row: iterate the tuple table (parallel path: chunked tuple array,
-     per-chunk output lists merged through the result's hash set);
-   - columnar: a vectorized loop over the decoded row array that collects
-     surviving row *indices* into pre-sized int buffers, merges them by
-     [Array.blit], and gathers the output columns once.  Selection
-     preserves distinctness, so no output hashing happens at all;
-     projection deduplicates over code rows.
-
-   Both fall back to sequential below [Pool.par_threshold] or on a pool
-   of size 1, and all four paths produce the same result set. *)
+   Vectorized loops over the code columns: selection collects surviving
+   row *indices* into pre-sized int buffers, merges them by
+   [Array.blit], and gathers the output columns once — it preserves
+   distinctness, so no output hashing happens at all; projection
+   deduplicates over code rows.  Both run sequentially below
+   [Pool.par_threshold] or on a pool of size 1, and produce the same
+   result set either way. *)
 
 let use_pool pool n threshold =
   let pool = match pool with Some p -> p | None -> Pool.default () in
@@ -184,24 +151,6 @@ let threshold_of = function
   | Some v -> v
   | None -> Pool.par_threshold ()
 
-let select_rows ?pool ?par_threshold t pred =
-  let out = create t.schema in
-  (match use_pool pool (cardinal t) (threshold_of par_threshold) with
-  | None -> iter (fun tup -> if pred tup then unsafe_add_new out tup) t
-  | Some pool ->
-    let tuples = to_array t in
-    let kept =
-      Pool.run_chunks pool ~n:(Array.length tuples) (fun ~lo ~hi ->
-          let acc = ref [] in
-          for i = hi - 1 downto lo do
-            let tup = tuples.(i) in
-            if pred tup then acc := tup :: !acc
-          done;
-          !acc)
-    in
-    List.iter (List.iter (unsafe_add_new out)) kept);
-  out
-
 (* Merge per-chunk index buffers into one pre-sized array. *)
 let merge_index_chunks chunks =
   let total = List.fold_left (fun a c -> a + Chunkrel.Buf.length c) 0 chunks in
@@ -210,7 +159,7 @@ let merge_index_chunks chunks =
   List.iter (fun c -> pos := Chunkrel.Buf.blit_into c dst !pos) chunks;
   dst
 
-let select_cols ?pool ?par_threshold t pred =
+let select ?pool ?par_threshold t pred =
   let chunk = codes t in
   let rows = Chunkrel.rows chunk in
   let n = chunk.Chunkrel.nrows in
@@ -232,28 +181,6 @@ let select_cols ?pool ?par_threshold t pred =
       |> merge_index_chunks
   in
   of_chunkrel t.schema (Chunkrel.gather chunk kept)
-
-let select ?pool ?par_threshold t pred =
-  match Layout.mode () with
-  | Layout.Row -> select_rows ?pool ?par_threshold t pred
-  | Layout.Columnar -> select_cols ?pool ?par_threshold t pred
-
-let project_rows ?pool ?par_threshold t cols positions =
-  let out = create (Schema.restrict t.schema cols) in
-  (match use_pool pool (cardinal t) (threshold_of par_threshold) with
-  | None -> iter (fun tup -> add out (Tuple.project positions tup)) t
-  | Some pool ->
-    let tuples = to_array t in
-    let projected =
-      Pool.run_chunks pool ~n:(Array.length tuples) (fun ~lo ~hi ->
-          let acc = ref [] in
-          for i = hi - 1 downto lo do
-            acc := Tuple.project positions tuples.(i) :: !acc
-          done;
-          !acc)
-    in
-    List.iter (List.iter (add out)) projected);
-  out
 
 (* Parallel columnar dedup: scatter row indices into [d] partitions by
    row hash (phase 1, chunked), then dedup each partition independently
@@ -310,7 +237,8 @@ let distinct_rows_par pool pcols n =
   in
   merge_index_chunks kept_per_partition
 
-let project_cols ?pool ?par_threshold t cols positions =
+let project ?pool ?par_threshold t cols =
+  let positions = Array.of_list (List.map (Schema.position t.schema) cols) in
   let chunk = codes t in
   let n = chunk.Chunkrel.nrows in
   let pcols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) positions in
@@ -327,12 +255,6 @@ let project_cols ?pool ?par_threshold t cols positions =
       rows_cache = None;
     }
 
-let project ?pool ?par_threshold t cols =
-  let positions = Array.of_list (List.map (Schema.position t.schema) cols) in
-  match Layout.mode () with
-  | Layout.Row -> project_rows ?pool ?par_threshold t cols positions
-  | Layout.Columnar -> project_cols ?pool ?par_threshold t cols positions
-
 let union a b =
   if arity a <> arity b then invalid_arg "Relation.union: arity mismatch";
   let out = create a.schema in
@@ -343,35 +265,20 @@ let union a b =
 let diff a b =
   if arity a <> arity b then invalid_arg "Relation.diff: arity mismatch";
   let out = create a.schema in
-  iter (fun tup -> if not (mem b tup) then unsafe_add_new out tup) a;
+  iter (fun tup -> if not (mem b tup) then add out tup) a;
   out
 
+(* Distinct codes of the column, decoded once each. *)
 let column_values t col =
-  let pos = Schema.position t.schema col in
-  match Layout.mode () with
-  | Layout.Columnar ->
-    (* Distinct codes of the column, decoded once each. *)
-    let chunk = codes t in
-    let col = chunk.Chunkrel.cols.(pos) in
-    let kept = Chunkrel.distinct_rows [| col |] chunk.Chunkrel.nrows in
-    Array.fold_left (fun acc i -> Dict.decode col.(i) :: acc) [] kept
-  | Layout.Row ->
-    let seen = Hashtbl.create 64 in
-    fold
-      (fun tup acc ->
-        let v = Tuple.get tup pos in
-        let key = Value.hash v, v in
-        if Hashtbl.mem seen key then acc
-        else begin
-          Hashtbl.add seen key ();
-          v :: acc
-        end)
-      t []
+  let chunk = codes t in
+  let col = chunk.Chunkrel.cols.(Schema.position t.schema col) in
+  let kept = Chunkrel.distinct_rows [| col |] chunk.Chunkrel.nrows in
+  Array.fold_left (fun acc i -> Dict.decode col.(i) :: acc) [] kept
 
 (* Budget accounting for the catalog's LRU caches.  Deliberately a
-   function of (cardinal, arity) only — never of which physical layout
-   happens to be materialized — so cache eviction order, and therefore
-   the memo.evict counters, are identical across layouts. *)
+   function of (cardinal, arity) only — never of which forms happen to be
+   materialized — so cache eviction order, and therefore the memo.evict
+   counters, do not depend on which kernels touched the relation. *)
 let approx_bytes t = (16 * (arity t + 2) * cardinal t) + 256
 
 let equal a b =

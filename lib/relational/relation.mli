@@ -5,11 +5,11 @@
     requirement of the query-flocks formalism (the paper's claims fail under
     bag semantics).
 
-    A relation is an abstract handle over two physical layouts — the row
-    table of {!Tuple.t}s and the columnar {!Chunkrel.t} of
-    dictionary-encoded code arrays — materialized lazily on demand (see
-    {!Layout}).  Both layouts describe the same tuple set; the kernels
-    pick their path per {!Layout.mode}. *)
+    Every kernel reads a relation through its columnar snapshot
+    ({!codes}): a {!Chunkrel.t} of dictionary-encoded code arrays.  A
+    hash set of {!Tuple.t}s backs insertion and membership ({!add},
+    {!mem}, {!equal}); each form is built lazily from the other when
+    first needed, and both describe the same tuple set. *)
 
 type t
 
@@ -18,18 +18,17 @@ val create : Schema.t -> t
 
 (** Wrap a columnar chunk whose rows are {e known distinct} (kernel
     outputs: selections, joins over set inputs, deduplicated
-    projections).  The row table is built lazily if ever needed.  Raises
+    projections).  The tuple table is built lazily if ever needed.  Raises
     [Invalid_argument] on an arity mismatch with the schema. *)
 val of_chunkrel : Schema.t -> Chunkrel.t -> t
 
-(** The columnar snapshot of the current version, built from the row
+(** The columnar snapshot of the current version, built from the tuple
     table on first demand and cached until the next mutation.  The chunk
     is immutable; parallel kernels read it from worker domains. *)
 val codes : t -> Chunkrel.t
 
-(** Force materialization of the layout preferred by the current
-    {!Layout.mode} (load boundaries call this so the first kernel does
-    not pay the conversion mid-query). *)
+(** Build the columnar snapshot now (load boundaries call this so the
+    first kernel does not pay the encoding mid-query). *)
 val prepare : t -> unit
 
 (** A process-unique identity, assigned at {!create}.  Together with
@@ -59,10 +58,6 @@ val to_list : t -> Tuple.t list
 
 (** Tuples sorted by {!Tuple.compare}; convenient for golden tests. *)
 val to_sorted_list : t -> Tuple.t list
-
-(** Tuples in an unspecified order, as a fresh array (the parallel
-    kernels' chunking substrate). *)
-val to_array : t -> Tuple.t array
 
 val of_list : Schema.t -> Tuple.t list -> t
 
@@ -97,9 +92,9 @@ val diff : t -> t -> t
 val column_values : t -> string -> Value.t list
 
 (** Approximate in-memory size, for the catalog's LRU byte budgets.  A
-    function of cardinality and arity only, never of the materialized
-    layout — so budget-driven eviction behaves identically across
-    layouts. *)
+    function of cardinality and arity only, never of which forms are
+    materialized — so budget-driven eviction does not depend on which
+    kernels touched the relation. *)
 val approx_bytes : t -> int
 
 (** [equal a b] — same set of tuples (schemas must have equal arity). *)

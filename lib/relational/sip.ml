@@ -4,29 +4,20 @@ module Buf = Chunkrel.Buf
 
 let exact_cutoff = 4096
 
-(* The exact representation keeps both faces of the summarized value set:
-   the dictionary codes (columnar probes compare raw ints) and the values
-   themselves (row probes never touch the dictionary, and crucially never
-   *extend* it — probing with [Dict.encode] would assign fresh codes to
-   every unseen candidate).  Codes are process-unique per value, so code
-   membership is value membership. *)
-type exact = {
-  codes : (int, unit) Hashtbl.t;
-  values : (Value.t, unit) Hashtbl.t;
-}
-
 (* Bloom bits are derived from {!Value.hash} of the decoded value — not
-   from the raw code.  Code assignment order differs between layouts (it
-   depends on which relations were encoded first), so code-based bits
-   would make false-positive sets — and therefore pruned-row counts —
-   layout-dependent.  Value hashes are layout-independent. *)
+   from the raw code.  Code assignment order depends on the order in
+   which relations were loaded and encoded, so code-based bits would make
+   false-positive sets — and therefore pruned-row counts — depend on load
+   order.  Value hashes do not. *)
 type bloom = {
   bits : Bytes.t;
   mask : int;  (** bit-index mask; bit count is a power of two *)
 }
 
+(* The exact representation is a set of dictionary codes.  Codes are
+   process-unique per value, so code membership is value membership. *)
 type t =
-  | Exact of exact
+  | Exact of (int, unit) Hashtbl.t
   | Bloom of bloom
 
 let is_exact = function Exact _ -> true | Bloom _ -> false
@@ -57,15 +48,8 @@ let bloom_mem b vh =
   probe 0
 
 let exact_of_codes codes =
-  let n = Array.length codes in
-  let e = { codes = Hashtbl.create (max 16 n); values = Hashtbl.create (max 16 n) } in
-  Array.iter
-    (fun c ->
-      if not (Hashtbl.mem e.codes c) then begin
-        Hashtbl.replace e.codes c ();
-        Hashtbl.replace e.values (Dict.decode c) ()
-      end)
-    codes;
+  let e = Hashtbl.create (max 16 (Array.length codes)) in
+  Array.iter (fun c -> Hashtbl.replace e c ()) codes;
   Exact e
 
 let bloom_of_codes codes =
@@ -75,51 +59,28 @@ let bloom_of_codes codes =
   Array.iter (fun c -> bloom_set b (Value.hash (Dict.decode c))) codes;
   Bloom b
 
-let of_values values =
-  let distinct : (Value.t, unit) Hashtbl.t =
-    Hashtbl.create (max 16 (Array.length values))
-  in
-  Array.iter (fun v -> Hashtbl.replace distinct v ()) values;
+(* Exact below the cutoff, Bloom above, over codes known distinct. *)
+let of_distinct_codes codes =
   if Obs.enabled () then Obs.count "sip.reducer_built" 1;
-  let n = Hashtbl.length distinct in
-  if n <= exact_cutoff then begin
-    let codes = Hashtbl.create (max 16 n) in
-    (* Code membership is only consulted by columnar probes, where every
-       stored value is already interned; in row mode the table stays empty
-       rather than force-interning values the dictionary may not hold. *)
-    (match Layout.mode () with
-    | Layout.Columnar ->
-      Hashtbl.iter (fun v () -> Hashtbl.replace codes (Dict.encode v) ()) distinct
-    | Layout.Row -> ());
-    Exact { codes; values = distinct }
-  end
-  else begin
-    let nbits = Chunkrel.hash_capacity (12 * max 1 n) in
-    let b = { bits = Bytes.make (nbits lsr 3) '\000'; mask = nbits - 1 } in
-    Hashtbl.iter (fun v () -> bloom_set b (Value.hash v)) distinct;
-    Bloom b
-  end
+  if Array.length codes <= exact_cutoff then exact_of_codes codes
+  else bloom_of_codes codes
+
+let distinct_codes col n =
+  Array.map (fun i -> col.(i)) (Chunkrel.distinct_rows [| col |] n)
+
+let of_values values =
+  let codes = Dict.with_encoder (fun encode -> Array.map encode values) in
+  of_distinct_codes (distinct_codes codes (Array.length codes))
 
 let of_column rel col =
   let chunk = Relation.codes rel in
   let pos = Schema.position (Relation.schema rel) col in
-  let codes = chunk.Chunkrel.cols.(pos) in
-  let distinct = Chunkrel.distinct_rows [| codes |] chunk.Chunkrel.nrows in
-  let distinct_codes = Array.map (fun i -> codes.(i)) distinct in
-  if Obs.enabled () then Obs.count "sip.reducer_built" 1;
-  if Array.length distinct_codes <= exact_cutoff then
-    exact_of_codes distinct_codes
-  else bloom_of_codes distinct_codes
+  of_distinct_codes (distinct_codes chunk.Chunkrel.cols.(pos) chunk.Chunkrel.nrows)
 
 let mem t code =
   match t with
-  | Exact e -> Hashtbl.mem e.codes code
+  | Exact e -> Hashtbl.mem e code
   | Bloom b -> bloom_mem b (Value.hash (Dict.decode code))
-
-let mem_value t v =
-  match t with
-  | Exact e -> Hashtbl.mem e.values v
-  | Bloom b -> bloom_mem b (Value.hash v)
 
 let merge_bufs chunks =
   let total = List.fold_left (fun a c -> a + Buf.length c) 0 chunks in
@@ -129,30 +90,26 @@ let merge_bufs chunks =
   dst
 
 let filter rel ~pos t =
-  match Layout.mode () with
-  | Layout.Row ->
-    (* Reducer membership is a pure read; safe from worker domains. *)
-    Relation.select rel (fun tup -> mem_value t (Tuple.get tup pos))
-  | Layout.Columnar ->
-    let chunk = Relation.codes rel in
-    let col = chunk.Chunkrel.cols.(pos) in
-    let n = chunk.Chunkrel.nrows in
-    let pool = Pool.default () in
-    let kept =
-      if Pool.size pool = 1 || n < Pool.par_threshold () then begin
-        let buf = Buf.create n in
-        for i = 0 to n - 1 do
-          if mem t col.(i) then Buf.push buf i
-        done;
-        Buf.to_array buf
-      end
-      else
-        Pool.run_chunks pool ~n (fun ~lo ~hi ->
-            let buf = Buf.create (hi - lo) in
-            for i = lo to hi - 1 do
-              if mem t col.(i) then Buf.push buf i
-            done;
-            buf)
-        |> merge_bufs
-    in
-    Relation.of_chunkrel (Relation.schema rel) (Chunkrel.gather chunk kept)
+  let chunk = Relation.codes rel in
+  let col = chunk.Chunkrel.cols.(pos) in
+  let n = chunk.Chunkrel.nrows in
+  let pool = Pool.default () in
+  let kept =
+    if Pool.size pool = 1 || n < Pool.par_threshold () then begin
+      let buf = Buf.create n in
+      for i = 0 to n - 1 do
+        if mem t col.(i) then Buf.push buf i
+      done;
+      Buf.to_array buf
+    end
+    else
+      (* Reducer membership is a pure read; safe from worker domains. *)
+      Pool.run_chunks pool ~n (fun ~lo ~hi ->
+          let buf = Buf.create (hi - lo) in
+          for i = lo to hi - 1 do
+            if mem t col.(i) then Buf.push buf i
+          done;
+          buf)
+      |> merge_bufs
+  in
+  Relation.of_chunkrel (Relation.schema rel) (Chunkrel.gather chunk kept)

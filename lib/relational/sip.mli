@@ -16,14 +16,10 @@
       is exact, so pre-filtering with it is itself exact;
     - a {e Bloom filter} above the cutoff.  Bits are derived from
       {!Value.hash} of the {e decoded} value, never from the raw code:
-      code assignment depends on the order relations were encoded, which
-      differs across layouts, while value hashes do not — this keeps
-      every derived row count identical across layouts, which the
-      determinism suite checks.
-
-    Reducers answer membership for both physical layouts: {!mem} takes a
-    dictionary code (columnar kernels), {!mem_value} a decoded value (row
-    kernels).  Both agree on every value. *)
+      code assignment depends on the order in which relations were
+      loaded and encoded, while value hashes do not — this keeps every
+      derived row count independent of load order, which the
+      determinism suite checks. *)
 
 type t
 
@@ -55,10 +51,6 @@ val is_exact : t -> bool
 
 (** Membership of a dictionary code.  Never a false negative. *)
 val mem : t -> int -> bool
-
-(** Membership of a decoded value; agrees with {!mem} on the value's
-    code. *)
-val mem_value : t -> Value.t -> bool
 
 (** [filter rel ~pos t] keeps the rows whose column [pos] passes the
     reducer — the materialized pre-reduction of a base relation.  The

@@ -22,43 +22,11 @@ let minmax_fold (lo, hi) v =
   let hi = match hi with None -> Some v | Some h -> if Value.compare v h > 0 then Some v else hi in
   lo, hi
 
-(* Row layout: fold every tuple through per-column value tables. *)
-let of_relation_rows rel =
-  let schema = Relation.schema rel in
-  let arity = Schema.arity schema in
-  let tables = Array.init arity (fun _ -> Hashtbl.create 64) in
-  let ranges = Array.make arity (None, None) in
-  Relation.iter
-    (fun tup ->
-      for i = 0 to Tuple.arity tup - 1 do
-        let v = Tuple.get tup i in
-        let table = tables.(i) in
-        let key = Value.hash v, v in
-        let n = match Hashtbl.find_opt table key with Some n -> n | None -> 0 in
-        Hashtbl.replace table key (n + 1);
-        ranges.(i) <- minmax_fold ranges.(i) v
-      done)
-    rel;
-  let columns =
-    List.mapi
-      (fun i col ->
-        let table = tables.(i) in
-        let frequencies =
-          Hashtbl.fold (fun _ n acc -> n :: acc) table []
-          |> List.sort (fun a b -> Int.compare b a)
-          |> Array.of_list
-        in
-        let min_value, max_value = ranges.(i) in
-        col, { distinct = Hashtbl.length table; frequencies; min_value; max_value })
-      (Schema.columns schema)
-  in
-  { cardinality = Relation.cardinal rel; columns }
-
-(* Columnar layout: dictionary codes are already canonical value ids, so
-   per-column counting is an int-keyed histogram — no value hashing, no
-   (hash, value) key pairs.  Min/max still compare decoded values (the
-   code order is assignment order, not the value order). *)
-let of_relation_cols rel =
+(* Dictionary codes are already canonical value ids, so per-column
+   counting is an int-keyed histogram — no value hashing.  Min/max
+   compare decoded values (the code order is assignment order, not the
+   value order). *)
+let of_relation rel =
   let schema = Relation.schema rel in
   let chunk = Relation.codes rel in
   let n = chunk.Chunkrel.nrows in
@@ -88,11 +56,6 @@ let of_relation_cols rel =
       (Schema.columns schema)
   in
   { cardinality = Relation.cardinal rel; columns }
-
-let of_relation rel =
-  match Layout.mode () with
-  | Layout.Row -> of_relation_rows rel
-  | Layout.Columnar -> of_relation_cols rel
 
 let cardinality t = t.cardinality
 

@@ -2,6 +2,7 @@ module Value = Qf_relational.Value
 module Tuple = Qf_relational.Tuple
 module Schema = Qf_relational.Schema
 module Relation = Qf_relational.Relation
+module Heap_file = Qf_relational.Heap_file
 
 type pair_count = {
   item1 : Value.t;

@@ -29,9 +29,9 @@ type pair_count = {
     two columns ([BID], [Item]); rows may appear in any order and may
     contain duplicates (both are deduplicated per basket).  Result sorted
     by (item1, item2). *)
-val frequent_pairs : Heap_file.t -> support:int -> pair_count list
+val frequent_pairs : Qf_relational.Heap_file.t -> support:int -> pair_count list
 
 (** Same result as a relation with columns [$1; $2] — directly comparable
     to the flock's output. *)
 val frequent_pairs_relation :
-  Heap_file.t -> support:int -> Qf_relational.Relation.t
+  Qf_relational.Heap_file.t -> support:int -> Qf_relational.Relation.t

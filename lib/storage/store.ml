@@ -1,5 +1,6 @@
 module Relation = Qf_relational.Relation
 module Catalog = Qf_relational.Catalog
+module Heap_file = Qf_relational.Heap_file
 
 type t = { dir : string }
 
@@ -16,6 +17,11 @@ let open_dir dir =
   else if not (Sys.is_directory dir) then
     failwith (Printf.sprintf "Store.open_dir: %s is not a directory" dir);
   { dir }
+
+let open_existing dir =
+  if not (Sys.file_exists dir) then
+    failwith (Printf.sprintf "Store.open_existing: %s does not exist" dir);
+  open_dir dir
 
 let dir t = t.dir
 let path t name = Filename.concat t.dir (name ^ extension)

@@ -1,7 +1,7 @@
 (** A store is a directory of heap files — the "conventional relational
     system" the paper assumes the data lives in (Sec. 1.4).
 
-    Layout: each relation [name] lives in [<dir>/<name>.qfh]; the directory
+    On disk, each relation [name] lives in [<dir>/<name>.qfh]; the directory
     itself is the catalog.  Relation names are restricted to
     [[A-Za-z0-9_-]+] so they are safe as file names. *)
 
@@ -9,6 +9,10 @@ type t
 
 (** Open (creating the directory if needed) a store. *)
 val open_dir : string -> t
+
+(** Open an existing store without creating anything.  Raises [Failure]
+    if [dir] is missing or not a directory. *)
+val open_existing : string -> t
 
 val dir : t -> string
 

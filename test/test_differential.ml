@@ -11,7 +11,6 @@
 
 module R = Qf_relational.Relation
 module Catalog = Qf_relational.Catalog
-module Layout = Qf_relational.Layout
 module Pool = Qf_exec_pool.Pool
 open Qf_core
 open Qf_testgen.Testgen
@@ -140,8 +139,8 @@ let test_pool_size_insensitive () =
         rs1 rs2)
     (List.combine sequential parallel)
 
-(* The SIP/memo executor against the unreduced baseline, across physical
-   layouts, pool sizes, and memo budgets (0 disables the memo, a tiny
+(* The SIP/memo executor against the unreduced baseline, across pool
+   sizes and memo budgets (0 disables the memo, a tiny
    budget forces evictions mid-run, [max_int] is unbounded).  Each
    configuration runs the levelwise plan twice on the same catalog so the
    warm run exercises memo hits and the reducer caches. *)
@@ -157,39 +156,34 @@ let test_reduced_equals_unreduced_matrix () =
     (fun seed ->
       let rel, threshold = instance_of_seed seed in
       List.iter
-        (fun layout ->
-          Test_util.with_layout layout @@ fun () ->
+        (fun pool_size ->
+          Test_util.with_pool_size pool_size @@ fun () ->
+          let cat = catalog_of rel in
+          let _, plan =
+            Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3
+              ~support:threshold
+          in
+          let expected = Plan_exec.run ~options:unreduced cat plan in
           List.iter
-            (fun pool_size ->
-              Test_util.with_pool_size pool_size @@ fun () ->
-              let cat = catalog_of rel in
-              let _, plan =
-                Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3
-                  ~support:threshold
-              in
-              let expected = Plan_exec.run ~options:unreduced cat plan in
+            (fun budget ->
+              Catalog.set_memo_budget cat budget;
+              Catalog.memo_clear cat;
               List.iter
-                (fun budget ->
-                  Catalog.set_memo_budget cat budget;
-                  Catalog.memo_clear cat;
-                  List.iter
-                    (fun pass ->
-                      let got = Plan_exec.run cat plan in
-                      if not (R.equal expected got) then
-                        Alcotest.failf
-                          "seed %d: reduced (layout %s, pool %d, budget %d, \
-                           %s run) disagrees with unreduced"
-                          seed (Layout.to_string layout) pool_size budget
-                          pass)
-                    [ "cold"; "warm" ])
-                [ 0; 2048; max_int ])
-            [ 1; 2; 4 ])
-        [ Layout.Row; Layout.Columnar ])
+                (fun pass ->
+                  let got = Plan_exec.run cat plan in
+                  if not (R.equal expected got) then
+                    Alcotest.failf
+                      "seed %d: reduced (pool %d, budget %d, %s run) \
+                       disagrees with unreduced"
+                      seed pool_size budget pass)
+                [ "cold"; "warm" ])
+            [ 0; 2048; max_int ])
+        [ 1; 2; 4 ])
     (List.filteri (fun i _ -> i mod 10 = 0) seeds)
 
 (* The governed matrix: budgets (the QF_MEM_BUDGET axis — a tiny budget
    that forces the spill kernels, a 64k budget that mostly fits, and
-   unbounded) x layouts x pool sizes.  Every configuration must produce
+   unbounded) x pool sizes.  Every configuration must produce
    exactly the ungoverned direct answer, and the tiny budget must
    actually exercise the spill paths somewhere in the slice (asserted on
    the aggregate spill-partition count, since individual seeds can be too
@@ -207,30 +201,25 @@ let test_governed_matrix () =
         Test_util.with_pool_size 1 (fun () -> Direct.run cat flock)
       in
       List.iter
-        (fun layout ->
-          Test_util.with_layout layout @@ fun () ->
+        (fun pool_size ->
+          Test_util.with_pool_size pool_size @@ fun () ->
           List.iter
-            (fun pool_size ->
-              Test_util.with_pool_size pool_size @@ fun () ->
-              List.iter
-                (fun budget ->
-                  let g = Governor.create ~mem_budget:budget () in
-                  let got =
-                    Governor.with_ctx g (fun () ->
-                        Plan_exec.run cat (Optimizer.optimize cat flock))
-                  in
-                  if budget = tiny then
-                    tiny_spills :=
-                      !tiny_spills
-                      + (Governor.stats g).Governor.spill_partitions;
-                  if not (R.equal expected got) then
-                    Alcotest.failf
-                      "seed %d: governed plan (layout %s, pool %d, budget \
-                       %d) disagrees with direct"
-                      seed (Layout.to_string layout) pool_size budget)
-                [ tiny; 65536; max_int ])
-            [ 1; 2; 4 ])
-        [ Layout.Row; Layout.Columnar ])
+            (fun budget ->
+              let g = Governor.create ~mem_budget:budget () in
+              let got =
+                Governor.with_ctx g (fun () ->
+                    Plan_exec.run cat (Optimizer.optimize cat flock))
+              in
+              if budget = tiny then
+                tiny_spills :=
+                  !tiny_spills + (Governor.stats g).Governor.spill_partitions;
+              if not (R.equal expected got) then
+                Alcotest.failf
+                  "seed %d: governed plan (pool %d, budget %d) disagrees \
+                   with direct"
+                  seed pool_size budget)
+            [ tiny; 65536; max_int ])
+        [ 1; 2; 4 ])
     (List.filteri (fun i _ -> i mod 10 = 0) seeds);
   Alcotest.(check bool)
     "the tiny budget actually spilled somewhere in the slice" true
@@ -247,9 +236,9 @@ let suite =
     Alcotest.test_case "agreement is pool-size insensitive" `Slow
       test_pool_size_insensitive;
     Alcotest.test_case
-      "sip/memo matrix: reduced = unreduced across layouts/pools/budgets"
+      "sip/memo matrix: reduced = unreduced across pools/budgets"
       `Slow test_reduced_equals_unreduced_matrix;
     Alcotest.test_case
-      "governed matrix: budgets x layouts x pools = ungoverned direct"
+      "governed matrix: budgets x pools = ungoverned direct"
       `Slow test_governed_matrix;
   ]

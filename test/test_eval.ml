@@ -160,29 +160,21 @@ let test_duplicate_head_vars () =
 
 (* {1 Filters fused into binding extension}
 
-   Each case runs in both layouts, on one domain and on four with the
-   parallel threshold at 1, so even these few environments fan out. *)
+   Each case runs on one domain and on four with the parallel threshold
+   at 1, so even these few environments fan out. *)
 
 let expect_rows text expected =
   List.iter
-    (fun layout ->
-      Test_util.with_layout layout @@ fun () ->
-      List.iter
-        (fun size ->
-          Test_util.with_pool_size ~par_threshold:1 size @@ fun () ->
-          let got = tab (catalog ()) text in
-          let want =
-            R.of_values
-              (Qf_relational.Schema.columns (R.schema got))
-              expected
-          in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s (%s, %d domains)" text
-               (Qf_relational.Layout.to_string layout)
-               size)
-            (Test_util.rows want) (Test_util.rows got))
-        [ 1; 4 ])
-    [ Qf_relational.Layout.Row; Qf_relational.Layout.Columnar ]
+    (fun size ->
+      Test_util.with_pool_size ~par_threshold:1 size @@ fun () ->
+      let got = tab (catalog ()) text in
+      let want =
+        R.of_values (Qf_relational.Schema.columns (R.schema got)) expected
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s (%d domains)" text size)
+        (Test_util.rows want) (Test_util.rows got))
+    [ 1; 4 ]
 
 let test_fused_repeated_key_dedupes () =
   (* Two keys over a two-slot environment, but one slot twice: the
@@ -241,41 +233,33 @@ let test_fused_filters_follow_sip () =
   let module Obs = Qf_obs.Obs in
   let sip = [ "Z", Qf_relational.Sip.of_values [| V.Int 3 |] ] in
   List.iter
-    (fun layout ->
-      Test_util.with_layout layout @@ fun () ->
-      List.iter
-        (fun size ->
-          Test_util.with_pool_size ~par_threshold:1 size @@ fun () ->
-          let was = Obs.enabled () in
-          Obs.set_enabled true;
+    (fun size ->
+      Test_util.with_pool_size ~par_threshold:1 size @@ fun () ->
+      let was = Obs.enabled () in
+      Obs.set_enabled true;
+      Obs.reset ();
+      Fun.protect
+        ~finally:(fun () ->
           Obs.reset ();
-          Fun.protect
-            ~finally:(fun () ->
-              Obs.reset ();
-              Obs.set_enabled was)
-          @@ fun () ->
-          let cat = catalog () in
-          let envs =
-            Eval.Envs.extend_pos cat (Eval.Envs.start ())
-              { Ast.pred = "edge"; args = [ Ast.Var "X"; Ast.Var "Y" ] }
-          in
-          let envs =
-            Eval.Envs.extend_pos ~sip
-              ~filters:[ Ast.Cmp (Ast.Var "X", Ast.Lt, Ast.Var "Z") ]
-              cat envs
-              { Ast.pred = "edge"; args = [ Ast.Var "Y"; Ast.Var "Z" ] }
-          in
-          let config =
-            Printf.sprintf "%s, %d domains"
-              (Qf_relational.Layout.to_string layout)
-              size
-          in
-          check_int ("rows left: " ^ config) 1 (Eval.Envs.count envs);
-          check_int ("sip.rows_pruned: " ^ config) 4
-            (Option.value ~default:0
-               (List.assoc_opt "sip.rows_pruned" (Obs.report ()).Obs.counters)))
-        [ 1; 4 ])
-    [ Qf_relational.Layout.Row; Qf_relational.Layout.Columnar ]
+          Obs.set_enabled was)
+      @@ fun () ->
+      let cat = catalog () in
+      let envs =
+        Eval.Envs.extend_pos cat (Eval.Envs.start ())
+          { Ast.pred = "edge"; args = [ Ast.Var "X"; Ast.Var "Y" ] }
+      in
+      let envs =
+        Eval.Envs.extend_pos ~sip
+          ~filters:[ Ast.Cmp (Ast.Var "X", Ast.Lt, Ast.Var "Z") ]
+          cat envs
+          { Ast.pred = "edge"; args = [ Ast.Var "Y"; Ast.Var "Z" ] }
+      in
+      let config = Printf.sprintf "%d domains" size in
+      check_int ("rows left: " ^ config) 1 (Eval.Envs.count envs);
+      check_int ("sip.rows_pruned: " ^ config) 4
+        (Option.value ~default:0
+           (List.assoc_opt "sip.rows_pruned" (Obs.report ()).Obs.counters)))
+    [ 1; 4 ]
 
 let test_order_body_starts_small () =
   let cat = catalog () in

@@ -9,7 +9,6 @@ module Schema = Qf_relational.Schema
 module Tuple = Qf_relational.Tuple
 module Value = Qf_relational.Value
 module Catalog = Qf_relational.Catalog
-module Layout = Qf_relational.Layout
 module Join = Qf_relational.Join
 module Aggregate = Qf_relational.Aggregate
 module Heap_file = Qf_relational.Heap_file
@@ -141,19 +140,12 @@ let test_spilled_join_agrees () =
   let b = big_pair_relation 40 in
   let pairs = [ "I", "I" ] in
   let expected = Join.equi a b pairs in
-  List.iter
-    (fun layout ->
-      Test_util.with_layout layout @@ fun () ->
-      let g = Governor.create ~mem_budget:8192 () in
-      let got = Governor.with_ctx g (fun () -> Join.equi a b pairs) in
-      if not (R.equal expected got) then
-        Alcotest.failf "spilled equi-join disagrees (layout %s)"
-          (Layout.to_string layout);
-      Alcotest.(check bool)
-        (Printf.sprintf "join spilled (layout %s)" (Layout.to_string layout))
-        true
-        ((Governor.stats g).Governor.spill_partitions > 0))
-    [ Layout.Row; Layout.Columnar ];
+  let g = Governor.create ~mem_budget:8192 () in
+  let got = Governor.with_ctx g (fun () -> Join.equi a b pairs) in
+  if not (R.equal expected got) then
+    Alcotest.fail "spilled equi-join disagrees";
+  Alcotest.(check bool) "join spilled" true
+    ((Governor.stats g).Governor.spill_partitions > 0);
   assert_no_leaks "spilled join"
 
 let test_spilled_group_by_agrees () =
@@ -163,23 +155,14 @@ let test_spilled_group_by_agrees () =
   let expected =
     sort (Aggregate.group_by rel ~keys:[ "I" ] ~func:Aggregate.Count)
   in
-  List.iter
-    (fun layout ->
-      Test_util.with_layout layout @@ fun () ->
-      let g = Governor.create ~mem_budget:8192 () in
-      let got =
-        Governor.with_ctx g (fun () ->
-            sort (Aggregate.group_by rel ~keys:[ "I" ] ~func:Aggregate.Count))
-      in
-      if got <> expected then
-        Alcotest.failf "spilled group-by disagrees (layout %s)"
-          (Layout.to_string layout);
-      Alcotest.(check bool)
-        (Printf.sprintf "group-by spilled (layout %s)"
-           (Layout.to_string layout))
-        true
-        ((Governor.stats g).Governor.spill_partitions > 0))
-    [ Layout.Row; Layout.Columnar ];
+  let g = Governor.create ~mem_budget:8192 () in
+  let got =
+    Governor.with_ctx g (fun () ->
+        sort (Aggregate.group_by rel ~keys:[ "I" ] ~func:Aggregate.Count))
+  in
+  if got <> expected then Alcotest.fail "spilled group-by disagrees";
+  Alcotest.(check bool) "group-by spilled" true
+    ((Governor.stats g).Governor.spill_partitions > 0);
   assert_no_leaks "spilled group-by"
 
 let test_spilled_group_filter_agrees () =
@@ -189,19 +172,14 @@ let test_spilled_group_filter_agrees () =
     Aggregate.group_filter rel ~keys:[ "I" ] ~func:Aggregate.Count
       ~threshold:3.
   in
-  List.iter
-    (fun layout ->
-      Test_util.with_layout layout @@ fun () ->
-      let g = Governor.create ~mem_budget:8192 () in
-      let got =
-        Governor.with_ctx g (fun () ->
-            Aggregate.group_filter rel ~keys:[ "I" ] ~func:Aggregate.Count
-              ~threshold:3.)
-      in
-      if not (R.equal expected got) then
-        Alcotest.failf "spilled group-filter disagrees (layout %s)"
-          (Layout.to_string layout))
-    [ Layout.Row; Layout.Columnar ];
+  let g = Governor.create ~mem_budget:8192 () in
+  let got =
+    Governor.with_ctx g (fun () ->
+        Aggregate.group_filter rel ~keys:[ "I" ] ~func:Aggregate.Count
+          ~threshold:3.)
+  in
+  if not (R.equal expected got) then
+    Alcotest.fail "spilled group-filter disagrees";
   assert_no_leaks "spilled group-filter"
 
 (* {1 Executors under a tiny budget agree with ungoverned direct} *)
@@ -265,14 +243,13 @@ type scenario = {
          answer, [check = false] just exercises it *)
 }
 
-let mining_scenario name ~layout ~mode =
+let mining_scenario name ~mode =
   let rel, threshold = instance ~seed:11 gen_basket_instance in
   let cat = catalog_of rel in
   let flock = pair_flock threshold in
   let expected = Test_util.with_pool_size 1 (fun () -> Direct.run cat flock) in
   let run () =
     Test_util.with_pool_size 1 @@ fun () ->
-    Test_util.with_layout layout @@ fun () ->
     let g = Governor.create ~mem_budget:tiny_budget () in
     Governor.with_ctx g @@ fun () ->
     match mode with
@@ -331,12 +308,9 @@ let storage_scenario =
 
 let scenarios () =
   [
-    mining_scenario "plan/row/tiny-budget" ~layout:Layout.Row ~mode:`Plan;
-    mining_scenario "plan/columnar/tiny-budget" ~layout:Layout.Columnar
-      ~mode:`Plan;
-    mining_scenario "direct/row/tiny-budget" ~layout:Layout.Row ~mode:`Direct;
-    mining_scenario "dynamic/row/tiny-budget" ~layout:Layout.Row
-      ~mode:`Dynamic;
+    mining_scenario "plan/tiny-budget" ~mode:`Plan;
+    mining_scenario "direct/tiny-budget" ~mode:`Direct;
+    mining_scenario "dynamic/tiny-budget" ~mode:`Dynamic;
     storage_scenario;
   ]
 

@@ -1,40 +1,128 @@
-(* Row/columnar kernel equivalence.
+(* Kernel correctness against list specifications.
 
-   Every relational kernel dispatches on {!Layout.mode} between the
-   row-at-a-time engine and the dictionary-encoded columnar engine; both
-   must compute exactly the same result *set* on every input.  The QCheck
-   properties below run each kernel under both layouts (rebuilding the
-   inputs per arm, so each arm pays its own boundary conversion) and
-   require [Relation.equal]; deterministic units pin the classic edge
-   cases (empty input, all-duplicate rows, single-column relations).
+   Every relational kernel runs over dictionary-encoded columns; each
+   must compute exactly the result *set* that a direct list-based
+   definition of the operator gives on the relation's sorted tuples
+   ({!Spec} below — nested loops over [Relation.to_sorted_list], no
+   index, no codes, no partitioning).  The QCheck properties compare the
+   two on random inputs skewed to a tiny value universe, sequentially and
+   with the parallel paths forced; deterministic units pin the classic
+   edge cases (empty input, all-duplicate rows, single-column relations,
+   [Int 1] vs [Real 1.0]).
 
    The corpus check at the bottom replays the differential suite's 100
-   seeded basket instances with the layout forced each way and the pool
-   forced to 1 and 4 domains — the full-stack analogue of the per-kernel
-   properties. *)
+   seeded basket instances with the pool forced to 1 and 4 domains,
+   every executor checked against naive generate-and-test — the
+   full-stack analogue of the per-kernel properties. *)
 
 module R = Qf_relational.Relation
 module V = Qf_relational.Value
 module Tuple = Qf_relational.Tuple
-module Layout = Qf_relational.Layout
+module Schema = Qf_relational.Schema
 module Join = Qf_relational.Join
 module Aggregate = Qf_relational.Aggregate
-module Catalog = Qf_relational.Catalog
 module Pool = Qf_exec_pool.Pool
 open Qf_core
 open Qf_testgen.Testgen
 
-(* Run [f] (a kernel application over freshly built inputs) under both
-   layouts and check the results agree.  [f] receives nothing but must
-   rebuild its inputs internally so each arm converts at its own
-   boundary. *)
-let both_layouts name f =
-  let row = Test_util.with_layout Layout.Row f in
-  let col = Test_util.with_layout Layout.Columnar f in
-  if not (R.equal row col) then
-    QCheck.Test.fail_reportf "%s: row/columnar results differ\nrow:\n%a\ncolumnar:\n%a"
-      name R.pp row R.pp col;
+(* {1 The list specification} *)
+
+module Spec = struct
+  let rows = R.to_sorted_list
+  let distinct = List.sort_uniq Tuple.compare
+  let pos rel col = Schema.position (R.schema rel) col
+  let get rel col tup = Tuple.get tup (pos rel col)
+  let key rel cols tup = Tuple.of_list (List.map (fun c -> get rel c tup) cols)
+  let select rel pred = List.filter pred (rows rel)
+  let project rel cols = distinct (List.map (key rel cols) (rows rel))
+
+  let joins a b pairs ta tb =
+    List.for_all (fun (ca, cb) -> V.equal (get a ca ta) (get b cb tb)) pairs
+
+  (* [a]'s columns, then [b]'s columns that are not join targets. *)
+  let equi a b pairs =
+    let residual =
+      List.filter
+        (fun c -> not (List.exists (fun (_, cb) -> cb = c) pairs))
+        (Schema.columns (R.schema b))
+    in
+    distinct
+      (List.concat_map
+         (fun ta ->
+           List.filter_map
+             (fun tb ->
+               if joins a b pairs ta tb then
+                 Some
+                   (Tuple.of_list
+                      (Tuple.to_list ta @ List.map (fun c -> get b c tb) residual))
+               else None)
+             (rows b))
+         (rows a))
+
+  let semi a b pairs =
+    List.filter (fun ta -> List.exists (joins a b pairs ta) (rows b)) (rows a)
+
+  let anti a b pairs =
+    List.filter
+      (fun ta -> not (List.exists (joins a b pairs ta) (rows b)))
+      (rows a)
+
+  let number v = Option.get (V.to_float v)
+
+  let aggregate rel func group =
+    let pick better col =
+      List.fold_left
+        (fun acc tup ->
+          let v = get rel col tup in
+          if better (V.compare v acc) then v else acc)
+        (get rel col (List.hd group))
+        group
+    in
+    match (func : Aggregate.func) with
+    | Count -> V.Real (float_of_int (List.length group))
+    | Sum col ->
+      V.Real
+        (List.fold_left (fun acc tup -> acc +. number (get rel col tup)) 0. group)
+    | Min col -> pick (fun c -> c < 0) col
+    | Max col -> pick (fun c -> c > 0) col
+
+  (* One [(key, aggregate)] pair per distinct key. *)
+  let groups rel ~keys ~func =
+    List.map
+      (fun k ->
+        let group =
+          List.filter (fun tup -> Tuple.equal (key rel keys tup) k) (rows rel)
+        in
+        k, aggregate rel func group)
+      (project rel keys)
+
+  let group_filter rel ~keys ~func ~threshold =
+    List.filter_map
+      (fun (k, v) -> if number v >= threshold then Some k else None)
+      (groups rel ~keys ~func)
+end
+
+(* Group-by output as sorted tuples: key columns plus the aggregate. *)
+let group_tuples groups =
+  Spec.distinct
+    (List.map (fun (key, v) -> Tuple.of_list (Tuple.to_list key @ [ v ])) groups)
+
+let pp_tuples = Format.pp_print_list Tuple.pp
+
+(* [got] is a kernel's output (sorted, duplicates kept), [want] the
+   spec's. *)
+let check_rows ~fail name got want =
+  if not (List.equal Tuple.equal got want) then
+    fail
+      (Format.asprintf
+         "%s: kernel disagrees with the list spec@.kernel:@.%a@.spec:@.%a" name
+         pp_tuples got pp_tuples want)
+
+let prop_agrees name got want =
+  check_rows ~fail:QCheck.Test.fail_report name got want;
   true
+
+let unit_agrees name got want = check_rows ~fail:Alcotest.fail name got want
 
 (* {1 Generators} *)
 
@@ -57,32 +145,30 @@ let arb_rel3 =
   QCheck.make ~print:pp_relation
     (gen_small_relation ~columns:[ "A"; "B"; "C" ] ~max_value:4 ~max_rows:30)
 
-(* Rebuild a relation from its sorted values so each layout arm starts
-   from a fresh, unconverted instance. *)
-let values_of rel =
-  List.map Tuple.to_list (R.to_sorted_list rel)
+(* {1 Join kernels}
 
-let rebuild columns rel = R.of_values columns (values_of rel)
+   [par_threshold] 0 drives the chunked fan-out paths even on tiny
+   inputs; the pool comes from the environment (the second runtest pass
+   forces QF_DOMAINS=4). *)
 
-(* {1 Join kernels} *)
+let equi ?par_threshold a b pairs = Join.equi ?par_threshold a b pairs
+let semi ?par_threshold a b pairs = Join.semi ?par_threshold a b pairs
+let anti ?par_threshold a b pairs = Join.anti ?par_threshold a b pairs
 
-let join_prop op op_name =
-  QCheck.Test.make ~count:150 ~name:(op_name ^ ": row = columnar")
-    arb_join_pair (fun (a, b) ->
-      both_layouts op_name (fun () ->
-          let a = rebuild [ "A"; "B" ] a and b = rebuild [ "B"; "C" ] b in
-          op a b [ "B", "B" ]))
-
-(* The forced-parallel variant drives the chunked fan-out paths even on
-   tiny inputs ([par_threshold:0] at the call sites below); the pool
-   comes from the environment (the second runtest pass forces
-   QF_DOMAINS=4). *)
-let join_prop_par op op_name =
-  QCheck.Test.make ~count:75 ~name:(op_name ^ " (forced parallel): row = columnar")
-    arb_join_pair (fun (a, b) ->
-      both_layouts op_name (fun () ->
-          let a = rebuild [ "A"; "B" ] a and b = rebuild [ "B"; "C" ] b in
-          op a b [ "B", "B" ]))
+let join_prop ?par_threshold kernel spec op_name =
+  let name =
+    op_name
+    ^ (if par_threshold = None then "" else " (forced parallel)")
+    ^ ": = list spec"
+  in
+  QCheck.Test.make
+    ~count:(if par_threshold = None then 150 else 75)
+    ~name arb_join_pair
+    (fun (a, b) ->
+      let pairs = [ "B", "B" ] in
+      prop_agrees op_name
+        (R.to_sorted_list (kernel ?par_threshold a b pairs))
+        (spec a b pairs))
 
 (* {1 Select / project} *)
 
@@ -90,22 +176,23 @@ let select_pred tup =
   match Tuple.get tup 0 with V.Int i -> i mod 2 = 0 | _ -> true
 
 let select_prop =
-  QCheck.Test.make ~count:150 ~name:"select: row = columnar" arb_rel3
-    (fun rel ->
-      both_layouts "select" (fun () ->
-          R.select (rebuild [ "A"; "B"; "C" ] rel) select_pred))
+  QCheck.Test.make ~count:150 ~name:"select: = list spec" arb_rel3 (fun rel ->
+      prop_agrees "select"
+        (R.to_sorted_list (R.select ~par_threshold:0 rel select_pred))
+        (Spec.select rel select_pred))
 
 let project_prop =
-  QCheck.Test.make ~count:150 ~name:"project: row = columnar" arb_rel3
-    (fun rel ->
-      both_layouts "project" (fun () ->
-          R.project (rebuild [ "A"; "B"; "C" ] rel) [ "B"; "A" ]))
+  QCheck.Test.make ~count:150 ~name:"project: = list spec" arb_rel3 (fun rel ->
+      prop_agrees "project"
+        (R.to_sorted_list (R.project rel [ "B"; "A" ]))
+        (Spec.project rel [ "B"; "A" ]))
 
 let project_single_prop =
-  QCheck.Test.make ~count:150 ~name:"project to one column: row = columnar"
+  QCheck.Test.make ~count:150 ~name:"project to one column: = list spec"
     arb_rel3 (fun rel ->
-      both_layouts "project1" (fun () ->
-          R.project ~par_threshold:0 (rebuild [ "A"; "B"; "C" ] rel) [ "C" ]))
+      prop_agrees "project1"
+        (R.to_sorted_list (R.project ~par_threshold:0 rel [ "C" ]))
+        (Spec.project rel [ "C" ]))
 
 (* {1 Aggregation} *)
 
@@ -121,113 +208,101 @@ let arb_func =
           Aggregate.Max "C";
         ])
 
-let groups_to_rel keys rel ~func =
-  (* Encode group_by output as a relation so R.equal can compare it:
-     key columns plus the aggregate value. *)
-  let groups = Aggregate.group_by rel ~keys ~func in
-  R.of_values
-    (keys @ [ "agg" ])
-    (List.map
-       (fun (key, v) -> Tuple.to_list key @ [ v ])
-       groups)
+let group_by_agrees ?par_threshold name rel ~keys ~func =
+  prop_agrees name
+    (List.sort Tuple.compare
+       (List.map
+          (fun (key, v) -> Tuple.of_list (Tuple.to_list key @ [ v ]))
+          (Aggregate.group_by ?par_threshold rel ~keys ~func)))
+    (group_tuples (Spec.groups rel ~keys ~func))
 
 let group_by_prop =
-  QCheck.Test.make ~count:150 ~name:"group_by: row = columnar"
+  QCheck.Test.make ~count:150 ~name:"group_by: = list spec"
     (QCheck.pair arb_rel3 arb_func) (fun (rel, func) ->
-      both_layouts "group_by" (fun () ->
-          groups_to_rel [ "A"; "B" ] (rebuild [ "A"; "B"; "C" ] rel) ~func))
+      group_by_agrees "group_by" rel ~keys:[ "A"; "B" ] ~func)
 
 let group_by_single_key_prop =
-  (* Exercises the dense code->group fast path (single key column). *)
-  QCheck.Test.make ~count:150 ~name:"group_by one key: row = columnar"
+  (* Exercises the dense code->group fast path (single key column), and
+     the partitioned path. *)
+  QCheck.Test.make ~count:150 ~name:"group_by one key: = list spec"
     (QCheck.pair arb_rel3 arb_func) (fun (rel, func) ->
-      both_layouts "group_by1" (fun () ->
-          groups_to_rel [ "B" ] (rebuild [ "A"; "B"; "C" ] rel) ~func))
+      group_by_agrees ~par_threshold:0 "group_by1" rel ~keys:[ "B" ] ~func)
 
 let group_filter_prop =
-  QCheck.Test.make ~count:150 ~name:"group_filter: row = columnar"
+  QCheck.Test.make ~count:150 ~name:"group_filter: = list spec"
     (QCheck.triple arb_rel3 arb_func (QCheck.int_range 1 5))
     (fun (rel, func, threshold) ->
-      both_layouts "group_filter" (fun () ->
-          Aggregate.group_filter
-            (rebuild [ "A"; "B"; "C" ] rel)
-            ~keys:[ "A"; "B" ] ~func
-            ~threshold:(float_of_int threshold)))
+      let threshold = float_of_int threshold in
+      prop_agrees "group_filter"
+        (R.to_sorted_list
+           (Aggregate.group_filter rel ~keys:[ "A"; "B" ] ~func ~threshold))
+        (Spec.group_filter rel ~keys:[ "A"; "B" ] ~func ~threshold))
 
 let group_filter_report_prop =
   QCheck.Test.make ~count:150
-    ~name:"group_filter_report candidates = |project keys|"
+    ~name:"group_filter_report candidates = distinct keys"
     (QCheck.pair arb_rel3 (QCheck.int_range 1 5)) (fun (rel, threshold) ->
-      List.for_all
-        (fun mode ->
-          Test_util.with_layout mode (fun () ->
-              let rel = rebuild [ "A"; "B"; "C" ] rel in
-              let _, candidates =
-                Aggregate.group_filter_report rel ~keys:[ "A"; "B" ]
-                  ~func:Aggregate.Count
-                  ~threshold:(float_of_int threshold)
-              in
-              candidates = R.cardinal (R.project rel [ "A"; "B" ])))
-        [ Layout.Row; Layout.Columnar ])
+      let _, candidates =
+        Aggregate.group_filter_report rel ~keys:[ "A"; "B" ]
+          ~func:Aggregate.Count ~threshold:(float_of_int threshold)
+      in
+      candidates = List.length (Spec.project rel [ "A"; "B" ]))
 
 (* {1 Edge-case units} *)
 
-let check_equal name expected actual =
-  if not (R.equal expected actual) then
-    Alcotest.failf "%s: row/columnar results differ" name
+let check_equi name a b pairs =
+  unit_agrees name (R.to_sorted_list (Join.equi a b pairs)) (Spec.equi a b pairs)
 
-let unit_both name f =
-  let row = Test_util.with_layout Layout.Row f in
-  let col = Test_util.with_layout Layout.Columnar f in
-  check_equal name row col
+let check_semi name a b pairs =
+  unit_agrees name (R.to_sorted_list (Join.semi a b pairs)) (Spec.semi a b pairs)
+
+let check_project name rel cols =
+  unit_agrees name (R.to_sorted_list (R.project rel cols)) (Spec.project rel cols)
+
+let check_group_filter name rel ~keys =
+  unit_agrees name
+    (R.to_sorted_list
+       (Aggregate.group_filter rel ~keys ~func:Aggregate.Count ~threshold:1.))
+    (Spec.group_filter rel ~keys ~func:Aggregate.Count ~threshold:1.)
 
 let test_empty_inputs () =
   let empty cols = R.of_values cols [] in
-  unit_both "equi on empty" (fun () ->
-      Join.equi (empty [ "A"; "B" ]) (empty [ "B"; "C" ]) [ "B", "B" ]);
-  unit_both "semi empty probe" (fun () ->
-      Join.semi (empty [ "A"; "B" ])
-        (R.of_values [ "B"; "C" ] [ [ V.Int 1; V.Int 2 ] ])
-        [ "B", "B" ]);
-  unit_both "anti empty build" (fun () ->
-      Join.anti
-        (R.of_values [ "A"; "B" ] [ [ V.Int 1; V.Int 2 ] ])
-        (empty [ "B"; "C" ]) [ "B", "B" ]);
-  unit_both "select on empty" (fun () ->
-      R.select (empty [ "A"; "B" ]) (fun _ -> true));
-  unit_both "project on empty" (fun () -> R.project (empty [ "A"; "B" ]) [ "A" ]);
-  unit_both "group_filter on empty" (fun () ->
-      Aggregate.group_filter (empty [ "A"; "B" ]) ~keys:[ "A" ]
-        ~func:Aggregate.Count ~threshold:1.)
+  let one = R.of_values [ "A"; "B" ] [ [ V.Int 1; V.Int 2 ] ] in
+  check_equi "equi on empty" (empty [ "A"; "B" ]) (empty [ "B"; "C" ])
+    [ "B", "B" ];
+  check_semi "semi empty probe" (empty [ "A"; "B" ])
+    (R.of_values [ "B"; "C" ] [ [ V.Int 1; V.Int 2 ] ])
+    [ "B", "B" ];
+  unit_agrees "anti empty build"
+    (R.to_sorted_list (Join.anti one (empty [ "B"; "C" ]) [ "B", "B" ]))
+    (Spec.anti one (empty [ "B"; "C" ]) [ "B", "B" ]);
+  unit_agrees "select on empty"
+    (R.to_sorted_list (R.select (empty [ "A"; "B" ]) (fun _ -> true)))
+    [];
+  check_project "project on empty" (empty [ "A"; "B" ]) [ "A" ];
+  check_group_filter "group_filter on empty" (empty [ "A"; "B" ]) ~keys:[ "A" ]
 
 let test_all_duplicates () =
   (* Relations are sets, so "all duplicates" means every projected row
-     collapses to one: the dedup paths must agree. *)
+     collapses to one: the dedup paths must collapse them. *)
   let rel =
     R.of_values [ "A"; "B" ]
       (List.init 20 (fun i -> [ V.Int (i mod 2); V.Int 7 ]))
   in
-  unit_both "project all-dup column" (fun () ->
-      R.project (rebuild [ "A"; "B" ] rel) [ "B" ]);
-  unit_both "group_by all-dup key" (fun () ->
-      groups_to_rel [ "B" ] (rebuild [ "A"; "B" ] rel) ~func:Aggregate.Count);
-  unit_both "self equi on all-dup key" (fun () ->
-      let r = rebuild [ "A"; "B" ] rel in
-      Join.equi r (rebuild [ "A"; "B" ] rel) [ "B", "A" ])
+  check_project "project all-dup column" rel [ "B" ];
+  unit_agrees "group_by all-dup key"
+    (group_tuples (Aggregate.group_by rel ~keys:[ "B" ] ~func:Aggregate.Count))
+    (group_tuples (Spec.groups rel ~keys:[ "B" ] ~func:Aggregate.Count));
+  check_equi "self equi on all-dup key" rel rel [ "B", "B" ]
 
 let test_single_column () =
   let rel = R.of_values [ "A" ] (List.init 9 (fun i -> [ V.Int (i mod 3) ])) in
-  unit_both "single-column project" (fun () ->
-      R.project (rebuild [ "A" ] rel) [ "A" ]);
-  unit_both "single-column semi self" (fun () ->
-      let r = rebuild [ "A" ] rel in
-      Join.semi r r [ "A", "A" ]);
-  unit_both "single-column group_filter" (fun () ->
-      Aggregate.group_filter (rebuild [ "A" ] rel) ~keys:[ "A" ]
-        ~func:Aggregate.Count ~threshold:1.)
+  check_project "single-column project" rel [ "A" ];
+  check_semi "single-column semi self" rel rel [ "A", "A" ];
+  check_group_filter "single-column group_filter" rel ~keys:[ "A" ]
 
 (* Values of different types never share a dictionary code: Int 1 and
-   Real 1.0 must stay distinct under both layouts. *)
+   Real 1.0 must stay distinct. *)
 let test_mixed_types () =
   let rel =
     R.of_values [ "A"; "B" ]
@@ -237,13 +312,12 @@ let test_mixed_types () =
         [ V.Int 1; V.Str "y" ];
       ]
   in
-  unit_both "mixed-type project" (fun () ->
-      R.project (rebuild [ "A"; "B" ] rel) [ "A" ]);
-  unit_both "mixed-type self join" (fun () ->
-      let r = rebuild [ "A"; "B" ] rel in
-      Join.equi r (rebuild [ "A"; "B" ] rel) [ "A", "A" ])
+  check_project "mixed-type project" rel [ "A" ];
+  Alcotest.(check int) "Int 1 and Real 1.0 stay apart" 2
+    (R.cardinal (R.project rel [ "A" ]));
+  check_equi "mixed-type self join" rel rel [ "A", "A" ]
 
-(* {1 The full-stack corpus under forced layouts and pool sizes} *)
+(* {1 The full-stack corpus under forced pool sizes} *)
 
 let run_executors cat flock =
   let direct = Direct.run cat flock in
@@ -265,7 +339,7 @@ let run_executors cat flock =
     "dynamic", dynamic;
   ]
 
-let test_corpus_layout_insensitive () =
+let test_corpus_pool_insensitive () =
   let seeds = List.init 100 Fun.id in
   Fun.protect
     ~finally:(fun () -> Pool.set_default_size (Pool.default_size ()))
@@ -274,58 +348,47 @@ let test_corpus_layout_insensitive () =
         (fun seed ->
           let rel, threshold = instance ~seed gen_basket_instance in
           let flock = pair_flock threshold in
-          (* Reference: the row engine on a sequential pool. *)
+          (* Reference: naive generate-and-test on a sequential pool. *)
           Pool.set_default_size 1;
-          let expected =
-            Test_util.with_layout Layout.Row (fun () ->
-                Direct.run (catalog_of rel) flock)
-          in
+          let expected = Naive.run (catalog_of rel) flock in
           List.iter
-            (fun mode ->
+            (fun domains ->
+              Pool.set_default_size domains;
               List.iter
-                (fun domains ->
-                  Pool.set_default_size domains;
-                  Test_util.with_layout mode (fun () ->
-                      List.iter
-                        (fun (name, got) ->
-                          if not (R.equal expected got) then
-                            Alcotest.failf
-                              "seed %d: %s under %s layout / %d domains \
-                               disagrees with row direct (threshold %d)\n%s"
-                              seed name (Layout.to_string mode) domains
-                              threshold (pp_relation rel))
-                        (run_executors (catalog_of rel) flock);
-                      (* The tabulation skips its dedupe pass when it keeps
-                         every bound key, trusting that environment rows
-                         are distinct; a rebuild through [R.add], which
-                         dedupes, must not shrink it. *)
-                      List.iter
-                        (fun rule ->
-                          let tab =
-                            Qf_datalog.Eval.tabulate (catalog_of rel) rule
-                          in
-                          let rebuilt = R.create (R.schema tab) in
-                          R.iter (R.add rebuilt) tab;
-                          if R.cardinal rebuilt <> R.cardinal tab then
-                            Alcotest.failf
-                              "seed %d: tabulation under %s layout / %d \
-                               domains has duplicate rows (%d, %d distinct)"
-                              seed (Layout.to_string mode) domains
-                              (R.cardinal tab) (R.cardinal rebuilt))
-                        flock.Flock.query))
-                [ 1; 4 ])
-            [ Layout.Row; Layout.Columnar ])
+                (fun (name, got) ->
+                  if not (R.equal expected got) then
+                    Alcotest.failf
+                      "seed %d: %s on %d domains disagrees with naive \
+                       (threshold %d)\n%s"
+                      seed name domains threshold (pp_relation rel))
+                (run_executors (catalog_of rel) flock);
+              (* The tabulation skips its dedupe pass when it keeps every
+                 bound key, trusting that environment rows are distinct; a
+                 rebuild through [R.add], which dedupes, must not shrink
+                 it. *)
+              List.iter
+                (fun rule ->
+                  let tab = Qf_datalog.Eval.tabulate (catalog_of rel) rule in
+                  let rebuilt = R.create (R.schema tab) in
+                  R.iter (R.add rebuilt) tab;
+                  if R.cardinal rebuilt <> R.cardinal tab then
+                    Alcotest.failf
+                      "seed %d: tabulation on %d domains has duplicate rows \
+                       (%d, %d distinct)"
+                      seed domains (R.cardinal tab) (R.cardinal rebuilt))
+                flock.Flock.query)
+            [ 1; 4 ])
         seeds)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      join_prop (fun a b p -> Join.equi a b p) "equi";
-      join_prop (fun a b p -> Join.semi a b p) "semi";
-      join_prop (fun a b p -> Join.anti a b p) "anti";
-      join_prop_par (fun a b p -> Join.equi ~par_threshold:0 a b p) "equi";
-      join_prop_par (fun a b p -> Join.semi ~par_threshold:0 a b p) "semi";
-      join_prop_par (fun a b p -> Join.anti ~par_threshold:0 a b p) "anti";
+      join_prop equi Spec.equi "equi";
+      join_prop semi Spec.semi "semi";
+      join_prop anti Spec.anti "anti";
+      join_prop ~par_threshold:0 equi Spec.equi "equi";
+      join_prop ~par_threshold:0 semi Spec.semi "semi";
+      join_prop ~par_threshold:0 anti Spec.anti "anti";
       select_prop;
       project_prop;
       project_single_prop;
@@ -339,6 +402,6 @@ let suite =
       Alcotest.test_case "all-duplicate rows" `Quick test_all_duplicates;
       Alcotest.test_case "single-column relations" `Quick test_single_column;
       Alcotest.test_case "mixed value types" `Quick test_mixed_types;
-      Alcotest.test_case "100-seed corpus: layout and pool insensitive" `Quick
-        test_corpus_layout_insensitive;
+      Alcotest.test_case "100-seed corpus: pool insensitive, = naive" `Quick
+        test_corpus_pool_insensitive;
     ]

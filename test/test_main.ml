@@ -34,4 +34,5 @@ let () =
       "differential", Test_differential.suite;
       "obs", Test_obs.suite;
       "governor", Test_governor.suite;
+      "cli", Test_cli.suite;
     ]

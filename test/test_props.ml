@@ -162,11 +162,11 @@ let prop_storage_roundtrip =
     (fun rel ->
       let path = Filename.temp_file "qfprop" ".qfh" in
       let file =
-        Qf_storage.Heap_file.create ~capacity:2 path (R.schema rel)
+        Qf_relational.Heap_file.create ~capacity:2 path (R.schema rel)
       in
-      Qf_relational.Relation.iter (Qf_storage.Heap_file.append file) rel;
-      let back = Qf_storage.Heap_file.to_relation file in
-      Qf_storage.Heap_file.close file;
+      Qf_relational.Relation.iter (Qf_relational.Heap_file.append file) rel;
+      let back = Qf_relational.Heap_file.to_relation file in
+      Qf_relational.Heap_file.close file;
       Sys.remove path;
       R.equal rel back)
 

@@ -1,13 +1,12 @@
 (* Sideways information passing and the cross-level subplan memo: the LRU
    byte-budget policy, Bloom/exact reducer membership laws, canonical
    step signatures, memo-hit cascades across levelwise runs, and the
-   reduced = unreduced differential matrix over layouts x pool sizes x
-   memo budgets. *)
+   reduced = unreduced differential matrix over pool sizes x memo
+   budgets. *)
 module R = Qf_relational.Relation
 module V = Qf_relational.Value
 module Catalog = Qf_relational.Catalog
 module Dict = Qf_relational.Dict
-module Layout = Qf_relational.Layout
 module Lru = Qf_relational.Lru
 module Sip = Qf_relational.Sip
 module Pool = Qf_exec_pool.Pool
@@ -18,6 +17,9 @@ open Qf_testgen.Testgen
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+(* Reducer membership of an integer value, through its dictionary code. *)
+let mem_int t i = Sip.mem t (Dict.encode (V.Int i))
 
 let no_shortcut =
   {
@@ -71,8 +73,7 @@ let prop_bloom_no_false_negatives =
       in
       let t = Sip.bloom_of_codes codes in
       (not (Sip.is_exact t))
-      && Array.for_all (fun c -> Sip.mem t c) codes
-      && List.for_all (fun i -> Sip.mem_value t (V.Int i)) ints)
+      && Array.for_all (fun c -> Sip.mem t c) codes)
 
 let prop_exact_reducers_are_exact =
   QCheck.Test.make
@@ -85,8 +86,8 @@ let prop_exact_reducers_are_exact =
     (fun (ints, outside) ->
       let t = Sip.of_values (Array.of_list (List.map (fun i -> V.Int i) ints)) in
       Sip.is_exact t
-      && List.for_all (fun i -> Sip.mem_value t (V.Int i)) ints
-      && not (Sip.mem_value t (V.Int outside)))
+      && List.for_all (mem_int t) ints
+      && not (mem_int t outside))
 
 let test_of_column_matches_column () =
   let rel =
@@ -96,9 +97,9 @@ let test_of_column_matches_column () =
   let t = Sip.of_column rel "X" in
   check_bool "small column summarized exactly" true (Sip.is_exact t);
   check_bool "column values member" true
-    (Sip.mem_value t (V.Int 1) && Sip.mem_value t (V.Int 2));
+    (mem_int t 1 && mem_int t 2);
   check_bool "other column's values are not" true
-    (not (Sip.mem_value t (V.Int 10)));
+    (not (mem_int t 10));
   let kept = Sip.filter rel ~pos:0 (Sip.of_values [| V.Int 1 |]) in
   check_int "filter keeps matching rows" 2 (R.cardinal kept)
 
@@ -214,59 +215,52 @@ let test_memo_cascade_across_levels () =
   check_bool "memo stats recorded hits and misses" true
     (hits > 0 && misses > 0)
 
-(* {1 Differential matrix: layouts x pool sizes x memo budgets} *)
+(* {1 Differential matrix: pool sizes x memo budgets} *)
 
 let test_reduced_equals_unreduced_matrix () =
   List.iter
     (fun seed ->
       let rel, threshold = instance ~seed gen_basket_instance in
       List.iter
-        (fun layout ->
-          Test_util.with_layout layout @@ fun () ->
+        (fun pool_size ->
+          Test_util.with_pool_size pool_size @@ fun () ->
+          let cat = catalog_of rel in
+          let flock, plan =
+            Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3
+              ~support:threshold
+          in
+          let expected = Direct.run cat flock in
+          let fail name =
+            Alcotest.failf "seed %d, pool %d: %s disagrees with direct" seed
+              pool_size name
+          in
+          (* Fully unreduced baseline. *)
+          let base = Plan_exec.run ~options:no_shortcut cat plan in
+          if not (R.equal expected base) then fail "unreduced";
           List.iter
-            (fun pool_size ->
-              Test_util.with_pool_size pool_size @@ fun () ->
-              let cat = catalog_of rel in
-              let flock, plan =
-                Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3
-                  ~support:threshold
-              in
-              let expected = Direct.run cat flock in
-              let fail name =
-                Alcotest.failf
-                  "seed %d, layout %s, pool %d: %s disagrees with direct"
-                  seed (Layout.to_string layout) pool_size name
-              in
-              (* Fully unreduced baseline. *)
-              let base = Plan_exec.run ~options:no_shortcut cat plan in
-              if not (R.equal expected base) then fail "unreduced";
-              List.iter
-                (fun budget ->
-                  Catalog.set_memo_budget cat budget;
-                  Catalog.memo_clear cat;
-                  (* Cold then warm: the second run exercises memo hits
-                     (or, at budget 0 / tiny budgets, eviction paths). *)
-                  let cold = Plan_exec.run cat plan in
-                  let warm = Plan_exec.run cat plan in
-                  if not (R.equal expected cold) then
-                    fail (Printf.sprintf "reduced cold (budget %d)" budget);
-                  if not (R.equal expected warm) then
-                    fail (Printf.sprintf "reduced warm (budget %d)" budget))
-                [ 0; 2048; max_int ])
-            [ 1; 2; 4 ])
-        [ Layout.Row; Layout.Columnar ])
+            (fun budget ->
+              Catalog.set_memo_budget cat budget;
+              Catalog.memo_clear cat;
+              (* Cold then warm: the second run exercises memo hits (or,
+                 at budget 0 / tiny budgets, eviction paths). *)
+              let cold = Plan_exec.run cat plan in
+              let warm = Plan_exec.run cat plan in
+              if not (R.equal expected cold) then
+                fail (Printf.sprintf "reduced cold (budget %d)" budget);
+              if not (R.equal expected warm) then
+                fail (Printf.sprintf "reduced warm (budget %d)" budget))
+            [ 0; 2048; max_int ])
+        [ 1; 2; 4 ])
     [ 0; 11; 42 ]
 
-(* {1 Counter determinism across pool sizes and layouts} *)
+(* {1 Counter determinism across pool sizes} *)
 
 (* The memo and sip obs counters must not depend on how work was chunked
-   across domains or which physical layout ran — [flockc explain
-   --profile] output is a golden fixture, and the 4-domain CI pass
-   replays it. *)
-let test_counters_pool_and_layout_independent () =
+   across domains — [flockc explain --profile] output is a golden
+   fixture, and the 4-domain CI pass replays it. *)
+let test_counters_pool_independent () =
   let rel, threshold = instance ~seed:3 gen_basket_instance in
-  let counters layout pool_size =
-    Test_util.with_layout layout @@ fun () ->
+  let counters pool_size =
     Test_util.with_pool_size pool_size @@ fun () ->
     let was = Obs.enabled () in
     Obs.set_enabled true;
@@ -287,21 +281,14 @@ let test_counters_pool_and_layout_independent () =
         || String.starts_with ~prefix:"index_cache.evict" k)
       report.Obs.counters
   in
-  let reference = counters Layout.Columnar 1 in
+  let reference = counters 1 in
   check_bool "sip/memo counters present" true (reference <> []);
   List.iter
-    (fun (layout, pool_size) ->
+    (fun pool_size ->
       Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "layout %s pool %d" (Layout.to_string layout)
-           pool_size)
-        reference
-        (counters layout pool_size))
-    [
-      Layout.Columnar, 2;
-      Layout.Columnar, 4;
-      Layout.Row, 1;
-      Layout.Row, 4;
-    ]
+        (Printf.sprintf "pool %d" pool_size)
+        reference (counters pool_size))
+    [ 2; 4 ]
 
 (* {1 Bounded index cache} *)
 
@@ -325,8 +312,7 @@ let test_index_cache_eviction () =
   (* Evicted indexes rebuild on demand and still answer correctly. *)
   let idx = Catalog.index_on cat (Catalog.find cat "r0") [ "X" ] in
   check_bool "rebuilt index still probes" true
-    (Qf_relational.Index.lookup idx (Qf_relational.Tuple.of_list [ V.Int 0 ])
-    <> []);
+    (Test_util.index_matches idx [ V.Int 0 ] <> []);
   (* Budget 0 disables caching: every request is a miss, nothing sticks. *)
   Catalog.set_index_budget cat 0;
   Catalog.reset_index_stats cat;
@@ -350,10 +336,10 @@ let suite =
     Alcotest.test_case "memo cascade: k=3 run primes k=4" `Slow
       test_memo_cascade_across_levels;
     Alcotest.test_case
-      "reduced = unreduced across layouts x pools x budgets" `Slow
+      "reduced = unreduced across pools x budgets" `Slow
       test_reduced_equals_unreduced_matrix;
-    Alcotest.test_case "sip/memo counters are pool- and layout-independent"
-      `Slow test_counters_pool_and_layout_independent;
+    Alcotest.test_case "sip/memo counters are pool-independent" `Slow
+      test_counters_pool_independent;
     Alcotest.test_case "index cache evicts within its budget" `Quick
       test_index_cache_eviction;
   ]

@@ -1,5 +1,6 @@
 (* The storage substrate: binary codec, slotted pages, buffer pool, heap
    files, and the directory store. *)
+open Qf_relational
 open Qf_storage
 module R = Qf_relational.Relation
 module V = Qf_relational.Value

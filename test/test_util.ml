@@ -14,16 +14,31 @@ let rows rel =
     (fun tup -> Format.asprintf "%a" Qf_relational.Tuple.pp tup)
     (Qf_relational.Relation.to_sorted_list rel)
 
+(* The rows of [idx]'s snapshot whose key columns equal [key], found by
+   walking the key's bucket chain the way the join kernels probe it. *)
+let index_matches (idx : Qf_relational.Index.t) key =
+  let module Chunkrel = Qf_relational.Chunkrel in
+  let codes = Array.of_list (List.map Qf_relational.Dict.encode key) in
+  let matches j =
+    let rec eq k =
+      k >= Array.length codes || (idx.key_cols.(k).(j) = codes.(k) && eq (k + 1))
+    in
+    eq 0
+  in
+  let rec walk j acc =
+    if j < 0 then acc
+    else
+      walk idx.next.(j)
+        (if matches j then Chunkrel.tuple_at idx.chunk j :: acc else acc)
+  in
+  walk idx.heads.(Chunkrel.hash_codes codes land idx.mask) []
+
 (* {1 Configuration matrix}
 
-   Run a thunk with the physical layout, or the shared pool's size, forced
-   and restored afterwards.  [par_threshold] also forces the parallel
-   dispatch threshold (it is read when the pool is created), so the
-   parallel kernels engage even on tiny inputs. *)
-
-let with_layout layout f =
-  Qf_relational.Layout.set_override (Some layout);
-  Fun.protect ~finally:(fun () -> Qf_relational.Layout.set_override None) f
+   Run a thunk with the shared pool's size forced and restored
+   afterwards.  [par_threshold] also forces the parallel dispatch
+   threshold (it is read when the pool is created), so the parallel
+   kernels engage even on tiny inputs. *)
 
 let with_pool_size ?par_threshold size f =
   let module Pool = Qf_exec_pool.Pool in
