@@ -1381,7 +1381,7 @@ let e16 () =
 
    The same levelwise mining chain under shrinking memory budgets: the
    unbounded run is the in-memory baseline, the governed runs force the
-   group-by/join kernels through the Grace-style spill paths.  The claim
+   group-by kernels through their hash-partitioned spill paths.  The claim
    under test is graceful degradation — identical answers at every
    budget, spilling visible in the governor's stats, and a bounded
    slowdown (disk pages instead of an OOM kill). *)

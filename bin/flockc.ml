@@ -293,8 +293,8 @@ let mem_budget_arg =
     & info [ "mem-budget" ] ~docv:"BYTES"
         ~doc:
           "Memory budget: plain bytes, a $(b,k)/$(b,m)/$(b,g) suffix, or \
-           $(b,unbounded).  Join and group-by kernels spill to temp files \
-           when the budget trips; if even spilling cannot fit, $(b,flockc) \
+           $(b,unbounded).  Group-by kernels spill to temp files when the \
+           budget trips; if even spilling cannot fit, $(b,flockc) \
            exits with status 125.  Defaults to $(b,QF_MEM_BUDGET) when set.")
 
 let make_governor ~timeout ~mem_budget =
@@ -496,10 +496,10 @@ let mine_cmd =
     (Cmd.info "mine"
        ~doc:
          "Evaluate a flock under a resource governor: a byte-accounted \
-          memory budget (spilling joins and group-bys to disk when it \
-          trips) and a wall-clock deadline with cooperative cancellation. \
-          Exit status: 124 deadline exceeded, 125 budget unsatisfiable \
-          even after spilling.")
+          memory budget (spilling group-bys to disk when it trips) and a \
+          wall-clock deadline with cooperative cancellation.  Exit status: \
+          124 deadline exceeded, 125 budget unsatisfiable even after \
+          spilling.")
     Term.(
       const run $ flock_file $ data_arg $ db_arg $ mode_arg $ verbose_arg
       $ timeout_arg $ mem_budget_arg)
@@ -550,6 +550,21 @@ let support_arg =
     value & opt int 20
     & info [ "s"; "support" ] ~docv:"N" ~doc:"Support threshold.")
 
+(* The catalog holding [pred], the (BID, Item) relation the mining
+   conveniences read: a missing or non-binary relation is an input
+   error. *)
+let mining_catalog data db pred =
+  let catalog = or_die (load_catalog ?db data) in
+  match Catalog.find_opt catalog pred with
+  | None -> or_die (Error ("unknown predicate " ^ pred))
+  | Some rel when Relation.arity rel <> 2 ->
+    or_die
+      (Error
+         (Printf.sprintf
+            "-p %s: expected a binary (BID, Item) relation, got arity %d" pred
+            (Relation.arity rel)))
+  | Some _ -> catalog
+
 let rules_cmd =
   let confidence_arg =
     Arg.(
@@ -557,7 +572,8 @@ let rules_cmd =
       & info [ "c"; "confidence" ] ~docv:"C" ~doc:"Confidence floor.")
   in
   let run data db pred support confidence =
-    let catalog = or_die (load_catalog ?db data) in
+    if support < 1 then or_die (Error "rules: support must be at least 1");
+    let catalog = mining_catalog data db pred in
     let rules =
       Measures.pair_rules catalog ~pred ~support ~min_confidence:confidence
     in
@@ -574,7 +590,7 @@ let rules_cmd =
 
 let maximal_cmd =
   let run data db pred support =
-    let catalog = or_die (load_catalog ?db data) in
+    let catalog = mining_catalog data db pred in
     let levels = Sequence.frequent_levels catalog ~pred ~support in
     List.iter
       (fun (l : Sequence.level) ->

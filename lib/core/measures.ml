@@ -3,7 +3,8 @@ module Relation = Qf_relational.Relation
 module Schema = Qf_relational.Schema
 module Value = Qf_relational.Value
 module Aggregate = Qf_relational.Aggregate
-module Join = Qf_relational.Join
+module Sip = Qf_relational.Sip
+module Chunkrel = Qf_relational.Chunkrel
 
 type rule = {
   antecedent : Value.t;
@@ -32,12 +33,18 @@ let pair_rules catalog ~pred ~support ~min_confidence =
     | None -> 0
   in
   (* The a-priori trick, by hand: restrict baskets to frequent items before
-     the pair join (the paper's Sec. 1.3 rewrite). *)
-  let frequent_items =
-    Aggregate.group_filter baskets ~keys:[ item_col ] ~func:Aggregate.Count
-      ~threshold:(float_of_int support)
+     the pair join (the paper's Sec. 1.3 rewrite).  The filter tests item
+     codes against the exact set of frequent items' codes. *)
+  let frequent =
+    Relation.codes
+      (Aggregate.group_filter baskets ~keys:[ item_col ] ~func:Aggregate.Count
+         ~threshold:(float_of_int support))
   in
-  let reduced = Join.semi baskets frequent_items [ item_col, item_col ] in
+  let reduced =
+    Sip.filter baskets ~pos:1
+      (Sip.exact_of_codes
+         (Array.sub frequent.Chunkrel.cols.(0) 0 frequent.Chunkrel.nrows))
+  in
   let work = Catalog.copy catalog in
   Catalog.add work pred reduced;
   let tab = Direct.tabulate work (Apriori_gen.basket_flock ~pred ~k:2 ~support) in

@@ -5,9 +5,9 @@
     every {!run_all}.  A pool of size 1 spawns nothing and runs every task
     inline, so sequential configurations pay no synchronization cost.
 
-    The relational kernels ({!Qf_relational.Join}, [Relation.select],
-    [Aggregate.group_by], the Datalog evaluator's binding extension) fan
-    work out over the {!default} pool when the input is large enough (see
+    The relational kernels ([Relation.project], [Aggregate.group_by],
+    [Sip.filter], the Datalog evaluator's binding extension) fan work
+    out over the {!default} pool when the input is large enough (see
     {!par_threshold}) and fall back to their sequential paths otherwise. *)
 
 type t

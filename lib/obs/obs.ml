@@ -24,11 +24,6 @@ type report = {
   gauges : (string * float) list;
 }
 
-type sink = {
-  on_span : span -> unit;
-  on_report : report -> unit;
-}
-
 (* {1 State} *)
 
 let truthy = function
@@ -47,10 +42,6 @@ let gauges_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 32
 
 (* Stack of open spans on this domain, innermost first. *)
 let stack_key : span list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
-
-let silent = { on_span = ignore; on_report = ignore }
-let current_sink = ref silent
-let set_sink s = current_sink := s
 
 let now = Unix.gettimeofday
 
@@ -80,8 +71,7 @@ let finish_span s =
     Domain.DLS.set stack_key (List.filter (fun x -> x != s) stack));
   Mutex.lock mutex;
   finished := s :: !finished;
-  Mutex.unlock mutex;
-  !current_sink.on_span s
+  Mutex.unlock mutex
 
 let with_span ?attrs name f =
   if not (enabled ()) then f ()
@@ -117,9 +107,6 @@ let gauge_update name f =
   | Some r -> r := f (Some !r)
   | None -> Hashtbl.replace gauges_tbl name (ref (f None)));
   Mutex.unlock mutex
-
-let gauge_set name v =
-  if enabled () then gauge_update name (fun _ -> v)
 
 let gauge_add name v =
   if enabled () then
@@ -166,8 +153,6 @@ let reset () =
   Hashtbl.reset gauges_tbl;
   Mutex.unlock mutex;
   Domain.DLS.set stack_key []
-
-let flush () = !current_sink.on_report (report ())
 
 (* {1 Rendering} *)
 
@@ -265,7 +250,7 @@ let value_to_json = function
   | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
   | Bool b -> string_of_bool b
 
-let span_to_json ?(redact_timings = false) s =
+let span_to_json ~redact_timings s =
   let attrs =
     String.concat ", "
       (List.map
@@ -302,33 +287,3 @@ let render_json ?(redact_timings = false) r =
   Printf.sprintf
     "{\n  \"spans\": [\n    %s\n  ],\n  \"counters\": { %s },\n  \"gauges\": { %s }\n}\n"
     spans counters gauges
-
-let text_tree ppf =
-  {
-    on_span = ignore;
-    on_report =
-      (fun r ->
-        Format.fprintf ppf "%s@?" (render_text r));
-  }
-
-let json_lines oc =
-  {
-    on_span =
-      (fun s ->
-        output_string oc (span_to_json s);
-        output_char oc '\n');
-    on_report =
-      (fun r ->
-        List.iter
-          (fun (k, v) ->
-            Printf.fprintf oc
-              "{ \"counter\": \"%s\", \"value\": %d }\n" (json_escape k) v)
-          r.counters;
-        List.iter
-          (fun (k, v) ->
-            Printf.fprintf oc
-              "{ \"gauge\": \"%s\", \"value\": %s }\n" (json_escape k)
-              (float_str v))
-          r.gauges;
-        Stdlib.flush oc);
-  }

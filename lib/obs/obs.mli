@@ -1,5 +1,5 @@
 (** Execution observability: hierarchical tracing spans and process-wide
-    metrics, with pluggable sinks.
+    metrics, collected in memory and rendered on demand as text or JSON.
 
     The subsystem is a single global collector guarded by one mutex, plus a
     per-domain stack of open spans (so nesting is tracked without threading
@@ -15,7 +15,6 @@
       ["pruning_ratio"] (surviving fraction, in [[0,1]]) on a
       ["filter.step"] span, plus ["est_rows"] when a cost estimate is
       available — the estimated-vs-actual pair the profiler reports;
-    - joins record ["probe_rows"], ["build_rows"] and ["rows_out"];
     - grouping records ["rows_in"], ["candidates"], ["survivors"];
     - the Domain pool records per-chunk task timings under the
       ["pool.chunk"] metric prefix (a counter and total/max gauges) —
@@ -61,7 +60,6 @@ val set_attr : string -> value -> unit
 (** [count name n] adds [n] to the counter [name] (creating it at 0). *)
 val count : string -> int -> unit
 
-val gauge_set : string -> float -> unit
 val gauge_add : string -> float -> unit
 
 (** Keep the maximum of the stored and the offered value. *)
@@ -90,28 +88,6 @@ val report : unit -> report
 
 (** Drop all recorded spans and metrics and restart span ids at 0. *)
 val reset : unit -> unit
-
-(** {1 Sinks} *)
-
-type sink = {
-  on_span : span -> unit;  (** called as each span finishes *)
-  on_report : report -> unit;  (** called by {!flush} *)
-}
-
-(** Drops everything (the default). *)
-val silent : sink
-
-(** Renders the span tree and metrics as text on {!flush}. *)
-val text_tree : Format.formatter -> sink
-
-(** Streams one JSON object per finished span, then one [counter]/[gauge]
-    line per metric on {!flush}. *)
-val json_lines : out_channel -> sink
-
-val set_sink : sink -> unit
-
-(** Send {!report} to the current sink's [on_report]. *)
-val flush : unit -> unit
 
 (** {1 Rendering}
 

@@ -170,9 +170,6 @@ let index t rel positions =
       Qf_obs.Obs.count "index_cache.evict" evicted;
     idx
 
-let index_on t rel cols =
-  index t rel (List.map (Schema.position (Relation.schema rel)) cols)
-
 let index_stats t = t.indexes.hits, t.indexes.misses
 let index_evictions t = Lru.evictions t.indexes.entries
 let set_index_budget t budget = ignore (Lru.set_budget t.indexes.entries budget)

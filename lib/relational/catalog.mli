@@ -33,9 +33,6 @@ val stats : t -> string -> Statistics.t
     need not be registered in the catalog. *)
 val index : t -> Relation.t -> int list -> Index.t
 
-(** Like {!index} with named columns. *)
-val index_on : t -> Relation.t -> string list -> Index.t
-
 (** [(hits, misses)] of the index cache since creation (or the last
     {!reset_index_stats}). *)
 val index_stats : t -> int * int

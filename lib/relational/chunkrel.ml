@@ -129,12 +129,6 @@ module Buf = struct
     Array.unsafe_set b.data b.len x;
     b.len <- b.len + 1
 
-  let push2 b x y =
-    if b.len + 2 > Array.length b.data then grow b (b.len + 2);
-    Array.unsafe_set b.data b.len x;
-    Array.unsafe_set b.data (b.len + 1) y;
-    b.len <- b.len + 2
-
   let length b = b.len
   let get b i = b.data.(i)
   let to_array b = Array.sub b.data 0 b.len

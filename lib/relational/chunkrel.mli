@@ -2,7 +2,7 @@
 
     A chunk stores [nrows] rows as one dictionary-encoded [int array] per
     attribute (see {!Dict}); code equality is value equality, so the hot
-    kernels — hash joins, grouping, duplicate elimination — run entirely
+    kernels — index probes, grouping, duplicate elimination — run entirely
     over flat integer arrays with no per-row allocation.  A chunk is
     immutable once built (the optional decoded-row cache is filled at most
     once, by the coordinating domain, before any parallel fan-out reads
@@ -64,7 +64,6 @@ module Buf : sig
 
   val create : int -> buf
   val push : buf -> int -> unit
-  val push2 : buf -> int -> int -> unit
   val length : buf -> int
   val get : buf -> int -> int
   val to_array : buf -> int array

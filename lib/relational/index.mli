@@ -13,8 +13,8 @@
     mutation of the source relation — the {!Catalog} index cache pairs
     each index with the relation version it was built against and
     rebuilds when stale.  A built index is immutable, so concurrent
-    probes from several domains are safe; the parallel join kernels rely
-    on this. *)
+    probes from several domains are safe; the evaluator's parallel
+    binding extension relies on this. *)
 
 type t = {
   heads : int array;

@@ -41,7 +41,7 @@ let create schema =
   }
 
 (* Internal constructor for kernel outputs whose rows are known distinct
-   (selections, joins over set inputs, deduplicated projections). *)
+   (filtered subsets, deduplicated projections, group keys). *)
 let of_chunkrel schema (chunk : Chunkrel.t) =
   if Array.length chunk.Chunkrel.cols <> Schema.arity schema then
     invalid_arg "Relation.of_chunkrel: arity mismatch";
@@ -133,15 +133,12 @@ let of_list schema tuples =
 let of_values columns rows =
   of_list (Schema.of_list columns) (List.map Tuple.of_list rows)
 
-(* {1 Scan kernels}
+(* {1 Projection}
 
-   Vectorized loops over the code columns: selection collects surviving
-   row *indices* into pre-sized int buffers, merges them by
-   [Array.blit], and gathers the output columns once — it preserves
-   distinctness, so no output hashing happens at all; projection
-   deduplicates over code rows.  Both run sequentially below
-   [Pool.par_threshold] or on a pool of size 1, and produce the same
-   result set either way. *)
+   Deduplicates over the code rows of the projected columns and gathers
+   the output columns once.  Runs sequentially below [Pool.par_threshold]
+   or on a pool of size 1, and produces the same result set either
+   way. *)
 
 let use_pool pool n threshold =
   let pool = match pool with Some p -> p | None -> Pool.default () in
@@ -158,29 +155,6 @@ let merge_index_chunks chunks =
   let pos = ref 0 in
   List.iter (fun c -> pos := Chunkrel.Buf.blit_into c dst !pos) chunks;
   dst
-
-let select ?pool ?par_threshold t pred =
-  let chunk = codes t in
-  let rows = Chunkrel.rows chunk in
-  let n = chunk.Chunkrel.nrows in
-  let kept =
-    match use_pool pool n (threshold_of par_threshold) with
-    | None ->
-      let buf = Chunkrel.Buf.create n in
-      for i = 0 to n - 1 do
-        if pred rows.(i) then Chunkrel.Buf.push buf i
-      done;
-      Chunkrel.Buf.to_array buf
-    | Some pool ->
-      Pool.run_chunks pool ~n (fun ~lo ~hi ->
-          let buf = Chunkrel.Buf.create (hi - lo) in
-          for i = lo to hi - 1 do
-            if pred rows.(i) then Chunkrel.Buf.push buf i
-          done;
-          buf)
-      |> merge_index_chunks
-  in
-  of_chunkrel t.schema (Chunkrel.gather chunk kept)
 
 (* Parallel columnar dedup: scatter row indices into [d] partitions by
    row hash (phase 1, chunked), then dedup each partition independently
@@ -254,19 +228,6 @@ let project ?pool ?par_threshold t cols =
       cols = Chunkrel.gather_cols pcols kept;
       rows_cache = None;
     }
-
-let union a b =
-  if arity a <> arity b then invalid_arg "Relation.union: arity mismatch";
-  let out = create a.schema in
-  iter (add out) a;
-  iter (add out) b;
-  out
-
-let diff a b =
-  if arity a <> arity b then invalid_arg "Relation.diff: arity mismatch";
-  let out = create a.schema in
-  iter (fun tup -> if not (mem b tup) then add out tup) a;
-  out
 
 (* Distinct codes of the column, decoded once each. *)
 let column_values t col =

@@ -17,8 +17,7 @@ type t
 val create : Schema.t -> t
 
 (** Wrap a columnar chunk whose rows are {e known distinct} (kernel
-    outputs: selections, joins over set inputs, deduplicated
-    projections).  The tuple table is built lazily if ever needed.  Raises
+    outputs: filtered subsets, deduplicated projections, group keys).  The tuple table is built lazily if ever needed.  Raises
     [Invalid_argument] on an arity mismatch with the schema. *)
 val of_chunkrel : Schema.t -> Chunkrel.t -> t
 
@@ -71,22 +70,6 @@ val of_values : string list -> Value.t list list -> t
     identical either way. *)
 val project :
   ?pool:Qf_exec_pool.Pool.t -> ?par_threshold:int -> t -> string list -> t
-
-(** [select rel pred] keeps tuples satisfying [pred].  Parallel above the
-    threshold, like {!project}; [pred] must then be pure and safe to call
-    from several domains. *)
-val select :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
-  t ->
-  (Tuple.t -> bool) ->
-  t
-
-(** Set union; schemas must have equal arity (result keeps [a]'s schema). *)
-val union : t -> t -> t
-
-(** Set difference [a - b]; arities must match. *)
-val diff : t -> t -> t
 
 (** Distinct values appearing in a column. *)
 val column_values : t -> string -> Value.t list

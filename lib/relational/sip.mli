@@ -3,7 +3,7 @@
     A reducer is a compact, over-approximate membership summary of the
     values appearing in one column of a relation — typically the
     parameter column of a materialized [ok] step.  Downstream consumers
-    (join probes, the evaluator's binding extension) test candidate
+    (the evaluator's binding extension, {!filter}) test candidate
     values against the reducer {e before} doing the expensive work; a
     negative answer is definitive (no false negatives), a positive answer
     may be a false positive, so a reducer may only ever be used to skip

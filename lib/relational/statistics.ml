@@ -75,22 +75,6 @@ let column_profile t col =
     max_frequency = (if Array.length c.frequencies = 0 then 0 else c.frequencies.(0));
   }
 
-let tuples_per_value t col =
-  let d = distinct t col in
-  if d = 0 then 0. else float_of_int t.cardinality /. float_of_int d
-
-let estimate_join a b pairs =
-  let base = float_of_int a.cardinality *. float_of_int b.cardinality in
-  List.fold_left
-    (fun acc (ca, cb) ->
-      let v = max (distinct a ca) (distinct b cb) in
-      if v = 0 then 0. else acc /. float_of_int v)
-    base pairs
-
-let eq_selectivity t col =
-  let d = distinct t col in
-  if d = 0 then 0. else 1. /. float_of_int d
-
 let count_at_least t col c =
   let { frequencies; _ } = column t col in
   (* frequencies are descending: binary search for the boundary. *)

@@ -26,20 +26,6 @@ val cardinality : t -> int
     column. *)
 val distinct : t -> string -> int
 
-(** Average number of tuples per distinct value of the column:
-    [cardinality / distinct].  0 if the relation is empty. *)
-val tuples_per_value : t -> string -> float
-
-(** Estimated size of the equi-join [a ⋈ b] on the given column pairs
-    ([(col_of_a, col_of_b)]), using the standard independence assumption:
-    |a||b| / prod(max(V(a,ca), V(b,cb))).  With no join columns this is the
-    cross-product size. *)
-val estimate_join : t -> t -> (string * string) list -> float
-
-(** Estimated selectivity in [0,1] of an equality between a column and a
-    constant: 1 / V(col). *)
-val eq_selectivity : t -> string -> float
-
 (** [count_at_least t col c] — the exact number of distinct values of [col]
     appearing in at least [c] tuples.  This is the survivor count of a
     single-subgoal COUNT filter step, the "substantial gathering of

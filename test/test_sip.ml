@@ -305,19 +305,18 @@ let test_index_cache_eviction () =
   Catalog.set_index_budget cat 4000;
   List.iter
     (fun i ->
-      ignore (Catalog.index_on cat (Catalog.find cat (Printf.sprintf "r%d" i))
-          [ "X" ]))
+      ignore (Catalog.index cat (Catalog.find cat (Printf.sprintf "r%d" i)) [ 0 ]))
     [ 0; 1; 2; 3 ];
   check_bool "evictions counted" true (Catalog.index_evictions cat > 0);
   (* Evicted indexes rebuild on demand and still answer correctly. *)
-  let idx = Catalog.index_on cat (Catalog.find cat "r0") [ "X" ] in
+  let idx = Catalog.index cat (Catalog.find cat "r0") [ 0 ] in
   check_bool "rebuilt index still probes" true
     (Test_util.index_matches idx [ V.Int 0 ] <> []);
   (* Budget 0 disables caching: every request is a miss, nothing sticks. *)
   Catalog.set_index_budget cat 0;
   Catalog.reset_index_stats cat;
-  ignore (Catalog.index_on cat (Catalog.find cat "r1") [ "X" ]);
-  ignore (Catalog.index_on cat (Catalog.find cat "r1") [ "X" ]);
+  ignore (Catalog.index cat (Catalog.find cat "r1") [ 0 ]);
+  ignore (Catalog.index cat (Catalog.find cat "r1") [ 0 ]);
   let hits, misses = Catalog.index_stats cat in
   check_bool "budget 0 never hits" true (hits = 0 && misses = 2)
 
