@@ -57,3 +57,13 @@ let with_pool_size ?par_threshold size f =
           (Option.value saved_threshold ~default:"");
       Pool.set_default_size saved_size)
     f
+
+(* {1 Rules}
+
+   Parse one rule and tabulate it: joins are rule bodies, evaluated by
+   the binding extension. *)
+
+let tabulate cat text =
+  match Qf_datalog.Parser.parse_rule text with
+  | Ok r -> Qf_datalog.Eval.tabulate cat r
+  | Error e -> Alcotest.failf "parse %S: %s" text e
