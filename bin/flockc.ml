@@ -182,10 +182,17 @@ let lint_cmd =
         prerr_endline ("flockc: " ^ e);
         exit 2
     in
+    (* An unloadable catalog is unreadable input (exit 2), not a lint
+       finding (exit 1). *)
     let catalog =
       match data, db with
       | [], None -> None
-      | _ -> Some (or_die (load_catalog ?db data))
+      | _ -> (
+        match load_catalog ?db data with
+        | Ok cat -> Some cat
+        | Error msg ->
+          prerr_endline ("flockc: " ^ msg);
+          exit 2)
     in
     let absint_diags =
       if not absint then []

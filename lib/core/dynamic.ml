@@ -349,7 +349,7 @@ let run_union config catalog (flock : Flock.t) rules =
             ~keys:(param_keys @ head_keys)
             ~columns:(param_keys @ Eval.head_columns rule)
         in
-        Relation.iter (Relation.add union_tab) projected;
+        Relation.add_all union_tab projected;
         List.map
           (fun d -> { d with after = Printf.sprintf "rule %d: %s" i d.after })
           trace)

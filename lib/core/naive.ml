@@ -72,7 +72,7 @@ let run ?(max_assignments = 2_000_000) catalog (flock : Flock.t) =
             match acc_rel with
             | None -> Some part
             | Some rel ->
-              Relation.iter (Relation.add rel) part;
+              Relation.add_all rel part;
               Some rel)
           None flock.query
       in

@@ -70,7 +70,7 @@ let frequent_levels ?(max_k = 9) catalog ~pred ~support =
     in
     (* Rename the column to $1 so every level shares the convention. *)
     let renamed = Relation.create (Schema.of_list [ "$1" ]) in
-    Relation.iter (Relation.add renamed) rel;
+    Relation.add_all renamed rel;
     renamed
   in
   let rec levels acc k prev =

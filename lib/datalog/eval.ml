@@ -67,10 +67,7 @@ module Envs = struct
       { width; count; data }
     | _ ->
       let count = List.fold_left (fun acc (k, _) -> acc + k) 0 pieces in
-      let data = Array.make (count * width) 0 in
-      let pos = ref 0 in
-      List.iter (fun (_, b) -> pos := Buf.blit_into b data !pos) pieces;
-      { width; count; data }
+      { width; count; data = Buf.concat (List.map snd pieces) }
 
   (* Run [run ~lo ~hi] over the rows [0, count): one chunk on a one-domain
      pool or below the parallel threshold, else pool-sized chunks. *)
@@ -480,7 +477,7 @@ module Envs = struct
         Array.length idxs, Chunkrel.gather_cols pcols idxs
     in
     Relation.of_chunkrel (Schema.of_list columns)
-      { Chunkrel.nrows; cols; rows_cache = None }
+      { Chunkrel.nrows; cols }
 
   let semijoin t ~keys ~keep =
     let positions = Array.of_list (key_positions t keys) in
@@ -748,6 +745,6 @@ let tabulate_query ?sip catalog (q : Ast.query) =
         Qf_governor.Governor.check ();
         let next = tabulate ?sip catalog r in
         (* Positional rename: arities agree by wf_query. *)
-        Relation.fold (fun tup () -> Relation.add acc tup) next ();
+        Relation.add_all acc next;
         acc)
       acc rest

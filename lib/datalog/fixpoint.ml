@@ -207,11 +207,7 @@ let evaluate_stratum work rules stratum =
     List.map (fun (pred, schema) -> pred, Relation.create schema) schema_of
   in
   let collect acc pred rel =
-    let total = Catalog.find work pred in
-    let target = List.assoc pred acc in
-    Relation.iter
-      (fun tup -> if not (Relation.mem total tup) then Relation.add target tup)
-      rel;
+    Relation.add_all ~unless:(Catalog.find work pred) (List.assoc pred acc) rel;
     acc
   in
   (* Commit a round: totals += new, deltas := new.  Re-register both so any
@@ -220,7 +216,7 @@ let evaluate_stratum work rules stratum =
     List.iter
       (fun (pred, fresh) ->
         let total = Catalog.find work pred in
-        Relation.iter (Relation.add total) fresh;
+        Relation.add_all total fresh;
         Catalog.add work pred total;
         Catalog.add work (delta_name pred) fresh)
       acc;

@@ -196,13 +196,7 @@ let partition_rows pool key_cols n =
         done;
         bufs)
   in
-  List.init d (fun j ->
-      let pieces = List.map (fun bufs -> bufs.(j)) per_chunk in
-      let total = List.fold_left (fun a c -> a + Buf.length c) 0 pieces in
-      let dst = Array.make total 0 in
-      let pos = ref 0 in
-      List.iter (fun c -> pos := Buf.blit_into c dst !pos) pieces;
-      dst)
+  List.init d (fun j -> Buf.concat (List.map (fun bufs -> bufs.(j)) per_chunk))
 
 (* Row-index partitions of [chunk]: all rows as one on a one-domain
    pool or below the parallel threshold, else {!partition_rows}. *)
@@ -338,17 +332,13 @@ let group_filter_cols ?pool ?par_threshold rel ~keys ~func ~threshold =
         buf)
       per_part
   in
-  let total = List.fold_left (fun a b -> a + Buf.length b) 0 kept_bufs in
-  let kept = Array.make total 0 in
-  let pos = ref 0 in
-  List.iter (fun b -> pos := Buf.blit_into b kept !pos) kept_bufs;
+  let kept = Buf.concat kept_bufs in
   let out =
     Relation.of_chunkrel
       (Schema.restrict (Relation.schema rel) keys)
       {
-        Chunkrel.nrows = total;
+        Chunkrel.nrows = Array.length kept;
         cols = Chunkrel.gather_cols key_cols kept;
-        rows_cache = None;
       }
   in
   out, candidates

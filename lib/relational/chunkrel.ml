@@ -1,32 +1,8 @@
-type t = {
-  nrows : int;
-  cols : int array array;
-  mutable rows_cache : Tuple.t array option;
-}
-
-let of_tuples ~arity tuples =
-  let n = Array.length tuples in
-  let cols = Array.init arity (fun _ -> Array.make n 0) in
-  Dict.with_encoder (fun encode ->
-      for i = 0 to n - 1 do
-        let tup = tuples.(i) in
-        for c = 0 to arity - 1 do
-          Array.unsafe_set (Array.unsafe_get cols c) i (encode (Tuple.get tup c))
-        done
-      done);
-  { nrows = n; cols; rows_cache = Some tuples }
+type t = { nrows : int; cols : int array array }
 
 let tuple_at t i =
   let arity = Array.length t.cols in
   Tuple.of_array (Array.init arity (fun c -> Dict.decode t.cols.(c).(i)))
-
-let rows t =
-  match t.rows_cache with
-  | Some r -> r
-  | None ->
-    let r = Array.init t.nrows (fun i -> tuple_at t i) in
-    t.rows_cache <- Some r;
-    r
 
 (* {1 Hashing} — multiply/xor-shift combine over the key codes.
 
@@ -70,12 +46,7 @@ let gather_cols cols idxs =
     cols
 
 let gather t idxs =
-  let rows_cache =
-    match t.rows_cache with
-    | Some r -> Some (Array.map (fun i -> r.(i)) idxs)
-    | None -> None
-  in
-  { nrows = Array.length idxs; cols = gather_cols t.cols idxs; rows_cache }
+  { nrows = Array.length idxs; cols = gather_cols t.cols idxs }
 
 let rows_equal cols i j =
   let rec loop c =
@@ -88,13 +59,15 @@ let rows_equal cols i j =
 
 (* Open-addressing dedup over code rows: slots hold a previously kept row
    index (or -1); linear probing. *)
-let distinct_rows cols nrows =
-  let cap = hash_capacity (2 * nrows) in
+let distinct_rows ?among cols nrows =
+  let n = match among with Some idxs -> Array.length idxs | None -> nrows in
+  let cap = hash_capacity (2 * n) in
   let mask = cap - 1 in
   let slots = Array.make cap (-1) in
-  let kept = Array.make nrows 0 in
+  let kept = Array.make n 0 in
   let k = ref 0 in
-  for i = 0 to nrows - 1 do
+  for r = 0 to n - 1 do
+    let i = match among with Some idxs -> Array.unsafe_get idxs r | None -> r in
     let h = ref (hash_key cols i land mask) in
     let stop = ref false in
     while not !stop do
@@ -114,18 +87,26 @@ let distinct_rows cols nrows =
 (* {1 Growable int buffers} *)
 
 module Buf = struct
-  type buf = { mutable data : int array; mutable len : int }
+  (* [cap] is the number of entries [push] may write before it must
+     reallocate; it is [Array.length data] except for a {!wrap}ped array,
+     which is never written in place. *)
+  type buf = { mutable data : int array; mutable len : int; mutable cap : int }
 
-  let create n = { data = Array.make (max 8 n) 0; len = 0 }
+  let create n =
+    let n = max 8 n in
+    { data = Array.make n 0; len = 0; cap = n }
+
+  let wrap data len = { data; len; cap = len }
 
   let grow b needed =
-    let cap = max needed (2 * Array.length b.data) in
+    let cap = max needed (2 * b.cap) in
     let data = Array.make cap 0 in
     Array.blit b.data 0 data 0 b.len;
-    b.data <- data
+    b.data <- data;
+    b.cap <- cap
 
   let push b x =
-    if b.len = Array.length b.data then grow b (b.len + 1);
+    if b.len = b.cap then grow b (b.len + 1);
     Array.unsafe_set b.data b.len x;
     b.len <- b.len + 1
 
@@ -134,7 +115,13 @@ module Buf = struct
   let to_array b = Array.sub b.data 0 b.len
   let backing b = b.data
 
-  let blit_into b dst pos =
-    Array.blit b.data 0 dst pos b.len;
-    pos + b.len
+  let concat bufs =
+    let dst = Array.make (List.fold_left (fun a b -> a + b.len) 0 bufs) 0 in
+    ignore
+      (List.fold_left
+         (fun pos b ->
+           Array.blit b.data 0 dst pos b.len;
+           pos + b.len)
+         0 bufs);
+    dst
 end

@@ -3,24 +3,14 @@
     A chunk stores [nrows] rows as one dictionary-encoded [int array] per
     attribute (see {!Dict}); code equality is value equality, so the hot
     kernels — index probes, grouping, duplicate elimination — run entirely
-    over flat integer arrays with no per-row allocation.  A chunk is
-    immutable once built (the optional decoded-row cache is filled at most
-    once, by the coordinating domain, before any parallel fan-out reads
-    it); worker domains may read [cols] freely. *)
+    over flat integer arrays with no per-row allocation.  Readers look at
+    the first [nrows] entries of each column only, and those never
+    change, so worker domains may read [cols] freely. *)
 
 type t = {
   nrows : int;  (** explicit, so arity-0 relations keep their cardinality *)
-  cols : int array array;  (** [arity] arrays of [nrows] codes *)
-  mutable rows_cache : Tuple.t array option;
-      (** decoded rows, filled lazily by {!rows} *)
+  cols : int array array;  (** [arity] arrays of at least [nrows] codes *)
 }
-
-(** Encode an array of (distinct) tuples, all of arity [arity].  The
-    tuples double as the decoded-row cache. *)
-val of_tuples : arity:int -> Tuple.t array -> t
-
-(** The decoded rows (cached; treat as read-only). *)
-val rows : t -> Tuple.t array
 
 (** Decode a single row. *)
 val tuple_at : t -> int -> Tuple.t
@@ -42,27 +32,34 @@ val hash_codes : int array -> int
 
 (** {1 Row selection} *)
 
-(** [gather t idxs] is the chunk of the rows of [t] at [idxs] (in that
-    order), reusing the decoded-row cache when present. *)
+(** [gather t idxs] is the chunk of the rows of [t] at [idxs], in that
+    order. *)
 val gather : t -> int array -> t
 
 (** [gather_cols cols idxs] gathers bare column arrays. *)
 val gather_cols : int array array -> int array -> int array array
 
 (** [distinct_rows cols nrows] returns the indices of the first
-    occurrence of each distinct row (order of first appearance). *)
-val distinct_rows : int array array -> int -> int array
+    occurrence of each distinct row (order of first appearance).  With
+    [~among], only the rows at those indices are considered, in that
+    order, and [nrows] is ignored. *)
+val distinct_rows : ?among:int array -> int array array -> int -> int array
 
 (** Smallest power of two [>= max 16 n]. *)
 val hash_capacity : int -> int
 
 (** {1 Growable int buffers} — the parallel kernels' per-chunk output
-    substrate; chunks are merged by {!Buf.blit_into} with no per-row
+    substrate; chunks are merged by {!Buf.concat} with no per-row
     boxing. *)
 module Buf : sig
   type buf
 
   val create : int -> buf
+
+  (** [wrap a n] is a buffer holding [a]'s first [n] entries, without a
+      copy.  It never writes into [a]: the first {!push} reallocates. *)
+  val wrap : int array -> int -> buf
+
   val push : buf -> int -> unit
   val length : buf -> int
   val get : buf -> int -> int
@@ -70,11 +67,10 @@ module Buf : sig
 
   (** [backing b] is [b]'s storage array itself, without a copy: its
       first [length b] entries are the contents, the rest is spare
-      capacity.  For a caller that adopts a finished buffer; pushing to
-      [b] afterwards may overwrite the adopted array. *)
+      capacity.  Later pushes never change the first [length b]
+      entries. *)
   val backing : buf -> int array
 
-  (** [blit_into b dst pos] copies [b]'s contents into [dst] at [pos]
-      and returns the next free position. *)
-  val blit_into : buf -> int array -> int -> int
+  (** The contents of the buffers, in order, in one pre-sized array. *)
+  val concat : buf list -> int array
 end

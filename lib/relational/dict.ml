@@ -20,7 +20,11 @@ let published : snapshot Atomic.t = Atomic.make { n = 0; arr = [||] }
 let live_arr = ref [||]
 let live_n = ref 0
 
-let publish () = Atomic.set published { n = !live_n; arr = !live_arr }
+(* Republish only after an extension: a lookup that assigned no code
+   leaves the snapshot as it is, and allocates nothing. *)
+let publish () =
+  if (Atomic.get published).n <> !live_n then
+    Atomic.set published { n = !live_n; arr = !live_arr }
 
 let encode_locked v =
   match VH.find_opt table v with
@@ -53,6 +57,8 @@ let with_encoder f =
       publish ();
       Mutex.unlock mutex)
     (fun () -> f encode_locked)
+
+let find_opt v = Mutex.protect mutex (fun () -> VH.find_opt table v)
 
 let decode c =
   let s = Atomic.get published in

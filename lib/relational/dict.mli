@@ -21,6 +21,10 @@ val encode : Value.t -> int
     not call {!encode}/{!with_encoder} itself. *)
 val with_encoder : ((Value.t -> int) -> 'a) -> 'a
 
+(** The code already assigned to [v], if any.  Never assigns one, so
+    {!size} does not move: a value with no code occurs in no relation. *)
+val find_opt : Value.t -> int option
+
 (** The value for a code previously returned by an encode.  Unchecked:
     an out-of-range code raises [Invalid_argument]. *)
 val decode : int -> Value.t

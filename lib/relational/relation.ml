@@ -1,26 +1,20 @@
 module Pool = Qf_exec_pool.Pool
 
-(* A relation is a schema over one tuple set held in up to two forms:
+module Buf = Chunkrel.Buf
 
-   - [table]: a hash set of {!Tuple.t}s, the store behind insertion and
-     O(1) membership ([add], [mem], [equal]);
-   - [chunk]: the columnar snapshot — a {!Chunkrel.t} of
-     dictionary-encoded code columns, tagged with the relation [version]
-     it snapshots — which every kernel reads.
-
-   At least one form is always present.  [codes] and [ensure_table]
-   build the missing one lazily; kernels construct chunk-only relations
-   through [of_chunkrel] and never build the table unless someone
-   inserts or tests membership.  Mutation ([add]) goes through the table
-   and bumps [version], staling any cached chunk. *)
+(* A relation is a schema over one tuple set, held once: one growable
+   code column per attribute, rows numbered [0, nrows) in insertion
+   order.  [slots] is an open-addressing set of row indices (-1: empty)
+   keyed by {!Chunkrel.hash_key}, at most half full, serving insertion
+   and membership only; it is built from the columns the first time
+   [add] or [mem] needs it ([[||]] until then). *)
 
 type t = {
   id : int;
   schema : Schema.t;
-  mutable table : unit Tuple.Table.t option;
-  mutable chunk : Chunkrel.t option;
-  mutable chunk_version : int;
-  mutable card : int;
+  cols : Buf.buf array;
+  mutable nrows : int;
+  mutable slots : int array;
   mutable version : int;
 }
 
@@ -29,98 +23,134 @@ type t = {
    one immutable snapshot of the tuple set. *)
 let next_id = Atomic.make 0
 
-let create schema =
+let make schema cols nrows =
   {
     id = Atomic.fetch_and_add next_id 1;
     schema;
-    table = Some (Tuple.Table.create 64);
-    chunk = None;
-    chunk_version = 0;
-    card = 0;
+    cols;
+    nrows;
+    slots = [||];
     version = 0;
   }
 
-(* Internal constructor for kernel outputs whose rows are known distinct
-   (filtered subsets, deduplicated projections, group keys). *)
+let create schema =
+  make schema (Array.init (Schema.arity schema) (fun _ -> Buf.create 64)) 0
+
+(* Kernel outputs whose rows are known distinct (filtered subsets,
+   deduplicated projections, group keys).  The columns are adopted, not
+   copied; a later [add] reallocates rather than write into them. *)
 let of_chunkrel schema (chunk : Chunkrel.t) =
   if Array.length chunk.Chunkrel.cols <> Schema.arity schema then
     invalid_arg "Relation.of_chunkrel: arity mismatch";
-  {
-    id = Atomic.fetch_and_add next_id 1;
-    schema;
-    table = None;
-    chunk = Some chunk;
-    chunk_version = 0;
-    card = chunk.Chunkrel.nrows;
-    version = 0;
-  }
+  make schema
+    (Array.map (fun col -> Buf.wrap col chunk.Chunkrel.nrows) chunk.Chunkrel.cols)
+    chunk.Chunkrel.nrows
 
 let id t = t.id
 let version t = t.version
 let schema t = t.schema
 let arity t = Schema.arity t.schema
-let cardinal t = t.card
+let cardinal t = t.nrows
 let is_empty t = cardinal t = 0
 
-let ensure_table t =
-  match t.table with
-  | Some tb -> tb
-  | None ->
-    let chunk = Option.get t.chunk in
-    let tb = Tuple.Table.create (max 64 chunk.Chunkrel.nrows) in
-    Array.iter (fun tup -> Tuple.Table.add tb tup ()) (Chunkrel.rows chunk);
-    t.table <- Some tb;
-    tb
+(* The live column arrays, not copied.  Appends write only at row
+   [nrows] or later, and growth reallocates, so the snapshot's rows never
+   change. *)
+let codes t = { Chunkrel.nrows = t.nrows; cols = Array.map Buf.backing t.cols }
 
-(* The columnar snapshot of the current version, built from the tuple
-   table on demand and cached until the next mutation. *)
-let codes t =
-  match t.chunk with
-  | Some chunk when t.chunk_version = t.version -> chunk
-  | _ ->
-    let tb = ensure_table t in
-    let n = Tuple.Table.length tb in
-    let tuples = Array.make n (Tuple.of_array [||]) in
-    let i = ref 0 in
-    Tuple.Table.iter
-      (fun tup () ->
-        tuples.(!i) <- tup;
-        incr i)
-      tb;
-    let chunk = Chunkrel.of_tuples ~arity:(arity t) tuples in
-    t.chunk <- Some chunk;
-    t.chunk_version <- t.version;
-    chunk
+let prepare _ = ()
 
-let prepare t = ignore (codes t)
+(* {1 The row set} *)
 
-let add t tup =
-  if Tuple.arity tup <> arity t then
+(* The slot holding a row for which [same] holds, or else the empty slot
+   where a row with hash [h] goes. *)
+let find_slot slots h same =
+  let mask = Array.length slots - 1 in
+  let rec go s =
+    let j = Array.unsafe_get slots s in
+    if j < 0 || same j then s else go ((s + 1) land mask)
+  in
+  go (h land mask)
+
+(* Rehash every row into [capacity] slots; rows are distinct, so each
+   lands in an empty one. *)
+let rebuild t capacity =
+  let cols = (codes t).Chunkrel.cols in
+  let slots = Array.make (Chunkrel.hash_capacity capacity) (-1) in
+  for i = 0 to t.nrows - 1 do
+    slots.(find_slot slots (Chunkrel.hash_key cols i) (fun _ -> false)) <- i
+  done;
+  t.slots <- slots
+
+let row_set t =
+  if t.slots = [||] then rebuild t (2 * t.nrows);
+  t.slots
+
+let holds t codes j =
+  let rec loop c =
+    c >= Array.length codes || (Buf.get t.cols.(c) j = codes.(c) && loop (c + 1))
+  in
+  loop 0
+
+let mem_codes t codes =
+  let slots = row_set t in
+  slots.(find_slot slots (Chunkrel.hash_codes codes) (holds t codes)) >= 0
+
+let add_codes t codes =
+  if Array.length codes <> arity t then
     invalid_arg
       (Printf.sprintf "Relation.add: arity mismatch (%d vs %d)"
-         (Tuple.arity tup) (arity t));
-  let tb = ensure_table t in
-  if not (Tuple.Table.mem tb tup) then begin
-    Tuple.Table.add tb tup ();
-    t.card <- t.card + 1;
+         (Array.length codes) (arity t));
+  let cap = Array.length (row_set t) in
+  if 2 * (t.nrows + 1) > cap then rebuild t (2 * cap);
+  let s = find_slot t.slots (Chunkrel.hash_codes codes) (holds t codes) in
+  if t.slots.(s) < 0 then begin
+    Array.iteri (fun c code -> Buf.push t.cols.(c) code) codes;
+    t.slots.(s) <- t.nrows;
+    t.nrows <- t.nrows + 1;
     t.version <- t.version + 1
   end
 
-let mem t tup = Tuple.Table.mem (ensure_table t) tup
+(* {1 The row API} *)
 
-let iter f t =
-  match t.table with
-  | Some tb -> Tuple.Table.iter (fun tup () -> f tup) tb
-  | None -> Array.iter f (Chunkrel.rows (Option.get t.chunk))
+let add t tup =
+  add_codes t
+    (Dict.with_encoder (fun encode ->
+         Array.init (Tuple.arity tup) (fun c -> encode (Tuple.get tup c))))
+
+(* A value the dictionary has never seen occurs in no relation. *)
+let mem t tup =
+  let codes = List.map Dict.find_opt (Tuple.to_list tup) in
+  Tuple.arity tup = arity t
+  && List.for_all Option.is_some codes
+  && mem_codes t (Array.of_list (List.map Option.get codes))
+
+(* [f] sees each row's codes, in one array reused from row to row. *)
+let iter_codes f t =
+  let chunk = codes t in
+  let row = Array.make (arity t) 0 in
+  for i = 0 to t.nrows - 1 do
+    Array.iteri (fun c col -> row.(c) <- col.(i)) chunk.Chunkrel.cols;
+    f row
+  done
+
+let add_all ?unless dst src =
+  iter_codes
+    (fun row ->
+      match unless with
+      | Some u when mem_codes u row -> ()
+      | _ -> add_codes dst row)
+    src
 
 let fold f t init =
-  match t.table with
-  | Some tb -> Tuple.Table.fold (fun tup () acc -> f tup acc) tb init
-  | None ->
-    Array.fold_left
-      (fun acc tup -> f tup acc)
-      init
-      (Chunkrel.rows (Option.get t.chunk))
+  let chunk = codes t in
+  let acc = ref init in
+  for i = 0 to chunk.Chunkrel.nrows - 1 do
+    acc := f (Chunkrel.tuple_at chunk i) !acc
+  done;
+  !acc
+
+let iter f t = fold (fun tup () -> f tup) t ()
 
 let to_list t = fold List.cons t []
 let to_sorted_list t = List.sort Tuple.compare (to_list t)
@@ -148,14 +178,6 @@ let threshold_of = function
   | Some v -> v
   | None -> Pool.par_threshold ()
 
-(* Merge per-chunk index buffers into one pre-sized array. *)
-let merge_index_chunks chunks =
-  let total = List.fold_left (fun a c -> a + Chunkrel.Buf.length c) 0 chunks in
-  let dst = Array.make total 0 in
-  let pos = ref 0 in
-  List.iter (fun c -> pos := Chunkrel.Buf.blit_into c dst !pos) chunks;
-  dst
-
 (* Parallel columnar dedup: scatter row indices into [d] partitions by
    row hash (phase 1, chunked), then dedup each partition independently
    (distinct rows land in exactly one partition). *)
@@ -171,45 +193,13 @@ let distinct_rows_par pool pcols n =
         done;
         bufs)
   in
-  let kept_per_partition =
-    Pool.run_all pool
-      (List.init d (fun j () ->
-           let candidates =
-             merge_index_chunks
-               (List.map (fun bufs -> bufs.(j)) buckets_per_chunk)
-           in
-           (* Dedup among the candidate indices with open addressing. *)
-           let m = Array.length candidates in
-           let cap = Chunkrel.hash_capacity (2 * m) in
-           let mask = cap - 1 in
-           let slots = Array.make cap (-1) in
-           let buf = Chunkrel.Buf.create m in
-           let ncols = Array.length pcols in
-           let rows_equal i j =
-             let rec loop c =
-               c >= ncols
-               || pcols.(c).(i) = pcols.(c).(j) && loop (c + 1)
-             in
-             loop 0
-           in
-           for k = 0 to m - 1 do
-             let i = candidates.(k) in
-             let h = ref (Chunkrel.hash_key pcols i land mask) in
-             let stop = ref false in
-             while not !stop do
-               let j = slots.(!h) in
-               if j = -1 then begin
-                 slots.(!h) <- i;
-                 Chunkrel.Buf.push buf i;
-                 stop := true
-               end
-               else if rows_equal i j then stop := true
-               else h := (!h + 1) land mask
-             done
-           done;
-           buf))
-  in
-  merge_index_chunks kept_per_partition
+  Pool.run_all pool
+    (List.init d (fun j () ->
+         Chunkrel.distinct_rows pcols 0
+           ~among:
+             (Chunkrel.Buf.concat
+                (List.map (fun bufs -> bufs.(j)) buckets_per_chunk))))
+  |> Array.concat
 
 let project ?pool ?par_threshold t cols =
   let positions = Array.of_list (List.map (Schema.position t.schema) cols) in
@@ -223,11 +213,7 @@ let project ?pool ?par_threshold t cols =
   in
   of_chunkrel
     (Schema.restrict t.schema cols)
-    {
-      Chunkrel.nrows = Array.length kept;
-      cols = Chunkrel.gather_cols pcols kept;
-      rows_cache = None;
-    }
+    { Chunkrel.nrows = Array.length kept; cols = Chunkrel.gather_cols pcols kept }
 
 (* Distinct codes of the column, decoded once each. *)
 let column_values t col =
@@ -237,15 +223,18 @@ let column_values t col =
   Array.fold_left (fun acc i -> Dict.decode col.(i) :: acc) [] kept
 
 (* Budget accounting for the catalog's LRU caches.  Deliberately a
-   function of (cardinal, arity) only — never of which forms happen to be
-   materialized — so cache eviction order, and therefore the memo.evict
+   function of (cardinal, arity) only — never of whether the row set is
+   built — so cache eviction order, and therefore the memo.evict
    counters, do not depend on which kernels touched the relation. *)
 let approx_bytes t = (16 * (arity t + 2) * cardinal t) + 256
 
 let equal a b =
   arity a = arity b
   && cardinal a = cardinal b
-  && fold (fun tup ok -> ok && mem b tup) a true
+  &&
+  match iter_codes (fun row -> if not (mem_codes b row) then raise Exit) a with
+  | () -> true
+  | exception Exit -> false
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a: %d tuples@,%a@]" Schema.pp t.schema (cardinal t)

@@ -5,11 +5,10 @@
     requirement of the query-flocks formalism (the paper's claims fail under
     bag semantics).
 
-    Every kernel reads a relation through its columnar snapshot
-    ({!codes}): a {!Chunkrel.t} of dictionary-encoded code arrays.  A
-    hash set of {!Tuple.t}s backs insertion and membership ({!add},
-    {!mem}, {!equal}); each form is built lazily from the other when
-    first needed, and both describe the same tuple set. *)
+    The set is stored once, as dictionary-code columns (see {!Dict}) in
+    insertion order, which every kernel reads through a {!codes}
+    snapshot.  The row API ({!add}, {!mem}, {!iter}, {!equal}) encodes or
+    decodes {!Tuple.t}s at its boundary. *)
 
 type t
 
@@ -17,17 +16,20 @@ type t
 val create : Schema.t -> t
 
 (** Wrap a columnar chunk whose rows are {e known distinct} (kernel
-    outputs: filtered subsets, deduplicated projections, group keys).  The tuple table is built lazily if ever needed.  Raises
-    [Invalid_argument] on an arity mismatch with the schema. *)
+    outputs: filtered subsets, deduplicated projections, group keys).
+    The columns are adopted without a copy and never written: a later
+    {!add} reallocates.  Raises [Invalid_argument] on an arity mismatch
+    with the schema. *)
 val of_chunkrel : Schema.t -> Chunkrel.t -> t
 
-(** The columnar snapshot of the current version, built from the tuple
-    table on first demand and cached until the next mutation.  The chunk
-    is immutable; parallel kernels read it from worker domains. *)
+(** The columnar snapshot of the current version: [{nrows = cardinal;
+    cols}] over the live column arrays, without a copy.  Later insertions
+    write only past row [nrows] or into fresh arrays, so the snapshot
+    never changes; parallel kernels read it from worker domains. *)
 val codes : t -> Chunkrel.t
 
-(** Build the columnar snapshot now (load boundaries call this so the
-    first kernel does not pay the encoding mid-query). *)
+(** Does nothing: a relation is always in its columnar form.  Kept
+    because [perfbench/qfbench.ml] still calls it. *)
 val prepare : t -> unit
 
 (** A process-unique identity, assigned at {!create}.  Together with
@@ -44,11 +46,23 @@ val arity : t -> int
 val cardinal : t -> int
 val is_empty : t -> bool
 
-(** [add rel tup] inserts [tup]; duplicates are ignored.  Raises
-    [Invalid_argument] on an arity mismatch. *)
+(** [add rel tup] encodes and inserts [tup]; duplicates are ignored.
+    Raises [Invalid_argument] on an arity mismatch. *)
 val add : t -> Tuple.t -> unit
 
+(** [add_codes rel codes] is {!add} for a row already encoded (by a
+    bulk loader under {!Dict.with_encoder}); [codes] is copied. *)
+val add_codes : t -> int array -> unit
+
+(** [add_all ?unless dst src] adds every row of [src] (positionally)
+    that is not in [unless], as code rows: no decoding or encoding. *)
+val add_all : ?unless:t -> t -> t -> unit
+
+(** Membership without encoding: a tuple holding a value the dictionary
+    has never seen is not a member, and {!Dict.size} does not grow. *)
 val mem : t -> Tuple.t -> bool
+
+(** [iter] and [fold] visit the rows in insertion order, decoding each. *)
 val iter : (Tuple.t -> unit) -> t -> unit
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -75,9 +89,9 @@ val project :
 val column_values : t -> string -> Value.t list
 
 (** Approximate in-memory size, for the catalog's LRU byte budgets.  A
-    function of cardinality and arity only, never of which forms are
-    materialized — so budget-driven eviction does not depend on which
-    kernels touched the relation. *)
+    function of cardinality and arity only, never of whether the row set
+    is built — so budget-driven eviction does not depend on which kernels
+    touched the relation. *)
 val approx_bytes : t -> int
 
 (** [equal a b] — same set of tuples (schemas must have equal arity). *)

@@ -82,13 +82,6 @@ let mem t code =
   | Exact e -> Hashtbl.mem e code
   | Bloom b -> bloom_mem b (Value.hash (Dict.decode code))
 
-let merge_bufs chunks =
-  let total = List.fold_left (fun a c -> a + Buf.length c) 0 chunks in
-  let dst = Array.make total 0 in
-  let pos = ref 0 in
-  List.iter (fun c -> pos := Buf.blit_into c dst !pos) chunks;
-  dst
-
 let filter rel ~pos t =
   let chunk = Relation.codes rel in
   let col = chunk.Chunkrel.cols.(pos) in
@@ -110,6 +103,6 @@ let filter rel ~pos t =
             if mem t col.(i) then Buf.push buf i
           done;
           buf)
-      |> merge_bufs
+      |> Buf.concat
   in
   Relation.of_chunkrel (Relation.schema rel) (Chunkrel.gather chunk kept)

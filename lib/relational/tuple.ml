@@ -1,9 +1,9 @@
-(* A tuple caches its structural hash at construction.  Every hashtable
-   probe on the hot join/aggregation paths used to refold the whole value
-   array; with the cache a probe reads one immediate field, and [equal]
-   gets a cheap negative fast path for free.  Construction goes through
-   {!of_array} so the cache can never go stale (callers must not mutate
-   the array afterwards; every constructor here allocates a fresh one). *)
+(* A tuple caches its structural hash at construction, so spill
+   partitioning reads one immediate field instead of refolding the value
+   array, and [equal] gets a cheap negative fast path.  Construction goes
+   through {!of_array} so the cache can never go stale (callers must not
+   mutate the array afterwards; every constructor here allocates a fresh
+   one). *)
 
 type t = { values : Value.t array; hash : int }
 
@@ -55,10 +55,3 @@ let pp ppf t =
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
        Value.pp)
     (Array.to_seq t.values)
-
-module Table = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)

@@ -1,11 +1,12 @@
 (** Tuples: immutable sequences of {!Value.t} with a hash cached at
     construction.
 
-    The cached hash makes every hashtable probe O(1) instead of O(arity)
-    and gives {!equal} a constant-time negative fast path — the dominant
-    operations of the join and aggregation kernels.  Construction always
-    copies or freshly allocates the backing array; callers of {!of_array}
-    transfer ownership and must not mutate the array afterwards. *)
+    Tuples are the currency of the row API ({!Relation.add},
+    {!Relation.iter}); relations themselves store dictionary codes.  The
+    cached hash partitions spilled rows ({!Spill}) and gives {!equal} a
+    constant-time negative fast path.  Construction always copies or
+    freshly allocates the backing array; callers of {!of_array} transfer
+    ownership and must not mutate the array afterwards. *)
 
 type t
 
@@ -38,6 +39,3 @@ val of_list : Value.t list -> t
 val to_list : t -> Value.t list
 val to_seq : t -> Value.t Seq.t
 val pp : Format.formatter -> t -> unit
-
-(** Hash tables keyed by tuples. *)
-module Table : Hashtbl.S with type key = t

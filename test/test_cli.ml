@@ -1,8 +1,9 @@
 (* The flockc binary's input boundaries: a missing, misplaced or corrupt
-   [-D] store, a flock naming an unloaded predicate and a bad [rules] /
-   [maximal] argument are input errors (exit 1 with a one-line message),
-   never an uncaught exception (cmdliner's exit 125, which flockc also
-   uses for an exceeded memory budget).  [rules] and [maximal] output on
+   [-D] store, a malformed CSV, a flock naming an unloaded predicate and a
+   bad [rules] / [maximal] argument are input errors (exit 1 with a
+   one-line message; 2 under [lint]), never an uncaught exception
+   (cmdliner's exit 125, which flockc also uses for an exceeded memory
+   budget).  [rules] and [maximal] output on
    baskets.csv is pinned byte for byte.  Each case runs the built
    executable as a subprocess. *)
 
@@ -65,6 +66,12 @@ let expect_input_error ~contains args =
 
 let mine_db dir = [ "mine"; "-D"; dir; pairs ]
 
+let with_csv contents f =
+  let path = Filename.temp_file "qfcli" ".csv" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  f path
+
 let test_store_is_a_file () =
   let file = Filename.temp_file "qfcli" ".txt" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
@@ -114,12 +121,6 @@ let test_unknown_predicate () =
     [ "mine"; "run"; "explain" ];
   (* The mining conveniences name their relation with [-p]; it must be
      loaded and binary, and [rules] needs a support of at least 1. *)
-  let with_csv contents f =
-    let path = Filename.temp_file "qfcli" ".csv" in
-    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
-    f path
-  in
   List.iter
     (fun cmd ->
       let code, msg = run [ cmd; "-d"; "baskets=" ^ baskets; "-p"; "nosuch" ] in
@@ -135,6 +136,42 @@ let test_unknown_predicate () =
     [ "rules"; "maximal" ];
   expect_input_error ~contains:"flockc: rules: support must be at least 1"
     [ "rules"; "-d"; "baskets=" ^ baskets; "-s"; "0" ]
+
+(* A repeated header column is malformed input naming its line and
+   column, in every command that loads CSV (it used to escape as an
+   uncaught [Invalid_argument], exit 125). *)
+let test_duplicate_header () =
+  with_csv "A,A\n1,2\n" @@ fun path ->
+  let data = "baskets=" ^ path in
+  let contains = "line 1, column 3: duplicate column \"A\"" in
+  List.iter
+    (fun cmd -> expect_input_error ~contains [ cmd; "-d"; data; pairs ])
+    [ "mine"; "run"; "explain" ];
+  List.iter
+    (fun cmd -> expect_input_error ~contains [ cmd; "-d"; data ])
+    [ "rules"; "maximal" ];
+  let dir = fresh_path () in
+  Fun.protect ~finally:(fun () -> remove dir) @@ fun () ->
+  expect_input_error ~contains [ "import"; dir; data ];
+  check_bool "a failed import creates no store" false (Sys.file_exists dir)
+
+(* lint's exit 1 means "diagnostics found"; a catalog it cannot load is
+   unreadable input, exit 2. *)
+let test_lint_unloadable_catalog () =
+  let expect_unreadable ~contains args =
+    let code, msg = run ("lint" :: pairs :: args) in
+    check_int ("lint exit status of: " ^ msg) 2 code;
+    if not (Test_util.contains ~sub:contains msg) then
+      Alcotest.failf "expected %S in: %s" contains msg
+  in
+  with_csv "A,A\n1,2\n" (fun path ->
+      expect_unreadable ~contains:"duplicate column" [ "-d"; "baskets=" ^ path ]);
+  with_csv "BID,Item\n1,\"x\n" (fun path ->
+      expect_unreadable ~contains:"line 2, column 3: unterminated quoted field"
+        [ "-d"; "baskets=" ^ path ]);
+  let dir = fresh_path () in
+  Fun.protect ~finally:(fun () -> remove dir) @@ fun () ->
+  expect_unreadable ~contains:"loading store" [ "-D"; dir ]
 
 (* Golden output of the mining conveniences on baskets.csv. *)
 let rules_golden =
@@ -182,6 +219,10 @@ let suite =
     Alcotest.test_case "unknown predicate exits 1 in mine/run/explain/rules/maximal"
       `Quick
       test_unknown_predicate;
+    Alcotest.test_case "duplicate CSV header column exits 1" `Quick
+      test_duplicate_header;
+    Alcotest.test_case "lint with an unloadable catalog exits 2" `Quick
+      test_lint_unloadable_catalog;
     Alcotest.test_case "rules/maximal output on baskets.csv" `Quick
       test_mining_goldens;
   ]

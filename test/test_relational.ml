@@ -68,8 +68,8 @@ let test_relation_project () =
     (Schema.equal (Relation.schema p) (Schema.of_list [ "Y" ]))
 
 (* A relation wrapped around another's columnar snapshot holds the same
-   set, builds its tuple table on demand, and leaves the shared chunk
-   alone when it is later mutated. *)
+   set, builds its row set on demand, and leaves the shared chunk alone
+   when it is later mutated. *)
 let test_relation_of_chunkrel () =
   let r =
     Relation.of_values [ "X"; "Y" ]
@@ -91,6 +91,113 @@ let test_relation_of_chunkrel () =
   Alcotest.check_raises "arity mismatch"
     (Invalid_argument "Relation.of_chunkrel: arity mismatch") (fun () ->
       ignore (Relation.of_chunkrel (Schema.of_list [ "X" ]) (Relation.codes r)))
+
+(* {1 The store against a list-set model}
+
+   Random interleavings of insertions (duplicates, and [Int 1] beside
+   [Real 1.0]), membership tests (some naming a value no relation holds),
+   snapshots, and re-wrapping the relation around its own snapshot, with
+   the source appended to afterwards.  After every step the relation must
+   hold exactly the model's set, [version] must move exactly on new rows
+   and [mem] must not grow the dictionary.  At the end, every source left
+   behind by a re-wrap must still hold its own set, and every snapshot
+   taken must still hold its rows. *)
+
+type op =
+  | Add of Value.t list
+  | Mem of Value.t list * bool  (** [true]: first value replaced by an unseen one *)
+  | Snapshot
+  | Rewrap of Value.t list  (** wrap, then add this row to the old source *)
+
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Value.Int i) (int_range 0 3);
+        map (fun i -> Value.Real (float_of_int i)) (int_range 0 3);
+        map (fun i -> Value.str (String.make 1 (Char.chr (97 + i)))) (int_range 0 2);
+      ])
+
+let arb_ops =
+  let row = QCheck.Gen.list_repeat 2 gen_value in
+  let pp_row r = String.concat "," (List.map Value.to_string r) in
+  QCheck.make
+    ~print:
+      (QCheck.Print.list (function
+        | Add r -> "add " ^ pp_row r
+        | Mem (r, unseen) ->
+          Printf.sprintf "mem %s%s" (pp_row r) (if unseen then " (unseen)" else "")
+        | Snapshot -> "snapshot"
+        | Rewrap r -> "rewrap, source += " ^ pp_row r))
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (frequency
+           [
+             5, map (fun r -> Add r) row;
+             3, map2 (fun r u -> Mem (r, u)) row bool;
+             1, return Snapshot;
+             1, map (fun r -> Rewrap r) row;
+           ]))
+
+let unseen_counter = ref 0
+
+let unseen () =
+  incr unseen_counter;
+  Value.Str (Printf.sprintf "relation-model-unseen-%d" !unseen_counter)
+
+(* The rows of a snapshot, copied out. *)
+let frozen (c : Chunkrel.t) =
+  Array.map (fun col -> Array.sub col 0 c.Chunkrel.nrows) c.Chunkrel.cols
+
+let prop_store_matches_model =
+  QCheck.Test.make ~count:300 ~name:"relation store = list-set model" arb_ops
+    (fun ops ->
+      let schema = Schema.of_list [ "X"; "Y" ] in
+      let in_model m row = List.exists (Tuple.equal row) m in
+      let rel = ref (Relation.create schema) and model = ref [] in
+      let snapshots = ref [] and retired = ref [] in
+      let holds_model r m =
+        Relation.equal r (Relation.of_list schema m)
+        && List.equal Tuple.equal (Relation.to_sorted_list r)
+             (List.sort Tuple.compare m)
+      in
+      let step op =
+        match op with
+        | Add vs ->
+          let row = Tuple.of_list vs in
+          let fresh = not (in_model !model row) in
+          let v0 = Relation.version !rel in
+          Relation.add !rel row;
+          if fresh then model := row :: !model;
+          Relation.version !rel = v0 + if fresh then 1 else 0
+        | Mem (vs, with_unseen) ->
+          let vs = if with_unseen then unseen () :: List.tl vs else vs in
+          let row = Tuple.of_list vs in
+          let size = Dict.size () in
+          let got = Relation.mem !rel row in
+          got = in_model !model row && Dict.size () = size
+        | Snapshot ->
+          let c = Relation.codes !rel in
+          snapshots := (c, frozen c) :: !snapshots;
+          c.Chunkrel.nrows = Relation.cardinal !rel
+        | Rewrap vs ->
+          let src = !rel and row = Tuple.of_list vs in
+          let w = Relation.of_chunkrel schema (Relation.codes src) in
+          Relation.add src row;
+          retired :=
+            (src, if in_model !model row then !model else row :: !model)
+            :: !retired;
+          rel := w;
+          Relation.version w = 0
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Relation.cardinal !rel = List.length !model
+          && List.for_all (Relation.mem !rel) !model)
+        ops
+      && List.for_all (fun (r, m) -> holds_model r m) ((!rel, !model) :: !retired)
+      && List.for_all (fun (c, rows) -> frozen c = rows) !snapshots)
 
 let test_relation_column_values () =
   let r =
@@ -176,6 +283,7 @@ let suite =
       test_relation_of_chunkrel;
     Alcotest.test_case "relation column_values" `Quick test_relation_column_values;
     Alcotest.test_case "relation equal" `Quick test_relation_equal;
+    QCheck_alcotest.to_alcotest prop_store_matches_model;
     Alcotest.test_case "hash index" `Quick test_index;
     Alcotest.test_case "statistics" `Quick test_statistics;
   ]
