@@ -459,8 +459,8 @@ let e9 () =
 
 let e10 () =
   header "E10"
-    "ablation — semijoin reduction (Sec. 1.3 rewrite) and symmetric-step \
-     reuse (Ex. 3.1)";
+    "ablation — semijoin reduction (Sec. 1.3 rewrite) and step reuse \
+     (Ex. 3.1's symmetry)";
   let docs = if !quick then 600 else 2000 in
   let catalog =
     Qf_workload.Market.catalog
@@ -472,6 +472,10 @@ let e10 () =
         seed = 103;
       }
   in
+  (* No cross-level memo: the repeated samples of one arm must not be
+     served by an earlier sample's entries.  Plan-local reuse still
+     works at budget 0. *)
+  Catalog.set_memo_budget catalog 0;
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
   let plan =
     match Apriori_gen.singleton_plan flock with Ok p -> p | Error e -> failwith e
@@ -479,35 +483,16 @@ let e10 () =
   let expected = Direct.run catalog flock in
   row "%-44s %10s@." "executor configuration" "time (s)";
   List.iter
-    (fun (label, options) ->
+    (fun (label, semijoin_reduction, reuse) ->
+      let options = { Plan_exec.semijoin_reduction; reuse } in
       let result, t = time3 (fun () -> Plan_exec.run ~options catalog plan) in
       check_equal "E10" expected result;
       row "%-44s %10.3f@." label t)
     [
-      ( "neither (plain binding-passing joins)",
-        {
-          Plan_exec.semijoin_reduction = false;
-          symmetric_reuse = false;
-          memoize = false;
-        } );
-      ( "symmetric reuse only",
-        {
-          Plan_exec.semijoin_reduction = false;
-          symmetric_reuse = true;
-          memoize = false;
-        } );
-      ( "semijoin reduction only",
-        {
-          Plan_exec.semijoin_reduction = true;
-          symmetric_reuse = false;
-          memoize = false;
-        } );
-      ( "both (no memo)",
-        {
-          Plan_exec.semijoin_reduction = true;
-          symmetric_reuse = true;
-          memoize = false;
-        } );
+      "neither (plain binding-passing joins)", false, false;
+      "reuse only", false, true;
+      "semijoin reduction only", true, false;
+      "both", true, true;
     ];
   let _, t_direct = time3 (fun () -> Direct.run catalog flock) in
   row "%-44s %10.3f@." "direct (no plan at all)" t_direct
@@ -837,7 +822,7 @@ let e13 () =
     let worst = ref 1. in
     List.iter2
       (fun (est : Cost.step_estimate) (r : Plan_exec.step_report) ->
-        (* A step aliased by symmetry never tabulates, so its reported
+        (* A step aliased to an earlier one never tabulates, so its reported
            group count is just the reused output size; the group estimate
            only applies to computed steps. *)
         let reused = r.Plan_exec.reused_from <> None in
@@ -1233,32 +1218,18 @@ let e16 () =
       [ 2; 3; 4 ]
   in
   (* Three configurations of the same chain.  "off" is the pre-SIP executor
-     (symmetry reuse stays on in all three — it predates this ablation);
-     "sjr" adds the semijoin reducers; "full" adds the cross-level memo,
-     whose hits cascade because level k-1's final query is α-equivalent to
-     one of level k's auxiliary steps.  The memo is cleared before every
-     sample, so "full" measures the intra-chain cascade, not a warm cache
-     left over from a previous round. *)
+     (plan-local step reuse stays on in all three — it predates this
+     ablation); "sjr" adds the semijoin reducers; "full" gives the
+     cross-level memo a budget, whose hits cascade because level k-1's
+     final query is α-equivalent to one of level k's auxiliary steps.  The
+     memo is cleared before every sample, so "full" measures the
+     intra-chain cascade, not a warm cache left over from a previous
+     round. *)
   let configs =
     [
-      ( "off",
-        { Plan_exec.semijoin_reduction = false;
-          symmetric_reuse = true;
-          memoize = false;
-        },
-        0 );
-      ( "sjr",
-        { Plan_exec.semijoin_reduction = true;
-          symmetric_reuse = true;
-          memoize = false;
-        },
-        0 );
-      ( "full",
-        { Plan_exec.semijoin_reduction = true;
-          symmetric_reuse = true;
-          memoize = true;
-        },
-        max_int );
+      "off", { Plan_exec.semijoin_reduction = false; reuse = true }, 0;
+      "sjr", { Plan_exec.semijoin_reduction = true; reuse = true }, 0;
+      "full", { Plan_exec.semijoin_reduction = true; reuse = true }, max_int;
     ]
   in
   let prepare budget =

@@ -17,11 +17,9 @@ module Log = (val Logs.src_log log_src)
 type config = {
   ratio_factor : float;
   improvement_factor : float;
-  sip_reducers : bool;
 }
 
-let default_config =
-  { ratio_factor = 1.0; improvement_factor = 0.5; sip_reducers = true }
+let default_config = { ratio_factor = 1.0; improvement_factor = 0.5 }
 
 type decision = {
   after : string;
@@ -184,34 +182,37 @@ let head_var_keys (rule : Ast.rule) =
 
 (* {1 Single-rule evaluation (the paper's Ex. 4.4)} *)
 
-(* A-priori reducers for the walk (single-rule COUNT filters only): for
-   each parameter [p], the COUNT of [p]'s minimal safe subquery per value
-   upper-bounds the full rule's per-value answer count (same a-priori
-   argument as the levelwise ok steps, and the same per-parameter tables
-   the union executor's slack bounds are built from).  Values whose bound
-   misses the threshold can never contribute a surviving assignment, so
-   the evaluator may refuse to even create bindings for them.  A reducer
-   that would keep every value is omitted. *)
+(* The support of each value of parameter [p]: the COUNT of [p]'s
+   minimal safe subquery, grouped by [p].  It upper-bounds the answer
+   count of every full assignment giving [p] that value (the levelwise
+   a-priori argument).  [None] when [p] has no minimal safe subquery. *)
+let param_supports catalog rule p =
+  Option.map
+    (fun (c : Subquery.candidate) ->
+      let tab = Eval.tabulate catalog c.rule in
+      List.filter_map
+        (fun ((key : Tuple.t), v) ->
+          Option.map (fun x -> Tuple.get key 0, x) (Value.to_float v))
+        (Aggregate.group_by tab ~keys:[ "$" ^ p ] ~func:Aggregate.Count))
+    (Subquery.minimal_for_params rule [ p ])
+
+(* A-priori reducers for the walk (single-rule COUNT filters only): values
+   whose support misses the threshold can never contribute a surviving
+   assignment, so the evaluator may refuse to even create bindings for
+   them.  These are the same per-parameter tables the union executor's
+   slack bounds are built from.  A reducer that would keep every value is
+   omitted. *)
 let apriori_reducers catalog rule ~params ~threshold =
   List.filter_map
     (fun p ->
-      match Subquery.minimal_for_params rule [ p ] with
-      | None -> None
-      | Some c ->
-        let tab = Eval.tabulate catalog c.rule in
-        let counts =
-          Aggregate.group_by tab ~keys:[ "$" ^ p ] ~func:Aggregate.Count
-        in
-        let passing =
-          List.filter_map
-            (fun ((key : Tuple.t), v) ->
-              match Value.to_float v with
-              | Some x when x >= threshold -> Some (Tuple.get key 0)
-              | _ -> None)
-            counts
-        in
-        if List.compare_lengths passing counts = 0 then None
-        else Some ("$" ^ p, Sip.of_values (Array.of_list passing)))
+      Option.bind (param_supports catalog rule p) (fun supports ->
+          let passing =
+            List.filter_map
+              (fun (v, x) -> if x >= threshold then Some v else None)
+              supports
+          in
+          if List.compare_lengths passing supports = 0 then None
+          else Some ("$" ^ p, Sip.of_values (Array.of_list passing))))
     params
 
 let run_single config catalog (flock : Flock.t) rule =
@@ -224,7 +225,7 @@ let run_single config catalog (flock : Flock.t) rule =
   in
   let sip =
     match flock.filter.agg with
-    | Filter.Count when config.sip_reducers ->
+    | Filter.Count ->
       apriori_reducers catalog rule ~params:(Flock.params flock) ~threshold
     | _ -> []
   in
@@ -249,23 +250,13 @@ let run_single config catalog (flock : Flock.t) rule =
 let rule_param_bounds catalog (rule : Ast.rule) params =
   List.filter_map
     (fun p ->
-      match Subquery.minimal_for_params rule [ p ] with
-      | None -> None
-      | Some c ->
-        let tab = Eval.tabulate catalog c.rule in
-        let counts =
-          Aggregate.group_by tab ~keys:[ "$" ^ p ] ~func:Aggregate.Count
-        in
-        let tbl : (Value.t, int) Hashtbl.t =
-          Hashtbl.create (List.length counts)
-        in
-        List.iter
-          (fun ((key : Tuple.t), v) ->
-            match Value.to_float v with
-            | Some x -> Hashtbl.replace tbl (Tuple.get key 0) (int_of_float x)
-            | None -> ())
-          counts;
-        Some (p, tbl))
+      Option.map
+        (fun supports ->
+          ( p,
+            Hashtbl.of_seq
+              (Seq.map (fun (v, x) -> v, int_of_float x) (List.to_seq supports))
+          ))
+        (param_supports catalog rule p))
     params
 
 (* B_j(a): the tightest available bound for rule j at the (possibly

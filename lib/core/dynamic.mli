@@ -16,6 +16,13 @@
     A filter step is only possible once the head variables are bound (the
     prefix must be a safe subquery).
 
+    For single-rule COUNT filters the walk is primed with a-priori
+    {!Qf_relational.Sip} reducers: one per parameter, keeping the values
+    whose minimal-safe-subquery count reaches the threshold, so the
+    evaluator skips doomed bindings instead of creating and later
+    filtering them.  They change neither the trace shape (one decision
+    per literal) nor the answers.
+
     {b Unions} (Sec. 3.4) need care: an assignment can fail one rule's
     prefix count and still reach the threshold through the other rules, so
     pruning a branch from its own counts alone is unsound.  The executor
@@ -34,15 +41,6 @@
 type config = {
   ratio_factor : float;  (** default 1.0 *)
   improvement_factor : float;  (** default 0.5 *)
-  sip_reducers : bool;
-      (** default [true]: for single-rule COUNT filters, prime the walk
-          with a-priori {!Qf_relational.Sip} reducers — one per parameter,
-          keeping the values whose minimal-safe-subquery count reaches the
-          threshold — so the evaluator skips doomed bindings instead of
-          creating and later filtering them.  Sound by the levelwise
-          a-priori argument; disabled automatically for unions and
-          non-COUNT filters.  Does not change the trace shape (one
-          decision per literal) or the answers. *)
 }
 
 val default_config : config

@@ -34,7 +34,9 @@ type step_profile = {
   est_groups : float option;  (** cost model's predicted [groups], clamped *)
   bound_rows : float option;  (** certified upper bound on [rows_out] *)
   bound_groups : float option;  (** certified upper bound on [groups] *)
-  reused_from : string option;  (** symmetric-step alias, not recomputed *)
+  reused_from : string option;
+      (** the α-equivalent earlier step of this plan whose result was
+          reused (e.g. Ex. 3.1's symmetric twin); not recomputed *)
   memo_hit : bool;  (** fetched from the cross-level subplan memo *)
   sip_pruned : int;  (** base rows removed by materialized semijoin reducers *)
 }

@@ -30,12 +30,10 @@ type report = {
 
 type options = {
   semijoin_reduction : bool;
-  symmetric_reuse : bool;
-  memoize : bool;
+  reuse : bool;
 }
 
-let default_options =
-  { semijoin_reduction = true; symmetric_reuse = true; memoize = true }
+let default_options = { semijoin_reduction = true; reuse = true }
 
 (* Sideways information passing — the rewrite the paper's Sec. 1.3 measured:
    "first find those items that appeared in at least 20 baskets ... and then
@@ -62,10 +60,13 @@ let default_options =
    free, but later extensions scan unreduced posting lists; materializing
    the reduction is what yields the multiplicative (per-parameter) savings.
    Reductions and reducers are memoized across rules and steps of one plan
-   execution.  [pruned] accumulates rows removed by materialized
+   execution, keyed by the ok relation's {!Relation.id}, so step names
+   that alias one relation share them; a reduction is named after the
+   first ok step that built it, which keeps span attributes
+   deterministic.  [pruned] accumulates rows removed by materialized
    reductions (the deterministic [base - reduced] difference, identical
    across pool sizes). *)
-let reduce_rule work ~step_names ~canon ~cache ~sips ~pruned (r : Ast.rule) =
+let reduce_rule work ~step_names ~cache ~sips ~pruned (r : Ast.rule) =
   let param_oks =
     List.filter_map
       (function
@@ -85,22 +86,18 @@ let reduce_rule work ~step_names ~canon ~cache ~sips ~pruned (r : Ast.rule) =
   in
   if param_oks = [] then r, []
   else begin
-    let canonical name =
-      match Hashtbl.find_opt canon name with Some c -> c | None -> name
-    in
-    (* Reducer over the [rank]-th column of [ok_name]'s relation, shared
+    (* Reducer over the [rank]-th column of [ok]'s relation, shared
        across rules and steps.  Columns are addressed positionally: step
        outputs carry their own (sorted) parameter names, which differ from
        this step's parameters when the relation was registered by the
-       symmetry or memo shortcut. *)
-    let reducer ok_name rank =
-      let key = Printf.sprintf "%s#%d" ok_name rank in
+       reuse shortcut. *)
+    let reducer ok rank =
+      let key = Relation.id ok, rank in
       match Hashtbl.find_opt sips key with
       | Some s -> s
       | None ->
-        let rel = Catalog.find work ok_name in
-        let col = List.nth (Schema.columns (Relation.schema rel)) rank in
-        let s = Sip.of_column rel col in
+        let col = List.nth (Schema.columns (Relation.schema ok)) rank in
+        let s = Sip.of_column ok col in
         Hashtbl.replace sips key s;
         s
     in
@@ -120,14 +117,12 @@ let reduce_rule work ~step_names ~canon ~cache ~sips ~pruned (r : Ast.rule) =
               match List.assoc_opt p unary_oks with
               | None -> ()
               | Some ok_name ->
-                let canonical_ok = canonical ok_name in
-                let reduced_name =
-                  Printf.sprintf "%s~%d~%s" !pred i canonical_ok
-                in
-                if Hashtbl.mem cache reduced_name then pred := reduced_name
-                else begin
+                let ok = Catalog.find work ok_name in
+                let key = !pred, i, Relation.id ok in
+                match Hashtbl.find_opt cache key with
+                | Some reduced_name -> pred := reduced_name
+                | None ->
                   let base = Catalog.find work !pred in
-                  let ok = Catalog.find work canonical_ok in
                   let col =
                     List.nth (Schema.columns (Relation.schema base)) i
                   in
@@ -136,7 +131,7 @@ let reduce_rule work ~step_names ~canon ~cache ~sips ~pruned (r : Ast.rule) =
                       ~ok_cardinal:(Relation.cardinal ok)
                   then begin
                     let reduced =
-                      Sip.filter base ~pos:i (reducer canonical_ok 0)
+                      Sip.filter base ~pos:i (reducer ok 0)
                     in
                     let removed =
                       Relation.cardinal base - Relation.cardinal reduced
@@ -144,11 +139,13 @@ let reduce_rule work ~step_names ~canon ~cache ~sips ~pruned (r : Ast.rule) =
                     pruned := !pruned + removed;
                     if Obs.enabled () then
                       Obs.count "sip.rows_pruned" removed;
+                    let reduced_name =
+                      Printf.sprintf "%s~%d~%s" !pred i ok_name
+                    in
                     Catalog.add work reduced_name reduced;
-                    Hashtbl.replace cache reduced_name ();
+                    Hashtbl.replace cache key reduced_name;
                     pred := reduced_name
-                  end
-                end)
+                  end)
             | Ast.Var _ | Ast.Const _ -> ())
           a.args;
         { a with Ast.pred = !pred }
@@ -171,7 +168,7 @@ let reduce_rule work ~step_names ~canon ~cache ~sips ~pruned (r : Ast.rule) =
         (fun acc (ok_name, params) ->
           if List.length params < 2 then acc
           else begin
-            let ok_name = canonical ok_name in
+            let ok = Catalog.find work ok_name in
             let sorted = List.sort String.compare params in
             List.fold_left
               (fun acc p ->
@@ -179,7 +176,7 @@ let reduce_rule work ~step_names ~canon ~cache ~sips ~pruned (r : Ast.rule) =
                 if List.mem_assoc key acc then acc
                 else
                   match List.find_index (String.equal p) sorted with
-                  | Some rank -> (key, reducer ok_name rank) :: acc
+                  | Some rank -> (key, reducer ok rank) :: acc
                   | None -> acc)
               acc params
           end)
@@ -188,7 +185,7 @@ let reduce_rule work ~step_names ~canon ~cache ~sips ~pruned (r : Ast.rule) =
     { r with Ast.body }, sip
   end
 
-let run_step work ~options ~step_names ~canon ~cache ~sips ~est
+let run_step work ~options ~step_names ~cache ~sips ~est
     (flock : Flock.t) (s : Plan.step) =
   let t0 = Obs.now () in
   let pruned = ref 0 in
@@ -197,7 +194,7 @@ let run_step work ~options ~step_names ~canon ~cache ~sips ~est
       if options.semijoin_reduction then begin
         let reduced =
           List.map
-            (reduce_rule work ~step_names ~canon ~cache ~sips ~pruned)
+            (reduce_rule work ~step_names ~cache ~sips ~pruned)
             s.query
         in
         ( List.map fst reduced,
@@ -268,24 +265,6 @@ let run_step work ~options ~step_names ~canon ~cache ~sips ~est
       sip_pruned = !pruned;
     } )
 
-(* Symmetric-step reuse (paper Ex. 3.1: "by symmetry, the set of $1's that
-   survive ... is exactly the same as the set of $2's"): when a step's query
-   equals an earlier step's query up to renaming its (sorted) parameters,
-   register the earlier result under the new name instead of recomputing.
-   The sorted-positional bijection matches the result relation's column
-   order, so the aliased relation is exactly the step's output. *)
-let find_symmetric_twin earlier (s : Plan.step) =
-  List.find_opt
-    (fun (e : Plan.step) ->
-      List.length e.params = List.length s.params
-      && List.length e.query = List.length s.query
-      &&
-      let mapping = List.combine e.params s.params in
-      List.for_all2
-        (fun er sr -> Ast.equal_rule (Ast.rename_params mapping er) sr)
-        e.query s.query)
-    earlier
-
 let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
   Obs.with_span "plan.run"
     ~attrs:[ "steps", Obs.Int (List.length plan.steps + 1) ]
@@ -308,103 +287,92 @@ let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
       estimates
   in
   let work = Catalog.copy catalog in
-  let cache = Hashtbl.create 8 in
-  let sips : (string, Sip.t) Hashtbl.t = Hashtbl.create 8 in
-  let canon : (string, string) Hashtbl.t = Hashtbl.create 8 in
-  (* One step, three shortcuts in increasing cost: alias a symmetric twin
-     computed earlier in this plan; fetch an α-equivalent subplan from the
-     catalog's cross-level memo (possibly written by a {e previous} plan —
-     the k-1 levelwise pass, typically); or compute, and publish into the
-     memo.  A memo hit registers the {e stored relation object}, so its
-     (id, version) pair flows into the signatures of this plan's later
-     steps and an entire plan prefix can cascade into hits. *)
-  let exec_step ~executed ~defined (s : Plan.step) =
+  let cache : (string * int * int, string) Hashtbl.t = Hashtbl.create 8 in
+  let sips : (int * int, Sip.t) Hashtbl.t = Hashtbl.create 8 in
+  (* The plan-local memo: signature -> (first step name, its relation)
+     for every step this run has produced.  It serves Ex. 3.1's symmetry
+     ("the set of $1's that survive ... is exactly the same as the set of
+     $2's") and any other α-equivalent repeat, whatever the catalog's
+     memo budget. *)
+  let local : (string, string * Relation.t) Hashtbl.t = Hashtbl.create 8 in
+  (* One step, one lookup in two scopes: an α-equivalent step of this
+     plan, then the catalog's cross-level memo (possibly written by a
+     {e previous} plan — the k-1 levelwise pass, typically).  A hit
+     registers the {e stored relation object}, so its (id, version) pair
+     flows into the signatures of this plan's later steps and an entire
+     plan prefix can cascade into hits.  A miss computes the step and
+     publishes it into both scopes. *)
+  let exec_step ~defined (s : Plan.step) =
     (* Step boundaries are the plan executor's cancellation checkpoints:
        a governed deadline interrupts a plan between steps. *)
     Qf_governor.Governor.check ();
-    match
-      if options.symmetric_reuse then find_symmetric_twin executed s
+    let key =
+      if options.reuse then Stepsig.of_step ~work ~filter:plan.flock.filter s
       else None
-    with
-    | Some twin ->
+    in
+    let shortcut =
+      Option.bind key (fun k ->
+          match Hashtbl.find_opt local k with
+          | Some (earlier, rel) -> Some (rel, Some earlier)
+          | None ->
+            Option.map
+              (fun rel ->
+                Hashtbl.replace local k (s.name, rel);
+                rel, None)
+              (Catalog.memo_find work k))
+    in
+    match shortcut with
+    | Some (rel, reused_from) ->
       let t0 = Obs.now () in
-      let rel = Catalog.find work twin.Plan.name in
       Catalog.add work s.name rel;
-      Hashtbl.replace canon s.name
-        (match Hashtbl.find_opt canon twin.Plan.name with
-        | Some c -> c
-        | None -> twin.Plan.name);
+      let rows = Relation.cardinal rel in
       if Obs.enabled () then
         Obs.with_span "filter.step"
           ~attrs:
             [
               "step", Obs.Str s.name;
-              "reused_from", Obs.Str twin.Plan.name;
-              "rows_out", Obs.Int (Relation.cardinal rel);
+              (match reused_from with
+              | Some earlier -> "reused_from", Obs.Str earlier
+              | None -> "memo", Obs.Str "hit");
+              "rows_out", Obs.Int rows;
             ]
           (fun () -> ());
       ( rel,
         {
-          step_name = s.name ^ " (= " ^ twin.Plan.name ^ " by symmetry)";
+          step_name =
+            (match reused_from with
+            | Some earlier -> s.name ^ " (= " ^ earlier ^ ")"
+            | None -> s.name ^ " (memo)");
           tabulated_rows = 0;
-          groups = Relation.cardinal rel;
-          survivors = Relation.cardinal rel;
+          groups = rows;
+          survivors = rows;
           seconds = Obs.now () -. t0;
-          reused_from = Some twin.Plan.name;
-          memo_hit = false;
+          reused_from;
+          memo_hit = reused_from = None;
           sip_pruned = 0;
         } )
-    | None -> (
-      let memo_key =
-        if options.memoize && Catalog.memo_enabled work then
-          Stepsig.of_step ~work ~filter:plan.flock.filter s
-        else None
+    | None ->
+      let rel, report =
+        run_step work ~options ~step_names:defined ~cache ~sips
+          ~est:(est_for s) plan.flock s
       in
-      match Option.bind memo_key (Catalog.memo_find work) with
-      | Some rel ->
-        let t0 = Obs.now () in
-        Catalog.add work s.name rel;
-        if Obs.enabled () then
-          Obs.with_span "filter.step"
-            ~attrs:
-              [
-                "step", Obs.Str s.name;
-                "memo", Obs.Str "hit";
-                "rows_out", Obs.Int (Relation.cardinal rel);
-              ]
-            (fun () -> ());
-        ( rel,
-          {
-            step_name = s.name ^ " (memo)";
-            tabulated_rows = 0;
-            groups = Relation.cardinal rel;
-            survivors = Relation.cardinal rel;
-            seconds = Obs.now () -. t0;
-            reused_from = None;
-            memo_hit = true;
-            sip_pruned = 0;
-          } )
-      | None ->
-        let rel, report =
-          run_step work ~options ~step_names:defined ~canon ~cache ~sips
-            ~est:(est_for s) plan.flock s
-        in
-        (match memo_key with
-        | Some key -> Catalog.memo_add work key rel
-        | None -> ());
-        rel, report)
+      Option.iter
+        (fun k ->
+          Hashtbl.replace local k (s.name, rel);
+          Catalog.memo_add work k rel)
+        key;
+      rel, report
   in
   let _, reports =
     List.fold_left
-      (fun ((executed, defined), acc) (s : Plan.step) ->
-        let _, report = exec_step ~executed ~defined s in
-        (s :: executed, s.name :: defined), report :: acc)
-      (([], []), [])
-      plan.steps
+      (fun (defined, acc) (s : Plan.step) ->
+        let _, report = exec_step ~defined s in
+        s.name :: defined, report :: acc)
+      ([], []) plan.steps
   in
   let step_names = List.map (fun (s : Plan.step) -> s.Plan.name) plan.steps in
   let result, final_report =
-    exec_step ~executed:[] ~defined:step_names plan.final
+    exec_step ~defined:step_names plan.final
   in
   Obs.set_attr "rows_out" (Obs.Int (Relation.cardinal result));
   { result; steps = List.rev reports @ [ final_report ] }

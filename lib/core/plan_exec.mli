@@ -17,12 +17,13 @@ type step_report = {
   survivors : int;  (** assignments passing the filter *)
   seconds : float;  (** wall-clock time of the step *)
   reused_from : string option;
-      (** [Some earlier] when the step was aliased to an earlier step's
-          result by symmetry instead of being computed *)
+      (** [Some earlier] when the step is α-equivalent to the earlier step
+          [earlier] of the same plan (the Ex. 3.1 symmetry, among others)
+          and was aliased to its result instead of being computed *)
   memo_hit : bool;
       (** the step's result came from the catalog's cross-level subplan
-          memo (an α-equivalent step computed by this or a previous plan
-          run against the same base relations) *)
+          memo (an α-equivalent step computed by a previous plan run
+          against the same base relations) *)
   sip_pruned : int;
       (** rows removed from base relations by materialized semijoin
           reducers while computing this step (deterministic: identical
@@ -43,18 +44,18 @@ type report = {
       reducers to the evaluator's binding extension
       ([Eval.tabulate_query ~sip]).  Placement is cost-gated by
       {!Cost.should_reduce};
-    - [symmetric_reuse] computes a filter step once when it equals an
-      earlier step up to parameter renaming (the Ex. 3.1 remark);
-    - [memoize] consults and feeds the catalog's cross-level subplan memo
-      ({!Qf_relational.Catalog.memo_find}): steps α-equivalent to one
-      computed by an earlier plan run over the same relation versions
-      (e.g. level k-1's final query, which is exactly one of level k's
-      auxiliary steps) are fetched instead of recomputed.  A no-op when
-      the memo budget ([QF_MEMO_BUDGET]) is 0. *)
+    - [reuse] computes each α-equivalence class of steps once, keyed by
+      its {!Stepsig} signature.  The key is looked up first among this
+      plan's earlier steps (the Ex. 3.1 remark: "the set of $1's that
+      survive ... is exactly the same as the set of $2's"), whatever the
+      memo budget; then in the catalog's cross-level subplan memo
+      ({!Qf_relational.Catalog.memo_find}), where level k-1's final query
+      — exactly one of level k's auxiliary steps — is fetched instead of
+      recomputed.  The memo budget ([QF_MEMO_BUDGET]) alone turns the
+      cross-level scope on or off.  [false] computes every step. *)
 type options = {
   semijoin_reduction : bool;
-  symmetric_reuse : bool;
-  memoize : bool;
+  reuse : bool;
 }
 
 (** All enabled. *)

@@ -44,7 +44,9 @@ let of_step ~work ~filter (s : Plan.step) =
       let term = function
         | Ast.Var v -> Printf.sprintf "v%d" (var_rank v)
         | Ast.Param p -> Printf.sprintf "p%d" (param_rank p)
-        | Ast.Const c -> "c:" ^ Value.to_string c
+        | Ast.Const (Value.Int i) -> Printf.sprintf "i:%d" i
+        | Ast.Const (Value.Real f) -> Printf.sprintf "r:%h" f
+        | Ast.Const (Value.Str s) -> Printf.sprintf "s:%S" s
       in
       let atom (a : Ast.atom) =
         Printf.sprintf "r%d(%s)" (pred_rank a.pred)

@@ -66,20 +66,17 @@ val index_stats_since : t -> int * int -> int * int
     mutation invalidates by key change — the index cache's version
     discipline).  Bounded by an LRU byte budget from [QF_MEMO_BUDGET]
     (same syntax as [QF_INDEX_BUDGET]; default 64 MiB; [0] disables
-    memoization entirely).  Shared across {!copy}s, like the index
-    cache. *)
-
-(** [false] when the budget is [0]: {!memo_find} always misses silently
-    and {!memo_add} is a no-op. *)
-val memo_enabled : t -> bool
+    this memo, not the plan executor's plan-local step reuse).  Shared
+    across {!copy}s, like the index cache. *)
 
 (** Lookup by signature.  Counts a hit or miss (per-catalog stats and,
     when observability is enabled, the [memo.hit]/[memo.miss] Obs
-    counters). *)
+    counters).  At budget [0] it always misses silently. *)
 val memo_find : t -> string -> Relation.t option
 
 (** Store a step output under its signature; LRU-evicts past the budget
-    (counted in {!memo_stats} and the [memo.evict] Obs counter). *)
+    (counted in {!memo_stats} and the [memo.evict] Obs counter).  A
+    no-op at budget [0]. *)
 val memo_add : t -> string -> Relation.t -> unit
 
 (** [(hits, misses, evictions)] since creation. *)

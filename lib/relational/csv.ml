@@ -94,18 +94,9 @@ let escape_field s =
     Buffer.add_char buf '"';
     Buffer.contents buf
 
-(* 15 significant digits, or 17 when 15 do not read back as the same
-   float, with a ".0" when the text would read back as an [Int]. *)
-let real_field f =
-  let s = Printf.sprintf "%.15g" f in
-  let s =
-    if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
-  in
-  if Option.is_some (int_of_string_opt s) then s ^ ".0" else s
-
 let field_of_value = function
   | Value.Int i -> string_of_int i
-  | Value.Real f -> real_field f
+  | Value.Real f -> Value.real_to_string f
   | Value.Str s -> escape_field s
 
 let to_string rel =

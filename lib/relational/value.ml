@@ -67,10 +67,25 @@ let to_float = function
 
 let is_numeric = function Int _ | Real _ -> true | Str _ -> false
 
+(* 15 significant digits, or 17 when 15 do not read back as the same
+   float.  A finite real always carries a "." before any exponent: the
+   text then never reads back as an [Int], and the Datalog lexer accepts
+   it (it reads reals as d.d[e±d]). *)
+let real_to_string f =
+  let s = Printf.sprintf "%.15g" f in
+  let s =
+    if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
+  in
+  if (not (Float.is_finite f)) || String.contains s '.' then s
+  else
+    match String.index_opt s 'e' with
+    | Some i -> String.sub s 0 i ^ ".0" ^ String.sub s i (String.length s - i)
+    | None -> s ^ ".0"
+
 let pp ppf = function
   | Int x -> Format.pp_print_int ppf x
   | Str s -> Format.fprintf ppf "%S" s
-  | Real f -> Format.fprintf ppf "%g" f
+  | Real f -> Format.pp_print_string ppf (real_to_string f)
 
 let to_string v = Format.asprintf "%a" pp v
 

@@ -39,10 +39,16 @@ val to_float : t -> float option
 (** [is_numeric v] is [true] for [Int] and [Real] values. *)
 val is_numeric : t -> bool
 
+(** The text of a real as a Datalog program or a CSV file writes it:
+    exact ([float_of_string] reads back the same float) and, when finite,
+    with a [.] before any exponent, e.g. [1.0], [0.1234567], [1.0e+20]. *)
+val real_to_string : float -> string
+
+(** Print the value as it would appear in a Datalog program: strings are
+    quoted, integers are printed plainly, reals by {!real_to_string}. *)
 val pp : Format.formatter -> t -> unit
 
-(** Render the value as it would appear in a Datalog program: strings are
-    quoted, numbers are printed plainly. *)
+(** [to_string v] is {!pp}'s text. *)
 val to_string : t -> string
 
 (** Parse a literal as it appears in source text or CSV: an integer, then a

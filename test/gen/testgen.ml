@@ -160,17 +160,37 @@ let arb_rule_and_catalog =
 
 (* {1 Random rule ASTs (parser round-trips)} *)
 
+(* Constants of every kind, as the lexer must read them back: signed
+   integers; reals that are integral (they must not print as integers),
+   that need 17 digits, or that print with an exponent; and strings of
+   printable characters, quotes and backslashes included. *)
+let gen_const =
+  QCheck.Gen.(
+    frequency
+      [
+        2, map (fun i -> V.Int i) (int_range (-1000) 1000);
+        1, map (fun i -> V.Real (float_of_int i)) (int_range (-50) 50);
+        ( 1,
+          map (fun f -> V.Real (if Float.is_finite f then f else 0.5)) float );
+        ( 1,
+          map
+            (fun (m, e) -> V.Real (Float.ldexp m e))
+            (pair (float_range (-1.) 1.) (int_range (-80) 80)) );
+        1, map (fun i -> V.Str (Printf.sprintf "c%d" i)) (int_range 0 3);
+        ( 1,
+          map
+            (fun s -> V.Str s)
+            (string_size ~gen:(map Char.chr (int_range 32 126))
+               (int_range 0 6)) );
+      ])
+
 let gen_term =
   QCheck.Gen.(
     frequency
       [
         3, map (fun i -> Ast.Var (Printf.sprintf "X%d" i)) (int_range 0 3);
         2, map (fun i -> Ast.Param (Printf.sprintf "p%d" i)) (int_range 0 2);
-        1, map (fun i -> Ast.Const (V.Int i)) (int_range 0 9);
-        ( 1,
-          map
-            (fun i -> Ast.Const (V.Str (Printf.sprintf "c%d" i)))
-            (int_range 0 3) );
+        3, map (fun c -> Ast.Const c) gen_const;
       ])
 
 let gen_atom =

@@ -56,7 +56,7 @@ let check_seed seed =
 
 let test_corpus_agrees () = List.iter check_seed seeds
 
-(* The levelwise market-basket plan (k = 3, with its symmetry reuse and
+(* The levelwise market-basket plan (k = 3, with its step reuse and
    subset pruning) against direct, on a smaller slice of the corpus. *)
 let test_levelwise_agrees () =
   List.iter
@@ -99,7 +99,7 @@ let test_union_corpus_agrees () =
              threshold)
       in
       let expected = Direct.run cat flock in
-      let config = { Dynamic.ratio_factor = 1e9; improvement_factor = 1e9; sip_reducers = true } in
+      let config = { Dynamic.ratio_factor = 1e9; improvement_factor = 1e9 } in
       match Dynamic.run ~config cat flock with
       | Ok r ->
         if not (R.equal expected r.Dynamic.answers) then
@@ -148,8 +148,7 @@ let test_reduced_equals_unreduced_matrix () =
   let unreduced =
     {
       Plan_exec.semijoin_reduction = false;
-      symmetric_reuse = false;
-      memoize = false;
+      reuse = false;
     }
   in
   List.iter

@@ -47,7 +47,7 @@ let test_equivalence_across_configs () =
   let expected = Direct.run cat flock in
   List.iter
     (fun (rf, imf) ->
-      let config = { Dynamic.ratio_factor = rf; improvement_factor = imf; sip_reducers = true } in
+      let config = { Dynamic.ratio_factor = rf; improvement_factor = imf } in
       let result = run_exn ~config cat flock in
       Alcotest.check Test_util.relation
         (Printf.sprintf "config %.1f/%.1f" rf imf)
@@ -64,13 +64,13 @@ let test_aggressive_config_filters () =
   let cat = medical_catalog () in
   let flock = medical_flock 15 in
   let eager =
-    run_exn ~config:{ Dynamic.ratio_factor = 1e9; improvement_factor = 1e9; sip_reducers = true }
+    run_exn ~config:{ Dynamic.ratio_factor = 1e9; improvement_factor = 1e9 }
       cat flock
   in
   check_bool "some step filtered under an eager config" true
     (List.exists (fun (d : Dynamic.decision) -> d.filtered) eager.trace);
   let never =
-    run_exn ~config:{ Dynamic.ratio_factor = 0.; improvement_factor = 0.; sip_reducers = true }
+    run_exn ~config:{ Dynamic.ratio_factor = 0.; improvement_factor = 0. }
       cat flock
   in
   check_bool "no step filtered under a reluctant config" true
@@ -80,7 +80,7 @@ let test_survivors_recorded () =
   let cat = medical_catalog () in
   let flock = medical_flock 15 in
   let eager =
-    run_exn ~config:{ Dynamic.ratio_factor = 1e9; improvement_factor = 1e9; sip_reducers = true }
+    run_exn ~config:{ Dynamic.ratio_factor = 1e9; improvement_factor = 1e9 }
       cat flock
   in
   List.iter
@@ -127,7 +127,7 @@ let test_union_crosses_branches () =
     (R.mem direct (Qf_relational.Tuple.of_array [| V.Int 7 |]));
   (* Force the most aggressive filtering so a naive per-branch prune would
      kill $a = 7. *)
-  let config = { Dynamic.ratio_factor = 1e9; improvement_factor = 1e9; sip_reducers = true } in
+  let config = { Dynamic.ratio_factor = 1e9; improvement_factor = 1e9 } in
   match Dynamic.run ~config cat flock with
   | Error e -> Alcotest.failf "union dynamic: %s" e
   | Ok r ->

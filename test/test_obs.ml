@@ -145,7 +145,7 @@ let test_span_tree_well_nested () =
 let filter_step_invariants (s : Obs.span) =
   match attr "reused_from" s with
   | Some _ ->
-    (* Symmetric reuse: no tabulation happened, only an aliased output. *)
+    (* Plan-local reuse: no tabulation happened, only an aliased output. *)
     attr "rows_out" s <> None
   | None -> (
     match
@@ -265,9 +265,10 @@ let test_profile_matches_execution () =
     (Explain.profile_json ~redact_timings:true p)
     (Explain.profile_json ~redact_timings:true p2)
 
-let test_symmetric_reuse_visible_in_spans () =
+let test_step_reuse_visible_in_spans () =
   (* A two-parameter basket flock whose singleton plan has ok_1 and ok_2:
-     by symmetry the second is aliased, and the span says so. *)
+     by symmetry the second is aliased to the first, and the span says
+     so. *)
   let rel, _ = instance ~seed:12 gen_basket_instance in
   let cat = catalog_of rel in
   let flock = pair_flock 1 in
@@ -397,7 +398,7 @@ let suite =
     Alcotest.test_case "Explain.profile agrees with execution" `Quick
       test_profile_matches_execution;
     Alcotest.test_case "symmetric reuse is visible in spans" `Quick
-      test_symmetric_reuse_visible_in_spans;
+      test_step_reuse_visible_in_spans;
     Alcotest.test_case "eval.extend spans account for fused filters" `Quick
       test_extend_spans;
   ]

@@ -243,8 +243,7 @@ let test_plan_exec_cache_hits () =
   let options =
     {
       Qf_core.Plan_exec.semijoin_reduction = false;
-      symmetric_reuse = false;
-      memoize = false;
+      reuse = false;
     }
   in
   ignore (Qf_core.Plan_exec.run ~options cat plan);

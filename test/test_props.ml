@@ -142,7 +142,7 @@ let prop_union_dynamic_equals_direct =
              "QUERY:\nanswer(X) :- p(X,$a)\nanswer(X) :- q(X,$a)\nFILTER:\nCOUNT(answer.X) >= %d"
              threshold)
       in
-      let config = { Dynamic.ratio_factor = 1e9; improvement_factor = 1e9; sip_reducers = true } in
+      let config = { Dynamic.ratio_factor = 1e9; improvement_factor = 1e9 } in
       match Dynamic.run ~config cat flock with
       | Ok r -> R.equal (Direct.run cat flock) r.answers
       | Error e -> QCheck.Test.fail_report e)
@@ -151,35 +151,26 @@ let prop_executor_options_equal =
   QCheck.Test.make
     ~name:"plan executor agrees across all optimization combinations"
     ~count:60 arb_basket_instance (fun (rel, threshold) ->
-      let cat = catalog_of rel in
       let flock = pair_flock threshold in
       match Apriori_gen.singleton_plan flock with
       | Error e -> QCheck.Test.fail_report e
       | Ok plan ->
-        let run options = Plan_exec.run ~options cat plan in
-        let base =
-          run
-            {
-              Plan_exec.semijoin_reduction = false;
-              symmetric_reuse = false;
-              memoize = false;
-            }
+        (* One catalog per memo budget, each shared by all its runs, so
+           later runs at the default budget are served by the memo. *)
+        let with_memo = catalog_of rel in
+        let no_memo = catalog_of rel in
+        Catalog.set_memo_budget no_memo 0;
+        let run semijoin_reduction reuse cat =
+          Plan_exec.run ~options:{ Plan_exec.semijoin_reduction; reuse } cat
+            plan
         in
+        let base = run false false no_memo in
         List.for_all
-          (fun (sr, su, mz) ->
-            R.equal base
-              (run
-                 {
-                   Plan_exec.semijoin_reduction = sr;
-                   symmetric_reuse = su;
-                   memoize = mz;
-                 }))
-          [
-            false, true, false;
-            true, false, false;
-            true, true, false;
-            true, true, true;
-          ])
+          (fun (semijoin_reduction, reuse) ->
+            List.for_all
+              (fun cat -> R.equal base (run semijoin_reduction reuse cat))
+              [ no_memo; with_memo ])
+          [ false, false; false, true; true, false; true, true ])
 
 let prop_storage_roundtrip =
   QCheck.Test.make ~name:"relations survive the paged store" ~count:40

@@ -24,8 +24,7 @@ let mem_int t i = Sip.mem t (Dict.encode (V.Int i))
 let no_shortcut =
   {
     Plan_exec.semijoin_reduction = false;
-    symmetric_reuse = false;
-    memoize = false;
+    reuse = false;
   }
 
 (* {1 Lru} *)
@@ -159,6 +158,139 @@ let test_stepsig_version_sensitivity () =
       (Plan.step ~name:"ok_1" [ rule_exn "answer(B) :- nowhere(B,$1)" ])
   in
   check_bool "unresolvable predicates are not memoized" true (missing = None)
+
+(* {1 Constants in signatures}
+
+   Two steps that differ only in the type or the low digits of a constant
+   must get different signatures, or one is served the other's result.
+   [r(B,$1,c1) AND r(B,$2,c2)] over baskets [b] holding [(a, c1)] and
+   [(x, c2)]: the answer is [(a, x)], which a conflated signature turns
+   into no answer at all. *)
+let constant_plan (t1, c1) (t2, c2) =
+  let rows =
+    List.concat_map
+      (fun b -> V.[ [ Int b; Str "a"; c1 ]; [ Int b; Str "x"; c2 ] ])
+      [ 1; 2; 3 ]
+  in
+  let flock =
+    Parse.flock_exn
+      (Printf.sprintf
+         "QUERY:\nanswer(B) :- r(B,$1,%s) AND r(B,$2,%s)\nFILTER:\n\
+          COUNT(answer.B) >= 2"
+         t1 t2)
+  in
+  let plan =
+    match Apriori_gen.param_set_plan flock ~param_sets:[ [ "1" ]; [ "2" ] ] with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  R.of_values [ "B"; "I"; "W" ] rows, flock, plan
+
+let test_stepsig_distinguishes_constants () =
+  List.iter
+    (fun (((t1, _) as c1), ((t2, _) as c2)) ->
+      let label = t1 ^ " vs " ^ t2 in
+      let rel, flock, plan = constant_plan c1 c2 in
+      List.iter
+        (fun budget ->
+          let cat = Catalog.create () in
+          Catalog.add cat "r" rel;
+          (match budget with
+          | Some b -> Catalog.set_memo_budget cat b
+          | None -> ());
+          let expected = Direct.run cat flock in
+          check_bool (label ^ ": direct finds (a, x)") true
+            (R.equal expected
+               (R.of_values [ "$1"; "$2" ] V.[ [ Str "a"; Str "x" ] ]));
+          check_bool
+            (Printf.sprintf "%s: plan = direct at memo budget %s" label
+               (match budget with Some b -> string_of_int b | None -> "default"))
+            true
+            (R.equal expected (Plan_exec.run cat plan));
+          let signature name =
+            Stepsig.of_step ~work:cat ~filter:flock.Flock.filter
+              (List.find (fun (s : Plan.step) -> s.name = name) plan.Plan.steps)
+          in
+          check_bool (label ^ ": the two steps' signatures differ") true
+            (signature "ok_1" <> None && signature "ok_1" <> signature "ok_2"))
+        [ None; Some 0 ])
+    V.
+      [
+        ("1", Int 1), ("1.0", Real 1.0);
+        ("0.1234567", Real 0.1234567), ("0.1234568", Real 0.1234568);
+      ]
+
+(* {1 Plan-local reuse}
+
+   Two steps equal up to renaming their parameter {e and} a variable are
+   computed once, whatever the catalog's memo budget, and the aliased
+   pair shares its semijoin reducer.  A step keeps the flock's head, so
+   the renamed variable is a body-only one: [T] in [ok_1], [U] in
+   [ok_2]. *)
+let test_plan_local_reuse () =
+  (* Items 1 and 2 in every basket, one rare item per basket: the ok
+     steps keep 2 of 22 items, so reductions are worth placing. *)
+  let rel =
+    R.of_values [ "B"; "T"; "I" ]
+      (List.concat_map
+         (fun b ->
+           V.
+             [
+               [ Int b; Int 0; Int 1 ];
+               [ Int b; Int 0; Int 2 ];
+               [ Int b; Int 1; Int (100 + b) ];
+             ])
+         (List.init 20 Fun.id))
+  in
+  let cat = Catalog.create () in
+  Catalog.add cat "r" rel;
+  Catalog.set_memo_budget cat 0;
+  let flock =
+    Parse.flock_exn
+      "QUERY:\nanswer(B) :- r(B,T,$1) AND r(B,U,$2) AND $1 < $2\n\
+       FILTER:\nCOUNT(answer.B) >= 3"
+  in
+  let step name text = Plan.step ~name [ rule_exn text ] in
+  let plan =
+    match
+      Plan.make flock
+        ~steps:
+          [
+            step "ok_1" "answer(B) :- r(B,T,$1)";
+            step "ok_2" "answer(B) :- r(B,U,$2)";
+          ]
+        ~final:
+          (step "result"
+             "answer(B) :- r(B,T,$1) AND r(B,U,$2) AND $1 < $2 AND \
+              ok_1($1) AND ok_2($2)")
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let report =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled was)
+      (fun () -> Plan_exec.run_with_report cat plan)
+  in
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name (Obs.report ()).Obs.counters)
+  in
+  check_bool "plan = direct" true
+    (R.equal (Direct.run cat flock) report.Plan_exec.result);
+  (match report.Plan_exec.steps with
+  | [ ok_1; ok_2; _ ] ->
+    check_bool "ok_1 is computed" true (ok_1.Plan_exec.reused_from = None);
+    check_bool "ok_2 reuses ok_1" true
+      (ok_2.Plan_exec.reused_from = Some "ok_1");
+    check_int "ok_2 tabulates nothing" 0 ok_2.Plan_exec.tabulated_rows;
+    check_bool "a plan-local hit is no memo hit" false ok_2.Plan_exec.memo_hit
+  | _ -> Alcotest.fail "expected three step reports");
+  check_int "one reducer for the aliased pair" 1 (counter "sip.reducer_built");
+  check_bool "both parameters' base atoms are reduced" true
+    (counter "sip.rows_pruned" > 0)
 
 (* {1 Memo-hit cascade across levelwise runs} *)
 
@@ -332,6 +464,10 @@ let suite =
       test_stepsig_alpha_equivalence;
     Alcotest.test_case "step signatures track relation versions" `Quick
       test_stepsig_version_sensitivity;
+    Alcotest.test_case "step signatures tell 1 from 1.0" `Quick
+      test_stepsig_distinguishes_constants;
+    Alcotest.test_case "plan-local reuse at memo budget 0" `Quick
+      test_plan_local_reuse;
     Alcotest.test_case "memo cascade: k=3 run primes k=4" `Slow
       test_memo_cascade_across_levels;
     Alcotest.test_case
