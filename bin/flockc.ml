@@ -286,7 +286,7 @@ module Governor = Qf_governor.Governor
 let timeout_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some string) None
     & info [ "timeout" ] ~docv:"SECS"
         ~doc:
           "Wall-clock deadline in seconds.  The evaluator is interrupted \
@@ -304,29 +304,43 @@ let mem_budget_arg =
            budget trips; if even spilling cannot fit, $(b,flockc) \
            exits with status 125.  Defaults to $(b,QF_MEM_BUDGET) when set.")
 
+(* One governor setting: the flag's value, else the environment
+   variable's (an empty variable counts as unset).  A value [parse]
+   rejects is an input error that names the flag or the variable. *)
+let setting ~flag ~var ~expected parse arg =
+  let source, raw =
+    match arg with
+    | Some s -> "--" ^ flag, Some s
+    | None -> (
+      ( var,
+        match Sys.getenv_opt var with
+        | Some s when String.trim s = "" -> None
+        | env -> env ))
+  in
+  match raw with
+  | None -> Ok None
+  | Some s -> (
+    match parse s with
+    | Some v -> Ok (Some v)
+    | None -> Error (Printf.sprintf "%s %S: expected %s" source s expected))
+
 let make_governor ~timeout ~mem_budget =
-  let budget =
-    match mem_budget with
-    | Some s -> (
-      match Governor.budget_of_string s with
-      | Some b -> Ok (Some b)
-      | None ->
-        Error
-          (Printf.sprintf
-             "--mem-budget %S: expected bytes with an optional k/m/g suffix, \
-              or \"unbounded\""
-             s))
-    | None ->
-      Ok (Option.bind (Sys.getenv_opt "QF_MEM_BUDGET") Governor.budget_of_string)
+  let ( let* ) = Result.bind in
+  let* timeout_s =
+    setting ~flag:"timeout" ~var:"QF_TIMEOUT"
+      ~expected:"a non-negative number of seconds"
+      (fun s ->
+        match float_of_string_opt (String.trim s) with
+        | Some t when t >= 0. -> Some t
+        | Some _ | None -> None)
+      timeout
   in
-  let timeout =
-    match timeout with
-    | Some _ -> timeout
-    | None -> Option.bind (Sys.getenv_opt "QF_TIMEOUT") float_of_string_opt
+  let* mem_budget =
+    setting ~flag:"mem-budget" ~var:"QF_MEM_BUDGET"
+      ~expected:"bytes with an optional k/m/g suffix, or \"unbounded\""
+      Governor.budget_of_string mem_budget
   in
-  Result.map
-    (fun b -> Governor.create ?mem_budget:b ?timeout_s:timeout ())
-    budget
+  Ok (Governor.create ?mem_budget ?timeout_s ())
 
 (* Resource faults become the conventional shell exit codes: 124 for a
    deadline (mirroring timeout(1)), 125 for an unsatisfiable budget. *)
@@ -443,24 +457,27 @@ let mode_arg =
            selection), or $(b,naive) (generate-and-test oracle; tiny inputs \
            only).")
 
+(* Evaluate [flock] with the strategy [mode]; [dynamic] falls back to
+   [direct] on a flock it cannot evaluate. *)
+let evaluate mode catalog flock =
+  match mode with
+  | `Direct -> Direct.run catalog flock
+  | `Plan -> Plan_exec.run catalog (Optimizer.optimize catalog flock)
+  | `Dynamic -> (
+    match Dynamic.run catalog flock with
+    | Ok r -> r.answers
+    | Error e ->
+      prerr_endline ("flockc: dynamic: " ^ e ^ "; falling back to direct");
+      Direct.run catalog flock)
+  | `Naive -> Naive.run catalog flock
+
 let run_cmd =
   let run path data db mode verbose =
     setup_logs verbose;
     let program = or_die (load_program path) in
     let flock = program.Parse.flock in
     let catalog = or_die (prepare (or_die (load_catalog ?db data)) program) in
-    let result =
-      match mode with
-      | `Direct -> Direct.run catalog flock
-      | `Plan -> Plan_exec.run catalog (Optimizer.optimize catalog flock)
-      | `Dynamic -> (
-        match Dynamic.run catalog flock with
-        | Ok r -> r.answers
-        | Error e ->
-          prerr_endline ("flockc: dynamic: " ^ e ^ "; falling back to direct");
-          Direct.run catalog flock)
-      | `Naive -> Naive.run catalog flock
-    in
+    let result = evaluate mode catalog flock in
     print_string (Qf_relational.Csv.to_string result)
   in
   Cmd.v
@@ -478,17 +495,7 @@ let mine_cmd =
     let g = or_die (make_governor ~timeout ~mem_budget) in
     let result =
       governed ~context:"mine" @@ fun () ->
-      Governor.with_ctx g @@ fun () ->
-      match mode with
-      | `Direct -> Direct.run catalog flock
-      | `Plan -> Plan_exec.run catalog (Optimizer.optimize catalog flock)
-      | `Dynamic -> (
-        match Dynamic.run catalog flock with
-        | Ok r -> r.answers
-        | Error e ->
-          prerr_endline ("flockc: dynamic: " ^ e ^ "; falling back to direct");
-          Direct.run catalog flock)
-      | `Naive -> Naive.run catalog flock
+      Governor.with_ctx g @@ fun () -> evaluate mode catalog flock
     in
     print_string (Qf_relational.Csv.to_string result);
     if verbose then begin
@@ -524,18 +531,7 @@ let sql_cmd =
         exit 1
     in
     Format.eprintf "compiled flock:@.@.%s@.@." (Flock.to_string flock);
-    let result =
-      match mode with
-      | `Direct -> Direct.run catalog flock
-      | `Plan -> Plan_exec.run catalog (Optimizer.optimize catalog flock)
-      | `Dynamic -> (
-        match Dynamic.run catalog flock with
-        | Ok r -> r.answers
-        | Error e ->
-          prerr_endline ("flockc: dynamic: " ^ e ^ "; falling back to direct");
-          Direct.run catalog flock)
-      | `Naive -> Naive.run catalog flock
-    in
+    let result = evaluate mode catalog flock in
     print_string (Qf_relational.Csv.to_string result)
   in
   Cmd.v

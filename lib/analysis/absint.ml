@@ -537,15 +537,7 @@ let exact_count_bound env ~threshold (r : Ast.rule) params =
     | Some i, Some stats -> (
       match atom_col stats i with
       | Some { c_freqs = Some freqs; _ } ->
-        let c = int_of_float (Float.ceil threshold) in
-        let n = Array.length freqs in
-        let rec search lo hi =
-          if lo >= hi then lo
-          else
-            let mid = (lo + hi) / 2 in
-            if freqs.(mid) >= c then search (mid + 1) hi else search lo mid
-        in
-        Some (float_of_int (search 0 n))
+        Some (float_of_int (Statistics.values_at_least freqs ~threshold))
       | _ -> None)
     | _ -> None)
   | _ -> None

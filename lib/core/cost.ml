@@ -175,10 +175,12 @@ let estimate_groups env q params =
 (* Exact survivors for the single-subgoal, single-parameter COUNT shape:
    answer(..) :- p(..., $x, ...).  The number of $x values passing the
    threshold is the number of column values with at least [threshold]
-   occurrences — read directly off the column's frequency distribution. *)
-let exact_survivors env ~threshold (s : Plan.step) =
-  match s.query, s.params with
-  | [ { Ast.body = [ Ast.Pos a ]; _ } ], [ p ] ->
+   occurrences — read directly off the column's frequency distribution.
+   Only a COUNT filter counts occurrences: SUM/MIN/MAX survivors are not
+   a function of the frequencies. *)
+let exact_survivors env ~(filter : Filter.t) (s : Plan.step) =
+  match filter.agg, s.query, s.params with
+  | Count, [ { Ast.body = [ Ast.Pos a ]; _ } ], [ p ] ->
     let position =
       List.find_index
         (fun arg ->
@@ -192,21 +194,15 @@ let exact_survivors env ~threshold (s : Plan.step) =
         | Some (stats : vstats) when i < Array.length stats.frequencies ->
           let freqs = stats.frequencies.(i) in
           if Array.length freqs = 0 then None
-          else begin
-            let c = int_of_float (Float.round threshold) in
-            let n = Array.length freqs in
-            let rec search lo hi =
-              if lo >= hi then lo
-              else
-                let mid = (lo + hi) / 2 in
-                if freqs.(mid) >= c then search (mid + 1) hi else search lo mid
-            in
-            Some (float_of_int (search 0 n))
-          end
+          else
+            Some
+              (float_of_int
+                 (Statistics.values_at_least freqs ~threshold:filter.threshold))
         | _ -> None)
   | _ -> None
 
-let estimate_step env ~threshold (s : Plan.step) =
+let estimate_step env ~(filter : Filter.t) (s : Plan.step) =
+  let threshold = filter.threshold in
   let e = estimate_query env s.query in
   let groups = estimate_groups env s.query s.params in
   let avg = if groups <= 0. then 0. else e.rows /. groups in
@@ -216,7 +212,7 @@ let estimate_step env ~threshold (s : Plan.step) =
     else avg /. threshold
   in
   let survivors =
-    match exact_survivors env ~threshold s with
+    match exact_survivors env ~filter s with
     | Some exact -> Float.max 1. exact
     | None -> Float.max 1. (groups *. survival)
   in
@@ -248,10 +244,6 @@ let should_reduce catalog ~pred ~col ~ok_cardinal =
   | exception (Failure _ | Not_found) -> true
   | d -> d > 0 && float_of_int ok_cardinal < reduce_keep_fraction *. float_of_int d
 
-(* Total row mass carried by the column values meeting the threshold. *)
-let mass_at_least freqs c =
-  Array.fold_left (fun acc f -> if f >= c then acc +. float_of_int f else acc) 0. freqs
-
 (* Model the executor's semijoin reduction: for every single-parameter
    auxiliary step, shrink the statistics of the base atoms the final query
    applies that parameter to.  Without this, the model sees few surviving
@@ -279,15 +271,13 @@ let reduce_env_for_final env ~threshold (plan : Plan.t) =
                   | Some (stats : vstats)
                     when i < Array.length stats.frequencies
                          && Array.length stats.frequencies.(i) > 0 ->
-                    let c = int_of_float (Float.round threshold) in
                     let freqs = stats.frequencies.(i) in
-                    let kept_mass = mass_at_least freqs c in
-                    let kept_values =
-                      float_of_int
-                        (Array.fold_left
-                           (fun acc f -> if f >= c then acc + 1 else acc)
-                           0 freqs)
+                    let kept = Statistics.values_at_least freqs ~threshold in
+                    (* The row mass the kept values carry. *)
+                    let kept_mass =
+                      float_of_int (Array.fold_left ( + ) 0 (Array.sub freqs 0 kept))
                     in
+                    let kept_values = float_of_int kept in
                     let distinct = Array.copy stats.distinct in
                     if i < Array.length distinct then
                       distinct.(i) <- Float.max 1. kept_values;
@@ -323,17 +313,17 @@ let clamp_out clamps name (out : vstats) =
       }
 
 let estimate_plan ?(clamps = []) env (plan : Plan.t) =
-  let threshold = plan.flock.filter.threshold in
+  let filter = plan.flock.filter in
   let env, work =
     List.fold_left
       (fun (env, acc) s ->
-        let w, out = estimate_step env ~threshold s in
+        let w, out = estimate_step env ~filter s in
         let out = clamp_out clamps s.Plan.name out in
         extend env s.Plan.name out, acc +. w)
       (env, 0.) plan.steps
   in
-  let final_env = reduce_env_for_final env ~threshold plan in
-  let w, _ = estimate_step final_env ~threshold plan.final in
+  let final_env = reduce_env_for_final env ~threshold:filter.threshold plan in
+  let w, _ = estimate_step final_env ~filter plan.final in
   work +. w
 
 (* Per-step estimates, exposed so the profiler can print estimated next to
@@ -349,9 +339,9 @@ type step_estimate = {
 }
 
 let plan_step_estimates ?(clamps = []) env (plan : Plan.t) =
-  let threshold = plan.flock.filter.threshold in
+  let filter = plan.flock.filter in
   let one env (s : Plan.step) =
-    let w, out = estimate_step env ~threshold s in
+    let w, out = estimate_step env ~filter s in
     let out = clamp_out clamps s.Plan.name out in
     let groups_bound =
       match List.assoc_opt s.Plan.name clamps with
@@ -373,6 +363,6 @@ let plan_step_estimates ?(clamps = []) env (plan : Plan.t) =
         extend env s.Plan.name out, e :: acc)
       (env, []) plan.steps
   in
-  let final_env = reduce_env_for_final env ~threshold plan in
+  let final_env = reduce_env_for_final env ~threshold:filter.threshold plan in
   let _, e = one final_env plan.final in
   List.rev (e :: acc)

@@ -65,14 +65,15 @@ val should_reduce :
   ok_cardinal:int ->
   bool
 
-(** [estimate_step env flock step] estimates executing one FILTER step:
-    returns the estimated work and the {!vstats} of the step's output
-    relation (the surviving parameter assignments).  When the step is a
-    single-rule, single-positive-subgoal COUNT filter over one parameter,
-    the survivor count is computed {e exactly} from the column's frequency
-    distribution (Ex. 4.4's statistics gathering); otherwise the linear
-    heuristic applies. *)
-val estimate_step : env -> threshold:float -> Plan.step -> float * vstats
+(** [estimate_step env ~filter step] estimates executing one FILTER step
+    under [filter]: returns the estimated work and the {!vstats} of the
+    step's output relation (the surviving parameter assignments).  When
+    [filter] is a COUNT and the step is a single-rule,
+    single-positive-subgoal step over one parameter, the survivor count is
+    computed {e exactly} from the column's frequency distribution (Ex.
+    4.4's statistics gathering, {!Qf_relational.Statistics.values_at_least});
+    otherwise the linear heuristic applies. *)
+val estimate_step : env -> filter:Filter.t -> Plan.step -> float * vstats
 
 (** Total estimated work of a plan (auxiliary steps plus final step, with
     each step's output statistics fed into later estimates).  [clamps]

@@ -220,9 +220,7 @@ let run_single config catalog (flock : Flock.t) rule =
   let head_columns = Eval.head_columns rule in
   let func = Filter.to_aggregate flock.filter ~head_columns in
   let threshold = flock.filter.threshold in
-  let keep ~params:_ _key v =
-    match Value.to_float v with Some x -> x >= threshold | None -> false
-  in
+  let keep ~params:_ _key v = Aggregate.passes ~threshold v in
   let sip =
     match flock.filter.agg with
     | Filter.Count ->

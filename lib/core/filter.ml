@@ -1,7 +1,6 @@
-module Value = Qf_relational.Value
 module Aggregate = Qf_relational.Aggregate
 
-type agg =
+type agg = Aggregate.func =
   | Count
   | Sum of string
   | Min of string
@@ -16,24 +15,15 @@ let is_monotone t =
   match t.agg with Count | Sum _ | Max _ -> true | Min _ -> false
 
 let to_aggregate t ~head_columns =
-  let checked column =
-    if List.mem column head_columns then column
-    else
+  (match t.agg with
+  | Count -> ()
+  | Sum column | Min column | Max column ->
+    if not (List.mem column head_columns) then
       failwith
-        (Printf.sprintf "Filter.to_aggregate: %s is not a head column" column)
-  in
-  match t.agg with
-  | Count -> Aggregate.Count
-  | Sum c -> Aggregate.Sum (checked c)
-  | Min c -> Aggregate.Min (checked c)
-  | Max c -> Aggregate.Max (checked c)
+        (Printf.sprintf "Filter.to_aggregate: %s is not a head column" column));
+  t.agg
 
-let holds t value =
-  match Value.to_float value with
-  | Some x -> x >= t.threshold
-  | None ->
-    (* MIN/MAX of a string column: compare against nothing sensible. *)
-    false
+let holds t value = Aggregate.passes ~threshold:t.threshold value
 
 let pp_threshold ppf x =
   if Float.is_integer x then Format.fprintf ppf "%.0f" x

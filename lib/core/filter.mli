@@ -6,7 +6,7 @@
     [COUNT] of answer tuples and [SUM]/[MIN]/[MAX] of a head column.  The
     comparison is always [>=] (a lower bound). *)
 
-type agg =
+type agg = Qf_relational.Aggregate.func =
   | Count  (** number of distinct answer tuples *)
   | Sum of string  (** sum of a head column over distinct answer tuples *)
   | Min of string
@@ -29,7 +29,9 @@ val is_monotone : t -> bool
     if the aggregate references a column that is not a head column. *)
 val to_aggregate : t -> head_columns:string list -> Qf_relational.Aggregate.func
 
-(** [holds t value] — does an aggregate outcome pass the filter? *)
+(** [holds t value] — does an aggregate outcome pass the filter?  This is
+    {!Qf_relational.Aggregate.passes}: a non-numeric outcome never
+    passes. *)
 val holds : t -> Qf_relational.Value.t -> bool
 
 (** Print in the paper's notation, e.g. [COUNT(answer.P) >= 20]; [head]

@@ -52,8 +52,8 @@ let create ?(mem_budget = max_int) ?timeout_s () =
     file_seq = Atomic.make 0;
   }
 
-(* Same syntax as [Catalog.budget_of_env]: bytes, k/m/g suffixes,
-   "unbounded"/"inf". *)
+(* Bytes, k/m/g suffixes, "unbounded"/"inf"; also the syntax of the
+   catalog's cache budgets. *)
 let budget_of_string raw =
   let raw = String.trim raw in
   match String.lowercase_ascii raw with
@@ -70,25 +70,6 @@ let budget_of_string raw =
     match int_of_string_opt digits with
     | Some n when n >= 0 -> Some (n * scale)
     | Some _ | None -> None)
-
-let of_env () =
-  let budget =
-    match Sys.getenv_opt "QF_MEM_BUDGET" with
-    | None -> None
-    | Some raw -> budget_of_string raw
-  in
-  let timeout =
-    match Sys.getenv_opt "QF_TIMEOUT" with
-    | None -> None
-    | Some raw -> (
-      match float_of_string_opt (String.trim raw) with
-      | Some s when s >= 0. -> Some s
-      | Some _ | None -> None)
-  in
-  match budget, timeout with
-  | None, None -> None
-  | _ ->
-    Some (create ?mem_budget:budget ?timeout_s:timeout ())
 
 let budget g = g.budget
 let used g = Atomic.get g.used

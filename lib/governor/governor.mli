@@ -48,11 +48,6 @@ val create : ?mem_budget:int -> ?timeout_s:float -> unit -> t
     ["unbounded"]/["inf"] for [max_int].  [None] on malformed input. *)
 val budget_of_string : string -> int option
 
-(** Governor described by the environment — [QF_MEM_BUDGET] (bytes,
-    {!budget_of_string} syntax) and [QF_TIMEOUT] (float seconds).  [None]
-    when neither variable is set. *)
-val of_env : unit -> t option
-
 (** Install [g] as the ambient governor for [f]'s duration (saving and
     restoring any enclosing governor), start its deadline clock, and on
     {e every} exit remove its spill directory and re-emit its peak as the

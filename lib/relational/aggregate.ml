@@ -66,8 +66,8 @@ let eval func schema tuples =
    The parallel path has two phases over int buffers: scatter row indices
    by key hash into [d] disjoint partitions (every distinct key lands in
    exactly one), then group and aggregate each partition independently;
-   no cross-domain merge of groups is needed, and per-partition results
-   merge by [Array.blit]. *)
+   no cross-domain merge of groups is needed, and each partition's groups
+   go to the grouping pass's consumer on their own. *)
 
 (* Group the rows listed in [idxs]; returns [rep] (one representative row
    per group, in first-appearance order) and [gid] (parallel to [idxs]). *)
@@ -210,8 +210,10 @@ let partitions ?pool ?par_threshold (chunk : Chunkrel.t) ~key_cols =
     Some pool, partition_rows pool key_cols n
   else None, [ identity_idxs n ]
 
-(* The key columns of [rel]'s snapshot and, per partition, each group's
-   representative row with its aggregate value. *)
+(* One partition's groups, still as codes: [rep.(g)] is group [g]'s
+   representative row in [key_cols], [aggs.(g)] its aggregate value. *)
+type groups = { key_cols : int array array; rep : int array; aggs : Value.t array }
+
 let group_codes ?pool ?par_threshold rel ~keys ~func =
   let schema = Relation.schema rel in
   let chunk = Relation.codes rel in
@@ -222,159 +224,92 @@ let group_codes ?pool ?par_threshold rel ~keys ~func =
   let pool, parts = partitions ?pool ?par_threshold chunk ~key_cols in
   let job idxs () =
     let rep, gid = group_rows key_cols idxs in
-    rep, aggregate_gids chunk schema ~func ~rep ~gid ~idxs
+    { key_cols; rep; aggs = aggregate_gids chunk schema ~func ~rep ~gid ~idxs }
   in
-  ( key_cols,
-    match pool with
-    | Some pool -> Pool.run_all pool (List.map job parts)
-    | None -> List.map (fun idxs -> job idxs ()) parts )
+  match pool with
+  | Some pool -> Pool.run_all pool (List.map job parts)
+  | None -> List.map (fun idxs -> job idxs ()) parts
 
-let group_by_cols ?pool ?par_threshold rel ~keys ~func =
-  let key_cols, per_part = group_codes ?pool ?par_threshold rel ~keys ~func in
-  List.concat_map
-    (fun (rep, aggs) ->
-      List.init (Array.length rep) (fun g ->
-          let i = rep.(g) in
-          let key =
-            Tuple.of_array
-              (Array.map (fun col -> Dict.decode col.(i)) key_cols)
-          in
-          key, aggs.(g)))
-    per_part
+(* {1 The grouping pass}
 
-(* {1 Spilling group-by}
-
-   Under a governed budget too small for the in-memory group table, rows
-   hash-partition by their group key into temp heap-file runs, then each
-   partition aggregates independently under a per-partition charge.
-   Equal keys land in the same partition, so per-partition group lists
-   concatenate into exactly the in-memory result — no cross-partition
-   merge is ever needed. *)
-let spill_group_by g rel ~keys ~func =
-  let schema = Relation.schema rel in
-  let key_positions =
-    Array.of_list (List.map (Schema.position schema) keys)
+   Every entry point groups through [fold_groups]: it hands each
+   partition's groups to [consume] while the partition is live and
+   returns what [consume] made of them, plus the total group count.  The
+   group table holds every distinct key plus its aggregate, so the pass
+   charges roughly twice the input; when that does not fit the budget,
+   the rows hash-partition by group key into spill runs.  Equal keys
+   land in the same run, so each run is grouped and consumed inside its
+   own charge, nothing it built outlives it but [consume]'s result, and
+   no cross-run merge is ever needed. *)
+let fold_groups ?pool ?par_threshold rel ~keys ~func ~consume =
+  Governor.check ();
+  let ngroups = ref 0 in
+  let consume groups =
+    ngroups := !ngroups + Array.length groups.rep;
+    consume groups
   in
-  let need = 2 * Relation.approx_bytes rel in
-  let parts = Spill.partition_count g ~need in
-  let runs = Spill.partition_by_key g rel ~positions:key_positions ~parts in
-  Fun.protect ~finally:(fun () -> Array.iter Spill.discard runs)
-  @@ fun () ->
-  Spill.note_runs g runs;
-  let out = ref [] in
-  Array.iter
-    (fun run ->
-      Governor.check ();
-      let part = Spill.to_relation run in
-      let cost = 2 * Relation.approx_bytes part in
-      Governor.charge g cost;
-      Fun.protect ~finally:(fun () -> Governor.release g cost) @@ fun () ->
-      out := group_by_cols part ~keys ~func :: !out)
-    runs;
-  List.concat !out
+  let need rel = 2 * Relation.approx_bytes rel in
+  let grouping () =
+    Spill.governed ~need:(need rel)
+      (fun () ->
+        List.map consume (group_codes ?pool ?par_threshold rel ~keys ~func))
+      (fun g ->
+        if Obs.enabled () then Obs.count "governor.spill.groups" 1;
+        List.concat
+          (Spill.map_partitions g rel ~keys ~need (fun run ->
+               List.map consume (group_codes run ~keys ~func))))
+  in
+  let consumed =
+    if not (Obs.enabled ()) then grouping ()
+    else
+      Obs.with_span "aggregate.group_by"
+        ~attrs:[ "rows_in", Obs.Int (Relation.cardinal rel) ]
+        (fun () ->
+          let consumed = grouping () in
+          Obs.set_attr "groups_out" (Obs.Int !ngroups);
+          consumed)
+  in
+  consumed, !ngroups
 
 let group_by ?pool ?par_threshold rel ~keys ~func =
-  Governor.check ();
-  let compute () =
-    (* The group table holds every distinct key plus its tuple list;
-       charge roughly twice the input, spill when it does not fit. *)
-    Spill.governed
-      ~need:(2 * Relation.approx_bytes rel)
-      (fun () -> group_by_cols ?pool ?par_threshold rel ~keys ~func)
-      (fun g ->
-        if Obs.enabled () then Obs.count "governor.spill.groups" 1;
-        spill_group_by g rel ~keys ~func)
+  let decode { key_cols; rep; aggs } =
+    List.init (Array.length rep) (fun g ->
+        let i = rep.(g) in
+        ( Tuple.of_array (Array.map (fun col -> Dict.decode col.(i)) key_cols),
+          aggs.(g) ))
   in
-  if not (Obs.enabled ()) then compute ()
-  else
-    Obs.with_span "aggregate.group_by"
-      ~attrs:[ "rows_in", Obs.Int (Relation.cardinal rel) ]
-      (fun () ->
-        let groups = compute () in
-        Obs.set_attr "groups_out" (Obs.Int (List.length groups));
-        groups)
+  List.concat
+    (fst (fold_groups ?pool ?par_threshold rel ~keys ~func ~consume:decode))
 
-(* FILTER: group, aggregate, filter by threshold, and gather the
-   surviving representative rows' key codes straight into the output
-   chunk — no tuple is built for keys that fail the support test, and
-   none at all for the survivors either. *)
-let group_filter_cols ?pool ?par_threshold rel ~keys ~func ~threshold =
-  let grouping () = group_codes ?pool ?par_threshold rel ~keys ~func in
-  (* The nested group-by span carries the same attributes as
-     {!group_by}'s, so profiles read the same whichever entry point
-     grouped the rows. *)
-  let key_cols, per_part =
-    if not (Obs.enabled ()) then grouping ()
-    else
-      Obs.with_span "aggregate.group_by"
-        ~attrs:[ "rows_in", Obs.Int (Relation.cardinal rel) ]
-        (fun () ->
-          let ((_, per_part) as grouped) = grouping () in
-          Obs.set_attr "groups_out"
-            (Obs.Int
-               (List.fold_left
-                  (fun a (rep, _) -> a + Array.length rep)
-                  0 per_part));
-          grouped)
-  in
-  let candidates =
-    List.fold_left (fun a (rep, _) -> a + Array.length rep) 0 per_part
-  in
-  let kept_bufs =
-    List.map
-      (fun (rep, aggs) ->
-        let buf = Buf.create (Array.length rep) in
-        Array.iteri
-          (fun g i ->
-            if numeric_exn "group_filter" aggs.(g) >= threshold then
-              Buf.push buf i)
-          rep;
-        buf)
-      per_part
-  in
-  let kept = Buf.concat kept_bufs in
-  let out =
-    Relation.of_chunkrel
-      (Schema.restrict (Relation.schema rel) keys)
-      {
-        Chunkrel.nrows = Array.length kept;
-        cols = Chunkrel.gather_cols key_cols kept;
-      }
-  in
-  out, candidates
+let passes ~threshold v =
+  match Value.to_float v with Some x -> x >= threshold | None -> false
 
-(* Spilling FILTER: group via the spill path, then threshold-filter the
-   group list.  The nested group-by span mirrors the in-memory path's, so
-   governed profiled runs read the same as ungoverned ones. *)
-let spill_group_filter g rel ~keys ~func ~threshold =
-  let grouping () = spill_group_by g rel ~keys ~func in
-  let groups =
-    if not (Obs.enabled ()) then grouping ()
-    else
-      Obs.with_span "aggregate.group_by"
-        ~attrs:[ "rows_in", Obs.Int (Relation.cardinal rel) ]
-        (fun () ->
-          let groups = grouping () in
-          Obs.set_attr "groups_out" (Obs.Int (List.length groups));
-          groups)
-  in
-  let out = Relation.create (Schema.restrict (Relation.schema rel) keys) in
-  List.iter
-    (fun (key, v) ->
-      if numeric_exn "group_filter" v >= threshold then Relation.add out key)
-    groups;
-  out, List.length groups
-
+(* FILTER: each partition's passing groups gather their key codes
+   straight into output columns — no group becomes a tuple, passing or
+   not. *)
 let group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold =
-  Governor.check ();
+  let passing { key_cols; rep; aggs } =
+    let kept = Buf.create (Array.length rep) in
+    Array.iteri
+      (fun g i -> if passes ~threshold aggs.(g) then Buf.push kept i)
+      rep;
+    Buf.length kept, Chunkrel.gather_cols key_cols (Buf.to_array kept)
+  in
   let compute () =
-    Spill.governed
-      ~need:(2 * Relation.approx_bytes rel)
-      (fun () ->
-        group_filter_cols ?pool ?par_threshold rel ~keys ~func ~threshold)
-      (fun g ->
-        if Obs.enabled () then Obs.count "governor.spill.groups" 1;
-        spill_group_filter g rel ~keys ~func ~threshold)
+    let parts, candidates =
+      fold_groups ?pool ?par_threshold rel ~keys ~func ~consume:passing
+    in
+    let out =
+      Relation.of_chunkrel
+        (Schema.restrict (Relation.schema rel) keys)
+        {
+          Chunkrel.nrows = List.fold_left (fun a (n, _) -> a + n) 0 parts;
+          cols =
+            Array.init (List.length keys) (fun k ->
+                Array.concat (List.map (fun (_, cols) -> cols.(k)) parts));
+        }
+    in
+    out, candidates
   in
   if not (Obs.enabled ()) then compute ()
   else

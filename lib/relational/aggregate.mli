@@ -30,7 +30,9 @@ val eval : func -> Schema.t -> Tuple.t list -> Value.t
     hash-partitioned by key across the pool's domains and each partition
     aggregates its own disjoint key set — same groups, same values (SUM
     may associate float additions differently; exact on integer-valued
-    data). *)
+    data).  Under an ambient governor whose budget cannot hold the group
+    table, rows spill by key into temp runs that are grouped one at a
+    time — again the same groups. *)
 val group_by :
   ?pool:Qf_exec_pool.Pool.t ->
   ?par_threshold:int ->
@@ -39,10 +41,16 @@ val group_by :
   func:func ->
   (Tuple.t * Value.t) list
 
+(** [passes ~threshold v] — the FILTER's one threshold test: [v >= threshold]
+    compared numerically.  A non-numeric aggregate (the [MIN]/[MAX] of a
+    string column) never passes. *)
+val passes : threshold:float -> Value.t -> bool
+
 (** [group_filter rel ~keys ~func ~threshold] keeps the keys whose aggregate
-    value is [>= threshold] (numeric comparison) and returns them as a
-    relation over [keys].  This is the FILTER step's core operation.
-    Parallel above the threshold, like {!group_by}. *)
+    value {!passes} the threshold and returns them as a relation over
+    [keys]; a non-numeric aggregate never passes.  This is the FILTER
+    step's core operation.  Parallel above the threshold, like
+    {!group_by}. *)
 val group_filter :
   ?pool:Qf_exec_pool.Pool.t ->
   ?par_threshold:int ->

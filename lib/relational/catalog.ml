@@ -45,27 +45,11 @@ type memo = {
   mutable memo_misses : int;
 }
 
-(* "512k", "64m", "2g", plain bytes, or "unbounded"; unset/garbage falls
-   back to [default]. *)
+(* [Governor.budget_of_string] syntax; unset or garbage falls back to
+   [default]. *)
 let budget_of_env var ~default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some raw -> (
-    let raw = String.trim raw in
-    match String.lowercase_ascii raw with
-    | "unbounded" | "inf" -> max_int
-    | "" -> default
-    | s ->
-      let scale, digits =
-        match s.[String.length s - 1] with
-        | 'k' -> 1024, String.sub s 0 (String.length s - 1)
-        | 'm' -> 1024 * 1024, String.sub s 0 (String.length s - 1)
-        | 'g' -> 1024 * 1024 * 1024, String.sub s 0 (String.length s - 1)
-        | _ -> 1, s
-      in
-      (match int_of_string_opt digits with
-      | Some n when n >= 0 -> n * scale
-      | Some _ | None -> default))
+  Option.value ~default
+    (Option.bind (Sys.getenv_opt var) Qf_governor.Governor.budget_of_string)
 
 let default_index_budget = 128 * 1024 * 1024
 let default_memo_budget = 64 * 1024 * 1024

@@ -75,17 +75,20 @@ let column_profile t col =
     max_frequency = (if Array.length c.frequencies = 0 then 0 else c.frequencies.(0));
   }
 
-let count_at_least t col c =
-  let { frequencies; _ } = column t col in
-  (* frequencies are descending: binary search for the boundary. *)
-  let n = Array.length frequencies in
+(* Frequencies are descending: binary search for the boundary.  Comparing
+   as floats gives [>= ceil threshold] on the integer counts. *)
+let values_at_least frequencies ~threshold =
   let rec search lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if frequencies.(mid) >= c then search (mid + 1) hi else search lo mid
+      if float_of_int frequencies.(mid) >= threshold then search (mid + 1) hi
+      else search lo mid
   in
-  search 0 n
+  search 0 (Array.length frequencies)
+
+let count_at_least t col c =
+  values_at_least (column t col).frequencies ~threshold:(float_of_int c)
 
 let frequencies t col = Array.copy (column t col).frequencies
 

@@ -34,6 +34,13 @@ val distinct : t -> string -> int
     at construction.  Raises [Not_found] on an unknown column. *)
 val count_at_least : t -> string -> int -> int
 
+(** [values_at_least frequencies ~threshold] — how many entries of a
+    descending frequency distribution (see {!frequencies}) are
+    [>= threshold]: the survivor count of a COUNT filter step whose
+    per-value supports are [frequencies].  A fractional threshold rounds
+    up, as [COUNT >= 2.4] keeps exactly the counts [>= 3]. *)
+val values_at_least : int array -> threshold:float -> int
+
 (** The frequency distribution of a column: per-value tuple counts, sorted
     descending.  Exposed for diagnostics and workload analysis. *)
 val frequencies : t -> string -> int array

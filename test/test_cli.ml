@@ -1,6 +1,7 @@
 (* The flockc binary's input boundaries: a missing, misplaced or corrupt
-   [-D] store, a malformed CSV, a flock naming an unloaded predicate and a
-   bad [rules] / [maximal] argument are input errors (exit 1 with a
+   [-D] store, a malformed CSV, a flock naming an unloaded predicate, a
+   bad timeout or memory budget and a bad [rules] / [maximal] argument
+   are input errors (exit 1 with a
    one-line message; 2 under [lint]), never an uncaught exception
    (cmdliner's exit 125, which flockc also uses for an exceeded memory
    budget).  [rules] and [maximal] output on
@@ -16,23 +17,27 @@ let sibling path =
 
 let flockc = sibling "bin/flockc.exe"
 let pairs = sibling "data/pairs.flock"
+let fig1 = sibling "data/fig1.sql"
 let baskets = sibling "data/baskets.csv"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Exit code, stdout and trimmed stderr of one flockc run. *)
-let run_full args =
+(* Exit code, stdout and trimmed stderr of one flockc run, with the
+   [VAR=value] bindings [env] added to its environment. *)
+let run_full ?(env = []) args =
   let out = Filename.temp_file "flockc" ".out" in
   let err = Filename.temp_file "flockc" ".err" in
   Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
   let code =
-    Sys.command (Filename.quote_command flockc ~stdout:out ~stderr:err args)
+    Sys.command
+      (Filename.quote_command "env" ~stdout:out ~stderr:err
+         (env @ (flockc :: args)))
   in
   code, read_file out, String.trim (read_file err)
 
 (* Exit code and trimmed stderr of one flockc run. *)
-let run args =
-  let code, _, err = run_full args in
+let run ?env args =
+  let code, _, err = run_full ?env args in
   code, err
 
 let fresh_path () =
@@ -173,6 +178,66 @@ let test_lint_unloadable_catalog () =
   Fun.protect ~finally:(fun () -> remove dir) @@ fun () ->
   expect_unreadable ~contains:"loading store" [ "-D"; dir ]
 
+(* [run], [mine] and [sql] share one evaluator dispatch: every mode gives
+   the same CSV from each, the Fig. 1 SQL compiling to the Fig. 2
+   flock. *)
+let test_evaluators_agree () =
+  let data = [ "-d"; "baskets=" ^ baskets ] in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (cmd, file) ->
+          let code, out, err = run_full ([ cmd; "-m"; mode ] @ data @ [ file ]) in
+          check_int (Printf.sprintf "%s -m %s exit status: %s" cmd mode err) 0 code;
+          Alcotest.(check string)
+            (Printf.sprintf "%s -m %s output" cmd mode)
+            "$1,$2\nbeer,diapers\nhamburger,ketchup\n" out)
+        [ "run", pairs; "mine", pairs; "sql", fig1 ])
+    [ "direct"; "plan"; "dynamic"; "naive" ]
+
+(* A malformed or negative timeout or budget, from a flag or from the
+   environment, is an input error naming its source (it used to be an
+   uncaught [Invalid_argument], exit 125, or silently ignored). *)
+let test_bad_governor_settings () =
+  let mine flags = ("mine" :: flags) @ [ "-d"; "baskets=" ^ baskets; pairs ] in
+  List.iter
+    (fun (env, flags, contains) ->
+      let code, msg = run ~env (mine flags) in
+      check_int ("exit status of: " ^ msg) 1 code;
+      if not (Test_util.contains ~sub:contains msg) then
+        Alcotest.failf "expected %S in: %s" contains msg)
+    [
+      [], [ "--timeout=-1" ], "flockc: --timeout \"-1\": expected";
+      [], [ "--timeout=abc" ], "flockc: --timeout \"abc\": expected";
+      [], [ "--mem-budget=garbage" ], "flockc: --mem-budget \"garbage\": expected";
+      [ "QF_TIMEOUT=-1" ], [], "flockc: QF_TIMEOUT \"-1\": expected";
+      [ "QF_TIMEOUT=abc" ], [], "flockc: QF_TIMEOUT \"abc\": expected";
+      [ "QF_MEM_BUDGET=garbage" ], [], "flockc: QF_MEM_BUDGET \"garbage\": expected";
+    ];
+  (* A flag overrides its variable, and an empty variable is unset. *)
+  let code, msg = run ~env:[ "QF_TIMEOUT=abc" ] (mine [ "--timeout=60" ]) in
+  check_int ("flag over a bad variable: " ^ msg) 0 code;
+  let code, msg = run ~env:[ "QF_MEM_BUDGET=" ] (mine []) in
+  check_int ("empty variable: " ^ msg) 0 code
+
+(* MAX of a string column never passes the threshold: an empty answer in
+   every mode, not an uncaught exception. *)
+let test_max_over_strings () =
+  let path = Filename.temp_file "qfcli" ".flock" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        "QUERY:\nanswer(B,I) :- baskets(B,$1) AND baskets(B,I)\n\
+         FILTER:\nMAX(answer.I) >= 3\n");
+  List.iter
+    (fun mode ->
+      let code, out, err =
+        run_full [ "mine"; "-m"; mode; "-d"; "baskets=" ^ baskets; path ]
+      in
+      check_int (Printf.sprintf "mine -m %s exit status: %s" mode err) 0 code;
+      Alcotest.(check string) ("mine -m " ^ mode ^ " output") "$1\n" out)
+    [ "plan"; "direct"; "dynamic"; "naive" ]
+
 (* Golden output of the mining conveniences on baskets.csv. *)
 let rules_golden =
   {|7 rules (support >= 2, confidence >= 0.50):
@@ -223,6 +288,12 @@ let suite =
       test_duplicate_header;
     Alcotest.test_case "lint with an unloadable catalog exits 2" `Quick
       test_lint_unloadable_catalog;
+    Alcotest.test_case "run/mine/sql agree in every mode" `Quick
+      test_evaluators_agree;
+    Alcotest.test_case "bad timeout or budget exits 1 naming its source"
+      `Quick test_bad_governor_settings;
+    Alcotest.test_case "mine: MAX over strings exits 0 in every mode" `Quick
+      test_max_over_strings;
     Alcotest.test_case "rules/maximal output on baskets.csv" `Quick
       test_mining_goldens;
   ]

@@ -133,7 +133,9 @@ let test_cost_exact_survivors () =
   let stats = Catalog.stats cat "baskets" in
   List.iter
     (fun threshold ->
-      let _, out = Cost.estimate_step env ~threshold:(float_of_int threshold) step in
+      let _, out =
+        Cost.estimate_step env ~filter:(Filter.count_at_least threshold) step
+      in
       let exact =
         Qf_relational.Statistics.count_at_least stats "Item" threshold
       in
@@ -141,7 +143,31 @@ let test_cost_exact_survivors () =
         (Printf.sprintf "survivors at %d" threshold)
         (float_of_int (max 1 exact))
         out.Cost.rows)
-    [ 1; 5; 20; 60; 10_000 ]
+    [ 1; 5; 20; 60; 10_000 ];
+  (* Items a, b, c in 2, 3 and 1 baskets.  [COUNT >= 2.4] keeps the items
+     in at least 3 baskets — b alone, as [Direct] finds.  [SUM(answer.B)
+     >= 3] is no frequency question (every item's basket ids sum to at
+     least 3, so [Direct] keeps all three): its estimate is the linear
+     heuristic's 3 groups x (2 rows per group / 3) = 2, not the 1 item
+     found in at least 3 baskets. *)
+  let cat = Catalog.create () in
+  Catalog.add cat "baskets"
+    (R.of_values [ "BID"; "Item" ]
+       (List.map
+          (fun (b, i) -> [ Qf_relational.Value.Int b; Qf_relational.Value.Str i ])
+          [ 1, "a"; 2, "a"; 1, "b"; 2, "b"; 3, "b"; 4, "c" ]));
+  let env = Cost.of_catalog cat in
+  let estimate filter =
+    let flock = Flock.make_exn [ rule ] filter in
+    let _, out = Cost.estimate_step env ~filter step in
+    out.Cost.rows, R.cardinal (Direct.run cat flock)
+  in
+  let est, direct = estimate { Filter.agg = Count; threshold = 2.4 } in
+  check_int "COUNT >= 2.4: direct" 1 direct;
+  Alcotest.(check (float 1e-9)) "COUNT >= 2.4: exact estimate" 1. est;
+  let est, direct = estimate (Filter.sum_at_least "B" 3.) in
+  check_int "SUM >= 3: direct" 3 direct;
+  Alcotest.(check (float 1e-9)) "SUM >= 3: linear estimate" 2. est
 
 let test_optimizer_returns_correct_plan () =
   let cat = market_catalog () in

@@ -185,6 +185,8 @@ let test_spilled_group_filter_agrees () =
   in
   if not (R.equal expected got) then
     Alcotest.fail "spilled group-filter disagrees";
+  Alcotest.(check bool) "group-filter spilled" true
+    ((Governor.stats g).Governor.spill_partitions > 0);
   assert_no_leaks "spilled group-filter"
 
 (* {1 Executors under a tiny budget agree with ungoverned direct} *)
@@ -218,6 +220,76 @@ let test_executors_agree_under_tiny_budget () =
       governed "naive" (fun () -> Naive.run cat flock))
     (List.init 10 (fun i -> i * 7));
   assert_no_leaks "tiny-budget executors"
+
+(* {1 MIN/MAX over a string head column}
+
+   A non-numeric aggregate never passes the threshold — [Naive]'s
+   semantics — in every executor, in memory and spilled.  Items mix
+   integers and strings, and numbers order before strings, so a group's
+   MIN is often a number that passes while its MAX is a string that
+   does not. *)
+let test_min_max_over_strings () =
+  Test_util.with_pool_size 1 @@ fun () ->
+  let rel = R.create (Schema.of_list [ "B"; "I" ]) in
+  for b = 0 to 39 do
+    for k = 0 to b mod 4 do
+      let v = ((b * 7) + k) mod 11 in
+      R.add rel
+        (Tuple.of_list
+           [
+             Value.Str (Printf.sprintf "b%d" b);
+             (if v mod 3 = 0 then Value.Str (Printf.sprintf "i%d" v)
+              else Value.Int v);
+           ])
+    done
+  done;
+  let cat = catalog_of rel in
+  let rule =
+    match
+      Qf_datalog.Parser.parse_rule "answer(B,I) :- baskets(B,$1) AND baskets(B,I)"
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "parse: %s" e
+  in
+  List.iter
+    (fun agg ->
+      let flock = Flock.make_exn [ rule ] { Filter.agg; threshold = 3. } in
+      let label = Format.asprintf "%a" (Filter.pp ~head:"answer") flock.filter in
+      let expected = Naive.run cat flock in
+      let executors =
+        [
+          "direct", (fun () -> Direct.run cat flock);
+          "plan", (fun () -> Plan_exec.run cat (Optimizer.optimize cat flock));
+          "naive", (fun () -> Naive.run cat flock);
+        ]
+        @
+        if Filter.is_monotone flock.filter then
+          [
+            ( "dynamic",
+              fun () ->
+                match Dynamic.run cat flock with
+                | Ok r -> r.Dynamic.answers
+                | Error e -> Alcotest.failf "%s: dynamic: %s" label e );
+          ]
+        else []
+      in
+      List.iter
+        (fun (name, run) ->
+          if not (R.equal expected (run ())) then
+            Alcotest.failf "%s: %s disagrees with naive" label name;
+          (* Small enough that the FILTER spills, large enough for the
+             run holding one item's rows. *)
+          let g = Governor.create ~mem_budget:16384 () in
+          if not (R.equal expected (Governor.with_ctx g run)) then
+            Alcotest.failf "%s: governed %s disagrees with naive" label name;
+          if name = "direct" then
+            Alcotest.(check bool)
+              (label ^ ": governed direct spilled")
+              true
+              ((Governor.stats g).Governor.spill_partitions > 0))
+        executors)
+    [ Filter.Min "I"; Filter.Max "I" ];
+  assert_no_leaks "MIN/MAX over strings"
 
 let test_plan_deadline_interrupts () =
   Test_util.with_pool_size 1 @@ fun () ->
@@ -374,6 +446,8 @@ let suite =
       test_spilled_group_filter_agrees;
     Alcotest.test_case "executors agree under a tiny budget" `Slow
       test_executors_agree_under_tiny_budget;
+    Alcotest.test_case "MIN/MAX over a string column: executors = naive"
+      `Quick test_min_max_over_strings;
     Alcotest.test_case "plan execution honours the deadline" `Quick
       test_plan_deadline_interrupts;
     Alcotest.test_case "fault-injection sweep: typed errors only, no leaks"

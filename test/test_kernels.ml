@@ -6,7 +6,8 @@
    ({!Spec} below — nested loops over [Relation.to_sorted_list], no
    index, no codes, no partitioning).  The QCheck properties compare the
    two on random inputs skewed to a tiny value universe, sequentially and
-   with the parallel paths forced; deterministic units pin the classic
+   with the parallel paths forced (the aggregation properties also with
+   the grouping pass forced to spill); deterministic units pin the classic
    edge cases (empty input, all-duplicate rows, single-column relations,
    [Int 1] vs [Real 1.0]).
 
@@ -95,9 +96,13 @@ module Spec = struct
         k, aggregate rel func group)
       (project rel keys)
 
+  (* A non-numeric aggregate (MIN/MAX of a string) never passes. *)
   let group_filter rel ~keys ~func ~threshold =
     List.filter_map
-      (fun (k, v) -> if number v >= threshold then Some k else None)
+      (fun (k, v) ->
+        match V.to_float v with
+        | Some x when x >= threshold -> Some k
+        | Some _ | None -> None)
       (groups rel ~keys ~func)
 end
 
@@ -210,7 +215,24 @@ let project_single_prop =
         (R.to_sorted_list (R.project ~par_threshold:0 rel [ "C" ]))
         (Spec.project rel [ "C" ]))
 
-(* {1 Aggregation} *)
+(* {1 Aggregation}
+
+   The aggregation inputs add a column [S] mixing integers and strings,
+   so MIN and MAX meet non-numeric values.  Every property also runs its
+   call a second time with the grouping pass forced to spill. *)
+
+let agg_columns = [ "A"; "B"; "C"; "S" ]
+
+let mixed s = if s mod 2 = 0 then V.Int s else V.Str (string_of_int s)
+
+let arb_agg_rel =
+  QCheck.make ~print:pp_relation
+    QCheck.Gen.(
+      let value = int_range 0 4 in
+      let* rows = list_size (int_range 0 30) (quad value value value value) in
+      return
+        (R.of_values agg_columns
+           (List.map (fun (a, b, c, s) -> [ V.Int a; V.Int b; V.Int c; mixed s ]) rows)))
 
 let arb_func =
   QCheck.make
@@ -222,47 +244,86 @@ let arb_func =
           Aggregate.Sum "C";
           Aggregate.Min "C";
           Aggregate.Max "C";
+          Aggregate.Min "S";
+          Aggregate.Max "S";
         ])
 
-let group_by_agrees ?par_threshold name rel ~keys ~func =
+(* [rel] plus sixteen rows whose keys lie outside the generated
+   universe, so no single spill run can receive every row. *)
+let with_ballast rel =
+  R.of_values agg_columns
+    (List.map Tuple.to_list (R.to_list rel)
+    @ List.init 16 (fun i -> [ V.Int (10 + i); V.Int (10 + i); V.Int i; mixed i ]))
+
+(* The input [f] reads and [f]'s result on it.  Spilled, the input is
+   [with_ballast rel] and the governor's budget is one byte short of the
+   grouping pass's charge (twice the input's [approx_bytes]), so the
+   pass must spill; the property fails if it did not. *)
+let run_agg ~spill rel f =
+  if not spill then rel, f rel
+  else begin
+    let module Governor = Qf_governor.Governor in
+    let rel = with_ballast rel in
+    let g = Governor.create ~mem_budget:((2 * R.approx_bytes rel) - 1) () in
+    let got = Governor.with_ctx g (fun () -> f rel) in
+    if (Governor.stats g).spill_partitions = 0 then
+      QCheck.Test.fail_report "the grouping pass did not spill";
+    rel, got
+  end
+
+let spill_name ~spill name = if spill then name ^ " (spilled)" else name
+
+let group_by_agrees ?par_threshold ~spill name rel ~keys ~func =
+  let name = spill_name ~spill name in
+  let rel, groups =
+    run_agg ~spill rel (fun rel -> Aggregate.group_by ?par_threshold rel ~keys ~func)
+  in
   prop_agrees name
-    (List.sort Tuple.compare
-       (List.map
-          (fun (key, v) -> Tuple.of_list (Tuple.to_list key @ [ v ]))
-          (Aggregate.group_by ?par_threshold rel ~keys ~func)))
-    (group_tuples (Spec.groups rel ~keys ~func))
+       (List.sort Tuple.compare
+          (List.map (fun (key, v) -> Tuple.of_list (Tuple.to_list key @ [ v ])) groups))
+       (group_tuples (Spec.groups rel ~keys ~func))
+
+let both_paths prop = List.for_all (fun spill -> prop ~spill) [ false; true ]
 
 let group_by_prop =
   QCheck.Test.make ~count:150 ~name:"group_by: = list spec"
-    (QCheck.pair arb_rel3 arb_func) (fun (rel, func) ->
-      group_by_agrees "group_by" rel ~keys:[ "A"; "B" ] ~func)
+    (QCheck.pair arb_agg_rel arb_func) (fun (rel, func) ->
+      both_paths (group_by_agrees "group_by" rel ~keys:[ "A"; "B" ] ~func))
 
 let group_by_single_key_prop =
   (* Exercises the dense code->group fast path (single key column), and
      the partitioned path. *)
   QCheck.Test.make ~count:150 ~name:"group_by one key: = list spec"
-    (QCheck.pair arb_rel3 arb_func) (fun (rel, func) ->
-      group_by_agrees ~par_threshold:0 "group_by1" rel ~keys:[ "B" ] ~func)
+    (QCheck.pair arb_agg_rel arb_func) (fun (rel, func) ->
+      both_paths
+        (group_by_agrees ~par_threshold:0 "group_by1" rel ~keys:[ "B" ] ~func))
 
 let group_filter_prop =
   QCheck.Test.make ~count:150 ~name:"group_filter: = list spec"
-    (QCheck.triple arb_rel3 arb_func (QCheck.int_range 1 5))
+    (QCheck.triple arb_agg_rel arb_func (QCheck.int_range 1 5))
     (fun (rel, func, threshold) ->
       let threshold = float_of_int threshold in
-      prop_agrees "group_filter"
-        (R.to_sorted_list
-           (Aggregate.group_filter rel ~keys:[ "A"; "B" ] ~func ~threshold))
-        (Spec.group_filter rel ~keys:[ "A"; "B" ] ~func ~threshold))
+      both_paths (fun ~spill ->
+          let rel, out =
+            run_agg ~spill rel (fun rel ->
+                Aggregate.group_filter rel ~keys:[ "A"; "B" ] ~func ~threshold)
+          in
+          prop_agrees
+            (spill_name ~spill "group_filter")
+            (R.to_sorted_list out)
+            (Spec.group_filter rel ~keys:[ "A"; "B" ] ~func ~threshold)))
 
 let group_filter_report_prop =
   QCheck.Test.make ~count:150
     ~name:"group_filter_report candidates = distinct keys"
-    (QCheck.pair arb_rel3 (QCheck.int_range 1 5)) (fun (rel, threshold) ->
-      let _, candidates =
-        Aggregate.group_filter_report rel ~keys:[ "A"; "B" ]
-          ~func:Aggregate.Count ~threshold:(float_of_int threshold)
-      in
-      candidates = List.length (Spec.project rel [ "A"; "B" ]))
+    (QCheck.pair arb_agg_rel (QCheck.int_range 1 5)) (fun (rel, threshold) ->
+      both_paths (fun ~spill ->
+          let rel, (_, candidates) =
+            run_agg ~spill rel (fun rel ->
+                Aggregate.group_filter_report rel ~keys:[ "A"; "B" ]
+                  ~func:Aggregate.Count ~threshold:(float_of_int threshold))
+          in
+          candidates = List.length (Spec.project rel [ "A"; "B" ])))
 
 (* {1 Edge-case units} *)
 
