@@ -388,8 +388,7 @@ let explain_cmd =
     let program = or_die (load_program path) in
     let flock = program.Parse.flock in
     let catalog = or_die (prepare (or_die (load_catalog ?db data)) program) in
-    let clamp = Qf_analysis.Absint.clamps_of_plan catalog in
-    let choices = Optimizer.enumerate ~clamp catalog flock in
+    let choices = Optimizer.enumerate catalog flock in
     let profile = profile || json in
     if not json then begin
       Format.printf "%d costed plans (cheapest first):@.@."
@@ -411,7 +410,9 @@ let explain_cmd =
         prerr_endline "flockc: explain --profile: no plan to profile";
         exit 1
       | best :: _ ->
-        let clamps = clamp best.Optimizer.plan in
+        let clamps =
+          Qf_analysis.Absint.clamps_of_plan catalog best.Optimizer.plan
+        in
         (* A governor is installed only when asked for, so ungoverned
            profiles keep their exact historical output. *)
         let governor =

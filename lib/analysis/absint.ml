@@ -373,8 +373,9 @@ let state_dead st cmps =
    [min(|R|, min over bound/constant columns of max-frequency)] — and 1
    when every argument is already bound (set semantics: at most one such
    tuple exists).  Negations and comparisons only filter, so they are
-   ignored.  Any order is sound; greedily taking the smallest multiplier
-   first tightens the product. *)
+   ignored.  Any order is sound; the product is taken along the
+   evaluator's join order ({!Qf_datalog.Eval.greedy_order}), ranking atoms
+   by their multipliers, which takes the smallest first. *)
 let rule_rows_bound env st (r : Ast.rule) =
   let atoms = Ast.positive_atoms r in
   let atom_multiplier bound (a : Ast.atom) =
@@ -411,43 +412,17 @@ let rule_rows_bound env st (r : Ast.rule) =
         a.args;
       if !all_bound then Float.min !m 1. else !m
   in
-  let keys (a : Ast.atom) =
-    List.filter_map
-      (function
-        | (Ast.Var _ | Ast.Param _) as t -> Some (Ast.binding_key t)
-        | Ast.Const _ -> None)
-      a.args
-  in
-  let rec go bound acc remaining =
-    match remaining with
-    | [] -> acc
-    | _ ->
-      let best =
-        List.fold_left
-          (fun best a ->
-            let m = atom_multiplier bound a in
-            match best with
-            | None -> Some (a, m)
-            | Some (_, bm) -> if m < bm then Some (a, m) else best)
-          None remaining
-      in
-      let a, m = Option.get best in
-      let remaining' =
-        let dropped = ref false in
-        List.filter
-          (fun a' ->
-            if (not !dropped) && a' == a then begin
-              dropped := true;
-              false
-            end
-            else true)
-          remaining
-      in
-      go
-        (List.sort_uniq String.compare (bound @ keys a))
-        (acc *. m) remaining'
-  in
-  if atoms = [] then 0. else go [] 1. atoms
+  if atoms = [] then 0.
+  else
+    (* Positive atoms only: [lint --absint] analyzes unsafe rules too. *)
+    List.fold_left
+      (fun acc (bound, lit) ->
+        match lit with
+        | Ast.Pos a -> acc *. atom_multiplier bound a
+        | Ast.Neg _ | Ast.Cmp _ -> acc)
+      1.
+      (Qf_datalog.Eval.greedy_order ~matches:atom_multiplier
+         (List.map (fun a -> Ast.Pos a) atoms))
 
 let rule_cmps (r : Ast.rule) =
   List.filter_map

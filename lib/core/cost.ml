@@ -60,85 +60,29 @@ let est_matches env bound (a : Ast.atom) =
     a.args;
   Float.max 0. !est
 
-let atom_keys (a : Ast.atom) =
-  List.filter_map
-    (function
-      | (Ast.Var _ | Ast.Param _) as t -> Some (Ast.binding_key t)
-      | Ast.Const _ -> None)
-    a.args
-
-(* Greedy simulation of the evaluator's join order; negations and
-   comparisons are charged a pass over the current rows and a default
-   selectivity. *)
+(* The evaluator's join order, priced: a positive subgoal multiplies the
+   rows by its expected matches and adds the new rows to the work; each
+   run of consecutive negations and comparisons is charged one pass over
+   the current rows and the product of their default selectivities. *)
 let neg_selectivity = 0.8
 let cmp_selectivity = 0.5
 
 let estimate_rule env (r : Ast.rule) =
-  let rec loop bound rows work remaining =
-    match remaining with
+  let rec walk rows work = function
     | [] -> { work; rows }
-    | _ ->
-      let ready, rest =
-        List.partition
-          (fun lit ->
-            match lit with
-            | Ast.Pos _ -> false
-            | Ast.Neg _ | Ast.Cmp _ ->
-              List.for_all
-                (fun k -> List.mem k bound)
-                (List.map (fun v -> v) (Ast.literal_vars lit)
-                @ List.map (fun p -> "$" ^ p) (Ast.literal_params lit)))
-          remaining
+    | (bound, Ast.Pos a) :: rest ->
+      let rows = rows *. est_matches env bound a in
+      walk rows (work +. rows) rest
+    | ordered ->
+      let rec run selectivity = function
+        | (_, Ast.Neg _) :: rest -> run (selectivity *. neg_selectivity) rest
+        | (_, Ast.Cmp _) :: rest -> run (selectivity *. cmp_selectivity) rest
+        | rest -> selectivity, rest
       in
-      if ready <> [] then begin
-        let selectivity =
-          List.fold_left
-            (fun acc lit ->
-              match lit with
-              | Ast.Neg _ -> acc *. neg_selectivity
-              | Ast.Cmp _ -> acc *. cmp_selectivity
-              | Ast.Pos _ -> acc)
-            1. ready
-        in
-        loop bound (rows *. selectivity) (work +. rows) rest
-      end
-      else begin
-        let candidates =
-          List.filter_map
-            (function Ast.Pos a -> Some a | Ast.Neg _ | Ast.Cmp _ -> None)
-            rest
-        in
-        match candidates with
-        | [] -> { work; rows }
-        | _ ->
-          let best =
-            List.fold_left
-              (fun acc a ->
-                let m = est_matches env bound a in
-                match acc with
-                | None -> Some (a, m)
-                | Some (_, bm) -> if m < bm then Some (a, m) else acc)
-              None candidates
-          in
-          let a, m = Option.get best in
-          let rows' = rows *. m in
-          let rest' =
-            let removed = ref false in
-            List.filter
-              (fun lit ->
-                match lit with
-                | Ast.Pos a' when (not !removed) && Ast.equal_atom a' a ->
-                  removed := true;
-                  false
-                | _ -> true)
-              rest
-          in
-          loop
-            (List.sort_uniq String.compare (bound @ atom_keys a))
-            rows' (work +. rows') rest'
-      end
+      let selectivity, rest = run 1. ordered in
+      walk (rows *. selectivity) (work +. rows) rest
   in
-  loop [] 1. 0. r.body
+  walk 1. 0. (Qf_datalog.Eval.greedy_order ~matches:(est_matches env) r.body)
 
 let estimate_query env (q : Ast.query) =
   List.fold_left
@@ -312,31 +256,16 @@ let clamp_out clamps name (out : vstats) =
         distinct = Array.map (fun d -> Float.min d (Float.max 1. rows)) out.distinct;
       }
 
-let estimate_plan ?(clamps = []) env (plan : Plan.t) =
-  let filter = plan.flock.filter in
-  let env, work =
-    List.fold_left
-      (fun (env, acc) s ->
-        let w, out = estimate_step env ~filter s in
-        let out = clamp_out clamps s.Plan.name out in
-        extend env s.Plan.name out, acc +. w)
-      (env, 0.) plan.steps
-  in
-  let final_env = reduce_env_for_final env ~threshold:filter.threshold plan in
-  let w, _ = estimate_step final_env ~filter plan.final in
-  work +. w
-
-(* Per-step estimates, exposed so the profiler can print estimated next to
-   observed cardinalities.  Mirrors [estimate_plan]'s environment
-   threading: each auxiliary step's estimated output statistics feed the
-   later steps, and the final step sees the semijoin-reduced env. *)
-
 type step_estimate = {
   step : string;
   est_work : float;
   est_groups : float;
   est_rows : float;
 }
+
+(* Per-step estimates: each auxiliary step's estimated output statistics
+   feed the later steps, and the final step sees the semijoin-reduced
+   env. *)
 
 let plan_step_estimates ?(clamps = []) env (plan : Plan.t) =
   let filter = plan.flock.filter in
@@ -366,3 +295,9 @@ let plan_step_estimates ?(clamps = []) env (plan : Plan.t) =
   let final_env = reduce_env_for_final env ~threshold:filter.threshold plan in
   let _, e = one final_env plan.final in
   List.rev (e :: acc)
+
+(* The optimizer's cost: the same walk, unclamped, summed in step order. *)
+let estimate_plan env plan =
+  List.fold_left
+    (fun acc e -> acc +. e.est_work)
+    0. (plan_step_estimates env plan)

@@ -37,8 +37,10 @@ type estimate = {
   rows : float;  (** tabulated result size (params x head bindings) *)
 }
 
-(** Estimate tabulating one rule (greedy join order, mirroring the
-    evaluator's).  Raises [Failure] on a predicate missing from [env]. *)
+(** Estimate tabulating one rule along the evaluator's join order
+    ({!Qf_datalog.Eval.greedy_order}, ranking subgoals by this model's
+    expected matches).  Raises [Failure] on a predicate missing from
+    [env] and {!Qf_datalog.Eval.Error} on an unsafe rule. *)
 val estimate_rule : env -> Qf_datalog.Ast.rule -> estimate
 
 (** Union: work adds up, rows add up (upper bound, ignores overlap). *)
@@ -75,15 +77,7 @@ val should_reduce :
     otherwise the linear heuristic applies. *)
 val estimate_step : env -> filter:Filter.t -> Plan.step -> float * vstats
 
-(** Total estimated work of a plan (auxiliary steps plus final step, with
-    each step's output statistics fed into later estimates).  [clamps]
-    maps step names to certified [(groups, rows)] upper bounds (from
-    [Qf_analysis.Absint.clamps_of_plan]); each step's estimated output is
-    clamped to [min(estimate, bound)] before feeding later steps. *)
-val estimate_plan :
-  ?clamps:(string * (float * float)) list -> env -> Plan.t -> float
-
-(** {1 Per-step estimates for the profiler} *)
+(** {1 Plan estimates} *)
 
 type step_estimate = {
   step : string;  (** step name, matching {!Plan.step.name} *)
@@ -95,12 +89,18 @@ type step_estimate = {
 (** One estimate per step, auxiliary steps first and the final step last,
     with each step's estimated output statistics feeding later steps —
     the estimated half of [flockc explain --profile]'s
-    estimated-vs-observed report.  [clamps] as in {!estimate_plan}:
-    certified bounds cap [est_groups]/[est_rows] ([min(estimate, bound)])
-    and the output statistics fed forward.  Raises [Failure] when [env]
+    estimated-vs-observed report.  [clamps] maps step names to certified
+    [(groups, rows)] upper bounds (from
+    [Qf_analysis.Absint.clamps_of_plan]); they cap
+    [est_groups]/[est_rows] ([min(estimate, bound)]) and the output
+    statistics fed forward.  Raises [Failure] when [env]
     lacks a referenced predicate. *)
 val plan_step_estimates :
   ?clamps:(string * (float * float)) list ->
   env ->
   Plan.t ->
   step_estimate list
+
+(** Total estimated work of a plan: the sum of {!plan_step_estimates}'
+    [est_work] without clamps.  This is the optimizer's cost. *)
+val estimate_plan : env -> Plan.t -> float

@@ -16,7 +16,7 @@ let rec subsets = function
     let without = subsets rest in
     without @ List.map (fun s -> x :: s) without
 
-let enumerate ?param_sets ?(clamp = fun _ -> []) catalog flock =
+let enumerate ?param_sets catalog flock =
   let sets =
     match param_sets with Some s -> s | None -> default_param_sets flock
   in
@@ -45,7 +45,7 @@ let enumerate ?param_sets ?(clamp = fun _ -> []) catalog flock =
               {
                 plan;
                 param_sets = chosen;
-                cost = Cost.estimate_plan ~clamps:(clamp plan) env plan;
+                cost = Cost.estimate_plan env plan;
               }
           | Error _ -> None)
         (subsets viable)
@@ -53,7 +53,7 @@ let enumerate ?param_sets ?(clamp = fun _ -> []) catalog flock =
     List.sort (fun a b -> Float.compare a.cost b.cost) choices
   end
 
-let optimize ?param_sets ?clamp catalog flock =
-  match enumerate ?param_sets ?clamp catalog flock with
+let optimize ?param_sets catalog flock =
+  match enumerate ?param_sets catalog flock with
   | [] -> Plan.trivial flock
   | best :: _ -> best.plan

@@ -18,14 +18,9 @@ type choice = {
 (** All costed alternatives, cheapest first.  [param_sets] defaults to
     singletons plus (when there are at least two parameters) the full set.
     Alternatives whose parameter set admits no safe subquery are skipped.
-    Non-monotone filters yield only the trivial plan.  [clamp] computes
-    certified per-step bounds for each candidate (typically
-    [Qf_analysis.Absint.clamps_of_plan]); its result is passed to
-    {!Cost.estimate_plan} so costing never trusts an estimate above a
-    certified bound. *)
+    Non-monotone filters yield only the trivial plan. *)
 val enumerate :
   ?param_sets:string list list ->
-  ?clamp:(Plan.t -> (string * (float * float)) list) ->
   Qf_relational.Catalog.t ->
   Flock.t ->
   choice list
@@ -33,7 +28,6 @@ val enumerate :
 (** The cheapest plan under the model. *)
 val optimize :
   ?param_sets:string list list ->
-  ?clamp:(Plan.t -> (string * (float * float)) list) ->
   Qf_relational.Catalog.t ->
   Flock.t ->
   Plan.t

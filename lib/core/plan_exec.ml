@@ -185,8 +185,8 @@ let reduce_rule work ~step_names ~cache ~sips ~pruned (r : Ast.rule) =
     { r with Ast.body }, sip
   end
 
-let run_step work ~options ~step_names ~cache ~sips ~est
-    (flock : Flock.t) (s : Plan.step) =
+let run_step work ~options ~step_names ~cache ~sips (flock : Flock.t)
+    (s : Plan.step) =
   let t0 = Obs.now () in
   let pruned = ref 0 in
   let compute () =
@@ -229,9 +229,8 @@ let run_step work ~options ~step_names ~cache ~sips ~est
     if not (Obs.enabled ()) then compute ()
     else
       (* The FILTER-step span: rows in, candidate groups, surviving rows,
-         the a-priori pruning ratio (surviving fraction), rows removed by
-         semijoin reducers, and — when the cost model produced one — the
-         estimated output cardinality next to the observed one. *)
+         the a-priori pruning ratio (surviving fraction) and rows removed
+         by semijoin reducers. *)
       Obs.with_span "filter.step" ~attrs:[ "step", Obs.Str s.name ] (fun () ->
           let (_, tab_rows, groups, survived) as r = compute () in
           Obs.set_attr "rows_in" (Obs.Int tab_rows);
@@ -243,11 +242,6 @@ let run_step work ~options ~step_names ~cache ~sips ~est
                 else float_of_int survived /. float_of_int groups));
           if options.semijoin_reduction then
             Obs.set_attr "sip_pruned" (Obs.Int !pruned);
-          (match est with
-          | Some (e : Cost.step_estimate) ->
-            Obs.set_attr "est_rows" (Obs.Float e.Cost.est_rows);
-            Obs.set_attr "est_groups" (Obs.Float e.Cost.est_groups)
-          | None -> ());
           r)
   in
   Log.debug (fun m ->
@@ -269,23 +263,6 @@ let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
   Obs.with_span "plan.run"
     ~attrs:[ "steps", Obs.Int (List.length plan.steps + 1) ]
   @@ fun () ->
-  (* Confront the System-R estimates with reality: when profiling, cost
-     each step up front so the spans carry estimated next to observed
-     cardinalities.  Derived predicates the model has no statistics for
-     (e.g. view outputs on a bare catalog) disable the estimates, never
-     the run. *)
-  let estimates =
-    if not (Obs.enabled ()) then []
-    else
-      match Cost.plan_step_estimates (Cost.of_catalog catalog) plan with
-      | ests -> ests
-      | exception Failure _ -> []
-  in
-  let est_for (s : Plan.step) =
-    List.find_opt
-      (fun (e : Cost.step_estimate) -> String.equal e.Cost.step s.Plan.name)
-      estimates
-  in
   let work = Catalog.copy catalog in
   let cache : (string * int * int, string) Hashtbl.t = Hashtbl.create 8 in
   let sips : (int * int, Sip.t) Hashtbl.t = Hashtbl.create 8 in
@@ -353,8 +330,7 @@ let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
         } )
     | None ->
       let rel, report =
-        run_step work ~options ~step_names:defined ~cache ~sips
-          ~est:(est_for s) plan.flock s
+        run_step work ~options ~step_names:defined ~cache ~sips plan.flock s
       in
       Option.iter
         (fun k ->

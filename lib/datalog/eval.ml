@@ -497,8 +497,7 @@ end
 (* {1 Literal ordering} *)
 
 let literal_keys lit =
-  List.map (fun v -> v) (Ast.literal_vars lit)
-  @ List.map (fun p -> "$" ^ p) (Ast.literal_params lit)
+  Ast.literal_vars lit @ List.map (fun p -> "$" ^ p) (Ast.literal_params lit)
 
 let atom_keys (a : Ast.atom) =
   List.filter_map
@@ -507,34 +506,16 @@ let atom_keys (a : Ast.atom) =
       | Ast.Const _ -> None)
     a.args
 
-(* Estimated number of index matches per environment for [atom] given the
-   bound-key set: |R| divided by the distinct counts of the columns at
-   bound (or constant) positions, assuming independence. *)
-let estimate_matches catalog bound (a : Ast.atom) =
-  let rel = relation_for catalog a in
-  let stats = Catalog.stats catalog a.pred in
-  let columns = Schema.columns (Relation.schema rel) in
-  let est = ref (float_of_int (Statistics.cardinality stats)) in
-  let bound_positions = ref 0 in
-  List.iteri
-    (fun i arg ->
-      let is_bound =
-        match arg with
-        | Ast.Const _ -> true
-        | Ast.Var _ | Ast.Param _ -> List.mem (Ast.binding_key arg) bound
-      in
-      if is_bound then begin
-        incr bound_positions;
-        let d = Statistics.distinct stats (List.nth columns i) in
-        est := !est /. float_of_int (max 1 d)
-      end)
-    a.args;
-  !est, !bound_positions
+let is_bound bound = function
+  | Ast.Const _ -> true
+  | (Ast.Var _ | Ast.Param _) as t -> List.mem (Ast.binding_key t) bound
 
-let order_body catalog (r : Ast.rule) =
-  (match Safety.check r with
-  | Ok () -> ()
-  | Error e -> raise (Error e));
+let rec remove_first (a : Ast.atom) = function
+  | [] -> []
+  | Ast.Pos a' :: rest when Ast.equal_atom a' a -> rest
+  | lit :: rest -> lit :: remove_first a rest
+
+let greedy_order ~matches body =
   let rec loop bound remaining ordered =
     if remaining = [] then List.rev ordered
     else begin
@@ -548,50 +529,68 @@ let order_body catalog (r : Ast.rule) =
               List.for_all (fun k -> List.mem k bound) (literal_keys lit))
           remaining
       in
-      if ready <> [] then loop bound rest (List.rev_append ready ordered)
+      if ready <> [] then
+        loop bound rest
+          (List.rev_append (List.map (fun lit -> bound, lit) ready) ordered)
       else begin
-        (* Pick the cheapest positive subgoal. *)
-        let candidates =
-          List.filter_map
-            (function Ast.Pos a -> Some a | Ast.Neg _ | Ast.Cmp _ -> None)
-            rest
+        (* Pick the positive subgoal with the fewest estimated matches;
+           on a tie, the one with more bound (or constant) positions. *)
+        let bound_positions (a : Ast.atom) =
+          List.fold_left
+            (fun n arg -> if is_bound bound arg then n + 1 else n)
+            0 a.args
         in
-        match candidates with
-        | [] ->
-          errorf "order_body: non-positive subgoals with unbound variables"
-        | _ ->
-          let best =
-            List.fold_left
-              (fun acc a ->
-                let est, bp = estimate_matches catalog bound a in
+        let best =
+          List.fold_left
+            (fun acc lit ->
+              match lit with
+              | Ast.Neg _ | Ast.Cmp _ -> acc
+              | Ast.Pos a -> (
+                let est = matches bound a in
                 match acc with
-                | None -> Some (a, est, bp)
-                | Some (_, best_est, best_bp) ->
-                  if est < best_est || (est = best_est && bp > best_bp) then
-                    Some (a, est, bp)
-                  else acc)
-              None candidates
-          in
-          let a, _, _ = Option.get best in
-          let rest' =
-            let removed = ref false in
-            List.filter
-              (fun lit ->
-                match lit with
-                | Ast.Pos a' when (not !removed) && Ast.equal_atom a' a ->
-                  removed := true;
-                  false
-                | _ -> true)
-              rest
-          in
+                | Some (b, best_est)
+                  when not
+                         (est < best_est
+                         || est = best_est
+                            && bound_positions a > bound_positions b) ->
+                  acc
+                | _ -> Some (a, est)))
+            None rest
+        in
+        match best with
+        | None ->
+          errorf "greedy_order: non-positive subgoals with unbound variables"
+        | Some (a, _) ->
           loop
             (List.sort_uniq String.compare (bound @ atom_keys a))
-            rest'
-            (Ast.Pos a :: ordered)
+            (remove_first a rest)
+            ((bound, Ast.Pos a) :: ordered)
       end
     end
   in
-  let ordered = loop [] r.body [] in
+  loop [] body []
+
+(* Estimated number of index matches per environment for [atom] given the
+   bound-key set: |R| divided by the distinct counts of the columns at
+   bound (or constant) positions, assuming independence. *)
+let estimate_matches catalog bound (a : Ast.atom) =
+  let columns = Schema.columns (Relation.schema (relation_for catalog a)) in
+  let stats = Catalog.stats catalog a.pred in
+  List.fold_left2
+    (fun est arg column ->
+      if is_bound bound arg then
+        est /. float_of_int (max 1 (Statistics.distinct stats column))
+      else est)
+    (float_of_int (Statistics.cardinality stats))
+    a.args columns
+
+let order_body catalog (r : Ast.rule) =
+  (match Safety.check r with
+  | Ok () -> ()
+  | Error e -> raise (Error e));
+  let ordered =
+    List.map snd (greedy_order ~matches:(estimate_matches catalog) r.body)
+  in
   Log.debug (fun m ->
       m "join order for %s: %s" r.head.pred
         (String.concat " ; " (List.map Pretty.literal_to_string ordered)));

@@ -88,10 +88,30 @@ end
 
 (** {1 Literal ordering} *)
 
-(** Greedy cost-based ordering of a body: repeatedly emit every negated and
-    arithmetic subgoal whose terms are bound, then the positive subgoal with
-    the fewest estimated index matches (System-R-style, using catalog
-    statistics).  Raises {!Error} if the rule is unsafe. *)
+(** The join order: the one greedy subgoal-ordering algorithm, shared by
+    the evaluator ({!order_body}), the cost model
+    ([Qf_core.Cost.estimate_rule]) and the bound certifier
+    ([Qf_analysis.Absint]), each with its own per-atom estimate.
+    [greedy_order ~matches body] repeatedly
+    - emits every negated and arithmetic literal whose terms (binding
+      keys, as in {!Ast.binding_key}) are all bound, in body order;
+    - otherwise emits the positive subgoal with the fewest estimated
+      matches [matches bound atom] under the current bound-key set,
+      breaking a tie toward the subgoal with more bound or constant
+      positions, then toward the earlier one; the first body atom equal
+      to it is consumed.
+    Each literal comes paired with the sorted binding keys bound before
+    it.  Raises {!Error} when only literals with unbound terms remain
+    (an unsafe body). *)
+val greedy_order :
+  matches:(string list -> Ast.atom -> float) ->
+  Ast.literal list ->
+  (string list * Ast.literal) list
+
+(** {!greedy_order} of a safe rule's body, estimating an atom's index
+    matches System-R-style from catalog statistics: |R| divided by the
+    distinct counts of its bound (or constant) columns.  Raises {!Error}
+    if the rule is unsafe. *)
 val order_body : Qf_relational.Catalog.t -> Ast.rule -> Ast.literal list
 
 (** {1 Whole-rule evaluation} *)

@@ -13,8 +13,8 @@
 
     - FILTER steps record ["rows_in"], ["groups"], ["rows_out"] and
       ["pruning_ratio"] (surviving fraction, in [[0,1]]) on a
-      ["filter.step"] span, plus ["est_rows"] when a cost estimate is
-      available — the estimated-vs-actual pair the profiler reports;
+      ["filter.step"] span (plus ["sip_pruned"] under semijoin
+      reduction);
     - grouping records ["rows_in"], ["candidates"], ["survivors"];
     - the Domain pool records per-chunk task timings under the
       ["pool.chunk"] metric prefix (a counter and total/max gauges) —

@@ -116,6 +116,20 @@ let test_clamped_cost_leq () =
         plain clamped)
     (List.init 20 Fun.id)
 
+(* The certified row bound is taken along [Eval]'s join order: on the
+   tie between [s(Y)] and [r(X,Y,"3")] (10 each), [r(X,Y,"3")] first
+   bounds the rows by 10 and the then fully bound [s(Y)] by one match
+   each.  [s(Y)] first would give 10 x 10 = 100. *)
+let test_rows_bound_eval_order () =
+  let cat = Test_util.tie_catalog () in
+  let rule = Test_util.tie_rule in
+  let report = Absint.analyze_rule (Absint.env_of_catalog cat) rule in
+  Alcotest.(check (float 1e-9)) "rows_bound" 10. report.Absint.rows_bound;
+  let rows = R.cardinal (Qf_datalog.Eval.tabulate cat rule) in
+  check_int "tabulated rows" 10 rows;
+  check_bool "rows_bound >= tabulated rows" true
+    (report.Absint.rows_bound >= float_of_int rows)
+
 (* {1 Translation validation} *)
 
 (* Every rewrite the system actually performs is proved, not trusted:
@@ -348,6 +362,8 @@ let suite =
       test_bounds_sound;
     Alcotest.test_case "clamping never raises an estimate" `Quick
       test_clamped_cost_leq;
+    Alcotest.test_case "rows_bound along Eval's join order" `Quick
+      test_rows_bound_eval_order;
     Alcotest.test_case "validator accepts every optimizer rewrite" `Quick
       test_validator_accepts_rewrites;
     Alcotest.test_case "mutation: dropped final subgoal is rejected" `Quick

@@ -169,6 +169,103 @@ let test_cost_exact_survivors () =
   check_int "SUM >= 3: direct" 3 direct;
   Alcotest.(check (float 1e-9)) "SUM >= 3: linear estimate" 2. est
 
+(* On a tie in estimated matches the model prices the order [Eval] runs:
+   [r(X,Y,"3")] (10 rows) then [s(Y)] (one match per row), not [s(Y)]
+   first (10 rows, then 100 / 5 / 10 = 2 matches each: work 30, rows 20). *)
+let test_cost_prices_eval_order () =
+  let cat = Test_util.tie_catalog () in
+  let rule = Test_util.tie_rule in
+  Alcotest.(check (list string))
+    "Eval's order"
+    [ {|r(X,Y,"3")|}; "s(Y)" ]
+    (List.map Qf_datalog.Pretty.literal_to_string
+       (Qf_datalog.Eval.order_body cat rule));
+  let est = Cost.estimate_rule (Cost.of_catalog cat) rule in
+  Alcotest.(check (float 1e-9)) "work" 20. est.Cost.work;
+  Alcotest.(check (float 1e-9)) "rows" 10. est.Cost.rows
+
+(* [Eval]'s match estimate over catalog statistics (see [Eval.order_body]). *)
+let catalog_matches cat bound (a : Ast.atom) =
+  let stats = Catalog.stats cat a.pred in
+  let columns =
+    Qf_relational.Schema.columns (R.schema (Catalog.find cat a.pred))
+  in
+  List.fold_left2
+    (fun est arg column ->
+      match arg with
+      | Ast.Var _ | Ast.Param _ when not (List.mem (Ast.binding_key arg) bound)
+        ->
+        est
+      | Ast.Var _ | Ast.Param _ | Ast.Const _ ->
+        est
+        /. float_of_int (max 1 (Qf_relational.Statistics.distinct stats column)))
+    (float_of_int (Qf_relational.Statistics.cardinality stats))
+    a.args columns
+
+(* Some step of the join order met several cheapest positive subgoals
+   with different numbers of bound or constant positions, so the
+   tie-break chose among them. *)
+let tie_break_decides cat (r : Ast.rule) =
+  let bound_positions bound (a : Ast.atom) =
+    List.length
+      (List.filter
+         (function
+           | Ast.Const _ -> true
+           | (Ast.Var _ | Ast.Param _) as t ->
+             List.mem (Ast.binding_key t) bound)
+         a.args)
+  in
+  let rec steps = function
+    | [] -> false
+    | (bound, Ast.Pos _) :: _ as here ->
+      let scored =
+        List.filter_map
+          (function
+            | _, Ast.Pos a ->
+              Some (catalog_matches cat bound a, bound_positions bound a)
+            | _, (Ast.Neg _ | Ast.Cmp _) -> None)
+          here
+      in
+      let least = List.fold_left (fun m (e, _) -> Float.min m e) infinity scored in
+      let tied =
+        List.sort_uniq Int.compare
+          (List.filter_map
+             (fun (e, bp) -> if e = least then Some bp else None)
+             scored)
+      in
+      List.length tied > 1 || steps (List.tl here)
+    | _ :: rest -> steps rest
+  in
+  steps
+    (Qf_datalog.Eval.greedy_order ~matches:(catalog_matches cat) r.Ast.body)
+
+(* Over the random safe rules of the test generator, on base relations,
+   the model's estimate of a rule equals its estimate of the same rule
+   with the body already in [Eval]'s order: the model walks that order,
+   ties included.  The corpus must contain rules whose order a tie-break
+   decides, or the property would not test the tie-break. *)
+let test_cost_walks_eval_order () =
+  let ties = ref 0 in
+  for seed = 0 to 299 do
+    let rule, cat =
+      Qf_testgen.Testgen.(
+        instance ~seed (QCheck.Gen.pair gen_safe_rule gen_tiny_catalog))
+    in
+    let env = Cost.of_catalog cat in
+    let ordered =
+      { rule with Ast.body = Qf_datalog.Eval.order_body cat rule }
+    in
+    let estimate r =
+      let e = Cost.estimate_rule env r in
+      e.Cost.work, e.Cost.rows
+    in
+    Alcotest.(check (pair (float 0.) (float 0.)))
+      (Qf_datalog.Pretty.rule_to_string rule)
+      (estimate ordered) (estimate rule);
+    if tie_break_decides cat rule then incr ties
+  done;
+  check_bool "the corpus has decisive ties" true (!ties > 0)
+
 let test_optimizer_returns_correct_plan () =
   let cat = market_catalog () in
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
@@ -231,6 +328,10 @@ let suite =
     Alcotest.test_case "cost groups estimate" `Quick test_cost_groups;
     Alcotest.test_case "cost: exact survivor counts" `Quick
       test_cost_exact_survivors;
+    Alcotest.test_case "cost: ties priced in Eval's order" `Quick
+      test_cost_prices_eval_order;
+    Alcotest.test_case "cost walks Eval's order (corpus)" `Quick
+      test_cost_walks_eval_order;
     Alcotest.test_case "optimizer plan = direct" `Quick
       test_optimizer_returns_correct_plan;
     Alcotest.test_case "optimizer enumerates alternatives" `Quick

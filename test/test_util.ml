@@ -67,3 +67,28 @@ let tabulate cat text =
   match Qf_datalog.Parser.parse_rule text with
   | Ok r -> Qf_datalog.Eval.tabulate cat r
   | Error e -> Alcotest.failf "parse %S: %s" text e
+
+(* {1 A join-order tie}
+
+   [r(X,Y,C)] holds 100 rows with [X = i], [Y = i mod 5] and [C] the
+   string of [i mod 10]; [s(Y)] holds 0-9.  In [tie_rule], [s(Y)] and
+   [r(X,Y,"3")] both start at 10 estimated matches (10 rows; 100 rows
+   over 10 values of [C]), and the join order breaks the tie toward
+   [r(X,Y,"3")] and its constant position.  The rule tabulates 10 rows. *)
+
+let tie_catalog () =
+  let module V = Qf_relational.Value in
+  let cat = Qf_relational.Catalog.create () in
+  Qf_relational.Catalog.add cat "r"
+    (Qf_relational.Relation.of_values [ "X"; "Y"; "C" ]
+       (List.init 100 (fun i ->
+            [ V.Int i; V.Int (i mod 5); V.Str (string_of_int (i mod 10)) ])));
+  Qf_relational.Catalog.add cat "s"
+    (Qf_relational.Relation.of_values [ "Y" ]
+       (List.init 10 (fun i -> [ V.Int i ])));
+  cat
+
+let tie_rule =
+  match Qf_datalog.Parser.parse_rule {|answer(X) :- s(Y) AND r(X,Y,"3")|} with
+  | Ok r -> r
+  | Error e -> failwith e
