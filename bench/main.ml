@@ -33,25 +33,52 @@ let time f =
   let v = f () in
   v, now () -. t0
 
-(* Median of three runs: robust enough for the factor-level claims we
+(* {2 Timed samples}
+
+   A timed sample must execute what it claims to time.  The cross-level
+   memo ({!Catalog.memo_find}) outlives a plan run, so a second sample of
+   the same plan on the same catalog would be answered from it: every
+   sample clears the memo first, and fails the run if the memo still
+   answered a step inside it.  The arms that measure the memo itself
+   opt out by name. *)
+
+let memo_arms = [ "E16 full" ]
+
+let sample ?(arm = "") catalog f =
+  Catalog.memo_clear catalog;
+  let hits () =
+    let h, _, _ = Catalog.memo_stats catalog in
+    h
+  in
+  let before = hits () in
+  let result = time f in
+  if hits () > before && not (List.mem arm memo_arms) then
+    failwith
+      (Printf.sprintf
+         "a timed sample%s was answered by the memo: clear it or name the \
+          arm in memo_arms"
+         (if arm = "" then "" else " of " ^ arm));
+  result
+
+(* Median of three samples: robust enough for the factor-level claims we
    check, without bechamel's per-run overhead on multi-second workloads. *)
-let time3 f =
-  let _, a = time f in
-  let v, b = time f in
-  let _, c = time f in
+let time3 catalog f =
+  let _, a = sample catalog f in
+  let v, b = sample catalog f in
+  let _, c = sample catalog f in
   let sorted = List.sort compare [ a; b; c ] in
   v, List.nth sorted 1
 
-(* Best of [k] runs: on a shared container the interference (CFS quota
-   throttling, neighbour noise) is strictly additive, so the smallest
-   sample is the one nearest the true cost.  The ablations compare
-   configurations against each other, and a single throttled sample in a
-   median-of-3 can swing a ratio by an order of magnitude. *)
-let time_best k f =
-  let v, t0 = time f in
+(* Best of [k] samples: on a shared container the interference (CFS
+   quota throttling, neighbour noise) is strictly additive, so the
+   smallest sample is the one nearest the true cost.  The ablations
+   compare configurations against each other, and a single throttled
+   sample in a median-of-3 can swing a ratio by an order of magnitude. *)
+let time_best k catalog f =
+  let v, t0 = sample catalog f in
   let best = ref t0 in
   for _ = 2 to k do
-    let _, t = time f in
+    let _, t = sample catalog f in
     if t < !best then best := t
   done;
   v, !best
@@ -90,13 +117,17 @@ let e1 () =
   List.iter
     (fun support ->
       let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
       let plan =
         match Apriori_gen.singleton_plan flock with
         | Ok p -> p
         | Error e -> failwith e
       in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       check_equal "E1" direct planned;
       row "%-10d %14.3f %14.3f %9.1fx %8d@." support t_direct t_plan
         (t_direct /. Float.max 1e-9 t_plan)
@@ -112,14 +143,14 @@ let e2 () =
   in
   let catalog = Qf_workload.Market.catalog config in
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
-  let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
-  let naive, t_naive = time (fun () -> Naive.run catalog flock) in
+  let direct, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
+  let naive, t_naive = sample catalog (fun () -> Naive.run catalog flock) in
   let plan =
     match Apriori_gen.singleton_plan flock with Ok p -> p | Error e -> failwith e
   in
-  let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+  let planned, t_plan = time3 catalog (fun () -> Plan_exec.run catalog plan) in
   let dynamic, t_dyn =
-    time3 (fun () ->
+    time3 catalog (fun () ->
         match Dynamic.run catalog flock with
         | Ok r -> r.answers
         | Error e -> failwith e)
@@ -170,7 +201,7 @@ let e3 () =
     Qf_workload.Medical.generate config
   in
   let flock = medical_flock 20 in
-  let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+  let direct, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
   Format.printf
     "workload: %d patients; %d planted side effects; direct finds %d pairs in %.3fs@."
     config.n_patients (List.length planted) (Relation.cardinal direct) t_direct;
@@ -179,7 +210,7 @@ let e3 () =
     match Apriori_gen.param_set_plan flock ~param_sets with
     | Error e -> failwith (name ^ ": " ^ e)
     | Ok plan ->
-      let result, t = time3 (fun () -> Plan_exec.run catalog plan) in
+      let result, t = time3 catalog (fun () -> Plan_exec.run catalog plan) in
       check_equal name direct result;
       row "%-34s %10.3f %8.1fx@." name t (t_direct /. Float.max 1e-9 t)
   in
@@ -190,7 +221,9 @@ let e3 () =
   run_variant "filter ($s,$m) pairs (subquery 4)" [ [ "s"; "m" ] ];
   run_variant "all three filters" [ [ "s" ]; [ "m" ]; [ "s"; "m" ] ];
   let best = Optimizer.optimize catalog flock in
-  let opt_result, t_opt = time3 (fun () -> Plan_exec.run catalog best) in
+  let opt_result, t_opt =
+    time3 catalog (fun () -> Plan_exec.run catalog best)
+  in
   check_equal "optimizer" direct opt_result;
   row "%-34s %10.3f %8.1fx  (%s)@." "cost-based optimizer's choice" t_opt
     (t_direct /. Float.max 1e-9 t_opt)
@@ -229,13 +262,17 @@ let e4 () =
   List.iter
     (fun support ->
       let flock = web_flock support in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
       let plan =
         match Apriori_gen.singleton_plan flock with
         | Ok p -> p
         | Error e -> failwith e
       in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       check_equal "E4" direct planned;
       row "%-10d %12.3f %12.3f %8.1fx %7d@." support t_direct t_plan
         (t_direct /. Float.max 1e-9 t_plan)
@@ -270,9 +307,13 @@ let e5 () =
   List.iter
     (fun n ->
       let flock = Qf_workload.Graph.path_flock ~n ~support:20 in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
       let plan = Qf_workload.Graph.chain_plan flock ~n in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       check_equal "E5" direct planned;
       row "%-6d %12.3f %16.3f %8.1fx %7d@." n t_direct t_plan
         (t_direct /. Float.max 1e-9 t_plan)
@@ -288,11 +329,13 @@ let e6 () =
       Qf_workload.Medical.generate config
     in
     let flock = medical_flock 20 in
-    let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+    let direct, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
     let static = Optimizer.optimize catalog flock in
-    let s_result, t_static = time3 (fun () -> Plan_exec.run catalog static) in
+    let s_result, t_static =
+      time3 catalog (fun () -> Plan_exec.run catalog static)
+    in
     let d_result, t_dynamic =
-      time3 (fun () ->
+      time3 catalog (fun () ->
           match Dynamic.run catalog flock with
           | Ok r -> r
           | Error e -> failwith e)
@@ -361,13 +404,17 @@ SUM(answer.W) >= %d|}
   List.iter
     (fun support ->
       let flock = flock support in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
       let plan =
         match Apriori_gen.singleton_plan flock with
         | Ok p -> p
         | Error e -> failwith e
       in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       check_equal "E7" direct planned;
       row "%-10d %12.3f %12.3f %8.1fx %7d@." support t_direct t_plan
         (t_direct /. Float.max 1e-9 t_plan)
@@ -396,10 +443,15 @@ let e8 () =
       let flock, plan =
         Apriori_gen.levelwise_basket ~pred:"baskets" ~k ~support
       in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       let classic, t_classic =
-        time3 (fun () -> Qf_apriori.Apriori.frequent_of_size db ~support ~size:k)
+        time3 catalog (fun () ->
+            Qf_apriori.Apriori.frequent_of_size db ~support ~size:k)
       in
       check_equal "E8 plan" direct planned;
       if List.length classic <> Relation.cardinal direct then
@@ -431,13 +483,17 @@ let e9 () =
       let { Qf_workload.Medical.catalog; _ } =
         Qf_workload.Medical.generate config
       in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
       let plan =
         match Apriori_gen.param_set_plan flock ~param_sets:[ [ "s" ] ] with
         | Ok p -> p
         | Error e -> failwith e
       in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       check_equal "E9" direct planned;
       let model_choice =
         match Optimizer.enumerate catalog flock with
@@ -485,7 +541,9 @@ let e10 () =
   List.iter
     (fun (label, semijoin_reduction, reuse) ->
       let options = { Plan_exec.semijoin_reduction; reuse } in
-      let result, t = time3 (fun () -> Plan_exec.run ~options catalog plan) in
+      let result, t =
+        time3 catalog (fun () -> Plan_exec.run ~options catalog plan)
+      in
       check_equal "E10" expected result;
       row "%-44s %10.3f@." label t)
     [
@@ -494,7 +552,7 @@ let e10 () =
       "semijoin reduction only", true, false;
       "both", true, true;
     ];
-  let _, t_direct = time3 (fun () -> Direct.run catalog flock) in
+  let _, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
   row "%-44s %10.3f@." "direct (no plan at all)" t_direct
 
 (* {1 E11 — Sec. 1.4: DBMS-based vs file-based mining} *)
@@ -538,10 +596,12 @@ let e11 () =
         | Error e -> failwith e
       in
       (* DBMS path, data already loaded. *)
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       (* DBMS path including the load from disk. *)
       let _, t_load_and_plan =
-        time3 (fun () ->
+        time3 catalog (fun () ->
             let reopened = Qf_relational.Heap_file.open_existing path in
             let rel = Qf_relational.Heap_file.to_relation reopened in
             Qf_relational.Heap_file.close reopened;
@@ -551,7 +611,7 @@ let e11 () =
       in
       (* File path: streaming two-pass a-priori. *)
       let streamed, t_file =
-        time3 (fun () ->
+        time3 catalog (fun () ->
             Qf_storage.File_mining.frequent_pairs_relation file ~support)
       in
       check_equal "E11" planned streamed;
@@ -619,12 +679,14 @@ let e12 () =
        [Relation.equal] result.  The index-cache counters live on a cache
        shared across every [Catalog.copy] a run makes, so a reset would
        clobber other runs' baselines and cumulative reads conflate runs:
-       mark before, read the delta after. *)
+       mark before, read the delta after.  The memo is cleared first, so
+       the counters see a real execution's lookups. *)
     let baseline = ref None in
     let stats =
       List.map
         (fun size ->
           Pool.set_default_size size;
+          Catalog.memo_clear catalog;
           let mark = Catalog.index_stats_mark catalog in
           let result = runs () in
           let hits, misses = Catalog.index_stats_since catalog mark in
@@ -675,7 +737,7 @@ let e12 () =
         (fun i ->
           Pool.set_default_size sizes_arr.(i);
           Gc.full_major ();
-          let _, t = time runs in
+          let _, t = sample catalog runs in
           samples.(i).(round) <- t)
         order
     done;
@@ -956,6 +1018,11 @@ let bechamel_suite () =
   let web_plan =
     match Apriori_gen.singleton_plan web with Ok p -> p | Error e -> failwith e
   in
+  (* Bechamel repeats each closure many times on one catalog: with the
+     memo on, every run after the first would be answered from it. *)
+  List.iter
+    (fun c -> Catalog.set_memo_budget c 0)
+    [ market; medical; graph; webdocs ];
   let stage f = Staged.stage f in
   let tests =
     [
@@ -1293,10 +1360,12 @@ let e16 () =
     done;
     Array.iter
       (fun i ->
-        let _, options, budget = configs_arr.(i) in
+        let name, options, budget = configs_arr.(i) in
         prepare budget;
         Gc.full_major ();
-        let _, t = time (fun () -> chain options) in
+        let _, t =
+          sample ~arm:("E16 " ^ name) catalog (fun () -> chain options)
+        in
         samples.(i).(round) <- t)
       order
   done;
@@ -1414,10 +1483,9 @@ let e17 () =
   let run_with budget =
     let stats = ref None in
     let result, best =
-      time_best reps (fun () ->
-          (* A memo hit would skip the kernels entirely and no budget
-             could ever trip; every sample executes the plan cold. *)
-          Catalog.memo_clear catalog;
+      (* A memo hit would skip the kernels entirely and no budget could
+         ever trip; every sample executes the plan cold. *)
+      time_best reps catalog (fun () ->
           let g = Governor.create ~mem_budget:budget () in
           let r = Governor.with_ctx g (fun () -> Plan_exec.run catalog plan) in
           stats := Some (Governor.stats g);

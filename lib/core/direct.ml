@@ -1,5 +1,4 @@
 module Eval = Qf_datalog.Eval
-module Aggregate = Qf_relational.Aggregate
 module Relation = Qf_relational.Relation
 module Obs = Qf_obs.Obs
 
@@ -8,19 +7,18 @@ let tabulate catalog (flock : Flock.t) = Eval.tabulate_query catalog flock.query
 let run catalog (flock : Flock.t) =
   Qf_governor.Governor.check ();
   let compute () =
-    let tab = tabulate catalog flock in
-    let func =
-      Filter.to_aggregate flock.filter ~head_columns:(Flock.head_columns flock)
-    in
-    ( tab,
-      Aggregate.group_filter tab
-        ~keys:(Flock.result_columns flock)
-        ~func ~threshold:flock.filter.threshold )
+    Eval.filter_query catalog flock.query ~keys:(Flock.result_columns flock)
+      ~func:
+        (Filter.to_aggregate flock.filter
+           ~head_columns:(Flock.head_columns flock))
+      ~threshold:flock.filter.threshold
   in
-  if not (Obs.enabled ()) then snd (compute ())
+  if not (Obs.enabled ()) then
+    let result, _, _ = compute () in
+    result
   else
     Obs.with_span "direct.run" (fun () ->
-        let tab, result = compute () in
-        Obs.set_attr "rows_in" (Obs.Int (Relation.cardinal tab));
+        let result, tab_rows, _ = compute () in
+        Obs.set_attr "rows_in" (Obs.Int tab_rows);
         Obs.set_attr "rows_out" (Obs.Int (Relation.cardinal result));
         result)

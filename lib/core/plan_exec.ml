@@ -3,7 +3,6 @@ module Eval = Qf_datalog.Eval
 module Catalog = Qf_relational.Catalog
 module Relation = Qf_relational.Relation
 module Schema = Qf_relational.Schema
-module Aggregate = Qf_relational.Aggregate
 module Sip = Qf_relational.Sip
 
 module Obs = Qf_obs.Obs
@@ -51,10 +50,10 @@ let default_options = { semijoin_reduction = true; reuse = true }
       gates placement: when [ok] covers (almost) the whole column domain
       the reduction cannot prune and is skipped.}
    {- For every {e multi-parameter} ok-subgoal [ok($p, $q, ...)], a per
-      column reducer is handed to the evaluator ([Eval.tabulate_query
+      column reducer is handed to the evaluator ([Eval.filter_query
       ~sip]), which consults it the moment a binding for that parameter is
       about to be created — pruning posting-list extensions before they
-      enter the environment relation.}}
+      enter the environment relation or the step's group table.}}
 
    The binding-passing evaluator prunes the first parameter it binds for
    free, but later extensions scan unreduced posting lists; materializing
@@ -208,22 +207,17 @@ let run_step work ~options ~step_names ~cache ~sips (flock : Flock.t)
       end
       else s.query, []
     in
-    let tab = Eval.tabulate_query ~sip work query in
-    let keys = List.map (fun p -> "$" ^ p) s.params in
     let func =
       Filter.to_aggregate flock.filter
         ~head_columns:(Eval.head_columns (List.hd s.query))
     in
-    (* One grouping pass yields both the survivors and the candidate
-       count: [group_filter_report]'s candidate count is exactly
-       [Relation.cardinal (Relation.project tab keys)], so the separate
-       projection pass this step used to make is fused away. *)
-    let survivors, groups =
-      Aggregate.group_filter_report tab ~keys ~func
-        ~threshold:flock.filter.threshold
+    let survivors, tab_rows, groups =
+      Eval.filter_query ~sip work query
+        ~keys:(List.map (fun p -> "$" ^ p) s.params)
+        ~func ~threshold:flock.filter.threshold
     in
     Catalog.add work s.name survivors;
-    survivors, Relation.cardinal tab, groups, Relation.cardinal survivors
+    survivors, tab_rows, groups, Relation.cardinal survivors
   in
   let survivors, tab_rows, groups, survived =
     if not (Obs.enabled ()) then compute ()

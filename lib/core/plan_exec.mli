@@ -42,7 +42,7 @@ type report = {
       [ok] relations restricting their parameters — the rewrite behind
       the paper's Sec. 1.3 speedup — and hands multi-parameter [ok]
       reducers to the evaluator's binding extension
-      ([Eval.tabulate_query ~sip]).  Placement is cost-gated by
+      ([Eval.filter_query ~sip]).  Placement is cost-gated by
       {!Cost.should_reduce};
     - [reuse] computes each α-equivalence class of steps once, keyed by
       its {!Stepsig} signature.  The key is looked up first among this

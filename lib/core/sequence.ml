@@ -79,11 +79,10 @@ let frequent_levels ?(max_k = 9) catalog ~pred ~support =
       Catalog.add work (prev_pred (k - 1)) prev;
       if k > 1 && Relation.cardinal prev < k then List.rev acc
       else begin
-        let rule = level_rule ~pred k in
-        let tab = Eval.tabulate work rule in
-        let keys = List.init k (fun i -> "$" ^ param (i + 1)) in
-        let next =
-          Aggregate.group_filter tab ~keys ~func:Aggregate.Count ~threshold
+        let next, _, _ =
+          Eval.filter_query work [ level_rule ~pred k ]
+            ~keys:(List.init k (fun i -> "$" ^ param (i + 1)))
+            ~func:Aggregate.Count ~threshold
         in
         if Relation.is_empty next then List.rev acc
         else levels ({ k; itemsets = next } :: acc) (k + 1) next

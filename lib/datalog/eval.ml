@@ -1,5 +1,4 @@
 module Value = Qf_relational.Value
-module Tuple = Qf_relational.Tuple
 module Schema = Qf_relational.Schema
 module Relation = Qf_relational.Relation
 module Index = Qf_relational.Index
@@ -10,6 +9,8 @@ module Chunkrel = Qf_relational.Chunkrel
 module Buf = Chunkrel.Buf
 module Pool = Qf_exec_pool.Pool
 module Sip = Qf_relational.Sip
+module Aggregate = Qf_relational.Aggregate
+module Spill = Qf_relational.Spill
 module Obs = Qf_obs.Obs
 
 exception Error of string
@@ -234,14 +235,28 @@ module Envs = struct
     in
     roles, List.rev !fresh
 
-  (* One chunk's output and tallies: [candidates] key-matched tuples,
-     [rejected] of them by a SIP reducer, [dropped] by a fused filter. *)
-  type piece = {
+  (* A probe loop's tallies: [emitted] rows, [candidates] key-matched
+     tuples, [rejected] of them by a SIP reducer, [dropped] by a fused
+     filter. *)
+  type tally = {
     emitted : int;
-    out : Buf.buf;
     candidates : int;
     rejected : int;
     dropped : int;
+  }
+
+  (* A binding extension, set up: the extended slots (slot [width + i]
+     is the matched tuple's column [fill_cols.(i)]) and the probe loop
+     over environment rows [lo, hi), which hands each accepted candidate
+     to [emit base row] — the environment row's base offset and the
+     matched tuple's row.  What [emit] does is the only difference
+     between writing the extension out ({!extend}) and counting a FILTER
+     step's groups in place ([count_filter]). *)
+  type probe = {
+    slots : (string * int) list;
+    fill_cols : int array array;
+    sip_used : bool;
+    scan : lo:int -> hi:int -> emit:(int -> int -> unit) -> tally;
   }
 
   (* Sideways-information-passing at binding extension: [sip] maps a
@@ -258,11 +273,8 @@ module Envs = struct
      is the same under any chunking, so the total is deterministic across
      pool sizes (the invariant the differential suite pins down).  The
      reducers run before the fused [filters], so the count does not
-     depend on them.
-
-     Returns the extended set with the number of key-matched candidates
-     and the number the fused filters dropped. *)
-  let extend ~sip ~filters catalog t (a : Ast.atom) =
+     depend on them. *)
+  let prepare ~sip ~filters catalog t (a : Ast.atom) =
     let rel = relation_for catalog a in
     let roles, fresh_keys = analyze_args t a in
     let key_positions =
@@ -278,8 +290,7 @@ module Envs = struct
        repeated runs against the same stored relations all share built
        indexes (invalidated by relation version). *)
     let ci = Catalog.index catalog rel key_positions in
-    let { width; count; data } = t.repr in
-    let new_width = width + List.length fresh_keys in
+    let { width; data; _ } = t.repr in
     (* For each matching tuple: positions to copy into new slots, and
        positions to check for intra-tuple repeated fresh variables. *)
     let fills = ref [] and checks = ref [] in
@@ -320,7 +331,6 @@ module Envs = struct
     let fill_cols =
       Array.of_list (List.map (fun pos -> chunk_cols.(pos)) fills)
     in
-    let n_fresh = Array.length fill_cols in
     (* An intra-tuple repeat check compares two columns of the *same*
        candidate row, so it needs no per-row fresh-value staging. *)
     let check_pairs =
@@ -345,8 +355,7 @@ module Envs = struct
              | Ast.Pos a -> not_a_filter a)
            filters)
     in
-    let run ~lo ~hi =
-      let out = Buf.create ((hi - lo) * new_width) in
+    let scan ~lo ~hi ~emit =
       let emitted = ref 0 and candidates = ref 0 in
       let rejected = ref 0 and dropped = ref 0 in
       let probe = Array.make nkeys 0 in
@@ -394,13 +403,7 @@ module Envs = struct
               else if not (preds_ok base row 0) then incr dropped
               else begin
                 incr emitted;
-                for c = 0 to width - 1 do
-                  Buf.push out (Array.unsafe_get data (base + c))
-                done;
-                for k = 0 to n_fresh - 1 do
-                  Buf.push out
-                    (Array.unsafe_get (Array.unsafe_get fill_cols k) row)
-                done
+                emit base row
               end
           end;
           j := ci.Index.next.(row)
@@ -408,42 +411,71 @@ module Envs = struct
       done;
       {
         emitted = !emitted;
-        out;
         candidates = !candidates;
         rejected = !rejected;
         dropped = !dropped;
       }
     in
-    let pieces = code_chunks ~count run in
-    let sum f = List.fold_left (fun acc p -> acc + f p) 0 pieces in
-    let result =
-      {
-        slots;
-        repr =
-          merge_code_chunks ~width:new_width
-            (List.map (fun p -> p.emitted, p.out) pieces);
-      }
+    { slots; fill_cols; sip_used = sip_checks <> []; scan }
+
+  (* Flush a probe's tallies: the [sip.rows_pruned] count, and the sums
+     the [eval.extend] span reports. *)
+  let flush (p : probe) tallies =
+    let sum f = List.fold_left (fun acc t -> acc + f t) 0 tallies in
+    if p.sip_used then Obs.count "sip.rows_pruned" (sum (fun t -> t.rejected));
+    {
+      emitted = sum (fun t -> t.emitted);
+      candidates = sum (fun t -> t.candidates);
+      rejected = sum (fun t -> t.rejected);
+      dropped = sum (fun t -> t.dropped);
+    }
+
+  (* Write the extension out: each chunk pushes the environment row and
+     the fresh columns of every accepted candidate into its own buffer. *)
+  let extend ~sip ~filters catalog t a =
+    let p = prepare ~sip ~filters catalog t a in
+    let { width; count; data } = t.repr in
+    let n_fresh = Array.length p.fill_cols in
+    let new_width = width + n_fresh in
+    let run ~lo ~hi =
+      let out = Buf.create ((hi - lo) * new_width) in
+      let tally =
+        p.scan ~lo ~hi ~emit:(fun base row ->
+            for c = 0 to width - 1 do
+              Buf.push out (Array.unsafe_get data (base + c))
+            done;
+            for k = 0 to n_fresh - 1 do
+              Buf.push out
+                (Array.unsafe_get (Array.unsafe_get p.fill_cols k) row)
+            done)
+      in
+      tally, out
     in
-    if sip_checks <> [] then
-      Obs.count "sip.rows_pruned" (sum (fun p -> p.rejected));
-    result, sum (fun p -> p.candidates), sum (fun p -> p.dropped)
+    let pieces = code_chunks ~count run in
+    let repr =
+      merge_code_chunks ~width:new_width
+        (List.map (fun (tally, out) -> tally.emitted, out) pieces)
+    in
+    { slots = p.slots; repr }, flush p (List.map fst pieces)
 
   (* One [eval.extend] span per positive subgoal, only when tracing:
-     rows in, key-matched candidates, rows out, and the candidates the
-     fused filters dropped. *)
-  let extend_pos ?(sip = []) ?(filters = []) catalog t (a : Ast.atom) =
-    if not (Obs.enabled ()) then
-      let result, _, _ = extend ~sip ~filters catalog t a in
-      result
+     rows in, key-matched candidates, rows out (emitted), and the
+     candidates the fused filters dropped. *)
+  let extend_span (a : Ast.atom) ~rows_in run =
+    if not (Obs.enabled ()) then fst (run ())
     else
       Obs.with_span "eval.extend" (fun () ->
-          let result, candidates, dropped = extend ~sip ~filters catalog t a in
+          let result, tally = run () in
           Obs.set_attr "pred" (Obs.Str a.pred);
-          Obs.set_attr "rows_in" (Obs.Int (count t));
-          Obs.set_attr "candidates" (Obs.Int candidates);
-          Obs.set_attr "rows_out" (Obs.Int (count result));
-          Obs.set_attr "filtered" (Obs.Int dropped);
+          Obs.set_attr "rows_in" (Obs.Int rows_in);
+          Obs.set_attr "candidates" (Obs.Int tally.candidates);
+          Obs.set_attr "rows_out" (Obs.Int tally.emitted);
+          Obs.set_attr "filtered" (Obs.Int tally.dropped);
           result)
+
+  let extend_pos ?(sip = []) ?(filters = []) catalog t (a : Ast.atom) =
+    extend_span a ~rows_in:(count t) (fun () ->
+        extend ~sip ~filters catalog t a)
 
   let key_positions t keys =
     List.map
@@ -648,7 +680,7 @@ let fuse_filters ordered =
   in
   steps ordered
 
-let run_body ?sip catalog (r : Ast.rule) =
+let run_steps ?sip catalog steps =
   List.fold_left
     (fun envs step ->
       (* Step boundaries are the evaluator's cancellation checkpoints:
@@ -658,8 +690,10 @@ let run_body ?sip catalog (r : Ast.rule) =
       match step with
       | `Extend (a, filters) -> Envs.extend_pos ?sip ~filters catalog envs a
       | `Filter lit -> Envs.filter catalog envs lit)
-    (Envs.start ())
-    (fuse_filters (order_body catalog r))
+    (Envs.start ()) steps
+
+let run_body ?sip catalog (r : Ast.rule) =
+  run_steps ?sip catalog (fuse_filters (order_body catalog r))
 
 let head_keys (r : Ast.rule) =
   List.map
@@ -670,50 +704,41 @@ let head_keys (r : Ast.rule) =
       | Ast.Param p -> errorf "parameter $%s in head" p)
     r.head.args
 
-(* Project environments onto (group keys, head terms).  Head constants are
-   materialized directly. *)
+(* Project environments onto (group keys, head terms).  A head constant
+   becomes a column of its code, appended in position to the projection
+   of the bound keys. *)
 let project_with_consts envs ~group_keys ~group_columns (r : Ast.rule) =
-  let head = head_keys r in
-  let keys =
-    group_keys
-    @ List.filter_map (function `Key k -> Some k | `Const _ -> None) head
+  let head = List.combine (head_keys r) (head_columns r) in
+  let keyed =
+    List.filter_map
+      (function `Key k, c -> Some (k, c) | `Const _, _ -> None)
+      head
   in
-  let columns =
-    group_columns
-    @ List.filteri
-        (fun i _ ->
-          match List.nth head i with `Key _ -> true | `Const _ -> false)
-        (head_columns r)
+  let narrow =
+    Envs.project envs
+      ~keys:(group_keys @ List.map fst keyed)
+      ~columns:(group_columns @ List.map snd keyed)
   in
-  let narrow = Envs.project envs ~keys ~columns in
-  if List.for_all (function `Key _ -> true | `Const _ -> false) head then
-    narrow
+  if List.length keyed = List.length head then narrow
   else begin
-    (* Re-insert constant head columns in position. *)
-    let full_schema =
-      Schema.of_list (group_columns @ head_columns r)
+    let { Chunkrel.nrows; cols } = Relation.codes narrow in
+    let n_group = List.length group_keys in
+    let _, head_cols =
+      List.fold_left
+        (fun (next, acc) (key, _) ->
+          match key with
+          | `Key _ -> next + 1, cols.(next) :: acc
+          | `Const v -> next, Array.make nrows (Dict.encode v) :: acc)
+        (n_group, []) head
     in
-    let out = Relation.create full_schema in
-    let n_group = List.length group_columns in
-    Relation.iter
-      (fun tup ->
-        let rest = ref (Tuple.to_list tup |> List.filteri (fun i _ -> i >= n_group)) in
-        let prefix = Tuple.to_list tup |> List.filteri (fun i _ -> i < n_group) in
-        let head_vals =
-          List.map
-            (function
-              | `Const v -> v
-              | `Key _ -> (
-                match !rest with
-                | v :: tl ->
-                  rest := tl;
-                  v
-                | [] -> errorf "project_with_consts: internal arity error"))
-            head
-        in
-        Relation.add out (Tuple.of_list (prefix @ head_vals)))
-      narrow;
-    out
+    Relation.of_chunkrel
+      (Schema.of_list (group_columns @ List.map snd head))
+      {
+        Chunkrel.nrows;
+        cols =
+          Array.append (Array.sub cols 0 n_group)
+            (Array.of_list (List.rev head_cols));
+      }
   end
 
 let param_keys_and_columns (r : Ast.rule) =
@@ -747,3 +772,119 @@ let tabulate_query ?sip catalog (q : Ast.query) =
         Relation.add_all acc next;
         acc)
       acc rest
+
+(* {1 FILTER steps}
+
+   A single rule's FILTER counts inside its last positive subgoal's
+   probe loop: every step before it runs as in {!run_body}, and each
+   candidate the last one accepts (key match, repeated-variable checks,
+   SIP reducers, fused filters) goes straight into the group table — no
+   environment row, no tabulated relation, no second grouping pass.
+
+   The table must count the distinct (parameters, head) rows the
+   tabulation would hold.  When the bound slots are exactly the
+   parameters and the head variables, every accepted candidate is one of
+   them and a distinct one ({!Envs.project}'s no-dedupe argument), so it
+   is counted as it comes.  Otherwise a code set over those slots lets
+   only a candidate's first occurrence through.  Head constants add
+   nothing to distinctness; as a [SUM]/[MIN]/[MAX] measure they
+   contribute their code.
+
+   The last subgoal runs on the calling domain, in environment order:
+   groups open, and [SUM] adds, in the order the tabulation would have
+   listed its rows. *)
+let count_filter ~sip catalog (r : Ast.rule) ~keys ~func ~threshold =
+  match List.rev (fuse_filters (order_body catalog r)) with
+  | (`Filter _ :: _ | []) -> None
+  | `Extend (a, filters) :: prefix ->
+    let envs = run_steps ~sip catalog (List.rev prefix) in
+    Qf_governor.Governor.check ();
+    let p = Envs.prepare ~sip ~filters catalog envs a in
+    let { Envs.width; count; data } = envs.Envs.repr in
+    let slot key =
+      match List.assoc_opt key p.slots with
+      | Some s -> s
+      | None -> errorf "FILTER: unbound key %s" key
+    in
+    (* Slot [s] of the candidate: the environment row's, or the matched
+       tuple's fresh column. *)
+    let code_at s base row =
+      if s < width then Array.unsafe_get data (base + s)
+      else Array.unsafe_get (Array.unsafe_get p.fill_cols (s - width)) row
+    in
+    let read slots probe base row =
+      for k = 0 to Array.length slots - 1 do
+        Array.unsafe_set probe k (code_at (Array.unsafe_get slots k) base row)
+      done
+    in
+    let head = head_keys r in
+    (* The measure's slot, or [-1] and the head constant's code. *)
+    let measure_slot, measure_code =
+      match func with
+      | Aggregate.Count -> -1, 0
+      | Sum c | Min c | Max c -> (
+        match List.find_index (String.equal c) (head_columns r) with
+        | None -> errorf "FILTER: %s is not a head column" c
+        | Some i -> (
+          match List.nth head i with
+          | `Key k -> slot k, 0
+          | `Const v -> -1, Dict.encode v))
+    in
+    let answer_slots =
+      List.map slot
+        (List.sort_uniq String.compare
+           (List.map (fun p -> "$" ^ p) (Ast.rule_params r)
+           @ List.filter_map
+               (function `Key k -> Some k | `Const _ -> None)
+               head))
+    in
+    let group_slots = Array.of_list (List.map slot keys) in
+    let table =
+      Aggregate.table func ~nkeys:(Array.length group_slots) ~expected:count
+    in
+    let group = Array.make (Array.length group_slots) 0 in
+    let counted = ref 0 in
+    let count_row base row =
+      read group_slots group base row;
+      Aggregate.add table group
+        (if measure_slot < 0 then measure_code
+         else code_at measure_slot base row);
+      incr counted
+    in
+    let emit =
+      if List.length answer_slots = List.length p.slots then count_row
+      else begin
+        let answer_slots = Array.of_list answer_slots in
+        let answer = Array.make (Array.length answer_slots) 0 in
+        let seen =
+          Aggregate.table Count ~nkeys:(Array.length answer) ~expected:count
+        in
+        fun base row ->
+          read answer_slots answer base row;
+          let fresh = Aggregate.groups seen in
+          if Aggregate.find seen answer = fresh then count_row base row
+      end
+    in
+    Envs.extend_span a ~rows_in:count (fun () ->
+        (), Envs.flush p [ p.scan ~lo:0 ~hi:count ~emit ]);
+    let survivors, groups =
+      Aggregate.filter_table table ~rows_in:!counted ~keys ~threshold
+    in
+    Some (survivors, !counted, groups)
+
+let filter_query ?(sip = []) catalog (q : Ast.query) ~keys ~func ~threshold =
+  (match Ast.wf_query q with Ok () -> () | Error e -> raise (Error e));
+  let counted =
+    match q with
+    | [ r ] when Option.is_none (Spill.budgeted ()) ->
+      count_filter ~sip catalog r ~keys ~func ~threshold
+    | _ -> None
+  in
+  match counted with
+  | Some result -> result
+  | None ->
+    let tab = tabulate_query ~sip catalog q in
+    let survivors, groups =
+      Aggregate.group_filter_report tab ~keys ~func ~threshold
+    in
+    survivors, Relation.cardinal tab, groups

@@ -154,3 +154,32 @@ val tabulate_query :
   Qf_relational.Catalog.t ->
   Ast.query ->
   Qf_relational.Relation.t
+
+(** {1 FILTER steps} *)
+
+(** [filter_query catalog query ~keys ~func ~threshold] is the FILTER
+    step FILTER([keys], [query], [func] >= [threshold]): the [keys]
+    (parameter columns named as in {!tabulate}, e.g. ["$p"]) of the
+    groups of [tabulate_query catalog query] whose aggregate
+    {!Qf_relational.Aggregate.passes} the threshold, as a relation over
+    [keys] — with the number of rows the tabulation holds and the number
+    of groups.  [func] names head columns as {!head_columns} gives them
+    for the first rule; [sip] as in {!Envs.extend_pos}.
+
+    A single rule is counted inside its last positive subgoal's probe
+    loop, on the calling domain: no tabulated relation is built and no
+    second grouping pass runs.  A union, a body with no positive
+    subgoal, and a run under a governor with a finite memory budget
+    tabulate and group as {!tabulate_query} and
+    {!Qf_relational.Aggregate.group_filter_report} do, so the grouping
+    pass can spill.  Either way the result, the counts and the
+    [aggregate.group_filter] span are the same.  Raises {!Error} if
+    {!Ast.wf_query} fails or the rule is unsafe. *)
+val filter_query :
+  ?sip:(string * Qf_relational.Sip.t) list ->
+  Qf_relational.Catalog.t ->
+  Ast.query ->
+  keys:string list ->
+  func:Qf_relational.Aggregate.func ->
+  threshold:float ->
+  Qf_relational.Relation.t * int * int

@@ -52,135 +52,205 @@ let eval func schema tuples =
           else acc)
         (Tuple.get first pos) rest)
 
-(* {1 Grouping}
+(* {1 The group table}
 
-   Group-by is the FILTER step's core operation and routinely runs over
-   millions of tabulated rows.  Rows are grouped by their key *codes*: a
-   group id per distinct key row, assigned through either a dense
-   code→gid map (single key column with a small code domain — the
-   perfect-hash path) or open addressing over representative rows.
-   Aggregates then accumulate into per-gid arrays in one vectorized pass;
-   [SUM]/[MIN]/[MAX] decode the measure column's codes on the fly (an
-   array read per row), [COUNT] touches no values at all.
+   Group-by is the FILTER step's core operation and routinely counts
+   millions of rows.  Every grouping goes through one code-keyed table:
+   a row's key codes find (or open) its group, and its measure code is
+   folded into the group's accumulator on the spot — [COUNT] touches no
+   values at all, [SUM] decodes the measure code (an array read),
+   [MIN]/[MAX] compare decoded values only when the codes differ.  The
+   key codes live in the table, one stride-[nkeys] run per group in
+   first-appearance order, so rows can come from anywhere: a stored
+   relation's columns ({!group_codes}) or the evaluator's probe loop,
+   which counts a FILTER step's rows as it finds them.
+
+   A group is found through a dense code→gid map when the caller knows a
+   single key column has a small code domain (the perfect-hash path),
+   else by linear probing over tagged group ids, doubling at half load:
+   a slot keeps 24 bits of its key's hash beside the id, so a collision
+   rarely costs a look at another group's keys — on a table far larger
+   than the cache, that look is the expensive part. *)
+
+type table = {
+  func : func;
+  nkeys : int;
+  dense : int array;  (** single key: code -> gid ([-1]: none), else [[||]] *)
+  mutable slots : int array;  (** tagged gids ({!entry}), [-1] empty *)
+  mutable keys : int array;  (** group [g]'s key codes at [g * nkeys] *)
+  mutable ints : int array;  (** COUNT: the count; MIN/MAX: the best code *)
+  mutable sums : float array;  (** SUM *)
+  mutable cap : int;  (** groups the arrays hold *)
+  mutable ngroups : int;
+}
+
+let create ?dense_codes func ~nkeys ~expected =
+  let cap = max 16 (expected / 4) in
+  let dense =
+    match dense_codes with
+    | Some maxc when nkeys = 1 -> Array.make (maxc + 1) (-1)
+    | _ -> [||]
+  in
+  {
+    func;
+    nkeys;
+    dense;
+    slots =
+      (if Array.length dense > 0 then [||]
+       else Array.make (Chunkrel.hash_capacity (2 * expected)) (-1));
+    keys = Array.make (cap * nkeys) 0;
+    ints =
+      (match func with
+      | Count | Min _ | Max _ -> Array.make cap 0
+      | Sum _ -> [||]);
+    sums = (match func with Sum _ -> Array.make cap 0. | _ -> [||]);
+    cap;
+    ngroups = 0;
+  }
+
+let table func ~nkeys ~expected = create func ~nkeys ~expected
+let groups t = t.ngroups
+
+(* A slot holds a group id in its low [gid_bits] bits and bits 32–55 of
+   its key's hash above them (the probe position uses the low bits), so
+   a probe compares keys only when the tags agree. *)
+let gid_bits = 31
+let gid_mask = (1 lsl gid_bits) - 1
+let entry hash g = (((hash lsr 32) land 0xFFFFFF) lsl gid_bits) lor g
+
+let hash_group t g =
+  let h = ref 17 in
+  for k = 0 to t.nkeys - 1 do
+    h := Chunkrel.mix !h (Array.unsafe_get t.keys ((g * t.nkeys) + k))
+  done;
+  !h
+
+let rehash t =
+  let slots = Array.make (2 * Array.length t.slots) (-1) in
+  let mask = Array.length slots - 1 in
+  for g = 0 to t.ngroups - 1 do
+    let hash = hash_group t g in
+    let i = ref (hash land mask) in
+    while Array.unsafe_get slots !i >= 0 do
+      i := (!i + 1) land mask
+    done;
+    Array.unsafe_set slots !i (entry hash g)
+  done;
+  t.slots <- slots
+
+(* Open group [ngroups] for [probe]'s key codes, doubling the group
+   arrays when full. *)
+let open_group t probe =
+  let g = t.ngroups in
+  if g = t.cap then begin
+    let cap = 2 * g in
+    let grow a fill ~stride =
+      if Array.length a = 0 then a
+      else begin
+        let b = Array.make (cap * stride) fill in
+        Array.blit a 0 b 0 (g * stride);
+        b
+      end
+    in
+    t.keys <- grow t.keys 0 ~stride:t.nkeys;
+    t.ints <- grow t.ints 0 ~stride:1;
+    t.sums <- grow t.sums 0. ~stride:1;
+    t.cap <- cap
+  end;
+  for k = 0 to t.nkeys - 1 do
+    Array.unsafe_set t.keys ((g * t.nkeys) + k) (Array.unsafe_get probe k)
+  done;
+  t.ngroups <- g + 1;
+  g
+
+let rec same_keys t base probe k =
+  k >= t.nkeys
+  || Array.unsafe_get t.keys (base + k) = Array.unsafe_get probe k
+     && same_keys t base probe (k + 1)
+
+let rec walk t probe hash i =
+  let e = Array.unsafe_get t.slots i in
+  if e = -1 then begin
+    let g = open_group t probe in
+    Array.unsafe_set t.slots i (entry hash g);
+    if 2 * t.ngroups > Array.length t.slots then rehash t;
+    g
+  end
+  else if
+    e lxor entry hash 0 <= gid_mask
+    && same_keys t ((e land gid_mask) * t.nkeys) probe 0
+  then e land gid_mask
+  else walk t probe hash ((i + 1) land (Array.length t.slots - 1))
+
+let find t probe =
+  if Array.length t.dense > 0 then begin
+    let c = Array.unsafe_get probe 0 in
+    let g = t.dense.(c) in
+    if g >= 0 then g
+    else begin
+      let g = open_group t probe in
+      t.dense.(c) <- g;
+      g
+    end
+  end
+  else begin
+    let hash = Chunkrel.hash_codes probe in
+    walk t probe hash (hash land (Array.length t.slots - 1))
+  end
+
+let add t probe code =
+  let fresh = t.ngroups in
+  let g = find t probe in
+  match t.func with
+  | Count -> Array.unsafe_set t.ints g (Array.unsafe_get t.ints g + 1)
+  | Sum _ ->
+    Array.unsafe_set t.sums g
+      (Array.unsafe_get t.sums g +. numeric_exn "sum" (Dict.decode code))
+  | (Min _ | Max _) as func ->
+    let best = Array.unsafe_get t.ints g in
+    if g = fresh then Array.unsafe_set t.ints g code
+    else if code <> best then begin
+      let c = Value.compare (Dict.decode code) (Dict.decode best) in
+      if (match func with Min _ -> c < 0 | _ -> c > 0) then
+        Array.unsafe_set t.ints g code
+    end
+
+let value t g =
+  match t.func with
+  | Count -> Value.Real (float_of_int t.ints.(g))
+  | Sum _ -> Value.Real t.sums.(g)
+  | Min _ | Max _ -> Dict.decode t.ints.(g)
+
+let key_code t g k = t.keys.((g * t.nkeys) + k)
+
+let passes ~threshold v =
+  match Value.to_float v with Some x -> x >= threshold | None -> false
+
+(* The FILTER's threshold test over one table: the passing groups' key
+   codes gathered straight into columns — no group becomes a tuple,
+   passing or not. *)
+let passing ~threshold t =
+  let kept = Buf.create (t.ngroups / 8) in
+  let passes g =
+    match t.func with
+    | Count -> float_of_int t.ints.(g) >= threshold
+    | Sum _ -> t.sums.(g) >= threshold
+    | Min _ | Max _ -> passes ~threshold (value t g)
+  in
+  for g = 0 to t.ngroups - 1 do
+    if passes g then Buf.push kept g
+  done;
+  let kept = Buf.to_array kept in
+  ( Array.length kept,
+    Array.init t.nkeys (fun k -> Array.map (fun g -> key_code t g k) kept) )
+
+(* {1 Grouping a relation}
 
    The parallel path has two phases over int buffers: scatter row indices
    by key hash into [d] disjoint partitions (every distinct key lands in
-   exactly one), then group and aggregate each partition independently;
-   no cross-domain merge of groups is needed, and each partition's groups
-   go to the grouping pass's consumer on their own. *)
-
-(* Group the rows listed in [idxs]; returns [rep] (one representative row
-   per group, in first-appearance order) and [gid] (parallel to [idxs]). *)
-let group_rows key_cols idxs =
-  let m = Array.length idxs in
-  let gid = Array.make m 0 in
-  let dense_path () =
-    match key_cols with
-    | [| col |] when m > 0 ->
-      let maxc = ref 0 in
-      for k = 0 to m - 1 do
-        let c = Array.unsafe_get col (Array.unsafe_get idxs k) in
-        if c > !maxc then maxc := c
-      done;
-      if !maxc <= (2 * m) + 1024 then Some !maxc else None
-    | _ -> None
-  in
-  match dense_path () with
-  | Some maxc ->
-    let col = key_cols.(0) in
-    let map = Array.make (maxc + 1) (-1) in
-    let rep = Buf.create (m / 4) in
-    for k = 0 to m - 1 do
-      let i = Array.unsafe_get idxs k in
-      let c = Array.unsafe_get col i in
-      let g = Array.unsafe_get map c in
-      if g >= 0 then Array.unsafe_set gid k g
-      else begin
-        let g = Buf.length rep in
-        Array.unsafe_set map c g;
-        Buf.push rep i;
-        Array.unsafe_set gid k g
-      end
-    done;
-    Buf.to_array rep, gid
-  | None ->
-    let cap = Chunkrel.hash_capacity (2 * m) in
-    let mask = cap - 1 in
-    let slots = Array.make cap (-1) in
-    let rep = Buf.create (m / 4 + 8) in
-    let nk = Array.length key_cols in
-    let keys_equal i j =
-      let rec loop k =
-        k >= nk
-        || Array.unsafe_get (Array.unsafe_get key_cols k) i
-           = Array.unsafe_get (Array.unsafe_get key_cols k) j
-           && loop (k + 1)
-      in
-      loop 0
-    in
-    for k = 0 to m - 1 do
-      let i = Array.unsafe_get idxs k in
-      let h = ref (Chunkrel.hash_key key_cols i land mask) in
-      let stop = ref false in
-      while not !stop do
-        let g = Array.unsafe_get slots !h in
-        if g = -1 then begin
-          let g = Buf.length rep in
-          Array.unsafe_set slots !h g;
-          Buf.push rep i;
-          Array.unsafe_set gid k g;
-          stop := true
-        end
-        else if keys_equal i (Buf.get rep g) then begin
-          Array.unsafe_set gid k g;
-          stop := true
-        end
-        else h := (!h + 1) land mask
-      done
-    done;
-    Buf.to_array rep, gid
-
-(* Per-gid aggregate values over the rows in [idxs]. *)
-let aggregate_gids (chunk : Chunkrel.t) schema ~func ~rep ~gid ~idxs =
-  let ngroups = Array.length rep in
-  let m = Array.length idxs in
-  match func with
-  | Count ->
-    let counts = Array.make ngroups 0 in
-    for k = 0 to m - 1 do
-      let g = Array.unsafe_get gid k in
-      Array.unsafe_set counts g (Array.unsafe_get counts g + 1)
-    done;
-    Array.map (fun c -> Value.Real (float_of_int c)) counts
-  | Sum col ->
-    let vcol = chunk.Chunkrel.cols.(Schema.position schema col) in
-    let sums = Array.make ngroups 0. in
-    for k = 0 to m - 1 do
-      let i = Array.unsafe_get idxs k in
-      let v = numeric_exn "sum" (Dict.decode (Array.unsafe_get vcol i)) in
-      let g = Array.unsafe_get gid k in
-      Array.unsafe_set sums g (Array.unsafe_get sums g +. v)
-    done;
-    Array.map (fun s -> Value.Real s) sums
-  | Min col | Max col ->
-    let vcol = chunk.Chunkrel.cols.(Schema.position schema col) in
-    let want = match func with Min _ -> -1 | _ -> 1 in
-    let best = Array.make ngroups (-1) in
-    for k = 0 to m - 1 do
-      let i = Array.unsafe_get idxs k in
-      let g = Array.unsafe_get gid k in
-      let b = Array.unsafe_get best g in
-      if b = -1 then Array.unsafe_set best g i
-      else begin
-        let ci = Array.unsafe_get vcol i and cb = Array.unsafe_get vcol b in
-        if ci <> cb then begin
-          let c = Value.compare (Dict.decode ci) (Dict.decode cb) in
-          if (want < 0 && c < 0) || (want > 0 && c > 0) then
-            Array.unsafe_set best g i
-        end
-      end
-    done;
-    Array.map (fun i -> Dict.decode vcol.(i)) best
+   exactly one), then group each partition into a table of its own; no
+   cross-domain merge of groups is needed, and each partition's table
+   goes to the grouping pass's consumer on its own. *)
 
 let identity_idxs n = Array.init n (fun i -> i)
 
@@ -210,21 +280,47 @@ let partitions ?pool ?par_threshold (chunk : Chunkrel.t) ~key_cols =
     Some pool, partition_rows pool key_cols n
   else None, [ identity_idxs n ]
 
-(* One partition's groups, still as codes: [rep.(g)] is group [g]'s
-   representative row in [key_cols], [aggs.(g)] its aggregate value. *)
-type groups = { key_cols : int array array; rep : int array; aggs : Value.t array }
+(* The dense path's bound: a single key column whose largest code among
+   the rows is at most about twice their number. *)
+let dense_codes key_cols idxs =
+  let m = Array.length idxs in
+  match key_cols with
+  | [| col |] when m > 0 ->
+    let maxc = ref 0 in
+    for k = 0 to m - 1 do
+      let c = Array.unsafe_get col (Array.unsafe_get idxs k) in
+      if c > !maxc then maxc := c
+    done;
+    if !maxc <= (2 * m) + 1024 then Some !maxc else None
+  | _ -> None
 
+(* One table per partition. *)
 let group_codes ?pool ?par_threshold rel ~keys ~func =
   let schema = Relation.schema rel in
   let chunk = Relation.codes rel in
-  let key_cols =
-    Array.of_list
-      (List.map (fun k -> chunk.Chunkrel.cols.(Schema.position schema k)) keys)
+  let column k = chunk.Chunkrel.cols.(Schema.position schema k) in
+  let key_cols = Array.of_list (List.map column keys) in
+  let nkeys = Array.length key_cols in
+  let measure =
+    match func with Count -> [||] | Sum c | Min c | Max c -> column c
   in
+  let measured = Array.length measure > 0 in
   let pool, parts = partitions ?pool ?par_threshold chunk ~key_cols in
   let job idxs () =
-    let rep, gid = group_rows key_cols idxs in
-    { key_cols; rep; aggs = aggregate_gids chunk schema ~func ~rep ~gid ~idxs }
+    let m = Array.length idxs in
+    let t =
+      create ?dense_codes:(dense_codes key_cols idxs) func ~nkeys ~expected:m
+    in
+    let probe = Array.make nkeys 0 in
+    for k = 0 to m - 1 do
+      let i = Array.unsafe_get idxs k in
+      for c = 0 to nkeys - 1 do
+        Array.unsafe_set probe c
+          (Array.unsafe_get (Array.unsafe_get key_cols c) i)
+      done;
+      add t probe (if measured then Array.unsafe_get measure i else 0)
+    done;
+    t
   in
   match pool with
   | Some pool -> Pool.run_all pool (List.map job parts)
@@ -233,7 +329,7 @@ let group_codes ?pool ?par_threshold rel ~keys ~func =
 (* {1 The grouping pass}
 
    Every entry point groups through [fold_groups]: it hands each
-   partition's groups to [consume] while the partition is live and
+   partition's table to [consume] while the partition is live and
    returns what [consume] made of them, plus the total group count.  The
    group table holds every distinct key plus its aggregate, so the pass
    charges roughly twice the input; when that does not fit the budget,
@@ -244,9 +340,9 @@ let group_codes ?pool ?par_threshold rel ~keys ~func =
 let fold_groups ?pool ?par_threshold rel ~keys ~func ~consume =
   Governor.check ();
   let ngroups = ref 0 in
-  let consume groups =
-    ngroups := !ngroups + Array.length groups.rep;
-    consume groups
+  let consume t =
+    ngroups := !ngroups + t.ngroups;
+    consume t
   in
   let need rel = 2 * Relation.approx_bytes rel in
   let grouping () =
@@ -272,36 +368,26 @@ let fold_groups ?pool ?par_threshold rel ~keys ~func ~consume =
   consumed, !ngroups
 
 let group_by ?pool ?par_threshold rel ~keys ~func =
-  let decode { key_cols; rep; aggs } =
-    List.init (Array.length rep) (fun g ->
-        let i = rep.(g) in
-        ( Tuple.of_array (Array.map (fun col -> Dict.decode col.(i)) key_cols),
-          aggs.(g) ))
+  let decode t =
+    List.init t.ngroups (fun g ->
+        ( Tuple.of_array
+            (Array.init t.nkeys (fun k ->
+                 Dict.decode t.keys.((g * t.nkeys) + k))),
+          value t g ))
   in
   List.concat
     (fst (fold_groups ?pool ?par_threshold rel ~keys ~func ~consume:decode))
 
-let passes ~threshold v =
-  match Value.to_float v with Some x -> x >= threshold | None -> false
-
-(* FILTER: each partition's passing groups gather their key codes
-   straight into output columns — no group becomes a tuple, passing or
-   not. *)
-let group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold =
-  let passing { key_cols; rep; aggs } =
-    let kept = Buf.create (Array.length rep) in
-    Array.iteri
-      (fun g i -> if passes ~threshold aggs.(g) then Buf.push kept i)
-      rep;
-    Buf.length kept, Chunkrel.gather_cols key_cols (Buf.to_array kept)
-  in
+(* FILTER: each partition's passing groups, as one relation over [keys]
+   and the candidate count.  The a-priori view of the FILTER is its
+   span: [candidates] parameter assignments enter, [survivors] pass the
+   threshold; [pruning_ratio] is the surviving fraction, always within
+   [0, 1]. *)
+let filter ~rows_in ~keys ~threshold fold =
   let compute () =
-    let parts, candidates =
-      fold_groups ?pool ?par_threshold rel ~keys ~func ~consume:passing
-    in
+    let parts, candidates = fold (passing ~threshold) in
     let out =
-      Relation.of_chunkrel
-        (Schema.restrict (Relation.schema rel) keys)
+      Relation.of_chunkrel (Schema.of_list keys)
         {
           Chunkrel.nrows = List.fold_left (fun a (n, _) -> a + n) 0 parts;
           cols =
@@ -313,11 +399,8 @@ let group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold =
   in
   if not (Obs.enabled ()) then compute ()
   else
-    (* The a-priori view of the FILTER: [candidates] parameter assignments
-       enter, [survivors] pass the threshold; [pruning_ratio] is the
-       surviving fraction, always within [0, 1]. *)
     Obs.with_span "aggregate.group_filter"
-      ~attrs:[ "rows_in", Obs.Int (Relation.cardinal rel) ]
+      ~attrs:[ "rows_in", Obs.Int rows_in ]
       (fun () ->
         let out, candidates = compute () in
         let survivors = Relation.cardinal out in
@@ -328,6 +411,13 @@ let group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold =
              (if candidates = 0 then 1.
               else float_of_int survivors /. float_of_int candidates));
         out, candidates)
+
+let group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold =
+  filter ~rows_in:(Relation.cardinal rel) ~keys ~threshold (fun consume ->
+      fold_groups ?pool ?par_threshold rel ~keys ~func ~consume)
+
+let filter_table t ~rows_in ~keys ~threshold =
+  filter ~rows_in ~keys ~threshold (fun consume -> [ consume t ], t.ngroups)
 
 let group_filter ?pool ?par_threshold rel ~keys ~func ~threshold =
   fst (group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold)

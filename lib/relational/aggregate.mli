@@ -41,6 +41,48 @@ val group_by :
   func:func ->
   (Tuple.t * Value.t) list
 
+(** {1 The group table}
+
+    The one grouping kernel: a code-keyed hash table from a group's key
+    codes to its aggregate, filled one row at a time.  {!group_by} and
+    {!group_filter} fill one per partition of a relation; the evaluator
+    fills one from inside its probe loop, so a FILTER step counts its
+    rows without ever tabulating them. *)
+
+type table
+
+(** [table func ~nkeys ~expected] is an empty table for rows of [nkeys]
+    key codes, sized for about [expected] groups (it grows past that). *)
+val table : func -> nkeys:int -> expected:int -> table
+
+(** [find t keys] is the id of the group of the key codes [keys],
+    opening a new group (id [groups t]) when there is none; groups are
+    numbered from 0 in first-appearance order.  [t] does not keep
+    [keys]. *)
+val find : table -> int array -> int
+
+(** [add t keys code] folds one row into its group: [Count] counts it,
+    [Sum]/[Min]/[Max] take [code] as the row's measure (a {!Dict} code;
+    ignored by [Count]).  Raises [Invalid_argument] when [Sum] meets a
+    non-numeric value. *)
+val add : table -> int array -> int -> unit
+
+(** Number of groups. *)
+val groups : table -> int
+
+(** [filter_table t ~rows_in ~keys ~threshold] is the FILTER over a
+    filled table, as {!group_filter_report} computes it over a relation:
+    the groups whose aggregate {!passes}, as a relation whose columns are
+    named [keys], and the candidate (group) count.  [rows_in] is the
+    number of rows the table counted, reported on the
+    [aggregate.group_filter] span. *)
+val filter_table :
+  table ->
+  rows_in:int ->
+  keys:string list ->
+  threshold:float ->
+  Relation.t * int
+
 (** [passes ~threshold v] — the FILTER's one threshold test: [v >= threshold]
     compared numerically.  A non-numeric aggregate (the [MIN]/[MAX] of a
     string column) never passes. *)

@@ -24,17 +24,22 @@ let discard r =
   Heap_file.discard r.file;
   try Sys.remove r.path with Sys_error _ -> ()
 
+let budgeted () =
+  match Governor.current () with
+  | Some g when Governor.budget g < max_int -> Some g
+  | _ -> None
+
 (* The budget gate: reserve [need] bytes around the in-memory path, or
    hand control to the spill path when the reservation fails.
    Ungoverned (or unbounded-budget) runs take the in-memory path with no
    accounting at all. *)
 let governed ~need in_memory spill =
-  match Governor.current () with
-  | Some g when Governor.budget g < max_int ->
+  match budgeted () with
+  | Some g ->
     if Governor.try_charge g need then
       Fun.protect ~finally:(fun () -> Governor.release g need) in_memory
     else spill g
-  | _ -> in_memory ()
+  | None -> in_memory ()
 
 (* Runs are sized so one run's working set targets about a quarter of the
    budget, clamped to [2, 256] runs.  Every tuple is routed by the hash of

@@ -2,6 +2,10 @@
     owning governor's spill directory (removed on every
     [Governor.with_ctx] exit, and eagerly by {!map_partitions}). *)
 
+(** The ambient governor, when it has a finite budget: the runs whose
+    memory {!governed} accounts for. *)
+val budgeted : unit -> Qf_governor.Governor.t option
+
 (** [governed ~need in_memory spill] — the budget gate: charge [need]
     bytes around [in_memory ()] when the ambient governor's budget allows
     (or when there is no governor / no finite budget), else run

@@ -87,6 +87,41 @@ let test_head_constant_with_params () =
   check_bool "schema" true
     (Qf_relational.Schema.columns (R.schema r) = [ "$t"; "X"; "c1"; "Y" ])
 
+(* The FILTER over a constant head argument: COUNT counts distinct
+   answers, SUM adds the constant once per answer.  [answer(Y, 5)] binds
+   only parameters and head variables, so every row counts as it comes;
+   [answer(5)] leaves [Y] out, so its rows are deduplicated first. *)
+let test_filter_head_constant () =
+  let sources out =
+    List.sort compare
+      (R.fold (fun tup acc -> Qf_relational.Tuple.to_list tup :: acc) out [])
+  in
+  let filter text func threshold =
+    let out, rows, groups =
+      Eval.filter_query (catalog ()) [ rule text ] ~keys:[ "$s" ] ~func
+        ~threshold
+    in
+    sources out, rows, groups
+  in
+  let one = [ [ V.Int 1 ] ] in
+  let all = List.map (fun i -> [ V.Int i ]) [ 1; 2; 3; 4 ] in
+  let check name (want, want_rows) (got, rows, groups) =
+    check_bool (name ^ ": survivors") true (got = want);
+    check_int (name ^ ": tabulated rows") want_rows rows;
+    check_int (name ^ ": groups") 4 groups
+  in
+  let open Qf_relational.Aggregate in
+  check "COUNT, answer(Y,5)" (one, 5)
+    (filter "answer(Y, 5) :- edge($s, Y)" Count 2.);
+  check "SUM, answer(Y,5) >= 10" (one, 5)
+    (filter "answer(Y, 5) :- edge($s, Y)" (Sum "c1") 10.);
+  check "SUM, answer(Y,5) >= 5" (all, 5)
+    (filter "answer(Y, 5) :- edge($s, Y)" (Sum "c1") 5.);
+  check "COUNT, answer(5)" ([], 4)
+    (filter "answer(5) :- edge($s, Y)" Count 2.);
+  check "SUM, answer(5)" (all, 4)
+    (filter "answer(5) :- edge($s, Y)" (Sum "c0") 5.)
+
 let test_params_grouping () =
   let r = tab (catalog ()) "answer(X) :- edge(X,$t)" in
   (* Schema: $t, X; one row per (target, source) pair. *)
@@ -303,6 +338,8 @@ let suite =
     Alcotest.test_case "head constants" `Quick test_head_constant;
     Alcotest.test_case "head constants with params" `Quick
       test_head_constant_with_params;
+    Alcotest.test_case "FILTER over a head constant" `Quick
+      test_filter_head_constant;
     Alcotest.test_case "parameter grouping" `Quick test_params_grouping;
     Alcotest.test_case "answers with bindings" `Quick test_answers_with_bindings;
     Alcotest.test_case "answers rejects unbound params" `Quick

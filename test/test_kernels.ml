@@ -460,6 +460,160 @@ let test_corpus_pool_insensitive () =
             [ 1; 4 ])
         seeds)
 
+(* {1 The FILTER count against tabulate-then-group}
+
+   [Eval.filter_query] counts a single rule's groups inside its last
+   subgoal's probe loop; on every rule it must give exactly what
+   tabulating and grouping give: the survivors, the number of tabulated
+   rows and the number of groups. *)
+
+module Eval = Qf_datalog.Eval
+module Ast = Qf_datalog.Ast
+module Catalog = Qf_relational.Catalog
+module Sip = Qf_relational.Sip
+
+let filter_by_tabulation ~sip cat q ~keys ~func ~threshold =
+  let tab = Eval.tabulate_query ~sip cat q in
+  let survivors, groups =
+    Aggregate.group_filter_report tab ~keys ~func ~threshold
+  in
+  survivors, R.cardinal tab, groups
+
+let check_filter_count name ~sip cat q ~keys ~func ~threshold =
+  let want_out, want_rows, want_groups =
+    filter_by_tabulation ~sip cat q ~keys ~func ~threshold
+  in
+  let out, rows, groups = Eval.filter_query ~sip cat q ~keys ~func ~threshold in
+  if not (R.equal want_out out && rows = want_rows && groups = want_groups)
+  then
+    Alcotest.failf
+      "%s, %a >= %g: counted %d rows, %d groups, %d survivors; tabulation \
+       has %d rows, %d groups, %d survivors"
+      name Aggregate.pp_func func threshold rows groups (R.cardinal out)
+      want_rows want_groups (R.cardinal want_out)
+
+(* Does the last positive subgoal have filters fused into it? *)
+let fuses_last cat rule =
+  match List.rev (Eval.order_body cat rule) with
+  | (Ast.Neg _ | Ast.Cmp _) :: _ -> true
+  | _ -> false
+
+(* Are the bound keys exactly the parameters and head variables (each
+   tabulated row then counts as it comes)? *)
+let covering (rule : Ast.rule) =
+  let keys lits =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (a : Ast.atom) ->
+           List.filter_map
+             (function
+               | (Ast.Var _ | Ast.Param _) as t -> Some (Ast.binding_key t)
+               | Ast.Const _ -> None)
+             a.args)
+         lits)
+  in
+  let positives =
+    List.filter_map (function Ast.Pos a -> Some a | _ -> None) rule.body
+  in
+  let params = List.map (fun p -> "$" ^ p) (Ast.rule_params rule) in
+  keys positives = List.sort_uniq String.compare (keys [ rule.head ] @ params)
+
+let test_filter_count_corpus () =
+  let covered = ref 0 and deduped = ref 0 and fused = ref 0 in
+  let consts = ref 0 in
+  List.iter
+    (fun domains ->
+      Test_util.with_pool_size ~par_threshold:1 domains @@ fun () ->
+      List.iter
+        (fun seed ->
+          let rule, cat =
+            instance ~seed (QCheck.Gen.pair gen_safe_rule gen_tiny_catalog)
+          in
+          (* The rule as generated, and with a constant appended to its
+             head. *)
+          let with_const =
+            {
+              rule with
+              Ast.head =
+                {
+                  rule.head with
+                  args = rule.head.args @ [ Ast.Const (V.Int 2) ];
+                };
+            }
+          in
+          (* SIP reducers over stored columns.  Both paths get the same
+             ones, so they need not be sound. *)
+          let reducers =
+            [
+              "$a", Sip.of_column (Catalog.find cat "p") "A";
+              "$b", Sip.of_column (Catalog.find cat "r") "B";
+            ]
+          in
+          List.iter
+            (fun rule ->
+              if covering rule then incr covered else incr deduped;
+              if fuses_last cat rule then incr fused;
+              if List.exists (function Ast.Const _ -> true | _ -> false)
+                   rule.head.args
+              then incr consts;
+              let keys = List.map (fun p -> "$" ^ p) (Ast.rule_params rule) in
+              let funcs =
+                Aggregate.Count
+                :: List.concat_map
+                     (fun c -> Aggregate.[ Sum c; Min c; Max c ])
+                     (Eval.head_columns rule)
+              in
+              List.iter
+                (fun func ->
+                  List.iter
+                    (fun sip ->
+                      List.iter
+                        (fun threshold ->
+                          check_filter_count
+                            (Printf.sprintf "seed %d, %d domains, %s" seed
+                               domains
+                               (Qf_datalog.Pretty.rule_to_string rule))
+                            ~sip cat [ rule ] ~keys ~func ~threshold)
+                        [ 1.; 2.; 4. ])
+                    [ []; reducers ])
+                funcs)
+            [ rule; with_const ])
+        (List.init 200 Fun.id))
+    [ 1; 4 ];
+  Alcotest.(check bool) "covering bodies occur" true (!covered > 0);
+  Alcotest.(check bool) "bodies needing a dedupe occur" true (!deduped > 0);
+  Alcotest.(check bool) "filters fused into the last subgoal occur" true
+    (!fused > 0);
+  Alcotest.(check bool) "head constants occur" true (!consts > 0)
+
+(* Under a finite budget the FILTER tabulates and groups, so the
+   grouping pass can still spill; the answers stay the same. *)
+let test_filter_count_governed () =
+  let module Governor = Qf_governor.Governor in
+  let spills = ref 0 in
+  List.iter
+    (fun seed ->
+      let rel, threshold = instance ~seed gen_basket_instance in
+      let flock = pair_flock threshold in
+      let cat = catalog_of rel in
+      let keys = Flock.result_columns flock in
+      let threshold = float_of_int threshold in
+      let want, _, _ =
+        Eval.filter_query cat flock.Flock.query ~keys ~func:Aggregate.Count
+          ~threshold
+      in
+      let g = Governor.create ~mem_budget:4096 () in
+      let got, _, _ =
+        Governor.with_ctx g (fun () ->
+            Eval.filter_query cat flock.Flock.query ~keys
+              ~func:Aggregate.Count ~threshold)
+      in
+      spills := !spills + (Governor.stats g).Governor.spill_partitions;
+      if not (R.equal want got) then
+        Alcotest.failf "seed %d: the governed FILTER disagrees" seed)
+    (List.init 50 Fun.id);
+  Alcotest.(check bool) "the 4k budget spilled" true (!spills > 0)
+
 let suite =
   List.map join_prop join_rules
   @ List.map (join_prop ~forced_parallel:true) join_rules
@@ -478,6 +632,10 @@ let suite =
       Alcotest.test_case "all-duplicate rows" `Quick test_all_duplicates;
       Alcotest.test_case "single-column relations" `Quick test_single_column;
       Alcotest.test_case "mixed value types" `Quick test_mixed_types;
+      Alcotest.test_case "FILTER count = tabulate then group" `Quick
+        test_filter_count_corpus;
+      Alcotest.test_case "governed FILTER still spills" `Quick
+        test_filter_count_governed;
       Alcotest.test_case "100-seed corpus: pool insensitive, = naive" `Quick
         test_corpus_pool_insensitive;
     ]
