@@ -587,43 +587,55 @@ let e11 () =
     (Relation.cardinal baskets) pages;
   row "%-10s %16s %18s %18s %7s@." "support" "flock plan (s)"
     "incl. load (s)" "file 2-pass (s)" "pairs";
-  List.iter
-    (fun support ->
-      let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support in
-      let plan =
-        match Apriori_gen.singleton_plan flock with
-        | Ok p -> p
-        | Error e -> failwith e
-      in
-      (* DBMS path, data already loaded. *)
-      let planned, t_plan =
-        time3 catalog (fun () -> Plan_exec.run catalog plan)
-      in
-      (* DBMS path including the load from disk. *)
-      let _, t_load_and_plan =
-        time3 catalog (fun () ->
-            let reopened = Qf_relational.Heap_file.open_existing path in
-            let rel = Qf_relational.Heap_file.to_relation reopened in
-            Qf_relational.Heap_file.close reopened;
-            let cat = Catalog.create () in
-            Catalog.add cat "baskets" rel;
-            Plan_exec.run cat plan)
-      in
-      (* File path: streaming two-pass a-priori. *)
-      let streamed, t_file =
-        time3 catalog (fun () ->
-            Qf_storage.File_mining.frequent_pairs_relation file ~support)
-      in
-      check_equal "E11" planned streamed;
-      row "%-10d %16.3f %18.3f %18.3f %7d@." support t_plan t_load_and_plan
-        t_file
-        (Relation.cardinal planned))
-    [ 20; 50; 100 ];
+  let supports = [ 20; 50; 100 ] in
+  let timings =
+    List.map
+      (fun support ->
+        let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support in
+        let plan =
+          match Apriori_gen.singleton_plan flock with
+          | Ok p -> p
+          | Error e -> failwith e
+        in
+        (* DBMS path, data already loaded. *)
+        let planned, t_plan =
+          time3 catalog (fun () -> Plan_exec.run catalog plan)
+        in
+        (* DBMS path including the load from disk. *)
+        let _, t_load_and_plan =
+          time3 catalog (fun () ->
+              let reopened = Qf_relational.Heap_file.open_existing path in
+              let rel = Qf_relational.Heap_file.to_relation reopened in
+              Qf_relational.Heap_file.close reopened;
+              let cat = Catalog.create () in
+              Catalog.add cat "baskets" rel;
+              Plan_exec.run cat plan)
+        in
+        (* File path: streaming two-pass a-priori. *)
+        let streamed, t_file =
+          time3 catalog (fun () ->
+              Qf_storage.File_mining.frequent_pairs_relation file ~support)
+        in
+        check_equal "E11" planned streamed;
+        row "%-10d %16.3f %18.3f %18.3f %7d@." support t_plan t_load_and_plan
+          t_file
+          (Relation.cardinal planned);
+        t_plan, t_load_and_plan, t_file)
+      supports
+  in
   Qf_relational.Heap_file.close file;
   Sys.remove path;
+  let file_wins dbms =
+    List.length
+      (List.filter (fun ((_, _, file) as t) -> file < dbms t) timings)
+  in
   row
-    "the paper's concession holds: the ad-hoc file algorithm beats the \
-     DBMS-style evaluation, and by more when the load is charged too@."
+    "the file algorithm beats the loaded flock plan at %d of %d supports, \
+     and the flock plan with its load from disk at %d of %d@."
+    (file_wins (fun (p, _, _) -> p))
+    (List.length supports)
+    (file_wins (fun (_, l, _) -> l))
+    (List.length supports)
 
 (* {1 E12 — the multicore execution engine: domain-count scaling} *)
 
@@ -1477,8 +1489,12 @@ let e17 () =
   in
   let _, plan = Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3 ~support in
   let reps = if !quick then 3 else 5 in
+  (* [256k] is the forced-spill budget: it spills at both sizes, and at
+     full size its runs fit, where [64k] stops with [Over_budget]: the
+     most frequent item's rows all land in one run, which charges 86,400
+     bytes. *)
   let budgets =
-    [ "unbounded", max_int; "1m", 1024 * 1024; "64k", 65536 ]
+    [ "unbounded", max_int; "1m", 1024 * 1024; "256k", 256 * 1024 ]
   in
   let run_with budget =
     let stats = ref None in
@@ -1521,7 +1537,8 @@ let e17 () =
   in
   let governed = List.nth entries 2 in
   if governed.e17_spill_partitions = 0 then
-    row "%-26s WARNING: the 64k budget never spilled@." "";
+    failwith
+      (Printf.sprintf "E17: the %s budget never spilled" governed.e17_budget);
   if !json then e17_write_json entries
 
 (* {1 Driver} *)

@@ -2,7 +2,17 @@
 
     Records append into the last page, spilling to a fresh page when full.
     Page 0 is reserved for the file header (currently just the schema
-    record), so data pages start at 1. *)
+    record), so data pages start at 1.
+
+    A file holds one of two record formats, and is read back in the
+    format it was written in:
+    - tuple records ({!append}, {!iter}, {!to_relation}): {!Codec}
+      tuples, self-describing and valid across processes — the format of
+      [Qf_storage.Store]'s files;
+    - code records ({!append_codes}, {!to_chunk}): one row of dictionary
+      codes ({!Dict}) as fixed-width little-endian u32s.  Codes mean
+      something only to the process that wrote them, so this is the
+      format of files that never outlive it (spill runs). *)
 
 type t
 
@@ -19,6 +29,17 @@ val schema : t -> Schema.t
 (** Append one tuple.  Raises [Invalid_argument] on arity mismatch or a
     record larger than a page. *)
 val append : t -> Tuple.t -> unit
+
+(** [append_codes t cols i] appends row [i] of the code columns [cols]
+    as one code record, with no allocation.  Raises [Invalid_argument],
+    appending nothing, on an arity mismatch or on a code that is negative
+    or [>= 2^32]. *)
+val append_codes : t -> int array array -> int -> unit
+
+(** Every code record, in storage order, as a columnar chunk.  Raises
+    [Failure] on a record that is not a code record of the file's
+    arity. *)
+val to_chunk : t -> Chunkrel.t
 
 (** Scan every record in storage order. *)
 val iter : (Tuple.t -> unit) -> t -> unit

@@ -5,14 +5,8 @@ let max_record_size = size - header_size - slot_size
 
 type t = { bytes : Bytes.t }
 
-let get_u16 t off =
-  let lo = Char.code (Bytes.get t.bytes off) in
-  let hi = Char.code (Bytes.get t.bytes (off + 1)) in
-  (hi lsl 8) lor lo
-
-let set_u16 t off x =
-  Bytes.set t.bytes off (Char.chr (x land 0xFF));
-  Bytes.set t.bytes (off + 1) (Char.chr ((x lsr 8) land 0xFF))
+let get_u16 t off = Bytes.get_uint16_le t.bytes off
+let set_u16 t off x = Bytes.set_uint16_le t.bytes off x
 
 let slot_count t = get_u16 t 0
 let free_offset t = get_u16 t 2
@@ -37,8 +31,7 @@ let count = slot_count
 let free_space t =
   free_offset t - header_size - (slot_count t * slot_size) - slot_size
 
-let add t record =
-  let len = String.length record in
+let add_slice t buf off len =
   if len > max_record_size then
     invalid_arg
       (Printf.sprintf "Page.add: record of %d bytes exceeds the page payload"
@@ -47,7 +40,7 @@ let add t record =
   else begin
     let n = slot_count t in
     let record_off = free_offset t - len in
-    Bytes.blit_string record 0 t.bytes record_off len;
+    Bytes.blit buf off t.bytes record_off len;
     let slot_off = header_size + (n * slot_size) in
     set_u16 t slot_off record_off;
     set_u16 t (slot_off + 2) len;
@@ -55,6 +48,9 @@ let add t record =
     set_u16 t 2 record_off;
     true
   end
+
+let add t record =
+  add_slice t (Bytes.unsafe_of_string record) 0 (String.length record)
 
 let get t i =
   if i < 0 || i >= slot_count t then invalid_arg "Page.get: bad slot index";
@@ -65,4 +61,10 @@ let get t i =
 let iter f t =
   for i = 0 to slot_count t - 1 do
     f (get t i)
+  done
+
+let iter_slices f t =
+  for i = 0 to slot_count t - 1 do
+    let slot_off = header_size + (i * slot_size) in
+    f t.bytes (get_u16 t slot_off) (get_u16 t (slot_off + 2))
   done

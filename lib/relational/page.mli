@@ -35,11 +35,22 @@ val free_space : t -> int
     record could never fit even in an empty page. *)
 val add : t -> string -> bool
 
+(** [add_slice page buf off len] is {!add} for the record
+    [Bytes.sub buf off len], copied straight from [buf] (which the caller
+    may reuse at once). *)
+val add_slice : t -> bytes -> int -> int -> bool
+
 (** [get page i] — the [i]th record.  Raises [Invalid_argument] on a bad
     index. *)
 val get : t -> int -> string
 
 val iter : (string -> unit) -> t -> unit
+
+(** [iter_slices f page] calls [f bytes off len] for each record in slot
+    order, where the record is [len] bytes of [bytes] from [off]: the
+    page's own storage, with no copy.  [f] must not write into [bytes]
+    or keep it past the call. *)
+val iter_slices : (bytes -> int -> int -> unit) -> t -> unit
 
 (** Maximum record size storable in an empty page. *)
 val max_record_size : int

@@ -42,13 +42,27 @@ let governed ~need in_memory spill =
   | None -> in_memory ()
 
 (* Runs are sized so one run's working set targets about a quarter of the
-   budget, clamped to [2, 256] runs.  Every tuple is routed by the hash of
-   its key projection, so equal keys land in the same run; runs are then
-   read back and handed to [f] one at a time, each under its own
-   charge. *)
+   budget, clamped to [2, 256] runs.  Every row is routed by the hash of
+   its key codes, so equal keys land in the same run; runs are then read
+   back and handed to [f] one at a time, each under its own charge.
+
+   A run holds code records: rows go to disk and back as the dictionary
+   codes they already are, never as values.  Codes are process-local,
+   which is sound because a run never outlives the [Governor.with_ctx]
+   that owns its directory.  A run's rows are a part of a set, so they
+   are distinct, and come back as a relation with no deduplication.
+
+   The route re-mixes the key hash before taking it modulo [parts]: the
+   group table probes by the low bits of that same hash, and a bare
+   [h mod parts] would fix them within a run (with an even [parts], the
+   lowest), leaving the table part of its slots. *)
 let map_partitions g rel ~keys ~need f =
   let schema = Relation.schema rel in
-  let positions = Array.of_list (List.map (Schema.position schema) keys) in
+  let chunk = Relation.codes rel in
+  let cols = chunk.Chunkrel.cols in
+  let key_cols =
+    Array.of_list (List.map (fun k -> cols.(Schema.position schema k)) keys)
+  in
   let parts = max 2 (min 256 ((4 * need rel / max 1 (Governor.budget g)) + 1)) in
   let created = ref [] in
   Fun.protect ~finally:(fun () -> List.iter discard !created) @@ fun () ->
@@ -58,21 +72,20 @@ let map_partitions g rel ~keys ~need f =
         created := r :: !created;
         r)
   in
-  Relation.iter
-    (fun tup ->
-      let h = Tuple.hash (Tuple.project positions tup) land max_int in
-      Heap_file.append runs.(h mod parts).file tup)
-    rel;
+  for i = 0 to chunk.Chunkrel.nrows - 1 do
+    let h = Chunkrel.mix (Chunkrel.hash_key key_cols i) 0x9E3779B9 lsr 7 in
+    Heap_file.append_codes runs.(h mod parts).file cols i
+  done;
   Governor.note_spill g ~partitions:parts
     ~bytes:
       (Array.fold_left
          (fun a r -> a + (Heap_file.page_count r.file * Page.size))
          0 runs)
-    ~rows:(Relation.cardinal rel);
+    ~rows:chunk.Chunkrel.nrows;
   List.map
     (fun r ->
       Governor.check ();
-      let run = Heap_file.to_relation r.file in
+      let run = Relation.of_chunkrel schema (Heap_file.to_chunk r.file) in
       let cost = need run in
       Governor.charge g cost;
       Fun.protect ~finally:(fun () -> Governor.release g cost) @@ fun () ->

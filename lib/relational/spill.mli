@@ -13,11 +13,13 @@ val budgeted : unit -> Qf_governor.Governor.t option
 val governed :
   need:int -> (unit -> 'a) -> (Qf_governor.Governor.t -> 'a) -> 'a
 
-(** [map_partitions g rel ~keys ~need f] hash-partitions [rel] by the
-    columns [keys] into temp runs (equal keys land in the same run), each
+(** [map_partitions g rel ~keys ~need f] hash-partitions [rel]'s code
+    rows by the columns [keys] into temp runs of code records (equal keys
+    land in the same run; see {!Heap_file.append_codes}), each
     targeting about a quarter of [g]'s budget by the working-set estimate
     [need], clamped to [2, 256] runs.  It records the runs on [g]
-    ([governor.spill.*]), then reads each run back as a relation and
+    ([governor.spill.*]), then reads each run back as a relation (its rows
+    are already distinct, so they are adopted without re-encoding) and
     applies [f] to it under a charge of [need run], in run order.  Every
     run is deleted on every exit. *)
 val map_partitions :

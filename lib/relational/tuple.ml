@@ -1,9 +1,8 @@
-(* A tuple caches its structural hash at construction, so spill
-   partitioning reads one immediate field instead of refolding the value
-   array, and [equal] gets a cheap negative fast path.  Construction goes
-   through {!of_array} so the cache can never go stale (callers must not
-   mutate the array afterwards; every constructor here allocates a fresh
-   one). *)
+(* A tuple caches its structural hash at construction, so [equal] gets a
+   cheap negative fast path and [hash] is one field read.  Construction
+   goes through {!of_array} so the cache can never go stale (callers must
+   not mutate the array afterwards; every constructor here allocates a
+   fresh one). *)
 
 type t = { values : Value.t array; hash : int }
 
@@ -41,11 +40,6 @@ let equal a b =
        || (Value.equal a.values.(i) b.values.(i) && loop (i + 1))
      in
      loop 0
-
-(* Positions come pre-computed as an [int array] so the projection is a
-   single bounds-checked [Array.init] with no list traversal. *)
-let project positions tup =
-  of_array (Array.init (Array.length positions) (fun i -> tup.values.(positions.(i))))
 
 let append a b = of_array (Array.append a.values b.values)
 

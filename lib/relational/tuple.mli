@@ -2,11 +2,12 @@
     construction.
 
     Tuples are the currency of the row API ({!Relation.add},
-    {!Relation.iter}); relations themselves store dictionary codes.  The
-    cached hash partitions spilled rows ({!Spill}) and gives {!equal} a
-    constant-time negative fast path.  Construction always copies or
-    freshly allocates the backing array; callers of {!of_array} transfer
-    ownership and must not mutate the array afterwards. *)
+    {!Relation.iter}); relations themselves store dictionary codes, and
+    every kernel, spilling included, works on those codes.  The cached
+    hash gives {!equal} a constant-time negative fast path.  Construction
+    always copies or freshly allocates the backing array; callers of
+    {!of_array} transfer ownership and must not mutate the array
+    afterwards. *)
 
 type t
 
@@ -21,12 +22,6 @@ val equal : t -> t -> bool
 
 (** The hash cached at construction (compatible with {!equal}). *)
 val hash : t -> int
-
-(** [project positions tup] extracts the values at [positions], in order.
-    Positions are a pre-computed [int array] so hot paths hoist the
-    schema lookups once.  Raises [Invalid_argument] if a position is out
-    of range. *)
-val project : int array -> t -> t
 
 (** [append a b] concatenates two tuples. *)
 val append : t -> t -> t

@@ -189,6 +189,62 @@ let test_spilled_group_filter_agrees () =
     ((Governor.stats g).Governor.spill_partitions > 0);
   assert_no_leaks "spilled group-filter"
 
+(* {1 Spill runs partition the input by key}
+
+   [map_partitions] over random relations and key subsets: the runs'
+   rows are the input's, each run's rows are distinct, no key lands in
+   two runs, and the runs are gone when it returns.  The input's [need]
+   asks for [parts] runs; a run's own charge is its [approx_bytes],
+   which a 1 MiB budget always fits. *)
+
+let prop_map_partitions =
+  let columns = [ "X"; "Y"; "Z" ] in
+  QCheck.Test.make ~name:"spill runs partition the input by key" ~count:100
+    (QCheck.make
+       ~print:(fun (rel, keys, parts) ->
+         Printf.sprintf "keys [%s], %d runs\n%s" (String.concat "; " keys)
+           parts (pp_relation rel))
+       QCheck.Gen.(
+         let* rel = gen_small_relation ~columns ~max_value:20 ~max_rows:200 in
+         let* mask = list_repeat (List.length columns) bool in
+         let* parts = int_range 1 64 in
+         return
+           (rel, List.filteri (fun i _ -> List.nth mask i) columns, parts)))
+    (fun (rel, keys, parts) ->
+      let budget = 1 lsl 20 in
+      let need r =
+        if r == rel then parts * budget / 4 else R.approx_bytes r
+      in
+      let g = Governor.create ~mem_budget:budget () in
+      let runs, left_behind =
+        Governor.with_ctx g (fun () ->
+            let runs =
+              Qf_relational.Spill.map_partitions g rel ~keys ~need Fun.id
+            in
+            let dir = Filename.dirname (Governor.fresh_spill_path g) in
+            runs, Sys.readdir dir)
+      in
+      assert_no_leaks "map_partitions";
+      let union = R.create (R.schema rel) in
+      List.iter (R.add_all union) runs;
+      let distinct run =
+        let chunk = R.codes run in
+        Array.length
+          (Qf_relational.Chunkrel.distinct_rows chunk.cols chunk.nrows)
+        = R.cardinal run
+      in
+      let run_keys =
+        List.concat_map (fun run -> R.to_list (R.project run keys)) runs
+      in
+      left_behind = [||]
+      && List.length runs = max 2 (min 256 (parts + 1))
+      && List.for_all distinct runs
+      && List.fold_left (fun n run -> n + R.cardinal run) 0 runs
+         = R.cardinal rel
+      && R.equal union rel
+      && List.length (List.sort_uniq Tuple.compare run_keys)
+         = List.length run_keys)
+
 (* {1 Executors under a tiny budget agree with ungoverned direct} *)
 
 let tiny_budget = 4096
@@ -383,12 +439,52 @@ let storage_scenario =
           Alcotest.failf "storage round-trip: wrong result");
   }
 
+(* The spilled FILTER on its own, so the sweep arms every I/O point of
+   the spill path: run creation, each row's append, and the page writes
+   and reads of a run that outgrows its 4-page pool.  A page is read back
+   from disk only once a run has five data pages (over 1,360 code rows of
+   arity 2), and such a run charges about 175 KB, so no run under
+   [tiny_budget] ever does.  This scenario has a budget of its own
+   instead: one hot key's 1,400 rows fit it as a run, and with 150 more
+   rows the whole input does not. *)
+let spill_filter_name = "spilled group_filter_report"
+
+let spill_filter_scenario () =
+  let rel =
+    relation_of_rows [ "B"; "I" ]
+      (List.init 1400 (fun b -> [ Printf.sprintf "b%d" b; "hot" ])
+      @ List.init 150 (fun b ->
+            [ Printf.sprintf "c%d" b; Printf.sprintf "i%d" (b mod 75) ]))
+  in
+  let filter () =
+    Aggregate.group_filter_report rel ~keys:[ "I" ] ~func:Aggregate.Count
+      ~threshold:3.
+  in
+  let expected, expected_candidates = Test_util.with_pool_size 1 filter in
+  let run () =
+    Test_util.with_pool_size 1 @@ fun () ->
+    let g = Governor.create ~mem_budget:190_000 () in
+    let got = Governor.with_ctx g filter in
+    if (Governor.stats g).Governor.spill_partitions = 0 then
+      Alcotest.failf "%s: never spilled" spill_filter_name;
+    got
+  in
+  {
+    name = spill_filter_name;
+    expected =
+      (fun ~check ->
+        let got, candidates = run () in
+        if check && not (R.equal expected got && candidates = expected_candidates)
+        then Alcotest.failf "%s: wrong result" spill_filter_name);
+  }
+
 let scenarios () =
   [
     mining_scenario "plan/tiny-budget" ~mode:`Plan;
     mining_scenario "direct/tiny-budget" ~mode:`Direct;
     mining_scenario "dynamic/tiny-budget" ~mode:`Dynamic;
     storage_scenario;
+    spill_filter_scenario ();
   ]
 
 let typed_fault = function
@@ -399,6 +495,8 @@ let typed_fault = function
 
 let test_fault_sweep () =
   let total_points = ref 0 in
+  (* The label of every injected point, per scenario. *)
+  let injected = Hashtbl.create 8 in
   List.iter
     (fun s ->
       let (), points = Fault.with_count (fun () -> s.expected ~check:true) in
@@ -410,6 +508,8 @@ let test_fault_sweep () =
       for k = 1 to points do
         (match Fault.with_inject ~at:k (fun () -> s.expected ~check:true) with
         | Ok (), _ -> ()
+        | Error (Fault.Injected { point; _ }), _ ->
+          Hashtbl.replace injected (s.name, point) ()
         | Error e, _ when typed_fault e -> ()
         | Error e, _ ->
           Alcotest.failf "%s: injection at point %d leaked exception %s"
@@ -421,6 +521,16 @@ let test_fault_sweep () =
       s.expected ~check:true;
       assert_no_leaks (s.name ^ " (final)"))
     (scenarios ());
+  (* The spilled FILTER must cross every I/O point of its spill path: a
+     path that stops writing or reading its runs fails here, not only
+     with a smaller count. *)
+  List.iter
+    (fun point ->
+      Alcotest.(check bool)
+        (Printf.sprintf "spilled group_filter_report injects %s" point)
+        true
+        (Hashtbl.mem injected (spill_filter_name, point)))
+    [ "spill.create"; "heap.append"; "pager.write"; "pager.read" ];
   (* The acceptance bar: the sweep must exercise a substantial number of
      distinct injection points across the scenarios. *)
   Alcotest.(check bool)
@@ -444,6 +554,7 @@ let suite =
       test_spilled_group_by_agrees;
     Alcotest.test_case "spilled group-filter = in-memory" `Quick
       test_spilled_group_filter_agrees;
+    QCheck_alcotest.to_alcotest prop_map_partitions;
     Alcotest.test_case "executors agree under a tiny budget" `Slow
       test_executors_agree_under_tiny_budget;
     Alcotest.test_case "MIN/MAX over a string column: executors = naive"

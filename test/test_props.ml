@@ -187,6 +187,70 @@ let prop_storage_roundtrip =
       Sys.remove path;
       R.equal rel back)
 
+(* Code records: chunks of arity 0-4 with no rows, one row, or rows over
+   many pages, with codes at both ends of the u32 range.  A 2-page pool
+   makes the appends evict and flush.  A row with a negative code or a
+   code of 2^32 is refused whole. *)
+let gen_code_chunk =
+  QCheck.Gen.(
+    let* arity = int_range 0 4 in
+    let* nrows = oneof [ return 0; return 1; int_range 2 3000 ] in
+    let code =
+      frequency
+        [
+          1, return 0;
+          1, return 0xFFFF_FFFF;
+          3, int_range 0 1000;
+          3, int_range 0 0xFFFF_FFFF;
+        ]
+    in
+    let* cols = array_repeat arity (array_repeat nrows code) in
+    return { Qf_relational.Chunkrel.nrows; cols })
+
+let pp_code_chunk (chunk : Qf_relational.Chunkrel.t) =
+  Printf.sprintf "arity %d, %d rows, first: [%s]"
+    (Array.length chunk.cols) chunk.nrows
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun col -> if chunk.nrows = 0 then "-" else string_of_int col.(0))
+             chunk.cols)))
+
+let prop_code_records_roundtrip =
+  QCheck.Test.make ~name:"heap-file code records round-trip in order" ~count:60
+    (QCheck.make ~print:pp_code_chunk gen_code_chunk)
+    (fun (chunk : Qf_relational.Chunkrel.t) ->
+      let module Heap_file = Qf_relational.Heap_file in
+      let arity = Array.length chunk.cols in
+      let schema =
+        Qf_relational.Schema.of_list (List.init arity (Printf.sprintf "C%d"))
+      in
+      let path = Filename.temp_file "qfprop" ".qfc" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      let file = Heap_file.create ~capacity:2 path schema in
+      Fun.protect ~finally:(fun () -> Heap_file.close file) @@ fun () ->
+      for i = 0 to chunk.nrows - 1 do
+        Heap_file.append_codes file chunk.cols i
+      done;
+      (* The bad code goes last, after codes that would be valid. *)
+      let refused bad =
+        arity = 0
+        ||
+        let row =
+          Array.init arity (fun c -> [| (if c = arity - 1 then bad else 7) |])
+        in
+        match Heap_file.append_codes file row 0 with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      let refused = refused (-1) && refused (1 lsl 32) in
+      let back = Heap_file.to_chunk file in
+      let n = chunk.nrows in
+      refused && back.nrows = n
+      && Array.for_all2
+           (fun a b -> Array.sub a 0 n = Array.sub b 0 n)
+           chunk.cols back.cols)
+
 let compare_pair (a, b) (c, d) =
   match V.compare a c with 0 -> V.compare b d | n -> n
 
@@ -282,7 +346,8 @@ let prop_subquery_upper_bound =
                   keys
               in
               let projected =
-                Qf_relational.Tuple.project (Array.of_list positions) full_key
+                Qf_relational.Tuple.of_list
+                  (List.map (Qf_relational.Tuple.get full_key) positions)
               in
               match
                 List.find_opt
@@ -375,6 +440,7 @@ let suite =
       prop_fixpoint_transitive_closure;
       prop_executor_options_equal;
       prop_storage_roundtrip;
+      prop_code_records_roundtrip;
       prop_subquery_upper_bound;
       prop_eval_matches_reference;
       prop_minimize_preserves_semantics;

@@ -13,16 +13,16 @@ let test_tuple_compare () =
   check_bool "equal means hash equal" true
     (Tuple.hash (t [ 4; 5 ]) = Tuple.hash (t [ 4; 5 ]))
 
-let test_tuple_project_append () =
+let test_tuple_get_append () =
   Alcotest.(check bool)
-    "project reorders" true
-    (Tuple.equal (Tuple.project [| 1; 0 |] (t [ 7; 8 ])) (t [ 8; 7 ]));
+    "get reads by position" true
+    (Value.equal (Tuple.get (t [ 7; 8 ]) 1) (Value.Int 8));
   Alcotest.(check bool)
     "append" true
     (Tuple.equal (Tuple.append (t [ 1 ]) (t [ 2; 3 ])) (t [ 1; 2; 3 ]));
-  Alcotest.check_raises "project out of range"
+  Alcotest.check_raises "get out of range"
     (Invalid_argument "index out of bounds")
-    (fun () -> ignore (Tuple.project [| 5 |] (t [ 1 ])))
+    (fun () -> ignore (Tuple.get (t [ 1 ]) 5))
 
 let test_schema_basics () =
   let s = Schema.of_list [ "A"; "B"; "C" ] in
@@ -273,7 +273,7 @@ let suite =
     Alcotest.test_case "statistics frequencies" `Quick
       test_statistics_frequencies;
     Alcotest.test_case "tuple compare/hash" `Quick test_tuple_compare;
-    Alcotest.test_case "tuple project/append" `Quick test_tuple_project_append;
+    Alcotest.test_case "tuple get/append" `Quick test_tuple_get_append;
     Alcotest.test_case "schema basics" `Quick test_schema_basics;
     Alcotest.test_case "schema duplicate detection" `Quick test_schema_duplicates;
     Alcotest.test_case "relation set semantics" `Quick test_relation_set_semantics;
