@@ -343,9 +343,15 @@ let make_governor ~timeout ~mem_budget =
   Ok (Governor.create ?mem_budget ?timeout_s ())
 
 (* Resource faults become the conventional shell exit codes: 124 for a
-   deadline (mirroring timeout(1)), 125 for an unsatisfiable budget. *)
+   deadline (mirroring timeout(1)), 125 for an unsatisfiable budget.  A
+   SUM over a value that is not a number is an input error (exit 1). *)
 let governed ~context f =
   try f () with
+  | Qf_relational.Aggregate.Non_numeric { column; value } ->
+    Printf.eprintf "flockc: %s: SUM(%s) over the non-numeric value %s\n"
+      context column
+      (Qf_relational.Value.to_string value);
+    exit 1
   | Governor.Deadline_exceeded { timeout; _ } ->
     Printf.eprintf "flockc: %s: deadline exceeded (timeout %gs)\n" context
       timeout;
@@ -478,7 +484,9 @@ let run_cmd =
     let program = or_die (load_program path) in
     let flock = program.Parse.flock in
     let catalog = or_die (prepare (or_die (load_catalog ?db data)) program) in
-    let result = evaluate mode catalog flock in
+    let result =
+      governed ~context:"run" @@ fun () -> evaluate mode catalog flock
+    in
     print_string (Qf_relational.Csv.to_string result)
   in
   Cmd.v
@@ -532,7 +540,9 @@ let sql_cmd =
         exit 1
     in
     Format.eprintf "compiled flock:@.@.%s@.@." (Flock.to_string flock);
-    let result = evaluate mode catalog flock in
+    let result =
+      governed ~context:"sql" @@ fun () -> evaluate mode catalog flock
+    in
     print_string (Qf_relational.Csv.to_string result)
   in
   Cmd.v

@@ -171,8 +171,8 @@ let estimate_step env ~(filter : Filter.t) (s : Plan.step) =
   (* Materializing the tabulated relation and grouping it cost roughly
      three passes over its rows (hash-set insert, key projection, group
      index) on top of the join work itself.  This still prices that
-     materialized path: a single-rule step now counts its groups inside
-     the last subgoal's probe loop ([Eval.filter_query]), which costs
+     materialized path: an in-memory step now counts its groups inside
+     each rule's last subgoal's probe loop ([Eval.filter_query]), which costs
      less.  The constant is kept until a measurement of plan regret can
      re-fit it, so plan choices and counts stay as they were. *)
   e.work +. (3. *. e.rows), out_stats

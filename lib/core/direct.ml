@@ -2,8 +2,6 @@ module Eval = Qf_datalog.Eval
 module Relation = Qf_relational.Relation
 module Obs = Qf_obs.Obs
 
-let tabulate catalog (flock : Flock.t) = Eval.tabulate_query catalog flock.query
-
 let run catalog (flock : Flock.t) =
   Qf_governor.Governor.check ();
   let compute () =

@@ -11,8 +11,3 @@
 
 (** Result relation over the flock's {!Flock.result_columns}. *)
 val run : Qf_relational.Catalog.t -> Flock.t -> Qf_relational.Relation.t
-
-(** The tabulated (ungrouped) relation: parameters columns followed by head
-    columns.  Exposed for diagnostics and benchmarks that want to report
-    intermediate sizes. *)
-val tabulate : Qf_relational.Catalog.t -> Flock.t -> Qf_relational.Relation.t

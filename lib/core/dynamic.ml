@@ -3,8 +3,6 @@ module Eval = Qf_datalog.Eval
 module Pretty = Qf_datalog.Pretty
 module Subquery = Qf_datalog.Subquery
 module Relation = Qf_relational.Relation
-module Value = Qf_relational.Value
-module Tuple = Qf_relational.Tuple
 module Aggregate = Qf_relational.Aggregate
 module Sip = Qf_relational.Sip
 
@@ -40,35 +38,24 @@ let param_keys_of envs =
   List.filter (fun k -> String.length k > 0 && k.[0] = '$')
     (Eval.Envs.bound_keys envs)
 
-(* Project the current environments to (parameters, head variables). *)
-let project_prefix envs ~param_keys ~head_keys ~head_columns =
-  Eval.Envs.project envs ~keys:(param_keys @ head_keys)
-    ~columns:(param_keys @ head_columns)
-
-(* Support count of each parameter assignment over the current prefix,
-   keeping the assignments [keep] accepts given their count.  [keep] also
-   receives the parameter names the key covers (a walk may filter before
-   every parameter is bound). *)
-let assignments_passing projected ~param_keys ~func ~keep =
-  let groups = Aggregate.group_by projected ~keys:param_keys ~func in
-  let params = List.map (fun k -> String.sub k 1 (String.length k - 1)) param_keys in
-  let out =
-    Relation.create
-      (Qf_relational.Schema.of_list param_keys)
-  in
-  List.iter
-    (fun (key, v) -> if keep ~params key v then Relation.add out key)
-    groups;
-  out
+let head_var_keys (rule : Ast.rule) =
+  List.filter_map
+    (function
+      | (Ast.Var _ : Ast.term) as t -> Some (Ast.binding_key t)
+      | Ast.Param _ | Ast.Const _ -> None)
+    rule.head.args
 
 (* Walk one rule's body in the evaluator's order, deciding after each
-   literal whether to interpose a filter.  [keep key aggregate_value]
-   decides which parameter assignments survive a filter (this is where the
-   union slack enters).  Returns the final environments and the trace. *)
-let walk_rule config catalog rule ~sip ~head_keys ~head_columns ~func ~keep =
-  let ordered = Eval.order_body catalog rule in
+   literal whether to interpose a filter.  The environments so far go
+   through the FILTER a plan step runs ({!Eval.groups}): its group count
+   is the decision's assignment count, and an interposed filter keeps
+   its survivors — the groups passing the threshold, lowered by [slack
+   keys codes] for an assignment (codes) of the bound parameters [keys],
+   where the union slack enters.  Returns the final environments and the
+   trace. *)
+let walk_rule config catalog rule ~sip ~func ~slack ~threshold =
+  let head_keys = head_var_keys rule in
   let best_ratio : (string list, float) Hashtbl.t = Hashtbl.create 8 in
-  let threshold_hint = ref infinity in
   let step (envs, trace) lit =
     Qf_governor.Governor.check ();
     (* Literal at a time, with no filters fused into an extension: the
@@ -85,68 +72,50 @@ let walk_rule config catalog rule ~sip ~head_keys ~head_columns ~func ~keep =
     let head_bound =
       List.for_all (fun k -> List.mem k (Eval.Envs.bound_keys envs)) head_keys
     in
+    let decision =
+      {
+        after = Pretty.literal_to_string lit;
+        param_set = param_keys;
+        rows;
+        assignments = 0;
+        ratio = 0.;
+        filtered = false;
+        survivors = None;
+      }
+    in
     if param_keys = [] || (not head_bound) || rows = 0 then
-      ( envs,
-        {
-          after = Pretty.literal_to_string lit;
-          param_set = param_keys;
-          rows;
-          assignments = 0;
-          ratio = 0.;
-          filtered = false;
-          survivors = None;
-        }
-        :: trace )
+      envs, decision :: trace
     else begin
-      let assignments =
-        Relation.cardinal
-          (Eval.Envs.project envs ~keys:param_keys ~columns:param_keys)
+      let groups = Eval.groups [ rule ] ~keys:param_keys ~func in
+      Eval.add_envs groups rule envs;
+      let kept, _, assignments =
+        Eval.filter_groups
+          ?slack:(Option.map (fun slack -> slack param_keys) slack)
+          groups ~threshold
       in
       let ratio = float_of_int rows /. float_of_int assignments in
+      let best = Hashtbl.find_opt best_ratio param_keys in
       let should_filter =
-        match Hashtbl.find_opt best_ratio param_keys with
-        | None -> ratio < config.ratio_factor *. !threshold_hint
+        match best with
+        | None -> ratio < config.ratio_factor *. threshold
         | Some best -> ratio < config.improvement_factor *. best
       in
-      let previous_best =
-        Option.value (Hashtbl.find_opt best_ratio param_keys) ~default:infinity
-      in
-      Hashtbl.replace best_ratio param_keys (Float.min ratio previous_best);
+      Hashtbl.replace best_ratio param_keys
+        (Float.min ratio (Option.value best ~default:infinity));
       Log.debug (fun m ->
           m "after %s: %d rows / %d assignments (ratio %.1f) -> %s"
-            (Pretty.literal_to_string lit)
-            rows assignments ratio
+            decision.after rows assignments ratio
             (if should_filter then "FILTER" else "no filter"));
-      if not should_filter then
-        ( envs,
+      let decision = { decision with assignments; ratio } in
+      if not should_filter then envs, decision :: trace
+      else
+        ( Eval.Envs.semijoin envs ~keys:param_keys ~keep:kept,
           {
-            after = Pretty.literal_to_string lit;
-            param_set = param_keys;
-            rows;
-            assignments;
-            ratio;
-            filtered = false;
-            survivors = None;
-          }
-          :: trace )
-      else begin
-        let projected =
-          project_prefix envs ~param_keys ~head_keys ~head_columns
-        in
-        let kept = assignments_passing projected ~param_keys ~func ~keep in
-        let envs = Eval.Envs.semijoin envs ~keys:param_keys ~keep:kept in
-        ( envs,
-          {
-            after = Pretty.literal_to_string lit;
-            param_set = param_keys;
-            rows;
-            assignments;
-            ratio;
+            decision with
             filtered = true;
             survivors = Some (Relation.cardinal kept);
           }
           :: trace )
-      end
     end
   in
   let step acc lit =
@@ -155,200 +124,127 @@ let walk_rule config catalog rule ~sip ~head_keys ~head_columns ~func ~keep =
     if not (Obs.enabled ()) then step acc lit
     else
       Obs.with_span "dynamic.decision" (fun () ->
-          let (envs, trace) = step acc lit in
-          (match trace with
-          | (d : decision) :: _ ->
-            Obs.set_attr "after" (Obs.Str d.after);
-            Obs.set_attr "rows" (Obs.Int d.rows);
-            Obs.set_attr "assignments" (Obs.Int d.assignments);
-            Obs.set_attr "filtered" (Obs.Bool d.filtered);
-            (match d.survivors with
-            | Some s -> Obs.set_attr "survivors" (Obs.Int s)
-            | None -> ())
-          | [] -> ());
-          (envs, trace))
-  in
-  fun ~threshold ->
-    threshold_hint := threshold;
-    let envs, trace = List.fold_left step (Eval.Envs.start (), []) ordered in
-    envs, List.rev trace
-
-let head_var_keys (rule : Ast.rule) =
-  List.filter_map
-    (function
-      | (Ast.Var _ : Ast.term) as t -> Some (Ast.binding_key t)
-      | Ast.Param _ | Ast.Const _ -> None)
-    rule.head.args
-
-(* {1 Single-rule evaluation (the paper's Ex. 4.4)} *)
-
-(* The support of each value of parameter [p]: the COUNT of [p]'s
-   minimal safe subquery, grouped by [p].  It upper-bounds the answer
-   count of every full assignment giving [p] that value (the levelwise
-   a-priori argument).  [None] when [p] has no minimal safe subquery. *)
-let param_supports catalog rule p =
-  Option.map
-    (fun (c : Subquery.candidate) ->
-      let tab = Eval.tabulate catalog c.rule in
-      List.filter_map
-        (fun ((key : Tuple.t), v) ->
-          Option.map (fun x -> Tuple.get key 0, x) (Value.to_float v))
-        (Aggregate.group_by tab ~keys:[ "$" ^ p ] ~func:Aggregate.Count))
-    (Subquery.minimal_for_params rule [ p ])
-
-(* A-priori reducers for the walk (single-rule COUNT filters only): values
-   whose support misses the threshold can never contribute a surviving
-   assignment, so the evaluator may refuse to even create bindings for
-   them.  These are the same per-parameter tables the union executor's
-   slack bounds are built from.  A reducer that would keep every value is
-   omitted. *)
-let apriori_reducers catalog rule ~params ~threshold =
-  List.filter_map
-    (fun p ->
-      Option.bind (param_supports catalog rule p) (fun supports ->
-          let passing =
-            List.filter_map
-              (fun (v, x) -> if x >= threshold then Some v else None)
-              supports
-          in
-          if List.compare_lengths passing supports = 0 then None
-          else Some ("$" ^ p, Sip.of_values (Array.of_list passing))))
-    params
-
-let run_single config catalog (flock : Flock.t) rule =
-  let head_keys = head_var_keys rule in
-  let head_columns = Eval.head_columns rule in
-  let func = Filter.to_aggregate flock.filter ~head_columns in
-  let threshold = flock.filter.threshold in
-  let keep ~params:_ _key v = Aggregate.passes ~threshold v in
-  let sip =
-    match flock.filter.agg with
-    | Filter.Count ->
-      apriori_reducers catalog rule ~params:(Flock.params flock) ~threshold
-    | _ -> []
+          let ((_, trace) as walked) = step acc lit in
+          let d : decision = List.hd trace in
+          Obs.set_attr "after" (Obs.Str d.after);
+          Obs.set_attr "rows" (Obs.Int d.rows);
+          Obs.set_attr "assignments" (Obs.Int d.assignments);
+          Obs.set_attr "filtered" (Obs.Bool d.filtered);
+          Option.iter (fun s -> Obs.set_attr "survivors" (Obs.Int s)) d.survivors;
+          walked)
   in
   let envs, trace =
-    walk_rule config catalog rule ~sip ~head_keys ~head_columns ~func ~keep
-      ~threshold
+    List.fold_left step (Eval.Envs.start (), []) (Eval.order_body catalog rule)
   in
-  let param_keys = List.map (fun p -> "$" ^ p) (Flock.params flock) in
-  let projected = project_prefix envs ~param_keys ~head_keys ~head_columns in
-  let answers = assignments_passing projected ~param_keys ~func ~keep in
-  Ok { answers; trace }
+  envs, List.rev trace
 
-(* {1 Union evaluation (Sec. 3.4)}
+(* [f key sub] for each parameter [p] with a minimal safe subquery [sub],
+   [key] being ["$p"]: the FILTER over [sub] upper-bounds [p]'s values
+   (the levelwise a-priori argument). *)
+let per_param rule params f =
+  List.filter_map
+    (fun p ->
+      Option.bind (Subquery.minimal_for_params rule [ p ])
+        (fun (c : Subquery.candidate) -> f ("$" ^ p) c.rule))
+    params
+
+(* A-priori reducers for the walk (single-rule COUNT filters only): the
+   FILTER over each parameter's minimal safe subquery, as a plan step
+   computes it, and a reducer over its survivors, as plan execution
+   builds one.  Values whose support misses the threshold can never
+   contribute a surviving assignment, so the evaluator may refuse to
+   even create bindings for them.  A reducer that would keep every value
+   is omitted. *)
+let apriori_reducers catalog rule ~params ~threshold =
+  per_param rule params (fun key sub ->
+      let survivors, _, groups =
+        Eval.filter_query catalog [ sub ] ~keys:[ key ] ~func:Aggregate.Count
+          ~threshold
+      in
+      if Relation.cardinal survivors = groups then None
+      else Some (key, Sip.of_column survivors key))
+
+(* {1 Union bounds (Sec. 3.4)}
 
    Sound per-branch pruning: drop assignment [a] from rule [i] only when
    prefix_count_i(a) plus the sum of the other rules' per-assignment bounds
    cannot reach the threshold — then the union total fails the filter
-   whatever the other branches contribute. *)
-
-(* Per-rule, per-parameter value -> answer-count bound, from the rule's
-   minimal safe subquery for that parameter. *)
-let rule_param_bounds catalog (rule : Ast.rule) params =
-  List.filter_map
-    (fun p ->
-      Option.map
-        (fun supports ->
-          ( p,
-            Hashtbl.of_seq
-              (Seq.map (fun (v, x) -> v, int_of_float x) (List.to_seq supports))
-          ))
-        (param_supports catalog rule p))
-    params
+   whatever the other branches contribute.  Rule [j]'s bound for a value
+   of parameter [p] is the value's support (by code) in [j]'s minimal
+   safe subquery for [p]. *)
+let rule_param_bounds catalog rule params =
+  per_param rule params (fun key sub ->
+      Some (key, Eval.supports catalog sub ~key))
 
 (* B_j(a): the tightest available bound for rule j at the (possibly
-   partial) assignment a, whose key tuple covers exactly [bound_params] in
-   order.  With no applicable per-parameter table the bound is unknown
-   (max_int), which disables pruning — always sound. *)
-let rule_bound bounds bound_params (key : Tuple.t) =
+   partial) assignment a, the codes of the binding keys [keys].  With no
+   applicable per-parameter table the bound is unknown (infinite), which
+   disables pruning — always sound. *)
+let rule_bound bounds keys codes =
   List.fold_left
-    (fun acc (p, tbl) ->
-      match List.find_index (String.equal p) bound_params with
+    (fun acc (key, tbl) ->
+      match List.find_index (String.equal key) keys with
       | None -> acc
       | Some i ->
-        let b = Option.value (Hashtbl.find_opt tbl (Tuple.get key i)) ~default:0 in
-        min acc b)
-    max_int bounds
+        Float.min acc
+          (Option.value (Hashtbl.find_opt tbl codes.(i)) ~default:0.))
+    infinity bounds
 
-let ( let* ) = Result.bind
-
-let run_union config catalog (flock : Flock.t) rules =
-  let params = Flock.params flock in
-  let param_keys = List.map (fun p -> "$" ^ p) params in
-  let* () =
-    match flock.filter.agg with
-    | Filter.Count -> Ok ()
-    | Filter.Sum _ | Filter.Min _ | Filter.Max _ ->
-      Error "Dynamic.run: unions support COUNT filters only"
-  in
-  let* () =
-    if
-      List.for_all
-        (fun (r : Ast.rule) ->
-          List.for_all
-            (function Ast.Var _ -> true | Ast.Param _ | Ast.Const _ -> false)
-            r.head.args)
-        rules
-    then Ok ()
-    else Error "Dynamic.run: union heads must be plain variables"
-  in
+(* Walk every rule, then feed their final environments into one FILTER
+   group table: the flock's answer. *)
+let evaluate config catalog (flock : Flock.t) =
   let threshold = flock.filter.threshold in
-  let bounds = List.map (fun r -> rule_param_bounds catalog r params) rules in
-  let head_columns = Flock.head_columns flock in
-  let union_tab =
-    Relation.create
-      (Qf_relational.Schema.of_list (param_keys @ head_columns))
+  let func =
+    Filter.to_aggregate flock.filter ~head_columns:(Flock.head_columns flock)
   in
-  let traces =
-    List.mapi
-      (fun i rule ->
-        (* Slack from the other branches. *)
-        let extra bound_params key =
-          List.fold_left
-            (fun acc (j, b) ->
-              if j = i then acc
-              else
-                let bound = rule_bound b bound_params key in
-                if bound = max_int || acc = max_int then max_int
-                else acc + bound)
-            0
-            (List.mapi (fun j b -> j, b) bounds)
-        in
-        let keep ~params:bound_params key v =
-          match Value.to_float v with
-          | None -> false
-          | Some x ->
-            let slack = extra bound_params key in
-            slack = max_int || x +. float_of_int slack >= threshold
-        in
-        let head_keys = head_var_keys rule in
-        (* No reducers here: a value below one branch's own threshold may
-           still pass through the union (see [test_union_crosses_branches]),
-           so per-branch a-priori pruning would be unsound. *)
-        let envs, trace =
-          walk_rule config catalog rule ~sip:[] ~head_keys
-            ~head_columns:(Eval.head_columns rule)
-            ~func:Aggregate.Count ~keep ~threshold
-        in
-        (* Accumulate this branch's full tabulation, renamed positionally to
-           the union schema. *)
-        let projected =
-          Eval.Envs.project envs
-            ~keys:(param_keys @ head_keys)
-            ~columns:(param_keys @ Eval.head_columns rule)
-        in
-        Relation.add_all union_tab projected;
-        List.map
-          (fun d -> { d with after = Printf.sprintf "rule %d: %s" i d.after })
-          trace)
-      rules
+  let walk ~sip ~slack rule =
+    walk_rule config catalog rule ~sip ~func ~slack ~threshold
   in
-  let answers =
-    Aggregate.group_filter union_tab ~keys:param_keys ~func:Aggregate.Count
-      ~threshold
+  let answer walks =
+    let groups =
+      Eval.groups flock.query ~keys:(Flock.result_columns flock) ~func
+    in
+    List.iter2
+      (fun rule (envs, _) -> Eval.add_envs groups rule envs)
+      flock.query walks;
+    let answers, _, _ = Eval.filter_groups groups ~threshold in
+    Ok { answers; trace = List.concat_map snd walks }
   in
-  Ok { answers; trace = List.concat traces }
+  match flock.query with
+  | [] -> Error "Dynamic.run: empty query"
+  | [ rule ] ->
+    let sip =
+      if func = Aggregate.Count then
+        apriori_reducers catalog rule ~params:(Flock.params flock) ~threshold
+      else []
+    in
+    answer [ walk ~sip ~slack:None rule ]
+  | _ when func <> Aggregate.Count ->
+    Error "Dynamic.run: unions support COUNT filters only"
+  | rules ->
+    let bounds =
+      List.map (fun r -> rule_param_bounds catalog r (Flock.params flock)) rules
+    in
+    answer
+      (List.mapi
+         (fun i rule ->
+           (* Slack from the other branches: the sum of their bounds. *)
+           let slack keys codes =
+             List.fold_left ( +. ) 0.
+               (List.filteri (fun j _ -> j <> i)
+                  (List.map (fun b -> rule_bound b keys codes) bounds))
+           in
+           (* No reducers here: a value below one branch's own threshold
+              may still pass through the union (see
+              [test_union_crosses_branches]), so per-branch a-priori
+              pruning would be unsound. *)
+           let envs, trace = walk ~sip:[] ~slack:(Some slack) rule in
+           ( envs,
+             List.map
+               (fun d ->
+                 { d with after = Printf.sprintf "rule %d: %s" i d.after })
+               trace ))
+         rules)
 
 let run ?(config = default_config) catalog (flock : Flock.t) =
   Obs.with_span "dynamic.run" @@ fun () ->
@@ -356,12 +252,7 @@ let run ?(config = default_config) catalog (flock : Flock.t) =
     Error "Dynamic.run: the filter is not monotone"
   else
     try
-      let result =
-        match flock.query with
-        | [] -> Error "Dynamic.run: empty query"
-        | [ rule ] -> run_single config catalog flock rule
-        | rules -> run_union config catalog flock rules
-      in
+      let result = evaluate config catalog flock in
       (match result with
       | Ok r ->
         Obs.set_attr "rows_out" (Obs.Int (Relation.cardinal r.answers))

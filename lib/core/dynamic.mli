@@ -1,9 +1,9 @@
 (** Dynamic selection of filter steps (paper Sec. 4.4).
 
-    A join order is fixed up front (the evaluator's greedy order, or a
-    caller-supplied one); whether to interpose a FILTER step after each join
-    is decided {e at execution time} from the sizes of the intermediate
-    result, not estimated in advance:
+    The join order is fixed up front ({!Qf_datalog.Eval.order_body}, the
+    order a plan step runs); whether to interpose a FILTER step after
+    each literal is decided {e at execution time} from the sizes of the
+    intermediate result, not estimated in advance:
 
     - if the current parameter set [S] has not been filtered before, filter
       when the average number of tuples per [S]-assignment is below
@@ -14,14 +14,16 @@
       (something substantial changed since the last filtering opportunity).
 
     A filter step is only possible once the head variables are bound (the
-    prefix must be a safe subquery).
+    prefix must be a safe subquery).  Every grouping — the assignment
+    count, an interposed filter, the final answer — runs on the FILTER
+    group table a plan step fills ({!Qf_datalog.Eval.groups}).
 
     For single-rule COUNT filters the walk is primed with a-priori
-    {!Qf_relational.Sip} reducers: one per parameter, keeping the values
-    whose minimal-safe-subquery count reaches the threshold, so the
-    evaluator skips doomed bindings instead of creating and later
-    filtering them.  They change neither the trace shape (one decision
-    per literal) nor the answers.
+    {!Qf_relational.Sip} reducers: one per parameter, over the survivors
+    of the FILTER on its minimal safe subquery, so the evaluator skips
+    doomed bindings instead of creating and later filtering them.  They
+    change neither the trace shape (one decision per literal) nor the
+    answers.
 
     {b Unions} (Sec. 3.4) need care: an assignment can fail one rule's
     prefix count and still reach the threshold through the other rules, so
@@ -60,8 +62,10 @@ type result = {
   trace : decision list;  (** one decision per body literal, in join order *)
 }
 
-(** Raises nothing; returns [Error] for unions, non-monotone filters, and
-    evaluation failures. *)
+(** Returns [Error] for non-COUNT unions, non-monotone filters and
+    evaluation failures.  Like every executor it raises
+    {!Qf_relational.Aggregate.Non_numeric} on a SUM over a non-numeric
+    value, and the governor's exceptions under a governor. *)
 val run :
   ?config:config ->
   Qf_relational.Catalog.t ->

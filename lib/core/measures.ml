@@ -47,7 +47,10 @@ let pair_rules catalog ~pred ~support ~min_confidence =
   in
   let work = Catalog.copy catalog in
   Catalog.add work pred reduced;
-  let tab = Direct.tabulate work (Apriori_gen.basket_flock ~pred ~k:2 ~support) in
+  let tab =
+    Qf_datalog.Eval.tabulate work
+      (List.hd (Apriori_gen.basket_flock ~pred ~k:2 ~support).query)
+  in
   let counts = Aggregate.group_by tab ~keys:[ "$1"; "$2" ] ~func:Aggregate.Count in
   let directed =
     List.concat_map

@@ -251,7 +251,7 @@ module Envs = struct
      to [emit base row] — the environment row's base offset and the
      matched tuple's row.  What [emit] does is the only difference
      between writing the extension out ({!extend}) and counting a FILTER
-     step's groups in place ([count_filter]). *)
+     step's groups in place ([feed], from [add_rule]). *)
   type probe = {
     slots : (string * int) list;
     fill_cols : int array array;
@@ -482,34 +482,8 @@ module Envs = struct
       (fun key ->
         match slot_of t key with
         | Some s -> s
-        | None -> errorf "Envs.project: unbound key %s" key)
+        | None -> errorf "Envs: unbound key %s" key)
       keys
-
-  (* Gather the projected columns out of the stride layout.  Unless
-     [keys] covers every slot once (the rows are then distinct, see the
-     interface), dedupe the code rows in one open-addressing pass.  Either
-     way the relation gets an already-distinct chunk. *)
-  let project t ~keys ~columns =
-    let positions = key_positions t keys in
-    let { width; count; data } = t.repr in
-    let pcols =
-      Array.of_list
-        (List.map
-           (fun p ->
-             Array.init count (fun r -> Array.unsafe_get data ((r * width) + p)))
-           positions)
-    in
-    let covers_all_slots =
-      List.sort Int.compare positions = List.init width Fun.id
-    in
-    let nrows, cols =
-      if covers_all_slots then count, pcols
-      else
-        let idxs = Chunkrel.distinct_rows pcols count in
-        Array.length idxs, Chunkrel.gather_cols pcols idxs
-    in
-    Relation.of_chunkrel (Schema.of_list columns)
-      { Chunkrel.nrows; cols }
 
   let semijoin t ~keys ~keep =
     let positions = Array.of_list (key_positions t keys) in
@@ -704,187 +678,261 @@ let head_keys (r : Ast.rule) =
       | Ast.Param p -> errorf "parameter $%s in head" p)
     r.head.args
 
-(* Project environments onto (group keys, head terms).  A head constant
-   becomes a column of its code, appended in position to the projection
-   of the bound keys. *)
-let project_with_consts envs ~group_keys ~group_columns (r : Ast.rule) =
-  let head = List.combine (head_keys r) (head_columns r) in
-  let keyed =
-    List.filter_map
-      (function `Key k, c -> Some (k, c) | `Const _, _ -> None)
-      head
-  in
-  let narrow =
-    Envs.project envs
-      ~keys:(group_keys @ List.map fst keyed)
-      ~columns:(group_columns @ List.map snd keyed)
-  in
-  if List.length keyed = List.length head then narrow
-  else begin
-    let { Chunkrel.nrows; cols } = Relation.codes narrow in
-    let n_group = List.length group_keys in
-    let _, head_cols =
-      List.fold_left
-        (fun (next, acc) (key, _) ->
-          match key with
-          | `Key _ -> next + 1, cols.(next) :: acc
-          | `Const v -> next, Array.make nrows (Dict.encode v) :: acc)
-        (n_group, []) head
-    in
-    Relation.of_chunkrel
-      (Schema.of_list (group_columns @ List.map snd head))
-      {
-        Chunkrel.nrows;
-        cols =
-          Array.append (Array.sub cols 0 n_group)
-            (Array.of_list (List.rev head_cols));
-      }
-  end
+let is_param key = String.length key > 0 && key.[0] = '$'
 
-let param_keys_and_columns (r : Ast.rule) =
-  let params = Ast.rule_params r in
-  List.map (fun p -> "$" ^ p) params, List.map (fun p -> "$" ^ p) params
+let bound_params slots =
+  List.sort String.compare (List.filter is_param (List.map fst slots))
+
+(* Project environments onto their answer rows: every bound parameter
+   (sorted), then the head, a head constant as a column of its code.
+
+   Environments are always distinct: relations are sets, and two matches
+   of one environment differ in a freshly bound value, because every
+   other position of the matched tuple is a lookup key or checked against
+   a fresh binding; filters keep distinctness.  So when the answer keys
+   cover every bound slot once, the rows are distinct without a dedupe
+   pass, which is then skipped.  Keys that repeat or leave out a bound
+   key are deduplicated in one open-addressing pass. *)
+let project_answers (envs : Envs.t) (r : Ast.rule) =
+  let params = bound_params envs.slots in
+  let answer = List.map (fun k -> `Key k) params @ head_keys r in
+  let { Envs.width; count; data } = envs.repr in
+  let slots =
+    Envs.key_positions envs
+      (List.filter_map (function `Key k -> Some k | `Const _ -> None) answer)
+  in
+  let cols =
+    Array.of_list
+      (List.map
+         (function
+           | `Key k ->
+             let s = List.assoc k envs.slots in
+             Array.init count (fun i -> Array.unsafe_get data ((i * width) + s))
+           | `Const v -> Array.make count (Dict.encode v))
+         answer)
+  in
+  let nrows, cols =
+    if List.sort Int.compare slots = List.init width Fun.id then count, cols
+    else
+      let idxs = Chunkrel.distinct_rows cols count in
+      Array.length idxs, Chunkrel.gather_cols cols idxs
+  in
+  Relation.of_chunkrel
+    (Schema.of_list (params @ head_columns r))
+    { Chunkrel.nrows; cols }
 
 let tabulate ?sip catalog (r : Ast.rule) =
-  let envs = run_body ?sip catalog r in
-  let group_keys, group_columns = param_keys_and_columns r in
-  project_with_consts envs ~group_keys ~group_columns r
+  project_answers (run_body ?sip catalog r) r
 
 let answers catalog ~bindings (r : Ast.rule) =
   let r' = Ast.subst_rule bindings r in
   (match Ast.rule_params r' with
   | [] -> ()
   | p :: _ -> errorf "answers: parameter $%s left unbound" p);
-  let envs = run_body catalog r' in
-  project_with_consts envs ~group_keys:[] ~group_columns:[] r'
-
-let tabulate_query ?sip catalog (q : Ast.query) =
-  (match Ast.wf_query q with Ok () -> () | Error e -> raise (Error e));
-  match q with
-  | [] -> assert false
-  | first :: rest ->
-    let acc = tabulate ?sip catalog first in
-    List.fold_left
-      (fun acc r ->
-        Qf_governor.Governor.check ();
-        let next = tabulate ?sip catalog r in
-        (* Positional rename: arities agree by wf_query. *)
-        Relation.add_all acc next;
-        acc)
-      acc rest
+  project_answers (run_body catalog r') r'
 
 (* {1 FILTER steps}
 
-   A single rule's FILTER counts inside its last positive subgoal's
-   probe loop: every step before it runs as in {!run_body}, and each
-   candidate the last one accepts (key match, repeated-variable checks,
-   SIP reducers, fused filters) goes straight into the group table — no
-   environment row, no tabulated relation, no second grouping pass.
+   A FILTER counts its groups in one code-keyed {!Aggregate.table}, and
+   one routine, [feed], fills it: a rule's last positive subgoal hands it
+   each candidate its probe loop accepts (key match, repeated-variable
+   checks, SIP reducers, fused filters) — no environment row, no
+   tabulated relation, no second grouping pass — and [add_envs] hands it
+   each row of an environment set.
 
-   The table must count the distinct (parameters, head) rows the
-   tabulation would hold.  When the bound slots are exactly the
-   parameters and the head variables, every accepted candidate is one of
-   them and a distinct one ({!Envs.project}'s no-dedupe argument), so it
-   is counted as it comes.  Otherwise a code set over those slots lets
-   only a candidate's first occurrence through.  Head constants add
-   nothing to distinctness; as a [SUM]/[MIN]/[MAX] measure they
-   contribute their code.
+   The table counts the distinct answer rows the tabulation would hold:
+   every bound parameter (sorted), then the head, positionally.  When one
+   rule feeds the table and its bound slots are exactly the parameters
+   and the head variables, every row fed is a distinct one
+   ([project_answers]'s argument), so it is counted as it comes.
+   Otherwise a code set over the answer rows lets only a row's first
+   occurrence through, across the rules of a union too, which is their
+   tabulations' positional rename.  A head constant adds its code to the
+   answer row, and as a [SUM]/[MIN]/[MAX] measure contributes its code.
+
+   Under a governor with a finite memory budget the answer rows are kept
+   as a relation instead and grouped by {!Aggregate.group_filter_report},
+   so the grouping pass can spill; [groups] decides that, once.
 
    The last subgoal runs on the calling domain, in environment order:
    groups open, and [SUM] adds, in the order the tabulation would have
    listed its rows. *)
-let count_filter ~sip catalog (r : Ast.rule) ~keys ~func ~threshold =
+
+type groups = {
+  keys : string list;
+  func : Aggregate.func;
+  measure : int;  (** the measure's head position, [-1] for [COUNT] *)
+  shared : bool;  (** several rules feed the table *)
+  budgeted : bool;
+  mutable table : Aggregate.table option;  (** made by the first feed *)
+  mutable seen : Aggregate.table option;  (** answer rows counted *)
+  mutable rows : int;  (** answer rows counted *)
+  mutable tabulated : Relation.t option;  (** the answer rows, if budgeted *)
+}
+
+let groups (q : Ast.query) ~keys ~func =
+  let measure =
+    match func, q with
+    | Aggregate.Count, _ | _, [] -> -1
+    | (Sum c | Min c | Max c), r :: _ -> (
+      match List.find_index (String.equal c) (head_columns r) with
+      | Some i -> i
+      | None -> errorf "FILTER: %s is not a head column" c)
+  in
+  {
+    keys;
+    func;
+    measure;
+    shared = List.compare_length_with q 1 > 0;
+    budgeted = Option.is_some (Spill.budgeted ());
+    table = None;
+    seen = None;
+    rows = 0;
+    tabulated = None;
+  }
+
+let table g ~expected =
+  match g.table with
+  | Some t -> t
+  | None ->
+    let t = Aggregate.table g.func ~nkeys:(List.length g.keys) ~expected in
+    g.table <- Some t;
+    t
+
+(* The one routine filling a FILTER's group table: [feed g r ~slots ~width
+   ~data ~fill_cols ~expected] takes a candidate of rule [r] — the base
+   offset of an environment row in [data] and a row of the matched
+   tuple's fresh columns [fill_cols] (slot [s >= width] is fresh column
+   [s - width]) — to its group.  [expected] sizes a new table. *)
+let feed g (r : Ast.rule) ~slots ~width ~data ~fill_cols ~expected =
+  let table = table g ~expected in
+  let slot key =
+    match List.assoc_opt key slots with
+    | Some s -> s
+    | None -> errorf "FILTER: unbound key %s" key
+  in
+  let code_at s base row =
+    if s < width then Array.unsafe_get data (base + s)
+    else Array.unsafe_get (Array.unsafe_get fill_cols (s - width)) row
+  in
+  let head = head_keys r in
+  (* The measure's slot, or [-1] and the head constant's code. *)
+  let measure_slot, measure_code =
+    if g.measure < 0 then -1, 0
+    else
+      match List.nth head g.measure with
+      | `Key k -> slot k, 0
+      | `Const v -> -1, Dict.encode v
+  in
+  let group_slots = Array.of_list (List.map slot g.keys) in
+  let group = Array.make (Array.length group_slots) 0 in
+  let count_row base row =
+    for k = 0 to Array.length group_slots - 1 do
+      Array.unsafe_set group k
+        (code_at (Array.unsafe_get group_slots k) base row)
+    done;
+    Aggregate.add table group
+      (if measure_slot < 0 then measure_code
+       else code_at measure_slot base row);
+    g.rows <- g.rows + 1
+  in
+  let answer = List.map (fun k -> `Key k) (bound_params slots) @ head in
+  let vars =
+    List.filter_map (function `Key k -> Some k | `Const _ -> None) answer
+  in
+  if
+    (not g.shared)
+    && List.compare_lengths (List.sort_uniq String.compare vars) slots = 0
+  then count_row
+  else begin
+    (* A head constant's code is written once; each row fills the rest. *)
+    let answer_row =
+      Array.of_list
+        (List.map (function `Key _ -> 0 | `Const v -> Dict.encode v) answer)
+    in
+    let keyed =
+      List.concat
+        (List.mapi
+           (fun i -> function `Key k -> [ i, slot k ] | `Const _ -> [])
+           answer)
+    in
+    let positions = Array.of_list (List.map fst keyed) in
+    let answer_slots = Array.of_list (List.map snd keyed) in
+    if g.seen = None then
+      g.seen <-
+        Some (Aggregate.table Count ~nkeys:(Array.length answer_row) ~expected);
+    let seen = Option.get g.seen in
+    fun base row ->
+      for k = 0 to Array.length positions - 1 do
+        Array.unsafe_set answer_row
+          (Array.unsafe_get positions k)
+          (code_at (Array.unsafe_get answer_slots k) base row)
+      done;
+      let fresh = Aggregate.groups seen in
+      if Aggregate.find seen answer_row = fresh then count_row base row
+  end
+
+let add_envs g (r : Ast.rule) (envs : Envs.t) =
+  if g.budgeted then begin
+    let rows = project_answers envs r in
+    match g.tabulated with
+    | Some acc -> Relation.add_all acc rows
+    | None -> g.tabulated <- Some rows
+  end
+  else begin
+    let { Envs.width; count; data } = envs.repr in
+    let emit =
+      feed g r ~slots:envs.slots ~width ~data ~fill_cols:[||] ~expected:count
+    in
+    for i = 0 to count - 1 do
+      emit (i * width) 0
+    done
+  end
+
+(* A rule's rows into [g]: in memory, straight from its last positive
+   subgoal's probe loop; else (a finite budget, or no positive subgoal)
+   from its environments. *)
+let add_rule ?(sip = []) catalog g (r : Ast.rule) =
   match List.rev (fuse_filters (order_body catalog r)) with
-  | (`Filter _ :: _ | []) -> None
-  | `Extend (a, filters) :: prefix ->
+  | `Extend (a, filters) :: prefix when not g.budgeted ->
     let envs = run_steps ~sip catalog (List.rev prefix) in
     Qf_governor.Governor.check ();
     let p = Envs.prepare ~sip ~filters catalog envs a in
     let { Envs.width; count; data } = envs.Envs.repr in
-    let slot key =
-      match List.assoc_opt key p.slots with
-      | Some s -> s
-      | None -> errorf "FILTER: unbound key %s" key
-    in
-    (* Slot [s] of the candidate: the environment row's, or the matched
-       tuple's fresh column. *)
-    let code_at s base row =
-      if s < width then Array.unsafe_get data (base + s)
-      else Array.unsafe_get (Array.unsafe_get p.fill_cols (s - width)) row
-    in
-    let read slots probe base row =
-      for k = 0 to Array.length slots - 1 do
-        Array.unsafe_set probe k (code_at (Array.unsafe_get slots k) base row)
-      done
-    in
-    let head = head_keys r in
-    (* The measure's slot, or [-1] and the head constant's code. *)
-    let measure_slot, measure_code =
-      match func with
-      | Aggregate.Count -> -1, 0
-      | Sum c | Min c | Max c -> (
-        match List.find_index (String.equal c) (head_columns r) with
-        | None -> errorf "FILTER: %s is not a head column" c
-        | Some i -> (
-          match List.nth head i with
-          | `Key k -> slot k, 0
-          | `Const v -> -1, Dict.encode v))
-    in
-    let answer_slots =
-      List.map slot
-        (List.sort_uniq String.compare
-           (List.map (fun p -> "$" ^ p) (Ast.rule_params r)
-           @ List.filter_map
-               (function `Key k -> Some k | `Const _ -> None)
-               head))
-    in
-    let group_slots = Array.of_list (List.map slot keys) in
-    let table =
-      Aggregate.table func ~nkeys:(Array.length group_slots) ~expected:count
-    in
-    let group = Array.make (Array.length group_slots) 0 in
-    let counted = ref 0 in
-    let count_row base row =
-      read group_slots group base row;
-      Aggregate.add table group
-        (if measure_slot < 0 then measure_code
-         else code_at measure_slot base row);
-      incr counted
-    in
     let emit =
-      if List.length answer_slots = List.length p.slots then count_row
-      else begin
-        let answer_slots = Array.of_list answer_slots in
-        let answer = Array.make (Array.length answer_slots) 0 in
-        let seen =
-          Aggregate.table Count ~nkeys:(Array.length answer) ~expected:count
-        in
-        fun base row ->
-          read answer_slots answer base row;
-          let fresh = Aggregate.groups seen in
-          if Aggregate.find seen answer = fresh then count_row base row
-      end
+      feed g r ~slots:p.slots ~width ~data ~fill_cols:p.fill_cols
+        ~expected:count
     in
     Envs.extend_span a ~rows_in:count (fun () ->
-        (), Envs.flush p [ p.scan ~lo:0 ~hi:count ~emit ]);
-    let survivors, groups =
-      Aggregate.filter_table table ~rows_in:!counted ~keys ~threshold
-    in
-    Some (survivors, !counted, groups)
+        (), Envs.flush p [ p.scan ~lo:0 ~hi:count ~emit ])
+  | steps -> add_envs g r (run_steps ~sip catalog (List.rev steps))
 
-let filter_query ?(sip = []) catalog (q : Ast.query) ~keys ~func ~threshold =
-  (match Ast.wf_query q with Ok () -> () | Error e -> raise (Error e));
-  let counted =
-    match q with
-    | [ r ] when Option.is_none (Spill.budgeted ()) ->
-      count_filter ~sip catalog r ~keys ~func ~threshold
-    | _ -> None
-  in
-  match counted with
-  | Some result -> result
-  | None ->
-    let tab = tabulate_query ~sip catalog q in
+let filter_groups ?slack g ~threshold =
+  match g.tabulated with
+  | Some rel ->
     let survivors, groups =
-      Aggregate.group_filter_report tab ~keys ~func ~threshold
+      Aggregate.group_filter_report ?slack rel ~keys:g.keys ~func:g.func
+        ~threshold
     in
-    survivors, Relation.cardinal tab, groups
+    survivors, Relation.cardinal rel, groups
+  | None ->
+    let survivors, groups =
+      Aggregate.filter_table ?slack (table g ~expected:0) ~rows_in:g.rows
+        ~keys:g.keys ~threshold
+    in
+    survivors, g.rows, groups
+
+let supports catalog (r : Ast.rule) ~key =
+  let g = { (groups [ r ] ~keys:[ key ] ~func:Count) with budgeted = false } in
+  add_rule catalog g r;
+  let t = table g ~expected:0 in
+  Hashtbl.of_seq
+    (Seq.init (Aggregate.groups t) (fun i ->
+         ( Aggregate.key_code t i 0,
+           Option.value (Value.to_float (Aggregate.value t i)) ~default:0. )))
+
+let filter_query ?sip catalog (q : Ast.query) ~keys ~func ~threshold =
+  (match Ast.wf_query q with Ok () -> () | Error e -> raise (Error e));
+  let g = groups q ~keys ~func in
+  List.iter (add_rule ?sip catalog g) q;
+  filter_groups g ~threshold

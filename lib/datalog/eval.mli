@@ -8,8 +8,11 @@
     and arithmetic subgoals filter environments once their terms are bound.
 
     The incremental {!Envs} interface is exposed because the dynamic
-    query-flock executor (paper Sec. 4.4) interleaves these steps with
-    support-based pruning decisions of its own. *)
+    query-flock executor (paper Sec. 4.4) walks a body one literal at a
+    time, deciding after each one whether to interpose a FILTER step: it
+    counts the environments so far into a {!groups} table — the one a
+    plan step's {!filter_query} fills — and {!Envs.semijoin}s them with
+    the survivors. *)
 
 exception Error of string
 
@@ -68,18 +71,6 @@ module Envs : sig
 
   (** Keep environments satisfying the arithmetic comparison. *)
   val filter_cmp : t -> Ast.term -> Ast.comparison -> Ast.term -> t
-
-  (** [project envs ~keys ~columns] is the relation of distinct bindings of
-      [keys], with schema [columns].  Raises {!Error} on an unbound key.
-
-      Environments are always distinct: relations are sets, and two
-      matches of one environment differ in a freshly bound value, because
-      every other position of the matched tuple is a lookup key or checked
-      against a fresh binding; filters keep distinctness.  So when [keys]
-      is a permutation of every bound key, the projection is distinct
-      without a dedupe pass, which is then skipped.  Keys that
-      repeat or leave out a bound key are deduplicated. *)
-  val project : t -> keys:string list -> columns:string list -> Qf_relational.Relation.t
 
   (** [semijoin envs ~keys ~keep] keeps environments whose [keys]-projection
       is a tuple of [keep] — the pruning step of dynamic evaluation. *)
@@ -145,36 +136,65 @@ val answers :
   Ast.rule ->
   Qf_relational.Relation.t
 
-(** [tabulate_query catalog query] evaluates a union: the set-union of each
-    rule's {!tabulate}, with all results renamed to the first rule's schema
-    (positionally).  [sip] as in {!Envs.extend_pos}, applied to every
-    rule.  Raises {!Error} if {!Ast.wf_query} fails. *)
-val tabulate_query :
-  ?sip:(string * Qf_relational.Sip.t) list ->
-  Qf_relational.Catalog.t ->
-  Ast.query ->
-  Qf_relational.Relation.t
-
 (** {1 FILTER steps} *)
 
-(** [filter_query catalog query ~keys ~func ~threshold] is the FILTER
-    step FILTER([keys], [query], [func] >= [threshold]): the [keys]
-    (parameter columns named as in {!tabulate}, e.g. ["$p"]) of the
-    groups of [tabulate_query catalog query] whose aggregate
-    {!Qf_relational.Aggregate.passes} the threshold, as a relation over
-    [keys] — with the number of rows the tabulation holds and the number
-    of groups.  [func] names head columns as {!head_columns} gives them
-    for the first rule; [sip] as in {!Envs.extend_pos}.
+(** A FILTER's group table being filled: the groups of [keys] (parameter
+    binding keys, e.g. ["$p"]) of the distinct answer rows fed to it, each
+    with its aggregate.  An answer row is every bound parameter (sorted),
+    then the rule's head, positionally, so the rules of a union feed one
+    table as their tabulations would, renamed positionally.  In memory it is
+    a code-keyed {!Qf_relational.Aggregate.table}; under a governor with a
+    finite memory budget the answer rows are kept as a relation instead,
+    grouped when the filter is applied by
+    {!Qf_relational.Aggregate.group_filter_report}, which can spill. *)
+type groups
 
-    A single rule is counted inside its last positive subgoal's probe
-    loop, on the calling domain: no tabulated relation is built and no
-    second grouping pass runs.  A union, a body with no positive
-    subgoal, and a run under a governor with a finite memory budget
-    tabulate and group as {!tabulate_query} and
-    {!Qf_relational.Aggregate.group_filter_report} do, so the grouping
-    pass can spill.  Either way the result, the counts and the
+(** [groups query ~keys ~func] is an empty table for a FILTER over
+    [query] (one rule, or a union).  [func] names head columns as
+    {!head_columns} gives them for the first rule.  Raises {!Error} when
+    it names none. *)
+val groups :
+  Ast.query -> keys:string list -> func:Qf_relational.Aggregate.func -> groups
+
+(** [add_envs g rule envs] feeds [rule]'s environments [envs] into [g].
+    Every key of [g] and every head variable must be bound; raises
+    {!Error} otherwise. *)
+val add_envs : groups -> Ast.rule -> Envs.t -> unit
+
+(** [filter_groups g ~threshold] applies the FILTER: the [keys] of the
+    groups whose aggregate {!Qf_relational.Aggregate.passes} the
+    threshold, as a relation over [keys] — with the number of answer rows
+    fed and the number of groups.  [slack] as in
+    {!Qf_relational.Aggregate.filter_table}. *)
+val filter_groups :
+  ?slack:(int array -> float) ->
+  groups ->
+  threshold:float ->
+  Qf_relational.Relation.t * int * int
+
+(** [supports catalog rule ~key] maps each value of the parameter binding
+    key [key] that [rule]'s body derives, by its dictionary code, to its
+    COUNT: the number of distinct answer rows with that value.  Counted
+    in memory whatever the budget (one entry per value). *)
+val supports :
+  Qf_relational.Catalog.t -> Ast.rule -> key:string -> (int, float) Hashtbl.t
+
+(** [filter_query catalog query ~keys ~func ~threshold] is the FILTER
+    step FILTER([keys], [query], [func] >= [threshold]): every rule of
+    [query] fed into one {!groups} table, then {!filter_groups} — the
+    survivors as a relation over [keys], the number of rows the union of
+    the rules' tabulations ({!tabulate}, renamed positionally) holds and
+    the number of groups.
+    [sip] as in {!Envs.extend_pos}.
+
+    In memory, each rule is counted inside its last positive subgoal's
+    probe loop, on the calling domain: no tabulated relation is built
+    and no second grouping pass runs.  A body with no positive subgoal
+    feeds its environments.  Under a finite memory budget each rule is
+    tabulated and the rows grouped by the governed pass, so it can
+    spill.  Either way the result, the counts and the
     [aggregate.group_filter] span are the same.  Raises {!Error} if
-    {!Ast.wf_query} fails or the rule is unsafe. *)
+    {!Ast.wf_query} fails or a rule is unsafe. *)
 val filter_query :
   ?sip:(string * Qf_relational.Sip.t) list ->
   Qf_relational.Catalog.t ->

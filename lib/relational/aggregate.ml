@@ -15,13 +15,12 @@ let pp_func ppf = function
   | Min c -> Format.fprintf ppf "MIN(%s)" c
   | Max c -> Format.fprintf ppf "MAX(%s)" c
 
-let numeric_exn context v =
+exception Non_numeric of { column : string; value : Value.t }
+
+let numeric_exn column v =
   match Value.to_float v with
   | Some f -> f
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Aggregate.%s: non-numeric value %s" context
-         (Value.to_string v))
+  | None -> raise (Non_numeric { column; value = v })
 
 let eval func schema tuples =
   match tuples with
@@ -33,7 +32,7 @@ let eval func schema tuples =
       let pos = Schema.position schema col in
       let total =
         List.fold_left
-          (fun acc tup -> acc +. numeric_exn "sum" (Tuple.get tup pos))
+          (fun acc tup -> acc +. numeric_exn col (Tuple.get tup pos))
           0. tuples
       in
       Value.Real total
@@ -203,9 +202,9 @@ let add t probe code =
   let g = find t probe in
   match t.func with
   | Count -> Array.unsafe_set t.ints g (Array.unsafe_get t.ints g + 1)
-  | Sum _ ->
+  | Sum c ->
     Array.unsafe_set t.sums g
-      (Array.unsafe_get t.sums g +. numeric_exn "sum" (Dict.decode code))
+      (Array.unsafe_get t.sums g +. numeric_exn c (Dict.decode code))
   | (Min _ | Max _) as func ->
     let best = Array.unsafe_get t.ints g in
     if g = fresh then Array.unsafe_set t.ints g code
@@ -228,17 +227,24 @@ let passes ~threshold v =
 
 (* The FILTER's threshold test over one table: the passing groups' key
    codes gathered straight into columns — no group becomes a tuple,
-   passing or not. *)
-let passing ~threshold t =
+   passing or not.  [slack] lowers a group's threshold by a bound read
+   off its key codes. *)
+let passing ?slack ~threshold t =
   let kept = Buf.create (t.ngroups / 8) in
-  let passes g =
+  let passes ~threshold g =
     match t.func with
     | Count -> float_of_int t.ints.(g) >= threshold
     | Sum _ -> t.sums.(g) >= threshold
     | Min _ | Max _ -> passes ~threshold (value t g)
   in
   for g = 0 to t.ngroups - 1 do
-    if passes g then Buf.push kept g
+    let threshold =
+      match slack with
+      | None -> threshold
+      | Some slack ->
+        threshold -. slack (Array.sub t.keys (g * t.nkeys) t.nkeys)
+    in
+    if passes ~threshold g then Buf.push kept g
   done;
   let kept = Buf.to_array kept in
   ( Array.length kept,
@@ -383,9 +389,9 @@ let group_by ?pool ?par_threshold rel ~keys ~func =
    span: [candidates] parameter assignments enter, [survivors] pass the
    threshold; [pruning_ratio] is the surviving fraction, always within
    [0, 1]. *)
-let filter ~rows_in ~keys ~threshold fold =
+let filter ?slack ~rows_in ~keys ~threshold fold =
   let compute () =
-    let parts, candidates = fold (passing ~threshold) in
+    let parts, candidates = fold (passing ?slack ~threshold) in
     let out =
       Relation.of_chunkrel (Schema.of_list keys)
         {
@@ -412,12 +418,14 @@ let filter ~rows_in ~keys ~threshold fold =
               else float_of_int survivors /. float_of_int candidates));
         out, candidates)
 
-let group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold =
-  filter ~rows_in:(Relation.cardinal rel) ~keys ~threshold (fun consume ->
-      fold_groups ?pool ?par_threshold rel ~keys ~func ~consume)
+let group_filter_report ?pool ?par_threshold ?slack rel ~keys ~func
+    ~threshold =
+  filter ?slack ~rows_in:(Relation.cardinal rel) ~keys ~threshold
+    (fun consume -> fold_groups ?pool ?par_threshold rel ~keys ~func ~consume)
 
-let filter_table t ~rows_in ~keys ~threshold =
-  filter ~rows_in ~keys ~threshold (fun consume -> [ consume t ], t.ngroups)
+let filter_table ?slack t ~rows_in ~keys ~threshold =
+  filter ?slack ~rows_in ~keys ~threshold (fun consume ->
+      [ consume t ], t.ngroups)
 
 let group_filter ?pool ?par_threshold rel ~keys ~func ~threshold =
   fst (group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold)

@@ -15,10 +15,15 @@ type func =
 
 val pp_func : Format.formatter -> func -> unit
 
+(** [SUM] over the named column met a value that is not a number: an
+    input error in the data, raised by {!eval}, {!add} and every grouping
+    pass over a [Sum]. *)
+exception Non_numeric of { column : string; value : Value.t }
+
 (** [eval func schema tuples] computes the aggregate over a non-empty group.
     [Count] yields [Real (cardinal)]; [Sum]/[Min]/[Max] read the named
     column ([Min]/[Max] use {!Value.compare}; [Sum] requires numeric values
-    and raises [Invalid_argument] on a string). *)
+    and raises {!Non_numeric} on a string). *)
 val eval : func -> Schema.t -> Tuple.t list -> Value.t
 
 (** [group_by rel ~keys ~func] returns a list of
@@ -63,20 +68,32 @@ val find : table -> int array -> int
 
 (** [add t keys code] folds one row into its group: [Count] counts it,
     [Sum]/[Min]/[Max] take [code] as the row's measure (a {!Dict} code;
-    ignored by [Count]).  Raises [Invalid_argument] when [Sum] meets a
+    ignored by [Count]).  Raises {!Non_numeric} when [Sum] meets a
     non-numeric value. *)
 val add : table -> int array -> int -> unit
 
 (** Number of groups. *)
 val groups : table -> int
 
+(** [key_code t g k] is group [g]'s [k]-th key code. *)
+val key_code : table -> int -> int -> int
+
+(** [value t g] is group [g]'s aggregate. *)
+val value : table -> int -> Value.t
+
 (** [filter_table t ~rows_in ~keys ~threshold] is the FILTER over a
     filled table, as {!group_filter_report} computes it over a relation:
     the groups whose aggregate {!passes}, as a relation whose columns are
     named [keys], and the candidate (group) count.  [rows_in] is the
     number of rows the table counted, reported on the
-    [aggregate.group_filter] span. *)
+    [aggregate.group_filter] span.
+
+    With [slack], a group passes when its aggregate passes [threshold -.
+    slack codes], [codes] being its key codes in [keys] order: the
+    Sec. 3.4 union test, where the other branches may still add up to
+    [slack]. *)
 val filter_table :
+  ?slack:(int array -> float) ->
   table ->
   rows_in:int ->
   keys:string list ->
@@ -105,10 +122,12 @@ val group_filter :
 (** Like {!group_filter}, but also returns the number of candidate
     groups (the distinct key count before the threshold test — exactly
     [cardinal (project rel keys)], without the extra projection pass).
-    Plan execution reports this as the a-priori candidate count. *)
+    Plan execution reports this as the a-priori candidate count.
+    [slack] as in {!filter_table}. *)
 val group_filter_report :
   ?pool:Qf_exec_pool.Pool.t ->
   ?par_threshold:int ->
+  ?slack:(int array -> float) ->
   Relation.t ->
   keys:string list ->
   func:func ->

@@ -68,10 +68,6 @@ let of_distinct_codes codes =
 let distinct_codes col n =
   Array.map (fun i -> col.(i)) (Chunkrel.distinct_rows [| col |] n)
 
-let of_values values =
-  let codes = Dict.with_encoder (fun encode -> Array.map encode values) in
-  of_distinct_codes (distinct_codes codes (Array.length codes))
-
 let of_column rel col =
   let chunk = Relation.codes rel in
   let pos = Schema.position (Relation.schema rel) col in

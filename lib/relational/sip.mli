@@ -31,13 +31,6 @@ val exact_cutoff : int
     Counts one [sip.reducer_built] when observability is enabled. *)
 val of_column : Relation.t -> string -> t
 
-(** [of_values vs] summarizes an explicit value set (deduplicated) —
-    exact below {!exact_cutoff}, Bloom above it.  Used by the dynamic
-    executor's a-priori reducers, whose surviving-value sets come from an
-    aggregation rather than a stored column.  Counts one
-    [sip.reducer_built] when observability is enabled. *)
-val of_values : Value.t array -> t
-
 (** Exact code-set reducer over the given codes (no cutoff applied). *)
 val exact_of_codes : int array -> t
 

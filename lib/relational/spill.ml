@@ -55,8 +55,16 @@ let governed ~need in_memory spill =
    The route re-mixes the key hash before taking it modulo [parts]: the
    group table probes by the low bits of that same hash, and a bare
    [h mod parts] would fix them within a run (with an even [parts], the
-   lowest), leaving the table part of its slots. *)
-let map_partitions g rel ~keys ~need f =
+   lowest), leaving the table part of its slots.
+
+   Hashing can still route more than a run's share to one run.  A run
+   whose charge does not fit what is left of the budget is partitioned
+   again with a different re-mix, up to [max_depth] levels down; a run
+   that still does not fit (one key's rows alone can outgrow the budget)
+   raises [Over_budget] from its charge. *)
+let max_depth = 3
+
+let rec map_partitions_at ~depth g rel ~keys ~need f =
   let schema = Relation.schema rel in
   let chunk = Relation.codes rel in
   let cols = chunk.Chunkrel.cols in
@@ -73,7 +81,9 @@ let map_partitions g rel ~keys ~need f =
         r)
   in
   for i = 0 to chunk.Chunkrel.nrows - 1 do
-    let h = Chunkrel.mix (Chunkrel.hash_key key_cols i) 0x9E3779B9 lsr 7 in
+    let h =
+      Chunkrel.mix (Chunkrel.hash_key key_cols i) (0x9E3779B9 + depth) lsr 7
+    in
     Heap_file.append_codes runs.(h mod parts).file cols i
   done;
   Governor.note_spill g ~partitions:parts
@@ -82,12 +92,22 @@ let map_partitions g rel ~keys ~need f =
          (fun a r -> a + (Heap_file.page_count r.file * Page.size))
          0 runs)
     ~rows:chunk.Chunkrel.nrows;
-  List.map
+  List.concat_map
     (fun r ->
       Governor.check ();
       let run = Relation.of_chunkrel schema (Heap_file.to_chunk r.file) in
       let cost = need run in
-      Governor.charge g cost;
-      Fun.protect ~finally:(fun () -> Governor.release g cost) @@ fun () ->
-      f run)
+      if
+        depth < max_depth
+        && Relation.cardinal run > 1
+        && cost > Governor.budget g - Governor.used g
+      then map_partitions_at ~depth:(depth + 1) g run ~keys ~need f
+      else begin
+        Governor.charge g cost;
+        Fun.protect ~finally:(fun () -> Governor.release g cost) @@ fun () ->
+        [ f run ]
+      end)
     (Array.to_list runs)
+
+let map_partitions g rel ~keys ~need f =
+  map_partitions_at ~depth:0 g rel ~keys ~need f

@@ -20,8 +20,11 @@ val governed :
     [need], clamped to [2, 256] runs.  It records the runs on [g]
     ([governor.spill.*]), then reads each run back as a relation (its rows
     are already distinct, so they are adopted without re-encoding) and
-    applies [f] to it under a charge of [need run], in run order.  Every
-    run is deleted on every exit. *)
+    applies [f] to it under a charge of [need run], in run order.  A run
+    whose charge does not fit what is left of the budget is partitioned
+    again the same way (with a different hash), at most three levels
+    down, and [f] gets its runs in its place.  Every run is deleted on
+    every exit. *)
 val map_partitions :
   Qf_governor.Governor.t ->
   Relation.t ->

@@ -98,7 +98,7 @@ let test_aggregate_errors () =
     (Invalid_argument "Aggregate.eval: empty group") (fun () ->
       ignore (Aggregate.eval Count schema []));
   Alcotest.check_raises "sum of strings"
-    (Invalid_argument "Aggregate.sum: non-numeric value \"a\"") (fun () ->
+    (Aggregate.Non_numeric { column = "X"; value = Value.Str "a" }) (fun () ->
       ignore (Aggregate.eval (Sum "X") schema [ (Qf_relational.Tuple.of_array [| Value.Str "a" |]) ]))
 
 let test_group_filter () =

@@ -1,7 +1,7 @@
 (* The flockc binary's input boundaries: a missing, misplaced or corrupt
    [-D] store, a malformed CSV, a flock naming an unloaded predicate, a
-   bad timeout or memory budget and a bad [rules] / [maximal] argument
-   are input errors (exit 1 with a
+   bad timeout or memory budget, a SUM over strings and a bad [rules] /
+   [maximal] argument are input errors (exit 1 with a
    one-line message; 2 under [lint]), never an uncaught exception
    (cmdliner's exit 125, which flockc also uses for an exceeded memory
    budget).  [rules] and [maximal] output on
@@ -220,15 +220,19 @@ let test_bad_governor_settings () =
   let code, msg = run ~env:[ "QF_MEM_BUDGET=" ] (mine []) in
   check_int ("empty variable: " ^ msg) 0 code
 
+let with_flock text f =
+  let path = Filename.temp_file "qfcli" ".flock" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  f path
+
 (* MAX of a string column never passes the threshold: an empty answer in
    every mode, not an uncaught exception. *)
 let test_max_over_strings () =
-  let path = Filename.temp_file "qfcli" ".flock" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc
-        "QUERY:\nanswer(B,I) :- baskets(B,$1) AND baskets(B,I)\n\
-         FILTER:\nMAX(answer.I) >= 3\n");
+  with_flock
+    "QUERY:\nanswer(B,I) :- baskets(B,$1) AND baskets(B,I)\n\
+     FILTER:\nMAX(answer.I) >= 3\n"
+  @@ fun path ->
   List.iter
     (fun mode ->
       let code, out, err =
@@ -237,6 +241,46 @@ let test_max_over_strings () =
       check_int (Printf.sprintf "mine -m %s exit status: %s" mode err) 0 code;
       Alcotest.(check string) ("mine -m " ^ mode ^ " output") "$1\n" out)
     [ "plan"; "direct"; "dynamic"; "naive" ]
+
+(* A head constant under [-m dynamic], COUNT and SUM over the constant's
+   column: the answer of every other mode, with no fallback. *)
+let test_dynamic_head_constant () =
+  List.iter
+    (fun filter ->
+      with_flock
+        ("QUERY:\nanswer(B,5) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2\n\
+          FILTER:\n" ^ filter ^ "\n")
+      @@ fun path ->
+      List.iter
+        (fun mode ->
+          let code, out, err =
+            run_full [ "run"; "-m"; mode; "-d"; "baskets=" ^ baskets; path ]
+          in
+          check_int (Printf.sprintf "%s, -m %s exit status: %s" filter mode err)
+            0 code;
+          check_bool (filter ^ ": no fallback") false
+            (Test_util.contains ~sub:"falling back" err);
+          Alcotest.(check string)
+            (Printf.sprintf "%s, -m %s output" filter mode)
+            "$1,$2\nbeer,diapers\nhamburger,ketchup\n" out)
+        [ "dynamic"; "direct"; "plan"; "naive" ])
+    [ "COUNT(answer(*)) >= 3"; "SUM(answer.c1) >= 15" ]
+
+(* SUM over a column holding strings is an input error naming the column
+   and the value, in every mode of [run] and under [mine], in memory and
+   spilled: exit 1, not the 125 of an exceeded budget. *)
+let test_sum_over_strings () =
+  with_flock
+    "QUERY:\nanswer(B,I) :- baskets(B,$1) AND baskets(B,I)\n\
+     FILTER:\nSUM(answer.I) >= 3\n"
+  @@ fun path ->
+  let data = [ "-d"; "baskets=" ^ baskets; path ] in
+  List.iter
+    (fun args ->
+      expect_input_error ~contains:"SUM(I) over the non-numeric value \"" args)
+    (List.map (fun mode -> [ "run"; "-m"; mode ] @ data)
+       [ "plan"; "direct"; "dynamic"; "naive" ]
+    @ [ "mine" :: data; [ "mine"; "--mem-budget=4k" ] @ data ])
 
 (* Golden output of the mining conveniences on baskets.csv. *)
 let rules_golden =
@@ -296,4 +340,8 @@ let suite =
       test_max_over_strings;
     Alcotest.test_case "rules/maximal output on baskets.csv" `Quick
       test_mining_goldens;
+    Alcotest.test_case "run -m dynamic over a head constant" `Quick
+      test_dynamic_head_constant;
+    Alcotest.test_case "SUM over strings exits 1 naming column and value"
+      `Quick test_sum_over_strings;
   ]

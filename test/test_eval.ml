@@ -175,9 +175,12 @@ let test_union () =
     | Ok q -> q
     | Error e -> Alcotest.failf "parse union: %s" e
   in
-  let r = Eval.tabulate_query (catalog ()) q in
+  let _, rows, _ =
+    Eval.filter_query (catalog ()) q ~keys:[ "$t" ]
+      ~func:Qf_relational.Aggregate.Count ~threshold:1.
+  in
   (* ($t,X) pairs reachable as (target,source) or (source,target). *)
-  check_int "union dedups" 9 (R.cardinal r)
+  check_int "union dedups" 9 rows
 
 let test_duplicate_head_vars () =
   let r = tab (catalog ()) "answer(X,X) :- edge(X,X)" in
@@ -266,7 +269,9 @@ let test_fused_filters_follow_sip () =
      runs first, so it sees and counts all four Z = 4 candidates whether
      or not filters are fused. *)
   let module Obs = Qf_obs.Obs in
-  let sip = [ "Z", Qf_relational.Sip.of_values [| V.Int 3 |] ] in
+  let sip =
+    [ "Z", Qf_relational.Sip.of_column (R.of_values [ "Z" ] V.[ [ Int 3 ] ]) "Z" ]
+  in
   List.iter
     (fun size ->
       Test_util.with_pool_size ~par_threshold:1 size @@ fun () ->
@@ -321,8 +326,15 @@ let test_envs_incremental_api () =
   let keep = R.of_values [ "X" ] V.[ [ Int 1 ] ] in
   let envs = Eval.Envs.semijoin envs ~keys:[ "X" ] ~keep in
   check_int "semijoined" 2 (Eval.Envs.count envs);
-  let rel = Eval.Envs.project envs ~keys:[ "Y" ] ~columns:[ "Y" ] in
-  check_int "projected distinct" 2 (R.cardinal rel)
+  let head = rule "answer(Y) :- edge(X,Y) AND X < Y" in
+  let groups =
+    Eval.groups [ head ] ~keys:[ "Y" ] ~func:Qf_relational.Aggregate.Count
+  in
+  Eval.add_envs groups head envs;
+  let kept, rows, groups = Eval.filter_groups groups ~threshold:1. in
+  check_int "distinct Y groups" 2 groups;
+  check_int "answer rows fed" 2 rows;
+  check_int "every group passes" 2 (R.cardinal kept)
 
 let suite =
   [

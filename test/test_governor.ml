@@ -245,6 +245,38 @@ let prop_map_partitions =
       && List.length (List.sort_uniq Tuple.compare run_keys)
          = List.length run_keys)
 
+(* A run whose charge outgrows what is left of the budget is partitioned
+   again.  Forty distinct keys, a top-level need asking for the minimum
+   of two runs, and a run charge of a quarter of the budget per row: no
+   top-level run of more than four rows fits, so the runs [f] gets come
+   from deeper levels.  One key's rows cannot be split, so eight rows of
+   a single key stay over budget. *)
+let test_oversize_run_resplits () =
+  let budget = 1 lsl 20 in
+  let split rel =
+    let need r = if r == rel then 0 else R.cardinal r * budget / 4 in
+    let g = Governor.create ~mem_budget:budget () in
+    Governor.with_ctx g (fun () ->
+        Qf_relational.Spill.map_partitions g rel ~keys:[ "X" ] ~need Fun.id)
+  in
+  let rel = R.of_values [ "X" ] (List.init 40 (fun i -> [ Value.Int i ])) in
+  let runs = split rel in
+  assert_no_leaks "re-split";
+  Alcotest.(check bool) "more runs than the top level's two" true
+    (List.length runs > 2);
+  Alcotest.(check bool) "every run fits" true
+    (List.for_all (fun r -> R.cardinal r <= 4) runs);
+  let union = R.create (R.schema rel) in
+  List.iter (R.add_all union) runs;
+  Alcotest.(check bool) "the runs hold the input" true (R.equal union rel);
+  let one_key =
+    R.of_values [ "X"; "Y" ] (List.init 8 (fun i -> [ Value.Int 0; Value.Int i ]))
+  in
+  (match split one_key with
+  | _ -> Alcotest.fail "one key's eight rows cannot fit"
+  | exception Governor.Over_budget _ -> ());
+  assert_no_leaks "one key over budget"
+
 (* {1 Executors under a tiny budget agree with ungoverned direct} *)
 
 let tiny_budget = 4096
@@ -555,6 +587,8 @@ let suite =
     Alcotest.test_case "spilled group-filter = in-memory" `Quick
       test_spilled_group_filter_agrees;
     QCheck_alcotest.to_alcotest prop_map_partitions;
+    Alcotest.test_case "an oversize spill run is partitioned again" `Quick
+      test_oversize_run_resplits;
     Alcotest.test_case "executors agree under a tiny budget" `Slow
       test_executors_agree_under_tiny_budget;
     Alcotest.test_case "MIN/MAX over a string column: executors = naive"

@@ -465,25 +465,28 @@ let test_corpus_pool_insensitive () =
    [Eval.filter_query] counts a single rule's groups inside its last
    subgoal's probe loop; on every rule it must give exactly what
    tabulating and grouping give: the survivors, the number of tabulated
-   rows and the number of groups. *)
+   rows and the number of groups.  [Dynamic.run] groups through the same
+   table, so its answers must be those survivors under any config. *)
 
 module Eval = Qf_datalog.Eval
 module Ast = Qf_datalog.Ast
 module Catalog = Qf_relational.Catalog
 module Sip = Qf_relational.Sip
 
-let filter_by_tabulation ~sip cat q ~keys ~func ~threshold =
-  let tab = Eval.tabulate_query ~sip cat q in
+let filter_by_tabulation ~sip cat rule ~keys ~func ~threshold =
+  let tab = Eval.tabulate ~sip cat rule in
   let survivors, groups =
     Aggregate.group_filter_report tab ~keys ~func ~threshold
   in
   survivors, R.cardinal tab, groups
 
-let check_filter_count name ~sip cat q ~keys ~func ~threshold =
+let check_filter_count name ~sip cat rule ~keys ~func ~threshold =
   let want_out, want_rows, want_groups =
-    filter_by_tabulation ~sip cat q ~keys ~func ~threshold
+    filter_by_tabulation ~sip cat rule ~keys ~func ~threshold
   in
-  let out, rows, groups = Eval.filter_query ~sip cat q ~keys ~func ~threshold in
+  let out, rows, groups =
+    Eval.filter_query ~sip cat [ rule ] ~keys ~func ~threshold
+  in
   if not (R.equal want_out out && rows = want_rows && groups = want_groups)
   then
     Alcotest.failf
@@ -491,6 +494,35 @@ let check_filter_count name ~sip cat q ~keys ~func ~threshold =
        has %d rows, %d groups, %d survivors"
       name Aggregate.pp_func func threshold rows groups (R.cardinal out)
       want_rows want_groups (R.cardinal want_out)
+
+(* [Dynamic.run] on the flock [rule] with [filter], under the default and
+   the eager config: the [filter_query] survivors, or [Error] for a
+   non-monotone filter.  [None] when [rule] makes no flock (it has no
+   parameter). *)
+let eager = { Dynamic.ratio_factor = 1e9; improvement_factor = 1e9 }
+
+let check_dynamic name cat rule ~keys (filter : Filter.t) =
+  match Flock.make [ rule ] filter with
+  | Error _ -> ()
+  | Ok flock ->
+    List.iter
+      (fun config ->
+        match Dynamic.run ~config cat flock, Filter.is_monotone filter with
+        | Ok r, true ->
+          let want, _, _ =
+            Eval.filter_query cat [ rule ] ~keys ~func:filter.agg
+              ~threshold:filter.threshold
+          in
+          if not (R.equal want r.answers) then
+            Alcotest.failf "%s, %a >= %g: dynamic has %d answers, FILTER %d"
+              name Aggregate.pp_func filter.agg filter.threshold
+              (R.cardinal r.answers) (R.cardinal want)
+        | Error _, false -> ()
+        | Ok _, false ->
+          Alcotest.failf "%s: dynamic accepted %a" name Aggregate.pp_func
+            filter.agg
+        | Error e, true -> Alcotest.failf "%s: dynamic: %s" name e)
+      [ Dynamic.default_config; eager ]
 
 (* Does the last positive subgoal have filters fused into it? *)
 let fuses_last cat rule =
@@ -563,19 +595,22 @@ let test_filter_count_corpus () =
                      (fun c -> Aggregate.[ Sum c; Min c; Max c ])
                      (Eval.head_columns rule)
               in
+              let name =
+                Printf.sprintf "seed %d, %d domains, %s" seed domains
+                  (Qf_datalog.Pretty.rule_to_string rule)
+              in
               List.iter
                 (fun func ->
                   List.iter
-                    (fun sip ->
+                    (fun threshold ->
                       List.iter
-                        (fun threshold ->
-                          check_filter_count
-                            (Printf.sprintf "seed %d, %d domains, %s" seed
-                               domains
-                               (Qf_datalog.Pretty.rule_to_string rule))
-                            ~sip cat [ rule ] ~keys ~func ~threshold)
-                        [ 1.; 2.; 4. ])
-                    [ []; reducers ])
+                        (fun sip ->
+                          check_filter_count name ~sip cat rule ~keys ~func
+                            ~threshold)
+                        [ []; reducers ];
+                      check_dynamic name cat rule ~keys
+                        { Filter.agg = func; threshold })
+                    [ 1.; 2.; 4. ])
                 funcs)
             [ rule; with_const ])
         (List.init 200 Fun.id))

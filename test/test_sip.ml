@@ -74,16 +74,20 @@ let prop_bloom_no_false_negatives =
       (not (Sip.is_exact t))
       && Array.for_all (fun c -> Sip.mem t c) codes)
 
+(* A reducer over a one-column relation of the given integers. *)
+let of_ints ints =
+  Sip.of_column (R.of_values [ "V" ] (List.map (fun i -> [ V.Int i ]) ints)) "V"
+
 let prop_exact_reducers_are_exact =
   QCheck.Test.make
-    ~name:"exact reducers have no false positives (and of_values dedups)"
+    ~name:"exact reducers have no false positives (and of_column dedups)"
     ~count:200
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 100) (int_range 0 500))
         (int_range 501 2000))
     (fun (ints, outside) ->
-      let t = Sip.of_values (Array.of_list (List.map (fun i -> V.Int i) ints)) in
+      let t = of_ints ints in
       Sip.is_exact t
       && List.for_all (mem_int t) ints
       && not (mem_int t outside))
@@ -99,7 +103,7 @@ let test_of_column_matches_column () =
     (mem_int t 1 && mem_int t 2);
   check_bool "other column's values are not" true
     (not (mem_int t 10));
-  let kept = Sip.filter rel ~pos:0 (Sip.of_values [| V.Int 1 |]) in
+  let kept = Sip.filter rel ~pos:0 (of_ints [ 1 ]) in
   check_int "filter keeps matching rows" 2 (R.cardinal kept)
 
 (* {1 Step signatures} *)
