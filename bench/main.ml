@@ -22,10 +22,9 @@ let json = ref false
 
 (* {1 Small timing/printing toolkit} *)
 
-(* Monotonic-enough wall clock.  [Sys.time] measures *CPU* time summed
-   over every domain, so under the multicore executor it charges a
-   4-domain run roughly 4x its elapsed time and speedups vanish from the
-   report; wall clock is what the paper's end-to-end claims are about. *)
+(* Monotonic-enough wall clock.  [Sys.time] measures *CPU* time, not
+   elapsed time; wall clock is what the paper's end-to-end claims are
+   about. *)
 let now = Unix.gettimeofday
 
 let time f =
@@ -637,213 +636,6 @@ let e11 () =
     (file_wins (fun (_, l, _) -> l))
     (List.length supports)
 
-(* {1 E12 — the multicore execution engine: domain-count scaling} *)
-
-module Pool = Qf_exec_pool.Pool
-
-type e12_entry = {
-  workload : string;
-  domains : int;
-  best_s : float;
-  speedup : float;
-  cache_hits : int;
-  cache_misses : int;
-}
-
-let e12_entries : e12_entry list ref = ref []
-
-let e12_json_file = "BENCH_parallel.json"
-
-let e12_write_json entries =
-  let oc = open_out e12_json_file in
-  let field (e : e12_entry) =
-    Printf.sprintf
-      {|    { "workload": %S, "domains": %d, "best_s": %.6f, "speedup": %.2f, "cache_hits": %d, "cache_misses": %d }|}
-      e.workload e.domains e.best_s e.speedup e.cache_hits e.cache_misses
-  in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E12\",\n  \"quick\": %b,\n  \"clock\": \
-     \"wall\",\n  \"entries\": [\n%s\n  ]\n}\n"
-    !quick
-    (String.concat ",\n" (List.map field (List.rev entries)));
-  close_out oc;
-  row "wrote %s (%d entries)@." e12_json_file (List.length entries)
-
-let e12 () =
-  header "E12"
-    "multicore execution engine — QF_DOMAINS sweep over the E1 and E3 \
-     workloads";
-  row
-    "pool: %d domain(s) recommended by the runtime on this machine; sweep \
-     forces 1/2/4/8@."
-    (Domain.recommended_domain_count ());
-  let sweep name catalog runs =
-    row "@.%-30s %8s %12s %9s %12s@." name "domains" "best (s)" "speedup"
-      "cache hit%";
-    let sizes = [ 1; 2; 4; 8 ] in
-    let nsizes = List.length sizes in
-    (* Warm-up: build the shared index-cache entries once, so the counter
-       pass below measures every pool size against the same warm cache
-       (otherwise whichever size runs first absorbs all the misses). *)
-    ignore (runs ());
-    (* Pass 1 — correctness and counter attribution, once per pool size.
-       The 1-domain run is the baseline; every other size must produce a
-       [Relation.equal] result.  The index-cache counters live on a cache
-       shared across every [Catalog.copy] a run makes, so a reset would
-       clobber other runs' baselines and cumulative reads conflate runs:
-       mark before, read the delta after.  The memo is cleared first, so
-       the counters see a real execution's lookups. *)
-    let baseline = ref None in
-    let stats =
-      List.map
-        (fun size ->
-          Pool.set_default_size size;
-          Catalog.memo_clear catalog;
-          let mark = Catalog.index_stats_mark catalog in
-          let result = runs () in
-          let hits, misses = Catalog.index_stats_since catalog mark in
-          (match !baseline with
-          | None -> baseline := Some result
-          | Some expected ->
-            check_equal (Printf.sprintf "E12 %s @ %d domains" name size)
-              expected result);
-          (size, hits, misses))
-        sizes
-    in
-    (* Pass 2 — timing, round-robin: one sample per size per round, so a
-       shared container's scheduling drift lands on every configuration
-       equally instead of biasing whichever ran last.  [Gc.full_major]
-       levels the heap before each sample (no configuration pays to
-       collect another's garbage), and the per-size minimum over the
-       rounds is the noise-robust estimator: interference is strictly
-       additive, so with enough rounds every size touches its true
-       floor.  (On a host with no parallel headroom the floors coincide
-       by construction — the kernels never dispatch — so the reported
-       speedups sit at 1.0 up to residual scheduler jitter.) *)
-    let rounds = if !quick then 7 else 101 in
-    let keep = if !quick then 3 else 11 in
-    let samples = Array.make_matrix nsizes rounds infinity in
-    let order = Array.init nsizes Fun.id in
-    let sizes_arr = Array.of_list sizes in
-    (* Clock-seeded: a fixed seed replays the same within-round order
-       every invocation, so any aliasing against the container's CPU
-       throttling period repeats identically instead of averaging out. *)
-    let rng = ref (int_of_float (Unix.gettimeofday () *. 1e6) land 0x3FFFFFFF) in
-    let next_rng () =
-      rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
-      (!rng lsr 12) land 0x7FFF
-    in
-    for round = 0 to rounds - 1 do
-      (* Shuffle the within-round order (Fisher–Yates): a fixed order
-         gives every configuration a fixed phase inside the round, and
-         on a CPU-quota'd container that phase aliases with the
-         scheduler's throttling period — a positional bias no per-size
-         estimator can remove.  Randomized order turns it into noise. *)
-      for i = nsizes - 1 downto 1 do
-        let j = next_rng () mod (i + 1) in
-        let tmp = order.(i) in
-        order.(i) <- order.(j);
-        order.(j) <- tmp
-      done;
-      Array.iter
-        (fun i ->
-          Pool.set_default_size sizes_arr.(i);
-          Gc.full_major ();
-          let _, t = sample catalog runs in
-          samples.(i).(round) <- t)
-        order
-    done;
-    (* Estimator: mean of the [keep] smallest samples.  Interference is
-       strictly additive, so the smallest samples sit nearest the true
-       cost; averaging several of them has far less variance than the
-       raw minimum, and the slight common upward bias cancels in the
-       speedup ratio. *)
-    let best =
-      Array.map
-        (fun row ->
-          let sorted = Array.copy row in
-          Array.sort compare sorted;
-          let s = ref 0. in
-          for i = 0 to keep - 1 do
-            s := !s +. sorted.(i)
-          done;
-          !s /. float_of_int keep)
-        samples
-    in
-    let t1 = best.(0) in
-    List.iteri
-      (fun i (size, hits, misses) ->
-        let t = best.(i) in
-        let hit_pct =
-          if hits + misses = 0 then 0.
-          else 100. *. float_of_int hits /. float_of_int (hits + misses)
-        in
-        e12_entries :=
-          {
-            workload = name;
-            domains = size;
-            best_s = t;
-            speedup = t1 /. Float.max 1e-9 t;
-            cache_hits = hits;
-            cache_misses = misses;
-          }
-          :: !e12_entries;
-        row "%-30s %8d %12.3f %8.2fx %11.1f%%@." name size t
-          (t1 /. Float.max 1e-9 t)
-          hit_pct)
-      stats
-  in
-  (* The E1 market workload under its a-priori plan. *)
-  let docs = if !quick then 600 else 2500 in
-  let market =
-    Qf_workload.Market.catalog
-      {
-        Qf_workload.Market.n_baskets = docs;
-        n_items = docs * 10;
-        avg_basket_size = 24;
-        zipf_exponent = 0.85;
-        seed = 101;
-      }
-  in
-  let pair_flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
-  let pair_plan =
-    match Apriori_gen.singleton_plan pair_flock with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  sweep "E1 market / a-priori plan" market (fun () ->
-      Plan_exec.run market pair_plan);
-  (* The E3 medical workload under the Fig. 5 two-filter plan. *)
-  let mconfig =
-    {
-      Qf_workload.Medical.default with
-      n_patients = (if !quick then 2500 else 8000);
-      n_symptoms = 12000;
-      n_medicines = 2000;
-      background_symptoms = 10;
-      background_medicines = 3;
-      symptom_zipf = 0.5;
-      medicine_zipf = 0.5;
-      seed = 31;
-    }
-  in
-  let { Qf_workload.Medical.catalog = medical; _ } =
-    Qf_workload.Medical.generate mconfig
-  in
-  let med_flock = medical_flock 20 in
-  let med_plan =
-    match
-      Apriori_gen.param_set_plan med_flock ~param_sets:[ [ "s" ]; [ "m" ] ]
-    with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  sweep "E3 medical / Fig. 5 plan" medical (fun () ->
-      Plan_exec.run medical med_plan);
-  (* Restore whatever QF_DOMAINS / the hardware asked for. *)
-  Pool.set_default_size (Pool.default_size ());
-  if !json then e12_write_json !e12_entries
-
 (* {1 E13 — estimator accuracy: System-R estimates vs observed counts} *)
 
 type e13_entry = {
@@ -925,9 +717,9 @@ let e13 () =
       estimates report.Plan_exec.steps;
     row "%-26s worst q-error %.2fx@." "" !worst
   in
-  (* Same workloads and plans as E12's scaling sweep (E1 market under its
-     a-priori plan, E3 medical under the Fig. 5 two-filter plan), so the
-     estimator is judged exactly where the end-to-end claims are made. *)
+  (* The E1 market workload under its a-priori plan and the E3 medical
+     workload under the Fig. 5 two-filter plan, so the estimator is judged
+     exactly where the end-to-end claims are made. *)
   let docs = if !quick then 600 else 2500 in
   let market =
     Qf_workload.Market.catalog
@@ -1350,8 +1142,17 @@ let e16 () =
             List.length (List.filter (fun s -> s.Plan_exec.memo_hit) steps) ) ))
       configs
   in
-  (* Timing — round-robin shuffled rounds with the min-of-keep estimator,
-     exactly E12's protocol (see the comments there for why). *)
+  (* Timing — round-robin: one sample per configuration per round, so a
+     shared container's scheduling drift lands on every configuration
+     equally instead of biasing whichever ran last.  The within-round
+     order is shuffled (Fisher–Yates, clock-seeded): a fixed order gives
+     every configuration a fixed phase inside the round, which on a
+     CPU-quota'd container aliases with the scheduler's throttling
+     period.  [Gc.full_major] levels the heap before each sample.  The
+     estimator is the mean of the [keep] smallest samples: interference
+     is strictly additive, so the smallest samples sit nearest the true
+     cost, and averaging several has far less variance than the raw
+     minimum. *)
   let rounds = if !quick then 7 else 31 in
   let keep = if !quick then 3 else 7 in
   let configs_arr = Array.of_list configs in
@@ -1556,7 +1357,6 @@ let all_experiments =
     "E9", e9;
     "E10", e10;
     "E11", e11;
-    "E12", e12;
     "E13", e13;
     "E15", e15;
     "E16", e16;

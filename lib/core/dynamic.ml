@@ -51,8 +51,9 @@ let head_var_keys (rule : Ast.rule) =
    is the decision's assignment count, and an interposed filter keeps
    its survivors — the groups passing the threshold, lowered by [slack
    keys codes] for an assignment (codes) of the bound parameters [keys],
-   where the union slack enters.  Returns the final environments and the
-   trace. *)
+   where the union slack enters.  Later literals may still drop rows, so
+   the filter is a bounding one ({!Eval.groups}).  Returns the final
+   environments and the trace. *)
 let walk_rule config catalog rule ~sip ~func ~slack ~threshold =
   let head_keys = head_var_keys rule in
   let best_ratio : (string list, float) Hashtbl.t = Hashtbl.create 8 in
@@ -86,7 +87,9 @@ let walk_rule config catalog rule ~sip ~func ~slack ~threshold =
     if param_keys = [] || (not head_bound) || rows = 0 then
       envs, decision :: trace
     else begin
-      let groups = Eval.groups [ rule ] ~keys:param_keys ~func in
+      let groups =
+        Eval.groups ~bounding:true [ rule ] ~keys:param_keys ~func
+      in
       Eval.add_envs groups rule envs;
       let kept, _, assignments =
         Eval.filter_groups

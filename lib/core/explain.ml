@@ -107,14 +107,7 @@ let profile ?options ?(clamps = []) ?governor catalog (plan : Plan.t) =
             })
           (Plan.all_steps plan) report.Plan_exec.steps
       in
-      (* The pool's per-chunk metrics are the only ones that legitimately
-         vary with the machine (domain count, chunking); keep the profile
-         deterministic by reporting everything else. *)
-      let counters =
-        List.filter
-          (fun (k, _) -> not (String.starts_with ~prefix:"pool." k))
-          obs.Obs.counters
-      in
+      let counters = obs.Obs.counters in
       {
         summary = plan_summary plan;
         steps;

@@ -47,7 +47,7 @@ type profile = {
   result_rows : int;
   total_seconds : float;
   counters : (string * int) list;
-      (** sorted by name; machine-dependent ["pool."] metrics excluded *)
+      (** sorted by name *)
   governor : Qf_governor.Governor.stats option;
       (** resource accounting of the governed run; [None] when the run
           was ungoverned (the profile then renders exactly as before) *)

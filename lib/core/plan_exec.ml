@@ -63,8 +63,7 @@ let default_options = { semijoin_reduction = true; reuse = true }
    that alias one relation share them; a reduction is named after the
    first ok step that built it, which keeps span attributes
    deterministic.  [pruned] accumulates rows removed by materialized
-   reductions (the deterministic [base - reduced] difference, identical
-   across pool sizes). *)
+   reductions (the deterministic [base - reduced] difference). *)
 let reduce_rule work ~step_names ~cache ~sips ~pruned (r : Ast.rule) =
   let param_oks =
     List.filter_map
@@ -184,8 +183,8 @@ let reduce_rule work ~step_names ~cache ~sips ~pruned (r : Ast.rule) =
     { r with Ast.body }, sip
   end
 
-let run_step work ~options ~step_names ~cache ~sips (flock : Flock.t)
-    (s : Plan.step) =
+let run_step work ~options ~step_names ~cache ~sips ~bounding
+    (flock : Flock.t) (s : Plan.step) =
   let t0 = Obs.now () in
   let pruned = ref 0 in
   let compute () =
@@ -212,7 +211,7 @@ let run_step work ~options ~step_names ~cache ~sips (flock : Flock.t)
         ~head_columns:(Eval.head_columns (List.hd s.query))
     in
     let survivors, tab_rows, groups =
-      Eval.filter_query ~sip work query
+      Eval.filter_query ~sip ~bounding work query
         ~keys:(List.map (fun p -> "$" ^ p) s.params)
         ~func ~threshold:flock.filter.threshold
     in
@@ -272,13 +271,15 @@ let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
      registers the {e stored relation object}, so its (id, version) pair
      flows into the signatures of this plan's later steps and an entire
      plan prefix can cascade into hits.  A miss computes the step and
-     publishes it into both scopes. *)
-  let exec_step ~defined (s : Plan.step) =
+     publishes it into both scopes.  The auxiliary steps only bound the
+     final one, so they are bounding FILTERs ({!Eval.groups}). *)
+  let exec_step ~defined ~bounding (s : Plan.step) =
     (* Step boundaries are the plan executor's cancellation checkpoints:
        a governed deadline interrupts a plan between steps. *)
     Qf_governor.Governor.check ();
     let key =
-      if options.reuse then Stepsig.of_step ~work ~filter:plan.flock.filter s
+      if options.reuse then
+        Stepsig.of_step ~work ~filter:plan.flock.filter ~bounding s
       else None
     in
     let shortcut =
@@ -324,7 +325,8 @@ let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
         } )
     | None ->
       let rel, report =
-        run_step work ~options ~step_names:defined ~cache ~sips plan.flock s
+        run_step work ~options ~step_names:defined ~cache ~sips ~bounding
+          plan.flock s
       in
       Option.iter
         (fun k ->
@@ -336,13 +338,13 @@ let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
   let _, reports =
     List.fold_left
       (fun (defined, acc) (s : Plan.step) ->
-        let _, report = exec_step ~defined s in
+        let _, report = exec_step ~defined ~bounding:true s in
         s.name :: defined, report :: acc)
       ([], []) plan.steps
   in
   let step_names = List.map (fun (s : Plan.step) -> s.Plan.name) plan.steps in
   let result, final_report =
-    exec_step ~defined:step_names plan.final
+    exec_step ~defined:step_names ~bounding:false plan.final
   in
   Obs.set_attr "rows_out" (Obs.Int (Relation.cardinal result));
   { result; steps = List.rev reports @ [ final_report ] }

@@ -27,7 +27,7 @@ type step_report = {
   sip_pruned : int;
       (** rows removed from base relations by materialized semijoin
           reducers while computing this step (deterministic: identical
-          across domain-pool sizes) *)
+          on every run) *)
 }
 
 type report = {

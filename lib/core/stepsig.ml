@@ -6,7 +6,7 @@ module Value = Qf_relational.Value
 
 exception Unresolvable
 
-let of_step ~work ~filter (s : Plan.step) =
+let of_step ~work ~filter ?(bounding = false) (s : Plan.step) =
   try
     let param_rank p =
       match List.find_index (String.equal p) s.params with
@@ -85,6 +85,12 @@ let of_step ~work ~filter (s : Plan.step) =
     let deps_str =
       String.concat ","
         (List.rev_map (fun (id, v) -> Printf.sprintf "%d.%d" id v) !deps)
+    in
+    (* A bounding step and a final one over a non-COUNT measure answer
+       differently on a string value, so they never share an entry. *)
+    let fsig =
+      if bounding && filter.Filter.agg <> Filter.Count then fsig ^ "~bound"
+      else fsig
     in
     Some (Printf.sprintf "%s|%s|[%s]" (Buffer.contents buf) fsig deps_str)
   with Unresolvable -> None

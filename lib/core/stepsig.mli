@@ -25,8 +25,15 @@
 
 (** [of_step ~work ~filter step] — the signature of [step] against the
     working catalog [work] (which must already hold the outputs of the
-    plan's earlier steps).  [None] when a referenced predicate is not in
+    plan's earlier steps).  [bounding] (default [false]) says whether the
+    step is an auxiliary one, whose FILTER only bounds the final step
+    ({!Qf_datalog.Eval.groups}); over a [SUM] or [MAX] measure it is part
+    of the signature.  [None] when a referenced predicate is not in
     [work] or the filter's column cannot be positioned — such steps are
     always computed. *)
 val of_step :
-  work:Qf_relational.Catalog.t -> filter:Filter.t -> Plan.step -> string option
+  work:Qf_relational.Catalog.t ->
+  filter:Filter.t ->
+  ?bounding:bool ->
+  Plan.step ->
+  string option

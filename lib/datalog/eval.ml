@@ -7,7 +7,6 @@ module Statistics = Qf_relational.Statistics
 module Dict = Qf_relational.Dict
 module Chunkrel = Qf_relational.Chunkrel
 module Buf = Chunkrel.Buf
-module Pool = Qf_exec_pool.Pool
 module Sip = Qf_relational.Sip
 module Aggregate = Qf_relational.Aggregate
 module Spill = Qf_relational.Spill
@@ -38,9 +37,9 @@ module Envs = struct
      [width]: the first [count * width] ints of [data], which may be
      longer (a step adopts its output buffer, spare capacity and all).
      Binding extension probes the {!Index} chains directly over code
-     arrays and evaluates the filters fused into it on each candidate;
-     parallel steps emit per-chunk {!Chunkrel.Buf}s merged by a single
-     blit — no per-row boxing anywhere on the hot path. *)
+     arrays and evaluates the filters fused into it on each candidate,
+     writing accepted rows into one {!Chunkrel.Buf} — no per-row boxing
+     anywhere on the hot path. *)
   type repr = { width : int; count : int; data : int array }
   type t = { slots : (string * int) list; repr : repr }
 
@@ -49,54 +48,29 @@ module Envs = struct
   let count t = t.repr.count
   let slot_of t key = List.assoc_opt key t.slots
 
-  (* {2 Step outputs}
-
-     A step produces per-chunk [Buf]s (each an [(emitted rows) *
-     stride] run of codes).  A single piece — every step on a one-domain
-     pool or below the parallel threshold — is adopted without a copy,
-     unless more than half of its buffer is spare capacity; several are
-     merged with one pre-sized allocation and [Array.blit] per chunk.
-     Either way the merge never boxes a row. *)
-
-  let merge_code_chunks ~width pieces =
-    match pieces with
-    | [ (count, b) ] ->
-      let data = Buf.backing b in
-      let data =
-        if Array.length data > 2 * Buf.length b then Buf.to_array b else data
-      in
-      { width; count; data }
-    | _ ->
-      let count = List.fold_left (fun acc (k, _) -> acc + k) 0 pieces in
-      { width; count; data = Buf.concat (List.map snd pieces) }
-
-  (* Run [run ~lo ~hi] over the rows [0, count): one chunk on a one-domain
-     pool or below the parallel threshold, else pool-sized chunks. *)
-  let code_chunks ~count run =
-    let pool = Pool.default () in
-    if Pool.size pool = 1 || count < Pool.par_threshold () then
-      [ run ~lo:0 ~hi:count ]
-    else Pool.run_chunks pool ~n:count run
-
-  (* [filter_codes mk_pred ~width ~count ~data] keeps the rows satisfying
-     the predicate ([mk_pred ()] is called once per chunk so predicates
-     may own scratch buffers; the predicate receives the row's base
-     offset). *)
-  let filter_codes mk_pred ~width ~count ~data =
-    let run ~lo ~hi =
-      let pred = mk_pred () in
-      let out = Buf.create ((hi - lo) * width) in
-      let kept = ref 0 in
-      for r = lo to hi - 1 do
-        let base = r * width in
-        if pred base then begin
-          incr kept;
-          for c = 0 to width - 1 do Buf.push out data.(base + c) done
-        end
-      done;
-      !kept, out
+  (* A step's output, [count] rows of [width] codes in a [Buf], is
+     adopted without a copy unless more than half of its buffer is spare
+     capacity. *)
+  let adopt ~width count b =
+    let data = Buf.backing b in
+    let data =
+      if Array.length data > 2 * Buf.length b then Buf.to_array b else data
     in
-    merge_code_chunks ~width (code_chunks ~count run)
+    { width; count; data }
+
+  (* [filter_codes pred ~width ~count ~data] keeps the rows satisfying
+     the predicate, which receives the row's base offset. *)
+  let filter_codes pred ~width ~count ~data =
+    let out = Buf.create (count * width) in
+    let kept = ref 0 in
+    for r = 0 to count - 1 do
+      let base = r * width in
+      if pred base then begin
+        incr kept;
+        for c = 0 to width - 1 do Buf.push out data.(base + c) done
+      end
+    done;
+    adopt ~width !kept out
 
   (* Chain-walk membership over a full-arity code index: does any row of
      the indexed chunk match the probe codes exactly? *)
@@ -130,8 +104,7 @@ module Envs = struct
      on their own ({!filter_neg}, {!filter_cmp}) they run on environment
      rows alone.  [locate] finds a key in the candidate: [`Env s] reads
      slot [s] of the environment row, [`Fresh col] the matched tuple's
-     column [col].  A predicate is built per chunk ([mk ()]) so it may own
-     scratch space. *)
+     column [col]. *)
 
   let locate ~slots ~width ~fill_cols term =
     let key = Ast.binding_key term in
@@ -150,7 +123,7 @@ module Envs = struct
         | `Fresh col -> fun _ row -> Dict.decode (Array.unsafe_get col row))
     in
     let gl = value_of left and gr = value_of right in
-    fun () base row ->
+    fun base row ->
       Ast.comparison_eval (Value.compare (gl base row) (gr base row)) cmp
 
   (* Negation probes [rel]'s membership index with the instantiated
@@ -168,25 +141,20 @@ module Envs = struct
     in
     let codes = Array.of_list (List.map code_of a.args) in
     let n = Array.length codes in
-    fun () ->
-      let probe = Array.make n 0 in
-      fun base row ->
-        for k = 0 to n - 1 do
-          probe.(k) <- (Array.unsafe_get codes k) base row
-        done;
-        not (code_mem ci probe)
+    let probe = Array.make n 0 in
+    fun base row ->
+      for k = 0 to n - 1 do
+        probe.(k) <- (Array.unsafe_get codes k) base row
+      done;
+      not (code_mem ci probe)
 
   (* Filter environments by such a predicate over their rows alone. *)
   let filter_env t mk_pred =
     let { width; count; data } = t.repr in
-    let mk =
+    let pred =
       mk_pred ~locate:(locate ~slots:t.slots ~width ~fill_cols:[||]) ~data
     in
-    let mk () =
-      let pred = mk () in
-      fun base -> pred base 0
-    in
-    { t with repr = filter_codes mk ~width ~count ~data }
+    { t with repr = filter_codes (fun base -> pred base 0) ~width ~count ~data }
 
   let filter_neg catalog t (a : Ast.atom) =
     let rel = relation_for catalog a in
@@ -247,7 +215,7 @@ module Envs = struct
 
   (* A binding extension, set up: the extended slots (slot [width + i]
      is the matched tuple's column [fill_cols.(i)]) and the probe loop
-     over environment rows [lo, hi), which hands each accepted candidate
+     over the environment rows, which hands each accepted candidate
      to [emit base row] — the environment row's base offset and the
      matched tuple's row.  What [emit] does is the only difference
      between writing the extension out ({!extend}) and counting a FILTER
@@ -255,8 +223,7 @@ module Envs = struct
   type probe = {
     slots : (string * int) list;
     fill_cols : int array array;
-    sip_used : bool;
-    scan : lo:int -> hi:int -> emit:(int -> int -> unit) -> tally;
+    scan : emit:(int -> int -> unit) -> tally;
   }
 
   (* Sideways-information-passing at binding extension: [sip] maps a
@@ -268,12 +235,9 @@ module Envs = struct
      ok-subgoal join would have dropped it later anyway, so results are
      unchanged — only the intermediate row count shrinks.
 
-     Rejections are tallied per chunk and flushed as a single
-     [sip.rows_pruned] count: the set of key-matched candidates examined
-     is the same under any chunking, so the total is deterministic across
-     pool sizes (the invariant the differential suite pins down).  The
-     reducers run before the fused [filters], so the count does not
-     depend on them. *)
+     Rejections are tallied in the probe loop and flushed as one
+     [sip.rows_pruned] count.  The reducers run before the fused
+     [filters], so the count does not depend on them. *)
   let prepare ~sip ~filters catalog t (a : Ast.atom) =
     let rel = relation_for catalog a in
     let roles, fresh_keys = analyze_args t a in
@@ -290,7 +254,7 @@ module Envs = struct
        repeated runs against the same stored relations all share built
        indexes (invalidated by relation version). *)
     let ci = Catalog.index catalog rel key_positions in
-    let { width; data; _ } = t.repr in
+    let { width; count; data } = t.repr in
     (* For each matching tuple: positions to copy into new slots, and
        positions to check for intra-tuple repeated fresh variables. *)
     let fills = ref [] and checks = ref [] in
@@ -345,7 +309,7 @@ module Envs = struct
     in
     let nsips = Array.length sip_cols in
     let locate = locate ~slots ~width ~fill_cols in
-    let fused =
+    let preds =
       Array.of_list
         (List.map
            (function
@@ -355,11 +319,10 @@ module Envs = struct
              | Ast.Pos a -> not_a_filter a)
            filters)
     in
-    let scan ~lo ~hi ~emit =
+    let scan ~emit =
       let emitted = ref 0 and candidates = ref 0 in
       let rejected = ref 0 and dropped = ref 0 in
       let probe = Array.make nkeys 0 in
-      let preds = Array.map (fun mk -> mk ()) fused in
       let npreds = Array.length preds in
       let rec keys_eq row k =
         k >= nkeys
@@ -384,7 +347,7 @@ module Envs = struct
         f >= npreds
         || (Array.unsafe_get preds f) base row && preds_ok base row (f + 1)
       in
-      for r = lo to hi - 1 do
+      for r = 0 to count - 1 do
         let base = r * width in
         for k = 0 to nkeys - 1 do
           probe.(k) <-
@@ -409,6 +372,7 @@ module Envs = struct
           j := ci.Index.next.(row)
         done
       done;
+      if nsips > 0 then Obs.count "sip.rows_pruned" !rejected;
       {
         emitted = !emitted;
         candidates = !candidates;
@@ -416,47 +380,26 @@ module Envs = struct
         dropped = !dropped;
       }
     in
-    { slots; fill_cols; sip_used = sip_checks <> []; scan }
+    { slots; fill_cols; scan }
 
-  (* Flush a probe's tallies: the [sip.rows_pruned] count, and the sums
-     the [eval.extend] span reports. *)
-  let flush (p : probe) tallies =
-    let sum f = List.fold_left (fun acc t -> acc + f t) 0 tallies in
-    if p.sip_used then Obs.count "sip.rows_pruned" (sum (fun t -> t.rejected));
-    {
-      emitted = sum (fun t -> t.emitted);
-      candidates = sum (fun t -> t.candidates);
-      rejected = sum (fun t -> t.rejected);
-      dropped = sum (fun t -> t.dropped);
-    }
-
-  (* Write the extension out: each chunk pushes the environment row and
-     the fresh columns of every accepted candidate into its own buffer. *)
+  (* Write the extension out: the environment row and the fresh columns
+     of every accepted candidate, pushed into one buffer. *)
   let extend ~sip ~filters catalog t a =
     let p = prepare ~sip ~filters catalog t a in
     let { width; count; data } = t.repr in
     let n_fresh = Array.length p.fill_cols in
     let new_width = width + n_fresh in
-    let run ~lo ~hi =
-      let out = Buf.create ((hi - lo) * new_width) in
-      let tally =
-        p.scan ~lo ~hi ~emit:(fun base row ->
-            for c = 0 to width - 1 do
-              Buf.push out (Array.unsafe_get data (base + c))
-            done;
-            for k = 0 to n_fresh - 1 do
-              Buf.push out
-                (Array.unsafe_get (Array.unsafe_get p.fill_cols k) row)
-            done)
-      in
-      tally, out
+    let out = Buf.create (count * new_width) in
+    let tally =
+      p.scan ~emit:(fun base row ->
+          for c = 0 to width - 1 do
+            Buf.push out (Array.unsafe_get data (base + c))
+          done;
+          for k = 0 to n_fresh - 1 do
+            Buf.push out (Array.unsafe_get (Array.unsafe_get p.fill_cols k) row)
+          done)
     in
-    let pieces = code_chunks ~count run in
-    let repr =
-      merge_code_chunks ~width:new_width
-        (List.map (fun (tally, out) -> tally.emitted, out) pieces)
-    in
-    { slots = p.slots; repr }, flush p (List.map fst pieces)
+    { slots = p.slots; repr = adopt ~width:new_width tally.emitted out }, tally
 
   (* One [eval.extend] span per positive subgoal, only when tracing:
      rows in, key-matched candidates, rows out (emitted), and the
@@ -489,15 +432,14 @@ module Envs = struct
     let positions = Array.of_list (key_positions t keys) in
     let { width; count; data } = t.repr in
     let ci = membership_index keep in
-    let mk_pred () =
-      let probe = Array.make (Array.length positions) 0 in
-      fun base ->
-        for k = 0 to Array.length positions - 1 do
-          probe.(k) <- Array.unsafe_get data (base + positions.(k))
-        done;
-        code_mem ci probe
+    let probe = Array.make (Array.length positions) 0 in
+    let pred base =
+      for k = 0 to Array.length positions - 1 do
+        probe.(k) <- Array.unsafe_get data (base + positions.(k))
+      done;
+      code_mem ci probe
     in
-    { t with repr = filter_codes mk_pred ~width ~count ~data }
+    { t with repr = filter_codes pred ~width ~count ~data }
 end
 
 (* {1 Literal ordering} *)
@@ -754,13 +696,13 @@ let answers catalog ~bindings (r : Ast.rule) =
    as a relation instead and grouped by {!Aggregate.group_filter_report},
    so the grouping pass can spill; [groups] decides that, once.
 
-   The last subgoal runs on the calling domain, in environment order:
-   groups open, and [SUM] adds, in the order the tabulation would have
-   listed its rows. *)
+   The last subgoal runs in environment order: groups open, and [SUM]
+   adds, in the order the tabulation would have listed its rows. *)
 
 type groups = {
   keys : string list;
   func : Aggregate.func;
+  bounding : bool;  (** see {!Aggregate.table} *)
   measure : int;  (** the measure's head position, [-1] for [COUNT] *)
   shared : bool;  (** several rules feed the table *)
   budgeted : bool;
@@ -770,7 +712,7 @@ type groups = {
   mutable tabulated : Relation.t option;  (** the answer rows, if budgeted *)
 }
 
-let groups (q : Ast.query) ~keys ~func =
+let groups ?(bounding = false) (q : Ast.query) ~keys ~func =
   let measure =
     match func, q with
     | Aggregate.Count, _ | _, [] -> -1
@@ -782,6 +724,7 @@ let groups (q : Ast.query) ~keys ~func =
   {
     keys;
     func;
+    bounding;
     measure;
     shared = List.compare_length_with q 1 > 0;
     budgeted = Option.is_some (Spill.budgeted ());
@@ -795,7 +738,10 @@ let table g ~expected =
   match g.table with
   | Some t -> t
   | None ->
-    let t = Aggregate.table g.func ~nkeys:(List.length g.keys) ~expected in
+    let t =
+      Aggregate.table ~bounding:g.bounding g.func ~nkeys:(List.length g.keys)
+        ~expected
+    in
     g.table <- Some t;
     t
 
@@ -904,15 +850,15 @@ let add_rule ?(sip = []) catalog g (r : Ast.rule) =
         ~expected:count
     in
     Envs.extend_span a ~rows_in:count (fun () ->
-        (), Envs.flush p [ p.scan ~lo:0 ~hi:count ~emit ])
+        (), p.scan ~emit)
   | steps -> add_envs g r (run_steps ~sip catalog (List.rev steps))
 
 let filter_groups ?slack g ~threshold =
   match g.tabulated with
   | Some rel ->
     let survivors, groups =
-      Aggregate.group_filter_report ?slack rel ~keys:g.keys ~func:g.func
-        ~threshold
+      Aggregate.group_filter_report ~bounding:g.bounding ?slack rel
+        ~keys:g.keys ~func:g.func ~threshold
     in
     survivors, Relation.cardinal rel, groups
   | None ->
@@ -931,8 +877,9 @@ let supports catalog (r : Ast.rule) ~key =
          ( Aggregate.key_code t i 0,
            Option.value (Value.to_float (Aggregate.value t i)) ~default:0. )))
 
-let filter_query ?sip catalog (q : Ast.query) ~keys ~func ~threshold =
+let filter_query ?sip ?bounding catalog (q : Ast.query) ~keys ~func
+    ~threshold =
   (match Ast.wf_query q with Ok () -> () | Error e -> raise (Error e));
-  let g = groups q ~keys ~func in
+  let g = groups ?bounding q ~keys ~func in
   List.iter (add_rule ?sip catalog g) q;
   filter_groups g ~threshold

@@ -41,8 +41,7 @@ module Envs : sig
       only when the reducer over-approximates the values the rest of the
       rule accepts for that key (reducers have no false negatives, so the
       final result set is unchanged — only intermediate rows shrink).
-      Rejections are flushed as one [sip.rows_pruned] Obs count, whose
-      total is deterministic across pool sizes.
+      Rejections are flushed as one [sip.rows_pruned] Obs count.
 
       [filters] are negated and arithmetic literals whose terms are all
       bound once [atom] is (default none).  The result is the extension
@@ -152,9 +151,15 @@ type groups
 (** [groups query ~keys ~func] is an empty table for a FILTER over
     [query] (one rule, or a union).  [func] names head columns as
     {!head_columns} gives them for the first rule.  Raises {!Error} when
-    it names none. *)
+    it names none.  A [bounding] FILTER (default [false]) only
+    upper-bounds a later step, and groups as a bounding
+    {!Qf_relational.Aggregate.table} does. *)
 val groups :
-  Ast.query -> keys:string list -> func:Qf_relational.Aggregate.func -> groups
+  ?bounding:bool ->
+  Ast.query ->
+  keys:string list ->
+  func:Qf_relational.Aggregate.func ->
+  groups
 
 (** [add_envs g rule envs] feeds [rule]'s environments [envs] into [g].
     Every key of [g] and every head variable must be bound; raises
@@ -185,10 +190,10 @@ val supports :
     survivors as a relation over [keys], the number of rows the union of
     the rules' tabulations ({!tabulate}, renamed positionally) holds and
     the number of groups.
-    [sip] as in {!Envs.extend_pos}.
+    [sip] as in {!Envs.extend_pos}, [bounding] as in {!groups}.
 
     In memory, each rule is counted inside its last positive subgoal's
-    probe loop, on the calling domain: no tabulated relation is built
+    probe loop: no tabulated relation is built
     and no second grouping pass runs.  A body with no positive subgoal
     feeds its environments.  Under a finite memory budget each rule is
     tabulated and the rows grouped by the governed pass, so it can
@@ -197,6 +202,7 @@ val supports :
     {!Ast.wf_query} fails or a rule is unsafe. *)
 val filter_query :
   ?sip:(string * Qf_relational.Sip.t) list ->
+  ?bounding:bool ->
   Qf_relational.Catalog.t ->
   Ast.query ->
   keys:string list ->

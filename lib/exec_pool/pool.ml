@@ -1,330 +1,5 @@
-(* A dependency-free Domain-based worker pool (OCaml >= 5.0 stdlib only).
+type t = unit
 
-   A pool of size [s] owns [s - 1] worker domains plus the calling domain:
-   [run_all] pushes thunks onto a shared queue, the caller drains the queue
-   alongside the workers, and a countdown latch releases the caller once
-   every thunk has finished.  Workers never block on anything but the queue
-   condition, so nested [run_all] calls cannot deadlock (a nested caller
-   first helps drain the queue, then waits only for tasks already running
-   on other domains).
-
-   A pool of size 1 spawns no domains at all: [run_all] degenerates to
-   [List.map (fun f -> f ())], so single-core configurations pay nothing. *)
-
-type t = {
-  size : int;
-  mutable workers : unit Domain.t array;
-  mutable spawned : bool;
-  mutable threshold : int;
-      (* calibrated par-threshold for this pool; 0 = not yet computed.
-         Cached here so the kernels' per-call [par_threshold] is a plain
-         field read, not a mutex + hashtable probe (that asymmetry
-         against the size-1 fast path was visible in the E12 sweep). *)
-  queue : (unit -> unit) Queue.t;
-  mutex : Mutex.t;
-  nonempty : Condition.t;
-  mutable stop : bool;
-}
-
-let size t = t.size
-
-let worker_loop t =
-  let rec next () =
-    Mutex.lock t.mutex;
-    let rec wait () =
-      if t.stop then begin
-        Mutex.unlock t.mutex;
-        None
-      end
-      else
-        match Queue.take_opt t.queue with
-        | Some job ->
-          Mutex.unlock t.mutex;
-          Some job
-        | None ->
-          Condition.wait t.nonempty t.mutex;
-          wait ()
-    in
-    match wait () with
-    | None -> ()
-    | Some job ->
-      job ();
-      next ()
-  in
-  next ()
-
-let env_int name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some v when v >= 1 -> Some v
-    | _ -> None)
-
-let create ~size =
-  let size = max 1 size in
-  {
-    size;
-    workers = [||];
-    spawned = false;
-    (* [QF_PAR_THRESHOLD] is resolved once, when the pool is made: the
-       kernels consult [par_threshold] on every call, and a getenv there
-       is measurable.  Tests that override the variable re-create the
-       default pool afterwards (set_default_size), so they still see it. *)
-    threshold = (match env_int "QF_PAR_THRESHOLD" with Some v -> v | None -> 0);
-    queue = Queue.create ();
-    mutex = Mutex.create ();
-    nonempty = Condition.create ();
-    stop = false;
-  }
-
-(* Workers are spawned on the first real fan-out, not at [create]: an
-   idle domain is not free — every minor-GC stop-the-world section must
-   rendezvous with it, which on a host without spare cores means extra
-   context switches on the critical path (measured ~10% at size 2 on a
-   1-core container, growing with the domain count).  A pool whose
-   threshold never lets a kernel dispatch therefore costs literally
-   nothing, which is what makes the E12 sweep's 2-domain configuration
-   run at parity instead of a guaranteed loss. *)
-let ensure_workers t =
-  if (not t.spawned) && t.size > 1 then begin
-    Mutex.lock t.mutex;
-    if (not t.spawned) && not t.stop then begin
-      t.workers <-
-        Array.init (t.size - 1) (fun _ ->
-            Domain.spawn (fun () -> worker_loop t));
-      t.spawned <- true
-    end;
-    Mutex.unlock t.mutex
-  end
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  let was_stopped = t.stop in
-  t.stop <- true;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.mutex;
-  if not was_stopped then Array.iter Domain.join t.workers
-
-let run_all : type a. t -> (unit -> a) list -> a list =
- fun t thunks ->
-  match thunks with
-  | [] -> []
-  | [ f ] -> [ f () ]
-  | _ when t.size = 1 -> List.map (fun f -> f ()) thunks
-  | _ ->
-    ensure_workers t;
-    let n = List.length thunks in
-    let results : a option array = Array.make n None in
-    let first_error : exn option Atomic.t = Atomic.make None in
-    let remaining = Atomic.make n in
-    let done_mutex = Mutex.create () in
-    let done_cond = Condition.create () in
-    let wrap i f () =
-      (try results.(i) <- Some (f ())
-       with e -> ignore (Atomic.compare_and_set first_error None (Some e)));
-      (* The last finisher wakes the caller; intermediate finishers only
-         decrement.  The atomic RMW chain orders every task's writes before
-         the caller's read of [remaining = 0]. *)
-      if Atomic.fetch_and_add remaining (-1) = 1 then begin
-        Mutex.lock done_mutex;
-        Condition.broadcast done_cond;
-        Mutex.unlock done_mutex
-      end
-    in
-    Mutex.lock t.mutex;
-    List.iteri (fun i f -> Queue.add (wrap i f) t.queue) thunks;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mutex;
-    (* The caller participates: drain the queue before waiting. *)
-    let rec help () =
-      Mutex.lock t.mutex;
-      let job = Queue.take_opt t.queue in
-      Mutex.unlock t.mutex;
-      match job with
-      | Some job ->
-        job ();
-        help ()
-      | None -> ()
-    in
-    help ();
-    Mutex.lock done_mutex;
-    while Atomic.get remaining > 0 do
-      Condition.wait done_cond done_mutex
-    done;
-    Mutex.unlock done_mutex;
-    (match Atomic.get first_error with Some e -> raise e | None -> ());
-    Array.to_list results
-    |> List.map (function
-         | Some v -> v
-         | None -> failwith "Exec_pool.run_all: missing result")
-
-(* {1 Chunked fan-out over [0, n)} *)
-
-let chunks_of ~size ~n =
-  (* At most [size] chunks, each of near-equal width; fewer when [n] is
-     small so no chunk is empty. *)
-  let k = min size (max 1 n) in
-  let base = n / k and rem = n mod k in
-  List.init k (fun i ->
-      let lo = (i * base) + min i rem in
-      let width = base + if i < rem then 1 else 0 in
-      lo, lo + width)
-
-(* More chunks than domains gives the queue slack to balance uneven
-   per-row costs: a domain finishing a cheap chunk immediately takes the
-   next one instead of idling behind a straggler.  [chunks_of] itself
-   keeps its at-most-[size] contract (tests rely on it); the
-   oversubscription factor applies only here. *)
-let chunk_factor = 4
-
-let run_chunks t ~n f =
-  if n <= 0 then []
-  else begin
-    (* Per-chunk task timings (the observability layer's view of the pool):
-       each chunk contributes to the [pool.chunk] task counter and its
-       total/max duration gauges.  Guarded so the disabled path adds no
-       per-chunk work; [Obs.timed] is safe from worker domains. *)
-    let f =
-      if Qf_obs.Obs.enabled () then fun ~lo ~hi ->
-        Qf_obs.Obs.timed "pool.chunk" (fun () -> f ~lo ~hi)
-      else f
-    in
-    (* Chunk boundaries are the pool's cancellation checkpoints: a
-       governed query's deadline or cancellation interrupts a fan-out
-       between chunks (one atomic load per chunk when ungoverned). *)
-    let f ~lo ~hi =
-      Qf_governor.Governor.check ();
-      f ~lo ~hi
-    in
-    let size = if t.size = 1 then 1 else t.size * chunk_factor in
-    run_all t
-      (List.map (fun (lo, hi) -> fun () -> f ~lo ~hi) (chunks_of ~size ~n))
-  end
-
-(* {1 The shared default pool} *)
-
-let default_size () =
-  match env_int "QF_DOMAINS" with
-  | Some v -> v
-  | None -> Domain.recommended_domain_count ()
-
-let default_pool : t option ref = ref None
-let default_mutex = Mutex.create ()
-
-let default () =
-  Mutex.lock default_mutex;
-  let pool =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-      let p = create ~size:(default_size ()) in
-      default_pool := Some p;
-      p
-  in
-  Mutex.unlock default_mutex;
-  pool
-
-let set_default_size size =
-  Mutex.lock default_mutex;
-  let old = !default_pool in
-  default_pool := Some (create ~size);
-  Mutex.unlock default_mutex;
-  Option.iter shutdown old
-
-(* {1 Adaptive parallel threshold}
-
-   The break-even input size depends on the machine: how much a fan-out
-   dispatch costs (queue round-trip, worker wake-up, latch) relative to
-   one row of kernel work.  A fixed constant was mis-calibrated both
-   ways — on an oversubscribed host (more domains than cores) dispatch
-   is so expensive that 4096-row kernels lost time going parallel (the
-   E12 regression), while on a wide idle machine it left work on the
-   table.  So on first use we measure both sides and derive the
-   threshold, per pool size:
-
-   - dispatch cost: the best of a few empty [run_chunks] fan-outs
-     (optimistic on purpose — contention only raises the real cost, and
-     a higher measurement only makes us more conservative);
-   - per-row cost: a simple array-walk proxy for a cheap kernel row.
-
-   The threshold asks the sequential work to dominate dispatch by
-   [work_factor], clamped to a sane range.  [QF_PAR_THRESHOLD] (used by
-   the tests to force the parallel paths) bypasses calibration. *)
-
-let work_factor = 12.
-let threshold_min = 1024
-let threshold_max = 1 lsl 20
-
-let calibrated : (int, int) Hashtbl.t = Hashtbl.create 4
-let calibrated_mutex = Mutex.create ()
-
-let measure_dispatch pool =
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let t0 = Qf_obs.Obs.now () in
-    ignore (run_chunks pool ~n:(size pool * chunk_factor) (fun ~lo:_ ~hi:_ -> ()));
-    best := Float.min !best (Qf_obs.Obs.now () -. t0)
-  done;
-  !best
-
-let measure_row_cost () =
-  let n = 1 lsl 16 in
-  let a = Array.init n (fun i -> i land 0xFF) in
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Qf_obs.Obs.now () in
-    let s = ref 0 in
-    for i = 0 to n - 1 do
-      s := (!s * 31) + Array.unsafe_get a i
-    done;
-    ignore (Sys.opaque_identity !s);
-    best := Float.min !best (Qf_obs.Obs.now () -. t0)
-  done;
-  !best /. float_of_int n
-
-let calibrate pool =
-  (* Effective parallelism is bounded by the hardware, not the pool: a
-     2-domain pool on a 1-core host time-shares the core, so a fan-out
-     can never beat the sequential path — it only adds dispatch, merge,
-     and stop-the-world cost.  With no headroom the answer is categorical
-     (never dispatch), not a measurement. *)
-  let hw = Domain.recommended_domain_count () in
-  let eff = min (size pool) hw in
-  if eff <= 1 then max_int
-  else begin
-    let dispatch = measure_dispatch pool in
-    let per_row = Float.max 1e-10 (measure_row_cost ()) in
-    (* A fan-out can save at most the (1 - 1/eff) fraction of the
-       sequential work that other cores absorb; ask that winnable
-       fraction, not the whole input, to dominate dispatch. *)
-    let win = 1. -. (1. /. float_of_int eff) in
-    let t = int_of_float (work_factor *. dispatch /. (per_row *. win)) in
-    min threshold_max (max threshold_min t)
-  end
-
-let par_threshold () =
-  let pool = default () in
-  if pool.threshold > 0 then pool.threshold
-  else if size pool = 1 then threshold_min
-    (* irrelevant: kernels never fan out on a size-1 pool *)
-  else begin
-      Mutex.lock calibrated_mutex;
-      let v =
-        match Hashtbl.find_opt calibrated (size pool) with
-        | Some v -> v
-        | None ->
-          Mutex.unlock calibrated_mutex;
-          (* Calibrate outside the lock: the fan-outs below must not
-             deadlock against another caller; a duplicate measurement is
-             harmless. *)
-          let v = calibrate pool in
-          Mutex.lock calibrated_mutex;
-          Hashtbl.replace calibrated (size pool) v;
-          v
-      in
-      Mutex.unlock calibrated_mutex;
-      (* Benign race: concurrent callers store the same cached value. *)
-      pool.threshold <- v;
-      v
-    end
+let default () = ()
+let size () = 1
+let par_threshold () = max_int

@@ -67,8 +67,8 @@ val cancel : t -> unit
 
 (** Cooperative checkpoint: raises {!Cancelled} or {!Deadline_exceeded}
     when the ambient governor says so; a no-op (one atomic load) when no
-    governor is installed.  Called at kernel loop heads, executor step
-    boundaries, and [exec_pool] chunk boundaries. *)
+    governor is installed.  Called at kernel loop heads and executor
+    step boundaries. *)
 val check : unit -> unit
 
 (** [charge g n] accounts [n] bytes; raises {!Over_budget} (leaving usage

@@ -15,11 +15,7 @@
       ["pruning_ratio"] (surviving fraction, in [[0,1]]) on a
       ["filter.step"] span (plus ["sip_pruned"] under semijoin
       reduction);
-    - grouping records ["rows_in"], ["candidates"], ["survivors"];
-    - the Domain pool records per-chunk task timings under the
-      ["pool.chunk"] metric prefix (a counter and total/max gauges) —
-      these are the only metrics that legitimately vary with the pool
-      size, so determinism checks exclude the ["pool."] prefix. *)
+    - grouping records ["rows_in"], ["candidates"], ["survivors"]. *)
 
 (** {1 The enabled switch} *)
 

@@ -1,4 +1,3 @@
-module Pool = Qf_exec_pool.Pool
 module Obs = Qf_obs.Obs
 module Buf = Chunkrel.Buf
 module Governor = Qf_governor.Governor
@@ -73,17 +72,20 @@ let eval func schema tuples =
 
 type table = {
   func : func;
+  bounding : bool;  (** an upper-bounding step's table (see {!add}) *)
   nkeys : int;
   dense : int array;  (** single key: code -> gid ([-1]: none), else [[||]] *)
   mutable slots : int array;  (** tagged gids ({!entry}), [-1] empty *)
   mutable keys : int array;  (** group [g]'s key codes at [g * nkeys] *)
-  mutable ints : int array;  (** COUNT: the count; MIN/MAX: the best code *)
+  mutable ints : int array;
+      (** COUNT: the count; MIN/MAX: the best code ([-1]: a bounding
+          MAX with no number yet) *)
   mutable sums : float array;  (** SUM *)
   mutable cap : int;  (** groups the arrays hold *)
   mutable ngroups : int;
 }
 
-let create ?dense_codes func ~nkeys ~expected =
+let create ?dense_codes ~bounding func ~nkeys ~expected =
   let cap = max 16 (expected / 4) in
   let dense =
     match dense_codes with
@@ -92,6 +94,7 @@ let create ?dense_codes func ~nkeys ~expected =
   in
   {
     func;
+    bounding;
     nkeys;
     dense;
     slots =
@@ -107,7 +110,9 @@ let create ?dense_codes func ~nkeys ~expected =
     ngroups = 0;
   }
 
-let table func ~nkeys ~expected = create func ~nkeys ~expected
+let table ?(bounding = false) func ~nkeys ~expected =
+  create ~bounding func ~nkeys ~expected
+
 let groups t = t.ngroups
 
 (* A slot holds a group id in its low [gid_bits] bits and bits 32–55 of
@@ -197,14 +202,30 @@ let find t probe =
     walk t probe hash (hash land (Array.length t.slots - 1))
   end
 
+(* In a bounding table a later literal may still drop a string row, so
+   [SUM] counts one as unbounded and [MAX] keeps the largest number. *)
 let add t probe code =
   let fresh = t.ngroups in
   let g = find t probe in
   match t.func with
   | Count -> Array.unsafe_set t.ints g (Array.unsafe_get t.ints g + 1)
   | Sum c ->
+    let v = Dict.decode code in
     Array.unsafe_set t.sums g
-      (Array.unsafe_get t.sums g +. numeric_exn c (Dict.decode code))
+      (Array.unsafe_get t.sums g
+      +.
+      if t.bounding && not (Value.is_numeric v) then infinity
+      else numeric_exn c v)
+  | Max _ when t.bounding ->
+    let best = Array.unsafe_get t.ints g in
+    if not (Value.is_numeric (Dict.decode code)) then begin
+      if g = fresh then Array.unsafe_set t.ints g (-1)
+    end
+    else if
+      g = fresh || best < 0
+      || code <> best
+         && Value.compare (Dict.decode code) (Dict.decode best) > 0
+    then Array.unsafe_set t.ints g code
   | (Min _ | Max _) as func ->
     let best = Array.unsafe_get t.ints g in
     if g = fresh then Array.unsafe_set t.ints g code
@@ -235,7 +256,7 @@ let passing ?slack ~threshold t =
     match t.func with
     | Count -> float_of_int t.ints.(g) >= threshold
     | Sum _ -> t.sums.(g) >= threshold
-    | Min _ | Max _ -> passes ~threshold (value t g)
+    | Min _ | Max _ -> t.ints.(g) >= 0 && passes ~threshold (value t g)
   in
   for g = 0 to t.ngroups - 1 do
     let threshold =
@@ -250,58 +271,23 @@ let passing ?slack ~threshold t =
   ( Array.length kept,
     Array.init t.nkeys (fun k -> Array.map (fun g -> key_code t g k) kept) )
 
-(* {1 Grouping a relation}
-
-   The parallel path has two phases over int buffers: scatter row indices
-   by key hash into [d] disjoint partitions (every distinct key lands in
-   exactly one), then group each partition into a table of its own; no
-   cross-domain merge of groups is needed, and each partition's table
-   goes to the grouping pass's consumer on its own. *)
-
-let identity_idxs n = Array.init n (fun i -> i)
-
-(* Phase 1 of the parallel path: row indices scattered into [d] disjoint
-   partitions by key hash, merged per partition by blit. *)
-let partition_rows pool key_cols n =
-  let d = Pool.size pool in
-  let per_chunk =
-    Pool.run_chunks pool ~n (fun ~lo ~hi ->
-        let bufs = Array.init d (fun _ -> Buf.create ((hi - lo) / d + 8)) in
-        for i = lo to hi - 1 do
-          Buf.push bufs.(Chunkrel.hash_key key_cols i mod d) i
-        done;
-        bufs)
-  in
-  List.init d (fun j -> Buf.concat (List.map (fun bufs -> bufs.(j)) per_chunk))
-
-(* Row-index partitions of [chunk]: all rows as one on a one-domain
-   pool or below the parallel threshold, else {!partition_rows}. *)
-let partitions ?pool ?par_threshold (chunk : Chunkrel.t) ~key_cols =
-  let n = chunk.Chunkrel.nrows in
-  let threshold =
-    match par_threshold with Some v -> v | None -> Pool.par_threshold ()
-  in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  if Pool.size pool > 1 && n >= threshold then
-    Some pool, partition_rows pool key_cols n
-  else None, [ identity_idxs n ]
+(* {1 Grouping a relation} *)
 
 (* The dense path's bound: a single key column whose largest code among
-   the rows is at most about twice their number. *)
-let dense_codes key_cols idxs =
-  let m = Array.length idxs in
+   the [n] rows is at most about twice their number. *)
+let dense_codes key_cols n =
   match key_cols with
-  | [| col |] when m > 0 ->
+  | [| col |] when n > 0 ->
     let maxc = ref 0 in
-    for k = 0 to m - 1 do
-      let c = Array.unsafe_get col (Array.unsafe_get idxs k) in
+    for i = 0 to n - 1 do
+      let c = Array.unsafe_get col i in
       if c > !maxc then maxc := c
     done;
-    if !maxc <= (2 * m) + 1024 then Some !maxc else None
+    if !maxc <= (2 * n) + 1024 then Some !maxc else None
   | _ -> None
 
-(* One table per partition. *)
-let group_codes ?pool ?par_threshold rel ~keys ~func =
+(* One table over all of [rel]'s rows. *)
+let group_codes ~bounding rel ~keys ~func =
   let schema = Relation.schema rel in
   let chunk = Relation.codes rel in
   let column k = chunk.Chunkrel.cols.(Schema.position schema k) in
@@ -311,39 +297,33 @@ let group_codes ?pool ?par_threshold rel ~keys ~func =
     match func with Count -> [||] | Sum c | Min c | Max c -> column c
   in
   let measured = Array.length measure > 0 in
-  let pool, parts = partitions ?pool ?par_threshold chunk ~key_cols in
-  let job idxs () =
-    let m = Array.length idxs in
-    let t =
-      create ?dense_codes:(dense_codes key_cols idxs) func ~nkeys ~expected:m
-    in
-    let probe = Array.make nkeys 0 in
-    for k = 0 to m - 1 do
-      let i = Array.unsafe_get idxs k in
-      for c = 0 to nkeys - 1 do
-        Array.unsafe_set probe c
-          (Array.unsafe_get (Array.unsafe_get key_cols c) i)
-      done;
-      add t probe (if measured then Array.unsafe_get measure i else 0)
-    done;
-    t
+  let n = chunk.Chunkrel.nrows in
+  let t =
+    create ?dense_codes:(dense_codes key_cols n) ~bounding func ~nkeys
+      ~expected:n
   in
-  match pool with
-  | Some pool -> Pool.run_all pool (List.map job parts)
-  | None -> List.map (fun idxs -> job idxs ()) parts
+  let probe = Array.make nkeys 0 in
+  for i = 0 to n - 1 do
+    for c = 0 to nkeys - 1 do
+      Array.unsafe_set probe c
+        (Array.unsafe_get (Array.unsafe_get key_cols c) i)
+    done;
+    add t probe (if measured then Array.unsafe_get measure i else 0)
+  done;
+  t
 
 (* {1 The grouping pass}
 
-   Every entry point groups through [fold_groups]: it hands each
-   partition's table to [consume] while the partition is live and
-   returns what [consume] made of them, plus the total group count.  The
+   Every entry point groups through [fold_groups]: it hands each table
+   to [consume] while it is live and returns what [consume] made of
+   them, plus the total group count.  The
    group table holds every distinct key plus its aggregate, so the pass
    charges roughly twice the input; when that does not fit the budget,
    the rows hash-partition by group key into spill runs.  Equal keys
    land in the same run, so each run is grouped and consumed inside its
    own charge, nothing it built outlives it but [consume]'s result, and
    no cross-run merge is ever needed. *)
-let fold_groups ?pool ?par_threshold rel ~keys ~func ~consume =
+let fold_groups ?(bounding = false) rel ~keys ~func ~consume =
   Governor.check ();
   let ngroups = ref 0 in
   let consume t =
@@ -353,13 +333,11 @@ let fold_groups ?pool ?par_threshold rel ~keys ~func ~consume =
   let need rel = 2 * Relation.approx_bytes rel in
   let grouping () =
     Spill.governed ~need:(need rel)
-      (fun () ->
-        List.map consume (group_codes ?pool ?par_threshold rel ~keys ~func))
+      (fun () -> [ consume (group_codes ~bounding rel ~keys ~func) ])
       (fun g ->
         if Obs.enabled () then Obs.count "governor.spill.groups" 1;
-        List.concat
-          (Spill.map_partitions g rel ~keys ~need (fun run ->
-               List.map consume (group_codes run ~keys ~func))))
+        Spill.map_partitions g rel ~keys ~need (fun run ->
+            consume (group_codes ~bounding run ~keys ~func)))
   in
   let consumed =
     if not (Obs.enabled ()) then grouping ()
@@ -373,7 +351,7 @@ let fold_groups ?pool ?par_threshold rel ~keys ~func ~consume =
   in
   consumed, !ngroups
 
-let group_by ?pool ?par_threshold rel ~keys ~func =
+let group_by rel ~keys ~func =
   let decode t =
     List.init t.ngroups (fun g ->
         ( Tuple.of_array
@@ -382,9 +360,9 @@ let group_by ?pool ?par_threshold rel ~keys ~func =
           value t g ))
   in
   List.concat
-    (fst (fold_groups ?pool ?par_threshold rel ~keys ~func ~consume:decode))
+    (fst (fold_groups rel ~keys ~func ~consume:decode))
 
-(* FILTER: each partition's passing groups, as one relation over [keys]
+(* FILTER: each table's passing groups, as one relation over [keys]
    and the candidate count.  The a-priori view of the FILTER is its
    span: [candidates] parameter assignments enter, [survivors] pass the
    threshold; [pruning_ratio] is the surviving fraction, always within
@@ -418,14 +396,13 @@ let filter ?slack ~rows_in ~keys ~threshold fold =
               else float_of_int survivors /. float_of_int candidates));
         out, candidates)
 
-let group_filter_report ?pool ?par_threshold ?slack rel ~keys ~func
-    ~threshold =
+let group_filter_report ?bounding ?slack rel ~keys ~func ~threshold =
   filter ?slack ~rows_in:(Relation.cardinal rel) ~keys ~threshold
-    (fun consume -> fold_groups ?pool ?par_threshold rel ~keys ~func ~consume)
+    (fun consume -> fold_groups ?bounding rel ~keys ~func ~consume)
 
 let filter_table ?slack t ~rows_in ~keys ~threshold =
   filter ?slack ~rows_in ~keys ~threshold (fun consume ->
       [ consume t ], t.ngroups)
 
-let group_filter ?pool ?par_threshold rel ~keys ~func ~threshold =
-  fst (group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold)
+let group_filter rel ~keys ~func ~threshold =
+  fst (group_filter_report rel ~keys ~func ~threshold)

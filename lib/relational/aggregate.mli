@@ -30,17 +30,10 @@ val eval : func -> Schema.t -> Tuple.t list -> Value.t
     [(key_tuple, aggregate_value)] pairs, one per distinct key, in an
     unspecified order.
 
-    Above [par_threshold] tuples (default
-    {!Qf_exec_pool.Pool.par_threshold}) on a pool of size > 1, rows are
-    hash-partitioned by key across the pool's domains and each partition
-    aggregates its own disjoint key set — same groups, same values (SUM
-    may associate float additions differently; exact on integer-valued
-    data).  Under an ambient governor whose budget cannot hold the group
-    table, rows spill by key into temp runs that are grouped one at a
-    time — again the same groups. *)
+    Under an ambient governor whose budget cannot hold the group table,
+    rows spill by key into temp runs that are grouped one at a time —
+    the same groups. *)
 val group_by :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
   Relation.t ->
   keys:string list ->
   func:func ->
@@ -50,15 +43,24 @@ val group_by :
 
     The one grouping kernel: a code-keyed hash table from a group's key
     codes to its aggregate, filled one row at a time.  {!group_by} and
-    {!group_filter} fill one per partition of a relation; the evaluator
-    fills one from inside its probe loop, so a FILTER step counts its
-    rows without ever tabulating them. *)
+    {!group_filter} fill one over a relation (one per spill run); the
+    evaluator fills one from inside its probe loop, so a FILTER step
+    counts its rows without ever tabulating them. *)
 
 type table
 
 (** [table func ~nkeys ~expected] is an empty table for rows of [nkeys]
-    key codes, sized for about [expected] groups (it grows past that). *)
-val table : func -> nkeys:int -> expected:int -> table
+    key codes, sized for about [expected] groups (it grows past that).
+
+    A [bounding] table (default [false]) serves a FILTER whose survivors
+    only upper-bound a later step's — an a-priori step, or a filter the
+    dynamic executor interposes — where a later literal may still drop a
+    row whose measure is a string.  There [MAX] keeps the group's largest
+    {e numeric} value (a group with none never passes), and a [SUM] group
+    holding a non-numeric value is unbounded: it passes instead of
+    raising {!Non_numeric}.  [COUNT] and [MIN] are the same either
+    way. *)
+val table : ?bounding:bool -> func -> nkeys:int -> expected:int -> table
 
 (** [find t keys] is the id of the group of the key codes [keys],
     opening a new group (id [groups t]) when there is none; groups are
@@ -69,7 +71,7 @@ val find : table -> int array -> int
 (** [add t keys code] folds one row into its group: [Count] counts it,
     [Sum]/[Min]/[Max] take [code] as the row's measure (a {!Dict} code;
     ignored by [Count]).  Raises {!Non_numeric} when [Sum] meets a
-    non-numeric value. *)
+    non-numeric value, unless the table is bounding. *)
 val add : table -> int array -> int -> unit
 
 (** Number of groups. *)
@@ -108,11 +110,8 @@ val passes : threshold:float -> Value.t -> bool
 (** [group_filter rel ~keys ~func ~threshold] keeps the keys whose aggregate
     value {!passes} the threshold and returns them as a relation over
     [keys]; a non-numeric aggregate never passes.  This is the FILTER
-    step's core operation.  Parallel above the threshold, like
-    {!group_by}. *)
+    step's core operation.  Spills like {!group_by}. *)
 val group_filter :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
   Relation.t ->
   keys:string list ->
   func:func ->
@@ -123,10 +122,9 @@ val group_filter :
     groups (the distinct key count before the threshold test — exactly
     [cardinal (project rel keys)], without the extra projection pass).
     Plan execution reports this as the a-priori candidate count.
-    [slack] as in {!filter_table}. *)
+    [bounding] as in {!table}; [slack] as in {!filter_table}. *)
 val group_filter_report :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
+  ?bounding:bool ->
   ?slack:(int array -> float) ->
   Relation.t ->
   keys:string list ->

@@ -12,8 +12,7 @@
    the relation's own identity, so sharing across working copies is safe
    and is exactly what lets one plan's FILTER steps, the optimizer's
    candidate probes and the bench's per-support loops reuse each other's
-   work.  A small mutex guards the table; parallel kernels only read
-   indexes, never the cache.
+   work.  A small mutex guards the table.
 
    Residency is bounded by an LRU byte budget ([QF_INDEX_BUDGET],
    default 128 MiB) instead of the old wipe-everything entry cap: a

@@ -59,15 +59,13 @@ let rows_equal cols i j =
 
 (* Open-addressing dedup over code rows: slots hold a previously kept row
    index (or -1); linear probing. *)
-let distinct_rows ?among cols nrows =
-  let n = match among with Some idxs -> Array.length idxs | None -> nrows in
+let distinct_rows cols n =
   let cap = hash_capacity (2 * n) in
   let mask = cap - 1 in
   let slots = Array.make cap (-1) in
   let kept = Array.make n 0 in
   let k = ref 0 in
-  for r = 0 to n - 1 do
-    let i = match among with Some idxs -> Array.unsafe_get idxs r | None -> r in
+  for i = 0 to n - 1 do
     let h = ref (hash_key cols i land mask) in
     let stop = ref false in
     while not !stop do
@@ -114,14 +112,4 @@ module Buf = struct
   let get b i = b.data.(i)
   let to_array b = Array.sub b.data 0 b.len
   let backing b = b.data
-
-  let concat bufs =
-    let dst = Array.make (List.fold_left (fun a b -> a + b.len) 0 bufs) 0 in
-    ignore
-      (List.fold_left
-         (fun pos b ->
-           Array.blit b.data 0 dst pos b.len;
-           pos + b.len)
-         0 bufs);
-    dst
 end

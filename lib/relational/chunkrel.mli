@@ -40,17 +40,14 @@ val gather : t -> int array -> t
 val gather_cols : int array array -> int array -> int array array
 
 (** [distinct_rows cols nrows] returns the indices of the first
-    occurrence of each distinct row (order of first appearance).  With
-    [~among], only the rows at those indices are considered, in that
-    order, and [nrows] is ignored. *)
-val distinct_rows : ?among:int array -> int array array -> int -> int array
+    occurrence of each distinct row (order of first appearance). *)
+val distinct_rows : int array array -> int -> int array
 
 (** Smallest power of two [>= max 16 n]. *)
 val hash_capacity : int -> int
 
-(** {1 Growable int buffers} — the parallel kernels' per-chunk output
-    substrate; chunks are merged by {!Buf.concat} with no per-row
-    boxing. *)
+(** {1 Growable int buffers} — the kernels' output substrate, filled
+    with no per-row boxing. *)
 module Buf : sig
   type buf
 
@@ -70,7 +67,4 @@ module Buf : sig
       capacity.  Later pushes never change the first [length b]
       entries. *)
   val backing : buf -> int array
-
-  (** The contents of the buffers, in order, in one pre-sized array. *)
-  val concat : buf list -> int array
 end

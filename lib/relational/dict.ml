@@ -8,8 +8,8 @@ end)
 (* A published snapshot: codes [0, n) are valid indices into [arr].  The
    encoder republishes after every extension; [Atomic.set] is a release
    store and [Atomic.get] an acquire load, so a reader that obtained a
-   code (through any happens-before edge — typically the pool's queue
-   mutex) sees the corresponding array write. *)
+   code (through any happens-before edge, such as a mutex) sees the
+   corresponding array write. *)
 type snapshot = { n : int; arr : Value.t array }
 
 let table : int VH.t = VH.create 4096

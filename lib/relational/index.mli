@@ -12,9 +12,7 @@
     Indexes are built eagerly and are not maintained under later
     mutation of the source relation — the {!Catalog} index cache pairs
     each index with the relation version it was built against and
-    rebuilds when stale.  A built index is immutable, so concurrent
-    probes from several domains are safe; the evaluator's parallel
-    binding extension relies on this. *)
+    rebuilds when stale.  A built index is immutable. *)
 
 type t = {
   heads : int array;

@@ -6,7 +6,7 @@
     added) entries are evicted until it fits again.  Recency is a
     monotone tick bumped on every hit and insertion, so eviction order is
     a deterministic function of the operation sequence — the property the
-    cross-pool-size determinism tests rely on.
+    determinism tests rely on.
 
     A budget of [0] disables the table entirely ({!add} is a no-op and
     {!find} always misses); [max_int] means unbounded.  The table itself

@@ -1,5 +1,3 @@
-module Pool = Qf_exec_pool.Pool
-
 module Buf = Chunkrel.Buf
 
 (* A relation is a schema over one tuple set, held once: one growable
@@ -166,51 +164,13 @@ let of_values columns rows =
 (* {1 Projection}
 
    Deduplicates over the code rows of the projected columns and gathers
-   the output columns once.  Runs sequentially below [Pool.par_threshold]
-   or on a pool of size 1, and produces the same result set either
-   way. *)
+   the output columns once. *)
 
-let use_pool pool n threshold =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  if Pool.size pool > 1 && n >= threshold then Some pool else None
-
-let threshold_of = function
-  | Some v -> v
-  | None -> Pool.par_threshold ()
-
-(* Parallel columnar dedup: scatter row indices into [d] partitions by
-   row hash (phase 1, chunked), then dedup each partition independently
-   (distinct rows land in exactly one partition). *)
-let distinct_rows_par pool pcols n =
-  let d = Pool.size pool in
-  let buckets_per_chunk =
-    Pool.run_chunks pool ~n (fun ~lo ~hi ->
-        let bufs =
-          Array.init d (fun _ -> Chunkrel.Buf.create ((hi - lo) / d + 8))
-        in
-        for i = lo to hi - 1 do
-          Chunkrel.Buf.push bufs.(Chunkrel.hash_key pcols i mod d) i
-        done;
-        bufs)
-  in
-  Pool.run_all pool
-    (List.init d (fun j () ->
-         Chunkrel.distinct_rows pcols 0
-           ~among:
-             (Chunkrel.Buf.concat
-                (List.map (fun bufs -> bufs.(j)) buckets_per_chunk))))
-  |> Array.concat
-
-let project ?pool ?par_threshold t cols =
+let project t cols =
   let positions = Array.of_list (List.map (Schema.position t.schema) cols) in
   let chunk = codes t in
-  let n = chunk.Chunkrel.nrows in
   let pcols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) positions in
-  let kept =
-    match use_pool pool n (threshold_of par_threshold) with
-    | None -> Chunkrel.distinct_rows pcols n
-    | Some pool -> distinct_rows_par pool pcols n
-  in
+  let kept = Chunkrel.distinct_rows pcols chunk.Chunkrel.nrows in
   of_chunkrel
     (Schema.restrict t.schema cols)
     { Chunkrel.nrows = Array.length kept; cols = Chunkrel.gather_cols pcols kept }

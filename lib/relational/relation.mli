@@ -25,7 +25,7 @@ val of_chunkrel : Schema.t -> Chunkrel.t -> t
 (** The columnar snapshot of the current version: [{nrows = cardinal;
     cols}] over the live column arrays, without a copy.  Later insertions
     write only past row [nrows] or into fresh arrays, so the snapshot
-    never changes; parallel kernels read it from worker domains. *)
+    never changes. *)
 val codes : t -> Chunkrel.t
 
 (** Does nothing: a relation is always in its columnar form.  Kept
@@ -77,13 +77,8 @@ val of_list : Schema.t -> Tuple.t list -> t
 (** Convenience: build from lists of value lists. *)
 val of_values : string list -> Value.t list list -> t
 
-(** [project rel cols] projects (with duplicate elimination) onto [cols].
-    Runs on [pool] (default: the shared pool) when the relation has at
-    least [par_threshold] tuples (default {!Qf_exec_pool.Pool.par_threshold})
-    and the pool has size > 1; otherwise sequential.  The result set is
-    identical either way. *)
-val project :
-  ?pool:Qf_exec_pool.Pool.t -> ?par_threshold:int -> t -> string list -> t
+(** [project rel cols] projects (with duplicate elimination) onto [cols]. *)
+val project : t -> string list -> t
 
 (** Distinct values appearing in a column. *)
 val column_values : t -> string -> Value.t list

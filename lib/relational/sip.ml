@@ -1,4 +1,3 @@
-module Pool = Qf_exec_pool.Pool
 module Obs = Qf_obs.Obs
 module Buf = Chunkrel.Buf
 
@@ -82,23 +81,9 @@ let filter rel ~pos t =
   let chunk = Relation.codes rel in
   let col = chunk.Chunkrel.cols.(pos) in
   let n = chunk.Chunkrel.nrows in
-  let pool = Pool.default () in
-  let kept =
-    if Pool.size pool = 1 || n < Pool.par_threshold () then begin
-      let buf = Buf.create n in
-      for i = 0 to n - 1 do
-        if mem t col.(i) then Buf.push buf i
-      done;
-      Buf.to_array buf
-    end
-    else
-      (* Reducer membership is a pure read; safe from worker domains. *)
-      Pool.run_chunks pool ~n (fun ~lo ~hi ->
-          let buf = Buf.create (hi - lo) in
-          for i = lo to hi - 1 do
-            if mem t col.(i) then Buf.push buf i
-          done;
-          buf)
-      |> Buf.concat
-  in
-  Relation.of_chunkrel (Relation.schema rel) (Chunkrel.gather chunk kept)
+  let kept = Buf.create n in
+  for i = 0 to n - 1 do
+    if mem t col.(i) then Buf.push kept i
+  done;
+  Relation.of_chunkrel (Relation.schema rel)
+    (Chunkrel.gather chunk (Buf.to_array kept))

@@ -9,10 +9,10 @@ type t =
    set of strings over and over in hash probes.  Interning maps every
    distinct string to one canonical copy so equality can try pointer
    comparison before falling back to [String.equal].  The table is guarded
-   by a mutex because tuple kernels may construct values on worker
-   domains; [equal] itself never touches the table, so the fast path stays
-   lock-free.  Interning is an optimization, not an invariant: [Str]
-   values built without {!str} still compare correctly. *)
+   by a mutex, so values may be built on any domain; [equal] itself never
+   touches the table, so the fast path stays lock-free.  Interning is an
+   optimization, not an invariant: [Str] values built without {!str}
+   still compare correctly. *)
 
 let intern_table : (string, string) Hashtbl.t = Hashtbl.create 1024
 let intern_mutex = Mutex.create ()

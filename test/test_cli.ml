@@ -282,6 +282,41 @@ let test_sum_over_strings () =
        [ "plan"; "direct"; "dynamic"; "naive" ]
     @ [ "mine" :: data; [ "mine"; "--mem-budget=4k" ] @ data ])
 
+(* The mixed-measure flock of test_dynamic's "bounding filters over a
+   mixed measure": basket 1 weighs 5 and "x", and NOT bad(W) drops "x".
+   MAX and SUM answer a and b in every mode. *)
+let test_bounding_mixed_measure () =
+  let csv text f =
+    let path = Filename.temp_file "qfcli" ".csv" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    f path
+  in
+  csv "B,I\n1,a\n2,a\n3,b\n" @@ fun baskets ->
+  csv "B,W\n1,5\n1,x\n2,1\n3,7\n" @@ fun weight ->
+  csv "W\nx\n" @@ fun bad ->
+  List.iter
+    (fun agg ->
+      with_flock
+        ("QUERY:\n\
+          answer(B,W) :- baskets(B,$1) AND weight(B,W) AND NOT bad(W)\n\
+          FILTER:\n" ^ agg ^ "(answer.W) >= 3\n")
+      @@ fun path ->
+      List.iter
+        (fun mode ->
+          let code, out, err =
+            run_full
+              [
+                "run"; "-m"; mode; "-d"; "baskets=" ^ baskets; "-d";
+                "weight=" ^ weight; "-d"; "bad=" ^ bad; path;
+              ]
+          in
+          let what = Printf.sprintf "%s, -m %s" agg mode in
+          check_int (what ^ " exit status: " ^ err) 0 code;
+          Alcotest.(check string) (what ^ " output") "$1\na\nb\n" out)
+        [ "naive"; "direct"; "plan"; "dynamic" ])
+    [ "MAX"; "SUM" ]
+
 (* Golden output of the mining conveniences on baskets.csv. *)
 let rules_golden =
   {|7 rules (support >= 2, confidence >= 0.50):
@@ -344,4 +379,6 @@ let suite =
       test_dynamic_head_constant;
     Alcotest.test_case "SUM over strings exits 1 naming column and value"
       `Quick test_sum_over_strings;
+    Alcotest.test_case "bounding filters over a mixed measure" `Quick
+      test_bounding_mixed_measure;
   ]

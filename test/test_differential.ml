@@ -2,8 +2,7 @@
    every executor must produce exactly the same answer relation as
    {!Direct.run} — naive generate-and-test, the optimizer's chosen plan,
    the a-priori singleton plan, the levelwise plan, and dynamic filter
-   selection — and the agreement must be insensitive to the Domain pool's
-   size.
+   selection.
 
    Unlike the QCheck properties (fresh random instances per run), this
    suite replays fixed seeds, so a regression reproduces byte-for-byte and
@@ -11,7 +10,6 @@
 
 module R = Qf_relational.Relation
 module Catalog = Qf_relational.Catalog
-module Pool = Qf_exec_pool.Pool
 open Qf_core
 open Qf_testgen.Testgen
 
@@ -20,7 +18,7 @@ let seeds = List.init 100 Fun.id
 let instance_of_seed seed = instance ~seed gen_basket_instance
 
 (* All executors on one instance; returns (executor name, result) pairs. *)
-let run_all_executors cat flock =
+let run_executors cat flock =
   let direct = Direct.run cat flock in
   let naive = Naive.run cat flock in
   let optimized = Plan_exec.run cat (Optimizer.optimize cat flock) in
@@ -46,7 +44,7 @@ let check_seed seed =
   let rel, threshold = instance_of_seed seed in
   let cat = catalog_of rel in
   let flock = pair_flock threshold in
-  let expected, results = run_all_executors cat flock in
+  let expected, results = run_executors cat flock in
   List.iter
     (fun (name, got) ->
       if not (R.equal expected got) then
@@ -107,41 +105,9 @@ let test_union_corpus_agrees () =
       | Error e -> Alcotest.failf "seed %d: union dynamic failed: %s" seed e)
     (List.filteri (fun i _ -> i mod 2 = 0) seeds)
 
-(* Pool-size insensitivity: a slice of the corpus, re-run with the shared
-   pool forced to 4 domains and the parallel threshold forced low enough
-   that the parallel kernels actually engage on these small inputs.  The
-   whole suite also runs again under QF_DOMAINS=4 (see dune), so this
-   test's job is the *in-process* size switch. *)
-let test_pool_size_insensitive () =
-  let slice = List.filteri (fun i _ -> i mod 5 = 0) seeds in
-  let run_slice () =
-    List.map
-      (fun seed ->
-        let rel, threshold = instance_of_seed seed in
-        let cat = catalog_of rel in
-        let flock = pair_flock threshold in
-        let expected, results = run_all_executors cat flock in
-        expected, List.map snd results)
-      slice
-  in
-  let sequential = Test_util.with_pool_size 1 run_slice in
-  let parallel = Test_util.with_pool_size 4 run_slice in
-  List.iteri
-    (fun i ((e1, rs1), (e2, rs2)) ->
-      let seed = List.nth slice i in
-      if not (R.equal e1 e2) then
-        Alcotest.failf "seed %d: direct differs across pool sizes" seed;
-      List.iter2
-        (fun a b ->
-          if not (R.equal a b) then
-            Alcotest.failf "seed %d: an executor differs across pool sizes"
-              seed)
-        rs1 rs2)
-    (List.combine sequential parallel)
-
-(* The SIP/memo executor against the unreduced baseline, across pool
-   sizes and memo budgets (0 disables the memo, a tiny
-   budget forces evictions mid-run, [max_int] is unbounded).  Each
+(* The SIP/memo executor against the unreduced baseline, across memo
+   budgets (0 disables the memo, a tiny budget forces evictions mid-run,
+   [max_int] is unbounded).  Each
    configuration runs the levelwise plan twice on the same catalog so the
    warm run exercises memo hits and the reducer caches. *)
 let test_reduced_equals_unreduced_matrix () =
@@ -154,35 +120,30 @@ let test_reduced_equals_unreduced_matrix () =
   List.iter
     (fun seed ->
       let rel, threshold = instance_of_seed seed in
+      let cat = catalog_of rel in
+      let _, plan =
+        Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3 ~support:threshold
+      in
+      let expected = Plan_exec.run ~options:unreduced cat plan in
       List.iter
-        (fun pool_size ->
-          Test_util.with_pool_size pool_size @@ fun () ->
-          let cat = catalog_of rel in
-          let _, plan =
-            Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3
-              ~support:threshold
-          in
-          let expected = Plan_exec.run ~options:unreduced cat plan in
+        (fun budget ->
+          Catalog.set_memo_budget cat budget;
+          Catalog.memo_clear cat;
           List.iter
-            (fun budget ->
-              Catalog.set_memo_budget cat budget;
-              Catalog.memo_clear cat;
-              List.iter
-                (fun pass ->
-                  let got = Plan_exec.run cat plan in
-                  if not (R.equal expected got) then
-                    Alcotest.failf
-                      "seed %d: reduced (pool %d, budget %d, %s run) \
-                       disagrees with unreduced"
-                      seed pool_size budget pass)
-                [ "cold"; "warm" ])
-            [ 0; 2048; max_int ])
-        [ 1; 2; 4 ])
+            (fun pass ->
+              let got = Plan_exec.run cat plan in
+              if not (R.equal expected got) then
+                Alcotest.failf
+                  "seed %d: reduced (budget %d, %s run) disagrees with \
+                   unreduced"
+                  seed budget pass)
+            [ "cold"; "warm" ])
+        [ 0; 2048; max_int ])
     (List.filteri (fun i _ -> i mod 10 = 0) seeds)
 
 (* The governed matrix: budgets (the QF_MEM_BUDGET axis — a tiny budget
    that forces the spill kernels, a 64k budget that mostly fits, and
-   unbounded) x pool sizes.  Every configuration must produce
+   unbounded).  Every configuration must produce
    exactly the ungoverned direct answer, and the tiny budget must
    actually exercise the spill paths somewhere in the slice (asserted on
    the aggregate spill-partition count, since individual seeds can be too
@@ -196,29 +157,22 @@ let test_governed_matrix () =
       let rel, threshold = instance_of_seed seed in
       let flock = pair_flock threshold in
       let cat = catalog_of rel in
-      let expected =
-        Test_util.with_pool_size 1 (fun () -> Direct.run cat flock)
-      in
+      let expected = Direct.run cat flock in
       List.iter
-        (fun pool_size ->
-          Test_util.with_pool_size pool_size @@ fun () ->
-          List.iter
-            (fun budget ->
-              let g = Governor.create ~mem_budget:budget () in
-              let got =
-                Governor.with_ctx g (fun () ->
-                    Plan_exec.run cat (Optimizer.optimize cat flock))
-              in
-              if budget = tiny then
-                tiny_spills :=
-                  !tiny_spills + (Governor.stats g).Governor.spill_partitions;
-              if not (R.equal expected got) then
-                Alcotest.failf
-                  "seed %d: governed plan (pool %d, budget %d) disagrees \
-                   with direct"
-                  seed pool_size budget)
-            [ tiny; 65536; max_int ])
-        [ 1; 2; 4 ])
+        (fun budget ->
+          let g = Governor.create ~mem_budget:budget () in
+          let got =
+            Governor.with_ctx g (fun () ->
+                Plan_exec.run cat (Optimizer.optimize cat flock))
+          in
+          if budget = tiny then
+            tiny_spills :=
+              !tiny_spills + (Governor.stats g).Governor.spill_partitions;
+          if not (R.equal expected got) then
+            Alcotest.failf
+              "seed %d: governed plan (budget %d) disagrees with direct" seed
+              budget)
+        [ tiny; 65536; max_int ])
     (List.filteri (fun i _ -> i mod 10 = 0) seeds);
   Alcotest.(check bool)
     "the tiny budget actually spilled somewhere in the slice" true
@@ -232,12 +186,10 @@ let suite =
       test_levelwise_agrees;
     Alcotest.test_case "union corpus: dynamic = direct" `Slow
       test_union_corpus_agrees;
-    Alcotest.test_case "agreement is pool-size insensitive" `Slow
-      test_pool_size_insensitive;
     Alcotest.test_case
-      "sip/memo matrix: reduced = unreduced across pools/budgets"
+      "sip/memo matrix: reduced = unreduced across budgets"
       `Slow test_reduced_equals_unreduced_matrix;
     Alcotest.test_case
-      "governed matrix: budgets x pools = ungoverned direct"
+      "governed matrix: budgets = ungoverned direct"
       `Slow test_governed_matrix;
   ]

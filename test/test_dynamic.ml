@@ -315,6 +315,85 @@ let test_union_shared_rows () =
         ])
     [ 3, [ 7 ]; 4, [] ]
 
+(* A measure column mixing numbers and a string that a later literal
+   removes: basket 1 weighs 5 and "x", and NOT bad(W) drops "x", so item
+   a's final MAX is 5 and its SUM 6.  A FILTER before that literal only
+   bounds the final one: MAX must test the largest number, and a SUM
+   holding "x" is unbounded, not an error.  Every executor, each plan the
+   optimizer enumerates (one has an a-priori step before the NOT) and
+   the dynamic walk with and without interposed filters answer a and
+   b. *)
+let test_bounding_mixed_measure () =
+  let cat = Catalog.create () in
+  Catalog.add cat "baskets"
+    (R.of_values [ "B"; "I" ]
+       V.[ [ Int 1; Str "a" ]; [ Int 2; Str "a" ]; [ Int 3; Str "b" ] ]);
+  Catalog.add cat "weight"
+    (R.of_values [ "B"; "W" ]
+       V.[
+         [ Int 1; Int 5 ];
+         [ Int 1; Str "x" ];
+         [ Int 2; Int 1 ];
+         [ Int 3; Int 7 ];
+       ]);
+  Catalog.add cat "bad" (R.of_values [ "W" ] V.[ [ Str "x" ] ]);
+  let want = R.of_values [ "$1" ] V.[ [ Str "a" ]; [ Str "b" ] ] in
+  List.iter
+    (fun agg ->
+      let flock =
+        Parse.flock_exn
+          ("QUERY:\n\
+            answer(B,W) :- baskets(B,$1) AND weight(B,W) AND NOT bad(W)\n\
+            FILTER:\n" ^ agg ^ "(answer.W) >= 3")
+      in
+      let check name got =
+        Alcotest.check Test_util.relation (agg ^ ": " ^ name) want got
+      in
+      check "naive" (Naive.run cat flock);
+      check "direct" (Direct.run cat flock);
+      let choices = Optimizer.enumerate cat flock in
+      check_bool (agg ^ ": a plan has an a-priori step") true
+        (List.exists
+           (fun (c : Optimizer.choice) -> c.plan.Plan.steps <> [])
+           choices);
+      List.iter
+        (fun (c : Optimizer.choice) ->
+          check (Explain.plan_summary c.plan) (Plan_exec.run cat c.plan))
+        choices;
+      (* Without NOT bad(W), item a's MAX is "x" and fails: that final
+         step, memoized first, is the a-priori step of plan #1 but for
+         the bound, which the memo must not serve from it. *)
+      if agg = "MAX" then begin
+        let unbounded =
+          Parse.flock_exn
+            "QUERY:\nanswer(B,W) :- baskets(B,$1) AND weight(B,W)\n\
+             FILTER:\nMAX(answer.W) >= 3"
+        in
+        Catalog.memo_clear cat;
+        ignore (Plan_exec.run cat (Plan.trivial unbounded));
+        List.iter
+          (fun (c : Optimizer.choice) ->
+            check
+              (Explain.plan_summary c.plan ^ " after the unbounded flock")
+              (Plan_exec.run cat c.plan))
+          choices
+      end;
+      List.iter
+        (fun config ->
+          let r = run_exn ~config cat flock in
+          check
+            (Printf.sprintf "dynamic %g/%g" config.Dynamic.ratio_factor
+               config.improvement_factor)
+            r.answers;
+          if config.ratio_factor > 1. then
+            check_bool (agg ^ ": a filter was interposed") true
+              (List.exists (fun (d : Dynamic.decision) -> d.filtered) r.trace))
+        [
+          Dynamic.default_config;
+          { Dynamic.ratio_factor = 1e9; improvement_factor = 1e9 };
+        ])
+    [ "MAX"; "SUM" ]
+
 let suite =
   [
     Alcotest.test_case "dynamic = direct (threshold sweep)" `Quick
@@ -339,4 +418,6 @@ let suite =
       test_head_constant;
     Alcotest.test_case "union branches share answer rows" `Quick
       test_union_shared_rows;
+    Alcotest.test_case "bounding filters over a mixed measure" `Quick
+      test_bounding_mixed_measure;
   ]

@@ -196,23 +196,14 @@ let test_duplicate_head_vars () =
   check_bool "tuple in position" true
     (R.mem r (Qf_relational.Tuple.of_array V.[| Int 1; Int 1; Int 3 |]))
 
-(* {1 Filters fused into binding extension}
-
-   Each case runs on one domain and on four with the parallel threshold
-   at 1, so even these few environments fan out. *)
+(* {1 Filters fused into binding extension} *)
 
 let expect_rows text expected =
-  List.iter
-    (fun size ->
-      Test_util.with_pool_size ~par_threshold:1 size @@ fun () ->
-      let got = tab (catalog ()) text in
-      let want =
-        R.of_values (Qf_relational.Schema.columns (R.schema got)) expected
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s (%d domains)" text size)
-        (Test_util.rows want) (Test_util.rows got))
-    [ 1; 4 ]
+  let got = tab (catalog ()) text in
+  let want =
+    R.of_values (Qf_relational.Schema.columns (R.schema got)) expected
+  in
+  Alcotest.(check (list string)) text (Test_util.rows want) (Test_util.rows got)
 
 let test_fused_repeated_key_dedupes () =
   (* Two keys over a two-slot environment, but one slot twice: the
@@ -272,34 +263,29 @@ let test_fused_filters_follow_sip () =
   let sip =
     [ "Z", Qf_relational.Sip.of_column (R.of_values [ "Z" ] V.[ [ Int 3 ] ]) "Z" ]
   in
-  List.iter
-    (fun size ->
-      Test_util.with_pool_size ~par_threshold:1 size @@ fun () ->
-      let was = Obs.enabled () in
-      Obs.set_enabled true;
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
       Obs.reset ();
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.reset ();
-          Obs.set_enabled was)
-      @@ fun () ->
-      let cat = catalog () in
-      let envs =
-        Eval.Envs.extend_pos cat (Eval.Envs.start ())
-          { Ast.pred = "edge"; args = [ Ast.Var "X"; Ast.Var "Y" ] }
-      in
-      let envs =
-        Eval.Envs.extend_pos ~sip
-          ~filters:[ Ast.Cmp (Ast.Var "X", Ast.Lt, Ast.Var "Z") ]
-          cat envs
-          { Ast.pred = "edge"; args = [ Ast.Var "Y"; Ast.Var "Z" ] }
-      in
-      let config = Printf.sprintf "%d domains" size in
-      check_int ("rows left: " ^ config) 1 (Eval.Envs.count envs);
-      check_int ("sip.rows_pruned: " ^ config) 4
-        (Option.value ~default:0
-           (List.assoc_opt "sip.rows_pruned" (Obs.report ()).Obs.counters)))
-    [ 1; 4 ]
+      Obs.set_enabled was)
+  @@ fun () ->
+  let cat = catalog () in
+  let envs =
+    Eval.Envs.extend_pos cat (Eval.Envs.start ())
+      { Ast.pred = "edge"; args = [ Ast.Var "X"; Ast.Var "Y" ] }
+  in
+  let envs =
+    Eval.Envs.extend_pos ~sip
+      ~filters:[ Ast.Cmp (Ast.Var "X", Ast.Lt, Ast.Var "Z") ]
+      cat envs
+      { Ast.pred = "edge"; args = [ Ast.Var "Y"; Ast.Var "Z" ] }
+  in
+  check_int "rows left" 1 (Eval.Envs.count envs);
+  check_int "sip.rows_pruned" 4
+    (Option.value ~default:0
+       (List.assoc_opt "sip.rows_pruned" (Obs.report ()).Obs.counters))
 
 let test_order_body_starts_small () =
   let cat = catalog () in

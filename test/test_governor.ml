@@ -11,7 +11,6 @@ module Value = Qf_relational.Value
 module Catalog = Qf_relational.Catalog
 module Aggregate = Qf_relational.Aggregate
 module Heap_file = Qf_relational.Heap_file
-module Pool = Qf_exec_pool.Pool
 module Governor = Qf_governor.Governor
 module Fault = Qf_governor.Fault
 open Qf_core
@@ -154,7 +153,6 @@ let test_governed_join () =
   assert_no_leaks "governed join"
 
 let test_spilled_group_by_agrees () =
-  Test_util.with_pool_size 1 @@ fun () ->
   let rel = big_pair_relation 80 in
   let sort = List.sort compare in
   let expected =
@@ -171,7 +169,6 @@ let test_spilled_group_by_agrees () =
   assert_no_leaks "spilled group-by"
 
 let test_spilled_group_filter_agrees () =
-  Test_util.with_pool_size 1 @@ fun () ->
   let rel = big_pair_relation 80 in
   let expected =
     Aggregate.group_filter rel ~keys:[ "I" ] ~func:Aggregate.Count
@@ -284,7 +281,6 @@ let tiny_budget = 4096
 let run_governed g f = Governor.with_ctx g f
 
 let test_executors_agree_under_tiny_budget () =
-  Test_util.with_pool_size 1 @@ fun () ->
   List.iter
     (fun seed ->
       let rel, threshold = instance ~seed gen_basket_instance in
@@ -317,7 +313,6 @@ let test_executors_agree_under_tiny_budget () =
    MIN is often a number that passes while its MAX is a string that
    does not. *)
 let test_min_max_over_strings () =
-  Test_util.with_pool_size 1 @@ fun () ->
   let rel = R.create (Schema.of_list [ "B"; "I" ]) in
   for b = 0 to 39 do
     for k = 0 to b mod 4 do
@@ -380,7 +375,6 @@ let test_min_max_over_strings () =
   assert_no_leaks "MIN/MAX over strings"
 
 let test_plan_deadline_interrupts () =
-  Test_util.with_pool_size 1 @@ fun () ->
   let rel, threshold = instance ~seed:3 gen_basket_instance in
   let cat = catalog_of rel in
   let flock = pair_flock threshold in
@@ -412,9 +406,8 @@ let mining_scenario name ~mode =
   let rel, threshold = instance ~seed:11 gen_basket_instance in
   let cat = catalog_of rel in
   let flock = pair_flock threshold in
-  let expected = Test_util.with_pool_size 1 (fun () -> Direct.run cat flock) in
+  let expected = Direct.run cat flock in
   let run () =
-    Test_util.with_pool_size 1 @@ fun () ->
     let g = Governor.create ~mem_budget:tiny_budget () in
     Governor.with_ctx g @@ fun () ->
     match mode with
@@ -492,9 +485,8 @@ let spill_filter_scenario () =
     Aggregate.group_filter_report rel ~keys:[ "I" ] ~func:Aggregate.Count
       ~threshold:3.
   in
-  let expected, expected_candidates = Test_util.with_pool_size 1 filter in
+  let expected, expected_candidates = filter () in
   let run () =
-    Test_util.with_pool_size 1 @@ fun () ->
     let g = Governor.create ~mem_budget:190_000 () in
     let got = Governor.with_ctx g filter in
     if (Governor.stats g).Governor.spill_partitions = 0 then

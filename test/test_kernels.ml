@@ -5,23 +5,21 @@
    definition of the operator gives on the relation's sorted tuples
    ({!Spec} below — nested loops over [Relation.to_sorted_list], no
    index, no codes, no partitioning).  The QCheck properties compare the
-   two on random inputs skewed to a tiny value universe, sequentially and
-   with the parallel paths forced (the aggregation properties also with
-   the grouping pass forced to spill); deterministic units pin the classic
-   edge cases (empty input, all-duplicate rows, single-column relations,
-   [Int 1] vs [Real 1.0]).
+   two on random inputs skewed to a tiny value universe (the aggregation
+   properties also with the grouping pass forced to spill); deterministic
+   units pin the classic edge cases (empty input, all-duplicate rows,
+   single-column relations, [Int 1] vs [Real 1.0]).
 
    The corpus check at the bottom replays the differential suite's 100
-   seeded basket instances with the pool forced to 1 and 4 domains,
-   every executor checked against naive generate-and-test — the
-   full-stack analogue of the per-kernel properties. *)
+   seeded basket instances, every executor checked against naive
+   generate-and-test — the full-stack analogue of the per-kernel
+   properties. *)
 
 module R = Qf_relational.Relation
 module V = Qf_relational.Value
 module Tuple = Qf_relational.Tuple
 module Schema = Qf_relational.Schema
 module Aggregate = Qf_relational.Aggregate
-module Pool = Qf_exec_pool.Pool
 open Qf_core
 open Qf_testgen.Testgen
 
@@ -153,9 +151,7 @@ let arb_rel3 =
 
    A join is a rule body: the binding extension probes [b]'s index on
    the shared variable (semi: and projects [C] away; anti: through the
-   negation of [b]'s key column).  The forced-parallel variants run the
-   whole property on a 4-domain pool with the dispatch threshold at 1,
-   so every extension fans out. *)
+   negation of [b]'s key column). *)
 
 let join_catalog a b =
   let cat = Qf_relational.Catalog.create () in
@@ -172,22 +168,12 @@ let join_rules =
     "anti", "answer(A,B) :- a(A,B) AND NOT bkeys(B)", Spec.anti;
   ]
 
-let join_prop ?(forced_parallel = false) (op_name, text, spec) =
-  let name =
-    op_name ^ (if forced_parallel then " (forced parallel)" else "") ^ ": = list spec"
-  in
-  let test =
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:(if forced_parallel then 75 else 150) ~name
-         arb_join_pair (fun (a, b) ->
-           prop_agrees op_name
-             (R.to_sorted_list (Test_util.tabulate (join_catalog a b) text))
-             (spec a b [ "B", "B" ])))
-  in
-  if not forced_parallel then test
-  else
-    let name, speed, run = test in
-    name, speed, fun () -> Test_util.with_pool_size ~par_threshold:1 4 run
+let join_prop (op_name, text, spec) =
+  QCheck.Test.make ~count:150 ~name:(op_name ^ ": = list spec") arb_join_pair
+    (fun (a, b) ->
+      prop_agrees op_name
+        (R.to_sorted_list (Test_util.tabulate (join_catalog a b) text))
+        (spec a b [ "B", "B" ]))
 
 (* {1 Selection and projection} *)
 
@@ -212,7 +198,7 @@ let project_single_prop =
   QCheck.Test.make ~count:150 ~name:"project to one column: = list spec"
     arb_rel3 (fun rel ->
       prop_agrees "project1"
-        (R.to_sorted_list (R.project ~par_threshold:0 rel [ "C" ]))
+        (R.to_sorted_list (R.project rel [ "C" ]))
         (Spec.project rel [ "C" ]))
 
 (* {1 Aggregation}
@@ -273,10 +259,10 @@ let run_agg ~spill rel f =
 
 let spill_name ~spill name = if spill then name ^ " (spilled)" else name
 
-let group_by_agrees ?par_threshold ~spill name rel ~keys ~func =
+let group_by_agrees ~spill name rel ~keys ~func =
   let name = spill_name ~spill name in
   let rel, groups =
-    run_agg ~spill rel (fun rel -> Aggregate.group_by ?par_threshold rel ~keys ~func)
+    run_agg ~spill rel (fun rel -> Aggregate.group_by rel ~keys ~func)
   in
   prop_agrees name
        (List.sort Tuple.compare
@@ -291,12 +277,10 @@ let group_by_prop =
       both_paths (group_by_agrees "group_by" rel ~keys:[ "A"; "B" ] ~func))
 
 let group_by_single_key_prop =
-  (* Exercises the dense code->group fast path (single key column), and
-     the partitioned path. *)
+  (* Exercises the dense code->group fast path (single key column). *)
   QCheck.Test.make ~count:150 ~name:"group_by one key: = list spec"
     (QCheck.pair arb_agg_rel arb_func) (fun (rel, func) ->
-      both_paths
-        (group_by_agrees ~par_threshold:0 "group_by1" rel ~keys:[ "B" ] ~func))
+      both_paths (group_by_agrees "group_by1" rel ~keys:[ "B" ] ~func))
 
 let group_filter_prop =
   QCheck.Test.make ~count:150 ~name:"group_filter: = list spec"
@@ -397,7 +381,7 @@ let test_mixed_types () =
   check_join "mixed-type self join" "answer(A,B,B2) :- a(A,B) AND b(A,B2)" rel
     rel (Spec.equi rel rel [ "A", "A" ])
 
-(* {1 The full-stack corpus under forced pool sizes} *)
+(* {1 The full-stack corpus} *)
 
 let run_executors cat flock =
   let direct = Direct.run cat flock in
@@ -419,46 +403,33 @@ let run_executors cat flock =
     "dynamic", dynamic;
   ]
 
-let test_corpus_pool_insensitive () =
-  let seeds = List.init 100 Fun.id in
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_size (Pool.default_size ()))
-    (fun () ->
+let test_corpus_agrees () =
+  List.iter
+    (fun seed ->
+      let rel, threshold = instance ~seed gen_basket_instance in
+      let flock = pair_flock threshold in
+      let expected = Naive.run (catalog_of rel) flock in
       List.iter
-        (fun seed ->
-          let rel, threshold = instance ~seed gen_basket_instance in
-          let flock = pair_flock threshold in
-          (* Reference: naive generate-and-test on a sequential pool. *)
-          Pool.set_default_size 1;
-          let expected = Naive.run (catalog_of rel) flock in
-          List.iter
-            (fun domains ->
-              Pool.set_default_size domains;
-              List.iter
-                (fun (name, got) ->
-                  if not (R.equal expected got) then
-                    Alcotest.failf
-                      "seed %d: %s on %d domains disagrees with naive \
-                       (threshold %d)\n%s"
-                      seed name domains threshold (pp_relation rel))
-                (run_executors (catalog_of rel) flock);
-              (* The tabulation skips its dedupe pass when it keeps every
-                 bound key, trusting that environment rows are distinct; a
-                 rebuild through [R.add], which dedupes, must not shrink
-                 it. *)
-              List.iter
-                (fun rule ->
-                  let tab = Qf_datalog.Eval.tabulate (catalog_of rel) rule in
-                  let rebuilt = R.create (R.schema tab) in
-                  R.iter (R.add rebuilt) tab;
-                  if R.cardinal rebuilt <> R.cardinal tab then
-                    Alcotest.failf
-                      "seed %d: tabulation on %d domains has duplicate rows \
-                       (%d, %d distinct)"
-                      seed domains (R.cardinal tab) (R.cardinal rebuilt))
-                flock.Flock.query)
-            [ 1; 4 ])
-        seeds)
+        (fun (name, got) ->
+          if not (R.equal expected got) then
+            Alcotest.failf
+              "seed %d: %s disagrees with naive (threshold %d)\n%s" seed name
+              threshold (pp_relation rel))
+        (run_executors (catalog_of rel) flock);
+      (* The tabulation skips its dedupe pass when it keeps every bound
+         key, trusting that environment rows are distinct; a rebuild
+         through [R.add], which dedupes, must not shrink it. *)
+      List.iter
+        (fun rule ->
+          let tab = Qf_datalog.Eval.tabulate (catalog_of rel) rule in
+          let rebuilt = R.create (R.schema tab) in
+          R.iter (R.add rebuilt) tab;
+          if R.cardinal rebuilt <> R.cardinal tab then
+            Alcotest.failf
+              "seed %d: tabulation has duplicate rows (%d, %d distinct)" seed
+              (R.cardinal tab) (R.cardinal rebuilt))
+        flock.Flock.query)
+    (List.init 100 Fun.id)
 
 (* {1 The FILTER count against tabulate-then-group}
 
@@ -554,67 +525,63 @@ let test_filter_count_corpus () =
   let covered = ref 0 and deduped = ref 0 and fused = ref 0 in
   let consts = ref 0 in
   List.iter
-    (fun domains ->
-      Test_util.with_pool_size ~par_threshold:1 domains @@ fun () ->
-      List.iter
-        (fun seed ->
-          let rule, cat =
-            instance ~seed (QCheck.Gen.pair gen_safe_rule gen_tiny_catalog)
-          in
-          (* The rule as generated, and with a constant appended to its
-             head. *)
-          let with_const =
+    (fun seed ->
+      let rule, cat =
+        instance ~seed (QCheck.Gen.pair gen_safe_rule gen_tiny_catalog)
+      in
+      (* The rule as generated, and with a constant appended to its
+         head. *)
+      let with_const =
+        {
+          rule with
+          Ast.head =
             {
-              rule with
-              Ast.head =
-                {
-                  rule.head with
-                  args = rule.head.args @ [ Ast.Const (V.Int 2) ];
-                };
-            }
+              rule.head with
+              args = rule.head.args @ [ Ast.Const (V.Int 2) ];
+            };
+        }
+      in
+      (* SIP reducers over stored columns.  Both paths get the same
+         ones, so they need not be sound. *)
+      let reducers =
+        [
+          "$a", Sip.of_column (Catalog.find cat "p") "A";
+          "$b", Sip.of_column (Catalog.find cat "r") "B";
+        ]
+      in
+      List.iter
+        (fun rule ->
+          if covering rule then incr covered else incr deduped;
+          if fuses_last cat rule then incr fused;
+          if List.exists (function Ast.Const _ -> true | _ -> false)
+               rule.head.args
+          then incr consts;
+          let keys = List.map (fun p -> "$" ^ p) (Ast.rule_params rule) in
+          let funcs =
+            Aggregate.Count
+            :: List.concat_map
+                 (fun c -> Aggregate.[ Sum c; Min c; Max c ])
+                 (Eval.head_columns rule)
           in
-          (* SIP reducers over stored columns.  Both paths get the same
-             ones, so they need not be sound. *)
-          let reducers =
-            [
-              "$a", Sip.of_column (Catalog.find cat "p") "A";
-              "$b", Sip.of_column (Catalog.find cat "r") "B";
-            ]
+          let name =
+            Printf.sprintf "seed %d, %s" seed
+              (Qf_datalog.Pretty.rule_to_string rule)
           in
           List.iter
-            (fun rule ->
-              if covering rule then incr covered else incr deduped;
-              if fuses_last cat rule then incr fused;
-              if List.exists (function Ast.Const _ -> true | _ -> false)
-                   rule.head.args
-              then incr consts;
-              let keys = List.map (fun p -> "$" ^ p) (Ast.rule_params rule) in
-              let funcs =
-                Aggregate.Count
-                :: List.concat_map
-                     (fun c -> Aggregate.[ Sum c; Min c; Max c ])
-                     (Eval.head_columns rule)
-              in
-              let name =
-                Printf.sprintf "seed %d, %d domains, %s" seed domains
-                  (Qf_datalog.Pretty.rule_to_string rule)
-              in
+            (fun func ->
               List.iter
-                (fun func ->
+                (fun threshold ->
                   List.iter
-                    (fun threshold ->
-                      List.iter
-                        (fun sip ->
-                          check_filter_count name ~sip cat rule ~keys ~func
-                            ~threshold)
-                        [ []; reducers ];
-                      check_dynamic name cat rule ~keys
-                        { Filter.agg = func; threshold })
-                    [ 1.; 2.; 4. ])
-                funcs)
-            [ rule; with_const ])
-        (List.init 200 Fun.id))
-    [ 1; 4 ];
+                    (fun sip ->
+                      check_filter_count name ~sip cat rule ~keys ~func
+                        ~threshold)
+                    [ []; reducers ];
+                  check_dynamic name cat rule ~keys
+                    { Filter.agg = func; threshold })
+                [ 1.; 2.; 4. ])
+            funcs)
+        [ rule; with_const ])
+    (List.init 200 Fun.id);
   Alcotest.(check bool) "covering bodies occur" true (!covered > 0);
   Alcotest.(check bool) "bodies needing a dedupe occur" true (!deduped > 0);
   Alcotest.(check bool) "filters fused into the last subgoal occur" true
@@ -650,10 +617,9 @@ let test_filter_count_governed () =
   Alcotest.(check bool) "the 4k budget spilled" true (!spills > 0)
 
 let suite =
-  List.map join_prop join_rules
-  @ List.map (join_prop ~forced_parallel:true) join_rules
-  @ List.map QCheck_alcotest.to_alcotest
-    [
+  List.map QCheck_alcotest.to_alcotest
+    (List.map join_prop join_rules
+    @ [
       select_prop;
       project_prop;
       project_single_prop;
@@ -661,7 +627,7 @@ let suite =
       group_by_single_key_prop;
       group_filter_prop;
       group_filter_report_prop;
-    ]
+    ])
   @ [
       Alcotest.test_case "empty inputs" `Quick test_empty_inputs;
       Alcotest.test_case "all-duplicate rows" `Quick test_all_duplicates;
@@ -671,6 +637,6 @@ let suite =
         test_filter_count_corpus;
       Alcotest.test_case "governed FILTER still spills" `Quick
         test_filter_count_governed;
-      Alcotest.test_case "100-seed corpus: pool insensitive, = naive" `Quick
-        test_corpus_pool_insensitive;
+      Alcotest.test_case "100-seed corpus: every executor = naive" `Quick
+        test_corpus_agrees;
     ]

@@ -27,7 +27,6 @@ let () =
       "golden", Test_golden.suite;
       "lint", Test_lint.suite;
       "absint", Test_absint.suite;
-      "parallel", Test_parallel.suite;
       "kernels", Test_kernels.suite;
       "properties", Test_props.suite;
       "sip", Test_sip.suite;

@@ -6,14 +6,12 @@
    - every FILTER-step span satisfies rows_out <= groups <= rows_in and
      carries a pruning ratio in [0,1];
    - the deterministic metrics (span cardinalities, a-priori and
-     index-cache counters) are identical whatever the Domain pool size —
-     only the "pool." chunk metrics may vary;
+     index-cache counters) repeat exactly from run to run;
    - [Explain.profile] pairs observed numbers with the cost model's
      estimates and agrees with the executor's own report. *)
 
 module Obs = Qf_obs.Obs
 module R = Qf_relational.Relation
-module Pool = Qf_exec_pool.Pool
 open Qf_core
 open Qf_testgen.Testgen
 
@@ -175,11 +173,10 @@ let prop_filter_step_metrics =
       in
       steps <> [] && List.for_all filter_step_invariants steps)
 
-(* {1 Pool-size independence of the deterministic metrics} *)
+(* {1 Repeatability of the deterministic metrics} *)
 
-(* The signature of an execution: every span's (name, attributes) plus all
-   counters except the machine-dependent "pool." chunk metrics.  Gauges
-   are excluded wholesale: the only ones today are chunk timings. *)
+(* The signature of an execution on a fresh catalog: every span's (name,
+   attributes) plus all counters.  Gauges are excluded wholesale. *)
 let deterministic_signature seed =
   with_obs (fun () ->
       let rel, threshold = instance ~seed gen_basket_instance in
@@ -191,31 +188,16 @@ let deterministic_signature seed =
       let spans =
         List.map (fun (s : Obs.span) -> s.Obs.name, s.Obs.attrs) r.Obs.spans
       in
-      let counters =
-        List.filter
-          (fun (k, _) -> not (String.starts_with ~prefix:"pool." k))
-          r.Obs.counters
-      in
-      spans, counters)
+      spans, r.Obs.counters)
 
-let test_metrics_pool_size_independent () =
+let test_metrics_repeat () =
   List.iter
     (fun seed ->
-      let reference =
-        Test_util.with_pool_size 1 (fun () -> deterministic_signature seed)
-      in
-      List.iter
-        (fun size ->
-          let got =
-            Test_util.with_pool_size ~par_threshold:16 size (fun () ->
-                deterministic_signature seed)
-          in
-          check_bool
-            (Printf.sprintf "seed %d: signature at pool size %d = size 1" seed
-               size)
-            true
-            (got = reference))
-        [ 2; 4 ])
+      let reference = deterministic_signature seed in
+      check_bool
+        (Printf.sprintf "seed %d: signature of a second run" seed)
+        true
+        (deterministic_signature seed = reference))
     [ 0; 5; 9; 23 ]
 
 (* {1 Explain.profile consistency} *)
@@ -247,10 +229,6 @@ let test_profile_matches_execution () =
         true
         (s.Explain.est_rows <> None && s.Explain.est_groups <> None))
     p.Explain.steps;
-  check_bool "no pool counters leak into the profile" true
-    (List.for_all
-       (fun (k, _) -> not (String.starts_with ~prefix:"pool." k))
-       p.Explain.counters);
   (* Deterministic renderers: two profiled runs of the same plan render
      identically once timings are redacted.  A fresh catalog keeps the
      index-cache hit/miss counters comparable (the first run warms the
@@ -393,8 +371,8 @@ let suite =
       test_report_renderers_are_stable;
     Alcotest.test_case "span trees are well-nested on real runs" `Quick
       test_span_tree_well_nested;
-    Alcotest.test_case "deterministic metrics ignore the pool size" `Slow
-      test_metrics_pool_size_independent;
+    Alcotest.test_case "deterministic metrics repeat across runs" `Slow
+      test_metrics_repeat;
     Alcotest.test_case "Explain.profile agrees with execution" `Quick
       test_profile_matches_execution;
     Alcotest.test_case "symmetric reuse is visible in spans" `Quick

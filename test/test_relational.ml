@@ -268,6 +268,119 @@ let test_statistics_frequencies () =
   check_int "all singletons" 3 (Statistics.count_at_least s1 "Item" 1);
   check_int "none at 2" 0 (Statistics.count_at_least s1 "Item" 2)
 
+(* {1 The catalog's index cache} *)
+
+let fresh_rel () =
+  Relation.of_values [ "X"; "Y" ]
+    Value.[ [ Int 1; Int 10 ]; [ Int 1; Int 20 ]; [ Int 2; Int 30 ] ]
+
+let test_cache_counters () =
+  let cat = Catalog.create () in
+  let rel = fresh_rel () in
+  Catalog.reset_index_stats cat;
+  let i1 = Catalog.index cat rel [ 0 ] in
+  check_int "first build misses" 1 (snd (Catalog.index_stats cat));
+  let i2 = Catalog.index cat rel [ 0 ] in
+  Alcotest.(check (pair int int)) "second lookup hits" (1, 1)
+    (Catalog.index_stats cat);
+  check_bool "same index object reused" true (i1 == i2);
+  (* A different position list is a different cache entry. *)
+  ignore (Catalog.index cat rel [ 1 ]);
+  Alcotest.(check (pair int int)) "new positions miss" (1, 2)
+    (Catalog.index_stats cat)
+
+let test_cache_invalidated_by_add () =
+  let cat = Catalog.create () in
+  let rel = fresh_rel () in
+  let v0 = Relation.version rel in
+  let before = Catalog.index cat rel [ 0 ] in
+  check_int "stale key absent" 0
+    (List.length (Test_util.index_matches before [ Value.Int 9 ]));
+  Relation.add rel (Tuple.of_list [ Value.Int 9; Value.Int 90 ]);
+  check_bool "version bumped" true (Relation.version rel > v0);
+  Catalog.reset_index_stats cat;
+  let after = Catalog.index cat rel [ 0 ] in
+  Alcotest.(check (pair int int)) "stale entry rebuilt as a miss" (0, 1)
+    (Catalog.index_stats cat);
+  check_int "rebuilt index sees the new tuple" 1
+    (List.length (Test_util.index_matches after [ Value.Int 9 ]));
+  (* Duplicate insertion does not invalidate. *)
+  let v1 = Relation.version rel in
+  Relation.add rel (Tuple.of_list [ Value.Int 9; Value.Int 90 ]);
+  check_int "duplicate add keeps the version" v1 (Relation.version rel);
+  ignore (Catalog.index cat rel [ 0 ]);
+  check_int "and still hits" 1 (fst (Catalog.index_stats cat))
+
+let test_cache_shared_with_copy () =
+  let cat = Catalog.create () in
+  let rel = fresh_rel () in
+  Catalog.add cat "r" rel;
+  Catalog.reset_index_stats cat;
+  ignore (Catalog.index cat rel [ 0 ]);
+  let copy = Catalog.copy cat in
+  ignore (Catalog.index copy rel [ 0 ]);
+  check_int "copy reuses the base catalog's entries" 1
+    (fst (Catalog.index_stats cat))
+
+let test_plan_exec_cache_hits () =
+  (* A multi-step plan must hit the cache: with the semijoin rewrite and
+     symmetric-step aliasing disabled, the two FILTER steps and the final
+     step all tabulate over the *same* base relation with the same join
+     positions, so only the first step pays for the index build. *)
+  let cat =
+    Qf_workload.Market.catalog
+      {
+        Qf_workload.Market.default with
+        n_baskets = 120;
+        n_items = 40;
+        seed = 5;
+      }
+  in
+  let flock =
+    Qf_core.Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:8
+  in
+  let plan =
+    match
+      Qf_core.Apriori_gen.param_set_plan flock ~param_sets:[ [ "1" ]; [ "2" ] ]
+    with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  Catalog.reset_index_stats cat;
+  let options =
+    {
+      Qf_core.Plan_exec.semijoin_reduction = false;
+      reuse = false;
+    }
+  in
+  ignore (Qf_core.Plan_exec.run ~options cat plan);
+  let hits, misses = Catalog.index_stats cat in
+  check_bool
+    (Printf.sprintf "multi-step plan hits the index cache (%d/%d)" hits misses)
+    true (hits > 0)
+
+(* {1 Tuple and value kernels} *)
+
+let test_tuple_hash_cached () =
+  let a = Tuple.of_list [ Value.Int 1; Value.str "x" ] in
+  let b = Tuple.of_list [ Value.Int 1; Value.str "x" ] in
+  check_int "equal tuples, equal hashes" (Tuple.hash a) (Tuple.hash b);
+  check_bool "equal" true (Tuple.equal a b);
+  let c = Tuple.append a (Tuple.of_list [ Value.Int 2 ]) in
+  let d = Tuple.of_list [ Value.Int 1; Value.str "x"; Value.Int 2 ] in
+  check_bool "append re-hashes" true
+    (Tuple.equal c d && Tuple.hash c = Tuple.hash d)
+
+let test_value_interning () =
+  let tag = "qf-intern-test-unique-string" in
+  let c0 = Value.interned_count () in
+  let a = Value.str tag in
+  let c1 = Value.interned_count () in
+  let b = Value.str tag in
+  check_int "second str interns nothing new" c1 (Value.interned_count ());
+  check_bool "first str interned at most one" true (c1 <= c0 + 1);
+  check_bool "interned values equal" true (Value.equal a b)
+
 let suite =
   [
     Alcotest.test_case "statistics frequencies" `Quick
@@ -286,4 +399,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_store_matches_model;
     Alcotest.test_case "hash index" `Quick test_index;
     Alcotest.test_case "statistics" `Quick test_statistics;
+    Alcotest.test_case "index cache counters" `Quick test_cache_counters;
+    Alcotest.test_case "index cache invalidation on add" `Quick
+      test_cache_invalidated_by_add;
+    Alcotest.test_case "index cache shared with copies" `Quick
+      test_cache_shared_with_copy;
+    Alcotest.test_case "plan execution hits the cache" `Quick
+      test_plan_exec_cache_hits;
+    Alcotest.test_case "tuple hash caching" `Quick test_tuple_hash_cached;
+    Alcotest.test_case "value interning" `Quick test_value_interning;
   ]

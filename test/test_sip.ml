@@ -1,15 +1,13 @@
 (* Sideways information passing and the cross-level subplan memo: the LRU
    byte-budget policy, Bloom/exact reducer membership laws, canonical
    step signatures, memo-hit cascades across levelwise runs, and the
-   reduced = unreduced differential matrix over pool sizes x memo
-   budgets. *)
+   reduced = unreduced differential matrix over memo budgets. *)
 module R = Qf_relational.Relation
 module V = Qf_relational.Value
 module Catalog = Qf_relational.Catalog
 module Dict = Qf_relational.Dict
 module Lru = Qf_relational.Lru
 module Sip = Qf_relational.Sip
-module Pool = Qf_exec_pool.Pool
 module Obs = Qf_obs.Obs
 module Ast = Qf_datalog.Ast
 open Qf_core
@@ -351,53 +349,45 @@ let test_memo_cascade_across_levels () =
   check_bool "memo stats recorded hits and misses" true
     (hits > 0 && misses > 0)
 
-(* {1 Differential matrix: pool sizes x memo budgets} *)
+(* {1 Differential matrix: memo budgets} *)
 
 let test_reduced_equals_unreduced_matrix () =
   List.iter
     (fun seed ->
       let rel, threshold = instance ~seed gen_basket_instance in
+      let cat = catalog_of rel in
+      let flock, plan =
+        Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3 ~support:threshold
+      in
+      let expected = Direct.run cat flock in
+      let fail name =
+        Alcotest.failf "seed %d: %s disagrees with direct" seed name
+      in
+      (* Fully unreduced baseline. *)
+      let base = Plan_exec.run ~options:no_shortcut cat plan in
+      if not (R.equal expected base) then fail "unreduced";
       List.iter
-        (fun pool_size ->
-          Test_util.with_pool_size pool_size @@ fun () ->
-          let cat = catalog_of rel in
-          let flock, plan =
-            Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3
-              ~support:threshold
-          in
-          let expected = Direct.run cat flock in
-          let fail name =
-            Alcotest.failf "seed %d, pool %d: %s disagrees with direct" seed
-              pool_size name
-          in
-          (* Fully unreduced baseline. *)
-          let base = Plan_exec.run ~options:no_shortcut cat plan in
-          if not (R.equal expected base) then fail "unreduced";
-          List.iter
-            (fun budget ->
-              Catalog.set_memo_budget cat budget;
-              Catalog.memo_clear cat;
-              (* Cold then warm: the second run exercises memo hits (or,
-                 at budget 0 / tiny budgets, eviction paths). *)
-              let cold = Plan_exec.run cat plan in
-              let warm = Plan_exec.run cat plan in
-              if not (R.equal expected cold) then
-                fail (Printf.sprintf "reduced cold (budget %d)" budget);
-              if not (R.equal expected warm) then
-                fail (Printf.sprintf "reduced warm (budget %d)" budget))
-            [ 0; 2048; max_int ])
-        [ 1; 2; 4 ])
+        (fun budget ->
+          Catalog.set_memo_budget cat budget;
+          Catalog.memo_clear cat;
+          (* Cold then warm: the second run exercises memo hits (or, at
+             budget 0 / tiny budgets, eviction paths). *)
+          let cold = Plan_exec.run cat plan in
+          let warm = Plan_exec.run cat plan in
+          if not (R.equal expected cold) then
+            fail (Printf.sprintf "reduced cold (budget %d)" budget);
+          if not (R.equal expected warm) then
+            fail (Printf.sprintf "reduced warm (budget %d)" budget))
+        [ 0; 2048; max_int ])
     [ 0; 11; 42 ]
 
-(* {1 Counter determinism across pool sizes} *)
+(* {1 Counter determinism} *)
 
-(* The memo and sip obs counters must not depend on how work was chunked
-   across domains — [flockc explain --profile] output is a golden
-   fixture, and the 4-domain CI pass replays it. *)
-let test_counters_pool_independent () =
+(* The memo and sip obs counters must repeat exactly on a fresh catalog —
+   [flockc explain --profile] output is a golden fixture. *)
+let test_counters_repeat () =
   let rel, threshold = instance ~seed:3 gen_basket_instance in
-  let counters pool_size =
-    Test_util.with_pool_size pool_size @@ fun () ->
+  let counters () =
     let was = Obs.enabled () in
     Obs.set_enabled true;
     Obs.reset ();
@@ -417,14 +407,9 @@ let test_counters_pool_independent () =
         || String.starts_with ~prefix:"index_cache.evict" k)
       report.Obs.counters
   in
-  let reference = counters 1 in
+  let reference = counters () in
   check_bool "sip/memo counters present" true (reference <> []);
-  List.iter
-    (fun pool_size ->
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "pool %d" pool_size)
-        reference (counters pool_size))
-    [ 2; 4 ]
+  Alcotest.(check (list (pair string int))) "second run" reference (counters ())
 
 (* {1 Bounded index cache} *)
 
@@ -475,10 +460,10 @@ let suite =
     Alcotest.test_case "memo cascade: k=3 run primes k=4" `Slow
       test_memo_cascade_across_levels;
     Alcotest.test_case
-      "reduced = unreduced across pools x budgets" `Slow
+      "reduced = unreduced across budgets" `Slow
       test_reduced_equals_unreduced_matrix;
-    Alcotest.test_case "sip/memo counters are pool-independent" `Slow
-      test_counters_pool_independent;
+    Alcotest.test_case "sip/memo counters repeat across runs" `Slow
+      test_counters_repeat;
     Alcotest.test_case "index cache evicts within its budget" `Quick
       test_index_cache_eviction;
   ]

@@ -33,31 +33,6 @@ let index_matches (idx : Qf_relational.Index.t) key =
   in
   walk idx.heads.(Chunkrel.hash_codes codes land idx.mask) []
 
-(* {1 Configuration matrix}
-
-   Run a thunk with the shared pool's size forced and restored
-   afterwards.  [par_threshold] also forces the parallel dispatch
-   threshold (it is read when the pool is created), so the parallel
-   kernels engage even on tiny inputs. *)
-
-let with_pool_size ?par_threshold size f =
-  let module Pool = Qf_exec_pool.Pool in
-  let saved_size = Pool.size (Pool.default ()) in
-  let saved_threshold = Sys.getenv_opt "QF_PAR_THRESHOLD" in
-  Option.iter
-    (fun t -> Unix.putenv "QF_PAR_THRESHOLD" (string_of_int t))
-    par_threshold;
-  Pool.set_default_size size;
-  Fun.protect
-    ~finally:(fun () ->
-      (* The pool reads the variable when it is re-created; an empty
-         value means unset. *)
-      if par_threshold <> None then
-        Unix.putenv "QF_PAR_THRESHOLD"
-          (Option.value saved_threshold ~default:"");
-      Pool.set_default_size saved_size)
-    f
-
 (* {1 Rules}
 
    Parse one rule and tabulate it: joins are rule bodies, evaluated by
