@@ -7,9 +7,10 @@
    rebuilds the corresponding workload, runs the paper's plan(s) and the
    baselines, asserts they agree, and prints the shape the paper reports.
 
-   Run:  dune exec bench/main.exe            (all experiments + bechamel)
+   Run:  dune exec bench/main.exe            (all experiments)
          dune exec bench/main.exe -- E1 E5   (a subset)
          dune exec bench/main.exe -- quick   (smaller workloads)
+         dune exec bench/main.exe -- E13 --json   (also write its record)
 
    EXPERIMENTS.md records paper-claim vs measured for every run. *)
 
@@ -60,7 +61,7 @@ let sample ?(arm = "") catalog f =
   result
 
 (* Median of three samples: robust enough for the factor-level claims we
-   check, without bechamel's per-run overhead on multi-second workloads. *)
+   check, at a bearable cost on multi-second workloads. *)
 let time3 catalog f =
   let _, a = sample catalog f in
   let v, b = sample catalog f in
@@ -90,6 +91,87 @@ let check_equal name expected actual =
   if not (Relation.equal expected actual) then
     failwith (Printf.sprintf "%s: result mismatch!" name)
 
+let ok = function Ok p -> p | Error e -> failwith e
+
+(* {2 The bench record}
+
+   Every [BENCH_*.json] is one record with exactly five keys:
+   [experiment], [quick], [workload], [summary] (an object, possibly
+   empty) and [entries] (an array of flat objects).  Every value is a
+   string or a number, and every float is printed with one format. *)
+
+type value = Int of int | Float of float | Str of string
+
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let json_value = function
+  | Int n -> string_of_int n
+  | Float x when Float.is_finite x -> Printf.sprintf "%.6f" x
+  | Float x -> failwith (Printf.sprintf "bench record: %f is not a number" x)
+  | Str s -> json_string s
+
+let json_object = function
+  | [] -> "{}"
+  | fields ->
+    "{ "
+    ^ String.concat ", "
+        (List.map (fun (k, v) -> json_string k ^ ": " ^ json_value v) fields)
+    ^ " }"
+
+(* Under [--json], write one record to [file]: the only code here that
+   opens a [BENCH_*.json]. *)
+let write_record file ~experiment ~workload ?(summary = []) entries =
+  if !json then begin
+    let oc = open_out file in
+    Printf.fprintf oc
+      "{\n\
+      \  \"experiment\": %s,\n\
+      \  \"quick\": %b,\n\
+      \  \"workload\": %s,\n\
+      \  \"summary\": %s,\n\
+      \  \"entries\": [\n\
+       %s\n\
+      \  ]\n\
+       }\n"
+      (json_string experiment) !quick (json_string workload)
+      (json_object summary)
+      (String.concat ",\n" (List.map (fun e -> "    " ^ json_object e) entries));
+    close_out oc;
+    row "wrote %s (%d entries)@." file (List.length entries)
+  end
+
+(* {2 Shared workloads} *)
+
+(* The Sec. 1.3 word-occurrence corpus: [docs] document-sized baskets over
+   a vocabulary ten times larger.  E1 and E13 use seed 101; E10 and E11
+   draw their own. *)
+let word_corpus ~seed docs =
+  Qf_workload.Market.catalog
+    {
+      Qf_workload.Market.n_baskets = docs;
+      n_items = docs * 10;
+      avg_basket_size = 24;
+      zipf_exponent = 0.85;
+      seed;
+    }
+
+(* The E1 pair flock at support 20 and its a-priori plan (E2, E10, E13). *)
+let pair_flock_and_plan () =
+  let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
+  flock, ok (Apriori_gen.singleton_plan flock)
+
 (* {1 E1 — Fig. 1 / Sec. 1.3: the ~20x a-priori speedup} *)
 
 let e1 () =
@@ -98,19 +180,10 @@ let e1 () =
     "paper claim: rewriting the SQL of Fig. 1 to pre-filter items gave a \
      20-fold speedup on word-occurrence data@.";
   let docs = if !quick then 600 else 2500 in
-  let config =
-    {
-      Qf_workload.Market.n_baskets = docs;
-      n_items = docs * 10;
-      avg_basket_size = 24;
-      zipf_exponent = 0.85;
-      seed = 101;
-    }
-  in
-  let catalog = Qf_workload.Market.catalog config in
+  let catalog = word_corpus ~seed:101 docs in
   let rows_count = Relation.cardinal (Catalog.find catalog "baskets") in
   Format.printf "workload: %d documents, %d vocabulary, %d occurrence rows@."
-    config.n_baskets config.n_items rows_count;
+    docs (docs * 10) rows_count;
   Format.printf "%-10s %14s %14s %10s %8s@." "support" "direct (s)"
     "apriori (s)" "speedup" "pairs";
   List.iter
@@ -119,11 +192,7 @@ let e1 () =
       let direct, t_direct =
         time3 catalog (fun () -> Direct.run catalog flock)
       in
-      let plan =
-        match Apriori_gen.singleton_plan flock with
-        | Ok p -> p
-        | Error e -> failwith e
-      in
+      let plan = ok (Apriori_gen.singleton_plan flock) in
       let planned, t_plan =
         time3 catalog (fun () -> Plan_exec.run catalog plan)
       in
@@ -141,18 +210,12 @@ let e2 () =
     { Qf_workload.Market.default with n_baskets = 400; n_items = 50; seed = 7 }
   in
   let catalog = Qf_workload.Market.catalog config in
-  let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
+  let flock, plan = pair_flock_and_plan () in
   let direct, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
   let naive, t_naive = sample catalog (fun () -> Naive.run catalog flock) in
-  let plan =
-    match Apriori_gen.singleton_plan flock with Ok p -> p | Error e -> failwith e
-  in
   let planned, t_plan = time3 catalog (fun () -> Plan_exec.run catalog plan) in
   let dynamic, t_dyn =
-    time3 catalog (fun () ->
-        match Dynamic.run catalog flock with
-        | Ok r -> r.answers
-        | Error e -> failwith e)
+    time3 catalog (fun () -> (ok (Dynamic.run catalog flock)).answers)
   in
   check_equal "E2 naive" direct naive;
   check_equal "E2 plan" direct planned;
@@ -180,22 +243,24 @@ FILTER:
 COUNT(answer.P) >= %d|}
        support)
 
+(* E3's medical database, also E13's. *)
+let side_effects_config () =
+  {
+    Qf_workload.Medical.default with
+    n_patients = (if !quick then 2500 else 8000);
+    n_symptoms = 12000;
+    n_medicines = 2000;
+    background_symptoms = 10;
+    background_medicines = 3;
+    symptom_zipf = 0.5;
+    medicine_zipf = 0.5;
+    seed = 31;
+  }
+
 let e3 () =
   header "E3"
     "Figs. 3 & 5 — medical side effects: the plan alternatives of Ex. 3.2";
-  let config =
-    {
-      Qf_workload.Medical.default with
-      n_patients = (if !quick then 2500 else 8000);
-      n_symptoms = 12000;
-      n_medicines = 2000;
-      background_symptoms = 10;
-      background_medicines = 3;
-      symptom_zipf = 0.5;
-      medicine_zipf = 0.5;
-      seed = 31;
-    }
-  in
+  let config = side_effects_config () in
   let { Qf_workload.Medical.catalog; planted } =
     Qf_workload.Medical.generate config
   in
@@ -264,11 +329,7 @@ let e4 () =
       let direct, t_direct =
         time3 catalog (fun () -> Direct.run catalog flock)
       in
-      let plan =
-        match Apriori_gen.singleton_plan flock with
-        | Ok p -> p
-        | Error e -> failwith e
-      in
+      let plan = ok (Apriori_gen.singleton_plan flock) in
       let planned, t_plan =
         time3 catalog (fun () -> Plan_exec.run catalog plan)
       in
@@ -334,10 +395,7 @@ let e6 () =
       time3 catalog (fun () -> Plan_exec.run catalog static)
     in
     let d_result, t_dynamic =
-      time3 catalog (fun () ->
-          match Dynamic.run catalog flock with
-          | Ok r -> r
-          | Error e -> failwith e)
+      time3 catalog (fun () -> ok (Dynamic.run catalog flock))
     in
     check_equal "E6 static" direct s_result;
     check_equal "E6 dynamic" direct d_result.answers;
@@ -406,11 +464,7 @@ SUM(answer.W) >= %d|}
       let direct, t_direct =
         time3 catalog (fun () -> Direct.run catalog flock)
       in
-      let plan =
-        match Apriori_gen.singleton_plan flock with
-        | Ok p -> p
-        | Error e -> failwith e
-      in
+      let plan = ok (Apriori_gen.singleton_plan flock) in
       let planned, t_plan =
         time3 catalog (fun () -> Plan_exec.run catalog plan)
       in
@@ -457,7 +511,7 @@ let e8 () =
         failwith "E8: classic a-priori disagrees with the flock";
       row "k=%d s=%-6d %14.3f %16.3f %14.3f %8d@." k support t_direct t_plan
         t_classic (Relation.cardinal direct))
-    [ 2, 30; 2, 60; 3, 20 ]
+    [ 2, 30; 2, 60; 3, 20; 3, 8 ]
 
 (* {1 E9 — ablation: when does filtering pay? (Sec. 3.2 discussion)} *)
 
@@ -485,11 +539,7 @@ let e9 () =
       let direct, t_direct =
         time3 catalog (fun () -> Direct.run catalog flock)
       in
-      let plan =
-        match Apriori_gen.param_set_plan flock ~param_sets:[ [ "s" ] ] with
-        | Ok p -> p
-        | Error e -> failwith e
-      in
+      let plan = ok (Apriori_gen.param_set_plan flock ~param_sets:[ [ "s" ] ]) in
       let planned, t_plan =
         time3 catalog (fun () -> Plan_exec.run catalog plan)
       in
@@ -516,25 +566,12 @@ let e10 () =
   header "E10"
     "ablation — semijoin reduction (Sec. 1.3 rewrite) and step reuse \
      (Ex. 3.1's symmetry)";
-  let docs = if !quick then 600 else 2000 in
-  let catalog =
-    Qf_workload.Market.catalog
-      {
-        Qf_workload.Market.n_baskets = docs;
-        n_items = docs * 10;
-        avg_basket_size = 24;
-        zipf_exponent = 0.85;
-        seed = 103;
-      }
-  in
+  let catalog = word_corpus ~seed:103 (if !quick then 600 else 2000) in
   (* No cross-level memo: the repeated samples of one arm must not be
      served by an earlier sample's entries.  Plan-local reuse still
      works at budget 0. *)
   Catalog.set_memo_budget catalog 0;
-  let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
-  let plan =
-    match Apriori_gen.singleton_plan flock with Ok p -> p | Error e -> failwith e
-  in
+  let flock, plan = pair_flock_and_plan () in
   let expected = Direct.run catalog flock in
   row "%-44s %10s@." "executor configuration" "time (s)";
   List.iter
@@ -560,17 +597,7 @@ let e11 () =
   header "E11"
     "Sec. 1.4 — DBMS-style flock evaluation vs ad-hoc file processing on \
      the same stored file";
-  let docs = if !quick then 800 else 2500 in
-  let catalog =
-    Qf_workload.Market.catalog
-      {
-        Qf_workload.Market.n_baskets = docs;
-        n_items = docs * 10;
-        avg_basket_size = 24;
-        zipf_exponent = 0.85;
-        seed = 111;
-      }
-  in
+  let catalog = word_corpus ~seed:111 (if !quick then 800 else 2500) in
   let baskets = Catalog.find catalog "baskets" in
   let path = Filename.temp_file "qf_e11" ".qfh" in
   let file = Qf_relational.Heap_file.create path (Relation.schema baskets) in
@@ -591,11 +618,7 @@ let e11 () =
     List.map
       (fun support ->
         let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support in
-        let plan =
-          match Apriori_gen.singleton_plan flock with
-          | Ok p -> p
-          | Error e -> failwith e
-        in
+        let plan = ok (Apriori_gen.singleton_plan flock) in
         (* DBMS path, data already loaded. *)
         let planned, t_plan =
           time3 catalog (fun () -> Plan_exec.run catalog plan)
@@ -636,22 +659,14 @@ let e11 () =
     (file_wins (fun (_, l, _) -> l))
     (List.length supports)
 
-(* {1 E13 — estimator accuracy: System-R estimates vs observed counts} *)
+(* {1 E13 — estimator accuracy: System-R estimates vs observed counts}
 
-type e13_entry = {
-  e13_workload : string;
-  e13_step : string;
-  e13_est_groups : float;
-  e13_obs_groups : int;
-  e13_est_rows : float;
-  e13_obs_rows : int;
-  e13_q_groups : float;
-  e13_q_rows : float;
-}
-
-let e13_entries : e13_entry list ref = ref []
-
-let e13_json_file = "BENCH_estimator.json"
+   Each step's estimate is judged against what the step observed, plain
+   and clamped.  The multi-parameter final steps are the estimator's weak
+   spot: their group estimate is a product of per-parameter distinct
+   counts and ignores every join constraint.  The abstract interpreter's
+   certified bounds (Absint.clamps_of_plan) cap exactly those products, so
+   each plan is also costed with min(estimate, bound). *)
 
 (* Multiplicative estimation error, floored at 1 on both sides so empty
    steps do not divide by zero: q = max(est/act, act/est) >= 1, with 1
@@ -659,249 +674,6 @@ let e13_json_file = "BENCH_estimator.json"
 let q_error est act =
   let e = Float.max 1. est and a = Float.max 1. (float_of_int act) in
   Float.max (e /. a) (a /. e)
-
-let e13_write_json entries =
-  let oc = open_out e13_json_file in
-  let field (e : e13_entry) =
-    Printf.sprintf
-      {|    { "workload": %S, "step": %S, "est_groups": %.3f, "groups": %d, "est_rows": %.3f, "rows_out": %d, "q_groups": %.3f, "q_rows": %.3f }|}
-      e.e13_workload e.e13_step e.e13_est_groups e.e13_obs_groups
-      e.e13_est_rows e.e13_obs_rows e.e13_q_groups e.e13_q_rows
-  in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E13\",\n  \"quick\": %b,\n  \"metric\": \
-     \"q_error\",\n  \"entries\": [\n%s\n  ]\n}\n"
-    !quick
-    (String.concat ",\n" (List.map field (List.rev entries)));
-  close_out oc;
-  row "wrote %s (%d entries)@." e13_json_file (List.length entries)
-
-let e13 () =
-  header "E13"
-    "estimator accuracy — per-step estimated vs observed cardinalities \
-     (q-error, 1.0 = perfect)";
-  let examine name catalog plan =
-    let estimates = Cost.plan_step_estimates (Cost.of_catalog catalog) plan in
-    let report = Plan_exec.run_with_report catalog plan in
-    row "@.%-26s %-14s %11s %8s %10s %9s %7s %7s@." name "step" "est_grps"
-      "groups" "est_rows" "rows_out" "q(grp)" "q(rows)";
-    let worst = ref 1. in
-    List.iter2
-      (fun (est : Cost.step_estimate) (r : Plan_exec.step_report) ->
-        (* A step aliased to an earlier one never tabulates, so its reported
-           group count is just the reused output size; the group estimate
-           only applies to computed steps. *)
-        let reused = r.Plan_exec.reused_from <> None in
-        let qg =
-          if reused then 1. else q_error est.Cost.est_groups r.Plan_exec.groups
-        in
-        let qr = q_error est.Cost.est_rows r.Plan_exec.survivors in
-        worst := Float.max !worst (Float.max qg qr);
-        e13_entries :=
-          {
-            e13_workload = name;
-            e13_step = est.Cost.step;
-            e13_est_groups = est.Cost.est_groups;
-            e13_obs_groups = r.Plan_exec.groups;
-            e13_est_rows = est.Cost.est_rows;
-            e13_obs_rows = r.Plan_exec.survivors;
-            e13_q_groups = qg;
-            e13_q_rows = qr;
-          }
-          :: !e13_entries;
-        row "%-26s %-14s %11.1f %8d %10.1f %9d %7s %6.2fx@." "" est.Cost.step
-          est.Cost.est_groups r.Plan_exec.groups est.Cost.est_rows
-          r.Plan_exec.survivors
-          (if reused then "reused" else Printf.sprintf "%.2fx" qg)
-          qr)
-      estimates report.Plan_exec.steps;
-    row "%-26s worst q-error %.2fx@." "" !worst
-  in
-  (* The E1 market workload under its a-priori plan and the E3 medical
-     workload under the Fig. 5 two-filter plan, so the estimator is judged
-     exactly where the end-to-end claims are made. *)
-  let docs = if !quick then 600 else 2500 in
-  let market =
-    Qf_workload.Market.catalog
-      {
-        Qf_workload.Market.n_baskets = docs;
-        n_items = docs * 10;
-        avg_basket_size = 24;
-        zipf_exponent = 0.85;
-        seed = 101;
-      }
-  in
-  let pair_flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
-  let pair_plan =
-    match Apriori_gen.singleton_plan pair_flock with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  examine "E1 market / a-priori plan" market pair_plan;
-  let mconfig =
-    {
-      Qf_workload.Medical.default with
-      n_patients = (if !quick then 2500 else 8000);
-      n_symptoms = 12000;
-      n_medicines = 2000;
-      background_symptoms = 10;
-      background_medicines = 3;
-      symptom_zipf = 0.5;
-      medicine_zipf = 0.5;
-      seed = 31;
-    }
-  in
-  let { Qf_workload.Medical.catalog = medical; _ } =
-    Qf_workload.Medical.generate mconfig
-  in
-  let med_flock = medical_flock 20 in
-  let med_plan =
-    match
-      Apriori_gen.param_set_plan med_flock ~param_sets:[ [ "s" ]; [ "m" ] ]
-    with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  examine "E3 medical / Fig. 5 plan" medical med_plan;
-  if !json then e13_write_json !e13_entries
-
-(* {1 Bechamel micro-benchmarks: one Test per experiment's core contrast} *)
-
-let bechamel_suite () =
-  header "BECHAMEL"
-    "micro-benchmarks (OLS time/run) — one test pair per experiment";
-  let open Bechamel in
-  let market =
-    Qf_workload.Market.catalog
-      {
-        Qf_workload.Market.default with
-        n_baskets = 300;
-        n_items = 150;
-        zipf_exponent = 1.1;
-        seed = 201;
-      }
-  in
-  let pair_flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:15 in
-  let pair_plan =
-    match Apriori_gen.singleton_plan pair_flock with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  let medical =
-    (Qf_workload.Medical.generate
-       { Qf_workload.Medical.default with n_patients = 800; seed = 202 })
-      .catalog
-  in
-  let med_flock = medical_flock 10 in
-  let med_plan =
-    match Apriori_gen.singleton_plan med_flock with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  let graph =
-    Qf_workload.Graph.generate
-      {
-        Qf_workload.Graph.default with
-        n_nodes = 200;
-        max_out_degree = 30;
-        seed = 203;
-      }
-  in
-  let path = Qf_workload.Graph.path_flock ~n:2 ~support:15 in
-  let chain = Qf_workload.Graph.chain_plan path ~n:2 in
-  let webdocs =
-    Qf_workload.Webdocs.generate
-      {
-        Qf_workload.Webdocs.default with
-        n_docs = 200;
-        n_anchors = 600;
-        seed = 204;
-      }
-  in
-  let web = web_flock 10 in
-  let web_plan =
-    match Apriori_gen.singleton_plan web with Ok p -> p | Error e -> failwith e
-  in
-  (* Bechamel repeats each closure many times on one catalog: with the
-     memo on, every run after the first would be answered from it. *)
-  List.iter
-    (fun c -> Catalog.set_memo_budget c 0)
-    [ market; medical; graph; webdocs ];
-  let stage f = Staged.stage f in
-  let tests =
-    [
-      Test.make ~name:"E1/direct" (stage (fun () -> Direct.run market pair_flock));
-      Test.make ~name:"E1/apriori"
-        (stage (fun () -> Plan_exec.run market pair_plan));
-      Test.make ~name:"E3/direct" (stage (fun () -> Direct.run medical med_flock));
-      Test.make ~name:"E3/fig5-plan"
-        (stage (fun () -> Plan_exec.run medical med_plan));
-      Test.make ~name:"E5/direct" (stage (fun () -> Direct.run graph path));
-      Test.make ~name:"E5/chain" (stage (fun () -> Plan_exec.run graph chain));
-      Test.make ~name:"E4/direct" (stage (fun () -> Direct.run webdocs web));
-      Test.make ~name:"E4/union-plan"
-        (stage (fun () -> Plan_exec.run webdocs web_plan));
-      Test.make ~name:"E6/dynamic"
-        (stage (fun () ->
-             match Dynamic.run medical med_flock with
-             | Ok r -> r.answers
-             | Error e -> failwith e));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"query-flocks" ~fmt:"%s %s" tests in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.6) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0
-      ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  row "%-36s %16s@." "benchmark" "time/run";
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e9 then Printf.sprintf "%8.2f s" (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-        else Printf.sprintf "%8.2f us" (ns /. 1e3)
-      in
-      row "%-36s %16s@." name pretty)
-    rows
-
-(* {1 E15 — certified-bound clamping: estimator q-error before vs after} *)
-
-(* E13 flags the multi-parameter final steps as the estimator's weak spot:
-   their group estimate is a product of per-parameter distinct counts and
-   ignores every join constraint.  The abstract interpreter's certified
-   bounds (Absint.certify_plan) cap exactly those products with provable
-   row/group ceilings; E15 reruns E13's workloads and reports the q-error
-   of the raw estimates next to the clamped min(estimate, bound) ones. *)
-
-type e15_entry = {
-  e15_workload : string;
-  e15_step : string;
-  e15_params : int;
-  e15_q_groups_plain : float;
-  e15_q_groups_clamped : float;
-  e15_q_rows_plain : float;
-  e15_q_rows_clamped : float;
-}
-
-let e15_entries : e15_entry list ref = ref []
-let e15_json_file = "BENCH_absint.json"
 
 let median = function
   | [] -> nan
@@ -911,178 +683,120 @@ let median = function
     let n = Array.length a in
     if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
-let e15_write_json entries ~median_plain ~median_clamped =
-  let oc = open_out e15_json_file in
-  let field (e : e15_entry) =
-    Printf.sprintf
-      {|    { "workload": %S, "step": %S, "params": %d, "q_groups_plain": %.3f, "q_groups_clamped": %.3f, "q_rows_plain": %.3f, "q_rows_clamped": %.3f }|}
-      e.e15_workload e.e15_step e.e15_params e.e15_q_groups_plain
-      e.e15_q_groups_clamped e.e15_q_rows_plain e.e15_q_rows_clamped
-  in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E15\",\n  \"quick\": %b,\n  \"metric\": \
-     \"q_error\",\n  \"multi_param_final_steps\": { \
-     \"median_q_groups_plain\": %.3f, \"median_q_groups_clamped\": %.3f \
-     },\n  \"entries\": [\n%s\n  ]\n}\n"
-    !quick median_plain median_clamped
-    (String.concat ",\n" (List.map field (List.rev entries)));
-  close_out oc;
-  row "wrote %s (%d entries)@." e15_json_file (List.length entries)
-
-let e15 () =
-  header "E15"
-    "certified-bound clamping — estimator q-error before vs after \
-     min(estimate, bound)";
+let e13 () =
+  header "E13"
+    "estimator accuracy — per-step estimated vs observed cardinalities, \
+     plain and clamped to certified bounds (q-error, 1.0 = perfect)";
+  (* The group q-errors, plain and clamped, of the multi-parameter steps. *)
+  let multi = ref [] in
   let examine name catalog plan =
     let env = Cost.of_catalog catalog in
     let clamps = Qf_analysis.Absint.clamps_of_plan catalog plan in
     let plain = Cost.plan_step_estimates env plan in
     let clamped = Cost.plan_step_estimates ~clamps env plan in
     let report = Plan_exec.run_with_report catalog plan in
-    let steps = Plan.all_steps plan in
-    row "@.%-26s %-14s %8s %9s %9s %9s %9s@." name "step" "params"
-      "q(grp)" "clamped" "q(rows)" "clamped";
-    List.iteri
-      (fun i (s : Plan.step) ->
-        let p = List.nth plain i
-        and c = List.nth clamped i
-        and r = List.nth report.Plan_exec.steps i in
-        let reused = r.Plan_exec.reused_from <> None in
-        let qgp =
-          if reused then 1. else q_error p.Cost.est_groups r.Plan_exec.groups
-        in
-        let qgc =
-          if reused then 1. else q_error c.Cost.est_groups r.Plan_exec.groups
-        in
-        let qrp = q_error p.Cost.est_rows r.Plan_exec.survivors in
-        let qrc = q_error c.Cost.est_rows r.Plan_exec.survivors in
-        e15_entries :=
-          {
-            e15_workload = name;
-            e15_step = s.Plan.name;
-            e15_params = List.length s.Plan.params;
-            e15_q_groups_plain = qgp;
-            e15_q_groups_clamped = qgc;
-            e15_q_rows_plain = qrp;
-            e15_q_rows_clamped = qrc;
-          }
-          :: !e15_entries;
-        row "%-26s %-14s %8d %8.2fx %8.2fx %8.2fx %8.2fx@." "" s.Plan.name
-          (List.length s.Plan.params)
-          qgp qgc qrp qrc)
-      steps
+    row "@.%-26s %-8s %6s %10s %7s %9s %8s %7s %7s %8s %7s@." name "step"
+      "params" "est_grps" "groups" "est_rows" "rows_out" "q(grp)" "clamped"
+      "q(rows)" "clamped";
+    let worst = ref 1. in
+    let entries =
+      List.mapi
+        (fun i (s : Plan.step) ->
+          let p = List.nth plain i
+          and c = List.nth clamped i
+          and r = List.nth report.Plan_exec.steps i in
+          let params = List.length s.Plan.params in
+          (* A step aliased to an earlier one never tabulates, so its
+             reported group count is just the reused output size; the group
+             estimate only applies to computed steps. *)
+          let reused = r.Plan_exec.reused_from <> None in
+          let q_groups (e : Cost.step_estimate) =
+            if reused then 1. else q_error e.Cost.est_groups r.Plan_exec.groups
+          in
+          let qg = q_groups p and qgc = q_groups c in
+          let qr = q_error p.Cost.est_rows r.Plan_exec.survivors
+          and qrc = q_error c.Cost.est_rows r.Plan_exec.survivors in
+          worst := Float.max !worst (Float.max qg qr);
+          if params >= 2 then multi := (qg, qgc) :: !multi;
+          let shown q = if reused then "reused" else Printf.sprintf "%.2fx" q in
+          row "%-26s %-8s %6d %10.1f %7d %9.1f %8d %7s %7s %7.2fx %6.2fx@." ""
+            s.Plan.name params p.Cost.est_groups r.Plan_exec.groups
+            p.Cost.est_rows r.Plan_exec.survivors (shown qg) (shown qgc) qr qrc;
+          [
+            "workload", Str name;
+            "step", Str s.Plan.name;
+            "params", Int params;
+            "est_groups", Float p.Cost.est_groups;
+            "groups", Int r.Plan_exec.groups;
+            "est_rows", Float p.Cost.est_rows;
+            "rows_out", Int r.Plan_exec.survivors;
+            "q_groups", Float qg;
+            "q_rows", Float qr;
+            "q_groups_clamped", Float qgc;
+            "q_rows_clamped", Float qrc;
+          ])
+        (Plan.all_steps plan)
+    in
+    row "%-26s worst q-error %.2fx@." "" !worst;
+    entries
   in
-  (* E13's exact workloads and plans, so before/after is apples to apples. *)
-  let docs = if !quick then 600 else 2500 in
+  (* The E1 market workload under its a-priori plan and the E3 medical
+     workload under the Fig. 5 two-filter plan, so the estimator is judged
+     exactly where the end-to-end claims are made. *)
   let market =
-    Qf_workload.Market.catalog
-      {
-        Qf_workload.Market.n_baskets = docs;
-        n_items = docs * 10;
-        avg_basket_size = 24;
-        zipf_exponent = 0.85;
-        seed = 101;
-      }
+    let _, plan = pair_flock_and_plan () in
+    examine "E1 market / a-priori plan"
+      (word_corpus ~seed:101 (if !quick then 600 else 2500))
+      plan
   in
-  let pair_flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
-  let pair_plan =
-    match Apriori_gen.singleton_plan pair_flock with
-    | Ok p -> p
-    | Error e -> failwith e
+  let medical =
+    let { Qf_workload.Medical.catalog; _ } =
+      Qf_workload.Medical.generate (side_effects_config ())
+    in
+    let plan =
+      ok
+        (Apriori_gen.param_set_plan (medical_flock 20)
+           ~param_sets:[ [ "s" ]; [ "m" ] ])
+    in
+    examine "E3 medical / Fig. 5 plan" catalog plan
   in
-  examine "E1 market / a-priori plan" market pair_plan;
-  let mconfig =
-    {
-      Qf_workload.Medical.default with
-      n_patients = (if !quick then 2500 else 8000);
-      n_symptoms = 12000;
-      n_medicines = 2000;
-      background_symptoms = 10;
-      background_medicines = 3;
-      symptom_zipf = 0.5;
-      medicine_zipf = 0.5;
-      seed = 31;
-    }
-  in
-  let { Qf_workload.Medical.catalog = medical; _ } =
-    Qf_workload.Medical.generate mconfig
-  in
-  let med_flock = medical_flock 20 in
-  let med_plan =
-    match
-      Apriori_gen.param_set_plan med_flock ~param_sets:[ [ "s" ]; [ "m" ] ]
-    with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  examine "E3 medical / Fig. 5 plan" medical med_plan;
   (* The headline number: median q-error of the GROUP estimates on the
-     multi-parameter final steps E13 flags — the per-parameter products
-     the certified bounds provably cap. *)
-  let multi =
-    List.filter (fun e -> e.e15_params >= 2) !e15_entries
-  in
-  let median_plain = median (List.map (fun e -> e.e15_q_groups_plain) multi)
-  and median_clamped =
-    median (List.map (fun e -> e.e15_q_groups_clamped) multi)
-  in
+     multi-parameter steps — the per-parameter products the certified
+     bounds provably cap. *)
+  let median_plain = median (List.map fst !multi)
+  and median_clamped = median (List.map snd !multi) in
   row "@.%-26s median group q-error (multi-param steps): %.2fx -> %.2fx@." ""
     median_plain median_clamped;
   if not (median_clamped < median_plain) then
     row "%-26s WARNING: clamping did not strictly reduce the median@." "";
-  if !json then e15_write_json !e15_entries ~median_plain ~median_clamped
+  write_record "BENCH_estimator.json" ~experiment:"E13"
+    ~workload:"E1 market a-priori plan and E3 medical Fig. 5 plan"
+    ~summary:
+      [
+        "metric", Str "q_error";
+        "median_q_groups_plain", Float median_plain;
+        "median_q_groups_clamped", Float median_clamped;
+      ]
+    (market @ medical)
 
 (* {1 E16 — sideways information passing and the cross-level subplan memo} *)
 
-type e16_entry = {
-  e16_config : string;
-  e16_best_s : float;
-  e16_speedup : float;
-  e16_tabulated : int;
-  e16_sip_pruned : int;
-  e16_memo_hits : int;
-}
-
-let e16_json_file = "BENCH_sip.json"
-
-let e16_write_json entries ~pruned_ratio =
-  let oc = open_out e16_json_file in
-  let field e =
-    Printf.sprintf
-      {|    { "config": %S, "best_s": %.6f, "speedup": %.2f, "tabulated_rows": %d, "sip_pruned": %d, "memo_hits": %d }|}
-      e.e16_config e.e16_best_s e.e16_speedup e.e16_tabulated e.e16_sip_pruned
-      e.e16_memo_hits
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"E16\",\n\
-    \  \"quick\": %b,\n\
-    \  \"clock\": \"wall\",\n\
-    \  \"workload\": \"levelwise basket chain k=2..4\",\n\
-    \  \"rows_pruned_ratio\": %.4f,\n\
-    \  \"entries\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    !quick pruned_ratio
-    (String.concat ",\n" (List.map field entries));
-  close_out oc;
-  row "wrote %s (%d entries)@." e16_json_file (List.length entries)
+(* The market catalog of the levelwise-chain ablations E16 and E17. *)
+let chain_market ~seed =
+  Qf_workload.Market.catalog
+    {
+      Qf_workload.Market.n_baskets = (if !quick then 300 else 1000);
+      n_items = 400;
+      avg_basket_size = 8;
+      zipf_exponent = 0.9;
+      seed;
+    }
 
 let e16 () =
   header "E16"
     "sideways information passing + cross-level memo — levelwise chain k=2..4";
   let support = 18 in
-  let catalog =
-    Qf_workload.Market.catalog
-      {
-        Qf_workload.Market.n_baskets = (if !quick then 300 else 1000);
-        n_items = 400;
-        avg_basket_size = 8;
-        zipf_exponent = 0.9;
-        seed = 16;
-      }
-  in
+  let catalog = chain_market ~seed:16 in
   let plans =
     List.map
       (fun k -> snd (Apriori_gen.levelwise_basket ~pred:"baskets" ~k ~support))
@@ -1194,24 +908,23 @@ let e16 () =
         !s /. float_of_int keep)
       samples
   in
-  let t_off = best.(0) in
+  let speedup i = best.(0) /. best.(i) in
   row "@.%-8s %12s %9s %14s %12s %10s@." "config" "best (s)" "speedup"
     "tabulated" "sip pruned" "memo hits";
   let entries =
     List.mapi
       (fun i (name, _, _) ->
         let tabulated, sip_pruned, memo_hits = List.assoc name metrics in
-        let speedup = t_off /. best.(i) in
-        row "%-8s %12.3f %8.2fx %14d %12d %10d@." name best.(i) speedup
+        row "%-8s %12.3f %8.2fx %14d %12d %10d@." name best.(i) (speedup i)
           tabulated sip_pruned memo_hits;
-        {
-          e16_config = name;
-          e16_best_s = best.(i);
-          e16_speedup = speedup;
-          e16_tabulated = tabulated;
-          e16_sip_pruned = sip_pruned;
-          e16_memo_hits = memo_hits;
-        })
+        [
+          "config", Str name;
+          "best_s", Float best.(i);
+          "speedup", Float (speedup i);
+          "tabulated_rows", Int tabulated;
+          "sip_pruned", Int sip_pruned;
+          "memo_hits", Int memo_hits;
+        ])
       configs
   in
   let tabulated name =
@@ -1221,14 +934,17 @@ let e16 () =
   let pruned_ratio =
     1. -. (float_of_int (tabulated "full") /. float_of_int (tabulated "off"))
   in
-  let full = List.nth entries 2 in
+  let full_speedup = speedup 2 in
   row
     "@.%-26s rows-pruned ratio (1 - tabulated_full/tabulated_off): %.2f; \
      full-vs-off speedup: %.2fx@."
-    "" pruned_ratio full.e16_speedup;
-  if full.e16_speedup < 1.3 then
+    "" pruned_ratio full_speedup;
+  if full_speedup < 1.3 then
     row "%-26s WARNING: full config below the 1.3x acceptance floor@." "";
-  if !json then e16_write_json entries ~pruned_ratio
+  write_record "BENCH_sip.json" ~experiment:"E16"
+    ~workload:"levelwise basket chain k=2..4"
+    ~summary:[ "clock", Str "wall"; "rows_pruned_ratio", Float pruned_ratio ]
+    entries
 
 (* {1 E17: resource-governed spill ablation}
 
@@ -1241,61 +957,19 @@ let e16 () =
 
 module Governor = Qf_governor.Governor
 
-let e17_json_file = "BENCH_spill.json"
-
-type e17_entry = {
-  e17_budget : string;
-  e17_best_s : float;
-  e17_slowdown : float;
-  e17_peak_bytes : int;
-  e17_spill_partitions : int;
-  e17_spilled_rows : int;
-}
-
-let e17_write_json entries =
-  let oc = open_out e17_json_file in
-  let field e =
-    Printf.sprintf
-      {|    { "budget": %S, "best_s": %.6f, "slowdown": %.2f, "peak_bytes": %d, "spill_partitions": %d, "spilled_rows": %d }|}
-      e.e17_budget e.e17_best_s e.e17_slowdown e.e17_peak_bytes
-      e.e17_spill_partitions e.e17_spilled_rows
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"E17\",\n\
-    \  \"quick\": %b,\n\
-    \  \"clock\": \"wall\",\n\
-    \  \"workload\": \"levelwise basket chain k=3 under memory budgets\",\n\
-    \  \"entries\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    !quick
-    (String.concat ",\n" (List.map field entries));
-  close_out oc;
-  row "wrote %s (%d entries)@." e17_json_file (List.length entries)
-
 let e17 () =
   header "E17" "resource governor: spill-to-disk ablation over memory budgets";
   let support = 18 in
-  let catalog =
-    Qf_workload.Market.catalog
-      {
-        Qf_workload.Market.n_baskets = (if !quick then 300 else 1000);
-        n_items = 400;
-        avg_basket_size = 8;
-        zipf_exponent = 0.9;
-        seed = 17;
-      }
-  in
+  let catalog = chain_market ~seed:17 in
   let _, plan = Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3 ~support in
   let reps = if !quick then 3 else 5 in
   (* [256k] is the forced-spill budget: it spills at both sizes, and at
      full size its runs fit, where [64k] stops with [Over_budget]: the
      most frequent item's rows all land in one run, which charges 86,400
      bytes. *)
+  let forced_spill = 256 * 1024 in
   let budgets =
-    [ "unbounded", max_int; "1m", 1024 * 1024; "256k", 256 * 1024 ]
+    [ "unbounded", max_int; "1m", 1024 * 1024; "256k", forced_spill ]
   in
   let run_with budget =
     let stats = ref None in
@@ -1320,27 +994,29 @@ let e17 () =
           else run_with budget
         in
         check_equal (Printf.sprintf "E17 %s" name) baseline_result result;
+        let slowdown = best /. baseline_best in
         row
           "%-26s best %.4fs  slowdown %.2fx  peak %d bytes  %d spill \
            partitions (%d rows)@."
           (Printf.sprintf "budget %s" name)
-          best (best /. baseline_best) stats.Governor.peak_bytes
+          best slowdown stats.Governor.peak_bytes
           stats.Governor.spill_partitions stats.Governor.spilled_rows;
-        {
-          e17_budget = name;
-          e17_best_s = best;
-          e17_slowdown = best /. baseline_best;
-          e17_peak_bytes = stats.Governor.peak_bytes;
-          e17_spill_partitions = stats.Governor.spill_partitions;
-          e17_spilled_rows = stats.Governor.spilled_rows;
-        })
+        if budget = forced_spill && stats.Governor.spill_partitions = 0 then
+          failwith (Printf.sprintf "E17: the %s budget never spilled" name);
+        [
+          "budget", Str name;
+          "best_s", Float best;
+          "slowdown", Float slowdown;
+          "peak_bytes", Int stats.Governor.peak_bytes;
+          "spill_partitions", Int stats.Governor.spill_partitions;
+          "spilled_rows", Int stats.Governor.spilled_rows;
+        ])
       budgets
   in
-  let governed = List.nth entries 2 in
-  if governed.e17_spill_partitions = 0 then
-    failwith
-      (Printf.sprintf "E17: the %s budget never spilled" governed.e17_budget);
-  if !json then e17_write_json entries
+  write_record "BENCH_spill.json" ~experiment:"E17"
+    ~workload:"levelwise basket chain k=3 under memory budgets"
+    ~summary:[ "clock", Str "wall" ]
+    entries
 
 (* {1 Driver} *)
 
@@ -1358,10 +1034,8 @@ let all_experiments =
     "E10", e10;
     "E11", e11;
     "E13", e13;
-    "E15", e15;
     "E16", e16;
     "E17", e17;
-    "BECHAMEL", bechamel_suite;
   ]
 
 let () =
@@ -1382,7 +1056,17 @@ let () =
   let selected =
     match args with
     | [] -> all_experiments
-    | names -> List.filter (fun (id, _) -> List.mem id names) all_experiments
+    | names ->
+      List.iter
+        (fun id ->
+          if not (List.mem_assoc id all_experiments) then
+            failwith
+              (Printf.sprintf
+                 "unknown experiment %s (E12 and E14 are retired, E15 is \
+                  part of E13)"
+                 id))
+        names;
+      List.filter (fun (id, _) -> List.mem id names) all_experiments
   in
   Format.printf "Query Flocks (SIGMOD 1998) — benchmark harness%s@."
     (if !quick then " [quick]" else "");

@@ -35,12 +35,10 @@ val check_program :
   Qf_core.Parse.located_program ->
   Diagnostic.t list
 
-(** {1 Individual passes, exposed for cross-checks} *)
+(** {1 The safety pass, exposed for cross-checks} *)
 
-(** The Sec. 3.3 safety pass on one rule.  A rule is QF-safe iff this
-    returns no [Error]-severity diagnostic; the property tests assert this
-    agrees with {!Qf_datalog.Safety.is_safe} on random rules. *)
-val safety_rule : Qf_datalog.Ast.located_rule -> Diagnostic.t list
-
-(** [Ok ()] iff {!safety_rule} finds no error (first error otherwise). *)
+(** [Ok ()] iff the Sec. 3.3 safety pass finds no [Error]-severity
+    diagnostic on the rule (the first error otherwise); the property
+    tests assert this agrees with {!Qf_datalog.Safety.is_safe} on random
+    rules. *)
 val rule_is_qf_safe : Qf_datalog.Ast.rule -> (unit, string) result

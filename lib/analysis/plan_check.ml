@@ -184,8 +184,3 @@ let verify (p : Plan.t) =
       walk (s :: earlier) rest
   in
   walk [] p.Plan.steps
-
-let verify_exn p =
-  match verify p with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Plan_check.verify: " ^ msg)

@@ -11,11 +11,8 @@
     The implementation shares no code with [Plan.make]'s own
     classification (safety comes from the analyzer's Sec. 3.3 pass, the
     subgoal accounting is an explicit multiset), so installing it via
-    {!Qf_core.Plan.set_auditor} cross-checks every plan the static
+    {!Qf_core.Plan.add_auditor} cross-checks every plan the static
     optimizer and the levelwise generator emit — a sanitizer for plan
     generation. *)
 
 val verify : Qf_core.Plan.t -> (unit, string) result
-
-(** Raises [Invalid_argument] on an illegal plan. *)
-val verify_exn : Qf_core.Plan.t -> unit

@@ -154,63 +154,46 @@ let order_cmps upto =
                  Ast.Lt,
                  Ast.Param (param_name (i + 2 + d)) ))))
 
-let basket_flock ~pred ~k ~support =
-  if k < 1 || k > 9 then invalid_arg "basket_flock: k must be in 1..9";
+(* All (k-1)-element subsets of [1..k], each sorted. *)
+let subsets_dropping_one k =
+  List.init k (fun drop ->
+      List.filteri (fun i _ -> i <> drop) (List.init k (fun i -> i + 1)))
+
+let basket_rule ~pred ?prev k =
   let atoms =
     List.init k (fun i ->
         Ast.Pos
           { Ast.pred; args = [ Ast.Var "B"; Ast.Param (param_name (i + 1)) ] })
   in
-  let rule =
-    { Ast.head = { Ast.pred = "answer"; args = [ Ast.Var "B" ] };
-      body = atoms @ order_cmps k }
+  let prune =
+    match prev with
+    | Some prev when k > 1 ->
+      List.map
+        (fun subset -> ok_atom prev (List.map param_name subset))
+        (subsets_dropping_one k)
+    | _ -> []
   in
-  Flock.make_exn [ rule ] (Filter.count_at_least support)
+  { Ast.head = { Ast.pred = "answer"; args = [ Ast.Var "B" ] };
+    body = atoms @ order_cmps k @ prune }
 
-(* All (j-1)-element subsets of [1..j], each sorted. *)
-let subsets_dropping_one j =
-  List.init j (fun drop ->
-      List.filteri (fun i _ -> i <> drop) (List.init j (fun i -> i + 1)))
+let basket_flock ~pred ~k ~support =
+  if k < 1 || k > 9 then invalid_arg "basket_flock: k must be in 1..9";
+  Flock.make_exn [ basket_rule ~pred k ] (Filter.count_at_least support)
 
 let levelwise_basket ~pred ~k ~support =
   let flock = basket_flock ~pred ~k ~support in
-  let level_body j =
-    let atoms =
-      List.init j (fun i ->
-          Ast.Pos
-            { Ast.pred; args = [ Ast.Var "B"; Ast.Param (param_name (i + 1)) ] })
-    in
-    atoms @ order_cmps j
+  (* Level j is pruned by ok_{j-1} on every (j-1)-subset of its
+     parameters — sound by parameter symmetry (see {!Plan}). *)
+  let params j = List.init j (fun i -> param_name (i + 1)) in
+  let level j =
+    [ basket_rule ~pred ~prev:(step_name (params (j - 1))) j ]
   in
-  let prune_atoms j =
-    (* ok_{j-1} applied to every (j-1)-subset of this level's parameters —
-       sound by parameter symmetry (see {!Plan}). *)
-    if j <= 1 then []
-    else
-      let prev_name =
-        step_name (List.init (j - 1) (fun i -> param_name (i + 1)))
-      in
-      List.map
-        (fun subset ->
-          Ast.Pos
-            {
-              Ast.pred = prev_name;
-              args = List.map (fun i -> Ast.Param (param_name i)) subset;
-            })
-        (subsets_dropping_one j)
-  in
-  let head = { Ast.pred = "answer"; args = [ Ast.Var "B" ] } in
   let steps =
     List.init (k - 1) (fun idx ->
         let j = idx + 1 in
-        let params = List.init j (fun i -> param_name (i + 1)) in
-        Plan.step ~name:(step_name params)
-          [ { Ast.head; body = level_body j @ prune_atoms j } ])
-  in
-  let final_query =
-    [ { Ast.head; body = level_body k @ prune_atoms k } ]
+        Plan.step ~name:(step_name (params j)) (level j))
   in
   let plan =
-    Plan.make_exn flock ~steps ~final:(Plan.step ~name:"result" final_query)
+    Plan.make_exn flock ~steps ~final:(Plan.step ~name:"result" (level k))
   in
   flock, plan

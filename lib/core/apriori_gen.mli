@@ -38,6 +38,14 @@ val singleton_plan : ?selection:selection -> Flock.t -> (Plan.t, string) result
     arc at a time. *)
 val chain_plan : Flock.t -> prefixes:int list list -> (Plan.t, string) result
 
+(** [basket_rule ~pred ?prev k] is the k-item basket rule:
+    [answer(B) :- pred(B,$1) AND ... AND pred(B,$k)], every pairwise
+    [$i < $j], and, when [prev] is given and [k > 1], the relation [prev]
+    applied to every (k-1)-subset of [$1..$k] (the parameter-symmetry
+    pruning of footnote 3).  {!basket_flock}, {!levelwise_basket} and
+    {!Sequence.frequent_levels} all build their rules with it. *)
+val basket_rule : pred:string -> ?prev:string -> int -> Qf_datalog.Ast.rule
+
 (** [basket_flock ~pred ~k ~support] is the market-basket flock for k-item
     sets: [answer(B) :- pred(B,$i1) AND ... AND pred(B,$ik) AND $i1 < $i2
     AND ...], [COUNT >= support]. *)

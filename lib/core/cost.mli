@@ -43,9 +43,6 @@ type estimate = {
     [env] and {!Qf_datalog.Eval.Error} on an unsafe rule. *)
 val estimate_rule : env -> Qf_datalog.Ast.rule -> estimate
 
-(** Union: work adds up, rows add up (upper bound, ignores overlap). *)
-val estimate_query : env -> Qf_datalog.Ast.query -> estimate
-
 (** Estimated number of distinct assignments of the given parameters
     (product of the parameters' smallest positive-occurrence column distinct
     counts across the rules of the query). *)

@@ -175,9 +175,6 @@ let add_auditor ~name f =
 let remove_auditor ~name =
   auditors := List.filter (fun (n, _) -> not (String.equal n name)) !auditors
 
-let set_auditor f = add_auditor ~name:"adhoc" f
-let clear_auditor () = auditors := []
-
 let make flock ~steps ~final =
   let* () =
     (* A plan with no auxiliary steps never prunes, so it is sound for any

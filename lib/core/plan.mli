@@ -69,12 +69,6 @@ val add_auditor : name:string -> (t -> (unit, string) result) -> unit
 (** Remove the auditor registered under [name] (no-op when absent). *)
 val remove_auditor : name:string -> unit
 
-(** [add_auditor ~name:"adhoc"] — kept for single-auditor callers. *)
-val set_auditor : (t -> (unit, string) result) -> unit
-
-(** Remove every installed auditor. *)
-val clear_auditor : unit -> unit
-
 (** All steps in execution order (auxiliary then final). *)
 val all_steps : t -> step list
 

@@ -1,4 +1,3 @@
-module Ast = Qf_datalog.Ast
 module Eval = Qf_datalog.Eval
 module Catalog = Qf_relational.Catalog
 module Relation = Qf_relational.Relation
@@ -14,46 +13,6 @@ type level = {
 
 let param i = string_of_int i
 let prev_pred k = Printf.sprintf "frequent_%d" k
-
-(* All (j-1)-element subsets of the sorted parameters 1..j. *)
-let subsets_dropping_one j =
-  List.init j (fun drop ->
-      List.filteri (fun i _ -> i <> drop) (List.init j (fun i -> i + 1)))
-
-(* The k-th flock's rule: k basket subgoals, all pairwise order constraints,
-   and — the "depends on the previous flock" part — the previous level's
-   result applied to every (k-1)-subset of the parameters. *)
-let level_rule ~pred k =
-  let atoms =
-    List.init k (fun i ->
-        Ast.Pos
-          { Ast.pred; args = [ Ast.Var "B"; Ast.Param (param (i + 1)) ] })
-  in
-  let cmps =
-    List.concat
-      (List.init k (fun i ->
-           List.init
-             (k - i - 1)
-             (fun d ->
-               Ast.Cmp
-                 ( Ast.Param (param (i + 1)),
-                   Ast.Lt,
-                   Ast.Param (param (i + 2 + d)) ))))
-  in
-  let prune =
-    if k <= 1 then []
-    else
-      List.map
-        (fun subset ->
-          Ast.Pos
-            {
-              Ast.pred = prev_pred (k - 1);
-              args = List.map (fun i -> Ast.Param (param i)) subset;
-            })
-        (subsets_dropping_one k)
-  in
-  { Ast.head = { Ast.pred = "answer"; args = [ Ast.Var "B" ] };
-    body = atoms @ cmps @ prune }
 
 let frequent_levels ?(max_k = 9) catalog ~pred ~support =
   if max_k < 1 || max_k > 9 then
@@ -79,8 +38,12 @@ let frequent_levels ?(max_k = 9) catalog ~pred ~support =
       Catalog.add work (prev_pred (k - 1)) prev;
       if k > 1 && Relation.cardinal prev < k then List.rev acc
       else begin
+        (* The k-th flock: the k-item basket rule whose body also holds —
+           the "depends on the previous flock" part — the previous level's
+           result applied to every (k-1)-subset of the parameters. *)
+        let rule = Apriori_gen.basket_rule ~pred ~prev:(prev_pred (k - 1)) k in
         let next, _, _ =
-          Eval.filter_query work [ level_rule ~pred k ]
+          Eval.filter_query work [ rule ]
             ~keys:(List.init k (fun i -> "$" ^ param (i + 1)))
             ~func:Aggregate.Count ~threshold
         in

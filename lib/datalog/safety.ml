@@ -58,5 +58,3 @@ let is_safe r = Result.is_ok (check r)
 
 let check_query q =
   List.fold_left (fun acc r -> Result.bind acc (fun () -> check r)) (Ok ()) q
-
-let is_safe_query q = Result.is_ok (check_query q)

@@ -20,8 +20,6 @@ val is_safe : Ast.rule -> bool
 (** A union is safe when every rule is (Sec. 3.4). *)
 val check_query : Ast.query -> (unit, string) result
 
-val is_safe_query : Ast.query -> bool
-
 (** Names (binding keys, see {!Ast.binding_key}) of variables and parameters
     bound by positive subgoals of the body. *)
 val positively_bound : Ast.rule -> string list

@@ -21,9 +21,6 @@ exception Injected of { point : string; index : int }
 (** Mark a failure-prone operation.  Off mode: one atomic load. *)
 val point : string -> unit
 
-(** Points crossed since the current mode was entered. *)
-val points_hit : unit -> int
-
 (** [with_count f] runs [f] with counting enabled; returns [f ()]'s
     result and the number of points crossed.  Resets the mode on exit. *)
 val with_count : (unit -> 'a) -> 'a * int

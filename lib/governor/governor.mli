@@ -86,10 +86,7 @@ val release : t -> int -> unit
     is on; always visible in {!stats}). *)
 val note_spill : t -> partitions:int -> bytes:int -> rows:int -> unit
 
-(** The query's private spill directory ([qf_spill.<pid>.<n>] under the
-    system temp directory), created on first use and removed by
-    {!with_ctx} on every exit. *)
-val spill_dir : t -> string
-
-(** A fresh file path inside {!spill_dir}. *)
+(** A fresh file path inside the query's private spill directory
+    ([qf_spill.<pid>.<n>] under the system temp directory), created on
+    first use and removed by {!with_ctx} on every exit. *)
 val fresh_spill_path : t -> string

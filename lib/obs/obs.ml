@@ -101,30 +101,13 @@ let count name n =
     Mutex.unlock mutex
   end
 
-let gauge_update name f =
-  Mutex.lock mutex;
-  (match Hashtbl.find_opt gauges_tbl name with
-  | Some r -> r := f (Some !r)
-  | None -> Hashtbl.replace gauges_tbl name (ref (f None)));
-  Mutex.unlock mutex
-
-let gauge_add name v =
-  if enabled () then
-    gauge_update name (function None -> v | Some old -> old +. v)
-
 let gauge_max name v =
-  if enabled () then
-    gauge_update name (function None -> v | Some old -> Float.max old v)
-
-let timed name f =
-  if not (enabled ()) then f ()
-  else begin
-    let t0 = now () in
-    Fun.protect f ~finally:(fun () ->
-        let dt = now () -. t0 in
-        count (name ^ ".tasks") 1;
-        gauge_add (name ^ ".time_total_s") dt;
-        gauge_max (name ^ ".time_max_s") dt)
+  if enabled () then begin
+    Mutex.lock mutex;
+    (match Hashtbl.find_opt gauges_tbl name with
+    | Some r -> r := Float.max !r v
+    | None -> Hashtbl.replace gauges_tbl name (ref v));
+    Mutex.unlock mutex
   end
 
 (* {1 Reports} *)

@@ -56,16 +56,8 @@ val set_attr : string -> value -> unit
 (** [count name n] adds [n] to the counter [name] (creating it at 0). *)
 val count : string -> int -> unit
 
-val gauge_add : string -> float -> unit
-
 (** Keep the maximum of the stored and the offered value. *)
 val gauge_max : string -> float -> unit
-
-(** [timed name f] times [f] and aggregates the duration under [name]:
-    counter [name ^ ".tasks"], gauges [name ^ ".time_total_s"] and
-    [name ^ ".time_max_s"].  Safe to call from worker domains.  When
-    disabled this is just [f ()]. *)
-val timed : string -> (unit -> 'a) -> 'a
 
 (** Wall clock (seconds since the epoch); the clock every span uses. *)
 val now : unit -> float

@@ -161,15 +161,6 @@ let reset_index_stats t =
   t.indexes.hits <- 0;
   t.indexes.misses <- 0
 
-(* Per-logical-run attribution: the cache (and its counters) is shared
-   across {!copy}s, so "hits of this run" must be computed as a delta
-   against a mark taken on the same shared cache — resetting would
-   destroy a concurrent run's baseline. *)
-let index_stats_mark = index_stats
-
-let index_stats_since t (h0, m0) =
-  t.indexes.hits - h0, t.indexes.misses - m0
-
 (* {1 Memo operations} *)
 
 let memo_enabled t = Lru.budget t.memo.memo_entries > 0
@@ -207,7 +198,6 @@ let memo_add t key rel =
 let memo_stats t =
   t.memo.memo_hits, t.memo.memo_misses, Lru.evictions t.memo.memo_entries
 
-let memo_budget t = Lru.budget t.memo.memo_entries
 let set_memo_budget t budget = ignore (Lru.set_budget t.memo.memo_entries budget)
 
 let memo_clear t =

@@ -47,17 +47,6 @@ val set_index_budget : t -> int -> unit
 
 val reset_index_stats : t -> unit
 
-(** Per-run attribution over the shared cache: the counters are shared
-    between a catalog and its {!copy}s, so cumulative {!index_stats}
-    conflates runs.  Take a {!index_stats_mark} before a logical run and
-    read the run's own hits/misses with {!index_stats_since} — no reset,
-    so concurrent runs keep their baselines. *)
-val index_stats_mark : t -> int * int
-
-(** [index_stats_since t mark] — [(hits, misses)] accumulated since
-    [mark] was taken. *)
-val index_stats_since : t -> int * int -> int * int
-
 (** {1 Subplan memo}
 
     A cross-level memo table for FILTER-step outputs, keyed by canonical
@@ -81,8 +70,6 @@ val memo_add : t -> string -> Relation.t -> unit
 
 (** [(hits, misses, evictions)] since creation. *)
 val memo_stats : t -> int * int * int
-
-val memo_budget : t -> int
 
 (** Override the byte budget ([0] disables; shrinking evicts). *)
 val set_memo_budget : t -> int -> unit

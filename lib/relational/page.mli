@@ -27,9 +27,6 @@ val to_bytes : t -> bytes
 (** Number of records. *)
 val count : t -> int
 
-(** Free space available for one more record (accounting for its slot). *)
-val free_space : t -> int
-
 (** [add page record] appends a record; returns [false] (leaving the page
     unchanged) when it does not fit.  Raises [Invalid_argument] if the
     record could never fit even in an empty page. *)

@@ -8,12 +8,9 @@
    two on random inputs skewed to a tiny value universe (the aggregation
    properties also with the grouping pass forced to spill); deterministic
    units pin the classic edge cases (empty input, all-duplicate rows,
-   single-column relations, [Int 1] vs [Real 1.0]).
-
-   The corpus check at the bottom replays the differential suite's 100
-   seeded basket instances, every executor checked against naive
-   generate-and-test — the full-stack analogue of the per-kernel
-   properties. *)
+   single-column relations, [Int 1] vs [Real 1.0]).  The full-stack
+   analogue, every executor against naive generate-and-test on the 100
+   seeded basket instances, is the differential suite's corpus check. *)
 
 module R = Qf_relational.Relation
 module V = Qf_relational.Value
@@ -381,56 +378,6 @@ let test_mixed_types () =
   check_join "mixed-type self join" "answer(A,B,B2) :- a(A,B) AND b(A,B2)" rel
     rel (Spec.equi rel rel [ "A", "A" ])
 
-(* {1 The full-stack corpus} *)
-
-let run_executors cat flock =
-  let direct = Direct.run cat flock in
-  let optimized = Plan_exec.run cat (Optimizer.optimize cat flock) in
-  let singleton =
-    match Apriori_gen.singleton_plan flock with
-    | Ok p -> Plan_exec.run cat p
-    | Error e -> failwith ("singleton plan: " ^ e)
-  in
-  let dynamic =
-    match Dynamic.run cat flock with
-    | Ok r -> r.Dynamic.answers
-    | Error e -> failwith ("dynamic: " ^ e)
-  in
-  [
-    "direct", direct;
-    "optimized plan", optimized;
-    "singleton plan", singleton;
-    "dynamic", dynamic;
-  ]
-
-let test_corpus_agrees () =
-  List.iter
-    (fun seed ->
-      let rel, threshold = instance ~seed gen_basket_instance in
-      let flock = pair_flock threshold in
-      let expected = Naive.run (catalog_of rel) flock in
-      List.iter
-        (fun (name, got) ->
-          if not (R.equal expected got) then
-            Alcotest.failf
-              "seed %d: %s disagrees with naive (threshold %d)\n%s" seed name
-              threshold (pp_relation rel))
-        (run_executors (catalog_of rel) flock);
-      (* The tabulation skips its dedupe pass when it keeps every bound
-         key, trusting that environment rows are distinct; a rebuild
-         through [R.add], which dedupes, must not shrink it. *)
-      List.iter
-        (fun rule ->
-          let tab = Qf_datalog.Eval.tabulate (catalog_of rel) rule in
-          let rebuilt = R.create (R.schema tab) in
-          R.iter (R.add rebuilt) tab;
-          if R.cardinal rebuilt <> R.cardinal tab then
-            Alcotest.failf
-              "seed %d: tabulation has duplicate rows (%d, %d distinct)" seed
-              (R.cardinal tab) (R.cardinal rebuilt))
-        flock.Flock.query)
-    (List.init 100 Fun.id)
-
 (* {1 The FILTER count against tabulate-then-group}
 
    [Eval.filter_query] counts a single rule's groups inside its last
@@ -637,6 +584,4 @@ let suite =
         test_filter_count_corpus;
       Alcotest.test_case "governed FILTER still spills" `Quick
         test_filter_count_governed;
-      Alcotest.test_case "100-seed corpus: every executor = naive" `Quick
-        test_corpus_agrees;
     ]
