@@ -24,6 +24,41 @@ let test_basket_flock_bounds () =
     (Invalid_argument "basket_flock: k must be in 1..9") (fun () ->
       ignore (Apriori_gen.basket_flock ~pred:"b" ~k:10 ~support:1))
 
+(* [basket_rule] is the one builder of the k-item basket rule: pin its
+   body, and that the basket flock and every level of the levelwise plan
+   are built from it. *)
+let test_basket_rule () =
+  let check_rule what expected rule =
+    match Qf_datalog.Parser.parse_rule expected with
+    | Error e -> Alcotest.failf "parse %S: %s" expected e
+    | Ok r ->
+      if not (Ast.equal_rule r rule) then
+        Alcotest.failf "%s: got %s" what
+          (Qf_datalog.Pretty.rule_to_string rule)
+  in
+  check_rule "k=3 with prev"
+    "answer(B) :- b(B,$1) AND b(B,$2) AND b(B,$3) AND $1 < $2 AND $1 < $3 \
+     AND $2 < $3 AND p($2,$3) AND p($1,$3) AND p($1,$2)"
+    (Apriori_gen.basket_rule ~pred:"b" ~prev:"p" 3);
+  check_rule "k=1 ignores prev" "answer(B) :- b(B,$1)"
+    (Apriori_gen.basket_rule ~pred:"b" ~prev:"p" 1);
+  let flock = Apriori_gen.basket_flock ~pred:"b" ~k:3 ~support:2 in
+  check_rule "basket_flock"
+    "answer(B) :- b(B,$1) AND b(B,$2) AND b(B,$3) AND $1 < $2 AND $1 < $3 \
+     AND $2 < $3"
+    (List.hd flock.Flock.query);
+  let _, plan = Apriori_gen.levelwise_basket ~pred:"b" ~k:3 ~support:2 in
+  List.iter2
+    (fun expected (step : Plan.step) ->
+      check_rule step.Plan.name expected (List.hd step.Plan.query))
+    [
+      "answer(B) :- b(B,$1)";
+      "answer(B) :- b(B,$1) AND b(B,$2) AND $1 < $2 AND ok_1($2) AND ok_1($1)";
+      "answer(B) :- b(B,$1) AND b(B,$2) AND b(B,$3) AND $1 < $2 AND $1 < $3 \
+       AND $2 < $3 AND ok_1_2($2,$3) AND ok_1_2($1,$3) AND ok_1_2($1,$2)";
+    ]
+    (Plan.all_steps plan)
+
 let test_singleton_plan_structure () =
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:10 in
   match Apriori_gen.singleton_plan flock with
@@ -314,6 +349,7 @@ let suite =
   [
     Alcotest.test_case "basket flock shape" `Quick test_basket_flock_shape;
     Alcotest.test_case "basket flock bounds" `Quick test_basket_flock_bounds;
+    Alcotest.test_case "basket rule: one builder" `Quick test_basket_rule;
     Alcotest.test_case "singleton plan structure" `Quick
       test_singleton_plan_structure;
     Alcotest.test_case "param_set_plan errors" `Quick test_param_set_plan_errors;
