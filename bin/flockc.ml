@@ -642,13 +642,17 @@ let import_cmd =
   in
   let run dir specs =
     let catalog = or_die (load_catalog specs) in
-    let store = Qf_storage.Store.open_dir dir in
-    List.iter
-      (fun name ->
-        Qf_storage.Store.save store name (Catalog.find catalog name);
-        Format.printf "imported %s (%d tuples)@." name
-          (Relation.cardinal (Catalog.find catalog name)))
-      (List.sort String.compare (Catalog.names catalog))
+    (* A directory that cannot be made or written is an input error. *)
+    try
+      let store = Qf_storage.Store.open_dir dir in
+      List.iter
+        (fun name ->
+          Qf_storage.Store.save store name (Catalog.find catalog name);
+          Format.printf "imported %s (%d tuples)@." name
+            (Relation.cardinal (Catalog.find catalog name)))
+        (List.sort String.compare (Catalog.names catalog))
+    with Failure e | Sys_error e ->
+      or_die (Error (Printf.sprintf "importing into %s: %s" dir e))
   in
   Cmd.v
     (Cmd.info "import" ~doc:"Import CSV files into a store directory")

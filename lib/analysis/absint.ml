@@ -85,19 +85,6 @@ let equal_bound a b =
 
 let equal_interval a b = equal_bound a.lo b.lo && equal_bound a.hi b.hi
 
-let pp_bound_lo ppf = function
-  | None -> Format.fprintf ppf "(-inf"
-  | Some (v, true) -> Format.fprintf ppf "[%s" (Value.to_string v)
-  | Some (v, false) -> Format.fprintf ppf "(%s" (Value.to_string v)
-
-let pp_bound_hi ppf = function
-  | None -> Format.fprintf ppf "+inf)"
-  | Some (v, true) -> Format.fprintf ppf "%s]" (Value.to_string v)
-  | Some (v, false) -> Format.fprintf ppf "%s)" (Value.to_string v)
-
-let pp_interval ppf i =
-  Format.fprintf ppf "%a, %a" pp_bound_lo i.lo pp_bound_hi i.hi
-
 (* {1 Statistics environments} *)
 
 type pstats = {

@@ -53,7 +53,6 @@ val join : interval -> interval -> interval
 val is_empty : interval -> bool
 
 val singleton : Value.t -> interval
-val pp_interval : Format.formatter -> interval -> unit
 
 (** {1 Per-rule analysis} *)
 

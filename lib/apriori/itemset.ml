@@ -61,13 +61,6 @@ let join a b =
     end
     else None
 
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (Array.to_list t)
-
 module Table = Hashtbl.Make (struct
   type nonrec t = t
 

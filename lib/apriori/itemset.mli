@@ -28,6 +28,5 @@ val drop_one : t -> t list
     their union of size k+1; the a-priori candidate-generation join. *)
 val join : t -> t -> t option
 
-val pp : Format.formatter -> t -> unit
 
 module Table : Hashtbl.S with type key = t

@@ -14,24 +14,22 @@ type rule = {
   interest : float;
 }
 
+module Vtbl = Hashtbl.Make (Value)
+
+let count v = match Value.to_float v with Some f -> int_of_float f | None -> 0
+
 let pair_rules catalog ~pred ~support ~min_confidence =
   if support < 1 then invalid_arg "Measures.pair_rules: support must be >= 1";
   let baskets = Catalog.find catalog pred in
   let columns = Schema.columns (Relation.schema baskets) in
   let bid_col = List.hd columns and item_col = List.nth columns 1 in
   let n_baskets = List.length (Relation.column_values baskets bid_col) in
-  (* Item supports: distinct baskets per item. *)
-  let item_support =
-    Aggregate.group_by baskets ~keys:[ item_col ] ~func:Aggregate.Count
-    |> List.map (fun (key, v) ->
-           ( Qf_relational.Tuple.get key 0,
-             match Value.to_float v with Some f -> int_of_float f | None -> 0 ))
-  in
-  let support_of item =
-    match List.find_opt (fun (i, _) -> Value.equal i item) item_support with
-    | Some (_, n) -> n
-    | None -> 0
-  in
+  (* Item supports: distinct baskets per item, indexed once. *)
+  let item_support = Vtbl.create 256 in
+  List.iter
+    (fun (key, v) -> Vtbl.replace item_support (Qf_relational.Tuple.get key 0) (count v))
+    (Aggregate.group_by baskets ~keys:[ item_col ] ~func:Aggregate.Count);
+  let support_of item = Option.value (Vtbl.find_opt item_support item) ~default:0 in
   (* The a-priori trick, by hand: restrict baskets to frequent items before
      the pair join (the paper's Sec. 1.3 rewrite).  The filter tests item
      codes against the exact set of frequent items' codes. *)
@@ -55,9 +53,7 @@ let pair_rules catalog ~pred ~support ~min_confidence =
   let directed =
     List.concat_map
       (fun (key, v) ->
-        let n =
-          match Value.to_float v with Some f -> int_of_float f | None -> 0
-        in
+        let n = count v in
         if n < support then []
         else begin
           let a = Qf_relational.Tuple.get key 0

@@ -1,9 +1,13 @@
 (** The three association measures of the paper's Sec. 1.1 — support,
     confidence, interest — computed at the flock level for item pairs.
 
-    Support comes from the pair flock (evaluated with its a-priori plan);
-    confidence and interest relate the pair's support to the items' own
-    supports:
+    An item's support is its count of baskets, grouped once over the
+    relation.  A pair's support counts the pair flock's tabulated query,
+    run by hand with the a-priori rewrite of Sec. 1.3: the baskets are
+    first restricted to frequent items ({!Qf_relational.Sip.filter}), the
+    query is tabulated ({!Qf_datalog.Eval.tabulate}) and grouped by the
+    pair.  Confidence and interest relate the pair's support to the
+    items' own supports:
 
     - [confidence (a -> b) = support {a,b} / support {a}];
     - [interest (a -> b) = confidence / P(b)] where [P(b) = support {b} /

@@ -2,5 +2,4 @@
    lifting (stratification, semi-naive fixpoint) lives in
    {!Qf_datalog.Fixpoint}. *)
 
-let check = Qf_datalog.Fixpoint.check
 let materialize = Qf_datalog.Fixpoint.materialize

@@ -11,11 +11,6 @@
     long as the program is stratified — evaluation is the semi-naive
     fixpoint of {!Qf_datalog.Fixpoint}. *)
 
-(** Validate a view program against a catalog: every rule safe and
-    parameter-free, no head shadowing a stored relation, per-head arity
-    agreement, body predicates known, stratified negation. *)
-val check :
-  Qf_relational.Catalog.t -> Qf_datalog.Ast.rule list -> (unit, string) result
 
 (** Materialize the views into a copy of the catalog (the input catalog is
     untouched).  Runs {!check} first. *)

@@ -17,13 +17,6 @@ let join_spans a b =
 
 let pp_position ppf p = Format.fprintf ppf "%d:%d" p.line p.col
 
-let pp_span ppf s =
-  if is_no_span s then Format.pp_print_string ppf "-"
-  else if s.start_pos.line = s.end_pos.line then
-    Format.fprintf ppf "%d:%d-%d" s.start_pos.line s.start_pos.col s.end_pos.col
-  else
-    Format.fprintf ppf "%a-%a" pp_position s.start_pos pp_position s.end_pos
-
 type term =
   | Var of string
   | Param of string
@@ -99,19 +92,6 @@ let atom_params a = List.concat_map term_params a.args
 let literal_params = function
   | Pos a | Neg a -> atom_params a
   | Cmp (l, _, r) -> term_params l @ term_params r
-
-let dedup_keep_order names =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun n ->
-      if Hashtbl.mem seen n then false
-      else begin
-        Hashtbl.add seen n ();
-        true
-      end)
-    names
-
-let rule_vars r = dedup_keep_order (List.concat_map literal_vars r.body)
 
 let rule_params r =
   List.sort_uniq String.compare

@@ -21,9 +21,6 @@ val join_spans : span -> span -> span
 
 val pp_position : Format.formatter -> position -> unit
 
-(** ["3:5-12"] within one line, ["3:5-4:2"] across lines, ["-"] for
-    {!no_span}. *)
-val pp_span : Format.formatter -> span -> unit
 
 type term =
   | Var of string  (** ordinary variable, conventionally capitalized *)
@@ -88,8 +85,6 @@ val term_params : term -> string list
 val atom_params : atom -> string list
 val literal_params : literal -> string list
 
-(** Distinct variable names of a rule body, in first-occurrence order. *)
-val rule_vars : rule -> string list
 
 (** Distinct parameter names of a rule, in sorted order.  Sorted so that
     every component agrees on the column order of parameter tuples. *)

@@ -42,8 +42,6 @@ let pp_query ppf q =
     ~pp_sep:(fun ppf () -> Format.fprintf ppf "@,@,")
     pp_rule ppf q
 
-let term_to_string t = Format.asprintf "%a" pp_term t
 let atom_to_string a = Format.asprintf "%a" pp_atom a
 let literal_to_string l = Format.asprintf "%a" pp_literal l
 let rule_to_string r = Format.asprintf "@[<v>%a@]" pp_rule r
-let query_to_string q = Format.asprintf "@[<v>%a@]" pp_query q

@@ -18,8 +18,6 @@ val pp_rule : Format.formatter -> Ast.rule -> unit
 (** Union: rules separated by blank lines. *)
 val pp_query : Format.formatter -> Ast.query -> unit
 
-val term_to_string : Ast.term -> string
 val atom_to_string : Ast.atom -> string
 val literal_to_string : Ast.literal -> string
 val rule_to_string : Ast.rule -> string
-val query_to_string : Ast.query -> string

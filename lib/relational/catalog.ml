@@ -215,11 +215,3 @@ let copy t =
     memo = t.memo;
   }
 
-let pp ppf t =
-  let sorted = List.sort String.compare (names t) in
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list (fun ppf name ->
-         Format.fprintf ppf "%s%a [%d tuples]" name Schema.pp
-           (Relation.schema (find t name))
-           (Relation.cardinal (find t name))))
-    sorted

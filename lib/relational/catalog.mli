@@ -87,5 +87,3 @@ val memo_bytes : t -> int
     relation identity resp. signatures embedding relation identities, so
     sharing is sound and lets working copies reuse each other's work). *)
 val copy : t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -1,49 +1,23 @@
 let corrupt fmt = Format.kasprintf failwith fmt
 
-let encode_int64 buf x =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xFF))
-  done
-
+(* Numbers are fixed-width little-endian: 8 bytes, or 4 for a u32. *)
 let decode_int64 bytes off =
   if off + 8 > Bytes.length bytes then corrupt "Codec: truncated int64";
-  let x = ref 0L in
-  for i = 7 downto 0 do
-    x := Int64.logor (Int64.shift_left !x 8)
-           (Int64.of_int (Char.code (Bytes.get bytes (off + i))))
-  done;
-  !x, off + 8
-
-let encode_u32 buf x =
-  for i = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((x lsr (8 * i)) land 0xFF))
-  done
+  Bytes.get_int64_le bytes off, off + 8
 
 let decode_u32 bytes off =
   if off + 4 > Bytes.length bytes then corrupt "Codec: truncated u32";
-  let x = ref 0 in
-  for i = 3 downto 0 do
-    x := (!x lsl 8) lor Char.code (Bytes.get bytes (off + i))
-  done;
-  !x, off + 4
+  Int32.to_int (Bytes.get_int32_le bytes off) land 0xFFFF_FFFF, off + 4
 
-let encode_u16 buf x =
-  Buffer.add_char buf (Char.chr (x land 0xFF));
-  Buffer.add_char buf (Char.chr ((x lsr 8) land 0xFF))
-
-let decode_u16 bytes off =
-  if off + 2 > Bytes.length bytes then corrupt "Codec: truncated u16";
-  let lo = Char.code (Bytes.get bytes off) in
-  let hi = Char.code (Bytes.get bytes (off + 1)) in
-  (hi lsl 8) lor lo, off + 2
+let encode_u32 buf x = Buffer.add_int32_le buf (Int32.of_int x)
 
 let encode_value buf = function
   | Value.Int i ->
     Buffer.add_char buf '\000';
-    encode_int64 buf (Int64.of_int i)
+    Buffer.add_int64_le buf (Int64.of_int i)
   | Value.Real f ->
     Buffer.add_char buf '\001';
-    encode_int64 buf (Int64.bits_of_float f)
+    Buffer.add_int64_le buf (Int64.bits_of_float f)
   | Value.Str s ->
     Buffer.add_char buf '\002';
     encode_u32 buf (String.length s);
@@ -65,44 +39,40 @@ let decode_value bytes off =
     Value.str (Bytes.sub_string bytes off len), off + len
   | c -> corrupt "Codec: bad value tag %C" c
 
-let encode_tuple buf tup =
-  encode_u16 buf (Tuple.arity tup);
-  Seq.iter (encode_value buf) (Tuple.to_seq tup)
+(* A value table: a u32 count, then that many values. *)
+let values_to_string values =
+  let buf = Buffer.create ((16 * Array.length values) + 4) in
+  encode_u32 buf (Array.length values);
+  Array.iter (encode_value buf) values;
+  Buffer.contents buf
 
-let decode_tuple bytes off =
-  let arity, off = decode_u16 bytes off in
-  (* Fail fast on a corrupt arity: every value needs at least its tag
-     byte, so a claimed arity beyond the remaining bytes can never decode
-     — reject it before allocating or scanning. *)
-  if off + arity > Bytes.length bytes then
-    corrupt "Codec: truncated tuple (arity %d)" arity;
-  let values = Array.make arity (Value.Int 0) in
+let values_of_string s =
+  let bytes = Bytes.unsafe_of_string s in
+  let n, off = decode_u32 bytes 0 in
+  (* Every value takes at least 5 bytes (an empty string's tag and
+     length), so a count the rest of the buffer cannot hold is rejected
+     before anything is allocated. *)
+  if n > (Bytes.length bytes - off) / 5 then
+    corrupt "Codec: %d values cannot fit in %d bytes" n (Bytes.length bytes - off);
+  let values = Array.make n (Value.Int 0) in
   let off = ref off in
-  for i = 0 to arity - 1 do
+  for i = 0 to n - 1 do
     let v, next = decode_value bytes !off in
     values.(i) <- v;
     off := next
   done;
-  Tuple.of_array values, !off
-
-let tuple_to_string tup =
-  let buf = Buffer.create 64 in
-  encode_tuple buf tup;
-  Buffer.contents buf
-
-let tuple_of_string s =
-  let tup, off = decode_tuple (Bytes.of_string s) 0 in
-  if off <> String.length s then corrupt "Codec: trailing bytes after tuple";
-  tup
+  if !off <> Bytes.length bytes then corrupt "Codec: trailing bytes after %d values" n;
+  values
 
 let schema_to_string schema =
-  tuple_to_string
-    (Tuple.of_list (List.map (fun c -> Value.Str c) (Schema.columns schema)))
+  values_to_string
+    (Array.of_list (List.map (fun c -> Value.Str c) (Schema.columns schema)))
 
 let schema_of_string s =
-  Schema.of_list
-    (List.map
-       (function
-         | Value.Str c -> c
-         | v -> corrupt "Codec: bad schema entry %s" (Value.to_string v))
-       (Tuple.to_list (tuple_of_string s)))
+  let column = function
+    | Value.Str c -> c
+    | v -> corrupt "Codec: bad schema entry %s" (Value.to_string v)
+  in
+  match Schema.of_list (List.map column (Array.to_list (values_of_string s))) with
+  | schema -> schema
+  | exception Invalid_argument e -> corrupt "Codec: %s" e

@@ -36,25 +36,6 @@ let open_existing ?capacity path =
 
 let schema t = t.schema
 
-(* Records go into the last page, or into a fresh one when it is full. *)
-let add_record t buf len =
-  let page = Pager.read t.pager t.last_page in
-  if Page.add_slice page buf 0 len then Pager.mark_dirty t.pager t.last_page
-  else begin
-    let id, fresh = Pager.append t.pager in
-    if not (Page.add_slice fresh buf 0 len) then
-      invalid_arg "Heap_file.append: record exceeds the page payload";
-    t.last_page <- id
-  end
-
-let append t tup =
-  (* Fault-injection site: appends are where spills write. *)
-  Qf_governor.Fault.point "heap.append";
-  if Tuple.arity tup <> Schema.arity t.schema then
-    invalid_arg "Heap_file.append: arity mismatch";
-  let record = Codec.tuple_to_string tup in
-  add_record t (Bytes.unsafe_of_string record) (String.length record)
-
 let append_codes t cols i =
   Qf_governor.Fault.point "heap.append";
   if Array.length cols <> Schema.arity t.schema then
@@ -71,50 +52,65 @@ let append_codes t cols i =
     Bytes.set_uint16_le t.row off (code land 0xFFFF);
     Bytes.set_uint16_le t.row (off + 2) (code lsr 16)
   done;
-  add_record t t.row (Bytes.length t.row)
+  (* The record goes into the last page, or into a fresh one when that
+     is full. *)
+  let len = Bytes.length t.row in
+  if Page.add_slice (Pager.read t.pager t.last_page) t.row 0 len then
+    Pager.mark_dirty t.pager t.last_page
+  else begin
+    let id, fresh = Pager.append t.pager in
+    if not (Page.add_slice fresh t.row 0 len) then
+      invalid_arg "Heap_file.append_codes: record exceeds the page payload";
+    t.last_page <- id
+  end
 
-let iter f t =
+let code_at bytes at =
+  Bytes.get_uint16_le bytes at lor (Bytes.get_uint16_le bytes (at + 2) lsl 16)
+
+(* A page holds at most this many records, each with its 4-byte slot.
+   [scan] refuses a page claiming more before reading any of them, so
+   [to_chunk] can size its columns from the page count. *)
+let per_page t = Page.size / ((code_width * Schema.arity t.schema) + 4)
+
+(* [read bytes off] for every code record, page by page, once its length
+   is checked. *)
+let scan t read =
+  let width = code_width * Schema.arity t.schema and per_page = per_page t in
+  let record bytes off len =
+    if len <> width then failwith "Heap_file: not a code record of the file's arity";
+    read bytes off
+  in
   for id = 1 to Pager.page_count t.pager - 1 do
-    Page.iter (fun record -> f (Codec.tuple_of_string record)) (Pager.read t.pager id)
+    let page = Pager.read t.pager id in
+    if Page.count page > per_page then
+      failwith "Heap_file: a page holds more records than fit in it";
+    Page.iter_slices record page
   done
 
-let to_relation t =
-  let rel = Relation.create t.schema in
-  iter (Relation.add rel) t;
-  rel
+let iter_codes f t =
+  let arity = Schema.arity t.schema in
+  let row = Array.make arity 0 in
+  scan t (fun bytes off ->
+      for c = 0 to arity - 1 do
+        Array.unsafe_set row c (code_at bytes (off + (code_width * c)))
+      done;
+      f row)
 
 let to_chunk t =
   let arity = Schema.arity t.schema in
-  let width = code_width * arity in
-  (* A record takes its [width] bytes plus a 4-byte slot, so no data page
-     holds more than [Page.size / (width + 4)]: the columns are sized
-     once. *)
-  let bound = (Pager.page_count t.pager - 1) * (Page.size / (width + 4)) in
+  let bound = (Pager.page_count t.pager - 1) * per_page t in
   let cols = Array.init arity (fun _ -> Array.make bound 0) in
   let n = ref 0 in
-  let read bytes off len =
-    if len <> width then failwith "Heap_file.to_chunk: not a code record";
-    let i = !n in
-    for c = 0 to arity - 1 do
-      let at = off + (code_width * c) in
-      Array.unsafe_set (Array.unsafe_get cols c) i
-        (Bytes.get_uint16_le bytes at
-        lor (Bytes.get_uint16_le bytes (at + 2) lsl 16))
-    done;
-    n := i + 1
-  in
-  for id = 1 to Pager.page_count t.pager - 1 do
-    Page.iter_slices read (Pager.read t.pager id)
-  done;
+  scan t (fun bytes off ->
+      let i = !n in
+      for c = 0 to arity - 1 do
+        Array.unsafe_set (Array.unsafe_get cols c) i
+          (code_at bytes (off + (code_width * c)))
+      done;
+      n := i + 1);
   { Chunkrel.nrows = !n; cols }
-
-let append_relation t rel =
-  if not (Schema.equal (Relation.schema rel) t.schema) then
-    invalid_arg "Heap_file.append_relation: schema mismatch";
-  Relation.iter (append t) rel
 
 let cache_stats t = Pager.stats t.pager
 let page_count t = Pager.page_count t.pager
-let flush t = Pager.flush t.pager
 let close t = Pager.close t.pager
 let discard t = Pager.discard t.pager

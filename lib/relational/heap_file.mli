@@ -1,18 +1,19 @@
-(** Heap files: an unordered sequence of records over a {!Pager}.
+(** Heap files: an unordered sequence of code records over a {!Pager}.
 
     Records append into the last page, spilling to a fresh page when full.
-    Page 0 is reserved for the file header (currently just the schema
-    record), so data pages start at 1.
+    Page 0 is reserved for the file header (the schema, as a {!Codec}
+    value table of column names), so data pages start at 1.
 
-    A file holds one of two record formats, and is read back in the
-    format it was written in:
-    - tuple records ({!append}, {!iter}, {!to_relation}): {!Codec}
-      tuples, self-describing and valid across processes — the format of
-      [Qf_storage.Store]'s files;
-    - code records ({!append_codes}, {!to_chunk}): one row of dictionary
-      codes ({!Dict}) as fixed-width little-endian u32s.  Codes mean
-      something only to the process that wrote them, so this is the
-      format of files that never outlive it (spill runs). *)
+    A code record is one row of integer codes as fixed-width
+    little-endian u32s, one per column.  What a code means is the
+    writer's business: spill runs write the process's {!Dict} codes, and
+    [Qf_storage.Store] writes indices into a value table stored beside
+    the file.
+
+    {!open_existing}, {!iter_codes} and {!to_chunk} raise [Failure] on a
+    corrupt file: a malformed page or header, a record that is not a code
+    record of the file's arity, or a page holding more records than fit
+    in it. *)
 
 type t
 
@@ -26,30 +27,19 @@ val open_existing : ?capacity:int -> string -> t
 
 val schema : t -> Schema.t
 
-(** Append one tuple.  Raises [Invalid_argument] on arity mismatch or a
-    record larger than a page. *)
-val append : t -> Tuple.t -> unit
-
 (** [append_codes t cols i] appends row [i] of the code columns [cols]
     as one code record, with no allocation.  Raises [Invalid_argument],
     appending nothing, on an arity mismatch or on a code that is negative
     or [>= 2^32]. *)
 val append_codes : t -> int array array -> int -> unit
 
-(** Every code record, in storage order, as a columnar chunk.  Raises
-    [Failure] on a record that is not a code record of the file's
-    arity. *)
+(** [iter_codes f t] calls [f row] for every code record in storage
+    order, reading page by page.  [row] holds the record's codes and is
+    reused from one call to the next: copy it to keep it. *)
+val iter_codes : (int array -> unit) -> t -> unit
+
+(** Every code record, in storage order, as a columnar chunk. *)
 val to_chunk : t -> Chunkrel.t
-
-(** Scan every record in storage order. *)
-val iter : (Tuple.t -> unit) -> t -> unit
-
-(** Materialize the whole file as an in-memory relation (set semantics:
-    duplicates stored on disk collapse). *)
-val to_relation : t -> Relation.t
-
-(** Append every tuple of a relation. *)
-val append_relation : t -> Relation.t -> unit
 
 (** Pager cache statistics: (hits, misses, evictions). *)
 val cache_stats : t -> int * int * int
@@ -57,7 +47,6 @@ val cache_stats : t -> int * int * int
 (** Pages in the file, header included. *)
 val page_count : t -> int
 
-val flush : t -> unit
 val close : t -> unit
 
 (** Close without flushing — for spill runs about to be deleted. *)

@@ -52,19 +52,23 @@ let add_slice t buf off len =
 let add t record =
   add_slice t (Bytes.unsafe_of_string record) 0 (String.length record)
 
+(* Slot [i]'s record, [(off, len)], must lie inside the record area: a
+   corrupt slot directory fails here, not by reading past the page. *)
+let check_slot t off len =
+  if off < free_offset t || off + len > size then
+    failwith "Page: slot points outside the record area"
+
 let get t i =
   if i < 0 || i >= slot_count t then invalid_arg "Page.get: bad slot index";
   let slot_off = header_size + (i * slot_size) in
   let off = get_u16 t slot_off and len = get_u16 t (slot_off + 2) in
+  check_slot t off len;
   Bytes.sub_string t.bytes off len
-
-let iter f t =
-  for i = 0 to slot_count t - 1 do
-    f (get t i)
-  done
 
 let iter_slices f t =
   for i = 0 to slot_count t - 1 do
     let slot_off = header_size + (i * slot_size) in
-    f t.bytes (get_u16 t slot_off) (get_u16 t (slot_off + 2))
+    let off = get_u16 t slot_off and len = get_u16 t (slot_off + 2) in
+    check_slot t off len;
+    f t.bytes off len
   done

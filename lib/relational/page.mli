@@ -41,12 +41,13 @@ val add_slice : t -> bytes -> int -> int -> bool
     index. *)
 val get : t -> int -> string
 
-val iter : (string -> unit) -> t -> unit
-
 (** [iter_slices f page] calls [f bytes off len] for each record in slot
     order, where the record is [len] bytes of [bytes] from [off]: the
     page's own storage, with no copy.  [f] must not write into [bytes]
-    or keep it past the call. *)
+    or keep it past the call.
+
+    {!get} and [iter_slices] raise [Failure] on a slot that points
+    outside the page's record area. *)
 val iter_slices : (bytes -> int -> int -> unit) -> t -> unit
 
 (** Maximum record size storable in an empty page. *)

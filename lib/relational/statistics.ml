@@ -92,8 +92,3 @@ let count_at_least t col c =
 
 let frequencies t col = Array.copy (column t col).frequencies
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>|R| = %d@,%a@]" t.cardinality
-    (Format.pp_print_list (fun ppf (c, s) ->
-         Format.fprintf ppf "V(%s) = %d" c s.distinct))
-    t.columns

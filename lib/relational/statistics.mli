@@ -48,5 +48,3 @@ val frequencies : t -> string -> int array
 (** Range/ndv/max-frequency profile of the named column.  Raises
     [Not_found] on an unknown column. *)
 val column_profile : t -> string -> column_profile
-
-val pp : Format.formatter -> t -> unit

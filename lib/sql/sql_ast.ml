@@ -25,38 +25,3 @@ type query = {
   group_by : column list;
   having : having;
 }
-
-let pp_column ppf c = Format.fprintf ppf "%s.%s" c.alias c.column
-
-let pp_operand ppf = function
-  | Col c -> pp_column ppf c
-  | Lit v -> Qf_relational.Value.pp ppf v
-
-let pp_aggregate ppf = function
-  | Count c -> Format.fprintf ppf "COUNT(%a)" pp_column c
-  | Sum c -> Format.fprintf ppf "SUM(%a)" pp_column c
-  | Min c -> Format.fprintf ppf "MIN(%a)" pp_column c
-  | Max c -> Format.fprintf ppf "MAX(%a)" pp_column c
-
-let pp_list pp ppf items =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-    pp ppf items
-
-let pp_query ppf q =
-  Format.fprintf ppf "@[<v>SELECT %a@,FROM %a@," (pp_list pp_column) q.select
-    (pp_list (fun ppf (t, a) ->
-         if String.equal t a then Format.pp_print_string ppf t
-         else Format.fprintf ppf "%s %s" t a))
-    q.from;
-  if q.where <> [] then
-    Format.fprintf ppf "WHERE %a@,"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " AND ")
-         (fun ppf (p : predicate) ->
-           Format.fprintf ppf "%a %s %a" pp_operand p.left
-             (Qf_datalog.Ast.comparison_to_string p.op)
-             pp_operand p.right))
-      q.where;
-  Format.fprintf ppf "GROUP BY %a@,HAVING %g <= %a@]" (pp_list pp_column)
-    q.group_by q.having.lower_bound pp_aggregate q.having.agg

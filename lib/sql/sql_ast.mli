@@ -43,6 +43,3 @@ type query = {
   group_by : column list;
   having : having;
 }
-
-val pp_column : Format.formatter -> column -> unit
-val pp_query : Format.formatter -> query -> unit

@@ -10,76 +10,77 @@ type pair_count = {
   support : int;
 }
 
-(* Hash tables keyed by values and value pairs (polymorphic hash is fine:
-   Value.t is a plain variant). *)
-module Vtbl = Hashtbl
-
-let check_schema file =
+(* Both passes and every table work on the store's own codes, which
+   index [values]: a value is decoded only for the pairs that survive. *)
+let frequent_pairs store name ~support =
+  Store.with_codes store name @@ fun values file ->
   if Schema.arity (Heap_file.schema file) <> 2 then
-    invalid_arg "File_mining: expected a (BID, Item) heap file"
-
-let frequent_pairs file ~support =
-  check_schema file;
+    invalid_arg "File_mining: expected a (BID, Item) relation";
+  let n = Array.length values in
+  let scan f =
+    Heap_file.iter_codes
+      (fun row ->
+        let b = row.(0) and item = row.(1) in
+        if b >= n || item >= n then
+          failwith
+            (Printf.sprintf "File_mining: %s: code past its value table of %d values"
+               name n);
+        f b item)
+      file
+  in
   (* Pass 1: per-item distinct-basket counts.  Duplicated (B, item) rows
      must not double-count, so track seen pairs. *)
-  let item_counts : (Value.t, int) Vtbl.t = Vtbl.create 1024 in
-  let seen : (Value.t * Value.t, unit) Vtbl.t = Vtbl.create 4096 in
-  Heap_file.iter
-    (fun tup ->
-      let b = Tuple.get tup 0 and item = Tuple.get tup 1 in
-      if not (Vtbl.mem seen (b, item)) then begin
-        Vtbl.add seen (b, item) ();
-        Vtbl.replace item_counts item
-          (1 + Option.value (Vtbl.find_opt item_counts item) ~default:0)
-      end)
-    file;
-  Vtbl.reset seen;
-  let frequent item =
-    match Vtbl.find_opt item_counts item with
-    | Some n -> n >= support
-    | None -> false
-  in
+  let item_counts = Array.make n 0 in
+  let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 4096 in
+  scan (fun b item ->
+      if not (Hashtbl.mem seen (b, item)) then begin
+        Hashtbl.add seen (b, item) ();
+        item_counts.(item) <- item_counts.(item) + 1
+      end);
+  Hashtbl.reset seen;
+  let frequent item = item_counts.(item) >= support in
+  (* Frequent items ranked by their values, so a pair is keyed in
+     [Value.compare] order without decoding it. *)
+  let rank = Array.make n 0 in
+  List.filter frequent (List.init n Fun.id)
+  |> List.stable_sort (fun a b -> Value.compare values.(a) values.(b))
+  |> List.iteri (fun r item -> rank.(item) <- r);
+  let by_rank a b = Int.compare rank.(a) rank.(b) in
   (* Pass 2: accumulate each basket's surviving items; the a-priori filter
      is what keeps this in-memory structure small. *)
-  let baskets : (Value.t, Value.t list) Vtbl.t = Vtbl.create 4096 in
-  Heap_file.iter
-    (fun tup ->
-      let b = Tuple.get tup 0 and item = Tuple.get tup 1 in
+  let baskets : (int, int list) Hashtbl.t = Hashtbl.create 4096 in
+  scan (fun b item ->
       if frequent item then begin
-        let existing = Option.value (Vtbl.find_opt baskets b) ~default:[] in
-        if not (List.exists (Value.equal item) existing) then
-          Vtbl.replace baskets b (item :: existing)
-      end)
-    file;
-  let pair_counts : (Value.t * Value.t, int) Vtbl.t = Vtbl.create 4096 in
-  Vtbl.iter
+        let existing = Option.value (Hashtbl.find_opt baskets b) ~default:[] in
+        if not (List.exists (Int.equal item) existing) then
+          Hashtbl.replace baskets b (item :: existing)
+      end);
+  let pair_counts : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
+  Hashtbl.iter
     (fun _b items ->
-      let items = List.sort Value.compare items in
       let rec pairs = function
         | [] -> ()
         | x :: rest ->
           List.iter
             (fun y ->
               let key = x, y in
-              Vtbl.replace pair_counts key
-                (1 + Option.value (Vtbl.find_opt pair_counts key) ~default:0))
+              Hashtbl.replace pair_counts key
+                (1 + Option.value (Hashtbl.find_opt pair_counts key) ~default:0))
             rest;
           pairs rest
       in
-      pairs items)
+      pairs (List.sort by_rank items))
     baskets;
-  Vtbl.fold
-    (fun (item1, item2) n acc ->
-      if n >= support then { item1; item2; support = n } :: acc else acc)
+  Hashtbl.fold
+    (fun pair n acc -> if n >= support then (pair, n) :: acc else acc)
     pair_counts []
-  |> List.sort (fun a b ->
-         match Value.compare a.item1 b.item1 with
-         | 0 -> Value.compare a.item2 b.item2
-         | c -> c)
+  |> List.sort (fun ((a1, a2), _) ((b1, b2), _) ->
+         match by_rank a1 b1 with 0 -> by_rank a2 b2 | c -> c)
+  |> List.map (fun ((x, y), n) -> { item1 = values.(x); item2 = values.(y); support = n })
 
-let frequent_pairs_relation file ~support =
+let frequent_pairs_relation store name ~support =
   let out = Relation.create (Schema.of_list [ "$1"; "$2" ]) in
   List.iter
     (fun { item1; item2; _ } -> Relation.add out (Tuple.of_array [| item1; item2 |]))
-    (frequent_pairs file ~support);
+    (frequent_pairs store name ~support);
   out

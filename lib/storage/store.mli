@@ -1,9 +1,13 @@
-(** A store is a directory of heap files — the "conventional relational
-    system" the paper assumes the data lives in (Sec. 1.4).
+(** A store is a directory of relations — the "conventional relational
+    system" the paper assumes the data lives in (Sec. 1.4).  The directory
+    itself is the catalog; each relation [name] is two files:
+    - [<dir>/<name>.qfv], its {!Qf_relational.Codec} value table: each
+      distinct value once;
+    - [<dir>/<name>.qfh], a {!Qf_relational.Heap_file}: the schema, then
+      one code record per row, each code an index into the value table.
 
-    On disk, each relation [name] lives in [<dir>/<name>.qfh]; the directory
-    itself is the catalog.  Relation names are restricted to
-    [[A-Za-z0-9_-]+] so they are safe as file names. *)
+    Relation names are restricted to [[A-Za-z0-9_-]+] so they are safe as
+    file names. *)
 
 type t
 
@@ -20,11 +24,28 @@ val dir : t -> string
 val list : t -> string list
 
 (** [save store name rel] (re)writes a relation.  Raises [Invalid_argument]
-    on an unsafe name. *)
+    on an unsafe name.  A save that raises removes both of the relation's
+    files. *)
 val save : t -> string -> Qf_relational.Relation.t -> unit
 
-(** Load one relation.  Raises [Failure] if absent or corrupt. *)
+(** Load one relation: give each value of its table a
+    {!Qf_relational.Dict} code once, and remap the code columns through
+    that array.  Raises [Failure] if the relation is absent, has no value
+    table (an old-format store, to import again), or is corrupt — which
+    includes a value stored twice in the table, a code past it and a row
+    stored twice. *)
 val load : t -> string -> Qf_relational.Relation.t
+
+(** [with_codes store name f] is [f values file], for streaming relation
+    [name] without loading it: [values] is its value table and [file] its
+    code records, which [f] must check against [values].  The file is
+    closed when [f] returns or raises.  Raises [Failure] as {!load}
+    does. *)
+val with_codes :
+  t ->
+  string ->
+  (Qf_relational.Value.t array -> Qf_relational.Heap_file.t -> 'a) ->
+  'a
 
 val mem : t -> string -> bool
 

@@ -102,14 +102,22 @@ let test_store_truncated () =
 
 let test_store_bit_flipped () =
   with_store @@ fun dir heap ->
-  (* The high byte of the arity of the last record written to the first
-     data page (records fill a page from its end). *)
+  (* The high byte of the second code of the first record, which ends
+     the first data page (records fill a page from its end): the code
+     now points far past the value table. *)
   rewrite heap (fun b ->
-      let off = (2 * 4096) - 19 in
+      let off = (2 * 4096) - 1 in
       Bytes.set_uint8 b off (Bytes.get_uint8 b off lxor 0x10);
       Bytes.to_string b);
   expect_input_error ~contains:"loading store" (mine_db dir);
-  expect_input_error ~contains:"Codec: truncated tuple" (mine_db dir)
+  expect_input_error ~contains:"is past its value table" (mine_db dir)
+
+(* A store written in the old tuple format has no value tables. *)
+let test_store_old_format () =
+  with_store @@ fun dir _ ->
+  Sys.remove (Filename.concat dir "baskets.qfv");
+  expect_input_error ~contains:"loading store" (mine_db dir);
+  expect_input_error ~contains:"re-import it" (mine_db dir)
 
 let test_store_loads () =
   with_store @@ fun dir _ ->
@@ -359,6 +367,8 @@ let suite =
       test_store_truncated;
     Alcotest.test_case "bit-flipped heap file exits 1" `Quick
       test_store_bit_flipped;
+    Alcotest.test_case "old-format store exits 1 asking for a re-import"
+      `Quick test_store_old_format;
     Alcotest.test_case "imported store loads" `Quick test_store_loads;
     Alcotest.test_case "unknown predicate exits 1 in mine/run/explain/rules/maximal"
       `Quick

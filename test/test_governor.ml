@@ -427,36 +427,29 @@ let mining_scenario name ~mode =
           Alcotest.failf "%s: wrong result" name);
   }
 
-(* Storage round-trip with a 2-page buffer pool: every append risks an
-   eviction flush, so the [pager.write]/[pager.read]/[heap.append] points
-   all fire many times. *)
+(* Storage round-trip through a store: each row's append crosses
+   [heap.append], closing the heap file [pager.write], and the load
+   [pager.read]. *)
+let storage_name = "storage round-trip"
+
 let storage_scenario =
   let rel = big_pair_relation 60 in
   let run () =
-    let path =
+    let dir =
       Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "qf_governor_hf.%d" (Unix.getpid ()))
+        (Printf.sprintf "qf_governor_store.%d" (Unix.getpid ()))
     in
+    let store = Qf_storage.Store.open_dir dir in
     Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      ~finally:(fun () ->
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir)
       (fun () ->
-        let hf = Heap_file.create ~capacity:2 path (R.schema rel) in
-        let ok =
-          try
-            R.iter (Heap_file.append hf) rel;
-            Heap_file.flush hf;
-            true
-          with e ->
-            Heap_file.discard hf;
-            raise e
-        in
-        ignore ok;
-        let back = Heap_file.to_relation hf in
-        Heap_file.close hf;
-        back)
+        Qf_storage.Store.save store "r" rel;
+        Qf_storage.Store.load store "r")
   in
   {
-    name = "storage round-trip";
+    name = storage_name;
     expected =
       (fun ~check ->
         let got = run () in
@@ -545,16 +538,22 @@ let test_fault_sweep () =
       s.expected ~check:true;
       assert_no_leaks (s.name ^ " (final)"))
     (scenarios ());
-  (* The spilled FILTER must cross every I/O point of its spill path: a
-     path that stops writing or reading its runs fails here, not only
-     with a smaller count. *)
+  (* The spilled FILTER and the store must each cross every I/O point of
+     their path: a path that stops writing or reading its files fails
+     here, not only with a smaller count. *)
   List.iter
-    (fun point ->
-      Alcotest.(check bool)
-        (Printf.sprintf "spilled group_filter_report injects %s" point)
-        true
-        (Hashtbl.mem injected (spill_filter_name, point)))
-    [ "spill.create"; "heap.append"; "pager.write"; "pager.read" ];
+    (fun (name, points) ->
+      List.iter
+        (fun point ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s injects %s" name point)
+            true
+            (Hashtbl.mem injected (name, point)))
+        points)
+    [
+      spill_filter_name, [ "spill.create"; "heap.append"; "pager.write"; "pager.read" ];
+      storage_name, [ "heap.append"; "pager.write"; "pager.read" ];
+    ];
   (* The acceptance bar: the sweep must exercise a substantial number of
      distinct injection points across the scenarios. *)
   Alcotest.(check bool)

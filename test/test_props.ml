@@ -177,14 +177,13 @@ let prop_storage_roundtrip =
     (QCheck.make ~print:pp_relation
        (gen_small_relation ~columns:[ "X"; "Y"; "Z" ] ~max_value:50 ~max_rows:60))
     (fun rel ->
-      let path = Filename.temp_file "qfprop" ".qfh" in
-      let file =
-        Qf_relational.Heap_file.create ~capacity:2 path (R.schema rel)
-      in
-      Qf_relational.Relation.iter (Qf_relational.Heap_file.append file) rel;
-      let back = Qf_relational.Heap_file.to_relation file in
-      Qf_relational.Heap_file.close file;
-      Sys.remove path;
+      let dir = Filename.temp_file "qfprop" "" in
+      Sys.remove dir;
+      let store = Qf_storage.Store.open_dir dir in
+      Qf_storage.Store.save store "r" rel;
+      let back = Qf_storage.Store.load store "r" in
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir;
       R.equal rel back)
 
 (* Code records: chunks of arity 0-4 with no rows, one row, or rows over

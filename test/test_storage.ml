@@ -1,5 +1,6 @@
 (* The storage substrate: binary codec, slotted pages, buffer pool, heap
-   files, and the directory store. *)
+   files of code records, and the directory store with its value
+   tables. *)
 open Qf_relational
 open Qf_storage
 module R = Qf_relational.Relation
@@ -13,6 +14,21 @@ let check_bool = Alcotest.(check bool)
 let temp_dir () = Filename.temp_file "qfstore" "" |> fun f ->
   Sys.remove f;
   f
+
+(* [f] gets a fresh store, removed with its files afterwards. *)
+let with_store f =
+  let dir = temp_dir () in
+  let store = Store.open_dir dir in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f store)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
 
 let test_codec_roundtrip () =
   let values =
@@ -37,25 +53,36 @@ let test_codec_roundtrip () =
         (Buffer.contents buf) (Buffer.contents buf2))
     values
 
-let test_codec_tuple_roundtrip () =
-  let tup = (Qf_relational.Tuple.of_array [| V.Int 3; V.Str "hello"; V.Real 1.5 |]) in
-  check_bool "tuple roundtrip" true
-    (Tuple.equal tup (Codec.tuple_of_string (Codec.tuple_to_string tup)));
+let test_codec_table_roundtrip () =
+  let values = V.[| Int 3; Str "hello"; Real 1.5; Str "" |] in
+  check_bool "value table roundtrip" true
+    (Array.for_all2 V.equal values
+       (Codec.values_of_string (Codec.values_to_string values)));
+  check_int "empty table" 0
+    (Array.length (Codec.values_of_string (Codec.values_to_string [||])));
   let schema = Schema.of_list [ "A"; "Long_Column_Name"; "c3" ] in
   check_bool "schema roundtrip" true
     (Schema.equal schema (Codec.schema_of_string (Codec.schema_to_string schema)))
+
+let fails f =
+  match f () with
+  | _ -> false
+  | exception Failure _ -> true
 
 let test_codec_corruption () =
   Alcotest.check_raises "bad tag" (Failure "Codec: bad value tag 'Z'") (fun () ->
       ignore (Codec.decode_value (Bytes.of_string "Zxxxxxxxx") 0));
   check_bool "truncated string detected" true
-    (try
-       ignore (Codec.tuple_of_string "\001\000\002\255\255\255\255");
-       false
-     with Failure _ -> true)
+    (fails (fun () -> Codec.values_of_string "\001\000\000\000\002\255\255\255\255"));
+  check_bool "a count the bytes cannot hold" true
+    (fails (fun () -> Codec.values_of_string "\255\255\255\255"));
+  check_bool "trailing bytes" true
+    (fails (fun () -> Codec.values_of_string (Codec.values_to_string [||] ^ "x")));
+  check_bool "a repeated column name" true
+    (fails (fun () -> Codec.schema_of_string (Codec.values_to_string V.[| Str "A"; Str "A" |])))
 
 (* Fuzz the decoder's robustness contract: on arbitrarily truncated or
-   bit-flipped encodings of real values/tuples, decoding either succeeds
+   bit-flipped encodings of real values and value tables, decoding either succeeds
    or raises [Failure] — never any other exception, never an
    out-of-bounds access (which OCaml would surface as
    [Invalid_argument]). *)
@@ -69,11 +96,7 @@ let gen_value =
         map (fun s -> V.Str s) (string_size (int_bound 40));
       ])
 
-let gen_tuple =
-  QCheck.Gen.(
-    map
-      (fun vs -> Tuple.of_array (Array.of_list vs))
-      (list_size (int_range 1 6) gen_value))
+let gen_table = QCheck.Gen.(map Array.of_list (list_size (int_range 0 6) gen_value))
 
 (* An encoding, mangled: truncated to a random prefix and/or with one
    random bit flipped. *)
@@ -108,16 +131,12 @@ let fuzz_decode_value =
          mangle (Buffer.contents buf)))
     (decodes_or_fails Codec.decode_value)
 
-let fuzz_decode_tuple =
-  QCheck.Test.make ~name:"codec fuzz: decode_tuple on mangled input"
+let fuzz_decode_table =
+  QCheck.Test.make ~name:"codec fuzz: values_of_string on mangled input"
     ~count:1000
     (QCheck.make
-       QCheck.Gen.(
-         gen_tuple >>= fun t ->
-         let buf = Buffer.create 32 in
-         Codec.encode_tuple buf t;
-         mangle (Buffer.contents buf)))
-    (decodes_or_fails Codec.decode_tuple)
+       QCheck.Gen.(gen_table >>= fun t -> mangle (Codec.values_to_string t)))
+    (decodes_or_fails (fun b _ -> Codec.values_of_string (Bytes.to_string b)))
 
 let test_page_basics () =
   let page = Page.create () in
@@ -155,20 +174,33 @@ let test_page_corrupt_header () =
        false
      with Failure _ -> true)
 
+(* Code columns [0, n) and [n, 2n): codes well past a page's worth. *)
+let code_cols n = [| Array.init n Fun.id; Array.init n (fun i -> n + i) |]
+
 let test_heap_file_roundtrip () =
   let path = Filename.temp_file "qfheap" ".qfh" in
   let schema = Schema.of_list [ "X"; "Name" ] in
   let file = Heap_file.create path schema in
   let n = 5000 in
-  for i = 1 to n do
-    Heap_file.append file (Qf_relational.Tuple.of_array [| V.Int i; V.Str (Printf.sprintf "row-%d" i) |])
+  let cols = code_cols n in
+  for i = 0 to n - 1 do
+    Heap_file.append_codes file cols i
   done;
   Heap_file.close file;
   let reopened = Heap_file.open_existing path in
   check_bool "schema preserved" true (Schema.equal schema (Heap_file.schema reopened));
-  let rel = Heap_file.to_relation reopened in
-  check_int "all rows back" n (R.cardinal rel);
-  check_bool "spot check" true (R.mem rel (Qf_relational.Tuple.of_array [| V.Int 777; V.Str "row-777" |]));
+  let chunk = Heap_file.to_chunk reopened in
+  check_int "all rows back" n chunk.Chunkrel.nrows;
+  check_bool "rows in storage order" true
+    (Array.for_all2 (fun a b -> Array.sub a 0 n = b) chunk.Chunkrel.cols cols);
+  let streamed = ref 0 in
+  Heap_file.iter_codes
+    (fun row ->
+      if row <> [| !streamed; n + !streamed |] then
+        Alcotest.failf "iter_codes: row %d" !streamed;
+      incr streamed)
+    reopened;
+  check_int "iter_codes streams every row" n !streamed;
   Heap_file.close reopened;
   Sys.remove path
 
@@ -177,27 +209,29 @@ let test_heap_file_small_cache () =
   let path = Filename.temp_file "qfheap" ".qfh" in
   let file = Heap_file.create ~capacity:2 path (Schema.of_list [ "X" ]) in
   let n = 3000 in
-  for i = 1 to n do
-    Heap_file.append file (Qf_relational.Tuple.of_array [| V.Int i |])
+  let cols = [| Array.init n Fun.id |] in
+  for i = 0 to n - 1 do
+    Heap_file.append_codes file cols i
   done;
   let _, _, evictions = Heap_file.cache_stats file in
   check_bool "evictions happened" true (evictions > 0);
-  let rel = Heap_file.to_relation file in
-  check_int "all rows despite eviction" n (R.cardinal rel);
+  let chunk = Heap_file.to_chunk file in
+  check_int "all rows despite eviction" n chunk.Chunkrel.nrows;
+  check_bool "codes despite eviction" true
+    (Array.sub chunk.Chunkrel.cols.(0) 0 n = cols.(0));
   Heap_file.close file;
   Sys.remove path
 
 let test_heap_file_arity_check () =
   let path = Filename.temp_file "qfheap" ".qfh" in
   let file = Heap_file.create path (Schema.of_list [ "X" ]) in
-  Alcotest.check_raises "arity" (Invalid_argument "Heap_file.append: arity mismatch")
-    (fun () -> Heap_file.append file (Qf_relational.Tuple.of_array [| V.Int 1; V.Int 2 |]));
+  Alcotest.check_raises "arity" (Invalid_argument "Heap_file.append_codes: arity mismatch")
+    (fun () -> Heap_file.append_codes file (code_cols 1) 0);
   Heap_file.close file;
   Sys.remove path
 
 let test_store_roundtrip () =
-  let dir = temp_dir () in
-  let store = Store.open_dir dir in
+  with_store @@ fun store ->
   let rel =
     R.of_values [ "BID"; "Item" ]
       V.[ [ Int 1; Str "beer" ]; [ Int 2; Str "diapers" ] ]
@@ -216,7 +250,8 @@ let test_store_roundtrip () =
       Store.save store "../evil" rel)
 
 let test_store_catalog_bridge () =
-  let dir = temp_dir () in
+  with_store @@ fun store ->
+  let dir = Store.dir store in
   let catalog =
     (Qf_workload.Medical.generate
        { Qf_workload.Medical.default with n_patients = 200; seed = 9 })
@@ -236,7 +271,8 @@ let test_store_catalog_bridge () =
 
 (* End to end: run a flock against relations that lived on disk. *)
 let test_flock_over_store () =
-  let dir = temp_dir () in
+  with_store @@ fun store ->
+  let dir = Store.dir store in
   let catalog =
     Qf_workload.Market.catalog
       { Qf_workload.Market.default with n_baskets = 200; n_items = 40; seed = 4 }
@@ -255,13 +291,11 @@ let test_file_mining_matches_flock () =
     Qf_workload.Market.catalog
       { Qf_workload.Market.default with n_baskets = 300; n_items = 60; seed = 77 }
   in
-  let baskets = Qf_relational.Catalog.find catalog "baskets" in
-  let path = Filename.temp_file "qfmine" ".qfh" in
-  let file = Heap_file.create path (R.schema baskets) in
-  Heap_file.append_relation file baskets;
+  with_store @@ fun store ->
+  Store.save store "baskets" (Qf_relational.Catalog.find catalog "baskets");
   List.iter
     (fun support ->
-      let streamed = File_mining.frequent_pairs_relation file ~support in
+      let streamed = File_mining.frequent_pairs_relation store "baskets" ~support in
       let flock =
         Qf_core.Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support
       in
@@ -269,39 +303,175 @@ let test_file_mining_matches_flock () =
         (Printf.sprintf "support %d" support)
         (Qf_core.Direct.run catalog flock)
         streamed)
-    [ 5; 15; 40 ];
-  Heap_file.close file;
-  Sys.remove path
+    [ 5; 15; 40 ]
+
+(* A (BID, Item) relation written as raw code records over the value
+   table [Int 0 .. Int max]: rows may repeat, as no [Store.save] would
+   write them. *)
+let raw_baskets store rows =
+  let max = List.fold_left (fun m (b, i) -> Stdlib.max m (Stdlib.max b i)) 0 rows in
+  write_file
+    (Filename.concat (Store.dir store) "baskets.qfv")
+    (Codec.values_to_string (Array.init (max + 1) (fun i -> V.Int i)));
+  let file =
+    Heap_file.create
+      (Filename.concat (Store.dir store) "baskets.qfh")
+      (Schema.of_list [ "BID"; "Item" ])
+  in
+  let cols = [| Array.of_list (List.map fst rows); Array.of_list (List.map snd rows) |] in
+  List.iteri (fun i _ -> Heap_file.append_codes file cols i) rows;
+  Heap_file.close file
 
 let test_file_mining_dedups () =
-  let path = Filename.temp_file "qfmine" ".qfh" in
-  let file = Heap_file.create path (Qf_relational.Schema.of_list [ "BID"; "Item" ]) in
+  with_store @@ fun store ->
   (* Duplicate rows must not inflate supports. *)
-  List.iter
-    (fun (b, i) -> Heap_file.append file (Qf_relational.Tuple.of_array [| V.Int b; V.Int i |]))
-    [ 1, 10; 1, 10; 1, 20; 2, 10; 2, 20; 2, 20 ];
-  let pairs = File_mining.frequent_pairs file ~support:2 in
+  raw_baskets store [ 1, 10; 1, 10; 1, 20; 2, 10; 2, 20; 2, 20 ];
+  let pairs = File_mining.frequent_pairs store "baskets" ~support:2 in
   check_int "one pair" 1 (List.length pairs);
   let p = List.hd pairs in
   check_int "support 2, not 4" 2 p.File_mining.support;
-  Heap_file.close file;
-  Sys.remove path
+  (* A load is stricter: a stored relation is a set. *)
+  check_bool "load refuses the repeated rows" true
+    (fails (fun () -> Store.load store "baskets"));
+  (* Two codes for one value would make the pair (1, 1). *)
+  write_file
+    (Filename.concat (Store.dir store) "baskets.qfv")
+    (Codec.values_to_string V.[| Int 1; Int 1; Int 2 |]);
+  check_bool "a value twice in the table is refused" true
+    (fails (fun () -> File_mining.frequent_pairs store "baskets" ~support:1))
 
 let test_file_mining_counts () =
-  let path = Filename.temp_file "qfmine" ".qfh" in
-  let file = Heap_file.create path (Qf_relational.Schema.of_list [ "BID"; "Item" ]) in
-  List.iter
-    (fun (b, i) -> Heap_file.append file (Qf_relational.Tuple.of_array [| V.Int b; V.Int i |]))
-    [ 1, 1; 1, 2; 1, 3; 2, 1; 2, 2; 3, 1; 3, 2; 4, 3 ];
-  let pairs = File_mining.frequent_pairs file ~support:2 in
+  with_store @@ fun store ->
+  raw_baskets store [ 1, 1; 1, 2; 1, 3; 2, 1; 2, 2; 3, 1; 3, 2; 4, 3 ];
+  let pairs = File_mining.frequent_pairs store "baskets" ~support:2 in
   (* {1,2}: baskets 1,2,3 -> 3.  {1,3} and {2,3}: only basket 1. *)
   check_int "one frequent pair" 1 (List.length pairs);
   let p = List.hd pairs in
   check_bool "pair (1,2)" true
     (V.equal p.File_mining.item1 (V.Int 1) && V.equal p.item2 (V.Int 2));
-  check_int "support 3" 3 p.File_mining.support;
-  Heap_file.close file;
-  Sys.remove path
+  check_int "support 3" 3 p.File_mining.support
+
+(* Values a CSV file would misread or quote: numeric-looking strings,
+   integral reals, empty strings, commas and quotes; and the reals whose
+   equality is not bitwise (NaN, negative zero). *)
+let gen_store_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> V.Int i) (oneof [ small_signed_int; int ]);
+        map (fun i -> V.Real (float_of_int i)) small_signed_int;
+        map (fun f -> V.Real f) (float_bound_inclusive 1e12);
+        oneofl
+          V.[ Str "42"; Str "1.0"; Str ""; Str ","; Str "a,b"; Str "\"";
+              Str "say \"hi\", twice"; Str "-7"; Str "1e5"; Real infinity;
+              Real neg_infinity; Real (-0.5); Real nan; Real (-0.) ];
+        map V.str (string_size (int_bound 6));
+      ])
+
+let gen_mixed_relation =
+  QCheck.Gen.(
+    let* arity = int_range 0 3 in
+    let* rows =
+      frequency
+        [ 1, return []; 4, list_size (int_bound 40) (list_repeat arity gen_store_value) ]
+    in
+    return (R.of_values (List.filteri (fun i _ -> i < arity) [ "A"; "B"; "C" ]) rows))
+
+let prop_store_roundtrip =
+  QCheck.Test.make ~name:"Store.load (Store.save r) = r over mixed values"
+    ~count:200
+    (QCheck.make ~print:(Format.asprintf "%a" R.pp) gen_mixed_relation)
+    (fun rel ->
+      with_store @@ fun store ->
+      Store.save store "r" rel;
+      R.equal rel (Store.load store "r"))
+
+(* A saved store's bytes that carry data: all of a value table, and of
+   each heap page its header, slot directory and records (the free space
+   between them is zeros no reader looks at). *)
+let live_bytes ext contents =
+  let n = String.length contents in
+  if ext = ".qfv" then List.init n Fun.id
+  else
+    List.concat
+      (List.init (n / Page.size) (fun p ->
+           let base = p * Page.size in
+           let slots = String.get_uint16_le contents base
+           and free = String.get_uint16_le contents (base + 2) in
+           List.init (4 + (4 * slots)) (fun i -> base + i)
+           @ List.init (Page.size - free) (fun i -> base + free + i)))
+
+(* Every truncation of either file of a saved store, and a bit flipped
+   in every byte of it that carries data, either loads or raises
+   [Failure] — the error [flockc] turns into exit 1.  No other exception
+   may escape.  A heap file cut anywhere but at a page boundary fails
+   one alignment check, so its cuts are taken every 64 bytes. *)
+let test_store_corruption_sweep () =
+  with_store @@ fun store ->
+  let rel =
+    R.of_values [ "BID"; "Item" ]
+      (List.init 60 (fun i ->
+           V.[ Int (i / 3); (if i mod 2 = 0 then Str (Printf.sprintf "item,%d" (i mod 7)) else Real (float_of_int i)) ]))
+  in
+  Store.save store "r" rel;
+  let cases = ref 0 in
+  List.iter
+    (fun (ext, cut_every) ->
+      let path = Filename.concat (Store.dir store) ("r" ^ ext) in
+      let good = read_file path in
+      let try_load label contents =
+        write_file path contents;
+        incr cases;
+        match Store.load store "r" with
+        | _ -> ()
+        | exception Failure _ -> ()
+        | exception e ->
+          Alcotest.failf "%s %s: %s escaped" ext label (Printexc.to_string e)
+      in
+      for cut = 0 to (String.length good - 1) / cut_every do
+        let len = cut * cut_every in
+        try_load (Printf.sprintf "cut at %d" len) (String.sub good 0 len)
+      done;
+      List.iter
+        (fun i ->
+          let b = Bytes.of_string good in
+          Bytes.set b i (Char.chr (Char.code good.[i] lxor (1 lsl (i mod 8))));
+          try_load (Printf.sprintf "bit flipped at %d" i) (Bytes.to_string b))
+        (live_bytes ext good);
+      write_file path good)
+    [ ".qfv", 1; ".qfh", 64 ];
+  check_bool "swept both files" true (!cases > 1500);
+  check_bool "the restored store loads" true (R.equal rel (Store.load store "r"))
+
+(* A data page whose slot directory claims more records than a page of
+   this arity holds, every slot a valid record over the same bytes: the
+   scan refuses it, where filling columns sized from the page count would
+   write past them. *)
+let test_store_overfull_page () =
+  with_store @@ fun store ->
+  Store.save store "r" (R.of_values [ "A"; "B" ] V.[ [ Int 1; Int 2 ] ]);
+  let path = Filename.concat (Store.dir store) "r.qfh" in
+  let b = Bytes.of_string (read_file path) in
+  let page = Page.size and slots = 1000 in
+  Bytes.set_uint16_le b page slots;
+  Bytes.set_uint16_le b (page + 2) (Page.size - 8);
+  for i = 0 to slots - 1 do
+    Bytes.set_uint16_le b (page + 4 + (4 * i)) (Page.size - 8);
+    Bytes.set_uint16_le b (page + 6 + (4 * i)) 8
+  done;
+  write_file path (Bytes.to_string b);
+  check_bool "refused" true (fails (fun () -> Store.load store "r"))
+
+(* A store written before value tables existed has only [.qfh] files. *)
+let test_store_old_format () =
+  with_store @@ fun store ->
+  Store.save store "r" (R.of_values [ "A" ] V.[ [ Int 1 ] ]);
+  Sys.remove (Filename.concat (Store.dir store) "r.qfv");
+  match Store.load store "r" with
+  | _ -> Alcotest.fail "an old-format store loaded"
+  | exception Failure msg ->
+    check_bool ("asks for a re-import: " ^ msg) true
+      (Test_util.contains ~sub:"re-import" msg)
 
 let suite =
   [
@@ -310,11 +480,11 @@ let suite =
     Alcotest.test_case "file mining dedups rows" `Quick test_file_mining_dedups;
     Alcotest.test_case "file mining counts" `Quick test_file_mining_counts;
     Alcotest.test_case "codec value roundtrip" `Quick test_codec_roundtrip;
-    Alcotest.test_case "codec tuple/schema roundtrip" `Quick
-      test_codec_tuple_roundtrip;
+    Alcotest.test_case "codec value-table/schema roundtrip" `Quick
+      test_codec_table_roundtrip;
     Alcotest.test_case "codec corruption detected" `Quick test_codec_corruption;
     QCheck_alcotest.to_alcotest fuzz_decode_value;
-    QCheck_alcotest.to_alcotest fuzz_decode_tuple;
+    QCheck_alcotest.to_alcotest fuzz_decode_table;
     Alcotest.test_case "page basics" `Quick test_page_basics;
     Alcotest.test_case "page fill and overflow" `Quick test_page_fill_and_overflow;
     Alcotest.test_case "page corrupt header" `Quick test_page_corrupt_header;
@@ -325,4 +495,11 @@ let suite =
     Alcotest.test_case "store roundtrip" `Quick test_store_roundtrip;
     Alcotest.test_case "store/catalog bridge" `Quick test_store_catalog_bridge;
     Alcotest.test_case "flock over stored relations" `Quick test_flock_over_store;
+    QCheck_alcotest.to_alcotest prop_store_roundtrip;
+    Alcotest.test_case "store truncation and bit-flip sweep" `Quick
+      test_store_corruption_sweep;
+    Alcotest.test_case "a page claiming more records than fit is refused"
+      `Quick test_store_overfull_page;
+    Alcotest.test_case "old-format store asks for a re-import" `Quick
+      test_store_old_format;
   ]
