@@ -102,19 +102,7 @@ let ok = function Ok p -> p | Error e -> failwith e
 
 type value = Int of int | Float of float | Str of string
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let json_string s = "\"" ^ Qf_obs.Obs.json_escape s ^ "\""
 
 let json_value = function
   | Int n -> string_of_int n
@@ -477,7 +465,9 @@ SUM(answer.W) >= %d|}
 (* {1 E8 — Sec. 4.3 strategy 2 / footnote 3: levelwise = classic a-priori} *)
 
 let e8 () =
-  header "E8" "Sec. 4.3 — levelwise flock plan vs the dedicated a-priori miner";
+  header "E8"
+    "Sec. 4.3 — levelwise flock plan and the footnote-2 sequence vs the \
+     dedicated a-priori miner";
   let config =
     {
       Qf_workload.Market.n_baskets = (if !quick then 800 else 3000);
@@ -489,8 +479,8 @@ let e8 () =
   in
   let catalog = Qf_workload.Market.catalog config in
   let db = Qf_apriori.Apriori.db_of_relation (Catalog.find catalog "baskets") in
-  row "%-14s %14s %16s %14s %8s@." "k / support" "direct (s)" "flock plan (s)"
-    "dedicated (s)" "k-sets";
+  row "%-14s %14s %16s %14s %14s %8s@." "k / support" "direct (s)"
+    "flock plan (s)" "sequence (s)" "dedicated (s)" "k-sets";
   List.iter
     (fun (k, support) ->
       let flock, plan =
@@ -502,15 +492,26 @@ let e8 () =
       let planned, t_plan =
         time3 catalog (fun () -> Plan_exec.run catalog plan)
       in
+      (* The footnote-2 sequence of flocks k' = 1..k, each pruned by the
+         previous flock's result. *)
+      let levels, t_sequence =
+        time3 catalog (fun () ->
+            Sequence.frequent_levels ~max_k:k catalog ~pred:"baskets" ~support)
+      in
       let classic, t_classic =
         time3 catalog (fun () ->
             Qf_apriori.Apriori.frequent_of_size db ~support ~size:k)
       in
       check_equal "E8 plan" direct planned;
+      (match List.find_opt (fun (l : Sequence.level) -> l.k = k) levels with
+      | Some l -> check_equal "E8 sequence" direct l.itemsets
+      | None ->
+        if not (Relation.is_empty direct) then
+          failwith "E8: the flock sequence stopped before level k");
       if List.length classic <> Relation.cardinal direct then
         failwith "E8: classic a-priori disagrees with the flock";
-      row "k=%d s=%-6d %14.3f %16.3f %14.3f %8d@." k support t_direct t_plan
-        t_classic (Relation.cardinal direct))
+      row "k=%d s=%-6d %14.3f %16.3f %14.3f %14.3f %8d@." k support t_direct
+        t_plan t_sequence t_classic (Relation.cardinal direct))
     [ 2, 30; 2, 60; 3, 20; 3, 8 ]
 
 (* {1 E9 — ablation: when does filtering pay? (Sec. 3.2 discussion)} *)

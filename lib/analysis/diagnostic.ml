@@ -179,22 +179,6 @@ let render_text ~file diags =
 
 (* {1 JSON rendering (hand-rolled; no JSON library in the tree)} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let span_json (s : Ast.span) =
   if Ast.is_no_span s then "null"
   else
@@ -207,14 +191,14 @@ let to_json d =
     "{\"code\":\"%s\",\"severity\":\"%s\",\"span\":%s,\"message\":\"%s\",\"section\":\"%s\"}"
     (code_to_string d.code)
     (severity_to_string d.severity)
-    (span_json d.span) (json_escape d.message)
+    (span_json d.span) (Qf_obs.Obs.json_escape d.message)
     (code_section d.code)
 
 let render_json ~file diags =
   let body = String.concat ",\n    " (List.map to_json (sort diags)) in
   Printf.sprintf
     "{\n  \"file\": \"%s\",\n  \"errors\": %d,\n  \"warnings\": %d,\n  \"infos\": %d,\n  \"diagnostics\": [%s%s]\n}\n"
-    (json_escape file) (count Error diags) (count Warning diags)
+    (Qf_obs.Obs.json_escape file) (count Error diags) (count Warning diags)
     (count Info diags)
     (if diags = [] then "" else "\n    ")
     (if diags = [] then body else body ^ "\n  ")

@@ -188,21 +188,6 @@ let profile_text ?(redact_timings = false) (p : profile) =
   end;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float f =
   if not (Float.is_finite f) then "\"inf\""
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
@@ -216,7 +201,7 @@ let profile_json ?(redact_timings = false) (p : profile) =
   let opt_float = function None -> "null" | Some f -> json_float f in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"plan\": \"%s\",\n" (json_escape p.summary));
+    (Printf.sprintf "  \"plan\": \"%s\",\n" (Obs.json_escape p.summary));
   Buffer.add_string buf "  \"steps\": [\n";
   List.iteri
     (fun i (s : step_profile) ->
@@ -235,14 +220,14 @@ let profile_json ?(redact_timings = false) (p : profile) =
             \"est_rows\": %s%s, \"rows_in\": %d, \"groups\": %d, \"rows_out\": \
             %d, \"sip_pruned\": %d, \"memo_hit\": %b, \"reused_from\": %s, \
             \"seconds\": %s}%s\n"
-           (json_escape s.name)
+           (Obs.json_escape s.name)
            (String.concat ", "
-              (List.map (fun q -> "\"" ^ json_escape q ^ "\"") s.params))
+              (List.map (fun q -> "\"" ^ Obs.json_escape q ^ "\"") s.params))
            (opt_float s.est_groups) (opt_float s.est_rows) bounds s.rows_in
            s.groups s.rows_out s.sip_pruned s.memo_hit
            (match s.reused_from with
            | None -> "null"
-           | Some t -> "\"" ^ json_escape t ^ "\"")
+           | Some t -> "\"" ^ Obs.json_escape t ^ "\"")
            (time s.seconds)
            (if i = List.length p.steps - 1 then "" else ",")))
     p.steps;
@@ -263,7 +248,7 @@ let profile_json ?(redact_timings = false) (p : profile) =
   Buffer.add_string buf
     (String.concat ", "
        (List.map
-          (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
+          (fun (k, v) -> Printf.sprintf "\"%s\": %d" (Obs.json_escape k) v)
           p.counters));
   Buffer.add_string buf "}\n}\n";
   Buffer.contents buf

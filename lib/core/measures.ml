@@ -4,7 +4,7 @@ module Schema = Qf_relational.Schema
 module Value = Qf_relational.Value
 module Aggregate = Qf_relational.Aggregate
 module Sip = Qf_relational.Sip
-module Chunkrel = Qf_relational.Chunkrel
+module Dict = Qf_relational.Dict
 
 type rule = {
   antecedent : Value.t;
@@ -24,30 +24,32 @@ let pair_rules catalog ~pred ~support ~min_confidence =
   let columns = Schema.columns (Relation.schema baskets) in
   let bid_col = List.hd columns and item_col = List.nth columns 1 in
   let n_baskets = List.length (Relation.column_values baskets bid_col) in
-  (* Item supports: distinct baskets per item, indexed once. *)
+  (* Item supports: distinct baskets per item, grouped once; the frequent
+     items' codes come from the same pass. *)
   let item_support = Vtbl.create 256 in
+  let frequent = ref [] in
   List.iter
-    (fun (key, v) -> Vtbl.replace item_support (Qf_relational.Tuple.get key 0) (count v))
+    (fun (key, v) ->
+      let item = Qf_relational.Tuple.get key 0 and n = count v in
+      Vtbl.replace item_support item n;
+      if n >= support then
+        Option.iter (fun c -> frequent := c :: !frequent) (Dict.find_opt item))
     (Aggregate.group_by baskets ~keys:[ item_col ] ~func:Aggregate.Count);
   let support_of item = Option.value (Vtbl.find_opt item_support item) ~default:0 in
   (* The a-priori trick, by hand: restrict baskets to frequent items before
      the pair join (the paper's Sec. 1.3 rewrite).  The filter tests item
-     codes against the exact set of frequent items' codes. *)
-  let frequent =
-    Relation.codes
-      (Aggregate.group_filter baskets ~keys:[ item_col ] ~func:Aggregate.Count
-         ~threshold:(float_of_int support))
-  in
+     codes against the exact set of frequent items' codes.  The reduced
+     relation gets a name of its own, so the statistics cached for [pred]
+     (shared with every copy) stay those of the full relation. *)
   let reduced =
-    Sip.filter baskets ~pos:1
-      (Sip.exact_of_codes
-         (Array.sub frequent.Chunkrel.cols.(0) 0 frequent.Chunkrel.nrows))
+    Sip.filter baskets ~pos:1 (Sip.exact_of_codes (Array.of_list !frequent))
   in
   let work = Catalog.copy catalog in
-  Catalog.add work pred reduced;
+  let frequent_pred = pred ^ "~frequent" in
+  Catalog.add work frequent_pred reduced;
   let tab =
     Qf_datalog.Eval.tabulate work
-      (List.hd (Apriori_gen.basket_flock ~pred ~k:2 ~support).query)
+      (List.hd (Apriori_gen.basket_flock ~pred:frequent_pred ~k:2 ~support).query)
   in
   let counts = Aggregate.group_by tab ~keys:[ "$1"; "$2" ] ~func:Aggregate.Count in
   let directed =

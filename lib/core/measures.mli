@@ -4,7 +4,8 @@
     An item's support is its count of baskets, grouped once over the
     relation.  A pair's support counts the pair flock's tabulated query,
     run by hand with the a-priori rewrite of Sec. 1.3: the baskets are
-    first restricted to frequent items ({!Qf_relational.Sip.filter}), the
+    first restricted to the items that grouping found frequent
+    ({!Qf_relational.Sip.filter}), the
     query is tabulated ({!Qf_datalog.Eval.tabulate}) and grouped by the
     pair.  Confidence and interest relate the pair's support to the
     items' own supports:

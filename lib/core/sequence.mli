@@ -9,8 +9,12 @@
     {!frequent_levels} runs exactly that sequence: the k-th flock is the
     k-item basket flock whose body is pruned by the (k−1)-th flock's result
     relation (applied to every (k−1)-subset of its parameters, the
-    parameter-symmetry trick of footnote 3).  {!maximal} then keeps the
-    itemsets with no frequent superset. *)
+    parameter-symmetry trick of footnote 3).  Each flock runs through
+    {!Plan_exec} as its trivial plan, so its step is memoized like any
+    plan's: a repeated sequence on the same catalog is served by the
+    catalog's memo, each level's stored result keeping the next level's
+    signature matching.  {!maximal} then keeps the itemsets with no
+    frequent superset. *)
 
 type level = {
   k : int;
@@ -19,9 +23,10 @@ type level = {
           each tuple *)
 }
 
-(** Run the flock sequence until a level comes back empty (or [max_k] is
-    reached, default 9 — the basket-flock limit).  Level 1 is computed by
-    direct grouping.  The relation [pred] must have columns [(BID, Item)]. *)
+(** Run the flock sequence until a level comes back empty, a level k has
+    fewer than k+1 sets (so level k+1 must be empty), or [max_k] is
+    reached (default 9 — the basket-flock limit).  The relation [pred]
+    must have columns [(BID, Item)]. *)
 val frequent_levels :
   ?max_k:int ->
   Qf_relational.Catalog.t ->

@@ -88,6 +88,12 @@ val reset : unit -> unit
 val render_text : ?redact_timings:bool -> report -> string
 val render_json : ?redact_timings:bool -> report -> string
 
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    quote, backslash, newline, tab and carriage return get their short
+    escapes, other control characters [\u00XX] — the one escaper of every
+    JSON writer in the tree. *)
+val json_escape : string -> string
+
 (** One attribute value as a compact string (JSON-compatible for numbers
     and booleans; strings unquoted). *)
 val value_to_string : value -> string

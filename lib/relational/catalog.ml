@@ -53,14 +53,21 @@ let budget_of_env var ~default =
 let default_index_budget = 128 * 1024 * 1024
 let default_memo_budget = 64 * 1024 * 1024
 
+(* {1 Statistics cache}
+
+   Per-name relation profiles tagged with the (id, version) of the
+   relation they were computed from — the index cache's discipline: an
+   entry for an older version, or for a different relation bound to the
+   same name (in this catalog or a copy), is a miss and is replaced. *)
+
+type stats_cache = {
+  profiles : (string, int * int * Statistics.t) Hashtbl.t;
+  stats_mutex : Mutex.t;
+}
+
 type t = {
   relations : (string, Relation.t) Hashtbl.t;
-  stats_cache : (string, int * int * Statistics.t) Hashtbl.t;
-      (* (relation id, relation version, stats) — same version-counter
-         discipline as the index cache: an entry computed against an older
-         version (or a different relation re-bound under the same name) is
-         a miss, so in-place {!Relation.add} mutation can never leak stale
-         profiles into the analyzer, even through {!copy}s. *)
+  stats_cache : stats_cache;
   indexes : index_cache;
   memo : memo;
 }
@@ -68,7 +75,7 @@ type t = {
 let create () =
   {
     relations = Hashtbl.create 16;
-    stats_cache = Hashtbl.create 16;
+    stats_cache = { profiles = Hashtbl.create 16; stats_mutex = Mutex.create () };
     indexes =
       {
         entries =
@@ -89,13 +96,8 @@ let create () =
       };
   }
 
-let add t name rel =
-  Hashtbl.replace t.relations name rel;
-  Hashtbl.remove t.stats_cache name
-
-let remove t name =
-  Hashtbl.remove t.relations name;
-  Hashtbl.remove t.stats_cache name
+let add t name rel = Hashtbl.replace t.relations name rel
+let remove t name = Hashtbl.remove t.relations name
 
 let find_opt t name = Hashtbl.find_opt t.relations name
 
@@ -110,13 +112,19 @@ let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.relations []
 let stats t name =
   let rel = find t name in
   let id = Relation.id rel and version = Relation.version rel in
-  match Hashtbl.find_opt t.stats_cache name with
+  let c = t.stats_cache in
+  Mutex.lock c.stats_mutex;
+  let cached = Hashtbl.find_opt c.profiles name in
+  Mutex.unlock c.stats_mutex;
+  match cached with
   | Some (cached_id, cached_version, s)
     when cached_id = id && cached_version = version ->
     s
   | Some _ | None ->
     let s = Statistics.of_relation rel in
-    Hashtbl.replace t.stats_cache name (id, version, s);
+    Mutex.lock c.stats_mutex;
+    Hashtbl.replace c.profiles name (id, version, s);
+    Mutex.unlock c.stats_mutex;
     s
 
 let index t rel positions =
@@ -207,11 +215,5 @@ let memo_clear t =
 
 let memo_bytes t = Lru.total_bytes t.memo.memo_entries
 
-let copy t =
-  {
-    relations = Hashtbl.copy t.relations;
-    stats_cache = Hashtbl.copy t.stats_cache;
-    indexes = t.indexes;
-    memo = t.memo;
-  }
+let copy t = { t with relations = Hashtbl.copy t.relations }
 

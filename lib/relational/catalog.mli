@@ -1,9 +1,13 @@
 (** A catalog maps predicate names to stored relations.
 
     Datalog evaluation resolves every relational subgoal through a catalog.
-    Statistics are computed lazily per relation and cached; {!add} and
-    {!remove} invalidate the cached entry.  Mutating a relation *after*
-    adding it does not invalidate its cached statistics — re-[add] it. *)
+    A catalog also owns three caches — statistics ({!stats}), built
+    indexes ({!index}) and the subplan memo ({!memo_find}) — under one
+    sharing rule: each is a single table shared by the catalog and all its
+    {!copy}s, and each entry is validated against the
+    ({!Relation.id}, {!Relation.version}) pair of the relations it was
+    computed from, so rebinding a name or mutating a relation makes the
+    entry a miss, never a stale answer. *)
 
 type t
 
@@ -23,7 +27,9 @@ val mem : t -> string -> bool
 (** Names in an unspecified order. *)
 val names : t -> string list
 
-(** Cached statistics for a stored relation.  Raises [Not_found]. *)
+(** Statistics for the relation bound to a name, computed on first use
+    and cached under the name with the relation's (id, version).  Raises
+    [Failure] if the name is unbound. *)
 val stats : t -> string -> Statistics.t
 
 (** [index t rel positions] is [Index.build rel positions], memoized.
@@ -82,8 +88,8 @@ val memo_bytes : t -> int
 
 (** A shallow copy: the new catalog shares relations but registering in one
     does not affect the other.  Plan execution uses this to add temporary
-    [ok] relations without polluting the base catalog.  The index cache
-    and subplan memo are shared with the copy (entries are keyed by
-    relation identity resp. signatures embedding relation identities, so
-    sharing is sound and lets working copies reuse each other's work). *)
+    [ok] relations without polluting the base catalog.  All three caches
+    are shared with the copy: their entries are validated by relation
+    identity and version, so sharing is sound and lets working copies
+    reuse each other's statistics, indexes and step results. *)
 val copy : t -> t

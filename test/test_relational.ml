@@ -322,6 +322,24 @@ let test_cache_shared_with_copy () =
   check_int "copy reuses the base catalog's entries" 1
     (fst (Catalog.index_stats cat))
 
+let test_stats_shared_with_copy () =
+  let cat = Catalog.create () in
+  let rel = fresh_rel () in
+  Catalog.add cat "r" rel;
+  let copy = Catalog.copy cat in
+  let through_copy = Catalog.stats copy "r" in
+  check_bool "the base reads the profile computed through the copy" true
+    (Catalog.stats cat "r" == through_copy);
+  check_bool "and so does a second copy" true
+    (Catalog.stats (Catalog.copy cat) "r" == through_copy);
+  (* Rebinding a name in a copy: each catalog still profiles the relation
+     it binds, by the (id, version) check. *)
+  Catalog.add copy "r" (Relation.of_values [ "X"; "Y" ] Value.[ [ Int 5; Int 6 ] ]);
+  check_int "the copy reports its relation" 1
+    (Statistics.cardinality (Catalog.stats copy "r"));
+  check_int "the base still reports its own" 3
+    (Statistics.cardinality (Catalog.stats cat "r"))
+
 let test_plan_exec_cache_hits () =
   (* A multi-step plan must hit the cache: with the semijoin rewrite and
      symmetric-step aliasing disabled, the two FILTER steps and the final
@@ -404,6 +422,8 @@ let suite =
       test_cache_invalidated_by_add;
     Alcotest.test_case "index cache shared with copies" `Quick
       test_cache_shared_with_copy;
+    Alcotest.test_case "catalog copies share statistics" `Quick
+      test_stats_shared_with_copy;
     Alcotest.test_case "plan execution hits the cache" `Quick
       test_plan_exec_cache_hits;
     Alcotest.test_case "tuple hash caching" `Quick test_tuple_hash_cached;

@@ -135,6 +135,29 @@ let test_maximal_brute_force () =
              maximal))
     all_frequent
 
+(* Every flock of the sequence runs through the plan executor, so a repeat
+   on the same catalog is answered by the memo, one hit per level. *)
+let test_repeat_served_by_memo () =
+  let run budget =
+    let cat = cat () in
+    Catalog.set_memo_budget cat budget;
+    let first = Sequence.frequent_levels cat ~pred:"baskets" ~support:2 in
+    let hits, misses, _ = Catalog.memo_stats cat in
+    let second = Sequence.frequent_levels cat ~pred:"baskets" ~support:2 in
+    let hits', misses', _ = Catalog.memo_stats cat in
+    check_bool "equal levels" true
+      (List.equal
+         (fun (a : Sequence.level) (b : Sequence.level) ->
+           a.k = b.k && R.equal a.itemsets b.itemsets)
+         first second);
+    List.length first, hits' - hits, misses' - misses, hits'
+  in
+  let n, hits, misses, _ = run max_int in
+  check_int "one hit per level" n hits;
+  check_int "no misses" 0 misses;
+  let _, _, _, total_hits = run 0 in
+  check_int "no hits at budget 0" 0 total_hits
+
 let suite =
   [
     Alcotest.test_case "frequent levels" `Quick test_levels;
@@ -145,4 +168,6 @@ let suite =
     Alcotest.test_case "levels match the classic miner" `Quick
       test_levels_match_classic;
     Alcotest.test_case "maximality, brute force" `Quick test_maximal_brute_force;
+    Alcotest.test_case "a repeated sequence is served by the memo" `Quick
+      test_repeat_served_by_memo;
   ]
