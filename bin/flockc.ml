@@ -565,9 +565,10 @@ let support_arg =
     & info [ "s"; "support" ] ~docv:"N" ~doc:"Support threshold.")
 
 (* The catalog holding [pred], the (BID, Item) relation the mining
-   conveniences read: a missing or non-binary relation is an input
-   error. *)
-let mining_catalog data db pred =
+   conveniences read: a support below 1 and a missing or non-binary
+   relation are input errors. *)
+let mining_catalog ~cmd data db pred support =
+  if support < 1 then or_die (Error (cmd ^ ": support must be at least 1"));
   let catalog = or_die (load_catalog ?db data) in
   match Catalog.find_opt catalog pred with
   | None -> or_die (Error ("unknown predicate " ^ pred))
@@ -586,8 +587,7 @@ let rules_cmd =
       & info [ "c"; "confidence" ] ~docv:"C" ~doc:"Confidence floor.")
   in
   let run data db pred support confidence =
-    if support < 1 then or_die (Error "rules: support must be at least 1");
-    let catalog = mining_catalog data db pred in
+    let catalog = mining_catalog ~cmd:"rules" data db pred support in
     let rules =
       Measures.pair_rules catalog ~pred ~support ~min_confidence:confidence
     in
@@ -604,7 +604,7 @@ let rules_cmd =
 
 let maximal_cmd =
   let run data db pred support =
-    let catalog = mining_catalog data db pred in
+    let catalog = mining_catalog ~cmd:"maximal" data db pred support in
     let levels = Sequence.frequent_levels catalog ~pred ~support in
     List.iter
       (fun (l : Sequence.level) ->

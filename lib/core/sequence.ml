@@ -13,6 +13,7 @@ let prev_pred k = Printf.sprintf "frequent_%d" k
 let frequent_levels ?(max_k = 9) catalog ~pred ~support =
   if max_k < 1 || max_k > 9 then
     invalid_arg "Sequence.frequent_levels: max_k must be in 1..9";
+  if support < 1 then invalid_arg "Sequence.frequent_levels: support must be >= 1";
   let work = Catalog.copy catalog in
   (* The k-th flock: the k-item basket rule whose body also holds — the
      "depends on the previous flock" part — the previous level's result

@@ -26,7 +26,8 @@ type level = {
 (** Run the flock sequence until a level comes back empty, a level k has
     fewer than k+1 sets (so level k+1 must be empty), or [max_k] is
     reached (default 9 — the basket-flock limit).  The relation [pred]
-    must have columns [(BID, Item)]. *)
+    must have columns [(BID, Item)].  Raises [Invalid_argument] on a
+    [support] below 1. *)
 val frequent_levels :
   ?max_k:int ->
   Qf_relational.Catalog.t ->

@@ -4,7 +4,7 @@
     {!point}.  Normally a point is a single atomic load.  A test harness
     first runs a scenario in counting mode to learn how many points the
     run crosses, then replays it once per point with that point armed:
-    the armed point raises {!Injected}, simulating a page-write error, a
+    the armed point raises {!Injected}, simulating a block-write error, a
     budget trip, or any other mid-operation failure, at a deterministic
     program location.  Sweeping [k] over [1 .. count] therefore exercises
     a failure at {e every} counted operation of the scenario.

@@ -34,7 +34,7 @@ type t
 type stats = {
   peak_bytes : int;  (** high-water mark of charged bytes *)
   spill_partitions : int;  (** spill runs written by partitioned kernels *)
-  spilled_bytes : int;  (** page bytes written to spill runs *)
+  spilled_bytes : int;  (** code-record bytes written to spill runs *)
   spilled_rows : int;  (** tuples routed through spill runs *)
 }
 

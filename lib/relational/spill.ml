@@ -2,23 +2,19 @@
    fallback.  A run lives in its governor's private spill directory, so
    every exit path of [Governor.with_ctx] removes it even if the pass
    never got to; [discard] is the eager cleanup on every exit of
-   [map_partitions] (no flush — the data is about to be deleted, and a
-   cleanup path must not fail on a simulated write error). *)
+   [map_partitions] (nothing more is written: the data is about to be
+   deleted, and a cleanup path must not fail on a simulated write
+   error). *)
 
 module Governor = Qf_governor.Governor
 module Fault = Qf_governor.Fault
 
 type run = { file : Heap_file.t; path : string }
 
-(* A small pager cache per run: spill partitions are written once and
-   scanned once, so a large cache would only delay the page writes the
-   fault sweep wants to see. *)
-let run_capacity = 4
-
 let create g schema =
   let path = Governor.fresh_spill_path g in
   Fault.point "spill.create";
-  { file = Heap_file.create ~capacity:run_capacity path schema; path }
+  { file = Heap_file.create path schema; path }
 
 let discard r =
   Heap_file.discard r.file;
@@ -87,10 +83,7 @@ let rec map_partitions_at ~depth g rel ~keys ~need f =
     Heap_file.append_codes runs.(h mod parts).file cols i
   done;
   Governor.note_spill g ~partitions:parts
-    ~bytes:
-      (Array.fold_left
-         (fun a r -> a + (Heap_file.page_count r.file * Page.size))
-         0 runs)
+    ~bytes:(Array.fold_left (fun a r -> a + Heap_file.body_bytes r.file) 0 runs)
     ~rows:chunk.Chunkrel.nrows;
   List.concat_map
     (fun r ->

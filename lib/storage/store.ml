@@ -98,7 +98,10 @@ let with_codes t name f =
       if Vtbl.mem seen v then fail "holds a value twice in its value table";
       Vtbl.add seen v ())
     values;
-  let file = Heap_file.open_existing (path t name) in
+  let file =
+    try Heap_file.open_existing (path t name)
+    with Failure msg -> fail "is unreadable (%s): re-import it with flockc import" msg
+  in
   Fun.protect ~finally:(fun () -> Heap_file.close file) (fun () -> f values file)
 
 let load t name =
@@ -117,8 +120,12 @@ let load t name =
       done)
     cols;
   (* Set semantics is checked, not trusted: a crafted file may repeat a
-     row. *)
-  if Array.length (Chunkrel.distinct_rows cols nrows) <> nrows then
+     row.  An arity-0 row takes no bytes, so no file length bounds the
+     count of one. *)
+  if
+    (cols = [||] && nrows > 1)
+    || Array.length (Chunkrel.distinct_rows cols nrows) <> nrows
+  then
     failwith (Printf.sprintf "Store.load: %s: a row is stored twice" name);
   Relation.of_chunkrel (Heap_file.schema file) chunk
 

@@ -30,10 +30,11 @@ val save : t -> string -> Qf_relational.Relation.t -> unit
 
 (** Load one relation: give each value of its table a
     {!Qf_relational.Dict} code once, and remap the code columns through
-    that array.  Raises [Failure] if the relation is absent, has no value
-    table (an old-format store, to import again), or is corrupt — which
-    includes a value stored twice in the table, a code past it and a row
-    stored twice. *)
+    that array.  Raises [Failure] if the relation is absent, if it has no
+    value table or a heap file {!Qf_relational.Heap_file.open_existing}
+    refuses (an old-format store, or a damaged one: to import again), or
+    if it is corrupt — which includes a value stored twice in the table, a
+    code past it and a row stored twice. *)
 val load : t -> string -> Qf_relational.Relation.t
 
 (** [with_codes store name f] is [f values file], for streaming relation

@@ -98,15 +98,14 @@ let rewrite path f =
 let test_store_truncated () =
   with_store @@ fun dir heap ->
   rewrite heap (fun b -> Bytes.sub_string b 0 100);
-  expect_input_error ~contains:"is not page-aligned" (mine_db dir)
+  expect_input_error ~contains:"disagree with a count of" (mine_db dir)
 
 let test_store_bit_flipped () =
   with_store @@ fun dir heap ->
-  (* The high byte of the second code of the first record, which ends
-     the first data page (records fill a page from its end): the code
-     now points far past the value table. *)
+  (* The high byte of the last record's second code, which ends the
+     file: the code now points far past the value table. *)
   rewrite heap (fun b ->
-      let off = (2 * 4096) - 1 in
+      let off = Bytes.length b - 1 in
       Bytes.set_uint8 b off (Bytes.get_uint8 b off lxor 0x10);
       Bytes.to_string b);
   expect_input_error ~contains:"loading store" (mine_db dir);
@@ -118,6 +117,20 @@ let test_store_old_format () =
   Sys.remove (Filename.concat dir "baskets.qfv");
   expect_input_error ~contains:"loading store" (mine_db dir);
   expect_input_error ~contains:"re-import it" (mine_db dir)
+
+(* A store in the paged layout heap files were once written in: its
+   value table is current, its heap file no longer readable. *)
+let test_store_paged_layout () =
+  with_store @@ fun dir heap ->
+  let module Heap_file = Qf_relational.Heap_file in
+  let file = Heap_file.open_existing heap in
+  let rows = ref [] in
+  Heap_file.iter_codes (fun row -> rows := Array.to_list row :: !rows) file;
+  let schema = Heap_file.schema file in
+  Heap_file.close file;
+  Test_util.write_paged_heap_file heap schema (List.rev !rows);
+  expect_input_error ~contains:"loading store" (mine_db dir);
+  expect_input_error ~contains:"re-import it with flockc import" (mine_db dir)
 
 let test_store_loads () =
   with_store @@ fun dir _ ->
@@ -133,7 +146,7 @@ let test_unknown_predicate () =
         (cmd ^ " message") "flockc: unknown predicate baskets" msg)
     [ "mine"; "run"; "explain" ];
   (* The mining conveniences name their relation with [-p]; it must be
-     loaded and binary, and [rules] needs a support of at least 1. *)
+     loaded and binary, and both need a support of at least 1. *)
   List.iter
     (fun cmd ->
       let code, msg = run [ cmd; "-d"; "baskets=" ^ baskets; "-p"; "nosuch" ] in
@@ -147,8 +160,12 @@ let test_unknown_predicate () =
             [ cmd; "-d"; "baskets=" ^ path; "-s"; "1" ])
         [ "X\n1\n2\n"; "A,B,C\n1,2,3\n1,4,3\n" ])
     [ "rules"; "maximal" ];
-  expect_input_error ~contains:"flockc: rules: support must be at least 1"
-    [ "rules"; "-d"; "baskets=" ^ baskets; "-s"; "0" ]
+  List.iter
+    (fun cmd ->
+      expect_input_error
+        ~contains:("flockc: " ^ cmd ^ ": support must be at least 1")
+        [ cmd; "-d"; "baskets=" ^ baskets; "-s"; "0" ])
+    [ "rules"; "maximal" ]
 
 (* A repeated header column is malformed input naming its line and
    column, in every command that loads CSV (it used to escape as an
@@ -391,4 +408,6 @@ let suite =
       `Quick test_sum_over_strings;
     Alcotest.test_case "bounding filters over a mixed measure" `Quick
       test_bounding_mixed_measure;
+    Alcotest.test_case "paged-layout store exits 1 asking for a re-import"
+      `Quick test_store_paged_layout;
   ]

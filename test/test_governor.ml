@@ -186,6 +186,44 @@ let test_spilled_group_filter_agrees () =
     ((Governor.stats g).Governor.spill_partitions > 0);
   assert_no_leaks "spilled group-filter"
 
+(* A spilled FILTER stopped from inside its first run: [slack], called
+   for each group a run's table holds, cancels the query — or sleeps past
+   its deadline — on its first call.  The next run's check raises the
+   typed error, so no later run is grouped, and every run file and the
+   spill directory are gone. *)
+let test_spill_stops_between_runs () =
+  let rel = big_pair_relation 80 in
+  let groups = R.cardinal (R.project rel [ "I" ]) in
+  let stop_in_first_run ~timeout_s stop expected =
+    let g = Governor.create ~mem_budget:8192 ?timeout_s () in
+    let calls = ref 0 in
+    let slack _ =
+      if !calls = 0 then stop g;
+      incr calls;
+      0.
+    in
+    (match
+       Governor.with_ctx g (fun () ->
+           Aggregate.group_filter_report ~slack rel ~keys:[ "I" ]
+             ~func:Aggregate.Count ~threshold:3.)
+     with
+    | _ -> Alcotest.failf "%s: the spilled FILTER ran to the end" expected
+    | exception e ->
+      Alcotest.(check string) "typed error" expected (Printexc.exn_slot_name e));
+    Alcotest.(check bool) (expected ^ ": spilled") true
+      ((Governor.stats g).Governor.spill_partitions > 1);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: stopped after the first run (%d of %d groups)"
+         expected !calls groups)
+      true
+      (!calls > 0 && !calls < groups);
+    assert_no_leaks expected
+  in
+  stop_in_first_run ~timeout_s:None Governor.cancel "Qf_governor.Governor.Cancelled";
+  stop_in_first_run ~timeout_s:(Some 0.2)
+    (fun _ -> Unix.sleepf 0.25)
+    "Qf_governor.Governor.Deadline_exceeded"
+
 (* {1 Spill runs partition the input by key}
 
    [map_partitions] over random relations and key subsets: the runs'
@@ -428,8 +466,8 @@ let mining_scenario name ~mode =
   }
 
 (* Storage round-trip through a store: each row's append crosses
-   [heap.append], closing the heap file [pager.write], and the load
-   [pager.read]. *)
+   [heap.append], closing the heap file [heap.write], and each block the
+   load reads [heap.read]. *)
 let storage_name = "storage round-trip"
 
 let storage_scenario =
@@ -458,13 +496,10 @@ let storage_scenario =
   }
 
 (* The spilled FILTER on its own, so the sweep arms every I/O point of
-   the spill path: run creation, each row's append, and the page writes
-   and reads of a run that outgrows its 4-page pool.  A page is read back
-   from disk only once a run has five data pages (over 1,360 code rows of
-   arity 2), and such a run charges about 175 KB, so no run under
-   [tiny_budget] ever does.  This scenario has a budget of its own
-   instead: one hot key's 1,400 rows fit it as a run, and with 150 more
-   rows the whole input does not. *)
+   the spill path: run creation, each row's append, and the block writes
+   and reads of its runs.  The scenario has a budget of its own: one hot
+   key's 1,400 rows fit it as a run, and with 150 more rows the whole
+   input does not. *)
 let spill_filter_name = "spilled group_filter_report"
 
 let spill_filter_scenario () =
@@ -551,8 +586,8 @@ let test_fault_sweep () =
             (Hashtbl.mem injected (name, point)))
         points)
     [
-      spill_filter_name, [ "spill.create"; "heap.append"; "pager.write"; "pager.read" ];
-      storage_name, [ "heap.append"; "pager.write"; "pager.read" ];
+      spill_filter_name, [ "spill.create"; "heap.append"; "heap.write"; "heap.read" ];
+      storage_name, [ "heap.append"; "heap.write"; "heap.read" ];
     ];
   (* The acceptance bar: the sweep must exercise a substantial number of
      distinct injection points across the scenarios. *)
@@ -577,6 +612,8 @@ let suite =
       test_spilled_group_by_agrees;
     Alcotest.test_case "spilled group-filter = in-memory" `Quick
       test_spilled_group_filter_agrees;
+    Alcotest.test_case "a spilled FILTER stops between runs" `Quick
+      test_spill_stops_between_runs;
     QCheck_alcotest.to_alcotest prop_map_partitions;
     Alcotest.test_case "an oversize spill run is partitioned again" `Quick
       test_oversize_run_resplits;

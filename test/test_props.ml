@@ -173,7 +173,7 @@ let prop_executor_options_equal =
           [ false, false; false, true; true, false; true, true ])
 
 let prop_storage_roundtrip =
-  QCheck.Test.make ~name:"relations survive the paged store" ~count:40
+  QCheck.Test.make ~name:"relations survive the store" ~count:40
     (QCheck.make ~print:pp_relation
        (gen_small_relation ~columns:[ "X"; "Y"; "Z" ] ~max_value:50 ~max_rows:60))
     (fun rel ->
@@ -187,8 +187,8 @@ let prop_storage_roundtrip =
       R.equal rel back)
 
 (* Code records: chunks of arity 0-4 with no rows, one row, or rows over
-   many pages, with codes at both ends of the u32 range.  A 2-page pool
-   makes the appends evict and flush.  A row with a negative code or a
+   many blocks, with codes at both ends of the u32 range, read back while
+   the file is still being written.  A row with a negative code or a
    code of 2^32 is refused whole. *)
 let gen_code_chunk =
   QCheck.Gen.(
@@ -226,7 +226,7 @@ let prop_code_records_roundtrip =
       in
       let path = Filename.temp_file "qfprop" ".qfc" in
       Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-      let file = Heap_file.create ~capacity:2 path schema in
+      let file = Heap_file.create path schema in
       Fun.protect ~finally:(fun () -> Heap_file.close file) @@ fun () ->
       for i = 0 to chunk.nrows - 1 do
         Heap_file.append_codes file chunk.cols i

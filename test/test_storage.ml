@@ -1,6 +1,5 @@
-(* The storage substrate: binary codec, slotted pages, buffer pool, heap
-   files of code records, and the directory store with its value
-   tables. *)
+(* The storage substrate: binary codec, heap files of code records, and
+   the directory store with its value tables. *)
 open Qf_relational
 open Qf_storage
 module R = Qf_relational.Relation
@@ -36,7 +35,7 @@ let test_codec_roundtrip () =
       Int 0; Int 42; Int (-7); Int max_int; Int min_int;
       Real 0.; Real 2.5; Real (-1e300); Real infinity; Real nan;
       Str ""; Str "plain"; Str "with \x00 nul and \xff bytes";
-      Str (String.make 5000 'x') (* bigger than a page *);
+      Str (String.make 5000 'x') (* bigger than a heap-file block *);
     ]
   in
   List.iter
@@ -138,43 +137,7 @@ let fuzz_decode_table =
        QCheck.Gen.(gen_table >>= fun t -> mangle (Codec.values_to_string t)))
     (decodes_or_fails (fun b _ -> Codec.values_of_string (Bytes.to_string b)))
 
-let test_page_basics () =
-  let page = Page.create () in
-  check_int "empty" 0 (Page.count page);
-  check_bool "add" true (Page.add page "first");
-  check_bool "add2" true (Page.add page "second record");
-  check_int "count" 2 (Page.count page);
-  Alcotest.(check string) "get 0" "first" (Page.get page 0);
-  Alcotest.(check string) "get 1" "second record" (Page.get page 1);
-  (* Roundtrip through bytes. *)
-  let reread = Page.of_bytes (Page.to_bytes page) in
-  Alcotest.(check string) "persisted" "second record" (Page.get reread 1)
-
-let test_page_fill_and_overflow () =
-  let page = Page.create () in
-  let record = String.make 100 'r' in
-  let added = ref 0 in
-  while Page.add page record do
-    incr added
-  done;
-  (* 4096 - 4 header; each record takes 100 + 4 slot = 104. *)
-  check_int "packs the page" ((4096 - 4) / 104) !added;
-  check_bool "full page rejects" false (Page.add page record);
-  Alcotest.check_raises "oversized record"
-    (Invalid_argument
-       (Printf.sprintf "Page.add: record of %d bytes exceeds the page payload"
-          (Page.max_record_size + 1)))
-    (fun () -> ignore (Page.add (Page.create ()) (String.make (Page.max_record_size + 1) 'x')))
-
-let test_page_corrupt_header () =
-  let bytes = Bytes.make Page.size '\255' in
-  check_bool "corrupt header rejected" true
-    (try
-       ignore (Page.of_bytes bytes);
-       false
-     with Failure _ -> true)
-
-(* Code columns [0, n) and [n, 2n): codes well past a page's worth. *)
+(* Code columns [0, n) and [n, 2n): codes well past a block's worth. *)
 let code_cols n = [| Array.init n Fun.id; Array.init n (fun i -> n + i) |]
 
 let test_heap_file_roundtrip () =
@@ -204,23 +167,33 @@ let test_heap_file_roundtrip () =
   Heap_file.close reopened;
   Sys.remove path
 
-let test_heap_file_small_cache () =
-  (* A 2-page buffer pool forces eviction traffic; data must survive. *)
+(* A heap file is its header, then exactly [4 * arity] bytes per row.  A
+   file still being written reads back everything appended so far, and
+   takes appends after a read. *)
+let test_heap_file_layout () =
   let path = Filename.temp_file "qfheap" ".qfh" in
-  let file = Heap_file.create ~capacity:2 path (Schema.of_list [ "X" ]) in
+  let schema = Schema.of_list [ "X"; "Name" ] in
+  let file = Heap_file.create path schema in
   let n = 3000 in
-  let cols = [| Array.init n Fun.id |] in
-  for i = 0 to n - 1 do
+  let cols = code_cols n in
+  for i = 0 to n - 2 do
     Heap_file.append_codes file cols i
   done;
-  let _, _, evictions = Heap_file.cache_stats file in
-  check_bool "evictions happened" true (evictions > 0);
+  check_int "read while writing" (n - 1) (Heap_file.to_chunk file).Chunkrel.nrows;
+  Heap_file.append_codes file cols (n - 1);
   let chunk = Heap_file.to_chunk file in
-  check_int "all rows despite eviction" n chunk.Chunkrel.nrows;
-  check_bool "codes despite eviction" true
-    (Array.sub chunk.Chunkrel.cols.(0) 0 n = cols.(0));
+  check_bool "every row after an append" true (chunk.Chunkrel.cols = cols);
+  check_int "body bytes" (8 * n) (Heap_file.body_bytes file);
   Heap_file.close file;
-  Sys.remove path
+  let contents = read_file path in
+  Alcotest.(check string) "magic" "QFHC" (String.sub contents 0 4);
+  check_int "header plus 4 bytes per code"
+    (20 + String.length (Codec.schema_to_string schema) + (8 * n))
+    (String.length contents);
+  Sys.remove path;
+  check_bool "a missing file is a Failure" true
+    (fails (fun () -> Heap_file.open_existing path));
+  check_bool "and reading it creates nothing" false (Sys.file_exists path)
 
 let test_heap_file_arity_check () =
   let path = Filename.temp_file "qfheap" ".qfh" in
@@ -386,26 +359,9 @@ let prop_store_roundtrip =
       Store.save store "r" rel;
       R.equal rel (Store.load store "r"))
 
-(* A saved store's bytes that carry data: all of a value table, and of
-   each heap page its header, slot directory and records (the free space
-   between them is zeros no reader looks at). *)
-let live_bytes ext contents =
-  let n = String.length contents in
-  if ext = ".qfv" then List.init n Fun.id
-  else
-    List.concat
-      (List.init (n / Page.size) (fun p ->
-           let base = p * Page.size in
-           let slots = String.get_uint16_le contents base
-           and free = String.get_uint16_le contents (base + 2) in
-           List.init (4 + (4 * slots)) (fun i -> base + i)
-           @ List.init (Page.size - free) (fun i -> base + free + i)))
-
-(* Every truncation of either file of a saved store, and a bit flipped
-   in every byte of it that carries data, either loads or raises
-   [Failure] — the error [flockc] turns into exit 1.  No other exception
-   may escape.  A heap file cut anywhere but at a page boundary fails
-   one alignment check, so its cuts are taken every 64 bytes. *)
+(* Every truncation of either file of a saved store, and every single
+   bit flipped in it, either loads or raises [Failure] — the error
+   [flockc] turns into exit 1.  No other exception may escape. *)
 let test_store_corruption_sweep () =
   with_store @@ fun store ->
   let rel =
@@ -416,7 +372,7 @@ let test_store_corruption_sweep () =
   Store.save store "r" rel;
   let cases = ref 0 in
   List.iter
-    (fun (ext, cut_every) ->
+    (fun ext ->
       let path = Filename.concat (Store.dir store) ("r" ^ ext) in
       let good = read_file path in
       let try_load label contents =
@@ -428,39 +384,62 @@ let test_store_corruption_sweep () =
         | exception e ->
           Alcotest.failf "%s %s: %s escaped" ext label (Printexc.to_string e)
       in
-      for cut = 0 to (String.length good - 1) / cut_every do
-        let len = cut * cut_every in
+      for len = 0 to String.length good - 1 do
         try_load (Printf.sprintf "cut at %d" len) (String.sub good 0 len)
       done;
-      List.iter
-        (fun i ->
-          let b = Bytes.of_string good in
-          Bytes.set b i (Char.chr (Char.code good.[i] lxor (1 lsl (i mod 8))));
-          try_load (Printf.sprintf "bit flipped at %d" i) (Bytes.to_string b))
-        (live_bytes ext good);
+      String.iteri
+        (fun i c ->
+          for bit = 0 to 7 do
+            let b = Bytes.of_string good in
+            Bytes.set b i (Char.chr (Char.code c lxor (1 lsl bit)));
+            try_load (Printf.sprintf "bit %d flipped at %d" bit i) (Bytes.to_string b)
+          done)
+        good;
       write_file path good)
-    [ ".qfv", 1; ".qfh", 64 ];
-  check_bool "swept both files" true (!cases > 1500);
+    [ ".qfv"; ".qfh" ];
+  check_bool "swept both files" true (!cases > 9000);
   check_bool "the restored store loads" true (R.equal rel (Store.load store "r"))
 
-(* A data page whose slot directory claims more records than a page of
-   this arity holds, every slot a valid record over the same bytes: the
-   scan refuses it, where filling columns sized from the page count would
-   write past them. *)
-let test_store_overfull_page () =
+(* A record count the file's length does not hold: [to_chunk] sizes its
+   columns from the count, so a count over the records present would
+   have it read past them, and one under would drop rows. *)
+let test_store_count_mismatch () =
   with_store @@ fun store ->
-  Store.save store "r" (R.of_values [ "A"; "B" ] V.[ [ Int 1; Int 2 ] ]);
+  Store.save store "r" (R.of_values [ "A"; "B" ] V.[ [ Int 1; Int 2 ]; [ Int 2; Int 1 ] ]);
   let path = Filename.concat (Store.dir store) "r.qfh" in
+  let good = read_file path in
+  List.iter
+    (fun count ->
+      let b = Bytes.of_string good in
+      Bytes.set_int64_le b 8 count;
+      write_file path (Bytes.to_string b);
+      check_bool (Printf.sprintf "count %Ld refused" count) true
+        (fails (fun () -> Store.load store "r")))
+    [ 0L; 1L; 3L; 1000L; Int64.max_int; -1L ];
+  write_file path (good ^ "\000\000\000\000\000\000\000\000");
+  check_bool "a record past the count refused" true (fails (fun () -> Store.load store "r"));
+  (* An arity-0 record is 0 bytes, so no length bounds its count: a
+     count over 1 is a repeated row. *)
+  Store.save store "e" (R.of_values [] [ [] ]);
+  let path = Filename.concat (Store.dir store) "e.qfh" in
   let b = Bytes.of_string (read_file path) in
-  let page = Page.size and slots = 1000 in
-  Bytes.set_uint16_le b page slots;
-  Bytes.set_uint16_le b (page + 2) (Page.size - 8);
-  for i = 0 to slots - 1 do
-    Bytes.set_uint16_le b (page + 4 + (4 * i)) (Page.size - 8);
-    Bytes.set_uint16_le b (page + 6 + (4 * i)) 8
-  done;
+  Bytes.set_int64_le b 8 Int64.max_int;
   write_file path (Bytes.to_string b);
-  check_bool "refused" true (fails (fun () -> Store.load store "r"))
+  check_bool "an arity-0 count over 1 refused" true (fails (fun () -> Store.load store "e"))
+
+(* A store saved in the paged layout, value table and all: the flat
+   reader refuses it by its header, asking for a re-import. *)
+let test_store_paged_layout () =
+  with_store @@ fun store ->
+  let rel = R.of_values [ "A"; "B" ] V.[ [ Int 1; Str "x" ]; [ Int 2; Str "y" ] ] in
+  Store.save store "r" rel;
+  let path = Filename.concat (Store.dir store) "r.qfh" in
+  Test_util.write_paged_heap_file path (R.schema rel) [ [ 0; 1 ]; [ 2; 3 ] ];
+  match Store.load store "r" with
+  | _ -> Alcotest.fail "a paged-layout store loaded"
+  | exception Failure msg ->
+    check_bool ("asks for a re-import: " ^ msg) true
+      (Test_util.contains ~sub:"re-import it with flockc import" msg)
 
 (* A store written before value tables existed has only [.qfh] files. *)
 let test_store_old_format () =
@@ -485,12 +464,9 @@ let suite =
     Alcotest.test_case "codec corruption detected" `Quick test_codec_corruption;
     QCheck_alcotest.to_alcotest fuzz_decode_value;
     QCheck_alcotest.to_alcotest fuzz_decode_table;
-    Alcotest.test_case "page basics" `Quick test_page_basics;
-    Alcotest.test_case "page fill and overflow" `Quick test_page_fill_and_overflow;
-    Alcotest.test_case "page corrupt header" `Quick test_page_corrupt_header;
     Alcotest.test_case "heap file roundtrip" `Quick test_heap_file_roundtrip;
-    Alcotest.test_case "heap file with tiny cache" `Quick
-      test_heap_file_small_cache;
+    Alcotest.test_case "heap file is its header plus its records" `Quick
+      test_heap_file_layout;
     Alcotest.test_case "heap file arity check" `Quick test_heap_file_arity_check;
     Alcotest.test_case "store roundtrip" `Quick test_store_roundtrip;
     Alcotest.test_case "store/catalog bridge" `Quick test_store_catalog_bridge;
@@ -498,8 +474,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_store_roundtrip;
     Alcotest.test_case "store truncation and bit-flip sweep" `Quick
       test_store_corruption_sweep;
-    Alcotest.test_case "a page claiming more records than fit is refused"
-      `Quick test_store_overfull_page;
+    Alcotest.test_case "a record count that disagrees with the file length is refused"
+      `Quick test_store_count_mismatch;
+    Alcotest.test_case "a paged-layout store asks for a re-import" `Quick
+      test_store_paged_layout;
     Alcotest.test_case "old-format store asks for a re-import" `Quick
       test_store_old_format;
   ]

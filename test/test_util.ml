@@ -67,3 +67,44 @@ let tie_rule =
   match Qf_datalog.Parser.parse_rule {|answer(X) :- s(Y) AND r(X,Y,"3")|} with
   | Ok r -> r
   | Error e -> failwith e
+
+(* A heap file in the paged layout stores were once written in, which
+   the flat format does not read: 4 KiB pages, each a u16 slot count, a
+   u16 free offset, then a (u16 offset, u16 length) slot per record, with
+   the records packed from the page's end.  Page 0 holds the schema's
+   record; the pages after it hold [rows], each a list of u32 codes. *)
+let write_paged_heap_file path schema rows =
+  let size = 4096 in
+  let page records =
+    let b = Bytes.make size '\000' in
+    let _, free =
+      List.fold_left
+        (fun (i, free) r ->
+          let len = String.length r in
+          Bytes.blit_string r 0 b (free - len) len;
+          Bytes.set_uint16_le b (4 + (4 * i)) (free - len);
+          Bytes.set_uint16_le b (6 + (4 * i)) len;
+          i + 1, free - len)
+        (0, size) records
+    in
+    Bytes.set_uint16_le b 0 (List.length records);
+    Bytes.set_uint16_le b 2 free;
+    Bytes.to_string b
+  in
+  let record codes =
+    let b = Bytes.create (4 * List.length codes) in
+    List.iteri (fun c code -> Bytes.set_int32_le b (4 * c) (Int32.of_int code)) codes;
+    Bytes.to_string b
+  in
+  let per_page = (size - 4) / ((4 * Qf_relational.Schema.arity schema) + 4) in
+  let rec data = function
+    | [] -> []
+    | records ->
+      page (List.filteri (fun i _ -> i < per_page) records)
+      :: data (List.filteri (fun i _ -> i >= per_page) records)
+  in
+  let records = List.map record rows in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (output_string oc)
+        (page [ Qf_relational.Codec.schema_to_string schema ]
+        :: (if records = [] then [ page [] ] else data records)))
