@@ -324,6 +324,8 @@ let setting ~flag ~var ~expected parse arg =
     | Some v -> Ok (Some v)
     | None -> Error (Printf.sprintf "%s %S: expected %s" source s expected))
 
+(* The governor the flags or, in their absence, the variables ask for;
+   [None] when neither sets anything. *)
 let make_governor ~timeout ~mem_budget =
   let ( let* ) = Result.bind in
   let* timeout_s =
@@ -340,7 +342,10 @@ let make_governor ~timeout ~mem_budget =
       ~expected:"bytes with an optional k/m/g suffix, or \"unbounded\""
       Governor.budget_of_string mem_budget
   in
-  Ok (Governor.create ?mem_budget ?timeout_s ())
+  Ok
+    (match timeout_s, mem_budget with
+    | None, None -> None
+    | _ -> Some (Governor.create ?mem_budget ?timeout_s ()))
 
 (* Resource faults become the conventional shell exit codes: 124 for a
    deadline (mirroring timeout(1)), 125 for an unsatisfiable budget.  A
@@ -421,11 +426,7 @@ let explain_cmd =
         in
         (* A governor is installed only when asked for, so ungoverned
            profiles keep their exact historical output. *)
-        let governor =
-          match timeout, mem_budget with
-          | None, None -> None
-          | _ -> Some (or_die (make_governor ~timeout ~mem_budget))
-        in
+        let governor = or_die (make_governor ~timeout ~mem_budget) in
         let p =
           governed ~context:"explain" @@ fun () ->
           Explain.profile ~clamps ?governor catalog best.Optimizer.plan
@@ -501,7 +502,10 @@ let mine_cmd =
     let program = or_die (load_program path) in
     let flock = program.Parse.flock in
     let catalog = or_die (prepare (or_die (load_catalog ?db data)) program) in
-    let g = or_die (make_governor ~timeout ~mem_budget) in
+    let g =
+      Option.value ~default:(Governor.create ())
+        (or_die (make_governor ~timeout ~mem_budget))
+    in
     let result =
       governed ~context:"mine" @@ fun () ->
       Governor.with_ctx g @@ fun () -> evaluate mode catalog flock

@@ -1,10 +1,10 @@
 (* Spill runs: temp heap files backing the grouping pass's partitioned
    fallback.  A run lives in its governor's private spill directory, so
    every exit path of [Governor.with_ctx] removes it even if the pass
-   never got to; [discard] is the eager cleanup on every exit of
-   [map_partitions] (nothing more is written: the data is about to be
-   deleted, and a cleanup path must not fail on a simulated write
-   error). *)
+   never got to; [discard] deletes a run as soon as it is read back, and
+   again on every exit of [map_partitions] (nothing more is written: the
+   data is about to be deleted, and a cleanup path must not fail on a
+   simulated write error). *)
 
 module Governor = Qf_governor.Governor
 module Fault = Qf_governor.Fault
@@ -88,7 +88,9 @@ let rec map_partitions_at ~depth g rel ~keys ~need f =
   List.concat_map
     (fun r ->
       Governor.check ();
-      let run = Relation.of_chunkrel schema (Heap_file.to_chunk r.file) in
+      let chunk = Heap_file.to_chunk r.file in
+      discard r;
+      let run = Relation.of_chunkrel schema chunk in
       let cost = need run in
       if
         depth < max_depth

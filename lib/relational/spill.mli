@@ -23,8 +23,8 @@ val governed :
     applies [f] to it under a charge of [need run], in run order.  A run
     whose charge does not fit what is left of the budget is partitioned
     again the same way (with a different hash), at most three levels
-    down, and [f] gets its runs in its place.  Every run is deleted on
-    every exit. *)
+    down, and [f] gets its runs in its place.  A run is deleted as soon
+    as it is read back, and every run on every exit. *)
 val map_partitions :
   Qf_governor.Governor.t ->
   Relation.t ->

@@ -223,14 +223,21 @@ let test_evaluators_agree () =
 (* A malformed or negative timeout or budget, from a flag or from the
    environment, is an input error naming its source (it used to be an
    uncaught [Invalid_argument], exit 125, or silently ignored). *)
+let governed_data = [ "-d"; "baskets=" ^ baskets; pairs ]
+let mine flags = ("mine" :: flags) @ governed_data
+let explain_profile flags = ("explain" :: "--profile" :: flags) @ governed_data
+
 let test_bad_governor_settings () =
-  let mine flags = ("mine" :: flags) @ [ "-d"; "baskets=" ^ baskets; pairs ] in
   List.iter
     (fun (env, flags, contains) ->
-      let code, msg = run ~env (mine flags) in
-      check_int ("exit status of: " ^ msg) 1 code;
-      if not (Test_util.contains ~sub:contains msg) then
-        Alcotest.failf "expected %S in: %s" contains msg)
+      (* [explain --profile] reads the variables too. *)
+      List.iter
+        (fun command ->
+          let code, msg = run ~env (command flags) in
+          check_int ("exit status of: " ^ msg) 1 code;
+          if not (Test_util.contains ~sub:contains msg) then
+            Alcotest.failf "expected %S in: %s" contains msg)
+        (if env = [] then [ mine ] else [ mine; explain_profile ]))
     [
       [], [ "--timeout=-1" ], "flockc: --timeout \"-1\": expected";
       [], [ "--timeout=abc" ], "flockc: --timeout \"abc\": expected";
@@ -244,6 +251,23 @@ let test_bad_governor_settings () =
   check_int ("flag over a bad variable: " ^ msg) 0 code;
   let code, msg = run ~env:[ "QF_MEM_BUDGET=" ] (mine []) in
   check_int ("empty variable: " ^ msg) 0 code
+
+(* [explain --profile] takes its budget and deadline from the variables
+   when no flag is given, as [mine] does: a 1 KiB budget exits 125 from
+   the variable as from the flag, and an expired deadline 124. *)
+let test_explain_reads_governor_variables () =
+  List.iter
+    (fun (env, flags, expected) ->
+      let code, msg = run ~env (explain_profile flags) in
+      check_int
+        (Printf.sprintf "%s: exit status of: %s"
+           (String.concat " " (env @ flags)) msg)
+        expected code)
+    [
+      [ "QF_MEM_BUDGET=1k" ], [], 125;
+      [], [ "--mem-budget=1k" ], 125;
+      [ "QF_TIMEOUT=0.000000001" ], [], 124;
+    ]
 
 let with_flock text f =
   let path = Filename.temp_file "qfcli" ".flock" in
@@ -410,4 +434,6 @@ let suite =
       test_bounding_mixed_measure;
     Alcotest.test_case "paged-layout store exits 1 asking for a re-import"
       `Quick test_store_paged_layout;
+    Alcotest.test_case "explain --profile reads QF_MEM_BUDGET and QF_TIMEOUT"
+      `Quick test_explain_reads_governor_variables;
   ]

@@ -16,33 +16,6 @@ module Fault = Qf_governor.Fault
 open Qf_core
 open Qf_testgen.Testgen
 
-(* Spill files of THIS process left behind anywhere under the temp dir:
-   the hygiene invariant is that this list is empty after every governed
-   run, including every faulted one. *)
-let leaked_spill_files () =
-  let prefix = "qf_spill." ^ string_of_int (Unix.getpid ()) ^ "." in
-  let tmp = Filename.get_temp_dir_name () in
-  match Sys.readdir tmp with
-  | entries ->
-    Array.to_list entries
-    |> List.filter (fun e -> String.starts_with ~prefix e)
-    |> List.map (fun e -> Filename.concat tmp e)
-  | exception Sys_error _ -> []
-
-let assert_no_leaks context =
-  match leaked_spill_files () with
-  | [] -> ()
-  | files ->
-    (* Clean up so one failure does not cascade into every later case. *)
-    List.iter
-      (fun dir ->
-        (try Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
-         with Sys_error _ -> ());
-        try Unix.rmdir dir with Unix.Unix_error _ -> ())
-      files;
-    Alcotest.failf "%s: leaked spill files: %s" context
-      (String.concat ", " files)
-
 (* {1 Unit tests: accounting, budget parsing, deadlines, cancellation} *)
 
 let test_budget_of_string () =
@@ -280,6 +253,33 @@ let prop_map_partitions =
       && List.length (List.sort_uniq Tuple.compare run_keys)
          = List.length run_keys)
 
+(* A run is deleted as soon as it is read back: while [f] consumes run
+   [i] of [P], the spill directory holds at most the [P - i] runs not yet
+   consumed.  Sixty-four keys, at a need that asks for sixteen runs. *)
+let test_runs_deleted_as_consumed () =
+  let budget = 1 lsl 20 in
+  let parts = 16 in
+  let rel = R.of_values [ "X" ] (List.init 64 (fun i -> [ Value.Int i ])) in
+  let need r = if r == rel then (parts - 1) * budget / 4 else 0 in
+  let g = Governor.create ~mem_budget:budget () in
+  let left =
+    Governor.with_ctx g (fun () ->
+        Qf_relational.Spill.map_partitions g rel ~keys:[ "X" ] ~need
+          (fun _ ->
+            let dir = Filename.dirname (Governor.fresh_spill_path g) in
+            Array.length (Sys.readdir dir)))
+  in
+  assert_no_leaks "runs deleted as consumed";
+  Alcotest.(check int) "runs" parts (List.length left);
+  List.iteri
+    (fun i files ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d files while run %d of %d is consumed" files (i + 1)
+           parts)
+        true
+        (files <= parts - (i + 1)))
+    left
+
 (* A run whose charge outgrows what is left of the budget is partitioned
    again.  Forty distinct keys, a top-level need asking for the minimum
    of two runs, and a run charge of a quarter of the budget per row: no
@@ -311,37 +311,6 @@ let test_oversize_run_resplits () =
   | _ -> Alcotest.fail "one key's eight rows cannot fit"
   | exception Governor.Over_budget _ -> ());
   assert_no_leaks "one key over budget"
-
-(* {1 Executors under a tiny budget agree with ungoverned direct} *)
-
-let tiny_budget = 4096
-
-let run_governed g f = Governor.with_ctx g f
-
-let test_executors_agree_under_tiny_budget () =
-  List.iter
-    (fun seed ->
-      let rel, threshold = instance ~seed gen_basket_instance in
-      let cat = catalog_of rel in
-      let flock = pair_flock threshold in
-      let expected = Direct.run cat flock in
-      let governed name f =
-        let g = Governor.create ~mem_budget:tiny_budget () in
-        let got = run_governed g f in
-        if not (R.equal expected got) then
-          Alcotest.failf "seed %d: governed %s disagrees with direct" seed
-            name
-      in
-      governed "direct" (fun () -> Direct.run cat flock);
-      governed "plan" (fun () ->
-          Plan_exec.run cat (Optimizer.optimize cat flock));
-      governed "dynamic" (fun () ->
-          match Dynamic.run cat flock with
-          | Ok r -> r.Dynamic.answers
-          | Error e -> Alcotest.failf "seed %d: dynamic: %s" seed e);
-      governed "naive" (fun () -> Naive.run cat flock))
-    (List.init 10 (fun i -> i * 7));
-  assert_no_leaks "tiny-budget executors"
 
 (* {1 MIN/MAX over a string head column}
 
@@ -446,7 +415,7 @@ let mining_scenario name ~mode =
   let flock = pair_flock threshold in
   let expected = Direct.run cat flock in
   let run () =
-    let g = Governor.create ~mem_budget:tiny_budget () in
+    let g = Governor.create ~mem_budget:tiny_mem () in
     Governor.with_ctx g @@ fun () ->
     match mode with
     | `Direct -> Direct.run cat flock
@@ -617,8 +586,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_map_partitions;
     Alcotest.test_case "an oversize spill run is partitioned again" `Quick
       test_oversize_run_resplits;
-    Alcotest.test_case "executors agree under a tiny budget" `Slow
-      test_executors_agree_under_tiny_budget;
+    Alcotest.test_case "spill runs are deleted as they are consumed" `Quick
+      test_runs_deleted_as_consumed;
     Alcotest.test_case "MIN/MAX over a string column: executors = naive"
       `Quick test_min_max_over_strings;
     Alcotest.test_case "plan execution honours the deadline" `Quick

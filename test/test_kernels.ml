@@ -535,34 +535,6 @@ let test_filter_count_corpus () =
     (!fused > 0);
   Alcotest.(check bool) "head constants occur" true (!consts > 0)
 
-(* Under a finite budget the FILTER tabulates and groups, so the
-   grouping pass can still spill; the answers stay the same. *)
-let test_filter_count_governed () =
-  let module Governor = Qf_governor.Governor in
-  let spills = ref 0 in
-  List.iter
-    (fun seed ->
-      let rel, threshold = instance ~seed gen_basket_instance in
-      let flock = pair_flock threshold in
-      let cat = catalog_of rel in
-      let keys = Flock.result_columns flock in
-      let threshold = float_of_int threshold in
-      let want, _, _ =
-        Eval.filter_query cat flock.Flock.query ~keys ~func:Aggregate.Count
-          ~threshold
-      in
-      let g = Governor.create ~mem_budget:4096 () in
-      let got, _, _ =
-        Governor.with_ctx g (fun () ->
-            Eval.filter_query cat flock.Flock.query ~keys
-              ~func:Aggregate.Count ~threshold)
-      in
-      spills := !spills + (Governor.stats g).Governor.spill_partitions;
-      if not (R.equal want got) then
-        Alcotest.failf "seed %d: the governed FILTER disagrees" seed)
-    (List.init 50 Fun.id);
-  Alcotest.(check bool) "the 4k budget spilled" true (!spills > 0)
-
 let suite =
   List.map QCheck_alcotest.to_alcotest
     (List.map join_prop join_rules
@@ -582,6 +554,4 @@ let suite =
       Alcotest.test_case "mixed value types" `Quick test_mixed_types;
       Alcotest.test_case "FILTER count = tabulate then group" `Quick
         test_filter_count_corpus;
-      Alcotest.test_case "governed FILTER still spills" `Quick
-        test_filter_count_governed;
     ]

@@ -1,7 +1,7 @@
 (* Property-based tests (qcheck): algebraic laws of the relational layer,
-   the core soundness invariant (naive = direct = planned = dynamic) on
-   random flock instances, the subquery upper-bound property, and parser
-   round-trips on random rule ASTs.
+   the subquery upper-bound property, and parser round-trips on random
+   rule ASTs.  The core soundness invariant (every executor = naive) on
+   random flock instances is the differential suite's QCheck entry.
 
    All generators live in the shared [Qf_testgen.Testgen] library, which
    the differential and observability suites reuse with fixed seeds. *)
@@ -82,95 +82,6 @@ let prop_group_filter_antitone_in_threshold =
       in
       let low = at 1. and high = at 3. in
       R.fold (fun tup ok -> ok && R.mem low tup) high true)
-
-(* {1 Flock soundness: all evaluators agree} *)
-
-let prop_naive_equals_direct =
-  QCheck.Test.make ~name:"naive = direct on random basket instances" ~count:100
-    arb_basket_instance (fun (rel, threshold) ->
-      let cat = catalog_of rel in
-      let flock = pair_flock threshold in
-      R.equal (Direct.run cat flock) (Naive.run cat flock))
-
-let prop_plans_equal_direct =
-  QCheck.Test.make ~name:"all legal generated plans = direct" ~count:100
-    arb_basket_instance (fun (rel, threshold) ->
-      let cat = catalog_of rel in
-      let flock = pair_flock threshold in
-      let expected = Direct.run cat flock in
-      let singleton =
-        match Apriori_gen.singleton_plan flock with
-        | Ok p -> Plan_exec.run cat p
-        | Error e -> failwith e
-      in
-      let optimized = Plan_exec.run cat (Optimizer.optimize cat flock) in
-      let levelwise =
-        let _, p = Apriori_gen.levelwise_basket ~pred:"baskets" ~k:2 ~support:threshold in
-        Plan_exec.run cat p
-      in
-      R.equal expected singleton && R.equal expected optimized
-      && R.equal expected levelwise)
-
-let prop_dynamic_equals_direct =
-  QCheck.Test.make ~name:"dynamic = direct on random basket instances"
-    ~count:100 arb_basket_instance (fun (rel, threshold) ->
-      let cat = catalog_of rel in
-      let flock = pair_flock threshold in
-      match Dynamic.run cat flock with
-      | Ok result -> R.equal (Direct.run cat flock) result.answers
-      | Error e -> QCheck.Test.fail_report e)
-
-let prop_union_dynamic_equals_direct =
-  QCheck.Test.make
-    ~name:"union dynamic = direct under aggressive filtering" ~count:80
-    (QCheck.make
-       ~print:(fun (a, b, t) ->
-         Printf.sprintf "threshold %d\n%s\n----\n%s" t (pp_relation a)
-           (pp_relation b))
-       QCheck.Gen.(
-         let* a = gen_small_relation ~columns:[ "X"; "Y" ] ~max_value:4 ~max_rows:15 in
-         let* b = gen_small_relation ~columns:[ "X"; "Y" ] ~max_value:4 ~max_rows:15 in
-         let* t = int_range 1 3 in
-         return (a, b, t)))
-    (fun (a, b, threshold) ->
-      let cat = Catalog.create () in
-      Catalog.add cat "p" a;
-      Catalog.add cat "q" b;
-      let flock =
-        Parse.flock_exn
-          (Printf.sprintf
-             "QUERY:\nanswer(X) :- p(X,$a)\nanswer(X) :- q(X,$a)\nFILTER:\nCOUNT(answer.X) >= %d"
-             threshold)
-      in
-      let config = { Dynamic.ratio_factor = 1e9; improvement_factor = 1e9 } in
-      match Dynamic.run ~config cat flock with
-      | Ok r -> R.equal (Direct.run cat flock) r.answers
-      | Error e -> QCheck.Test.fail_report e)
-
-let prop_executor_options_equal =
-  QCheck.Test.make
-    ~name:"plan executor agrees across all optimization combinations"
-    ~count:60 arb_basket_instance (fun (rel, threshold) ->
-      let flock = pair_flock threshold in
-      match Apriori_gen.singleton_plan flock with
-      | Error e -> QCheck.Test.fail_report e
-      | Ok plan ->
-        (* One catalog per memo budget, each shared by all its runs, so
-           later runs at the default budget are served by the memo. *)
-        let with_memo = catalog_of rel in
-        let no_memo = catalog_of rel in
-        Catalog.set_memo_budget no_memo 0;
-        let run semijoin_reduction reuse cat =
-          Plan_exec.run ~options:{ Plan_exec.semijoin_reduction; reuse } cat
-            plan
-        in
-        let base = run false false no_memo in
-        List.for_all
-          (fun (semijoin_reduction, reuse) ->
-            List.for_all
-              (fun cat -> R.equal base (run semijoin_reduction reuse cat))
-              [ no_memo; with_memo ])
-          [ false, false; false, true; true, false; true, true ])
 
 let prop_storage_roundtrip =
   QCheck.Test.make ~name:"relations survive the store" ~count:40
@@ -432,12 +343,7 @@ let suite =
       prop_join_cardinality_bound;
       prop_project_idempotent;
       prop_group_filter_antitone_in_threshold;
-      prop_naive_equals_direct;
-      prop_plans_equal_direct;
-      prop_dynamic_equals_direct;
-      prop_union_dynamic_equals_direct;
       prop_fixpoint_transitive_closure;
-      prop_executor_options_equal;
       prop_storage_roundtrip;
       prop_code_records_roundtrip;
       prop_subquery_upper_bound;

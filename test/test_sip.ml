@@ -1,7 +1,8 @@
 (* Sideways information passing and the cross-level subplan memo: the LRU
    byte-budget policy, Bloom/exact reducer membership laws, canonical
-   step signatures, memo-hit cascades across levelwise runs, and the
-   reduced = unreduced differential matrix over memo budgets. *)
+   step signatures and memo-hit cascades across levelwise runs.  Answers
+   across memo budgets and SIP on and off are the differential suite's
+   config space. *)
 module R = Qf_relational.Relation
 module V = Qf_relational.Value
 module Catalog = Qf_relational.Catalog
@@ -18,12 +19,6 @@ let check_int = Alcotest.(check int)
 
 (* Reducer membership of an integer value, through its dictionary code. *)
 let mem_int t i = Sip.mem t (Dict.encode (V.Int i))
-
-let no_shortcut =
-  {
-    Plan_exec.semijoin_reduction = false;
-    reuse = false;
-  }
 
 (* {1 Lru} *)
 
@@ -349,38 +344,6 @@ let test_memo_cascade_across_levels () =
   check_bool "memo stats recorded hits and misses" true
     (hits > 0 && misses > 0)
 
-(* {1 Differential matrix: memo budgets} *)
-
-let test_reduced_equals_unreduced_matrix () =
-  List.iter
-    (fun seed ->
-      let rel, threshold = instance ~seed gen_basket_instance in
-      let cat = catalog_of rel in
-      let flock, plan =
-        Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3 ~support:threshold
-      in
-      let expected = Direct.run cat flock in
-      let fail name =
-        Alcotest.failf "seed %d: %s disagrees with direct" seed name
-      in
-      (* Fully unreduced baseline. *)
-      let base = Plan_exec.run ~options:no_shortcut cat plan in
-      if not (R.equal expected base) then fail "unreduced";
-      List.iter
-        (fun budget ->
-          Catalog.set_memo_budget cat budget;
-          Catalog.memo_clear cat;
-          (* Cold then warm: the second run exercises memo hits (or, at
-             budget 0 / tiny budgets, eviction paths). *)
-          let cold = Plan_exec.run cat plan in
-          let warm = Plan_exec.run cat plan in
-          if not (R.equal expected cold) then
-            fail (Printf.sprintf "reduced cold (budget %d)" budget);
-          if not (R.equal expected warm) then
-            fail (Printf.sprintf "reduced warm (budget %d)" budget))
-        [ 0; 2048; max_int ])
-    [ 0; 11; 42 ]
-
 (* {1 Counter determinism} *)
 
 (* The memo and sip obs counters must repeat exactly on a fresh catalog —
@@ -459,9 +422,6 @@ let suite =
       test_plan_local_reuse;
     Alcotest.test_case "memo cascade: k=3 run primes k=4" `Slow
       test_memo_cascade_across_levels;
-    Alcotest.test_case
-      "reduced = unreduced across budgets" `Slow
-      test_reduced_equals_unreduced_matrix;
     Alcotest.test_case "sip/memo counters repeat across runs" `Slow
       test_counters_repeat;
     Alcotest.test_case "index cache evicts within its budget" `Quick
