@@ -41,36 +41,30 @@ let choose_candidate selection (rule : Ast.rule) params =
      | None -> ());
   chosen
 
-let param_set_plan ?(selection = `Fewest_subgoals) (flock : Flock.t)
-    ~param_sets =
-  let all_params = Flock.params flock in
-  let* steps =
-    List.fold_left
-      (fun acc set ->
-        let* steps = acc in
-        let set = List.sort_uniq String.compare set in
-        let* () =
-          if set = [] then Error "empty parameter set"
-          else if List.for_all (fun p -> List.mem p all_params) set then Ok ()
-          else error "parameter set {%s} not within the flock's parameters"
-                 (String.concat "," set)
-        in
-        let* subqueries =
-          List.fold_left
-            (fun acc rule ->
-              let* rules = acc in
-              match choose_candidate selection rule set with
-              | Some c -> Ok (c.Subquery.rule :: rules)
-              | None ->
-                error "no safe subquery with parameters {%s} for rule %s"
-                  (String.concat "," set)
-                  (Qf_datalog.Pretty.rule_to_string rule))
-            (Ok []) flock.query
-        in
-        Ok (Plan.step ~name:(step_name set) (List.rev subqueries) :: steps))
-      (Ok []) param_sets
+let param_set_step ?(selection = `Fewest_subgoals) (flock : Flock.t) set =
+  let set = List.sort_uniq String.compare set in
+  let* () =
+    if set = [] then Error "empty parameter set"
+    else if List.for_all (fun p -> List.mem p (Flock.params flock)) set then
+      Ok ()
+    else error "parameter set {%s} not within the flock's parameters"
+           (String.concat "," set)
   in
-  let steps = List.rev steps in
+  let* subqueries =
+    List.fold_left
+      (fun acc rule ->
+        let* rules = acc in
+        match choose_candidate selection rule set with
+        | Some c -> Ok (c.Subquery.rule :: rules)
+        | None ->
+          error "no safe subquery with parameters {%s} for rule %s"
+            (String.concat "," set)
+            (Qf_datalog.Pretty.rule_to_string rule))
+      (Ok []) flock.query
+  in
+  Ok (Plan.step ~name:(step_name set) (List.rev subqueries))
+
+let plan_of_steps (flock : Flock.t) steps =
   let ok_atoms =
     List.map (fun (s : Plan.step) -> ok_atom s.name s.params) steps
   in
@@ -81,16 +75,22 @@ let param_set_plan ?(selection = `Fewest_subgoals) (flock : Flock.t)
   in
   Plan.make flock ~steps ~final:(Plan.step ~name:"result" final_query)
 
-let singleton_plan ?(selection = `Fewest_subgoals) (flock : Flock.t) =
-  let viable =
-    List.filter
-      (fun p ->
-        List.for_all
-          (fun rule -> choose_candidate selection rule [ p ] <> None)
-          flock.query)
-      (Flock.params flock)
+let param_set_plan ?selection flock ~param_sets =
+  let* steps =
+    List.fold_left
+      (fun acc set ->
+        let* steps = acc in
+        let* step = param_set_step ?selection flock set in
+        Ok (step :: steps))
+      (Ok []) param_sets
   in
-  param_set_plan ~selection flock ~param_sets:(List.map (fun p -> [ p ]) viable)
+  plan_of_steps flock (List.rev steps)
+
+let singleton_plan ?selection (flock : Flock.t) =
+  plan_of_steps flock
+    (List.filter_map
+       (fun p -> Result.to_option (param_set_step ?selection flock [ p ]))
+       (Flock.params flock))
 
 let chain_plan (flock : Flock.t) ~prefixes =
   let* rule =

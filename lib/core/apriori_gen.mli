@@ -17,6 +17,18 @@
     [`Cheapest env] ranks by {!Cost.estimate_rule}. *)
 type selection = [ `Fewest_subgoals | `Cheapest of Cost.env ]
 
+(** [param_set_step flock set] is the auxiliary FILTER step for one
+    parameter set, named [ok_<params>]: per rule of the union, one safe
+    subquery with exactly [set]'s parameters.  Fails as
+    {!param_set_plan} does for that set. *)
+val param_set_step :
+  ?selection:selection -> Flock.t -> string list -> (Plan.step, string) result
+
+(** [plan_of_steps flock steps] is the strategy-1 plan over the given
+    auxiliary steps: the final step is the flock's query with every
+    step's [ok] subgoal added to each rule. *)
+val plan_of_steps : Flock.t -> Plan.step list -> (Plan.t, string) result
+
 (** [param_set_plan flock ~param_sets] builds a strategy-1 plan with one
     auxiliary step per parameter set (in the given order).  Fails if some
     rule of the union has no safe subquery for one of the sets, or if a set

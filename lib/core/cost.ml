@@ -177,24 +177,10 @@ let estimate_step env ~(filter : Filter.t) (s : Plan.step) =
      re-fit it, so plan choices and counts stay as they were. *)
   e.work +. (3. *. e.rows), out_stats
 
-(* Reducer placement (executor-side SIP): materializing the semijoin of
-   a base relation with an [ok] step pays one pass over the base rows; it
-   wins when the ok set actually excludes values of the reduced column.
-   The survivor set can only shrink the column's domain, so comparing the
-   ok cardinality against the column's distinct count — the same
-   version-coherent profile the bound certifier seeds from — is a sound
-   keep-fraction estimate: at [ok_cardinal >= distinct] the reduction is
-   certifiably a no-op and is skipped. *)
-let reduce_keep_fraction = 0.98
-
-let should_reduce catalog ~pred ~col ~ok_cardinal =
-  match Statistics.distinct (Catalog.stats catalog pred) col with
-  | exception (Failure _ | Not_found) -> true
-  | d -> d > 0 && float_of_int ok_cardinal < reduce_keep_fraction *. float_of_int d
-
-(* Model the executor's semijoin reduction: for every single-parameter
+(* Model the executor's SIP reducers: for every single-parameter
    auxiliary step, shrink the statistics of the base atoms the final query
-   applies that parameter to.  Without this, the model sees few surviving
+   applies that parameter to, as if only the rows whose value the reducer
+   keeps were probed.  Without this, the model sees few surviving
    values but misses that those values carry most of the row mass on
    skewed data — the exact mistake that made filtering look free. *)
 let reduce_env_for_final env ~threshold (plan : Plan.t) =
@@ -268,8 +254,8 @@ type step_estimate = {
 }
 
 (* Per-step estimates: each auxiliary step's estimated output statistics
-   feed the later steps, and the final step sees the semijoin-reduced
-   env. *)
+   feed the later steps, and the final step sees the env its reducers
+   shrink. *)
 
 let plan_step_estimates ?(clamps = []) env (plan : Plan.t) =
   let filter = plan.flock.filter in

@@ -48,22 +48,6 @@ val estimate_rule : env -> Qf_datalog.Ast.rule -> estimate
     counts across the rules of the query). *)
 val estimate_groups : env -> Qf_datalog.Ast.query -> string list -> float
 
-(** Reducer-placement decision for the executor's sideways-information
-    passing: [should_reduce catalog ~pred ~col ~ok_cardinal] is [true]
-    when semijoin-reducing base relation [pred] on column [col] against
-    an [ok] step of [ok_cardinal] surviving values is expected to shrink
-    it — i.e. when the ok set excludes part of the column's distinct
-    domain (read from the catalog's version-coherent column profiles).
-    At [ok_cardinal >= distinct(col)] the reduction cannot remove a row
-    and is skipped.  Unknown statistics default to reducing (sound either
-    way; this is purely a cost choice). *)
-val should_reduce :
-  Qf_relational.Catalog.t ->
-  pred:string ->
-  col:string ->
-  ok_cardinal:int ->
-  bool
-
 (** [estimate_step env ~filter step] estimates executing one FILTER step
     under [filter]: returns the estimated work and the {!vstats} of the
     step's output relation (the surviving parameter assignments).  When

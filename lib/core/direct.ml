@@ -12,11 +12,11 @@ let run catalog (flock : Flock.t) =
       ~threshold:flock.filter.threshold
   in
   if not (Obs.enabled ()) then
-    let result, _, _ = compute () in
+    let result, _, _, _ = compute () in
     result
   else
     Obs.with_span "direct.run" (fun () ->
-        let result, tab_rows, _ = compute () in
+        let result, tab_rows, _, _ = compute () in
         Obs.set_attr "rows_in" (Obs.Int tab_rows);
         Obs.set_attr "rows_out" (Obs.Int (Relation.cardinal result));
         result)

@@ -160,7 +160,7 @@ let per_param rule params f =
    is omitted. *)
 let apriori_reducers catalog rule ~params ~threshold =
   per_param rule params (fun key sub ->
-      let survivors, _, groups =
+      let survivors, _, groups, _ =
         Eval.filter_query catalog [ sub ] ~keys:[ key ] ~func:Aggregate.Count
           ~threshold
       in

@@ -38,7 +38,7 @@ type step_profile = {
       (** the α-equivalent earlier step of this plan whose result was
           reused (e.g. Ex. 3.1's symmetric twin); not recomputed *)
   memo_hit : bool;  (** fetched from the cross-level subplan memo *)
-  sip_pruned : int;  (** base rows removed by materialized semijoin reducers *)
+  sip_pruned : int;  (** candidates rejected by the step's SIP reducers *)
 }
 
 type profile = {

@@ -36,20 +36,16 @@ let pair_rules catalog ~pred ~support ~min_confidence =
         Option.iter (fun c -> frequent := c :: !frequent) (Dict.find_opt item))
     (Aggregate.group_by baskets ~keys:[ item_col ] ~func:Aggregate.Count);
   let support_of item = Option.value (Vtbl.find_opt item_support item) ~default:0 in
-  (* The a-priori trick, by hand: restrict baskets to frequent items before
-     the pair join (the paper's Sec. 1.3 rewrite).  The filter tests item
-     codes against the exact set of frequent items' codes.  The reduced
-     relation gets a name of its own, so the statistics cached for [pred]
-     (shared with every copy) stay those of the full relation. *)
-  let reduced =
-    Sip.filter baskets ~pos:1 (Sip.exact_of_codes (Array.of_list !frequent))
-  in
-  let work = Catalog.copy catalog in
-  let frequent_pred = pred ^ "~frequent" in
-  Catalog.add work frequent_pred reduced;
+  (* The a-priori trick, by hand (the paper's Sec. 1.3 rewrite): one
+     exact reducer over the frequent items' codes, which the evaluator
+     tests as it binds each item of the pair, so no pair with an
+     infrequent item is ever formed. *)
+  let frequent = Sip.of_codes (Array.of_list !frequent) in
   let tab =
-    Qf_datalog.Eval.tabulate work
-      (List.hd (Apriori_gen.basket_flock ~pred:frequent_pred ~k:2 ~support).query)
+    Qf_datalog.Eval.tabulate
+      ~sip:[ "$1", frequent; "$2", frequent ]
+      catalog
+      (List.hd (Apriori_gen.basket_flock ~pred ~k:2 ~support).query)
   in
   let counts = Aggregate.group_by tab ~keys:[ "$1"; "$2" ] ~func:Aggregate.Count in
   let directed =

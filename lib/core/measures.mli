@@ -3,12 +3,11 @@
 
     An item's support is its count of baskets, grouped once over the
     relation.  A pair's support counts the pair flock's tabulated query,
-    run by hand with the a-priori rewrite of Sec. 1.3: the baskets are
-    first restricted to the items that grouping found frequent
-    ({!Qf_relational.Sip.filter}), the
-    query is tabulated ({!Qf_datalog.Eval.tabulate}) and grouped by the
-    pair.  Confidence and interest relate the pair's support to the
-    items' own supports:
+    run by hand with the a-priori rewrite of Sec. 1.3: the query is
+    tabulated ({!Qf_datalog.Eval.tabulate}) with both items restricted, as
+    they are bound, to the items that grouping found frequent (a
+    {!Qf_relational.Sip} reducer), and grouped by the pair.  Confidence
+    and interest relate the pair's support to the items' own supports:
 
     - [confidence (a -> b) = support {a,b} / support {a}];
     - [interest (a -> b) = confidence / P(b)] where [P(b) = support {b} /

@@ -25,26 +25,25 @@ let enumerate ?param_sets catalog flock =
   else begin
     let env = Cost.of_catalog catalog in
     let selection = `Cheapest env in
-    (* Keep only parameter sets every rule has a safe subquery for. *)
+    (* Keep only parameter sets every rule has a safe subquery for, each
+       with its step, chosen once; every subset's plan reuses them. *)
     let viable =
-      List.filter
+      List.filter_map
         (fun set ->
-          match Apriori_gen.param_set_plan ~selection flock ~param_sets:[ set ] with
-          | Ok _ -> true
-          | Error _ -> false)
+          match Apriori_gen.param_set_step ~selection flock set with
+          | Ok step -> Some (set, step)
+          | Error _ -> None)
         sets
     in
     let choices =
       List.filter_map
         (fun chosen ->
-          match
-            Apriori_gen.param_set_plan ~selection flock ~param_sets:chosen
-          with
+          match Apriori_gen.plan_of_steps flock (List.map snd chosen) with
           | Ok plan ->
             Some
               {
                 plan;
-                param_sets = chosen;
+                param_sets = List.map fst chosen;
                 cost = Cost.estimate_plan env plan;
               }
           | Error _ -> None)

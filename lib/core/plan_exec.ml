@@ -37,195 +37,99 @@ let default_options = { semijoin_reduction = true; reuse = true }
 (* Sideways information passing — the rewrite the paper's Sec. 1.3 measured:
    "first find those items that appeared in at least 20 baskets ... and then
    join the set of these items with the baskets relation before performing
-   the query".  Two mechanisms:
+   the query".  The join happens where a parameter is bound: every ok
+   subgoal [ok($p, ...)] of a rule, whatever its arity, gives each of its
+   parameters an exact {!Sip} reducer over [ok]'s column for it, and the
+   evaluator ([Eval.filter_query ~sip]) drops a candidate value the moment
+   it would bind the parameter outside that set — before the binding
+   enters the environment relation or the step's group table.  That is
+   sound because the [ok] subgoal is in the body: it would drop the value
+   later.  A unary [ok($p)] ordered after [$p] is bound is then already
+   enforced, and the evaluator does not probe it.
 
-   {ul
-   {- For every {e unary} ok-subgoal [ok($p)] in a rule, each base subgoal
-      with [$p] in some argument position is replaced by the materialized
-      reduction of its relation against a {!Sip} reducer built over [ok]'s
-      column — exact below {!Sip.exact_cutoff}, a Bloom filter above it.
-      The reduction may over-approximate (Bloom false positives); that is
-      sound because the [ok] subgoal itself stays in the body, so spurious
-      survivors are eliminated by the actual join.  {!Cost.should_reduce}
-      gates placement: when [ok] covers (almost) the whole column domain
-      the reduction cannot prune and is skipped.}
-   {- For every {e multi-parameter} ok-subgoal [ok($p, $q, ...)], a per
-      column reducer is handed to the evaluator ([Eval.filter_query
-      ~sip]), which consults it the moment a binding for that parameter is
-      about to be created — pruning posting-list extensions before they
-      enter the environment relation or the step's group table.}}
-
-   The binding-passing evaluator prunes the first parameter it binds for
-   free, but later extensions scan unreduced posting lists; materializing
-   the reduction is what yields the multiplicative (per-parameter) savings.
-   Reductions and reducers are memoized across rules and steps of one plan
-   execution, keyed by the ok relation's {!Relation.id}, so step names
-   that alias one relation share them; a reduction is named after the
-   first ok step that built it, which keeps span attributes
-   deterministic.  [pruned] accumulates rows removed by materialized
-   reductions (the deterministic [base - reduced] difference). *)
-let reduce_rule work ~step_names ~cache ~sips ~pruned (r : Ast.rule) =
-  let param_oks =
-    List.filter_map
-      (function
-        | Ast.Pos { Ast.pred; args }
-          when List.mem pred step_names
-               && args <> []
-               && List.for_all
-                    (function Ast.Param _ -> true | _ -> false)
-                    args ->
-          Some
-            ( pred,
-              List.map
-                (function Ast.Param p -> p | _ -> assert false)
-                args )
-        | _ -> None)
-      r.body
+   Reducers are memoized across rules and steps of one plan execution,
+   keyed by the ok relation's {!Relation.id} and the column's rank, so
+   step names that alias one relation share them.  Columns are addressed
+   positionally: the reducer for parameter [p] reads the column at [p]'s
+   rank in the subgoal's {e sorted} parameter list, the positional
+   bijection under which aliased step outputs are α-equivalent (step
+   outputs carry their own sorted parameter names, which differ from this
+   step's when the reuse shortcut registered the relation). *)
+let rule_reducers work ~step_names ~sips (r : Ast.rule) =
+  let reducer ok rank =
+    let key = Relation.id ok, rank in
+    match Hashtbl.find_opt sips key with
+    | Some s -> s
+    | None ->
+      let col = List.nth (Schema.columns (Relation.schema ok)) rank in
+      let s = Sip.of_column ok col in
+      Hashtbl.replace sips key s;
+      s
   in
-  if param_oks = [] then r, []
-  else begin
-    (* Reducer over the [rank]-th column of [ok]'s relation, shared
-       across rules and steps.  Columns are addressed positionally: step
-       outputs carry their own (sorted) parameter names, which differ from
-       this step's parameters when the relation was registered by the
-       reuse shortcut. *)
-    let reducer ok rank =
-      let key = Relation.id ok, rank in
-      match Hashtbl.find_opt sips key with
-      | Some s -> s
-      | None ->
-        let col = List.nth (Schema.columns (Relation.schema ok)) rank in
-        let s = Sip.of_column ok col in
-        Hashtbl.replace sips key s;
-        s
-    in
-    let unary_oks =
-      List.filter_map
-        (function ok, [ p ] -> Some (p, ok) | _ -> None)
-        param_oks
-    in
-    let reduce_atom (a : Ast.atom) =
-      if List.mem a.pred step_names then a
-      else begin
-        let pred = ref a.pred in
-        List.iteri
-          (fun i arg ->
-            match arg with
-            | Ast.Param p -> (
-              match List.assoc_opt p unary_oks with
-              | None -> ()
-              | Some ok_name ->
-                let ok = Catalog.find work ok_name in
-                let key = !pred, i, Relation.id ok in
-                match Hashtbl.find_opt cache key with
-                | Some reduced_name -> pred := reduced_name
-                | None ->
-                  let base = Catalog.find work !pred in
-                  let col =
-                    List.nth (Schema.columns (Relation.schema base)) i
-                  in
-                  if
-                    Cost.should_reduce work ~pred:!pred ~col
-                      ~ok_cardinal:(Relation.cardinal ok)
-                  then begin
-                    let reduced =
-                      Sip.filter base ~pos:i (reducer ok 0)
-                    in
-                    let removed =
-                      Relation.cardinal base - Relation.cardinal reduced
-                    in
-                    pruned := !pruned + removed;
-                    if Obs.enabled () then
-                      Obs.count "sip.rows_pruned" removed;
-                    let reduced_name =
-                      Printf.sprintf "%s~%d~%s" !pred i ok_name
-                    in
-                    Catalog.add work reduced_name reduced;
-                    Hashtbl.replace cache key reduced_name;
-                    pred := reduced_name
-                  end)
-            | Ast.Var _ | Ast.Const _ -> ())
-          a.args;
-        { a with Ast.pred = !pred }
-      end
-    in
-    let body =
-      List.map
-        (function
-          | Ast.Pos a -> Ast.Pos (reduce_atom a)
-          | (Ast.Neg _ | Ast.Cmp _) as lit -> lit)
-        r.body
-    in
-    (* Evaluator-side reducers for multi-parameter ok steps (keyed by the
-       parameters' binding keys).  The reducer for parameter [p] reads the
-       column at [p]'s rank in the subgoal's {e sorted} parameter list —
-       the positional bijection under which aliased step outputs are
-       α-equivalent. *)
-    let sip =
-      List.fold_left
-        (fun acc (ok_name, params) ->
-          if List.length params < 2 then acc
-          else begin
-            let ok = Catalog.find work ok_name in
-            let sorted = List.sort String.compare params in
-            List.fold_left
-              (fun acc p ->
-                let key = "$" ^ p in
-                if List.mem_assoc key acc then acc
-                else
-                  match List.find_index (String.equal p) sorted with
-                  | Some rank -> (key, reducer ok rank) :: acc
-                  | None -> acc)
-              acc params
-          end)
-        [] param_oks
-    in
-    { r with Ast.body }, sip
-  end
-
-let run_step work ~options ~step_names ~cache ~sips ~bounding
-    (flock : Flock.t) (s : Plan.step) =
-  let t0 = Obs.now () in
-  let pruned = ref 0 in
-  let compute () =
-    let query, sip =
-      if options.semijoin_reduction then begin
-        let reduced =
+  let param = function Ast.Param p -> Some p | _ -> None in
+  List.concat_map
+    (function
+      | Ast.Pos { Ast.pred; args } when List.mem pred step_names ->
+        let ps = List.filter_map param args in
+        if ps = [] || List.compare_lengths ps args <> 0 then []
+        else begin
+          let ok = Catalog.find work pred in
+          let sorted = List.sort String.compare ps in
           List.map
-            (reduce_rule work ~step_names ~cache ~sips ~pruned)
-            s.query
-        in
-        ( List.map fst reduced,
-          List.fold_left
-            (fun acc (_, sip) ->
-              List.fold_left
-                (fun acc (k, r) ->
-                  if List.mem_assoc k acc then acc else (k, r) :: acc)
-                acc sip)
-            [] reduced )
-      end
-      else s.query, []
+            (fun p ->
+              let rank = List.find_index (String.equal p) sorted in
+              "$" ^ p, reducer ok (Option.get rank))
+            ps
+        end
+      | _ -> [])
+    r.body
+
+(* The reducers of a step's query, each once: those every rule has, since
+   one list applies to all the rules of a union. *)
+let query_reducers work ~step_names ~sips query =
+  let same (k, s) (k', s') = String.equal k k' && s == s' in
+  match List.map (rule_reducers work ~step_names ~sips) query with
+  | [] -> []
+  | first :: rest ->
+    List.fold_left
+      (fun acc r ->
+        if
+          List.exists (same r) acc
+          || not (List.for_all (List.exists (same r)) rest)
+        then acc
+        else r :: acc)
+      [] first
+    |> List.rev
+
+let run_step work ~options ~step_names ~sips ~bounding (flock : Flock.t)
+    (s : Plan.step) =
+  let t0 = Obs.now () in
+  let compute () =
+    let sip =
+      if options.semijoin_reduction then
+        query_reducers work ~step_names ~sips s.query
+      else []
     in
     let func =
       Filter.to_aggregate flock.filter
         ~head_columns:(Eval.head_columns (List.hd s.query))
     in
-    let survivors, tab_rows, groups =
-      Eval.filter_query ~sip ~bounding work query
+    let survivors, tab_rows, groups, pruned =
+      Eval.filter_query ~sip ~bounding work s.query
         ~keys:(List.map (fun p -> "$" ^ p) s.params)
         ~func ~threshold:flock.filter.threshold
     in
     Catalog.add work s.name survivors;
-    survivors, tab_rows, groups, Relation.cardinal survivors
+    survivors, tab_rows, groups, Relation.cardinal survivors, pruned
   in
-  let survivors, tab_rows, groups, survived =
+  let survivors, tab_rows, groups, survived, pruned =
     if not (Obs.enabled ()) then compute ()
     else
       (* The FILTER-step span: rows in, candidate groups, surviving rows,
-         the a-priori pruning ratio (surviving fraction) and rows removed
-         by semijoin reducers. *)
+         the a-priori pruning ratio (surviving fraction) and candidates
+         rejected by SIP reducers. *)
       Obs.with_span "filter.step" ~attrs:[ "step", Obs.Str s.name ] (fun () ->
-          let (_, tab_rows, groups, survived) as r = compute () in
+          let (_, tab_rows, groups, survived, pruned) as r = compute () in
           Obs.set_attr "rows_in" (Obs.Int tab_rows);
           Obs.set_attr "groups" (Obs.Int groups);
           Obs.set_attr "rows_out" (Obs.Int survived);
@@ -234,12 +138,12 @@ let run_step work ~options ~step_names ~cache ~sips ~bounding
                (if groups = 0 then 1.
                 else float_of_int survived /. float_of_int groups));
           if options.semijoin_reduction then
-            Obs.set_attr "sip_pruned" (Obs.Int !pruned);
+            Obs.set_attr "sip_pruned" (Obs.Int pruned);
           r)
   in
   Log.debug (fun m ->
       m "step %s: %d rows -> %d groups -> %d survive (sip pruned %d)" s.name
-        tab_rows groups survived !pruned);
+        tab_rows groups survived pruned);
   ( survivors,
     {
       step_name = s.name;
@@ -249,7 +153,7 @@ let run_step work ~options ~step_names ~cache ~sips ~bounding
       seconds = Obs.now () -. t0;
       reused_from = None;
       memo_hit = false;
-      sip_pruned = !pruned;
+      sip_pruned = pruned;
     } )
 
 let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
@@ -257,7 +161,6 @@ let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
     ~attrs:[ "steps", Obs.Int (List.length plan.steps + 1) ]
   @@ fun () ->
   let work = Catalog.copy catalog in
-  let cache : (string * int * int, string) Hashtbl.t = Hashtbl.create 8 in
   let sips : (int * int, Sip.t) Hashtbl.t = Hashtbl.create 8 in
   (* The plan-local memo: signature -> (first step name, its relation)
      for every step this run has produced.  It serves Ex. 3.1's symmetry
@@ -325,7 +228,7 @@ let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
         } )
     | None ->
       let rel, report =
-        run_step work ~options ~step_names:defined ~cache ~sips ~bounding
+        run_step work ~options ~step_names:defined ~sips ~bounding
           plan.flock s
       in
       Option.iter

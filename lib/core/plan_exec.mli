@@ -25,9 +25,9 @@ type step_report = {
           memo (an α-equivalent step computed by a previous plan run
           against the same base relations) *)
   sip_pruned : int;
-      (** rows removed from base relations by materialized semijoin
-          reducers while computing this step (deterministic: identical
-          on every run) *)
+      (** candidate matches the step's SIP reducers rejected in its
+          binding extensions, the step's share of the [sip.rows_pruned]
+          counter (deterministic: identical on every run) *)
 }
 
 type report = {
@@ -37,13 +37,13 @@ type report = {
 
 (** Executor optimizations, exposed so the benchmarks can ablate them.
 
-    - [semijoin_reduction] pre-filters base relations against {!Sip}
-      reducers (exact code sets or Bloom filters) built over the unary
-      [ok] relations restricting their parameters — the rewrite behind
-      the paper's Sec. 1.3 speedup — and hands multi-parameter [ok]
-      reducers to the evaluator's binding extension
-      ([Eval.filter_query ~sip]).  Placement is cost-gated by
-      {!Cost.should_reduce};
+    - [semijoin_reduction] hands the evaluator ([Eval.filter_query
+      ~sip]) one exact {!Qf_relational.Sip} reducer per parameter of
+      every [ok] subgoal, built over that [ok] relation's column: a
+      value outside it is dropped where the parameter is bound, and a
+      unary [ok($p)] the join order puts after [$p] is bound is not
+      probed — the rewrite behind the paper's Sec. 1.3 speedup, done
+      inside the join;
     - [reuse] computes each α-equivalence class of steps once, keyed by
       its {!Stepsig} signature.  The key is looked up first among this
       plan's earlier steps (the Ex. 3.1 remark: "the set of $1's that

@@ -227,13 +227,13 @@ module Envs = struct
   }
 
   (* Sideways-information-passing at binding extension: [sip] maps a
-     binding key about to be bound ([Bind_new]) to a reducer
-     over-approximating the values that can survive the rest of the rule
-     (in practice: the parameter column of a materialized [ok] step whose
-     subgoal is still in the body).  A candidate match whose fresh value
-     fails its reducer is dropped before the row is emitted; the
-     ok-subgoal join would have dropped it later anyway, so results are
-     unchanged — only the intermediate row count shrinks.
+     binding key about to be bound ([Bind_new]) to reducers holding every
+     value that can survive the rest of the rule (in practice: a
+     parameter column of a computed [ok] step whose subgoal is in the
+     body).  A candidate match whose fresh value fails one of its
+     reducers is dropped before the row is emitted; the ok-subgoal join
+     would have dropped it later anyway, so results are unchanged — only
+     the intermediate row count shrinks.
 
      Rejections are tallied in the probe loop and flushed as one
      [sip.rows_pruned] count.  The reducers run before the fused
@@ -267,12 +267,15 @@ module Envs = struct
       roles;
     let fills = List.rev !fills and checks = List.rev !checks in
     (* Reducers aligned with the fresh bindings: [(index into the
-       fresh-values list, reducer)]. *)
+       fresh-values list, reducer)], every reducer of a key. *)
     let sip_checks =
-      if sip = [] then []
-      else
-        List.mapi (fun i key -> i, List.assoc_opt key sip) fresh_keys
-        |> List.filter_map (fun (i, s) -> Option.map (fun s -> i, s) s)
+      List.concat
+        (List.mapi
+           (fun i key ->
+             List.filter_map
+               (fun (k, s) -> if String.equal k key then Some (i, s) else None)
+               sip)
+           fresh_keys)
     in
     let slots =
       t.slots @ List.mapi (fun i key -> key, width + i) fresh_keys
@@ -305,7 +308,10 @@ module Envs = struct
     in
     let nchecks = Array.length check_pairs in
     let sip_cols =
-      Array.of_list (List.map (fun (i, s) -> fill_cols.(i), s) sip_checks)
+      Array.of_list (List.map (fun (i, _) -> fill_cols.(i)) sip_checks)
+    in
+    let sip_bits =
+      Array.of_list (List.map (fun (_, s) -> Sip.bits s) sip_checks)
     in
     let nsips = Array.length sip_cols in
     let locate = locate ~slots ~width ~fill_cols in
@@ -337,11 +343,17 @@ module Envs = struct
         Array.unsafe_get ca row = Array.unsafe_get cb row
         && checks_ok row (c + 1)
       in
+      (* [Sip.mem], inline: one call fewer per candidate. *)
       let rec sip_ok row k =
         k >= nsips
         ||
-        let col, s = Array.unsafe_get sip_cols k in
-        Sip.mem s (Array.unsafe_get col row) && sip_ok row (k + 1)
+        let code = Array.unsafe_get (Array.unsafe_get sip_cols k) row in
+        let bits = Array.unsafe_get sip_bits k in
+        let byte = code lsr 3 in
+        byte < Bytes.length bits
+        && Char.code (Bytes.unsafe_get bits byte) land (1 lsl (code land 7))
+           <> 0
+        && sip_ok row (k + 1)
       in
       let rec preds_ok base row f =
         f >= npreds
@@ -361,9 +373,12 @@ module Envs = struct
           let row = !j in
           if keys_eq row 0 then begin
             incr candidates;
-            if checks_ok row 0 then
-              if not (sip_ok row 0) then incr rejected
-              else if not (preds_ok base row 0) then incr dropped
+            (* The counts guard the calls: most candidates meet no
+               repeat check, reducer or fused filter. *)
+            if nchecks = 0 || checks_ok row 0 then
+              if not (nsips = 0 || sip_ok row 0) then incr rejected
+              else if not (npreds = 0 || preds_ok base row 0) then
+                incr dropped
               else begin
                 incr emitted;
                 emit base row
@@ -405,20 +420,23 @@ module Envs = struct
      rows in, key-matched candidates, rows out (emitted), and the
      candidates the fused filters dropped. *)
   let extend_span (a : Ast.atom) ~rows_in run =
-    if not (Obs.enabled ()) then fst (run ())
+    if not (Obs.enabled ()) then run ()
     else
       Obs.with_span "eval.extend" (fun () ->
-          let result, tally = run () in
+          let (_, tally) as r = run () in
           Obs.set_attr "pred" (Obs.Str a.pred);
           Obs.set_attr "rows_in" (Obs.Int rows_in);
           Obs.set_attr "candidates" (Obs.Int tally.candidates);
           Obs.set_attr "rows_out" (Obs.Int tally.emitted);
           Obs.set_attr "filtered" (Obs.Int tally.dropped);
-          result)
+          r)
 
-  let extend_pos ?(sip = []) ?(filters = []) catalog t (a : Ast.atom) =
+  let extend_traced ~sip ~filters catalog t (a : Ast.atom) =
     extend_span a ~rows_in:(count t) (fun () ->
         extend ~sip ~filters catalog t a)
+
+  let extend_pos ?(sip = []) ?(filters = []) catalog t a =
+    fst (extend_traced ~sip ~filters catalog t a)
 
   let key_positions t keys =
     List.map
@@ -532,17 +550,18 @@ let estimate_matches catalog bound (a : Ast.atom) =
     (float_of_int (Statistics.cardinality stats))
     a.args columns
 
-let order_body catalog (r : Ast.rule) =
+let ordered_body catalog (r : Ast.rule) =
   (match Safety.check r with
   | Ok () -> ()
   | Error e -> raise (Error e));
-  let ordered =
-    List.map snd (greedy_order ~matches:(estimate_matches catalog) r.body)
-  in
+  let ordered = greedy_order ~matches:(estimate_matches catalog) r.body in
   Log.debug (fun m ->
       m "join order for %s: %s" r.head.pred
-        (String.concat " ; " (List.map Pretty.literal_to_string ordered)));
+        (String.concat " ; "
+           (List.map (fun (_, lit) -> Pretty.literal_to_string lit) ordered)));
   ordered
+
+let order_body catalog r = List.map snd (ordered_body catalog r)
 
 (* {1 Whole-rule evaluation} *)
 
@@ -596,20 +615,48 @@ let fuse_filters ordered =
   in
   steps ordered
 
-let run_steps ?sip catalog steps =
+(* A subgoal [ok($p)] ordered after [$p] is bound is already enforced
+   when an exact reducer of [$p] summarizes [ok]'s relation: every
+   binding extension that bound [$p] dropped the values outside it.  Its
+   probe is skipped.  The subgoal that binds [$p] stays, and so does
+   every subgoal when [sip] is empty. *)
+let enforced ~sip catalog bound = function
+  | Ast.Pos ({ Ast.args = [ Ast.Param p ]; _ } as a) ->
+    let key = "$" ^ p in
+    List.mem key bound
+    && List.exists
+         (fun (k, s) ->
+           String.equal k key && Sip.summarizes s (relation_for catalog a))
+         sip
+  | _ -> false
+
+(* The evaluation steps of a rule: its join order, less the subgoals
+   [sip] enforces. *)
+let body_steps ~sip catalog r =
+  fuse_filters
+    (List.filter_map
+       (fun (bound, lit) ->
+         if enforced ~sip catalog bound lit then None else Some lit)
+       (ordered_body catalog r))
+
+(* The environments of [steps], with the candidates the reducers
+   rejected on the way. *)
+let run_steps ~sip catalog steps =
   List.fold_left
-    (fun envs step ->
+    (fun (envs, pruned) step ->
       (* Step boundaries are the evaluator's cancellation checkpoints:
          a governed deadline interrupts a rule between joins (one atomic
          load per step when ungoverned). *)
       Qf_governor.Governor.check ();
       match step with
-      | `Extend (a, filters) -> Envs.extend_pos ?sip ~filters catalog envs a
-      | `Filter lit -> Envs.filter catalog envs lit)
-    (Envs.start ()) steps
+      | `Extend (a, filters) ->
+        let envs, tally = Envs.extend_traced ~sip ~filters catalog envs a in
+        envs, pruned + tally.Envs.rejected
+      | `Filter lit -> Envs.filter catalog envs lit, pruned)
+    (Envs.start (), 0) steps
 
-let run_body ?sip catalog (r : Ast.rule) =
-  run_steps ?sip catalog (fuse_filters (order_body catalog r))
+let run_body ?(sip = []) catalog (r : Ast.rule) =
+  fst (run_steps ~sip catalog (body_steps ~sip catalog r))
 
 let head_keys (r : Ast.rule) =
   List.map
@@ -837,11 +884,11 @@ let add_envs g (r : Ast.rule) (envs : Envs.t) =
 
 (* A rule's rows into [g]: in memory, straight from its last positive
    subgoal's probe loop; else (a finite budget, or no positive subgoal)
-   from its environments. *)
+   from its environments.  Returns the candidates the reducers rejected. *)
 let add_rule ?(sip = []) catalog g (r : Ast.rule) =
-  match List.rev (fuse_filters (order_body catalog r)) with
+  match List.rev (body_steps ~sip catalog r) with
   | `Extend (a, filters) :: prefix when not g.budgeted ->
-    let envs = run_steps ~sip catalog (List.rev prefix) in
+    let envs, pruned = run_steps ~sip catalog (List.rev prefix) in
     Qf_governor.Governor.check ();
     let p = Envs.prepare ~sip ~filters catalog envs a in
     let { Envs.width; count; data } = envs.Envs.repr in
@@ -849,9 +896,14 @@ let add_rule ?(sip = []) catalog g (r : Ast.rule) =
       feed g r ~slots:p.slots ~width ~data ~fill_cols:p.fill_cols
         ~expected:count
     in
-    Envs.extend_span a ~rows_in:count (fun () ->
-        (), p.scan ~emit)
-  | steps -> add_envs g r (run_steps ~sip catalog (List.rev steps))
+    let (), tally =
+      Envs.extend_span a ~rows_in:count (fun () -> (), p.scan ~emit)
+    in
+    pruned + tally.Envs.rejected
+  | steps ->
+    let envs, pruned = run_steps ~sip catalog (List.rev steps) in
+    add_envs g r envs;
+    pruned
 
 let filter_groups ?slack g ~threshold =
   match g.tabulated with
@@ -870,7 +922,7 @@ let filter_groups ?slack g ~threshold =
 
 let supports catalog (r : Ast.rule) ~key =
   let g = { (groups [ r ] ~keys:[ key ] ~func:Count) with budgeted = false } in
-  add_rule catalog g r;
+  ignore (add_rule catalog g r : int);
   let t = table g ~expected:0 in
   Hashtbl.of_seq
     (Seq.init (Aggregate.groups t) (fun i ->
@@ -881,5 +933,8 @@ let filter_query ?sip ?bounding catalog (q : Ast.query) ~keys ~func
     ~threshold =
   (match Ast.wf_query q with Ok () -> () | Error e -> raise (Error e));
   let g = groups ?bounding q ~keys ~func in
-  List.iter (add_rule ?sip catalog g) q;
-  filter_groups g ~threshold
+  let pruned =
+    List.fold_left (fun n r -> n + add_rule ?sip catalog g r) 0 q
+  in
+  let survivors, rows, groups = filter_groups g ~threshold in
+  survivors, rows, groups, pruned

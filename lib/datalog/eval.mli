@@ -35,12 +35,12 @@ module Envs : sig
       [atom].  Raises {!Error} on an unknown predicate or arity mismatch.
 
       [sip] maps binding keys (as in {!Ast.binding_key}, e.g. ["$p"]) to
-      sideways-information-passing reducers: when the atom {e binds} such
-      a key for the first time, candidate matches whose fresh value fails
-      the reducer are dropped before the extended row is emitted.  Sound
-      only when the reducer over-approximates the values the rest of the
-      rule accepts for that key (reducers have no false negatives, so the
-      final result set is unchanged — only intermediate rows shrink).
+      sideways-information-passing reducers, any number per key: when the
+      atom {e binds} such a key for the first time, candidate matches
+      whose fresh value fails one of its reducers are dropped before the
+      extended row is emitted.  Sound only when each reducer holds every
+      value the rest of the rule accepts for that key (then the final
+      result set is unchanged — only intermediate rows shrink).
       Rejections are flushed as one [sip.rows_pruned] Obs count.
 
       [filters] are negated and arithmetic literals whose terms are all
@@ -188,9 +188,15 @@ val supports :
     step FILTER([keys], [query], [func] >= [threshold]): every rule of
     [query] fed into one {!groups} table, then {!filter_groups} — the
     survivors as a relation over [keys], the number of rows the union of
-    the rules' tabulations ({!tabulate}, renamed positionally) holds and
-    the number of groups.
-    [sip] as in {!Envs.extend_pos}, [bounding] as in {!groups}.
+    the rules' tabulations ({!tabulate}, renamed positionally) holds, the
+    number of groups, and the number of candidate matches the [sip]
+    reducers rejected.  [sip] as in {!Envs.extend_pos}, applied to every
+    rule, and [bounding] as in {!groups}.
+
+    A subgoal [ok($p)] that the join order places after [$p] is bound is
+    not probed when a reducer of [$p] {!Qf_relational.Sip.summarizes}
+    [ok]'s relation: every binding of [$p] was tested against that exact
+    set, so the subgoal holds.  {!tabulate} skips it in the same way.
 
     In memory, each rule is counted inside its last positive subgoal's
     probe loop: no tabulated relation is built
@@ -208,4 +214,4 @@ val filter_query :
   keys:string list ->
   func:Qf_relational.Aggregate.func ->
   threshold:float ->
-  Qf_relational.Relation.t * int * int
+  Qf_relational.Relation.t * int * int * int

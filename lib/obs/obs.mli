@@ -13,8 +13,8 @@
 
     - FILTER steps record ["rows_in"], ["groups"], ["rows_out"] and
       ["pruning_ratio"] (surviving fraction, in [[0,1]]) on a
-      ["filter.step"] span (plus ["sip_pruned"] under semijoin
-      reduction);
+      ["filter.step"] span (plus ["sip_pruned"], the candidates its SIP
+      reducers rejected, when they are on);
     - grouping records ["rows_in"], ["candidates"], ["survivors"]. *)
 
 (** {1 The enabled switch} *)

@@ -97,7 +97,7 @@ let test_filter_head_constant () =
       (R.fold (fun tup acc -> Qf_relational.Tuple.to_list tup :: acc) out [])
   in
   let filter text func threshold =
-    let out, rows, groups =
+    let out, rows, groups, _ =
       Eval.filter_query (catalog ()) [ rule text ] ~keys:[ "$s" ] ~func
         ~threshold
     in
@@ -175,7 +175,7 @@ let test_union () =
     | Ok q -> q
     | Error e -> Alcotest.failf "parse union: %s" e
   in
-  let _, rows, _ =
+  let _, rows, _, _ =
     Eval.filter_query (catalog ()) q ~keys:[ "$t" ]
       ~func:Qf_relational.Aggregate.Count ~threshold:1.
   in

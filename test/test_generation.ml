@@ -334,6 +334,38 @@ let test_optimizer_prefers_filters_on_skewed_data () =
     check_bool "best plan uses at least one filter step" true
       (best.Optimizer.param_sets <> [])
 
+(* The optimizer chooses each viable parameter set's subquery once — four
+   searches for a triple flock's three singletons and one triple — and
+   builds every subset's plan from those steps: each plan is the one
+   [param_set_plan] builds for its parameter sets. *)
+let test_optimizer_chooses_each_set_once () =
+  let module Obs = Qf_obs.Obs in
+  let cat = market_catalog () in
+  let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:3 ~support:20 in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let choices, searches =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.reset ();
+        Obs.set_enabled was)
+      (fun () ->
+        let choices = Optimizer.enumerate cat flock in
+        ( choices,
+          List.assoc_opt "apriori.chosen_subqueries"
+            (Obs.report ()).Obs.counters ))
+  in
+  check_int "one search per parameter set" 4 (Option.value searches ~default:0);
+  check_int "every subset of the four sets" 16 (List.length choices);
+  let selection = `Cheapest (Cost.of_catalog cat) in
+  List.iter
+    (fun (c : Optimizer.choice) ->
+      match Apriori_gen.param_set_plan ~selection flock ~param_sets:c.param_sets with
+      | Ok plan -> check_bool "the plan param_set_plan builds" true (plan = c.plan)
+      | Error e -> Alcotest.fail e)
+    choices
+
 let test_optimizer_non_monotone_fallback () =
   let cat = market_catalog () in
   let rule =
@@ -374,6 +406,8 @@ let suite =
       test_optimizer_enumerates_trivial;
     Alcotest.test_case "optimizer prefers filters on skew" `Quick
       test_optimizer_prefers_filters_on_skewed_data;
+    Alcotest.test_case "optimizer chooses each set's subquery once" `Quick
+      test_optimizer_chooses_each_set_once;
     Alcotest.test_case "optimizer non-monotone fallback" `Quick
       test_optimizer_non_monotone_fallback;
   ]

@@ -402,7 +402,7 @@ let check_filter_count name ~sip cat rule ~keys ~func ~threshold =
   let want_out, want_rows, want_groups =
     filter_by_tabulation ~sip cat rule ~keys ~func ~threshold
   in
-  let out, rows, groups =
+  let out, rows, groups, _ =
     Eval.filter_query ~sip cat [ rule ] ~keys ~func ~threshold
   in
   if not (R.equal want_out out && rows = want_rows && groups = want_groups)
@@ -427,7 +427,7 @@ let check_dynamic name cat rule ~keys (filter : Filter.t) =
       (fun config ->
         match Dynamic.run ~config cat flock, Filter.is_monotone filter with
         | Ok r, true ->
-          let want, _, _ =
+          let want, _, _, _ =
             Eval.filter_query cat [ rule ] ~keys ~func:filter.agg
               ~threshold:filter.threshold
           in

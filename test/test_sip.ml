@@ -1,5 +1,5 @@
 (* Sideways information passing and the cross-level subplan memo: the LRU
-   byte-budget policy, Bloom/exact reducer membership laws, canonical
+   byte-budget policy, exact reducer membership laws, canonical
    step signatures and memo-hit cascades across levelwise runs.  Answers
    across memo budgets and SIP on and off are the differential suite's
    config space. *)
@@ -19,6 +19,34 @@ let check_int = Alcotest.(check int)
 
 (* Reducer membership of an integer value, through its dictionary code. *)
 let mem_int t i = Sip.mem t (Dict.encode (V.Int i))
+
+(* [f ()] with tracing on, and what it recorded. *)
+let traced f =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_enabled was)
+    (fun () ->
+      let r = f () in
+      r, Obs.report ())
+
+let counter (report : Obs.report) name =
+  Option.value ~default:0 (List.assoc_opt name report.Obs.counters)
+
+(* The binding extensions recorded, as (subgoal predicate, candidates). *)
+let extends (report : Obs.report) =
+  List.filter_map
+    (fun (s : Obs.span) ->
+      match
+        s.Obs.name, List.assoc_opt "pred" s.attrs,
+        List.assoc_opt "candidates" s.attrs
+      with
+      | "eval.extend", Some (Obs.Str pred), Some (Obs.Int n) -> Some (pred, n)
+      | _ -> None)
+    report.Obs.spans
 
 (* {1 Lru} *)
 
@@ -55,35 +83,37 @@ let test_lru_oversized_entry () =
 
 (* {1 Reducer membership laws} *)
 
-let prop_bloom_no_false_negatives =
-  QCheck.Test.make ~name:"Bloom reducers never report a false negative"
-    ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 300) (int_range (-1000) 10_000))
-    (fun ints ->
-      let codes =
-        Array.of_list (List.map (fun i -> Dict.encode (V.Int i)) ints)
-      in
-      let t = Sip.bloom_of_codes codes in
-      (not (Sip.is_exact t))
-      && Array.for_all (fun c -> Sip.mem t c) codes)
-
 (* A reducer over a one-column relation of the given integers. *)
 let of_ints ints =
   Sip.of_column (R.of_values [ "V" ] (List.map (fun i -> [ V.Int i ]) ints)) "V"
 
+(* Members are in and every other code is out: the value lists may be
+   empty (an empty column), the probes include codes past the bitset's
+   end and values first encoded after the reducer was built. *)
 let prop_exact_reducers_are_exact =
   QCheck.Test.make
-    ~name:"exact reducers have no false positives (and of_column dedups)"
+    ~name:
+      "reducers are exact: no false negative, no false positive, on empty \
+       columns and on codes past the bitset or encoded later"
     ~count:200
     QCheck.(
       pair
-        (list_of_size Gen.(int_range 1 100) (int_range 0 500))
-        (int_range 501 2000))
-    (fun (ints, outside) ->
+        (list_of_size Gen.(int_range 0 300) (int_range (-1000) 10_000))
+        (list_of_size Gen.(int_range 0 50) (int_range (-1000) 1_000_000)))
+    (fun (ints, probes) ->
       let t = of_ints ints in
-      Sip.is_exact t
-      && List.for_all (mem_int t) ints
-      && not (mem_int t outside))
+      let from_codes =
+        Sip.of_codes
+          (Array.of_list (List.map (fun i -> Dict.encode (V.Int i)) ints))
+      in
+      let exact t =
+        List.for_all (mem_int t) ints
+        && List.for_all (fun i -> List.mem i ints = mem_int t i) probes
+        && (not (Sip.mem t (Dict.size ())))
+        && (not (Sip.mem t (Dict.size () + 4096)))
+        && not (Sip.mem t max_int)
+      in
+      exact t && exact from_codes)
 
 let test_of_column_matches_column () =
   let rel =
@@ -91,13 +121,22 @@ let test_of_column_matches_column () =
       V.[ [ Int 1; Int 10 ]; [ Int 2; Int 20 ]; [ Int 1; Int 30 ] ]
   in
   let t = Sip.of_column rel "X" in
-  check_bool "small column summarized exactly" true (Sip.is_exact t);
   check_bool "column values member" true
     (mem_int t 1 && mem_int t 2);
   check_bool "other column's values are not" true
     (not (mem_int t 10));
-  let kept = Sip.filter rel ~pos:0 (of_ints [ 1 ]) in
-  check_int "filter keeps matching rows" 2 (R.cardinal kept)
+  check_bool "a column of a wider relation summarizes nothing" false
+    (Sip.summarizes t rel);
+  check_bool "a reducer over codes summarizes nothing" false
+    (Sip.summarizes (Sip.of_codes [| Dict.encode (V.Int 1) |]) rel);
+  let ok = R.of_values [ "V" ] V.[ [ Int 1 ] ] in
+  let t = Sip.of_column ok "V" in
+  check_bool "a one-column relation's reducer summarizes it" true
+    (Sip.summarizes t ok);
+  check_bool "but not another relation with the same rows" false
+    (Sip.summarizes t (R.of_values [ "V" ] V.[ [ Int 1 ] ]));
+  R.add ok (Qf_relational.Tuple.of_list V.[ Int 2 ]);
+  check_bool "nor a later version of it" false (Sip.summarizes t ok)
 
 (* {1 Step signatures} *)
 
@@ -221,12 +260,12 @@ let test_stepsig_distinguishes_constants () =
 
    Two steps equal up to renaming their parameter {e and} a variable are
    computed once, whatever the catalog's memo budget, and the aliased
-   pair shares its semijoin reducer.  A step keeps the flock's head, so
+   pair shares its SIP reducer.  A step keeps the flock's head, so
    the renamed variable is a body-only one: [T] in [ok_1], [U] in
    [ok_2]. *)
 let test_plan_local_reuse () =
   (* Items 1 and 2 in every basket, one rare item per basket: the ok
-     steps keep 2 of 22 items, so reductions are worth placing. *)
+     steps keep 2 of 22 items. *)
   let rel =
     R.of_values [ "B"; "T"; "I" ]
       (List.concat_map
@@ -264,30 +303,120 @@ let test_plan_local_reuse () =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Obs.reset ();
-  let report =
-    Fun.protect
-      ~finally:(fun () -> Obs.set_enabled was)
-      (fun () -> Plan_exec.run_with_report cat plan)
-  in
-  let counter name =
-    Option.value ~default:0 (List.assoc_opt name (Obs.report ()).Obs.counters)
-  in
+  let report, trace = traced (fun () -> Plan_exec.run_with_report cat plan) in
   check_bool "plan = direct" true
     (R.equal (Direct.run cat flock) report.Plan_exec.result);
   (match report.Plan_exec.steps with
-  | [ ok_1; ok_2; _ ] ->
+  | [ ok_1; ok_2; result ] ->
     check_bool "ok_1 is computed" true (ok_1.Plan_exec.reused_from = None);
     check_bool "ok_2 reuses ok_1" true
       (ok_2.Plan_exec.reused_from = Some "ok_1");
     check_int "ok_2 tabulates nothing" 0 ok_2.Plan_exec.tabulated_rows;
-    check_bool "a plan-local hit is no memo hit" false ok_2.Plan_exec.memo_hit
+    check_bool "a plan-local hit is no memo hit" false ok_2.Plan_exec.memo_hit;
+    (* The two-row ok relations come first in the join order and bind
+       both parameters, so both are probed and no reducer rejects. *)
+    check_bool "the final step probes both ok subgoals" true
+      (List.mem_assoc "ok_1" (extends trace)
+      && List.mem_assoc "ok_2" (extends trace));
+    check_int "no candidate is pruned" 0 result.Plan_exec.sip_pruned
   | _ -> Alcotest.fail "expected three step reports");
-  check_int "one reducer for the aliased pair" 1 (counter "sip.reducer_built");
-  check_bool "both parameters' base atoms are reduced" true
-    (counter "sip.rows_pruned" > 0)
+  check_int "one reducer for the aliased pair" 1
+    (counter trace "sip.reducer_built");
+  check_int "and the counter agrees" 0 (counter trace "sip.rows_pruned")
+
+(* {1 Reducers at binding time}
+
+   E1's plan shape: [ok_1] and [ok_2] over the pair flock's items, then
+   [baskets(B,$1) AND baskets(B,$2) AND $1 < $2 AND ok_1($1) AND
+   ok_2($2)].  Basket [b] holds the frequent items [b], [b+1] and [b+3]
+   (mod 10) and one rare item of its own.  The final step's join order
+   binds [$1] from [ok_1], then [B] and [$2] from [baskets]: the reducer
+   of [$2] rejects every basket's rare item there, and [ok_2($2)], which
+   follows, is not probed. *)
+let e1_catalog () =
+  catalog_of
+    (R.of_values [ "BID"; "Item" ]
+       (List.concat_map
+          (fun b ->
+            List.map
+              (fun i -> V.[ Int b; Int i ])
+              [ b mod 10; (b + 1) mod 10; (b + 3) mod 10; 100 + b ])
+          (List.init 40 Fun.id)))
+
+let test_reducers_at_binding_time () =
+  let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:5 in
+  let plan =
+    match Apriori_gen.singleton_plan flock with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let expected = Naive.run (e1_catalog ()) flock in
+  let run sip =
+    let cat = e1_catalog () in
+    Catalog.set_memo_budget cat 0;
+    let options = { Plan_exec.default_options with semijoin_reduction = sip } in
+    traced (fun () -> Plan_exec.run_with_report ~options cat plan)
+  in
+  let report, trace = run true in
+  check_bool "SIP on: plan = naive" true
+    (R.equal expected report.Plan_exec.result);
+  check_bool "ok_1 binds $1 and is probed" true
+    (List.mem_assoc "ok_1" (extends trace));
+  check_bool "ok_2 is not probed once baskets bound $2" false
+    (List.mem_assoc "ok_2" (extends trace));
+  let pruned =
+    List.fold_left
+      (fun n (s : Plan_exec.step_report) -> n + s.sip_pruned)
+      0 report.Plan_exec.steps
+  in
+  check_int "each basket's rare item is pruned under each $1" 120 pruned;
+  check_int "the steps' sip_pruned sum to the counter" pruned
+    (counter trace "sip.rows_pruned");
+  let report, trace = run false in
+  check_bool "SIP off: plan = naive" true
+    (R.equal expected report.Plan_exec.result);
+  check_bool "SIP off: ok_2 is probed" true
+    (List.mem_assoc "ok_2" (extends trace));
+  check_int "SIP off: nothing pruned" 0 (counter trace "sip.rows_pruned")
+
+(* Reducers only ever remove work: on 100 basket instances, every plan
+   the optimizer enumerates matches no more candidates in its binding
+   extensions with SIP on than with it off, and gives the same answer. *)
+let test_reducers_never_add_candidates () =
+  let fewer = ref 0 in
+  for seed = 0 to 99 do
+    let rel, threshold = instance ~seed gen_basket_instance in
+    let k = 2 + (seed mod 2) in
+    let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k ~support:threshold in
+    List.iter
+      (fun (choice : Optimizer.choice) ->
+        let run sip =
+          let cat = catalog_of rel in
+          Catalog.set_memo_budget cat 0;
+          let options =
+            { Plan_exec.default_options with semijoin_reduction = sip }
+          in
+          let result, trace =
+            traced (fun () -> Plan_exec.run ~options cat choice.plan)
+          in
+          result, List.fold_left (fun n (_, c) -> n + c) 0 (extends trace)
+        in
+        let on, c_on = run true and off, c_off = run false in
+        let where =
+          Printf.sprintf "seed %d (k = %d), parameter sets %s" seed k
+            (String.concat " "
+               (List.map
+                  (fun set -> "{" ^ String.concat "," set ^ "}")
+                  choice.param_sets))
+        in
+        check_bool (where ^ ": same answer") true (R.equal on off);
+        if c_on > c_off then
+          Alcotest.failf "%s: %d candidates with SIP on, %d off" where c_on
+            c_off;
+        if c_on < c_off then incr fewer)
+      (Optimizer.enumerate (catalog_of rel) flock)
+  done;
+  check_bool "some plan matches fewer candidates with SIP on" true (!fewer > 0)
 
 (* {1 Memo-hit cascade across levelwise runs} *)
 
@@ -408,9 +537,8 @@ let suite =
   [
     Alcotest.test_case "LRU byte-budget policy" `Quick test_lru_policy;
     Alcotest.test_case "LRU oversized entries" `Quick test_lru_oversized_entry;
-    QCheck_alcotest.to_alcotest prop_bloom_no_false_negatives;
     QCheck_alcotest.to_alcotest prop_exact_reducers_are_exact;
-    Alcotest.test_case "of_column / filter semantics" `Quick
+    Alcotest.test_case "of_column / summarizes semantics" `Quick
       test_of_column_matches_column;
     Alcotest.test_case "step signatures are α-equivalence classes" `Quick
       test_stepsig_alpha_equivalence;
@@ -420,6 +548,10 @@ let suite =
       test_stepsig_distinguishes_constants;
     Alcotest.test_case "plan-local reuse at memo budget 0" `Quick
       test_plan_local_reuse;
+    Alcotest.test_case "reducers enforce ok subgoals at binding time" `Quick
+      test_reducers_at_binding_time;
+    Alcotest.test_case "reducers never add candidates (100 basket seeds)"
+      `Slow test_reducers_never_add_candidates;
     Alcotest.test_case "memo cascade: k=3 run primes k=4" `Slow
       test_memo_cascade_across_levels;
     Alcotest.test_case "sip/memo counters repeat across runs" `Slow
