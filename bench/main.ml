@@ -44,12 +44,15 @@ let time f =
    the same plan on the same catalog would be answered from it: every
    sample clears the memo first, and fails the run if the memo still
    answered a step inside it.  The arms that measure the memo itself
-   opt out by name. *)
+   opt out by name.  A [Gc.full_major] outside the timer levels the heap
+   first, so a sample does not pay for the garbage the arm before it
+   left. *)
 
 let memo_arms = [ "E16 full" ]
 
 let sample ?(arm = "") catalog f =
   Catalog.memo_clear catalog;
+  Gc.full_major ();
   let hits () =
     let h, _, _ = Catalog.memo_stats catalog in
     h
@@ -864,7 +867,7 @@ let e16 () =
      order is shuffled (Fisher–Yates, clock-seeded): a fixed order gives
      every configuration a fixed phase inside the round, which on a
      CPU-quota'd container aliases with the scheduler's throttling
-     period.  [Gc.full_major] levels the heap before each sample.  The
+     period.  [sample] levels the heap before each one.  The
      estimator is the mean of the [keep] smallest samples: interference
      is strictly additive, so the smallest samples sit nearest the true
      cost, and averaging several has far less variance than the raw
@@ -891,7 +894,6 @@ let e16 () =
       (fun i ->
         let name, options, budget = configs_arr.(i) in
         prepare budget;
-        Gc.full_major ();
         let _, t =
           sample ~arm:("E16 " ^ name) catalog (fun () -> chain options)
         in

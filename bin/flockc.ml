@@ -27,26 +27,36 @@ let load_program path =
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
 
 (* Materialize the program's views (if any) into the catalog, and check
-   that every predicate the flock's bodies name is stored or a view, so
-   a missing relation is reported before planning needs its
-   statistics. *)
-let prepare catalog (p : Parse.program) =
+   that every predicate the flock's bodies name is stored or a view, with
+   the arity the flock uses, so a missing or misshapen relation is
+   reported before planning needs its statistics.  [source pred] names
+   where [pred]'s relation came from. *)
+let prepare ~source catalog (p : Parse.program) =
   let ( let* ) = Result.bind in
   let* catalog =
     if p.views = [] then Ok catalog else Views.materialize catalog p.views
   in
-  let body_preds =
+  let body_atoms =
     List.concat_map
       (fun (r : Qf_datalog.Ast.rule) ->
         List.filter_map
           (function
-            | Qf_datalog.Ast.Pos a | Qf_datalog.Ast.Neg a -> Some a.pred
+            | Qf_datalog.Ast.Pos a | Qf_datalog.Ast.Neg a -> Some a
             | Qf_datalog.Ast.Cmp _ -> None)
           r.body)
       p.flock.Flock.query
   in
-  match List.find_opt (fun pred -> not (Catalog.mem catalog pred)) body_preds with
-  | Some pred -> Error ("unknown predicate " ^ pred)
+  let misfit (a : Qf_datalog.Ast.atom) =
+    match Catalog.find_opt catalog a.pred with
+    | None -> Some ("unknown predicate " ^ a.pred)
+    | Some rel when Relation.arity rel <> List.length a.args ->
+      Some
+        (Printf.sprintf "predicate %s: arity %d in %s, but the flock uses arity %d"
+           a.pred (Relation.arity rel) (source a.pred) (List.length a.args))
+    | Some _ -> None
+  in
+  match List.find_map misfit body_atoms with
+  | Some e -> Error e
   | None -> Ok catalog
 
 let db_arg =
@@ -90,6 +100,27 @@ let load_catalog ?db specs =
           Error (Printf.sprintf "loading %s: %s" path e)))
   in
   go specs
+
+(* Where [pred]'s relation comes from, for [prepare]'s messages: a view
+   of the program, else the last [-d] binding of it, else the store. *)
+let source_of ?db specs (p : Parse.program) pred =
+  let binding = pred ^ "=" in
+  let n = String.length binding in
+  if List.exists (fun (r : Qf_datalog.Ast.rule) -> r.head.pred = pred) p.views
+  then "the view " ^ pred
+  else
+    match List.find_opt (String.starts_with ~prefix:binding) (List.rev specs) with
+    | Some spec -> String.sub spec n (String.length spec - n)
+    | None -> (
+      match db with
+      | Some dir -> "the store " ^ dir
+      | None -> "the catalog")
+
+(* The catalog a flock program runs over: the store and the [-d]
+   bindings, loaded and then [prepare]d. *)
+let program_catalog ?db specs program =
+  Result.bind (load_catalog ?db specs)
+    (fun catalog -> prepare ~source:(source_of ?db specs program) catalog program)
 
 (* {1 Arguments} *)
 
@@ -211,7 +242,9 @@ let lint_cmd =
             let cat =
               match Parse.program text with
               | Ok p -> (
-                match prepare cat p with Ok c -> c | Error _ -> cat)
+                match prepare ~source:(source_of ?db data p) cat p with
+                | Ok c -> c
+                | Error _ -> cat)
               | Error _ -> cat
             in
             Qf_analysis.Absint.check_program ~catalog:cat lp)
@@ -398,7 +431,7 @@ let explain_cmd =
   let run path data db profile json redact timeout mem_budget =
     let program = or_die (load_program path) in
     let flock = program.Parse.flock in
-    let catalog = or_die (prepare (or_die (load_catalog ?db data)) program) in
+    let catalog = or_die (program_catalog ?db data program) in
     let choices = Optimizer.enumerate catalog flock in
     let profile = profile || json in
     if not json then begin
@@ -484,7 +517,7 @@ let run_cmd =
     setup_logs verbose;
     let program = or_die (load_program path) in
     let flock = program.Parse.flock in
-    let catalog = or_die (prepare (or_die (load_catalog ?db data)) program) in
+    let catalog = or_die (program_catalog ?db data program) in
     let result =
       governed ~context:"run" @@ fun () -> evaluate mode catalog flock
     in
@@ -501,7 +534,7 @@ let mine_cmd =
     setup_logs verbose;
     let program = or_die (load_program path) in
     let flock = program.Parse.flock in
-    let catalog = or_die (prepare (or_die (load_catalog ?db data)) program) in
+    let catalog = or_die (program_catalog ?db data program) in
     let g =
       Option.value ~default:(Governor.create ())
         (or_die (make_governor ~timeout ~mem_budget))

@@ -1,3 +1,7 @@
+module Ast = Qf_datalog.Ast
+module Catalog = Qf_relational.Catalog
+module Relation = Qf_relational.Relation
+
 type choice = {
   plan : Plan.t;
   param_sets : string list list;
@@ -16,7 +20,7 @@ let rec subsets = function
     let without = subsets rest in
     without @ List.map (fun s -> x :: s) without
 
-let enumerate ?param_sets catalog flock =
+let search ?param_sets catalog flock =
   let sets =
     match param_sets with Some s -> s | None -> default_param_sets flock
   in
@@ -50,6 +54,53 @@ let enumerate ?param_sets catalog flock =
         (subsets viable)
     in
     List.sort (fun a b -> Float.compare a.cost b.cost) choices
+  end
+
+(* {1 The plan memo}
+
+   A session re-asks for the same flocks over unchanged relations, so the
+   costed list is kept in the catalog's memo.  The key is the flock's exact
+   text, not its α-canonical signature, because the plans name the flock's
+   own parameters.  It also holds the (id, version) of every predicate the
+   rules read: the costs read no other relation's statistics. *)
+
+type Catalog.entry += Plans of Flock.t * choice list
+
+let plan_key catalog (flock : Flock.t) =
+  let b = Buffer.create 256 in
+  Buffer.add_string b (Flock.to_string flock);
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (r : Ast.rule) ->
+      List.iter
+        (function
+          | Ast.Pos a | Ast.Neg a ->
+            if not (Hashtbl.mem seen a.pred) then begin
+              Hashtbl.add seen a.pred ();
+              match Catalog.find_opt catalog a.pred with
+              | Some rel ->
+                Printf.bprintf b "|%s=%d.%d" a.pred (Relation.id rel)
+                  (Relation.version rel)
+              | None -> Printf.bprintf b "|%s=?" a.pred
+            end
+          | Ast.Cmp _ -> ())
+        r.body)
+    flock.query;
+  Buffer.contents b
+
+let enumerate ?param_sets catalog flock =
+  if Option.is_some param_sets || not (Catalog.memo_enabled catalog) then
+    search ?param_sets catalog flock
+  else begin
+    let key = plan_key catalog flock in
+    match Catalog.memo_find_entry catalog key with
+    | Some (Plans (stored, choices)) when Flock.equal stored flock -> choices
+    | Some _ | None ->
+      let choices = search catalog flock in
+      Catalog.memo_add_entry catalog key
+        (Plans (flock, choices))
+        ~bytes:(Obj.reachable_words (Obj.repr choices) * (Sys.word_size / 8));
+      choices
   end
 
 let optimize ?param_sets catalog flock =

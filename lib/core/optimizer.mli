@@ -18,7 +18,22 @@ type choice = {
 (** All costed alternatives, cheapest first.  [param_sets] defaults to
     singletons plus (when there are at least two parameters) the full set.
     Alternatives whose parameter set admits no safe subquery are skipped.
-    Non-monotone filters yield only the trivial plan. *)
+    Non-monotone filters yield only the trivial plan.
+
+    Without [param_sets], the list is memoized in the catalog's subplan
+    memo ({!Qf_relational.Catalog.memo_find_entry}), so a session that
+    asks for a flock again over unchanged relations gets the physically
+    same list and pays no search.  The key is the flock's exact
+    {!Flock.to_string} text (its parameter names included, since the plans
+    name them) followed by the ({!Qf_relational.Relation.id},
+    {!Qf_relational.Relation.version}) pair of every predicate the rules
+    read, or a marker for an unbound one: a {!Qf_relational.Relation.add},
+    a rebinding {!Qf_relational.Catalog.add} or a
+    {!Qf_relational.Catalog.remove} changes the key, and the stale entry
+    ages out through the memo's LRU budget.  A stored list is returned
+    only when its flock is {!Flock.equal} to [flock].  With [param_sets],
+    or at memo budget [0], the search runs every time and no key is
+    computed.  Plan lookups count in no memo statistic. *)
 val enumerate :
   ?param_sets:string list list ->
   Qf_relational.Catalog.t ->

@@ -1,7 +1,6 @@
 module Catalog = Qf_relational.Catalog
 module Relation = Qf_relational.Relation
 module Tuple = Qf_relational.Tuple
-module Value = Qf_relational.Value
 
 type level = {
   k : int;
@@ -39,19 +38,23 @@ let frequent_levels ?(max_k = 9) catalog ~pred ~support =
   in
   levels [] 1
 
-(* [subset a b]: both tuples ascending; is every value of [a] in [b]? *)
-let tuple_subset a b =
-  let la = Tuple.arity a and lb = Tuple.arity b in
-  let rec loop i j =
-    if i >= la then true
-    else if j >= lb then false
-    else
-      let c = Value.compare (Tuple.get a i) (Tuple.get b j) in
-      if c = 0 then loop (i + 1) (j + 1)
-      else if c > 0 then loop i (j + 1)
-      else false
-  in
-  loop 0 0
+module Tuple_set = Hashtbl.Make (Tuple)
+
+(* Every k-subset of the (k+1)-item sets [next]: a k-item set has a
+   frequent superset exactly when it is one of them. *)
+let subsets_of next =
+  let set = Tuple_set.create (4 * Relation.cardinal next) in
+  Relation.iter
+    (fun sup ->
+      let k = Tuple.arity sup - 1 in
+      for drop = 0 to k do
+        let sub =
+          Array.init k (fun i -> Tuple.get sup (if i < drop then i else i + 1))
+        in
+        Tuple_set.replace set (Tuple.of_array sub) ()
+      done)
+    next;
+  set
 
 let maximal levels =
   let rec walk = function
@@ -59,12 +62,11 @@ let maximal levels =
     | [ last ] ->
       List.map (fun tup -> last.k, tup) (Relation.to_sorted_list last.itemsets)
     | current :: (next :: _ as rest) ->
-      let supersets = Relation.to_list next.itemsets in
+      let covered = subsets_of next.itemsets in
       let here =
         List.filter_map
           (fun tup ->
-            if List.exists (fun sup -> tuple_subset tup sup) supersets then None
-            else Some (current.k, tup))
+            if Tuple_set.mem covered tup then None else Some (current.k, tup))
           (Relation.to_sorted_list current.itemsets)
       in
       here @ walk rest

@@ -116,7 +116,6 @@ let check catalog rules =
           Ok ())
       (Ok ()) rules
   in
-  let heads = head_preds rules in
   let* () =
     List.fold_left
       (fun acc (r : Ast.rule) ->
@@ -136,15 +135,25 @@ let check catalog rules =
             error "%s shadows a stored relation" head
           else Ok ()
         in
-        (* Body predicates must be stored or defined by the program. *)
+        (* Body predicates must be stored or defined by the program, with
+           the arity they have there. *)
         List.fold_left
           (fun acc lit ->
             let* () = acc in
             match lit with
-            | Ast.Pos a | Ast.Neg a ->
-              if Catalog.mem catalog a.Ast.pred || List.mem a.Ast.pred heads
-              then Ok ()
-              else error "%s: unknown predicate %s in body" head a.Ast.pred
+            | Ast.Pos a | Ast.Neg a -> (
+              let used = List.length a.Ast.args in
+              let arity =
+                match Catalog.find_opt catalog a.Ast.pred with
+                | Some rel -> Some (Relation.arity rel)
+                | None -> Hashtbl.find_opt arities a.Ast.pred
+              in
+              match arity with
+              | None -> error "%s: unknown predicate %s in body" head a.Ast.pred
+              | Some n when n <> used ->
+                error "%s: predicate %s has arity %d but is used with %d" head
+                  a.Ast.pred n used
+              | Some _ -> Ok ())
             | Ast.Cmp _ -> Ok ())
           (Ok ()) r.body)
       (Ok ()) rules

@@ -35,10 +35,15 @@ type index_cache = {
    relation's (id, version) pair, so mutation invalidates by key change —
    the same version-counter discipline as the index cache — and entries
    for dead versions age out through the LRU budget ([QF_MEMO_BUDGET],
-   default 64 MiB; [0] disables memoization). *)
+   default 64 MiB; [0] disables memoization).  Step outputs share the
+   table, and its budget, with the optimizer's costed plans: the value is
+   an extensible variant that [qf_core] extends. *)
+
+type entry = ..
+type entry += Step of Relation.t
 
 type memo = {
-  memo_entries : (string, Relation.t) Lru.t;
+  memo_entries : (string, entry) Lru.t;
   memo_mutex : Mutex.t;
   mutable memo_hits : int;
   mutable memo_misses : int;
@@ -178,7 +183,11 @@ let memo_find t key =
   else begin
     let m = t.memo in
     Mutex.lock m.memo_mutex;
-    let cached = Lru.find m.memo_entries key in
+    let cached =
+      match Lru.find m.memo_entries key with
+      | Some (Step rel) -> Some rel
+      | Some _ | None -> None
+    in
     (match cached with
     | Some _ -> m.memo_hits <- m.memo_hits + 1
     | None -> m.memo_misses <- m.memo_misses + 1);
@@ -190,18 +199,26 @@ let memo_find t key =
     cached
   end
 
-let memo_add t key rel =
+let memo_find_entry t key =
+  if not (memo_enabled t) then None
+  else begin
+    Mutex.lock t.memo.memo_mutex;
+    let cached = Lru.find t.memo.memo_entries key in
+    Mutex.unlock t.memo.memo_mutex;
+    cached
+  end
+
+let memo_add_entry t key entry ~bytes =
   if memo_enabled t then begin
     let m = t.memo in
     Mutex.lock m.memo_mutex;
-    let evicted =
-      Lru.add m.memo_entries key rel
-        ~bytes:(Relation.approx_bytes rel + String.length key)
-    in
+    let evicted = Lru.add m.memo_entries key entry ~bytes:(bytes + String.length key) in
     Mutex.unlock m.memo_mutex;
     if evicted > 0 && Qf_obs.Obs.enabled () then
       Qf_obs.Obs.count "memo.evict" evicted
   end
+
+let memo_add t key rel = memo_add_entry t key (Step rel) ~bytes:(Relation.approx_bytes rel)
 
 let memo_stats t =
   t.memo.memo_hits, t.memo.memo_misses, Lru.evictions t.memo.memo_entries

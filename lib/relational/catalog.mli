@@ -55,18 +55,30 @@ val reset_index_stats : t -> unit
 
 (** {1 Subplan memo}
 
-    A cross-level memo table for FILTER-step outputs, keyed by canonical
-    step signatures (opaque strings; [qf_core]'s [Stepsig] computes them
-    and embeds every referenced relation's (id, version) pair, so
-    mutation invalidates by key change — the index cache's version
-    discipline).  Bounded by an LRU byte budget from [QF_MEMO_BUDGET]
-    (same syntax as [QF_INDEX_BUDGET]; default 64 MiB; [0] disables
-    this memo, not the plan executor's plan-local step reuse).  Shared
-    across {!copy}s, like the index cache. *)
+    A cross-level memo table for FILTER-step outputs and for the
+    optimizer's costed plans, keyed by opaque strings.  A step's key is
+    its canonical signature ([qf_core]'s [Stepsig]); a plan list's key is
+    its flock's exact text ([qf_core]'s [Optimizer]).  Both embed the
+    (id, version) pair of every relation the entry was computed from, so
+    mutation or rebinding invalidates by key change — the index cache's
+    version discipline.  Bounded by one LRU byte budget from
+    [QF_MEMO_BUDGET] (same syntax as [QF_INDEX_BUDGET]; default 64 MiB;
+    [0] disables this memo, not the plan executor's plan-local step
+    reuse).  Shared across {!copy}s, like the index cache. *)
 
-(** Lookup by signature.  Counts a hit or miss (per-catalog stats and,
-    when observability is enabled, the [memo.hit]/[memo.miss] Obs
-    counters).  At budget [0] it always misses silently. *)
+(** A memo value.  Step outputs are stored through {!memo_find} and
+    {!memo_add} under a constructor of the catalog's own; other libraries
+    add their own constructors and use {!memo_find_entry} and
+    {!memo_add_entry}. *)
+type entry = ..
+
+(** Whether the memo stores anything (its budget is not [0]). *)
+val memo_enabled : t -> bool
+
+(** Lookup of a step output by signature.  Counts a hit or miss
+    (per-catalog stats and, when observability is enabled, the
+    [memo.hit]/[memo.miss] Obs counters).  At budget [0] it always misses
+    silently. *)
 val memo_find : t -> string -> Relation.t option
 
 (** Store a step output under its signature; LRU-evicts past the budget
@@ -74,7 +86,17 @@ val memo_find : t -> string -> Relation.t option
     no-op at budget [0]. *)
 val memo_add : t -> string -> Relation.t -> unit
 
-(** [(hits, misses, evictions)] since creation. *)
+(** Lookup of any entry.  Counts nothing: {!memo_stats} and the
+    [memo.hit]/[memo.miss] counters are about step outputs only. *)
+val memo_find_entry : t -> string -> entry option
+
+(** Store any entry, declared as [bytes] (the key's length is added);
+    it shares the budget and the eviction count with step outputs.  A
+    no-op at budget [0]. *)
+val memo_add_entry : t -> string -> entry -> bytes:int -> unit
+
+(** [(hits, misses, evictions)] since creation.  Hits and misses are
+    {!memo_find}'s; evictions count every kind of entry. *)
 val memo_stats : t -> int * int * int
 
 (** Override the byte budget ([0] disables; shrinking evicts). *)

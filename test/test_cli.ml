@@ -398,6 +398,33 @@ let test_mining_goldens () =
       Alcotest.(check string) (cmd ^ " output") golden out)
     [ "rules", rules_golden; "maximal", maximal_golden ]
 
+(* A relation loaded with a different arity than the flock uses is an
+   input error naming the predicate, both arities and where the relation
+   came from, for [-d] and [-D] alike (it used to escape [mine] and [run]
+   as an uncaught [Eval.Error], exit 125, and pass [explain]). *)
+let test_arity_mismatch () =
+  with_csv "a\n1\n2\n" @@ fun path ->
+  List.iter
+    (fun cmd ->
+      expect_input_error
+        ~contains:
+          (Printf.sprintf "flockc: predicate baskets: arity 1 in %s, but the \
+                           flock uses arity 2" path)
+        [ cmd; "-d"; "baskets=" ^ path; pairs ])
+    [ "mine"; "run"; "explain" ];
+  let dir = fresh_path () in
+  Fun.protect ~finally:(fun () -> remove dir) @@ fun () ->
+  let code, msg = run [ "import"; dir; "baskets=" ^ path ] in
+  check_int ("import exits 0: " ^ msg) 0 code;
+  List.iter
+    (fun cmd ->
+      expect_input_error
+        ~contains:
+          (Printf.sprintf "flockc: predicate baskets: arity 1 in the store %s, \
+                           but the flock uses arity 2" dir)
+        [ cmd; "-D"; dir; pairs ])
+    [ "mine"; "run"; "explain" ]
+
 let suite =
   [
     Alcotest.test_case "-D naming a regular file exits 1" `Quick
@@ -436,4 +463,6 @@ let suite =
       `Quick test_store_paged_layout;
     Alcotest.test_case "explain --profile reads QF_MEM_BUDGET and QF_TIMEOUT"
       `Quick test_explain_reads_governor_variables;
+    Alcotest.test_case "arity mismatch exits 1 in mine/run/explain" `Quick
+      test_arity_mismatch;
   ]

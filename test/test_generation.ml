@@ -334,29 +334,34 @@ let test_optimizer_prefers_filters_on_skewed_data () =
     check_bool "best plan uses at least one filter step" true
       (best.Optimizer.param_sets <> [])
 
+(* [f ()] and the value of the [Obs] counter [name] it left (0 if unset). *)
+let with_counter name f =
+  let module Obs = Qf_obs.Obs in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_enabled was)
+    (fun () ->
+      let v = f () in
+      ( v,
+        Option.value ~default:0
+          (List.assoc_opt name (Obs.report ()).Obs.counters) ))
+
 (* The optimizer chooses each viable parameter set's subquery once — four
    searches for a triple flock's three singletons and one triple — and
    builds every subset's plan from those steps: each plan is the one
    [param_set_plan] builds for its parameter sets. *)
 let test_optimizer_chooses_each_set_once () =
-  let module Obs = Qf_obs.Obs in
   let cat = market_catalog () in
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:3 ~support:20 in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Obs.reset ();
   let choices, searches =
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.reset ();
-        Obs.set_enabled was)
-      (fun () ->
-        let choices = Optimizer.enumerate cat flock in
-        ( choices,
-          List.assoc_opt "apriori.chosen_subqueries"
-            (Obs.report ()).Obs.counters ))
+    with_counter "apriori.chosen_subqueries" (fun () ->
+        Optimizer.enumerate cat flock)
   in
-  check_int "one search per parameter set" 4 (Option.value searches ~default:0);
+  check_int "one search per parameter set" 4 searches;
   check_int "every subset of the four sets" 16 (List.length choices);
   let selection = `Cheapest (Cost.of_catalog cat) in
   List.iter
@@ -376,6 +381,170 @@ let test_optimizer_non_monotone_fallback () =
   let flock = Flock.make_exn [ rule ] { Filter.agg = Min "B"; threshold = 0. } in
   let choices = Optimizer.enumerate cat flock in
   check_int "only the trivial plan" 1 (List.length choices)
+
+(* {1 The plan memo}
+
+   [Optimizer.enumerate] keeps its costed list in the catalog's memo,
+   keyed by the flock's text and the (id, version) of every relation it
+   reads. *)
+
+let with_candidates f = with_counter "apriori.candidate_subqueries" f
+
+let memo_catalog budget =
+  let cat = market_catalog () in
+  Catalog.set_memo_budget cat budget;
+  cat
+
+let pairs = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20
+
+let same_choices (a : Optimizer.choice list) (b : Optimizer.choice list) =
+  List.equal
+    (fun (x : Optimizer.choice) (y : Optimizer.choice) ->
+      x.plan = y.plan && x.param_sets = y.param_sets && x.cost = y.cost)
+    a b
+
+let test_plan_memo_hit () =
+  let cat = memo_catalog max_int in
+  let first, searched = with_candidates (fun () -> Optimizer.enumerate cat pairs) in
+  check_bool "the first call searches" true (searched > 0);
+  let again, counted = with_candidates (fun () -> Optimizer.enumerate cat pairs) in
+  check_bool "a repeat returns the stored list" true (first == again);
+  check_int "a repeat counts no candidate subquery" 0 counted;
+  let reparsed = Parse.flock_exn (Flock.to_string pairs) in
+  check_bool "an equal flock parsed again hits" true
+    (Optimizer.enumerate cat reparsed == first);
+  let hits, misses, _ = Catalog.memo_stats cat in
+  check_int "plan lookups count no memo hit" 0 hits;
+  check_int "plan lookups count no memo miss" 0 misses;
+  let uncached = Optimizer.enumerate (memo_catalog 0) pairs in
+  check_bool "plans and costs equal the uncached search" true
+    (same_choices first uncached)
+
+let test_plan_memo_invalidation () =
+  let cat = memo_catalog max_int in
+  let baskets = Catalog.find cat "baskets" in
+  let first = Optimizer.enumerate cat pairs in
+  R.add baskets (R.to_list baskets |> List.hd);
+  check_bool "re-adding a present row keeps the version" true
+    (Optimizer.enumerate cat pairs == first);
+  R.add baskets
+    (Qf_relational.Tuple.of_list Qf_relational.Value.[ Int 100_000; Int 1 ]);
+  let after_add = Optimizer.enumerate cat pairs in
+  check_bool "Relation.add recomputes" false (after_add == first);
+  check_bool "and the new list is stored" true
+    (Optimizer.enumerate cat pairs == after_add);
+  let rebound = R.create (R.schema baskets) in
+  R.iter (R.add rebound) baskets;
+  Catalog.add cat "baskets" rebound;
+  let after_rebind = Optimizer.enumerate cat pairs in
+  check_bool "rebinding the name recomputes" false (after_rebind == after_add);
+  check_bool "an equal relation gives equal plans" true
+    (same_choices after_rebind after_add);
+  Catalog.remove cat "baskets";
+  (match Optimizer.enumerate cat pairs with
+   | _ -> Alcotest.fail "a removed relation was planned from the memo"
+   | exception Failure _ -> ());
+  Catalog.add cat "baskets" rebound;
+  check_bool "binding the same snapshot again hits" true
+    (Optimizer.enumerate cat pairs == after_rebind)
+
+let test_plan_memo_budget_zero () =
+  let cat = memo_catalog 0 in
+  let first = Optimizer.enumerate cat pairs in
+  check_int "nothing stored" 0 (Catalog.memo_bytes cat);
+  let again, counted = with_candidates (fun () -> Optimizer.enumerate cat pairs) in
+  check_bool "every call searches" true (counted > 0 && again != first)
+
+let test_plan_memo_exact_text () =
+  let cat = memo_catalog max_int in
+  let numbered = Optimizer.enumerate cat pairs in
+  let renamed =
+    Parse.flock_exn
+      "QUERY:\nanswer(B) :- baskets(B,$a) AND baskets(B,$b) AND $a < $b\n\n\
+       FILTER:\nCOUNT(answer.B) >= 20\n"
+  in
+  let named = Optimizer.enumerate cat renamed in
+  check_bool "a renamed flock is searched again" false (named == numbered);
+  List.iter
+    (fun (c : Optimizer.choice) ->
+      List.iter
+        (fun (s : Plan.step) ->
+          List.iter
+            (fun p -> check_bool ("plan over $a,$b: $" ^ p) true (List.mem p [ "a"; "b" ]))
+            s.Plan.params)
+        (Plan.all_steps c.plan);
+      check_bool "the plan's flock is the renamed one" true
+        (Flock.equal c.plan.Plan.flock renamed))
+    named;
+  let with_const c =
+    Parse.flock_exn
+      (Printf.sprintf
+         "QUERY:\nanswer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2 \
+          AND B > %s\n\nFILTER:\nCOUNT(answer.B) >= 20\n"
+         c)
+  in
+  let int_flock = with_const "1" and real_flock = with_const "1.0" in
+  check_bool "1 and 1.0 are different flocks" false (Flock.equal int_flock real_flock);
+  let ints = Optimizer.enumerate cat int_flock in
+  let reals = Optimizer.enumerate cat real_flock in
+  check_bool "Int 1 and Real 1.0 do not share an entry" false (ints == reals);
+  List.iter
+    (fun (c : Optimizer.choice) ->
+      check_bool "plans over the Real 1.0 flock" true
+        (Flock.equal c.plan.Plan.flock real_flock))
+    reals;
+  check_bool "the Int 1 list is still right" true
+    (List.for_all
+       (fun (c : Optimizer.choice) -> Flock.equal c.plan.Plan.flock int_flock)
+       (Optimizer.enumerate cat int_flock))
+
+let test_plan_memo_copies () =
+  let cat = memo_catalog max_int in
+  let first = Optimizer.enumerate cat pairs in
+  check_bool "a copy shares the entry" true
+    (Optimizer.enumerate (Catalog.copy cat) pairs == first);
+  let views =
+    match
+      Qf_datalog.Parser.parse_rule "item_of(B,I) :- baskets(B,I)"
+    with
+    | Ok r -> [ r ]
+    | Error e -> Alcotest.failf "parse: %s" e
+  in
+  let materialize () =
+    match Views.materialize cat views with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "materialize: %s" e
+  in
+  let over_view = Apriori_gen.basket_flock ~pred:"item_of" ~k:2 ~support:20 in
+  let c1 = materialize () in
+  check_bool "a views copy shares the base flock's entry" true
+    (Optimizer.enumerate c1 pairs == first);
+  let on_first = Optimizer.enumerate c1 over_view in
+  check_bool "the same views copy hits" true
+    (Optimizer.enumerate c1 over_view == on_first);
+  let on_second = Optimizer.enumerate (materialize ()) over_view in
+  check_bool "new view relations are searched again" false (on_second == on_first);
+  check_bool "to the same plans" true (same_choices on_first on_second)
+
+let test_plan_memo_evicts () =
+  let cat = memo_catalog 2048 in
+  let _, _, evicted_before = Catalog.memo_stats cat in
+  List.iter
+    (fun (k, support) ->
+      let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k ~support in
+      for _ = 1 to 2 do
+        let choices = Optimizer.enumerate cat flock in
+        check_bool "costs equal the uncached search" true
+          (same_choices choices (Optimizer.enumerate (memo_catalog 0) flock));
+        Alcotest.check Test_util.relation
+          (Printf.sprintf "k=%d support %d: plan = direct" k support)
+          (Direct.run cat flock)
+          (Plan_exec.run cat (List.hd choices).Optimizer.plan)
+      done)
+    [ 2, 20; 3, 10; 2, 30 ];
+  let _, _, evicted = Catalog.memo_stats cat in
+  check_bool "the 2048-byte budget evicts" true (evicted > evicted_before);
+  check_bool "and stays within it" true (Catalog.memo_bytes cat <= 2048)
 
 let suite =
   [
@@ -408,6 +577,18 @@ let suite =
       test_optimizer_prefers_filters_on_skewed_data;
     Alcotest.test_case "optimizer chooses each set's subquery once" `Quick
       test_optimizer_chooses_each_set_once;
+    Alcotest.test_case "plan memo: a repeat returns the stored list" `Quick
+      test_plan_memo_hit;
+    Alcotest.test_case "plan memo: mutation, rebinding and removal recompute"
+      `Quick test_plan_memo_invalidation;
+    Alcotest.test_case "plan memo: budget 0 stores nothing" `Quick
+      test_plan_memo_budget_zero;
+    Alcotest.test_case "plan memo: keyed by the exact flock text" `Quick
+      test_plan_memo_exact_text;
+    Alcotest.test_case "plan memo: copies share, new views do not" `Quick
+      test_plan_memo_copies;
+    Alcotest.test_case "plan memo: a small budget evicts, answers stay right"
+      `Quick test_plan_memo_evicts;
     Alcotest.test_case "optimizer non-monotone fallback" `Quick
       test_optimizer_non_monotone_fallback;
   ]

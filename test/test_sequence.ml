@@ -158,6 +158,88 @@ let test_repeat_served_by_memo () =
   let _, _, _, total_hits = run 0 in
   check_int "no hits at budget 0" 0 total_hits
 
+(* The quadratic definition [Sequence.maximal] used to run, kept as its
+   specification: a level's itemset is maximal when no itemset one level
+   up contains it (both ascending, so a merge walk decides containment). *)
+let maximal_spec (levels : Sequence.level list) =
+  let subset a b =
+    let module T = Qf_relational.Tuple in
+    let la = T.arity a and lb = T.arity b in
+    let rec loop i j =
+      if i >= la then true
+      else if j >= lb then false
+      else
+        let c = V.compare (T.get a i) (T.get b j) in
+        if c = 0 then loop (i + 1) (j + 1)
+        else if c > 0 then loop i (j + 1)
+        else false
+    in
+    loop 0 0
+  in
+  let rec walk = function
+    | [] -> []
+    | [ (last : Sequence.level) ] ->
+      List.map (fun tup -> last.k, tup) (R.to_sorted_list last.itemsets)
+    | (current : Sequence.level) :: ((next : Sequence.level) :: _ as rest) ->
+      let supersets = R.to_list next.itemsets in
+      List.filter_map
+        (fun tup ->
+          if List.exists (fun sup -> subset tup sup) supersets then None
+          else Some (current.k, tup))
+        (R.to_sorted_list current.itemsets)
+      @ walk rest
+  in
+  walk levels
+
+(* Random levels 1..n over the items 0..7: each a set of ascending k-item
+   tuples, not necessarily downward closed. *)
+let arb_levels =
+  let open QCheck.Gen in
+  let itemset k =
+    map (List.sort_uniq compare) (list_repeat k (int_bound 7))
+  in
+  let level k =
+    map
+      (fun sets -> k, List.filter (fun s -> List.length s = k) sets)
+      (list_size (int_bound 16) (itemset k))
+  in
+  let gen =
+    int_range 1 4 >>= fun n -> flatten_l (List.init n (fun i -> level (i + 1)))
+  in
+  QCheck.make
+    ~print:(fun levels ->
+      String.concat " | "
+        (List.map
+           (fun (_, sets) ->
+             String.concat " "
+               (List.map
+                  (fun s -> String.concat "," (List.map string_of_int s))
+                  sets))
+           levels))
+    gen
+
+let to_levels =
+  List.map (fun (k, sets) ->
+      let rel =
+        R.create
+          (Qf_relational.Schema.of_list
+             (List.init k (fun i -> Printf.sprintf "$%d" (i + 1))))
+      in
+      List.iter
+        (fun s ->
+          R.add rel
+            (Qf_relational.Tuple.of_list (List.map (fun i -> V.Int i) s)))
+        sets;
+      { Sequence.k; itemsets = rel })
+
+let prop_maximal_matches_spec =
+  QCheck.Test.make ~count:300 ~name:"maximal = the quadratic definition"
+    arb_levels (fun levels ->
+      let levels = to_levels levels in
+      List.equal
+        (fun (k, a) (k', b) -> k = k' && Qf_relational.Tuple.equal a b)
+        (Sequence.maximal levels) (maximal_spec levels))
+
 let suite =
   [
     Alcotest.test_case "frequent levels" `Quick test_levels;
@@ -170,4 +252,5 @@ let suite =
     Alcotest.test_case "maximality, brute force" `Quick test_maximal_brute_force;
     Alcotest.test_case "a repeated sequence is served by the memo" `Quick
       test_repeat_served_by_memo;
+    QCheck_alcotest.to_alcotest prop_maximal_matches_spec;
   ]

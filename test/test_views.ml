@@ -30,6 +30,22 @@ let test_materialize_simple () =
     check_bool "1->3" true (R.mem two_hop (Qf_relational.Tuple.of_array [| V.Int 1; V.Int 3 |]));
     check_bool "input catalog untouched" false (Catalog.mem cat "two_hop")
 
+(* A body atom whose arity differs from its relation's is a typed error
+   from [materialize], not an [Eval.Error] raised while evaluating. *)
+let test_materialize_arity_mismatch () =
+  let cat = base_catalog () in
+  List.iter
+    (fun (rules, expected) ->
+      match Views.materialize cat (List.map rule rules) with
+      | Ok _ -> Alcotest.fail "materialized a body of the wrong arity"
+      | Error e -> Alcotest.(check string) "message" expected e)
+    [
+      ( [ "loop(X) :- edge(X,X,X)" ],
+        "loop: predicate edge has arity 2 but is used with 3" );
+      ( [ "hop(X,Y) :- edge(X,Y)"; "back(X) :- hop(X)" ],
+        "back: predicate hop has arity 2 but is used with 1" );
+    ]
+
 let test_view_union_rules () =
   let cat = base_catalog () in
   match
@@ -380,4 +396,6 @@ let suite =
       test_measures_confidence_floor;
     Alcotest.test_case "measures agree with the classic miner" `Quick
       test_measures_agree_with_classic;
+    Alcotest.test_case "body arity mismatch is a typed error" `Quick
+      test_materialize_arity_mismatch;
   ]
