@@ -64,9 +64,12 @@ let param_set_step ?(selection = `Fewest_subgoals) (flock : Flock.t) set =
   in
   Ok (Plan.step ~name:(step_name set) (List.rev subqueries))
 
-let plan_of_steps (flock : Flock.t) steps =
+let plan_of_classes (flock : Flock.t) classes =
+  let steps = List.map fst classes in
   let ok_atoms =
-    List.map (fun (s : Plan.step) -> ok_atom s.name s.params) steps
+    List.concat_map
+      (fun ((s : Plan.step), members) -> List.map (ok_atom s.name) members)
+      classes
   in
   let final_query =
     List.map
@@ -84,12 +87,15 @@ let param_set_plan ?selection flock ~param_sets =
         Ok (step :: steps))
       (Ok []) param_sets
   in
-  plan_of_steps flock (List.rev steps)
+  plan_of_classes flock
+    (List.rev_map (fun (s : Plan.step) -> s, [ s.params ]) steps)
 
 let singleton_plan ?selection (flock : Flock.t) =
-  plan_of_steps flock
+  plan_of_classes flock
     (List.filter_map
-       (fun p -> Result.to_option (param_set_step ?selection flock [ p ]))
+       (fun p ->
+         Result.to_option (param_set_step ?selection flock [ p ])
+         |> Option.map (fun s -> s, [ [ p ] ]))
        (Flock.params flock))
 
 let chain_plan (flock : Flock.t) ~prefixes =

@@ -24,10 +24,16 @@ type selection = [ `Fewest_subgoals | `Cheapest of Cost.env ]
 val param_set_step :
   ?selection:selection -> Flock.t -> string list -> (Plan.step, string) result
 
-(** [plan_of_steps flock steps] is the strategy-1 plan over the given
-    auxiliary steps: the final step is the flock's query with every
-    step's [ok] subgoal added to each rule. *)
-val plan_of_steps : Flock.t -> Plan.step list -> (Plan.t, string) result
+(** [plan_of_classes flock classes] is the strategy-1 plan over the given
+    auxiliary steps, each with the parameter lists it stands for: the
+    final step is the flock's query with one [ok] subgoal per listed
+    parameter list added to each rule.  A step listed with its own
+    parameters is the paper's literal [ok] subgoal; a step listed with
+    several lists is an α-class of symmetric steps, computed once and
+    renamed per member (footnote 3), e.g. [ok_1($1)], [ok_1($2)],
+    [ok_1($3)].  A list renames the step's parameters positionally. *)
+val plan_of_classes :
+  Flock.t -> (Plan.step * string list list) list -> (Plan.t, string) result
 
 (** [param_set_plan flock ~param_sets] builds a strategy-1 plan with one
     auxiliary step per parameter set (in the given order).  Fails if some

@@ -60,19 +60,100 @@ let est_matches env bound (a : Ast.atom) =
     a.args;
   Float.max 0. !est
 
-(* The evaluator's join order, priced: a positive subgoal multiplies the
-   rows by its expected matches and adds the new rows to the work; each
-   run of consecutive negations and comparisons is charged one pass over
-   the current rows and the product of their default selectivities. *)
+(* {1 Reducers}
+
+   A step's ok subgoals give their parameters exact reducers, read by the
+   executor's rule ({!Plan_exec.reducer_columns}) and kept only when
+   every rule of the union has them, as the executor applies one list to
+   all the rules.  A reduced parameter keeps, as the model sees it, the
+   fewest values any of its reducers keeps: the estimated distinct count
+   of the ok relation's column. *)
+
+let reducers ~step_names (q : Ast.query) =
+  match List.map (Plan_exec.reducer_columns ~step_names) q with
+  | [] -> []
+  | first :: rest ->
+    List.sort_uniq compare
+      (List.filter (fun c -> List.for_all (List.mem c) rest) first)
+
+let kept env reducers p =
+  List.fold_left
+    (fun k (p', (pred, col)) ->
+      match lookup env pred with
+      | Some (s : vstats) when String.equal p p' && col < Array.length s.distinct
+        ->
+        Float.min k (Float.max 1. s.distinct.(col))
+      | _ -> k)
+    infinity reducers
+
+(* A unary [ok($p)] ordered after [$p] is bound is enforced by its own
+   reducer, and the executor does not probe it ([Eval.enforced]). *)
+let enforced reducers bound = function
+  | Ast.Pos { Ast.pred; args = [ Ast.Param p ] } ->
+    List.mem ("$" ^ p) bound && List.mem (p, (pred, 0)) reducers
+  | _ -> false
+
+(* The share of a column's rows whose value a reducer keeps, taking the
+   kept values to be the column's [kept] most frequent ones (they are
+   what a monotone filter keeps on skewed data): their row mass off the
+   frequency vector, or a uniform share for a derived relation, whose
+   distribution is unknown.  Where the parameter is already bound, the
+   atom matches the kept values' mean frequency instead of the column's,
+   so the share is scaled by [distinct / kept]. *)
+let kept_share (s : vstats) i kept ~bound =
+  let distinct = Float.max 1. s.distinct.(i) in
+  let kept = Float.min kept distinct in
+  if kept >= distinct then 1.
+  else begin
+    let freqs =
+      if i < Array.length s.frequencies then s.frequencies.(i) else [||]
+    in
+    let mass =
+      if Array.length freqs = 0 then s.rows *. kept /. distinct
+      else
+        let n = min (Array.length freqs) (max 1 (int_of_float kept)) in
+        float_of_int (Array.fold_left ( + ) 0 (Array.sub freqs 0 n))
+    in
+    let share = mass /. Float.max 1. s.rows in
+    if bound then share *. distinct /. kept else share
+  end
+
+(* Expected matches of [atom] with the reducers applied: each parameter
+   column a reducer covers thins the matches by its kept share. *)
+let reduced_matches env reducers bound (a : Ast.atom) =
+  let s = lookup_exn env a.pred in
+  let _, est =
+    List.fold_left
+      (fun (i, est) arg ->
+        match arg with
+        | Ast.Param p when i < Array.length s.distinct ->
+          let k = kept env reducers p in
+          ( i + 1,
+            if k = infinity then est
+            else est *. kept_share s i k ~bound:(List.mem ("$" ^ p) bound) )
+        | Ast.Param _ | Ast.Var _ | Ast.Const _ -> i + 1, est)
+      (0, est_matches env bound a)
+      a.args
+  in
+  est
+
+(* The evaluator's join order, priced.  The order is [Eval]'s greedy
+   order over the unreduced statistics, as the executor computes it; the
+   subgoals the reducers enforce are dropped from it, as the executor
+   drops them.  Along it, a positive subgoal multiplies the rows by its
+   expected matches, thinned by the reducers, and adds the new rows to
+   the work; each run of consecutive negations and comparisons is
+   charged one pass over the current rows and the product of their
+   default selectivities. *)
 let neg_selectivity = 0.8
 let cmp_selectivity = 0.5
 
-let estimate_rule env (r : Ast.rule) =
+let price_rule env ~reducers (r : Ast.rule) =
   let rec walk rows work = function
     | [] -> { work; rows }
     | (bound, Ast.Pos a) :: rest ->
-      let rows = rows *. est_matches env bound a in
-      walk rows (work +. rows) rest
+      let out = rows *. reduced_matches env reducers bound a in
+      walk out (work +. rows +. out) rest
     | ordered ->
       let rec run selectivity = function
         | (_, Ast.Neg _) :: rest -> run (selectivity *. neg_selectivity) rest
@@ -82,12 +163,19 @@ let estimate_rule env (r : Ast.rule) =
       let selectivity, rest = run 1. ordered in
       walk (rows *. selectivity) (work +. rows) rest
   in
-  walk 1. 0. (Qf_datalog.Eval.greedy_order ~matches:(est_matches env) r.body)
+  walk 1. 0.
+    (List.filter
+       (fun (bound, lit) -> not (enforced reducers bound lit))
+       (Qf_datalog.Eval.greedy_order ~matches:(est_matches env) r.body))
 
-let estimate_query env (q : Ast.query) =
+let estimate_rule ?(step_names = []) env r =
+  price_rule env ~reducers:(reducers ~step_names [ r ]) r
+
+let estimate_query env ~step_names (q : Ast.query) =
+  let reducers = reducers ~step_names q in
   List.fold_left
     (fun acc r ->
-      let e = estimate_rule env r in
+      let e = price_rule env ~reducers r in
       { work = acc.work +. e.work; rows = acc.rows +. e.rows })
     { work = 0.; rows = 0. }
     q
@@ -145,9 +233,9 @@ let exact_survivors env ~(filter : Filter.t) (s : Plan.step) =
         | _ -> None)
   | _ -> None
 
-let estimate_step env ~(filter : Filter.t) (s : Plan.step) =
+let estimate_step ?(step_names = []) env ~(filter : Filter.t) (s : Plan.step) =
   let threshold = filter.threshold in
-  let e = estimate_query env s.query in
+  let e = estimate_query env ~step_names s.query in
   let groups = estimate_groups env s.query s.params in
   let avg = if groups <= 0. then 0. else e.rows /. groups in
   let survival =
@@ -160,73 +248,26 @@ let estimate_step env ~(filter : Filter.t) (s : Plan.step) =
     | Some exact -> Float.max 1. exact
     | None -> Float.max 1. (groups *. survival)
   in
-  let per_column = Float.max 1. survivors in
+  (* A column holds at most the survivors, and at most its parameter's
+     domain in the step's query. *)
   let out_stats =
     {
       rows = survivors;
-      distinct = Array.make (List.length s.params) per_column;
+      distinct =
+        Array.of_list
+          (List.map
+             (fun p -> Float.min survivors (param_domain env s.query p))
+             s.params);
       frequencies = [||];
     }
   in
-  (* Materializing the tabulated relation and grouping it cost roughly
-     three passes over its rows (hash-set insert, key projection, group
-     index) on top of the join work itself.  This still prices that
-     materialized path: an in-memory step now counts its groups inside
-     each rule's last subgoal's probe loop ([Eval.filter_query]), which costs
-     less.  The constant is kept until a measurement of plan regret can
-     re-fit it, so plan choices and counts stay as they were. *)
-  e.work +. (3. *. e.rows), out_stats
-
-(* Model the executor's SIP reducers: for every single-parameter
-   auxiliary step, shrink the statistics of the base atoms the final query
-   applies that parameter to, as if only the rows whose value the reducer
-   keeps were probed.  Without this, the model sees few surviving
-   values but misses that those values carry most of the row mass on
-   skewed data — the exact mistake that made filtering look free. *)
-let reduce_env_for_final env ~threshold (plan : Plan.t) =
-  let single_param_steps =
-    List.filter_map
-      (fun (s : Plan.step) ->
-        match s.params with [ p ] -> Some (p, s) | _ -> None)
-      plan.steps
-  in
-  List.fold_left
-    (fun env (r : Ast.rule) ->
-      List.fold_left
-        (fun env (a : Ast.atom) ->
-          List.fold_left
-            (fun env (i, arg) ->
-              match arg with
-              | Ast.Param p -> (
-                match List.assoc_opt p single_param_steps with
-                | None -> env
-                | Some _ -> (
-                  match lookup env a.pred with
-                  | Some (stats : vstats)
-                    when i < Array.length stats.frequencies
-                         && Array.length stats.frequencies.(i) > 0 ->
-                    let freqs = stats.frequencies.(i) in
-                    let kept = Statistics.values_at_least freqs ~threshold in
-                    (* The row mass the kept values carry. *)
-                    let kept_mass =
-                      float_of_int (Array.fold_left ( + ) 0 (Array.sub freqs 0 kept))
-                    in
-                    let kept_values = float_of_int kept in
-                    let distinct = Array.copy stats.distinct in
-                    if i < Array.length distinct then
-                      distinct.(i) <- Float.max 1. kept_values;
-                    extend env a.pred
-                      {
-                        stats with
-                        rows = Float.min stats.rows (Float.max 1. kept_mass);
-                        distinct;
-                      }
-                  | _ -> env))
-              | Ast.Var _ | Ast.Const _ -> env)
-            env
-            (List.mapi (fun i arg -> i, arg) a.args))
-        env (Ast.positive_atoms r))
-    env plan.final.query
+  (* Each tabulated row is also counted into the step's group table,
+     once, inside the last subgoal's probe loop ([Eval.filter_query]):
+     one unit, as a match is.  Timings of every plan on perfbench's
+     market and medical queries and on E9 chose better at one unit than
+     at three, where a step over one large relation looked dearer than
+     the join it prunes. *)
+  e.work +. e.rows, out_stats
 
 (* Apply a certified (groups, rows) upper bound to a step's estimated
    output: survivors cannot exceed the certified survivor bound, and the
@@ -254,13 +295,13 @@ type step_estimate = {
 }
 
 (* Per-step estimates: each auxiliary step's estimated output statistics
-   feed the later steps, and the final step sees the env its reducers
-   shrink. *)
+   feed the later steps, whose ok subgoals over them are priced as the
+   executor's reducers. *)
 
 let plan_step_estimates ?(clamps = []) env (plan : Plan.t) =
   let filter = plan.flock.filter in
-  let one env (s : Plan.step) =
-    let w, out = estimate_step env ~filter s in
+  let one env step_names (s : Plan.step) =
+    let w, out = estimate_step env ~step_names ~filter s in
     let out = clamp_out clamps s.Plan.name out in
     let groups_bound =
       match List.assoc_opt s.Plan.name clamps with
@@ -275,15 +316,14 @@ let plan_step_estimates ?(clamps = []) env (plan : Plan.t) =
         est_rows = out.rows;
       } )
   in
-  let env, acc =
+  let env, step_names, acc =
     List.fold_left
-      (fun (env, acc) (s : Plan.step) ->
-        let out, e = one env s in
-        extend env s.Plan.name out, e :: acc)
-      (env, []) plan.steps
+      (fun (env, step_names, acc) (s : Plan.step) ->
+        let out, e = one env step_names s in
+        extend env s.Plan.name out, s.Plan.name :: step_names, e :: acc)
+      (env, [], []) plan.steps
   in
-  let final_env = reduce_env_for_final env ~threshold:filter.threshold plan in
-  let _, e = one final_env plan.final in
+  let _, e = one env step_names plan.final in
   List.rev (e :: acc)
 
 (* The optimizer's cost: the same walk, unclamped, summed in step order. *)

@@ -22,11 +22,30 @@ let pp_plan ppf (plan : Plan.t) =
 
 let plan_to_string plan = Format.asprintf "%a" pp_plan plan
 
+(* A step is shown with every parameter list its ok subgoals carry, its
+   own first: an α-class stands for all of its members, [ok_1($1|$2|$3)].
+   A legal ok subgoal's arguments are all parameters. *)
 let plan_summary (plan : Plan.t) =
+  let module Ast = Qf_datalog.Ast in
+  let atoms =
+    List.concat_map
+      (fun (s : Plan.step) -> List.concat_map Ast.positive_atoms s.query)
+      (Plan.all_steps plan)
+  in
   Plan.all_steps plan
   |> List.map (fun (s : Plan.step) ->
+         let lists =
+           List.fold_left
+             (fun acc (a : Ast.atom) ->
+               if not (String.equal a.pred s.name) then acc
+               else
+                 let l = List.map Ast.binding_key a.args in
+                 if List.mem l acc then acc else acc @ [ l ])
+             [ List.map (fun p -> "$" ^ p) s.params ]
+             atoms
+         in
          Printf.sprintf "%s(%s)" s.name
-           (String.concat "," (List.map (fun p -> "$" ^ p) s.params)))
+           (String.concat "|" (List.map (String.concat ",") lists)))
   |> String.concat " -> "
 
 (* {1 Profiled execution (flockc explain --profile)} *)

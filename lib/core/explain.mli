@@ -14,7 +14,10 @@ val pp_step : filter:Filter.t -> head:string -> Format.formatter -> Plan.step ->
 val pp_plan : Format.formatter -> Plan.t -> unit
 val plan_to_string : Plan.t -> string
 
-(** One-line summary: step names with their parameter sets. *)
+(** One-line summary: step names with their parameter sets.  A step
+    whose ok subgoals rename its parameters lists every renaming after
+    its own, separated by [|]: the optimizer's class of the three
+    singleton steps of a triple flock shows as [ok_1($1|$2|$3)]. *)
 val plan_summary : Plan.t -> string
 
 (** {1 Profiled execution}

@@ -20,6 +20,37 @@ let rec subsets = function
     let without = subsets rest in
     without @ List.map (fun s -> x :: s) without
 
+(* The α-classes of the viable steps, in order of first appearance: a
+   step joins the class of an earlier one whose {!Stepsig} signature, the
+   executor's reuse key, is its own and whose query, with its parameters
+   renamed rank to rank, is the step's query, so the renamed ok subgoal
+   is legal.  Each class is its first step and its members, each a
+   parameter set with its step. *)
+let classes catalog (flock : Flock.t) viable =
+  let renames (rep : Plan.step) (s : Plan.step) =
+    List.compare_lengths rep.params s.params = 0
+    && List.equal Ast.equal_rule s.query
+         (List.map
+            (Ast.rename_params (List.combine rep.params s.params))
+            rep.query)
+  in
+  let rec group = function
+    | [] -> []
+    | (key, ((_, rep) as first)) :: rest ->
+      let members, others =
+        List.partition
+          (fun (key', (_, s)) -> Option.is_some key && key = key' && renames rep s)
+          rest
+      in
+      (rep, first :: List.map snd members) :: group others
+  in
+  group
+    (List.map
+       (fun ((_, s) as member) ->
+         ( Stepsig.of_step ~work:catalog ~filter:flock.filter ~bounding:true s,
+           member ))
+       viable)
+
 let search ?param_sets catalog flock =
   let sets =
     match param_sets with Some s -> s | None -> default_param_sets flock
@@ -30,7 +61,8 @@ let search ?param_sets catalog flock =
     let env = Cost.of_catalog catalog in
     let selection = `Cheapest env in
     (* Keep only parameter sets every rule has a safe subquery for, each
-       with its step, chosen once; every subset's plan reuses them. *)
+       with its step, chosen once; every subset of their classes gives
+       one plan, a class entering as one step. *)
     let viable =
       List.filter_map
         (fun set ->
@@ -42,16 +74,22 @@ let search ?param_sets catalog flock =
     let choices =
       List.filter_map
         (fun chosen ->
-          match Apriori_gen.plan_of_steps flock (List.map snd chosen) with
+          let renamings (_, members) =
+            List.map (fun (_, (s : Plan.step)) -> s.params) members
+          in
+          match
+            Apriori_gen.plan_of_classes flock
+              (List.map (fun c -> fst c, renamings c) chosen)
+          with
           | Ok plan ->
             Some
               {
                 plan;
-                param_sets = List.map fst chosen;
+                param_sets = List.concat_map (fun (_, m) -> List.map fst m) chosen;
                 cost = Cost.estimate_plan env plan;
               }
           | Error _ -> None)
-        (subsets viable)
+        (subsets (classes catalog flock viable))
     in
     List.sort (fun a b -> Float.compare a.cost b.cost) choices
   end
@@ -59,16 +97,29 @@ let search ?param_sets catalog flock =
 (* {1 The plan memo}
 
    A session re-asks for the same flocks over unchanged relations, so the
-   costed list is kept in the catalog's memo.  The key is the flock's exact
-   text, not its α-canonical signature, because the plans name the flock's
-   own parameters.  It also holds the (id, version) of every predicate the
-   rules read: the costs read no other relation's statistics. *)
+   costed list is kept in the catalog's memo.  The plans name the flock's
+   own parameters, so a hit must be the same flock, not an α-equivalent
+   one: the key is a hash of the flock's rules and filter, and a hit is
+   used only if its stored flock is {!Flock.equal} (a colliding flock is
+   searched and replaces the entry).  The key also holds the (id,
+   version) of every predicate the rules read: the costs read no other
+   relation's statistics. *)
 
 type Catalog.entry += Plans of Flock.t * choice list
 
 let plan_key catalog (flock : Flock.t) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Flock.to_string flock);
+  let hash =
+    List.fold_left
+      (fun h (r : Ast.rule) ->
+        List.fold_left
+          (fun h lit -> (h * 31) + Hashtbl.hash lit)
+          ((h * 31) + Hashtbl.hash r.head)
+          r.body)
+      (Hashtbl.hash flock.filter) flock.query
+  in
+  let b = Buffer.create 64 in
+  Buffer.add_string b "plans:";
+  Buffer.add_string b (string_of_int hash);
   let seen = Hashtbl.create 8 in
   List.iter
     (fun (r : Ast.rule) ->
@@ -77,11 +128,15 @@ let plan_key catalog (flock : Flock.t) =
           | Ast.Pos a | Ast.Neg a ->
             if not (Hashtbl.mem seen a.pred) then begin
               Hashtbl.add seen a.pred ();
+              Buffer.add_char b '|';
+              Buffer.add_string b a.pred;
               match Catalog.find_opt catalog a.pred with
               | Some rel ->
-                Printf.bprintf b "|%s=%d.%d" a.pred (Relation.id rel)
-                  (Relation.version rel)
-              | None -> Printf.bprintf b "|%s=?" a.pred
+                Buffer.add_char b '=';
+                Buffer.add_string b (string_of_int (Relation.id rel));
+                Buffer.add_char b '.';
+                Buffer.add_string b (string_of_int (Relation.version rel))
+              | None -> Buffer.add_string b "=?"
             end
           | Ast.Cmp _ -> ())
         r.body)

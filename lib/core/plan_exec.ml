@@ -48,41 +48,43 @@ let default_options = { semijoin_reduction = true; reuse = true }
    enforced, and the evaluator does not probe it.
 
    Reducers are memoized across rules and steps of one plan execution,
-   keyed by the ok relation's {!Relation.id} and the column's rank, so
-   step names that alias one relation share them.  Columns are addressed
-   positionally: the reducer for parameter [p] reads the column at [p]'s
-   rank in the subgoal's {e sorted} parameter list, the positional
-   bijection under which aliased step outputs are α-equivalent (step
-   outputs carry their own sorted parameter names, which differ from this
-   step's when the reuse shortcut registered the relation). *)
-let rule_reducers work ~step_names ~sips (r : Ast.rule) =
-  let reducer ok rank =
-    let key = Relation.id ok, rank in
-    match Hashtbl.find_opt sips key with
-    | Some s -> s
-    | None ->
-      let col = List.nth (Schema.columns (Relation.schema ok)) rank in
-      let s = Sip.of_column ok col in
-      Hashtbl.replace sips key s;
-      s
-  in
+   keyed by the ok relation's {!Relation.id} and the column, so step
+   names that alias one relation share them. *)
+
+(* The reducer columns of a rule: every parameter of an ok subgoal over
+   [step_names] whose arguments are all parameters, with the subgoal's
+   predicate and the column its argument position addresses.  A step's
+   output has one column per step parameter, in sorted order, and an ok
+   subgoal's i-th argument renames the step's i-th parameter ({!Plan}'s
+   footnote-3 renaming), so it reads column i.  That holds too when the
+   reuse shortcut registered an α-equivalent step's relation under the
+   step's name: α-equivalence maps parameters rank to rank. *)
+let reducer_columns ~step_names (r : Ast.rule) =
   let param = function Ast.Param p -> Some p | _ -> None in
   List.concat_map
     (function
       | Ast.Pos { Ast.pred; args } when List.mem pred step_names ->
         let ps = List.filter_map param args in
         if ps = [] || List.compare_lengths ps args <> 0 then []
-        else begin
-          let ok = Catalog.find work pred in
-          let sorted = List.sort String.compare ps in
-          List.map
-            (fun p ->
-              let rank = List.find_index (String.equal p) sorted in
-              "$" ^ p, reducer ok (Option.get rank))
-            ps
-        end
+        else List.mapi (fun col p -> p, (pred, col)) ps
       | _ -> [])
     r.body
+
+let rule_reducers work ~step_names ~sips (r : Ast.rule) =
+  let reducer ok col =
+    let key = Relation.id ok, col in
+    match Hashtbl.find_opt sips key with
+    | Some s -> s
+    | None ->
+      let s =
+        Sip.of_column ok (List.nth (Schema.columns (Relation.schema ok)) col)
+      in
+      Hashtbl.replace sips key s;
+      s
+  in
+  List.map
+    (fun (p, (pred, col)) -> "$" ^ p, reducer (Catalog.find work pred) col)
+    (reducer_columns ~step_names r)
 
 (* The reducers of a step's query, each once: those every rule has, since
    one list applies to all the rules of a union. *)

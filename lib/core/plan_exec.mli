@@ -61,6 +61,16 @@ type options = {
 (** All enabled. *)
 val default_options : options
 
+(** The reducer columns of a rule, the rule [semijoin_reduction] reads
+    them by: every ok subgoal over [step_names] whose arguments are all
+    parameters gives each argument's parameter a reducer over the
+    subgoal's relation, at the column of the argument's position (the
+    step's parameter it renames).  Each entry is [(parameter, (ok
+    predicate, column))], in body order.  {!Cost} prices a step's
+    reducers from the same list. *)
+val reducer_columns :
+  step_names:string list -> Qf_datalog.Ast.rule -> (string * (string * int)) list
+
 (** Run a plan.  The input catalog is not modified. *)
 val run :
   ?options:options -> Qf_relational.Catalog.t -> Plan.t -> Qf_relational.Relation.t

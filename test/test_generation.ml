@@ -205,8 +205,9 @@ let test_cost_exact_survivors () =
   Alcotest.(check (float 1e-9)) "SUM >= 3: linear estimate" 2. est
 
 (* On a tie in estimated matches the model prices the order [Eval] runs:
-   [r(X,Y,"3")] (10 rows) then [s(Y)] (one match per row), not [s(Y)]
-   first (10 rows, then 100 / 5 / 10 = 2 matches each: work 30, rows 20). *)
+   [r(X,Y,"3")] (one probe, 10 rows) then [s(Y)] (10 probes, one match
+   each): work 1 + 10 + 10 + 10 = 31.  [s(Y)] first would cost 1 + 10,
+   then 10 probes of 100 / 5 / 10 = 2 matches each: work 41, rows 20. *)
 let test_cost_prices_eval_order () =
   let cat = Test_util.tie_catalog () in
   let rule = Test_util.tie_rule in
@@ -216,7 +217,7 @@ let test_cost_prices_eval_order () =
     (List.map Qf_datalog.Pretty.literal_to_string
        (Qf_datalog.Eval.order_body cat rule));
   let est = Cost.estimate_rule (Cost.of_catalog cat) rule in
-  Alcotest.(check (float 1e-9)) "work" 20. est.Cost.work;
+  Alcotest.(check (float 1e-9)) "work" 31. est.Cost.work;
   Alcotest.(check (float 1e-9)) "rows" 10. est.Cost.rows
 
 (* [Eval]'s match estimate over catalog statistics (see [Eval.order_body]). *)
@@ -301,6 +302,54 @@ let test_cost_walks_eval_order () =
   done;
   check_bool "the corpus has decisive ties" true (!ties > 0)
 
+(* The same agreement on the final step of every plan the optimizer
+   enumerates over the basket corpus, with the auxiliary steps'
+   outputs in the catalog as the executor has them: the model walks
+   [Eval]'s order over those statistics, with the plan's reducers and
+   the ok subgoals they enforce.  The corpus must hold plans whose final
+   step renames a class's ok subgoal. *)
+let test_cost_walks_eval_order_final () =
+  let renamed = ref 0 in
+  for seed = 0 to 99 do
+    let rel, threshold = Qf_testgen.Testgen.(instance ~seed gen_basket_instance) in
+    let k = 2 + (seed mod 2) in
+    let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k ~support:threshold in
+    let cat = Qf_testgen.Testgen.catalog_of rel in
+    List.iter
+      (fun (c : Optimizer.choice) ->
+        let work = Catalog.copy cat in
+        let func =
+          Filter.to_aggregate flock.Flock.filter ~head_columns:(Flock.head_columns flock)
+        in
+        List.iter
+          (fun (s : Plan.step) ->
+            let survivors, _, _, _ =
+              Qf_datalog.Eval.filter_query work s.Plan.query
+                ~keys:(List.map (fun p -> "$" ^ p) s.Plan.params)
+                ~func ~threshold:flock.Flock.filter.threshold
+            in
+            Catalog.add work s.Plan.name survivors)
+          c.plan.Plan.steps;
+        let step_names = List.map (fun (s : Plan.step) -> s.Plan.name) c.plan.Plan.steps in
+        let env = Cost.of_catalog work in
+        let estimate r =
+          let e = Cost.estimate_rule ~step_names env r in
+          e.Cost.work, e.Cost.rows
+        in
+        List.iter
+          (fun (rule : Ast.rule) ->
+            let ordered =
+              { rule with Ast.body = Qf_datalog.Eval.order_body work rule }
+            in
+            Alcotest.(check (pair (float 0.) (float 0.)))
+              (Printf.sprintf "seed %d: %s" seed (Explain.plan_summary c.plan))
+              (estimate ordered) (estimate rule))
+          c.plan.Plan.final.Plan.query;
+        if List.length c.param_sets > List.length c.plan.Plan.steps then incr renamed)
+      (Optimizer.enumerate cat flock)
+  done;
+  check_bool "the corpus has class plans" true (!renamed > 0)
+
 let test_optimizer_returns_correct_plan () =
   let cat = market_catalog () in
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
@@ -350,10 +399,13 @@ let with_counter name f =
         Option.value ~default:0
           (List.assoc_opt name (Obs.report ()).Obs.counters) ))
 
-(* The optimizer chooses each viable parameter set's subquery once — four
-   searches for a triple flock's three singletons and one triple — and
-   builds every subset's plan from those steps: each plan is the one
-   [param_set_plan] builds for its parameter sets. *)
+(* The optimizer chooses each viable parameter set's subquery once —
+   four searches for a triple flock's three singletons and one triple —
+   and groups the steps into α-classes: the three singleton steps are one
+   class, so the search costs the four subsets of two classes, each plan
+   the one [plan_of_classes] builds, with the class as one step [ok_1]
+   renamed to [ok_1($1)], [ok_1($2)] and [ok_1($3)].  A pair flock also
+   costs four plans. *)
 let test_optimizer_chooses_each_set_once () =
   let cat = market_catalog () in
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:3 ~support:20 in
@@ -362,14 +414,74 @@ let test_optimizer_chooses_each_set_once () =
         Optimizer.enumerate cat flock)
   in
   check_int "one search per parameter set" 4 searches;
-  check_int "every subset of the four sets" 16 (List.length choices);
+  check_int "every subset of the two classes" 4 (List.length choices);
   let selection = `Cheapest (Cost.of_catalog cat) in
+  let step set =
+    match Apriori_gen.param_set_step ~selection flock set with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let singletons = step [ "1" ], [ [ "1" ]; [ "2" ]; [ "3" ] ]
+  and triple = step [ "1"; "2"; "3" ], [ [ "1"; "2"; "3" ] ] in
   List.iter
-    (fun (c : Optimizer.choice) ->
-      match Apriori_gen.param_set_plan ~selection flock ~param_sets:c.param_sets with
-      | Ok plan -> check_bool "the plan param_set_plan builds" true (plan = c.plan)
-      | Error e -> Alcotest.fail e)
-    choices
+    (fun classes ->
+      let param_sets = List.concat_map snd classes in
+      match
+        List.find_opt
+          (fun (c : Optimizer.choice) -> c.param_sets = param_sets)
+          choices
+      with
+      | None ->
+        Alcotest.failf "no plan for %s"
+          (String.concat " " (List.map (String.concat ",") param_sets))
+      | Some c -> (
+        match Apriori_gen.plan_of_classes flock classes with
+        | Ok plan -> check_bool "the class plan" true (plan = c.plan)
+        | Error e -> Alcotest.fail e))
+    [ []; [ singletons ]; [ triple ]; [ singletons; triple ] ];
+  Alcotest.(check string)
+    "the class plan's summary" "ok_1($1|$2|$3) -> result($1,$2,$3)"
+    (Explain.plan_summary
+       (Result.get_ok (Apriori_gen.plan_of_classes flock [ singletons ])));
+  check_int "a pair flock costs four plans" 4
+    (List.length
+       (Optimizer.enumerate cat
+          (Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20)))
+
+(* perfbench's market data (3,000 baskets of about six of 800 items,
+   Zipf 0.9, seed 7): at supports 36 and 24 the pair and triple flocks
+   choose a plan whose final step has a reducer on every parameter — the
+   singleton class — and answer as [Direct] does. *)
+let test_optimizer_reduces_every_parameter () =
+  let cat =
+    Qf_workload.Market.catalog
+      {
+        Qf_workload.Market.n_baskets = 3_000;
+        n_items = 800;
+        avg_basket_size = 6;
+        zipf_exponent = 0.9;
+        seed = 7;
+      }
+  in
+  List.iter
+    (fun (k, support) ->
+      let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k ~support in
+      let plan = Optimizer.optimize cat flock in
+      let where =
+        Printf.sprintf "k=%d support=%d: %s" k support (Explain.plan_summary plan)
+      in
+      let reduced =
+        List.map fst
+          (Plan_exec.reducer_columns
+             ~step_names:(List.map (fun (s : Plan.step) -> s.Plan.name) plan.Plan.steps)
+             (List.hd plan.Plan.final.Plan.query))
+      in
+      List.iter
+        (fun p -> check_bool (where ^ ": $" ^ p ^ " reduced") true (List.mem p reduced))
+        (Flock.params flock);
+      Alcotest.check Test_util.relation where (Direct.run cat flock)
+        (Plan_exec.run cat plan))
+    [ 2, 36; 2, 24; 3, 36; 3, 24 ]
 
 let test_optimizer_non_monotone_fallback () =
   let cat = market_catalog () in
@@ -569,6 +681,8 @@ let suite =
       test_cost_prices_eval_order;
     Alcotest.test_case "cost walks Eval's order (corpus)" `Quick
       test_cost_walks_eval_order;
+    Alcotest.test_case "cost: final steps priced in Eval's order" `Quick
+      test_cost_walks_eval_order_final;
     Alcotest.test_case "optimizer plan = direct" `Quick
       test_optimizer_returns_correct_plan;
     Alcotest.test_case "optimizer enumerates alternatives" `Quick
@@ -577,6 +691,8 @@ let suite =
       test_optimizer_prefers_filters_on_skewed_data;
     Alcotest.test_case "optimizer chooses each set's subquery once" `Quick
       test_optimizer_chooses_each_set_once;
+    Alcotest.test_case "optimizer reduces every parameter on market data" `Slow
+      test_optimizer_reduces_every_parameter;
     Alcotest.test_case "plan memo: a repeat returns the stored list" `Quick
       test_plan_memo_hit;
     Alcotest.test_case "plan memo: mutation, rebinding and removal recompute"

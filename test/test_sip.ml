@@ -379,6 +379,64 @@ let test_reducers_at_binding_time () =
     (List.mem_assoc "ok_2" (extends trace));
   check_int "SIP off: nothing pruned" 0 (counter trace "sip.rows_pruned")
 
+(* A renamed n-ary ok subgoal reads each parameter's reducer at its
+   argument's position: [ok_1_2($3,$2)] renames the step's [$1] to [$3],
+   so [$3] reads column 0 ([$1]'s) and [$2] column 1.  Ranking the
+   arguments by name instead reads [$3] from [$2]'s column, where the
+   only value is 20, not 10, and drops the one answer. *)
+let test_renamed_reducer_columns () =
+  let catalog () =
+    let cat = Catalog.create () in
+    Catalog.add cat "p" (R.of_values [ "B"; "X" ] V.[ [ Int 1; Int 10 ] ]);
+    Catalog.add cat "q" (R.of_values [ "B"; "Y" ] V.[ [ Int 1; Int 20 ] ]);
+    cat
+  in
+  let flock =
+    Parse.flock_exn
+      "QUERY:\nanswer(B) :- p(B,$1) AND q(B,$2) AND p(B,$3)\n\
+       FILTER:\nCOUNT(answer.B) >= 1"
+  in
+  let plan =
+    match
+      Plan.make flock
+        ~steps:
+          [ Plan.step ~name:"ok_1_2" [ rule_exn "answer(B) :- p(B,$1) AND q(B,$2)" ] ]
+        ~final:
+          (Plan.step ~name:"result"
+             [
+               rule_exn
+                 "answer(B) :- p(B,$1) AND q(B,$2) AND p(B,$3) AND \
+                  ok_1_2($3,$2)";
+             ])
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let expected = Direct.run (catalog ()) flock in
+  check_int "direct finds (10,20,10)" 1 (R.cardinal expected);
+  let run cat ~sip ~reuse =
+    Plan_exec.run_with_report
+      ~options:{ Plan_exec.semijoin_reduction = sip; reuse }
+      cat plan
+  in
+  let on = run (catalog ()) ~sip:true ~reuse:true in
+  check_bool "SIP on: plan = direct" true
+    (R.equal expected on.Plan_exec.result);
+  check_int "SIP on: no candidate of the answer is pruned" 0
+    (List.fold_left
+       (fun n (s : Plan_exec.step_report) -> n + s.sip_pruned)
+       0 on.Plan_exec.steps);
+  let off = run (catalog ()) ~sip:false ~reuse:false in
+  check_bool "SIP and reuse off: plan = direct" true
+    (R.equal expected off.Plan_exec.result);
+  (* At the default memo budget a later SIP-off run is served the SIP-on
+     run's steps: they must hold the right answer. *)
+  let cat = catalog () in
+  ignore (run cat ~sip:true ~reuse:true);
+  let later = run cat ~sip:false ~reuse:true in
+  check_bool "a memo-served SIP-off run = direct" true
+    (R.equal expected later.Plan_exec.result)
+
 (* Reducers only ever remove work: on 100 basket instances, every plan
    the optimizer enumerates matches no more candidates in its binding
    extensions with SIP on than with it off, and gives the same answer. *)
@@ -550,6 +608,8 @@ let suite =
       test_plan_local_reuse;
     Alcotest.test_case "reducers enforce ok subgoals at binding time" `Quick
       test_reducers_at_binding_time;
+    Alcotest.test_case "renamed ok subgoals read the argument's column" `Quick
+      test_renamed_reducer_columns;
     Alcotest.test_case "reducers never add candidates (100 basket seeds)"
       `Slow test_reducers_never_add_candidates;
     Alcotest.test_case "memo cascade: k=3 run primes k=4" `Slow
