@@ -67,20 +67,12 @@ let sample ?(arm = "") catalog f =
          (if arm = "" then "" else " of " ^ arm));
   result
 
-(* Median of three samples: robust enough for the factor-level claims we
-   check, at a bearable cost on multi-second workloads. *)
-let time3 catalog f =
-  let _, a = sample catalog f in
-  let v, b = sample catalog f in
-  let _, c = sample catalog f in
-  let sorted = List.sort compare [ a; b; c ] in
-  v, List.nth sorted 1
-
 (* Best of [k] samples: on a shared container the interference (CFS
    quota throttling, neighbour noise) is strictly additive, so the
-   smallest sample is the one nearest the true cost.  The ablations
-   compare configurations against each other, and a single throttled
-   sample in a median-of-3 can swing a ratio by an order of magnitude. *)
+   smallest sample is the one nearest the true cost.  Every arm is timed
+   this way: the arms compare configurations and builds against each
+   other, and a single throttled sample in a median of three can swing a
+   ratio by an order of magnitude. *)
 let time_best k catalog f =
   let v, t0 = sample catalog f in
   let best = ref t0 in
@@ -185,11 +177,11 @@ let e1 () =
     (fun support ->
       let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support in
       let direct, t_direct =
-        time3 catalog (fun () -> Direct.run catalog flock)
+        time_best 3 catalog (fun () -> Direct.run catalog flock)
       in
       let plan = ok (Apriori_gen.singleton_plan flock) in
       let planned, t_plan =
-        time3 catalog (fun () -> Plan_exec.run catalog plan)
+        time_best 3 catalog (fun () -> Plan_exec.run catalog plan)
       in
       check_equal "E1" direct planned;
       row "%-10d %14.3f %14.3f %9.1fx %8d@." support t_direct t_plan
@@ -206,11 +198,11 @@ let e2 () =
   in
   let catalog = Qf_workload.Market.catalog config in
   let flock, plan = pair_flock_and_plan () in
-  let direct, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
+  let direct, t_direct = time_best 3 catalog (fun () -> Direct.run catalog flock) in
   let naive, t_naive = sample catalog (fun () -> Naive.run catalog flock) in
-  let planned, t_plan = time3 catalog (fun () -> Plan_exec.run catalog plan) in
+  let planned, t_plan = time_best 3 catalog (fun () -> Plan_exec.run catalog plan) in
   let dynamic, t_dyn =
-    time3 catalog (fun () -> (ok (Dynamic.run catalog flock)).answers)
+    time_best 3 catalog (fun () -> (ok (Dynamic.run catalog flock)).answers)
   in
   check_equal "E2 naive" direct naive;
   check_equal "E2 plan" direct planned;
@@ -260,7 +252,7 @@ let e3 () =
     Qf_workload.Medical.generate config
   in
   let flock = medical_flock 20 in
-  let direct, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
+  let direct, t_direct = time_best 3 catalog (fun () -> Direct.run catalog flock) in
   Format.printf
     "workload: %d patients; %d planted side effects; direct finds %d pairs in %.3fs@."
     config.n_patients (List.length planted) (Relation.cardinal direct) t_direct;
@@ -269,7 +261,7 @@ let e3 () =
     match Apriori_gen.param_set_plan flock ~param_sets with
     | Error e -> failwith (name ^ ": " ^ e)
     | Ok plan ->
-      let result, t = time3 catalog (fun () -> Plan_exec.run catalog plan) in
+      let result, t = time_best 3 catalog (fun () -> Plan_exec.run catalog plan) in
       check_equal name direct result;
       row "%-34s %10.3f %8.1fx@." name t (t_direct /. Float.max 1e-9 t)
   in
@@ -281,7 +273,7 @@ let e3 () =
   run_variant "all three filters" [ [ "s" ]; [ "m" ]; [ "s"; "m" ] ];
   let best = Optimizer.optimize catalog flock in
   let opt_result, t_opt =
-    time3 catalog (fun () -> Plan_exec.run catalog best)
+    time_best 3 catalog (fun () -> Plan_exec.run catalog best)
   in
   check_equal "optimizer" direct opt_result;
   row "%-34s %10.3f %8.1fx  (%s)@." "cost-based optimizer's choice" t_opt
@@ -322,11 +314,11 @@ let e4 () =
     (fun support ->
       let flock = web_flock support in
       let direct, t_direct =
-        time3 catalog (fun () -> Direct.run catalog flock)
+        time_best 3 catalog (fun () -> Direct.run catalog flock)
       in
       let plan = ok (Apriori_gen.singleton_plan flock) in
       let planned, t_plan =
-        time3 catalog (fun () -> Plan_exec.run catalog plan)
+        time_best 3 catalog (fun () -> Plan_exec.run catalog plan)
       in
       check_equal "E4" direct planned;
       row "%-10d %12.3f %12.3f %8.1fx %7d@." support t_direct t_plan
@@ -363,11 +355,11 @@ let e5 () =
     (fun n ->
       let flock = Qf_workload.Graph.path_flock ~n ~support:20 in
       let direct, t_direct =
-        time3 catalog (fun () -> Direct.run catalog flock)
+        time_best 3 catalog (fun () -> Direct.run catalog flock)
       in
       let plan = Qf_workload.Graph.chain_plan flock ~n in
       let planned, t_plan =
-        time3 catalog (fun () -> Plan_exec.run catalog plan)
+        time_best 3 catalog (fun () -> Plan_exec.run catalog plan)
       in
       check_equal "E5" direct planned;
       row "%-6d %12.3f %16.3f %8.1fx %7d@." n t_direct t_plan
@@ -384,13 +376,13 @@ let e6 () =
       Qf_workload.Medical.generate config
     in
     let flock = medical_flock 20 in
-    let direct, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
+    let direct, t_direct = time_best 3 catalog (fun () -> Direct.run catalog flock) in
     let static = Optimizer.optimize catalog flock in
     let s_result, t_static =
-      time3 catalog (fun () -> Plan_exec.run catalog static)
+      time_best 3 catalog (fun () -> Plan_exec.run catalog static)
     in
     let d_result, t_dynamic =
-      time3 catalog (fun () -> ok (Dynamic.run catalog flock))
+      time_best 3 catalog (fun () -> ok (Dynamic.run catalog flock))
     in
     check_equal "E6 static" direct s_result;
     check_equal "E6 dynamic" direct d_result.answers;
@@ -457,11 +449,11 @@ SUM(answer.W) >= %d|}
     (fun support ->
       let flock = flock support in
       let direct, t_direct =
-        time3 catalog (fun () -> Direct.run catalog flock)
+        time_best 3 catalog (fun () -> Direct.run catalog flock)
       in
       let plan = ok (Apriori_gen.singleton_plan flock) in
       let planned, t_plan =
-        time3 catalog (fun () -> Plan_exec.run catalog plan)
+        time_best 3 catalog (fun () -> Plan_exec.run catalog plan)
       in
       check_equal "E7" direct planned;
       row "%-10d %12.3f %12.3f %8.1fx %7d@." support t_direct t_plan
@@ -494,19 +486,19 @@ let e8 () =
         Apriori_gen.levelwise_basket ~pred:"baskets" ~k ~support
       in
       let direct, t_direct =
-        time3 catalog (fun () -> Direct.run catalog flock)
+        time_best 3 catalog (fun () -> Direct.run catalog flock)
       in
       let planned, t_plan =
-        time3 catalog (fun () -> Plan_exec.run catalog plan)
+        time_best 3 catalog (fun () -> Plan_exec.run catalog plan)
       in
       (* The footnote-2 sequence of flocks k' = 1..k, each pruned by the
          previous flock's result. *)
       let levels, t_sequence =
-        time3 catalog (fun () ->
+        time_best 3 catalog (fun () ->
             Sequence.frequent_levels ~max_k:k catalog ~pred:"baskets" ~support)
       in
       let classic, t_classic =
-        time3 catalog (fun () ->
+        time_best 3 catalog (fun () ->
             Qf_apriori.Apriori.frequent_of_size db ~support ~size:k)
       in
       check_equal "E8 plan" direct planned;
@@ -545,11 +537,11 @@ let e9 () =
         Qf_workload.Medical.generate config
       in
       let direct, t_direct =
-        time3 catalog (fun () -> Direct.run catalog flock)
+        time_best 3 catalog (fun () -> Direct.run catalog flock)
       in
       let plan = ok (Apriori_gen.param_set_plan flock ~param_sets:[ [ "s" ] ]) in
       let planned, t_plan =
-        time3 catalog (fun () -> Plan_exec.run catalog plan)
+        time_best 3 catalog (fun () -> Plan_exec.run catalog plan)
       in
       check_equal "E9" direct planned;
       let model_choice =
@@ -586,7 +578,7 @@ let e10 () =
     (fun (label, semijoin_reduction, reuse) ->
       let options = { Plan_exec.semijoin_reduction; reuse } in
       let result, t =
-        time3 catalog (fun () -> Plan_exec.run ~options catalog plan)
+        time_best 3 catalog (fun () -> Plan_exec.run ~options catalog plan)
       in
       check_equal "E10" expected result;
       row "%-44s %10.3f@." label t)
@@ -596,7 +588,7 @@ let e10 () =
       "semijoin reduction only", true, false;
       "both", true, true;
     ];
-  let _, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
+  let _, t_direct = time_best 3 catalog (fun () -> Direct.run catalog flock) in
   row "%-44s %10.3f@." "direct (no plan at all)" t_direct
 
 (* {1 E11 — Sec. 1.4: DBMS-based vs file-based mining} *)
@@ -628,18 +620,18 @@ let e11 () =
         let plan = ok (Apriori_gen.singleton_plan flock) in
         (* DBMS path, data already loaded. *)
         let planned, t_plan =
-          time3 catalog (fun () -> Plan_exec.run catalog plan)
+          time_best 3 catalog (fun () -> Plan_exec.run catalog plan)
         in
         (* DBMS path including the load from disk. *)
         let _, t_load_and_plan =
-          time3 catalog (fun () ->
+          time_best 3 catalog (fun () ->
               let cat = Catalog.create () in
               Catalog.add cat "baskets" (Qf_storage.Store.load store "baskets");
               Plan_exec.run cat plan)
         in
         (* File path: streaming two-pass a-priori. *)
         let streamed, t_file =
-          time3 catalog (fun () ->
+          time_best 3 catalog (fun () ->
               Qf_storage.File_mining.frequent_pairs_relation store "baskets"
                 ~support)
         in

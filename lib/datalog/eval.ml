@@ -205,12 +205,13 @@ module Envs = struct
 
   (* A probe loop's tallies: [emitted] rows, [candidates] key-matched
      tuples, [rejected] of them by a SIP reducer, [dropped] by a fused
-     filter. *)
+     filter, and the walks an order bound [stopped] early. *)
   type tally = {
     emitted : int;
     candidates : int;
     rejected : int;
     dropped : int;
+    stopped : int;
   }
 
   (* A binding extension, set up: the extended slots (slot [width + i]
@@ -237,7 +238,45 @@ module Envs = struct
 
      Rejections are tallied in the probe loop and flushed as one
      [sip.rows_pruned] count.  The reducers run before the fused
-     [filters], so the count does not depend on them. *)
+     [filters], so the count does not depend on them.
+
+     An order bound: the first fused comparison between a fresh value
+     and an environment slot or a constant ([walk_bound]) is not tested
+     per candidate.  The index is asked for chains ordered by the fresh
+     value's column, in the direction that puts the passing values first
+     (descending when the fresh value must be greater), so each walk stops
+     at the first row whose rank reaches the bound's cut, computed once
+     per environment row; every row before it passes.  Rows past the stop
+     are never candidates, so no reducer rejects them.  A column the index
+     cannot rank keeps the comparison as a fused filter. *)
+  let walk_bound ~fresh_keys t = function
+    | Ast.Cmp (l, c, r) -> (
+      let fresh = function
+        | (Ast.Var _ | Ast.Param _) as term ->
+          List.find_index (String.equal (Ast.binding_key term)) fresh_keys
+        | Ast.Const _ -> None
+      in
+      let bound = function
+        | Ast.Const v -> Some (`Const v)
+        | (Ast.Var _ | Ast.Param _) as term ->
+          Option.map (fun s -> `Slot s) (slot_of t (Ast.binding_key term))
+      in
+      let oriented =
+        match fresh l, bound r with
+        | Some i, Some b -> Some (i, c, b)
+        | _ -> (
+          match fresh r, bound l with
+          | Some i, Some b -> Some (i, Ast.flip_comparison c, b)
+          | _ -> None)
+      in
+      match oriented with
+      | Some (i, (Ast.Lt | Ast.Le as c), b) ->
+        Some (i, Index.Ascending, c = Ast.Le, b)
+      | Some (i, (Ast.Gt | Ast.Ge as c), b) ->
+        Some (i, Index.Descending, c = Ast.Ge, b)
+      | Some (_, (Ast.Eq | Ast.Ne), _) | None -> None)
+    | Ast.Pos _ | Ast.Neg _ -> None
+
   let prepare ~sip ~filters catalog t (a : Ast.atom) =
     let rel = relation_for catalog a in
     let roles, fresh_keys = analyze_args t a in
@@ -250,10 +289,6 @@ module Envs = struct
              | Bind_new | Check_new _ -> [])
            roles)
     in
-    (* Memoized through the catalog: FILTER steps, optimizer probes and
-       repeated runs against the same stored relations all share built
-       indexes (invalidated by relation version). *)
-    let ci = Catalog.index catalog rel key_positions in
     let { width; count; data } = t.repr in
     (* For each matching tuple: positions to copy into new slots, and
        positions to check for intra-tuple repeated fresh variables. *)
@@ -266,6 +301,28 @@ module Envs = struct
         | Key_const _ | Key_slot _ -> ())
       roles;
     let fills = List.rev !fills and checks = List.rev !checks in
+    let bound =
+      List.find_mapi
+        (fun f lit ->
+          Option.map (fun b -> f, b) (walk_bound ~fresh_keys t lit))
+        filters
+    in
+    (* Memoized through the catalog: FILTER steps, optimizer probes and
+       repeated runs against the same stored relations all share built
+       indexes (invalidated by relation version). *)
+    let ci =
+      Catalog.index catalog rel key_positions
+        ?order:
+          (Option.map
+             (fun (_, (i, direction, _, _)) -> List.nth fills i, direction)
+             bound)
+    in
+    let bound, filters =
+      match bound, ci.Index.order with
+      | Some (f, (_, _, inclusive, b)), Some o ->
+        Some (o, inclusive, b), List.filteri (fun g _ -> g <> f) filters
+      | _ -> None, filters
+    in
     (* Reducers aligned with the fresh bindings: [(index into the
        fresh-values list, reducer)], every reducer of a key. *)
     let sip_checks =
@@ -325,9 +382,33 @@ module Envs = struct
              | Ast.Pos a -> not_a_filter a)
            filters)
     in
+    (* The cut of the order bound for an environment row; the last
+       code's cut is kept, as consecutive rows often share a bound. *)
+    let stops, rank, cut =
+      match bound with
+      | None -> false, [||], fun (_ : int) -> max_int
+      | Some (o, inclusive, `Const v) ->
+        let c =
+          match Dict.find_opt v with
+          | Some code -> Index.cut_of_code o ~inclusive code
+          | None -> Index.cut_of_value o ~inclusive v
+        in
+        true, o.Index.rank, fun _ -> c
+      | Some (o, inclusive, `Slot s) ->
+        let last_code = ref (-1) and last_cut = ref 0 in
+        ( true,
+          o.Index.rank,
+          fun base ->
+            let code = Array.unsafe_get data (base + s) in
+            if code <> !last_code then begin
+              last_code := code;
+              last_cut := Index.cut_of_code o ~inclusive code
+            end;
+            !last_cut )
+    in
     let scan ~emit =
       let emitted = ref 0 and candidates = ref 0 in
-      let rejected = ref 0 and dropped = ref 0 in
+      let rejected = ref 0 and dropped = ref 0 and stopped = ref 0 in
       let probe = Array.make nkeys 0 in
       let npreds = Array.length preds in
       let rec keys_eq row k =
@@ -368,23 +449,32 @@ module Envs = struct
             | `Slot s -> Array.unsafe_get data (base + s))
         done;
         let h = Chunkrel.hash_codes probe in
+        let limit = if stops then cut base else max_int in
         let j = ref ci.Index.heads.(h land ci.Index.mask) in
         while !j >= 0 do
           let row = !j in
-          if keys_eq row 0 then begin
-            incr candidates;
-            (* The counts guard the calls: most candidates meet no
-               repeat check, reducer or fused filter. *)
-            if nchecks = 0 || checks_ok row 0 then
-              if not (nsips = 0 || sip_ok row 0) then incr rejected
-              else if not (npreds = 0 || preds_ok base row 0) then
-                incr dropped
-              else begin
-                incr emitted;
-                emit base row
-              end
-          end;
-          j := ci.Index.next.(row)
+          (* Ranks ascend along the chain: the first row at the cut ends
+             the walk for every key in the bucket. *)
+          if stops && Array.unsafe_get rank row >= limit then begin
+            incr stopped;
+            j := -1
+          end
+          else begin
+            if keys_eq row 0 then begin
+              incr candidates;
+              (* The counts guard the calls: most candidates meet no
+                 repeat check, reducer or fused filter. *)
+              if nchecks = 0 || checks_ok row 0 then
+                if not (nsips = 0 || sip_ok row 0) then incr rejected
+                else if not (npreds = 0 || preds_ok base row 0) then
+                  incr dropped
+                else begin
+                  incr emitted;
+                  emit base row
+                end
+            end;
+            j := ci.Index.next.(row)
+          end
         done
       done;
       if nsips > 0 then Obs.count "sip.rows_pruned" !rejected;
@@ -393,6 +483,7 @@ module Envs = struct
         candidates = !candidates;
         rejected = !rejected;
         dropped = !dropped;
+        stopped = !stopped;
       }
     in
     { slots; fill_cols; scan }
@@ -417,8 +508,9 @@ module Envs = struct
     { slots = p.slots; repr = adopt ~width:new_width tally.emitted out }, tally
 
   (* One [eval.extend] span per positive subgoal, only when tracing:
-     rows in, key-matched candidates, rows out (emitted), and the
-     candidates the fused filters dropped. *)
+     rows in, key-matched candidates, rows out (emitted), the
+     candidates the fused filters dropped, and the walks the order
+     bound stopped. *)
   let extend_span (a : Ast.atom) ~rows_in run =
     if not (Obs.enabled ()) then run ()
     else
@@ -429,6 +521,7 @@ module Envs = struct
           Obs.set_attr "candidates" (Obs.Int tally.candidates);
           Obs.set_attr "rows_out" (Obs.Int tally.emitted);
           Obs.set_attr "filtered" (Obs.Int tally.dropped);
+          Obs.set_attr "stopped" (Obs.Int tally.stopped);
           r)
 
   let extend_traced ~sip ~filters catalog t (a : Ast.atom) =

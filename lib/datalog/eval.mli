@@ -52,9 +52,18 @@ module Envs : sig
       flushes directly after a positive subgoal.  Raises
       [Invalid_argument] on a positive literal among them.
 
+      The first comparison ([<], [<=], [>], [>=]) between a value the
+      atom binds and an environment slot or a constant is not tested per
+      candidate: the probe walks chains ordered by that value
+      ({!Qf_relational.Index.order}) and stops at the first row past the
+      bound, every earlier row passing it.  Rows past the stop are never
+      candidates, so no reducer sees them.  A column holding both [Int]
+      and [Real] values keeps the per-candidate test.
+
       When tracing is on, each call records an [eval.extend] span with
-      attributes [pred], [rows_in], [candidates] (key-matched tuples),
-      [rows_out] and [filtered] (candidates dropped by [filters]). *)
+      attributes [pred], [rows_in], [candidates] (key-matched tuples
+      walked), [rows_out], [filtered] (candidates dropped by [filters])
+      and [stopped] (walks the order bound ended early). *)
   val extend_pos :
     ?sip:(string * Qf_relational.Sip.t) list ->
     ?filters:Ast.literal list ->

@@ -2,11 +2,12 @@
 
    [Index.build] used to run from scratch on every join and FILTER step.
    The cache memoizes built indexes keyed by (relation identity, indexed
-   positions) and remembers the relation version each entry was built
-   against: a lookup whose stored version no longer matches the live
-   relation is a miss and the rebuilt index replaces the stale entry, so
-   mutation through {!Relation.add} invalidates soundly and stale entries
-   never accumulate per (relation, positions) pair.
+   positions, chain order) — an ordered and an unordered index of one
+   (relation, positions) are two entries — and remembers the relation
+   version each entry was built against: a lookup whose stored version no
+   longer matches the live relation is a miss and the rebuilt index
+   replaces the stale entry, so mutation through {!Relation.add}
+   invalidates soundly and stale entries never accumulate per key.
 
    The cache is shared between a catalog and its {!copy}s — keys carry
    the relation's own identity, so sharing across working copies is safe
@@ -21,7 +22,8 @@
    ([index_cache.evict]). *)
 
 type index_cache = {
-  entries : (int * int list, int * Index.t) Lru.t;
+  entries :
+    (int * int list * (int * Index.direction) option, int * Index.t) Lru.t;
   cache_mutex : Mutex.t;
   mutable hits : int;
   mutable misses : int;
@@ -132,9 +134,9 @@ let stats t name =
     Mutex.unlock c.stats_mutex;
     s
 
-let index t rel positions =
+let index ?order t rel positions =
   let c = t.indexes in
-  let key = Relation.id rel, positions in
+  let key = Relation.id rel, positions, order in
   let current = Relation.version rel in
   Mutex.lock c.cache_mutex;
   let cached =
@@ -156,7 +158,7 @@ let index t rel positions =
   match cached with
   | Some idx -> idx
   | None ->
-    let idx = Index.build rel positions in
+    let idx = Index.build ?order rel positions in
     Mutex.lock c.cache_mutex;
     let evicted =
       Lru.add c.entries key (current, idx) ~bytes:(Index.approx_bytes idx)

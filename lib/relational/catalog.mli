@@ -32,12 +32,15 @@ val names : t -> string list
     [Failure] if the name is unbound. *)
 val stats : t -> string -> Statistics.t
 
-(** [index t rel positions] is [Index.build rel positions], memoized.
-    Entries are keyed by ({!Relation.id}, positions) and tagged with the
+(** [index ?order t rel positions] is [Index.build ?order rel positions],
+    memoized.  Entries are keyed by ({!Relation.id}, positions, order), so
+    the ordered and unordered indexes of one (relation, positions) are
+    two entries of one LRU budget, and tagged with the
     {!Relation.version} they were built against: mutating the relation
     makes the entry stale and the next lookup rebuilds it.  The relation
     need not be registered in the catalog. *)
-val index : t -> Relation.t -> int list -> Index.t
+val index :
+  ?order:int * Index.direction -> t -> Relation.t -> int list -> Index.t
 
 (** [(hits, misses)] of the index cache since creation (or the last
     {!reset_index_stats}). *)

@@ -425,6 +425,84 @@ let test_arity_mismatch () =
         [ cmd; "-D"; dir; pairs ])
     [ "mine"; "run"; "explain" ]
 
+(* {1 Mutational fuzzing}
+
+   Byte-level mutants of the two fixtures, data/pairs.flock and
+   data/baskets.csv: deletes, inserts, bit flips and truncations, one to
+   three per case, applied to one fixture at a time.  Every mutant must
+   give an exit code [flockc --help] documents for the command, with no
+   uncaught exception on stderr: [lint] exits 0 (clean), 1 (findings) or
+   2 (unreadable input), and an ungoverned [mine] 0 or 1 (an input
+   error).  The seed is fixed and the case count small, so each pass of
+   the suite runs the same sixty mutants. *)
+
+type mutation = Delete of int | Insert of int * char | Flip of int * int | Truncate of int
+
+let mutate text = function
+  | _ when text = "" -> text
+  | Delete i ->
+    let i = i mod String.length text in
+    String.sub text 0 i ^ String.sub text (i + 1) (String.length text - i - 1)
+  | Insert (i, c) ->
+    let i = i mod (String.length text + 1) in
+    String.sub text 0 i ^ String.make 1 c ^ String.sub text i (String.length text - i)
+  | Flip (i, bit) ->
+    let i = i mod String.length text in
+    String.mapi
+      (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+      text
+  | Truncate i -> String.sub text 0 (i mod String.length text)
+
+let gen_mutation =
+  QCheck.Gen.(
+    let pos = int_bound 1000 in
+    oneof
+      [
+        map (fun i -> Delete i) pos;
+        map2 (fun i c -> Insert (i, c)) pos
+          (oneof [ char; oneofl [ ','; '"'; '\n'; '$'; '('; ')'; '<'; '.'; '%' ] ]);
+        map2 (fun i b -> Flip (i, b)) pos (int_bound 7);
+        map (fun i -> Truncate i) pos;
+      ])
+
+let print_mutation = function
+  | Delete i -> Printf.sprintf "delete %d" i
+  | Insert (i, c) -> Printf.sprintf "insert %C at %d" c i
+  | Flip (i, b) -> Printf.sprintf "flip bit %d at %d" b i
+  | Truncate i -> Printf.sprintf "truncate at %d" i
+
+let arb_mutant =
+  QCheck.make
+    ~print:(fun (csv, ms) ->
+      Printf.sprintf "%s: %s"
+        (if csv then "baskets.csv" else "pairs.flock")
+        (String.concat ", " (List.map print_mutation ms)))
+    QCheck.Gen.(pair bool (list_size (int_range 1 3) gen_mutation))
+
+let prop_mutants =
+  QCheck.Test.make ~count:60
+    ~name:"mutated flock or CSV: documented exit codes, no uncaught exception"
+    arb_mutant (fun (csv, mutations) ->
+      let mutant path = List.fold_left mutate (read_file path) mutations in
+      let flock = if csv then read_file pairs else mutant pairs in
+      with_csv (if csv then mutant baskets else read_file baskets) @@ fun data ->
+      let flock_path = Filename.temp_file "qfcli" ".flock" in
+      Fun.protect ~finally:(fun () -> Sys.remove flock_path) @@ fun () ->
+      Out_channel.with_open_bin flock_path (fun oc -> output_string oc flock);
+      let data = [ "-d"; "baskets=" ^ data ] in
+      List.for_all
+        (fun (args, allowed) ->
+          let code, err = run args in
+          if List.mem code allowed && not (Test_util.contains ~sub:"uncaught exception" err)
+          then true
+          else
+            QCheck.Test.fail_reportf "flockc %s exited %d:\n%s"
+              (String.concat " " args) code err)
+        [
+          ("lint" :: flock_path :: data), [ 0; 1; 2 ];
+          ("mine" :: data) @ [ flock_path ], [ 0; 1 ];
+        ])
+
 let suite =
   [
     Alcotest.test_case "-D naming a regular file exits 1" `Quick
@@ -465,4 +543,6 @@ let suite =
       `Quick test_explain_reads_governor_variables;
     Alcotest.test_case "arity mismatch exits 1 in mine/run/explain" `Quick
       test_arity_mismatch;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xf1ce |])
+      prop_mutants;
   ]

@@ -535,6 +535,190 @@ let test_filter_count_corpus () =
     (!fused > 0);
   Alcotest.(check bool) "head constants occur" true (!consts > 0)
 
+(* {1 Ordered walks}
+
+   A fused comparison between a fresh value and a bound one stops the
+   probe walk over chains ordered by the fresh value's column
+   ([Index.order]).  [e(K,X)] and [r(K,V)] join on [K]; the comparison
+   relates [V] to [X] or to a constant, in either operand order, under
+   each of [< <= > >=].  Extending [e] then [r] makes [V] the fresh
+   value and [X] the bound; extending [r] then [e] swaps them.  Values
+   come from a mixed universe: [Int] and [Real] numbers ([Int 1] beside
+   [Real 1.0], NaN, [-0.0]) and strings with shared prefixes.  Each
+   column draws from a subset of its kinds, so some columns hold both
+   [Int] and [Real] (no order: the comparison stays a per-candidate
+   test) and most do not; bounds draw from the whole universe, so they
+   are often absent from the column.  Keys range over a small or a
+   large domain, for duplicate keys and for bucket collisions. *)
+
+let walk_universe =
+  [
+    `Int, V.[ Int (-2); Int 0; Int 1; Int 2; Int 3 ];
+    `Real, V.[ Real (-1.5); Real (-0.0); Real 0.0; Real 1.0; Real 2.5; Real nan ];
+    `Str, V.[ str ""; str "a"; str "ab"; str "abc"; str "b" ];
+  ]
+
+let walk_bounds = List.concat_map snd walk_universe
+
+let gen_walk_column =
+  QCheck.Gen.(
+    let* kinds =
+      oneofl
+        [
+          [ `Int ]; [ `Real ]; [ `Str ]; [ `Int; `Str ]; [ `Real; `Str ];
+          [ `Int; `Real ]; [ `Int; `Real; `Str ];
+        ]
+    in
+    return (List.concat_map (fun k -> List.assoc k walk_universe) kinds))
+
+let gen_walk_relation ~keys ~column =
+  QCheck.Gen.(
+    let* n = int_range 0 30 in
+    list_size (return n) (pair (int_range 0 keys) (oneofl column)))
+
+type walk_case = {
+  e : (int * V.t) list;  (** [e(K,X)] *)
+  r : (int * V.t) list;  (** [r(K,V)] *)
+  cmp : Ast.comparison;
+  bound : V.t option;  (** a constant bound, else [X] *)
+  flipped : bool;  (** the bound on the left *)
+}
+
+let gen_walk_case =
+  QCheck.Gen.(
+    let* keys = oneofl [ 3; 12 ] in
+    let* xs = gen_walk_column and* vs = gen_walk_column in
+    let* e = gen_walk_relation ~keys ~column:xs in
+    let* r = gen_walk_relation ~keys ~column:vs in
+    let* cmp = oneofl Ast.[ Lt; Le; Gt; Ge ] in
+    let* bound = option (oneofl walk_bounds) in
+    let* flipped = bool in
+    return { e; r; cmp; bound; flipped })
+
+let walk_literal c =
+  let v = Ast.Var "V" in
+  let b = match c.bound with Some k -> Ast.Const k | None -> Ast.Var "X" in
+  if c.flipped then Ast.Cmp (b, c.cmp, v) else Ast.Cmp (v, c.cmp, b)
+
+let walk_rule c =
+  let atom p x y = Ast.Pos { Ast.pred = p; args = [ Ast.Var x; Ast.Var y ] } in
+  {
+    Ast.head =
+      { Ast.pred = "answer"; args = Ast.[ Var "K"; Var "X"; Var "V" ] };
+    body = [ atom "e" "K" "X"; atom "r" "K" "V"; walk_literal c ];
+  }
+
+let print_walk_case c =
+  let rel pairs =
+    String.concat " "
+      (List.map (fun (k, v) -> Printf.sprintf "(%d,%s)" k (V.to_string v)) pairs)
+  in
+  Printf.sprintf "e: %s
+r: %s
+%s" (rel c.e) (rel c.r)
+    (Qf_datalog.Pretty.rule_to_string (walk_rule c))
+
+let walk_catalog c =
+  let cat = Qf_relational.Catalog.create () in
+  let add name col pairs =
+    Qf_relational.Catalog.add cat name
+      (R.of_values [ "K"; col ] (List.map (fun (k, v) -> [ V.Int k; v ]) pairs))
+  in
+  add "e" "X" c.e;
+  add "r" "V" c.r;
+  cat
+
+(* The answers by nested loops: every (K, X, V) joined on K whose V
+   satisfies the comparison under [Value.compare]. *)
+let walk_spec c =
+  let holds x v =
+    let b = Option.value c.bound ~default:x in
+    let l, r = if c.flipped then b, v else v, b in
+    Ast.comparison_eval (V.compare l r) c.cmp
+  in
+  Spec.distinct
+    (List.concat_map
+       (fun (k, x) ->
+         List.filter_map
+           (fun (k', v) ->
+             if k = k' && holds x v then Some (Tuple.of_list [ V.Int k; x; v ])
+             else None)
+           c.r)
+       c.e)
+
+let ordered_walk_prop =
+  QCheck.Test.make ~count:200
+    ~name:"ordered walk: extension and tabulate = list spec and Reference"
+    (QCheck.make ~print:print_walk_case gen_walk_case) (fun c ->
+      let cat = walk_catalog c in
+      let want = walk_spec c in
+      let atom p x y = { Ast.pred = p; args = [ Ast.Var x; Ast.Var y ] } in
+      let filters = [ walk_literal c ] in
+      let extended first second =
+        let module Envs = Qf_datalog.Eval.Envs in
+        Envs.count
+          (Envs.extend_pos ~filters cat
+             (Envs.extend_pos cat (Envs.start ()) first)
+             second)
+      in
+      let rule = walk_rule c in
+      extended (atom "e" "K" "X") (atom "r" "K" "V") = List.length want
+      && extended (atom "r" "K" "V") (atom "e" "K" "X") = List.length want
+      && prop_agrees "tabulate"
+           (R.to_sorted_list (Qf_datalog.Eval.tabulate cat rule))
+           want
+      && prop_agrees "Reference"
+           (R.to_sorted_list (Qf_datalog.Reference.tabulate cat rule))
+           want)
+
+(* The walk property's inputs reach what it is meant to cover: walks the
+   order bound stops, on chains where keys collide, and columns holding
+   both [Int] and [Real] that the index leaves unranked. *)
+let test_ordered_walk_coverage () =
+  let module Obs = Qf_obs.Obs in
+  let module Index = Qf_relational.Index in
+  let stopped_collided = ref 0 and unranked = ref 0 in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_enabled was)
+  @@ fun () ->
+  List.iter
+    (fun seed ->
+      let c = instance ~seed gen_walk_case in
+      let cat = walk_catalog c in
+      let r = Qf_relational.Catalog.find cat "r" in
+      if (Index.build ~order:(1, Index.Ascending) r [ 0 ]).Index.order = None
+      then incr unranked;
+      let idx = Index.build r [ 0 ] in
+      let keys = idx.Index.key_cols.(0) in
+      let collided =
+        Array.exists
+          (fun head ->
+            let rec mixed j =
+              j >= 0
+              && (idx.Index.next.(j) >= 0 && keys.(idx.Index.next.(j)) <> keys.(j)
+                 || mixed idx.Index.next.(j))
+            in
+            mixed head)
+          idx.Index.heads
+      in
+      Obs.reset ();
+      ignore (Qf_datalog.Eval.tabulate cat (walk_rule c));
+      let stopped =
+        List.exists
+          (fun (s : Obs.span) ->
+            s.Obs.name = "eval.extend"
+            && List.assoc_opt "stopped" s.Obs.attrs <> Some (Obs.Int 0))
+          (Obs.report ()).Obs.spans
+      in
+      if collided && stopped then incr stopped_collided)
+    (List.init 200 Fun.id);
+  Alcotest.(check bool) "stopped walks over colliding keys occur" true
+    (!stopped_collided > 0);
+  Alcotest.(check bool) "unranked Int/Real columns occur" true (!unranked > 0)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     (List.map join_prop join_rules
@@ -546,6 +730,7 @@ let suite =
       group_by_single_key_prop;
       group_filter_prop;
       group_filter_report_prop;
+      ordered_walk_prop;
     ])
   @ [
       Alcotest.test_case "empty inputs" `Quick test_empty_inputs;
@@ -554,4 +739,6 @@ let suite =
       Alcotest.test_case "mixed value types" `Quick test_mixed_types;
       Alcotest.test_case "FILTER count = tabulate then group" `Quick
         test_filter_count_corpus;
+      Alcotest.test_case "ordered walk: inputs cover stops and collisions"
+        `Quick test_ordered_walk_coverage;
     ]

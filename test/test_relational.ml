@@ -322,6 +322,62 @@ let test_cache_shared_with_copy () =
   check_int "copy reuses the base catalog's entries" 1
     (fst (Catalog.index_stats cat))
 
+(* An ordered and an unordered index of one (relation, positions) are
+   two entries: each hits on reuse, both go stale on [Relation.add] and
+   after a rebinding [Catalog.add], and the ordered one is charged its
+   order arrays against the byte budget. *)
+let test_cache_ordered_entries () =
+  let cat = Catalog.create () in
+  let rel = fresh_rel () in
+  Catalog.add cat "r" rel;
+  let order = 1, Index.Descending in
+  Catalog.reset_index_stats cat;
+  let plain = Catalog.index cat rel [ 0 ] in
+  let ordered = Catalog.index ~order cat rel [ 0 ] in
+  Alcotest.(check (pair int int)) "two entries, two misses" (0, 2)
+    (Catalog.index_stats cat);
+  check_bool "only the ordered entry is ranked" true
+    (plain.Index.order = None && ordered.Index.order <> None);
+  check_bool "each is reused" true
+    (Catalog.index cat rel [ 0 ] == plain
+    && Catalog.index ~order cat rel [ 0 ] == ordered);
+  Alcotest.(check (pair int int)) "reuse counts a hit each" (2, 2)
+    (Catalog.index_stats cat);
+  ignore (Catalog.index ~order:(1, Index.Ascending) cat rel [ 0 ]);
+  check_int "the other direction is an entry of its own" 3
+    (snd (Catalog.index_stats cat));
+  Relation.add rel (Tuple.of_list [ Value.Int 1; Value.Int 5 ]);
+  let plain' = Catalog.index cat rel [ 0 ] in
+  let ordered' = Catalog.index ~order cat rel [ 0 ] in
+  Alcotest.(check (pair int int)) "Relation.add: both rebuilt as misses" (2, 5)
+    (Catalog.index_stats cat);
+  check_int "the rebuilt ordered index sees the new tuple" 3
+    (List.length (Test_util.index_matches ordered' [ Value.Int 1 ]));
+  let rebound = fresh_rel () in
+  Catalog.add cat "r" rebound;
+  check_bool "a rebinding: both rebuilt" true
+    (Catalog.index cat (Catalog.find cat "r") [ 0 ] != plain'
+    && Catalog.index ~order cat (Catalog.find cat "r") [ 0 ] != ordered');
+  Alcotest.(check (pair int int)) "as two misses" (2, 7) (Catalog.index_stats cat);
+  (* A budget that holds both entries of [rel] keeps them; one byte less
+     evicts the least recently used, here the ordered one, which the
+     budget counts with its order arrays. *)
+  check_bool "order arrays are counted" true
+    (Index.approx_bytes ordered' > Index.approx_bytes plain');
+  let cat = Catalog.create () in
+  let both = Index.approx_bytes ordered' + Index.approx_bytes plain' in
+  Catalog.set_index_budget cat both;
+  ignore (Catalog.index ~order cat rel [ 0 ]);
+  ignore (Catalog.index cat rel [ 0 ]);
+  check_int "both fit" 0 (Catalog.index_evictions cat);
+  Catalog.set_index_budget cat (both - 1);
+  check_int "one byte less evicts one" 1 (Catalog.index_evictions cat);
+  Catalog.reset_index_stats cat;
+  ignore (Catalog.index cat rel [ 0 ]);
+  ignore (Catalog.index ~order cat rel [ 0 ]);
+  Alcotest.(check (pair int int)) "the unordered entry stayed" (1, 1)
+    (Catalog.index_stats cat)
+
 let test_stats_shared_with_copy () =
   let cat = Catalog.create () in
   let rel = fresh_rel () in
@@ -420,6 +476,8 @@ let suite =
     Alcotest.test_case "index cache counters" `Quick test_cache_counters;
     Alcotest.test_case "index cache invalidation on add" `Quick
       test_cache_invalidated_by_add;
+    Alcotest.test_case "index cache: ordered and unordered entries" `Quick
+      test_cache_ordered_entries;
     Alcotest.test_case "index cache shared with copies" `Quick
       test_cache_shared_with_copy;
     Alcotest.test_case "catalog copies share statistics" `Quick
