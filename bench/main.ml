@@ -687,7 +687,7 @@ let e13 () =
   (* The group q-errors, plain and clamped, of the multi-parameter steps. *)
   let multi = ref [] in
   let examine name catalog plan =
-    let env = Cost.of_catalog catalog in
+    let env = Qf_datalog.Sizes.of_catalog catalog in
     let clamps = Qf_analysis.Absint.clamps_of_plan catalog plan in
     let plain = Cost.plan_step_estimates env plan in
     let clamped = Cost.plan_step_estimates ~clamps env plan in

@@ -1,4 +1,5 @@
 module Ast = Qf_datalog.Ast
+module Sizes = Qf_datalog.Sizes
 module Value = Qf_relational.Value
 module Catalog = Qf_relational.Catalog
 module Relation = Qf_relational.Relation
@@ -85,71 +86,49 @@ let equal_bound a b =
 
 let equal_interval a b = equal_bound a.lo b.lo && equal_bound a.hi b.hi
 
-(* {1 Statistics environments} *)
+(* {1 Environments}
 
-type pstats = {
-  p_rows : float;
-  p_cols : col array;
+   Sizes come from the one size model; the abstract domain adds each
+   column's certified range: a relation's from its catalog profile, an
+   earlier plan step's output's from [outputs], by step name. *)
+
+type env = {
+  catalog : Catalog.t;
+  sizes : Sizes.t;
+  outputs : (string * interval list) list;
 }
 
-and col = {
-  c_interval : interval;
-  c_ndv : float;
-  c_maxfreq : float;
-  c_freqs : int array option;
-}
+let environment catalog =
+  { catalog; sizes = Sizes.of_catalog catalog; outputs = [] }
 
-and env = (string * pstats) list
+(* An earlier step's output: at most [rows] distinct parameter tuples,
+   each column within its interval. *)
+let add_output env name ~rows intervals =
+  {
+    env with
+    sizes =
+      Sizes.add env.sizes name
+        (Sizes.output ~rows (List.map (fun _ -> rows) intervals));
+    outputs = (name, intervals) :: env.outputs;
+  }
 
-let env_of_catalog catalog =
-  List.map
-    (fun name ->
-      let rel = Catalog.find catalog name in
-      let stats = Catalog.stats catalog name in
-      let cols =
+(* The certified range of every column of [pred]; [None] when unknown. *)
+let column_intervals env pred =
+  match List.assoc_opt pred env.outputs with
+  | Some _ as ivs -> ivs
+  | None ->
+    Option.map
+      (fun rel ->
+        let stats = Catalog.stats env.catalog pred in
         List.map
           (fun c ->
             let p = Statistics.column_profile stats c in
-            let c_interval =
-              match p.Statistics.min_value, p.Statistics.max_value with
-              | Some lo, Some hi -> { lo = Some (lo, true); hi = Some (hi, true) }
-              | _ -> (* empty relation: the column holds no value at all *)
-                { lo = Some (Value.Int 0, false); hi = Some (Value.Int 0, false) }
-            in
-            {
-              c_interval;
-              c_ndv = float_of_int p.Statistics.ndv;
-              c_maxfreq = float_of_int p.Statistics.max_frequency;
-              c_freqs = Some (Statistics.frequencies stats c);
-            })
-          (Schema.columns (Relation.schema rel))
-      in
-      ( name,
-        {
-          p_rows = float_of_int (Statistics.cardinality stats);
-          p_cols = Array.of_list cols;
-        } ))
-    (Catalog.names catalog)
-
-let env_extend env name p = (name, p) :: env
-let env_lookup env name = List.assoc_opt name env
-
-let derived ~rows intervals =
-  let arity = List.length intervals in
-  {
-    p_rows = rows;
-    p_cols =
-      Array.of_list
-        (List.map
-           (fun iv ->
-             {
-               c_interval = iv;
-               c_ndv = rows;
-               c_maxfreq = (if arity = 1 then Float.min 1. rows else rows);
-               c_freqs = None;
-             })
-           intervals);
-  }
+            match p.Statistics.min_value, p.Statistics.max_value with
+            | Some lo, Some hi -> { lo = Some (lo, true); hi = Some (hi, true) }
+            | _ -> (* empty relation: the column holds no value at all *)
+              { lo = Some (Value.Int 0, false); hi = Some (Value.Int 0, false) })
+          (Schema.columns (Relation.schema rel)))
+      (Catalog.find_opt env.catalog pred)
 
 (* {1 Abstract state}
 
@@ -287,9 +266,6 @@ type rule_report = {
   rows_bound : float;
 }
 
-let atom_col (p : pstats) i =
-  if i < Array.length p.p_cols then Some p.p_cols.(i) else None
-
 (* Seed the state from the positive subgoals: each var/param occurrence
    meets the column's certified range; a constant occurrence outside the
    range makes the subgoal (and hence the rule) dead. *)
@@ -299,23 +275,23 @@ let seed_state env (r : Ast.rule) st =
   List.iter
     (fun (a : Ast.atom) ->
       if !dead = None then
-        match env_lookup env a.pred with
-        | None -> ()  (* unknown predicate: no information, stay sound *)
-        | Some p ->
-          if p.p_rows <= 0. then dead := Some (Empty_relation a.pred)
+        match Sizes.find env.sizes a.pred, column_intervals env a.pred with
+        | None, _ | _, None ->
+          ()  (* unknown predicate: no information, stay sound *)
+        | Some p, Some ivs ->
+          if p.Sizes.rows <= 0. then dead := Some (Empty_relation a.pred)
           else
             List.iteri
               (fun i arg ->
                 if !dead = None then
-                  match atom_col p i with
+                  match List.nth_opt ivs i with
                   | None -> ()
-                  | Some c -> (
+                  | Some iv -> (
                     match arg with
                     | Ast.Const v ->
-                      if is_empty (meet (singleton v) c.c_interval) then
+                      if is_empty (meet (singleton v) iv) then
                         dead := Some (Constant_out_of_range (a.pred, v))
-                    | Ast.Var _ | Ast.Param _ ->
-                      term_refine st arg c.c_interval changed))
+                    | Ast.Var _ | Ast.Param _ -> term_refine st arg iv changed))
               a.args)
     (Ast.positive_atoms r);
   !dead
@@ -356,59 +332,31 @@ let state_dead st cmps =
 (* Certified upper bound on distinct tabulated tuples: a greedy product
    over the positive subgoals.  Invariant: [rows_bound] bounds the number
    of distinct assignments to the keys in [bound_keys]; each atom
-   multiplies it by a bound on matching tuples per assignment —
-   [min(|R|, min over bound/constant columns of max-frequency)] — and 1
-   when every argument is already bound (set semantics: at most one such
-   tuple exists).  Negations and comparisons only filter, so they are
-   ignored.  Any order is sound; the product is taken along the
-   evaluator's join order ({!Qf_datalog.Eval.greedy_order}), ranking atoms
-   by their multipliers, which takes the smallest first. *)
+   multiplies it by a bound on matching tuples per assignment,
+   {!Sizes.max_matches}, where an unbound argument the abstract state
+   pins to a single point behaves like a constant: at most max-frequency
+   tuples carry that one value.  Negations and comparisons only filter,
+   so they are ignored.  Any order is sound; the product is taken along
+   the evaluator's join order ({!Qf_datalog.Eval.greedy_order}), ranking
+   atoms by their bounds, which takes the smallest first. *)
 let rule_rows_bound env st (r : Ast.rule) =
   let atoms = Ast.positive_atoms r in
-  let atom_multiplier bound (a : Ast.atom) =
-    match env_lookup env a.pred with
-    | None -> infinity
-    | Some p ->
-      let m = ref p.p_rows in
-      let all_bound = ref true in
-      List.iteri
-        (fun i arg ->
-          let arg_bound =
-            match arg with
-            | Ast.Const _ -> true
-            | Ast.Var _ | Ast.Param _ -> List.mem (Ast.binding_key arg) bound
-          in
-          if arg_bound then begin
-            match atom_col p i with
-            | Some c -> m := Float.min !m c.c_maxfreq
-            | None -> ()
-          end
-          else begin
-            all_bound := false;
-            (* An unbound argument pinned to a single point by the
-               abstract state behaves like a constant: at most
-               max-frequency tuples carry that one value. *)
-            match arg, atom_col p i with
-            | (Ast.Var _ | Ast.Param _), Some c -> (
-              match (term_interval st arg).lo, (term_interval st arg).hi with
-              | Some (v, true), Some (v', true) when Value.compare v v' = 0 ->
-                m := Float.min !m c.c_maxfreq
-              | _ -> ())
-            | _ -> ()
-          end)
-        a.args;
-      if !all_bound then Float.min !m 1. else !m
+  let pinned arg =
+    match term_interval st arg with
+    | { lo = Some (v, true); hi = Some (v', true) } -> Value.compare v v' = 0
+    | _ -> false
   in
+  let max_matches = Sizes.max_matches ~pinned env.sizes in
   if atoms = [] then 0.
   else
     (* Positive atoms only: [lint --absint] analyzes unsafe rules too. *)
     List.fold_left
       (fun acc (bound, lit) ->
         match lit with
-        | Ast.Pos a -> acc *. atom_multiplier bound a
+        | Ast.Pos a -> acc *. max_matches bound a
         | Ast.Neg _ | Ast.Cmp _ -> acc)
       1.
-      (Qf_datalog.Eval.greedy_order ~matches:atom_multiplier
+      (Qf_datalog.Eval.greedy_order ~matches:max_matches
          (List.map (fun a -> Ast.Pos a) atoms))
 
 let rule_cmps (r : Ast.rule) =
@@ -418,7 +366,7 @@ let rule_cmps (r : Ast.rule) =
       | Ast.Pos _ | Ast.Neg _ -> None)
     r.body
 
-let analyze_rule env (r : Ast.rule) =
+let analyze env (r : Ast.rule) =
   let st : state = Hashtbl.create 16 in
   let dead =
     match seed_state env r st with
@@ -449,6 +397,8 @@ let analyze_rule env (r : Ast.rule) =
   in
   { dead; intervals; rows_bound }
 
+let analyze_rule catalog r = analyze (environment catalog) r
+
 (* {1 Plan certification} *)
 
 type step_bound = {
@@ -463,46 +413,7 @@ type step_bound = {
    smallest ndv bound among its positive occurrences.  [infinity] when the
    parameter never occurs positively (safety normally prevents this). *)
 let param_ndv env (r : Ast.rule) param =
-  List.fold_left
-    (fun acc (a : Ast.atom) ->
-      match env_lookup env a.pred with
-      | None -> acc
-      | Some p ->
-        List.fold_left
-          (fun acc (i, arg) ->
-            match arg, atom_col p i with
-            | Ast.Param q, Some c when String.equal q param ->
-              Float.min acc c.c_ndv
-            | _ -> acc)
-          acc
-          (List.mapi (fun i arg -> i, arg) a.args))
-    infinity (Ast.positive_atoms r)
-
-(* Exact certified survivor bound for the single-positive-subgoal COUNT
-   shape (cf. {!Qf_core.Cost.exact_survivors}, but sound in the presence
-   of extra negations/comparisons): with one positive subgoal, every
-   tabulated tuple is the image of a distinct base tuple, so a parameter
-   value surviving [COUNT >= t] must occur in at least [t] base tuples —
-   the count is read off the frequency distribution. *)
-let exact_count_bound env ~threshold (r : Ast.rule) params =
-  match Ast.positive_atoms r, r.body, params with
-  | [ a ], _, [ p ] -> (
-    let position =
-      List.find_index
-        (fun arg ->
-          match arg with
-          | Ast.Param p' -> String.equal p p'
-          | Ast.Var _ | Ast.Const _ -> false)
-        a.args
-    in
-    match position, env_lookup env a.pred with
-    | Some i, Some stats -> (
-      match atom_col stats i with
-      | Some { c_freqs = Some freqs; _ } ->
-        Some (float_of_int (Statistics.values_at_least freqs ~threshold))
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
+  Sizes.param_ndv env.sizes (Ast.positive_atoms r) param
 
 (* The certified interval of the head column the filter aggregates, joined
    across live rules (a surviving tuple comes from {e some} rule). *)
@@ -637,7 +548,7 @@ let symmetric_pairs earlier (s : Plan.step) (r : Ast.rule) =
     strict_pairs
 
 let certify_step env (filter : Filter.t) ~earlier (s : Plan.step) =
-  let reports = List.map (analyze_rule env) s.query in
+  let reports = List.map (analyze env) s.query in
   let dead_rules =
     List.length (List.filter (fun r -> r.dead <> None) reports)
   in
@@ -683,9 +594,15 @@ let certify_step env (filter : Filter.t) ~earlier (s : Plan.step) =
       summand_interval reports s.query c
   in
   let exact_count =
-    match filter.agg, s.query with
-    | Filter.Count, [ rule ] when (List.nth reports 0).dead = None ->
-      exact_count_bound env ~threshold:filter.threshold rule s.params
+    (* With one positive subgoal, every tabulated tuple is the image of a
+       distinct base tuple, so a parameter value surviving [COUNT >= t]
+       occurs in at least [t] base tuples, even with extra negations and
+       comparisons. *)
+    match filter.agg, s.query, s.params with
+    | Filter.Count, [ rule ], [ p ] when (List.nth reports 0).dead = None -> (
+      match Ast.positive_atoms rule with
+      | [ a ] -> Sizes.values_at_least env.sizes a p ~threshold:filter.threshold
+      | _ -> None)
     | _ -> None
   in
   let survivors =
@@ -728,10 +645,10 @@ let certify_plan catalog (plan : Plan.t) =
     List.fold_left
       (fun (env, acc, earlier) (s : Plan.step) ->
         let sb, param_ivs = certify_step env filter ~earlier s in
-        ( env_extend env s.Plan.name (derived ~rows:sb.sb_survivors param_ivs),
+        ( add_output env s.Plan.name ~rows:sb.sb_survivors param_ivs,
           sb :: acc,
           earlier @ [ s ] ))
-      (env_of_catalog catalog, [], [])
+      (environment catalog, [], [])
       plan.steps
   in
   let sb, _ = certify_step env filter ~earlier plan.final in
@@ -755,8 +672,8 @@ let monotonicity catalog (flock : Flock.t) =
   | Filter.Count | Filter.Max _ -> Monotone
   | Filter.Min _ -> Non_monotone
   | Filter.Sum column ->
-    let env = env_of_catalog catalog in
-    let reports = List.map (analyze_rule env) flock.query in
+    let env = environment catalog in
+    let reports = List.map (analyze env) flock.query in
     let summand = summand_interval reports flock.query column in
     let lo =
       Option.bind summand (fun iv ->
@@ -783,7 +700,7 @@ let pp_term = function
    statistics. *)
 let check_rule env (lr : Ast.located_rule) =
   let r = lr.Ast.lr_rule in
-  let known (a : Ast.atom) = env_lookup env a.pred <> None in
+  let known (a : Ast.atom) = Sizes.find env.sizes a.pred <> None in
   let all_known =
     List.for_all
       (function Ast.Pos a | Ast.Neg a -> known a | Ast.Cmp _ -> true)
@@ -791,7 +708,7 @@ let check_rule env (lr : Ast.located_rule) =
   in
   if not all_known then []
   else
-    let report = analyze_rule env r in
+    let report = analyze env r in
     match report.dead with
     | None -> []
     | Some reason ->
@@ -847,20 +764,20 @@ let check_rule env (lr : Ast.located_rule) =
             key ])
 
 let check_program ~catalog (lp : Parse.located_program) =
-  let env = env_of_catalog catalog in
+  let env = environment catalog in
   let per_rule = List.concat_map (check_rule env) lp.Parse.l_query in
   let rules = List.map (fun lr -> lr.Ast.lr_rule) lp.Parse.l_query in
   let known_rule (r : Ast.rule) =
     List.for_all
       (function
-        | Ast.Pos a | Ast.Neg a -> env_lookup env a.pred <> None
+        | Ast.Pos a | Ast.Neg a -> Sizes.find env.sizes a.pred <> None
         | Ast.Cmp _ -> true)
       r.body
   in
   let flock_level =
     if rules = [] || not (List.for_all known_rule rules) then []
     else begin
-      let reports = List.map (analyze_rule env) rules in
+      let reports = List.map (analyze env) rules in
       let all_dead = List.for_all (fun r -> r.dead <> None) reports in
       let filter = lp.Parse.l_filter in
       let empty_by_bound =

@@ -14,7 +14,10 @@
     - {e cardinality certificates}: sound per-step upper bounds on the
       tabulated rows, candidate groups, and surviving assignments of every
       FILTER step of a plan ({!certify_plan}), usable as a
-      [min(estimate, bound)] clamp on the cost model;
+      [min(estimate, bound)] clamp on the cost model.  Their sizes (rows,
+      distinct counts, max frequencies, and the per-subgoal
+      {!Qf_datalog.Sizes.max_matches}) come from the one size model,
+      {!Qf_datalog.Sizes}, which also gives the cost model its estimates;
     - {e monotonicity certificates}: for [SUM] filters, whether the
       certified range of the summand column proves the non-negativity
       assumption behind {!Qf_core.Filter.is_monotone}
@@ -78,40 +81,10 @@ type rule_report = {
           [infinity] when some predicate is unknown; [0.] when dead *)
 }
 
-(** {1 Statistics environments} *)
-
-(** Per-predicate profile: certified cardinality bound and per-column
-    range/ndv/max-frequency bounds.  Derived (step-output) relations use
-    {!derived}. *)
-type pstats = {
-  p_rows : float;
-  p_cols : col array;
-}
-
-and col = {
-  c_interval : interval;  (** certified range of the column's values *)
-  c_ndv : float;  (** upper bound on distinct values *)
-  c_maxfreq : float;  (** upper bound on tuples per value *)
-  c_freqs : int array option;
-      (** exact descending per-value counts when known (base relations) *)
-}
-
-and env
-
-val env_of_catalog : Qf_relational.Catalog.t -> env
-val env_extend : env -> string -> pstats -> env
-val env_lookup : env -> string -> pstats option
-
-(** Profile of a step-output relation holding at most [rows] distinct
-    parameter tuples with the given per-column certified intervals.  A
-    one-column output is a set of singletons, so its max-frequency is 1;
-    wider outputs get [rows]. *)
-val derived : rows:float -> interval list -> pstats
-
-(** Analyze one rule against the statistics environment.  [env] maps
-    predicate names to profiles; unknown predicates contribute top
-    intervals and infinite bounds (sound, not precise). *)
-val analyze_rule : env -> Ast.rule -> rule_report
+(** Analyze one rule against the catalog's statistics.  Unknown
+    predicates contribute top intervals and infinite bounds (sound, not
+    precise). *)
+val analyze_rule : Qf_relational.Catalog.t -> Ast.rule -> rule_report
 
 (** {1 Plan certification} *)
 
@@ -125,8 +98,11 @@ type step_bound = {
 
 (** Certified bounds for every step of a plan, auxiliary steps first and
     the final step last (the order of {!Qf_core.Plan.all_steps}).  Each
-    auxiliary step's survivor bound feeds later steps' [ok]-subgoals via
-    {!derived}, mirroring the executor's dataflow. *)
+    auxiliary step's survivor bound feeds later steps' [ok]-subgoals,
+    mirroring the executor's dataflow: it is overlaid on the size model
+    as the output's rows and per-column distinct counts
+    ({!Qf_datalog.Sizes.output}), beside the certified ranges of its
+    columns. *)
 val certify_plan : Qf_relational.Catalog.t -> Qf_core.Plan.t -> step_bound list
 
 (** The clamp pairs consumed by {!Qf_core.Cost.plan_step_estimates}:

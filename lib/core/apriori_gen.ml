@@ -1,7 +1,7 @@
 module Ast = Qf_datalog.Ast
 module Subquery = Qf_datalog.Subquery
 
-type selection = [ `Fewest_subgoals | `Cheapest of Cost.env ]
+type selection = [ `Fewest_subgoals | `Cheapest of Qf_datalog.Sizes.t ]
 
 let ( let* ) = Result.bind
 let error fmt = Format.kasprintf (fun s -> Error s) fmt

@@ -15,7 +15,7 @@
 (** How to choose, per rule, among the safe subqueries with a given
     parameter set.  [`Fewest_subgoals] favors the cheapest-looking bound;
     [`Cheapest env] ranks by {!Cost.estimate_rule}. *)
-type selection = [ `Fewest_subgoals | `Cheapest of Cost.env ]
+type selection = [ `Fewest_subgoals | `Cheapest of Qf_datalog.Sizes.t ]
 
 (** [param_set_step flock set] is the auxiliary FILTER step for one
     parameter set, named [ok_<params>]: per rule of the union, one safe

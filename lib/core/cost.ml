@@ -1,64 +1,10 @@
 module Ast = Qf_datalog.Ast
-module Catalog = Qf_relational.Catalog
-module Relation = Qf_relational.Relation
-module Schema = Qf_relational.Schema
-module Statistics = Qf_relational.Statistics
-
-type vstats = {
-  rows : float;
-  distinct : float array;
-  frequencies : int array array;
-}
-
-type env = (string * vstats) list
-
-let of_catalog catalog =
-  List.map
-    (fun name ->
-      let stats = Catalog.stats catalog name in
-      let columns = Schema.columns (Relation.schema (Catalog.find catalog name)) in
-      ( name,
-        {
-          rows = float_of_int (Statistics.cardinality stats);
-          distinct =
-            Array.of_list
-              (List.map
-                 (fun c -> float_of_int (Statistics.distinct stats c))
-                 columns);
-          frequencies =
-            Array.of_list
-              (List.map (fun c -> Statistics.frequencies stats c) columns);
-        } ))
-    (Catalog.names catalog)
-
-let extend env name stats = (name, stats) :: env
-let lookup env name = List.assoc_opt name env
-
-let lookup_exn env name =
-  match lookup env name with
-  | Some s -> s
-  | None -> failwith (Printf.sprintf "Cost: no statistics for predicate %s" name)
+module Sizes = Qf_datalog.Sizes
 
 type estimate = {
   work : float;
   rows : float;
 }
-
-(* Expected index matches per environment for [atom] given bound keys. *)
-let est_matches env bound (a : Ast.atom) =
-  let (s : vstats) = lookup_exn env a.pred in
-  let est = ref s.rows in
-  List.iteri
-    (fun i arg ->
-      let is_bound =
-        match arg with
-        | Ast.Const _ -> true
-        | Ast.Var _ | Ast.Param _ -> List.mem (Ast.binding_key arg) bound
-      in
-      if is_bound && i < Array.length s.distinct then
-        est := !est /. Float.max 1. s.distinct.(i))
-    a.args;
-  Float.max 0. !est
 
 (* {1 Reducers}
 
@@ -79,10 +25,10 @@ let reducers ~step_names (q : Ast.query) =
 let kept env reducers p =
   List.fold_left
     (fun k (p', (pred, col)) ->
-      match lookup env pred with
-      | Some (s : vstats) when String.equal p p' && col < Array.length s.distinct
+      match Sizes.find env pred with
+      | Some (s : Sizes.profile) when String.equal p p' && col < Array.length s.ndv
         ->
-        Float.min k (Float.max 1. s.distinct.(col))
+        Float.min k (Float.max 1. s.ndv.(col))
       | _ -> k)
     infinity reducers
 
@@ -100,14 +46,12 @@ let enforced reducers bound = function
    distribution is unknown.  Where the parameter is already bound, the
    atom matches the kept values' mean frequency instead of the column's,
    so the share is scaled by [distinct / kept]. *)
-let kept_share (s : vstats) i kept ~bound =
-  let distinct = Float.max 1. s.distinct.(i) in
+let kept_share (s : Sizes.profile) i kept ~bound =
+  let distinct = Float.max 1. s.ndv.(i) in
   let kept = Float.min kept distinct in
   if kept >= distinct then 1.
   else begin
-    let freqs =
-      if i < Array.length s.frequencies then s.frequencies.(i) else [||]
-    in
+    let freqs = s.frequencies.(i) in
     let mass =
       if Array.length freqs = 0 then s.rows *. kept /. distinct
       else
@@ -121,21 +65,21 @@ let kept_share (s : vstats) i kept ~bound =
 (* Expected matches of [atom] with the reducers applied: each parameter
    column a reducer covers thins the matches by its kept share. *)
 let reduced_matches env reducers bound (a : Ast.atom) =
-  let s = lookup_exn env a.pred in
-  let _, est =
-    List.fold_left
-      (fun (i, est) arg ->
-        match arg with
-        | Ast.Param p when i < Array.length s.distinct ->
-          let k = kept env reducers p in
-          ( i + 1,
-            if k = infinity then est
-            else est *. kept_share s i k ~bound:(List.mem ("$" ^ p) bound) )
-        | Ast.Param _ | Ast.Var _ | Ast.Const _ -> i + 1, est)
-      (0, est_matches env bound a)
-      a.args
-  in
-  est
+  let est = Sizes.expected_matches env bound a in
+  match Sizes.find env a.pred with
+  | None -> est
+  | Some s ->
+    snd
+      (List.fold_left
+         (fun (i, est) arg ->
+           match arg with
+           | Ast.Param p when i < Array.length s.ndv ->
+             let k = kept env reducers p in
+             ( i + 1,
+               if k = infinity then est
+               else est *. kept_share s i k ~bound:(List.mem ("$" ^ p) bound) )
+           | Ast.Param _ | Ast.Var _ | Ast.Const _ -> i + 1, est)
+         (0, est) a.args)
 
 (* The evaluator's join order, priced.  The order is [Eval]'s greedy
    order over the unreduced statistics, as the executor computes it; the
@@ -166,7 +110,8 @@ let price_rule env ~reducers (r : Ast.rule) =
   walk 1. 0.
     (List.filter
        (fun (bound, lit) -> not (enforced reducers bound lit))
-       (Qf_datalog.Eval.greedy_order ~matches:(est_matches env) r.body))
+       (Qf_datalog.Eval.greedy_order ~matches:(Sizes.expected_matches env)
+          r.body))
 
 let estimate_rule ?(step_names = []) env r =
   price_rule env ~reducers:(reducers ~step_names [ r ]) r
@@ -181,25 +126,10 @@ let estimate_query env ~step_names (q : Ast.query) =
     q
 
 (* Domain of a parameter within a query: the smallest distinct count among
-   its positive occurrences (any rule). *)
+   its positive occurrences (any rule), at least 1. *)
 let param_domain env (q : Ast.query) param =
-  let occ = ref infinity in
-  List.iter
-    (fun (r : Ast.rule) ->
-      List.iter
-        (fun (a : Ast.atom) ->
-          let s = lookup_exn env a.pred in
-          List.iteri
-            (fun i arg ->
-              match arg with
-              | Ast.Param p
-                when String.equal p param && i < Array.length s.distinct ->
-                occ := Float.min !occ s.distinct.(i)
-              | _ -> ())
-            a.args)
-        (Ast.positive_atoms r))
-    q;
-  if !occ = infinity then 1. else Float.max 1. !occ
+  let ndv = Sizes.param_ndv env (List.concat_map Ast.positive_atoms q) param in
+  if ndv = infinity then 1. else Float.max 1. ndv
 
 let estimate_groups env q params =
   List.fold_left (fun acc p -> acc *. param_domain env q p) 1. params
@@ -210,27 +140,10 @@ let estimate_groups env q params =
    occurrences — read directly off the column's frequency distribution.
    Only a COUNT filter counts occurrences: SUM/MIN/MAX survivors are not
    a function of the frequencies. *)
-let exact_survivors env ~(filter : Filter.t) (s : Plan.step) =
+let counted_survivors env ~(filter : Filter.t) (s : Plan.step) =
   match filter.agg, s.query, s.params with
   | Count, [ { Ast.body = [ Ast.Pos a ]; _ } ], [ p ] ->
-    let position =
-      List.find_index
-        (fun arg ->
-          match arg with
-          | Ast.Param p' -> String.equal p p'
-          | Ast.Var _ | Ast.Const _ -> false)
-        a.args
-    in
-    Option.bind position (fun i ->
-        match lookup env a.pred with
-        | Some (stats : vstats) when i < Array.length stats.frequencies ->
-          let freqs = stats.frequencies.(i) in
-          if Array.length freqs = 0 then None
-          else
-            Some
-              (float_of_int
-                 (Statistics.values_at_least freqs ~threshold:filter.threshold))
-        | _ -> None)
+    Sizes.values_at_least env a p ~threshold:filter.threshold
   | _ -> None
 
 let estimate_step ?(step_names = []) env ~(filter : Filter.t) (s : Plan.step) =
@@ -244,22 +157,17 @@ let estimate_step ?(step_names = []) env ~(filter : Filter.t) (s : Plan.step) =
     else avg /. threshold
   in
   let survivors =
-    match exact_survivors env ~filter s with
+    match counted_survivors env ~filter s with
     | Some exact -> Float.max 1. exact
     | None -> Float.max 1. (groups *. survival)
   in
   (* A column holds at most the survivors, and at most its parameter's
      domain in the step's query. *)
   let out_stats =
-    {
-      rows = survivors;
-      distinct =
-        Array.of_list
-          (List.map
-             (fun p -> Float.min survivors (param_domain env s.query p))
-             s.params);
-      frequencies = [||];
-    }
+    Sizes.output ~rows:survivors
+      (List.map
+         (fun p -> Float.min survivors (param_domain env s.query p))
+         s.params)
   in
   (* Each tabulated row is also counted into the step's group table,
      once, inside the last subgoal's probe loop ([Eval.filter_query]):
@@ -274,18 +182,16 @@ let estimate_step ?(step_names = []) env ~(filter : Filter.t) (s : Plan.step) =
    per-column distinct counts cannot exceed the clamped row count.  The
    clamp only ever tightens — [min(estimate, bound)] — so an absent or
    infinite bound leaves the estimate untouched. *)
-let clamp_out clamps name (out : vstats) =
+let clamp_out clamps name (out : Sizes.profile) =
   match List.assoc_opt name clamps with
   | None -> out
-  | Some (_groups_bound, rows_bound) ->
-    if out.rows <= rows_bound then out
+  | Some (_groups_bound, rows) ->
+    if out.rows <= rows then out
     else
-      let rows = rows_bound in
-      {
-        out with
-        rows;
-        distinct = Array.map (fun d -> Float.min d (Float.max 1. rows)) out.distinct;
-      }
+      Sizes.output ~rows
+        (List.map
+           (fun d -> Float.min d (Float.max 1. rows))
+           (Array.to_list out.ndv))
 
 type step_estimate = {
   step : string;
@@ -320,7 +226,7 @@ let plan_step_estimates ?(clamps = []) env (plan : Plan.t) =
     List.fold_left
       (fun (env, step_names, acc) (s : Plan.step) ->
         let out, e = one env step_names s in
-        extend env s.Plan.name out, s.Plan.name :: step_names, e :: acc)
+        Sizes.add env s.Plan.name out, s.Plan.name :: step_names, e :: acc)
       (env, [], []) plan.steps
   in
   let _, e = one env step_names plan.final in

@@ -7,33 +7,15 @@
     executor runs, less the [ok] probes its reducers enforce; per-subgoal
     match counts divide the relation's cardinality by the distinct counts
     of the bound columns (independence assumption), thinned where a
-    reducer keeps only some of a parameter's values.  FILTER-step survivor counts use a
+    reducer keeps only some of a parameter's values.  Every size comes from
+    the one size model ({!Qf_datalog.Sizes}): a relation's profile from the
+    catalog's statistics, a step output's estimated profile from the
+    model's overlay.  FILTER-step survivor counts use a
     deliberately simple linear heuristic — if the expected number of answer
     tuples per parameter assignment [avg] is below the threshold [s], a
     fraction [avg/s] of assignments is assumed to survive, else no pruning
     is assumed.  The model is only used to rank plans; the dynamic executor
     (Sec. 4.4) is the paper's own answer to the model's imprecision. *)
-
-(** Virtual statistics for one predicate. *)
-type vstats = {
-  rows : float;
-  distinct : float array;  (** per column position *)
-  frequencies : int array array;
-      (** per column, per-value tuple counts descending; empty arrays for
-          derived relations whose distribution is unknown *)
-}
-
-(** Statistics environment: predicate name -> stats.  Plan costing extends
-    it with estimates for step outputs. *)
-type env
-
-(** Statistics for every relation in the catalog. *)
-val of_catalog : Qf_relational.Catalog.t -> env
-
-(** Add (or override) a predicate's stats, e.g. an auxiliary step output. *)
-val extend : env -> string -> vstats -> env
-
-val lookup : env -> string -> vstats option
 
 type estimate = {
   work : float;  (** total intermediate tuples touched *)
@@ -42,8 +24,8 @@ type estimate = {
 
 (** Estimate tabulating one rule as the executor runs it.  The walk
     follows the evaluator's join order ({!Qf_datalog.Eval.greedy_order},
-    ranking subgoals by this model's expected matches over [env], as the
-    executor ranks them over the catalog's statistics).  The ok subgoals
+    ranking subgoals by {!Qf_datalog.Sizes.expected_matches} over [env], as
+    the executor ranks them over the catalog's statistics).  The ok subgoals
     over [step_names] (default none) give their parameters reducers, read
     by the executor's rule ({!Plan_exec.reducer_columns}), renamed
     subgoals included.  Each reducer keeps the estimated distinct count of
@@ -56,30 +38,32 @@ type estimate = {
     Raises [Failure] on a predicate missing from [env] and
     {!Qf_datalog.Eval.Error} on an unsafe rule. *)
 val estimate_rule :
-  ?step_names:string list -> env -> Qf_datalog.Ast.rule -> estimate
+  ?step_names:string list -> Qf_datalog.Sizes.t -> Qf_datalog.Ast.rule -> estimate
 
 (** Estimated number of distinct assignments of the given parameters
     (product of the parameters' smallest positive-occurrence column distinct
-    counts across the rules of the query). *)
-val estimate_groups : env -> Qf_datalog.Ast.query -> string list -> float
+    counts across the rules of the query, {!Qf_datalog.Sizes.param_ndv}). *)
+val estimate_groups :
+  Qf_datalog.Sizes.t -> Qf_datalog.Ast.query -> string list -> float
 
 (** [estimate_step env ~filter step] estimates executing one FILTER step
-    under [filter]: returns the estimated work and the {!vstats} of the
-    step's output relation (the surviving parameter assignments).  The
+    under [filter]: returns the estimated work and the profile of the
+    step's output relation (the surviving parameter assignments,
+    {!Qf_datalog.Sizes.output}).  The
     work is the join walk of {!estimate_rule} for every rule, with the
     reducers of [step_names] (the plan's earlier steps), plus one unit per
     tabulated row for its group-table insert.  When
     [filter] is a COUNT and the step is a single-rule,
     single-positive-subgoal step over one parameter, the survivor count is
     computed {e exactly} from the column's frequency distribution (Ex.
-    4.4's statistics gathering, {!Qf_relational.Statistics.values_at_least});
+    4.4's statistics gathering, {!Qf_datalog.Sizes.values_at_least});
     otherwise the linear heuristic applies. *)
 val estimate_step :
   ?step_names:string list ->
-  env ->
+  Qf_datalog.Sizes.t ->
   filter:Filter.t ->
   Plan.step ->
-  float * vstats
+  float * Qf_datalog.Sizes.profile
 
 (** {1 Plan estimates} *)
 
@@ -91,7 +75,8 @@ type step_estimate = {
 }
 
 (** One estimate per step, auxiliary steps first and the final step last,
-    with each step's estimated output statistics feeding later steps, and
+    with each step's estimated output profile overlaid for later steps
+    ({!Qf_datalog.Sizes.add}), and
     each step priced with the reducers of its ok subgoals over the earlier
     steps ({!estimate_step}) —
     the estimated half of [flockc explain --profile]'s
@@ -103,10 +88,10 @@ type step_estimate = {
     lacks a referenced predicate. *)
 val plan_step_estimates :
   ?clamps:(string * (float * float)) list ->
-  env ->
+  Qf_datalog.Sizes.t ->
   Plan.t ->
   step_estimate list
 
 (** Total estimated work of a plan: the sum of {!plan_step_estimates}'
     [est_work] without clamps.  This is the optimizer's cost. *)
-val estimate_plan : env -> Plan.t -> float
+val estimate_plan : Qf_datalog.Sizes.t -> Plan.t -> float

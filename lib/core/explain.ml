@@ -94,7 +94,7 @@ let profile ?options ?(clamps = []) ?governor catalog (plan : Plan.t) =
       let total_seconds = Obs.now () -. t0 in
       let obs = Obs.report () in
       let estimates =
-        match Cost.plan_step_estimates ~clamps (Cost.of_catalog catalog) plan with
+        match Cost.plan_step_estimates ~clamps (Qf_datalog.Sizes.of_catalog catalog) plan with
         | ests -> ests
         | exception Failure _ -> []
       in

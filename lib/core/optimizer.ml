@@ -58,7 +58,7 @@ let search ?param_sets catalog flock =
   if not (Filter.is_monotone flock.Flock.filter) then
     [ { plan = Plan.trivial flock; param_sets = []; cost = 0. } ]
   else begin
-    let env = Cost.of_catalog catalog in
+    let env = Qf_datalog.Sizes.of_catalog catalog in
     let selection = `Cheapest env in
     (* Keep only parameter sets every rule has a safe subquery for, each
        with its step, chosen once; every subset of their classes gives

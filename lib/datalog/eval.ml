@@ -3,7 +3,6 @@ module Schema = Qf_relational.Schema
 module Relation = Qf_relational.Relation
 module Index = Qf_relational.Index
 module Catalog = Qf_relational.Catalog
-module Statistics = Qf_relational.Statistics
 module Dict = Qf_relational.Dict
 module Chunkrel = Qf_relational.Chunkrel
 module Buf = Chunkrel.Buf
@@ -629,25 +628,19 @@ let greedy_order ~matches body =
   in
   loop [] body []
 
-(* Estimated number of index matches per environment for [atom] given the
-   bound-key set: |R| divided by the distinct counts of the columns at
-   bound (or constant) positions, assuming independence. *)
-let estimate_matches catalog bound (a : Ast.atom) =
-  let columns = Schema.columns (Relation.schema (relation_for catalog a)) in
-  let stats = Catalog.stats catalog a.pred in
-  List.fold_left2
-    (fun est arg column ->
-      if is_bound bound arg then
-        est /. float_of_int (max 1 (Statistics.distinct stats column))
-      else est)
-    (float_of_int (Statistics.cardinality stats))
-    a.args columns
-
 let ordered_body catalog (r : Ast.rule) =
   (match Safety.check r with
   | Ok () -> ()
   | Error e -> raise (Error e));
-  let ordered = greedy_order ~matches:(estimate_matches catalog) r.body in
+  (* An unknown predicate or a wrong arity is this module's [Error], found
+     before the size model is asked for the subgoal. *)
+  List.iter
+    (function
+      | Ast.Pos a -> ignore (relation_for catalog a)
+      | Ast.Neg _ | Ast.Cmp _ -> ())
+    r.body;
+  let sizes = Sizes.of_catalog catalog in
+  let ordered = greedy_order ~matches:(Sizes.expected_matches sizes) r.body in
   Log.debug (fun m ->
       m "join order for %s: %s" r.head.pred
         (String.concat " ; "

@@ -90,7 +90,8 @@ end
 (** The join order: the one greedy subgoal-ordering algorithm, shared by
     the evaluator ({!order_body}), the cost model
     ([Qf_core.Cost.estimate_rule]) and the bound certifier
-    ([Qf_analysis.Absint]), each with its own per-atom estimate.
+    ([Qf_analysis.Absint]), each with its per-atom estimate from the
+    one size model ({!Sizes}).
     [greedy_order ~matches body] repeatedly
     - emits every negated and arithmetic literal whose terms (binding
       keys, as in {!Ast.binding_key}) are all bound, in body order;
@@ -108,9 +109,9 @@ val greedy_order :
   (string list * Ast.literal) list
 
 (** {!greedy_order} of a safe rule's body, estimating an atom's index
-    matches System-R-style from catalog statistics: |R| divided by the
-    distinct counts of its bound (or constant) columns.  Raises {!Error}
-    if the rule is unsafe. *)
+    matches by {!Sizes.expected_matches} over the catalog's statistics.
+    Raises {!Error} if the rule is unsafe, or if a positive subgoal's
+    predicate is unknown or of another arity. *)
 val order_body : Qf_relational.Catalog.t -> Ast.rule -> Ast.literal list
 
 (** {1 Whole-rule evaluation} *)

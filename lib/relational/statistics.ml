@@ -90,5 +90,5 @@ let values_at_least frequencies ~threshold =
 let count_at_least t col c =
   values_at_least (column t col).frequencies ~threshold:(float_of_int c)
 
-let frequencies t col = Array.copy (column t col).frequencies
+let frequencies t col = (column t col).frequencies
 

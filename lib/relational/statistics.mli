@@ -42,7 +42,8 @@ val count_at_least : t -> string -> int -> int
 val values_at_least : int array -> threshold:float -> int
 
 (** The frequency distribution of a column: per-value tuple counts, sorted
-    descending.  Exposed for diagnostics and workload analysis. *)
+    descending.  The array is the statistics' own, not a copy: do not
+    mutate it. *)
 val frequencies : t -> string -> int array
 
 (** Range/ndv/max-frequency profile of the named column.  Raises

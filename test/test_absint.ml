@@ -103,7 +103,7 @@ let test_clamped_cost_leq () =
       let cat = catalog_of rel in
       let flock = pair_flock threshold in
       let plan = Optimizer.optimize cat flock in
-      let env = Cost.of_catalog cat in
+      let env = Qf_datalog.Sizes.of_catalog cat in
       let clamps = Absint.clamps_of_plan cat plan in
       let plain = Cost.plan_step_estimates env plan in
       let clamped = Cost.plan_step_estimates ~clamps env plan in
@@ -123,7 +123,7 @@ let test_clamped_cost_leq () =
 let test_rows_bound_eval_order () =
   let cat = Test_util.tie_catalog () in
   let rule = Test_util.tie_rule in
-  let report = Absint.analyze_rule (Absint.env_of_catalog cat) rule in
+  let report = Absint.analyze_rule cat rule in
   Alcotest.(check (float 1e-9)) "rows_bound" 10. report.Absint.rows_bound;
   let rows = R.cardinal (Qf_datalog.Eval.tabulate cat rule) in
   check_int "tabulated rows" 10 rows;

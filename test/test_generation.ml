@@ -1,6 +1,7 @@
 (* Plan generation (Apriori_gen), cost model, and the static optimizer. *)
 open Qf_core
 module Ast = Qf_datalog.Ast
+module Sizes = Qf_datalog.Sizes
 module Catalog = Qf_relational.Catalog
 module R = Qf_relational.Relation
 
@@ -131,7 +132,7 @@ let test_chain_plan_rejects_union () =
 
 let test_cost_model_sanity () =
   let cat = market_catalog () in
-  let env = Cost.of_catalog cat in
+  let env = Sizes.of_catalog cat in
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
   let rule = List.hd flock.Flock.query in
   let est = Cost.estimate_rule env rule in
@@ -148,17 +149,17 @@ let test_cost_model_sanity () =
 
 let test_cost_groups () =
   let cat = market_catalog () in
-  let env = Cost.of_catalog cat in
+  let env = Sizes.of_catalog cat in
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
   let groups = Cost.estimate_groups env flock.Flock.query [ "1"; "2" ] in
   let items = float_of_int (List.length (R.column_values (Catalog.find cat "baskets") "Item")) in
   Alcotest.(check (float 1.)) "groups = items^2" (items *. items) groups
 
-let test_cost_exact_survivors () =
+let test_cost_counted_survivors () =
   (* For a single-subgoal single-parameter COUNT step, the model's survivor
      estimate must equal the exact frequency-distribution count. *)
   let cat = market_catalog () in
-  let env = Cost.of_catalog cat in
+  let env = Sizes.of_catalog cat in
   let rule =
     match Qf_datalog.Parser.parse_rule "answer(B) :- baskets(B,$1)" with
     | Ok r -> r
@@ -177,7 +178,7 @@ let test_cost_exact_survivors () =
       Alcotest.(check (float 0.5))
         (Printf.sprintf "survivors at %d" threshold)
         (float_of_int (max 1 exact))
-        out.Cost.rows)
+        out.Sizes.rows)
     [ 1; 5; 20; 60; 10_000 ];
   (* Items a, b, c in 2, 3 and 1 baskets.  [COUNT >= 2.4] keeps the items
      in at least 3 baskets — b alone, as [Direct] finds.  [SUM(answer.B)
@@ -191,11 +192,11 @@ let test_cost_exact_survivors () =
        (List.map
           (fun (b, i) -> [ Qf_relational.Value.Int b; Qf_relational.Value.Str i ])
           [ 1, "a"; 2, "a"; 1, "b"; 2, "b"; 3, "b"; 4, "c" ]));
-  let env = Cost.of_catalog cat in
+  let env = Sizes.of_catalog cat in
   let estimate filter =
     let flock = Flock.make_exn [ rule ] filter in
     let _, out = Cost.estimate_step env ~filter step in
-    out.Cost.rows, R.cardinal (Direct.run cat flock)
+    out.Sizes.rows, R.cardinal (Direct.run cat flock)
   in
   let est, direct = estimate { Filter.agg = Count; threshold = 2.4 } in
   check_int "COUNT >= 2.4: direct" 1 direct;
@@ -216,32 +217,15 @@ let test_cost_prices_eval_order () =
     [ {|r(X,Y,"3")|}; "s(Y)" ]
     (List.map Qf_datalog.Pretty.literal_to_string
        (Qf_datalog.Eval.order_body cat rule));
-  let est = Cost.estimate_rule (Cost.of_catalog cat) rule in
+  let est = Cost.estimate_rule (Sizes.of_catalog cat) rule in
   Alcotest.(check (float 1e-9)) "work" 31. est.Cost.work;
   Alcotest.(check (float 1e-9)) "rows" 10. est.Cost.rows
-
-(* [Eval]'s match estimate over catalog statistics (see [Eval.order_body]). *)
-let catalog_matches cat bound (a : Ast.atom) =
-  let stats = Catalog.stats cat a.pred in
-  let columns =
-    Qf_relational.Schema.columns (R.schema (Catalog.find cat a.pred))
-  in
-  List.fold_left2
-    (fun est arg column ->
-      match arg with
-      | Ast.Var _ | Ast.Param _ when not (List.mem (Ast.binding_key arg) bound)
-        ->
-        est
-      | Ast.Var _ | Ast.Param _ | Ast.Const _ ->
-        est
-        /. float_of_int (max 1 (Qf_relational.Statistics.distinct stats column)))
-    (float_of_int (Qf_relational.Statistics.cardinality stats))
-    a.args columns
 
 (* Some step of the join order met several cheapest positive subgoals
    with different numbers of bound or constant positions, so the
    tie-break chose among them. *)
 let tie_break_decides cat (r : Ast.rule) =
+  let matches = Sizes.expected_matches (Sizes.of_catalog cat) in
   let bound_positions bound (a : Ast.atom) =
     List.length
       (List.filter
@@ -258,7 +242,7 @@ let tie_break_decides cat (r : Ast.rule) =
         List.filter_map
           (function
             | _, Ast.Pos a ->
-              Some (catalog_matches cat bound a, bound_positions bound a)
+              Some (matches bound a, bound_positions bound a)
             | _, (Ast.Neg _ | Ast.Cmp _) -> None)
           here
       in
@@ -273,7 +257,7 @@ let tie_break_decides cat (r : Ast.rule) =
     | _ :: rest -> steps rest
   in
   steps
-    (Qf_datalog.Eval.greedy_order ~matches:(catalog_matches cat) r.Ast.body)
+    (Qf_datalog.Eval.greedy_order ~matches r.Ast.body)
 
 (* Over the random safe rules of the test generator, on base relations,
    the model's estimate of a rule equals its estimate of the same rule
@@ -287,7 +271,7 @@ let test_cost_walks_eval_order () =
       Qf_testgen.Testgen.(
         instance ~seed (QCheck.Gen.pair gen_safe_rule gen_tiny_catalog))
     in
-    let env = Cost.of_catalog cat in
+    let env = Sizes.of_catalog cat in
     let ordered =
       { rule with Ast.body = Qf_datalog.Eval.order_body cat rule }
     in
@@ -331,7 +315,7 @@ let test_cost_walks_eval_order_final () =
             Catalog.add work s.Plan.name survivors)
           c.plan.Plan.steps;
         let step_names = List.map (fun (s : Plan.step) -> s.Plan.name) c.plan.Plan.steps in
-        let env = Cost.of_catalog work in
+        let env = Sizes.of_catalog work in
         let estimate r =
           let e = Cost.estimate_rule ~step_names env r in
           e.Cost.work, e.Cost.rows
@@ -349,6 +333,95 @@ let test_cost_walks_eval_order_final () =
       (Optimizer.enumerate cat flock)
   done;
   check_bool "the corpus has class plans" true (!renamed > 0)
+
+(* The two estimates of the size model against each other and against
+   the data.  Over the generator's tiny catalogs and safe rules, with a
+   real step output overlaid on [q] as [Absint] overlays one (its rows as
+   its distinct count), for every positive subgoal under every bound-key
+   set [Eval]'s greedy walk reaches: the expected matches never exceed
+   the bound, and no binding drawn from the subgoal's relation matches
+   more tuples than the bound. *)
+let prop_matches_within_bound =
+  let step =
+    Parse.flock_exn "QUERY:\nanswer(X) :- p(X,$a)\nFILTER:\nCOUNT(answer.X) >= 2"
+  in
+  let func =
+    Filter.to_aggregate step.Flock.filter ~head_columns:(Flock.head_columns step)
+  in
+  QCheck.Test.make ~count:300 ~name:"sizes: expected <= max_matches >= observed"
+    Qf_testgen.Testgen.arb_rule_and_catalog (fun (rule, cat) ->
+      let work = Catalog.copy cat in
+      let ok, _, _, _ =
+        Qf_datalog.Eval.filter_query work step.Flock.query ~keys:[ "$a" ] ~func
+          ~threshold:step.Flock.filter.threshold
+      in
+      Catalog.add work "q" ok;
+      let rows = float_of_int (R.cardinal ok) in
+      let sizes =
+        Sizes.add (Sizes.of_catalog work) "q" (Sizes.output ~rows [ rows ])
+      in
+      let atoms = Ast.positive_atoms rule in
+      let keys =
+        List.concat_map
+          (fun (a : Ast.atom) ->
+            List.filter_map
+              (function
+                | (Ast.Var _ | Ast.Param _) as t -> Some (Ast.binding_key t)
+                | Ast.Const _ -> None)
+              a.args)
+          atoms
+      in
+      let bound_sets =
+        List.sort_uniq compare
+          (List.sort_uniq String.compare keys
+          :: List.map fst
+               (Qf_datalog.Eval.greedy_order
+                  ~matches:(Sizes.expected_matches sizes) rule.Ast.body))
+      in
+      (* The tuples of [tuples] agreeing with [t] on every constant and
+         bound argument of [a]: the matches of [t]'s binding. *)
+      let observed bound (a : Ast.atom) tuples t =
+        let binding = List.combine a.args (Qf_relational.Tuple.to_list t) in
+        let wanted =
+          List.map
+            (function
+              | Ast.Const v -> Some v
+              | (Ast.Var _ | Ast.Param _) as arg ->
+                if List.mem (Ast.binding_key arg) bound then
+                  Some (List.assoc arg binding)
+                else None)
+            a.args
+        in
+        List.length
+          (List.filter
+             (fun t' ->
+               List.for_all2
+                 (fun w v ->
+                   match w with
+                   | None -> true
+                   | Some w -> Qf_relational.Value.compare w v = 0)
+                 wanted
+                 (Qf_relational.Tuple.to_list t'))
+             tuples)
+      in
+      List.for_all
+        (fun bound ->
+          List.for_all
+            (fun (a : Ast.atom) ->
+              let expected = Sizes.expected_matches sizes bound a
+              and most = Sizes.max_matches sizes bound a in
+              let tuples = R.to_list (Catalog.find work a.pred) in
+              let worst =
+                List.fold_left (fun m t -> max m (observed bound a tuples t)) 0 tuples
+              in
+              if expected <= most && float_of_int worst <= most then true
+              else
+                QCheck.Test.fail_reportf
+                  "%s bound {%s}: expected %g, max_matches %g, observed %d"
+                  (Qf_datalog.Pretty.atom_to_string a)
+                  (String.concat "," bound) expected most worst)
+            atoms)
+        bound_sets)
 
 let test_optimizer_returns_correct_plan () =
   let cat = market_catalog () in
@@ -415,7 +488,7 @@ let test_optimizer_chooses_each_set_once () =
   in
   check_int "one search per parameter set" 4 searches;
   check_int "every subset of the two classes" 4 (List.length choices);
-  let selection = `Cheapest (Cost.of_catalog cat) in
+  let selection = `Cheapest (Sizes.of_catalog cat) in
   let step set =
     match Apriori_gen.param_set_step ~selection flock set with
     | Ok s -> s
@@ -676,13 +749,15 @@ let suite =
     Alcotest.test_case "cost model sanity" `Quick test_cost_model_sanity;
     Alcotest.test_case "cost groups estimate" `Quick test_cost_groups;
     Alcotest.test_case "cost: exact survivor counts" `Quick
-      test_cost_exact_survivors;
+      test_cost_counted_survivors;
     Alcotest.test_case "cost: ties priced in Eval's order" `Quick
       test_cost_prices_eval_order;
     Alcotest.test_case "cost walks Eval's order (corpus)" `Quick
       test_cost_walks_eval_order;
     Alcotest.test_case "cost: final steps priced in Eval's order" `Quick
       test_cost_walks_eval_order_final;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x512e5 |])
+      prop_matches_within_bound;
     Alcotest.test_case "optimizer plan = direct" `Quick
       test_optimizer_returns_correct_plan;
     Alcotest.test_case "optimizer enumerates alternatives" `Quick
