@@ -560,33 +560,39 @@ let e9 () =
         model_choice)
     [ 0.4; 0.8; 1.2; 1.6 ]
 
-(* {1 E10 — ablation of the executor's two optimizations} *)
+(* {1 E10 — ablation of semijoin reduction and of the plan's shape} *)
 
 let e10 () =
   header "E10"
-    "ablation — semijoin reduction (Sec. 1.3 rewrite) and step reuse \
-     (Ex. 3.1's symmetry)";
+    "ablation — semijoin reduction (Sec. 1.3 rewrite) and one step per \
+     symmetric class (Ex. 3.1's symmetry)";
   let catalog = word_corpus ~seed:103 (if !quick then 600 else 2000) in
   (* No cross-level memo: the repeated samples of one arm must not be
-     served by an earlier sample's entries.  Plan-local reuse still
-     works at budget 0. *)
+     served by an earlier sample's entries, nor [ok_2] by [ok_1]'s. *)
   Catalog.set_memo_budget catalog 0;
-  let flock, plan = pair_flock_and_plan () in
+  let flock, class_plan = pair_flock_and_plan () in
+  (* The same steps without the grouping: [ok_1($1)] and [ok_2($2)], each
+     computed. *)
+  let per_param_plan =
+    let step p = ok (Apriori_gen.param_set_step flock [ p ]) in
+    ok
+      (Apriori_gen.plan_of_classes flock
+         [ step "1", [ [ "1" ] ]; step "2", [ [ "2" ] ] ])
+  in
   let expected = Direct.run catalog flock in
-  row "%-44s %10s@." "executor configuration" "time (s)";
+  row "%-44s %10s@." "plan shape and executor configuration" "time (s)";
   List.iter
-    (fun (label, semijoin_reduction, reuse) ->
-      let options = { Plan_exec.semijoin_reduction; reuse } in
+    (fun (label, sip, plan) ->
       let result, t =
-        time_best 3 catalog (fun () -> Plan_exec.run ~options catalog plan)
+        time_best 3 catalog (fun () -> Plan_exec.run ~sip catalog plan)
       in
       check_equal "E10" expected result;
       row "%-44s %10.3f@." label t)
     [
-      "neither (plain binding-passing joins)", false, false;
-      "reuse only", false, true;
-      "semijoin reduction only", true, false;
-      "both", true, true;
+      "one step per parameter, no SIP", false, per_param_plan;
+      "one class step, no SIP", false, class_plan;
+      "one step per parameter, semijoin reduction", true, per_param_plan;
+      "one class step, semijoin reduction", true, class_plan;
     ];
   let _, t_direct = time_best 3 catalog (fun () -> Direct.run catalog flock) in
   row "%-44s %10.3f@." "direct (no plan at all)" t_direct
@@ -703,22 +709,15 @@ let e13 () =
           and c = List.nth clamped i
           and r = List.nth report.Plan_exec.steps i in
           let params = List.length s.Plan.params in
-          (* A step aliased to an earlier one never tabulates, so its
-             reported group count is just the reused output size; the group
-             estimate only applies to computed steps. *)
-          let reused = r.Plan_exec.reused_from <> None in
-          let q_groups (e : Cost.step_estimate) =
-            if reused then 1. else q_error e.Cost.est_groups r.Plan_exec.groups
-          in
-          let qg = q_groups p and qgc = q_groups c in
+          let qg = q_error p.Cost.est_groups r.Plan_exec.groups
+          and qgc = q_error c.Cost.est_groups r.Plan_exec.groups in
           let qr = q_error p.Cost.est_rows r.Plan_exec.survivors
           and qrc = q_error c.Cost.est_rows r.Plan_exec.survivors in
           worst := Float.max !worst (Float.max qg qr);
           if params >= 2 then multi := (qg, qgc) :: !multi;
-          let shown q = if reused then "reused" else Printf.sprintf "%.2fx" q in
-          row "%-26s %-8s %6d %10.1f %7d %9.1f %8d %7s %7s %7.2fx %6.2fx@." ""
-            s.Plan.name params p.Cost.est_groups r.Plan_exec.groups
-            p.Cost.est_rows r.Plan_exec.survivors (shown qg) (shown qgc) qr qrc;
+          row "%-26s %-8s %6d %10.1f %7d %9.1f %8d %6.2fx %6.2fx %7.2fx %6.2fx@."
+            "" s.Plan.name params p.Cost.est_groups r.Plan_exec.groups
+            p.Cost.est_rows r.Plan_exec.survivors qg qgc qr qrc;
           [
             "workload", Str name;
             "step", Str s.Plan.name;
@@ -799,51 +798,44 @@ let e16 () =
       (fun k -> snd (Apriori_gen.levelwise_basket ~pred:"baskets" ~k ~support))
       [ 2; 3; 4 ]
   in
-  (* Three configurations of the same chain.  "off" is the pre-SIP executor
-     (plan-local step reuse stays on in all three — it predates this
-     ablation); "sjr" adds the semijoin reducers; "full" gives the
+  (* Three configurations of the same chain.  "off" is the pre-SIP
+     executor; "sjr" adds the semijoin reducers; "full" gives the
      cross-level memo a budget, whose hits cascade because level k-1's
      final query is α-equivalent to one of level k's auxiliary steps.  The
      memo is cleared before every sample, so "full" measures the
      intra-chain cascade, not a warm cache left over from a previous
      round. *)
-  let configs =
-    [
-      "off", { Plan_exec.semijoin_reduction = false; reuse = true }, 0;
-      "sjr", { Plan_exec.semijoin_reduction = true; reuse = true }, 0;
-      "full", { Plan_exec.semijoin_reduction = true; reuse = true }, max_int;
-    ]
-  in
+  let configs = [ "off", false, 0; "sjr", true, 0; "full", true, max_int ] in
   let prepare budget =
     Catalog.set_memo_budget catalog budget;
     Catalog.memo_clear catalog
   in
-  let chain options =
-    List.map (fun plan -> Plan_exec.run ~options catalog plan) plans
+  let chain sip =
+    List.map (fun plan -> Plan_exec.run ~sip catalog plan) plans
   in
   (* Correctness: every configuration returns byte-identical k-sets. *)
   let baseline =
-    let _, options, budget = List.hd configs in
+    let _, sip, budget = List.hd configs in
     prepare budget;
-    chain options
+    chain sip
   in
   List.iter
-    (fun (name, options, budget) ->
+    (fun (name, sip, budget) ->
       prepare budget;
       List.iter2
         (fun expected got ->
           check_equal (Printf.sprintf "E16 %s" name) expected got)
-        baseline (chain options))
+        baseline (chain sip))
     (List.tl configs);
   (* Metrics pass: per-config totals over the chain's step reports. *)
   let metrics =
     List.map
-      (fun (name, options, budget) ->
+      (fun (name, sip, budget) ->
         prepare budget;
         let steps =
           List.concat_map
             (fun plan ->
-              (Plan_exec.run_with_report ~options catalog plan).Plan_exec.steps)
+              (Plan_exec.run_with_report ~sip catalog plan).Plan_exec.steps)
             plans
         in
         let sum f = List.fold_left (fun acc s -> acc + f s) 0 steps in
@@ -884,10 +876,10 @@ let e16 () =
     done;
     Array.iter
       (fun i ->
-        let name, options, budget = configs_arr.(i) in
+        let name, sip, budget = configs_arr.(i) in
         prepare budget;
         let _, t =
-          sample ~arm:("E16 " ^ name) catalog (fun () -> chain options)
+          sample ~arm:("E16 " ^ name) catalog (fun () -> chain sip)
         in
         samples.(i).(round) <- t)
       order

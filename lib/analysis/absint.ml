@@ -508,8 +508,8 @@ let ok_step_of earlier (r : Ast.rule) p =
 (* Two unary auxiliary steps are alpha-equivalent when renaming one's
    parameter to the other's makes their queries syntactically equal.  On
    one catalog under one filter, alpha-equivalent steps compute the SAME
-   output relation (this is the symmetry the executor exploits for step
-   reuse, paper footnote 3). *)
+   output relation (the symmetry one class step serves, paper
+   footnote 3). *)
 let alpha_equivalent (s1 : Plan.step) (s2 : Plan.step) =
   match s1.Plan.params, s2.Plan.params with
   | [ a ], [ b ] ->

@@ -64,6 +64,26 @@ let param_set_step ?(selection = `Fewest_subgoals) (flock : Flock.t) set =
   in
   Ok (Plan.step ~name:(step_name set) (List.rev subqueries))
 
+(* A step joins the class of an earlier one whose query, with its
+   parameters renamed rank to rank, is the step's query: the footnote-3
+   renaming {!Plan.make} accepts for a renamed ok subgoal. *)
+let classes steps =
+  let renames (rep : Plan.step) (s : Plan.step) =
+    List.compare_lengths rep.params s.params = 0
+    && List.equal Ast.equal_rule s.query
+         (List.map
+            (Ast.rename_params (List.combine rep.params s.params))
+            rep.query)
+  in
+  let rec group = function
+    | [] -> []
+    | (rep : Plan.step) :: rest ->
+      let members, others = List.partition (renames rep) rest in
+      (rep, List.map (fun (s : Plan.step) -> s.params) (rep :: members))
+      :: group others
+  in
+  group steps
+
 let plan_of_classes (flock : Flock.t) classes =
   let steps = List.map fst classes in
   let ok_atoms =
@@ -87,16 +107,14 @@ let param_set_plan ?selection flock ~param_sets =
         Ok (step :: steps))
       (Ok []) param_sets
   in
-  plan_of_classes flock
-    (List.rev_map (fun (s : Plan.step) -> s, [ s.params ]) steps)
+  plan_of_classes flock (classes (List.rev steps))
 
 let singleton_plan ?selection (flock : Flock.t) =
   plan_of_classes flock
-    (List.filter_map
-       (fun p ->
-         Result.to_option (param_set_step ?selection flock [ p ])
-         |> Option.map (fun s -> s, [ [ p ] ]))
-       (Flock.params flock))
+    (classes
+       (List.filter_map
+          (fun p -> Result.to_option (param_set_step ?selection flock [ p ]))
+          (Flock.params flock)))
 
 let chain_plan (flock : Flock.t) ~prefixes =
   let* rule =

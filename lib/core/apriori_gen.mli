@@ -24,6 +24,18 @@ type selection = [ `Fewest_subgoals | `Cheapest of Qf_datalog.Sizes.t ]
 val param_set_step :
   ?selection:selection -> Flock.t -> string list -> (Plan.step, string) result
 
+(** [classes steps] groups auxiliary steps into the classes of the
+    paper's footnote 3, in order of first appearance: a step joins the
+    class of an earlier one when its query is the earlier step's query
+    with the parameters renamed rank to rank (the renaming {!Plan.make}
+    accepts for an [ok] subgoal).  Each class is its first step with the
+    parameter lists of its members, the first step's own included: the
+    input {!plan_of_classes} takes.  A renaming of parameters is an
+    α-equivalence, so the members of a class compute the same relation
+    and one step serves them all: a pair basket flock's singleton steps
+    [ok_1] and [ok_2] are one class, [ok_1] with [[["1"]; ["2"]]]. *)
+val classes : Plan.step list -> (Plan.step * string list list) list
+
 (** [plan_of_classes flock classes] is the strategy-1 plan over the given
     auxiliary steps, each with the parameter lists it stands for: the
     final step is the flock's query with one [ok] subgoal per listed
@@ -36,7 +48,8 @@ val plan_of_classes :
   Flock.t -> (Plan.step * string list list) list -> (Plan.t, string) result
 
 (** [param_set_plan flock ~param_sets] builds a strategy-1 plan with one
-    auxiliary step per parameter set (in the given order).  Fails if some
+    auxiliary step per class ({!classes}) of the parameter sets' steps,
+    in the given order.  Fails if some
     rule of the union has no safe subquery for one of the sets, or if a set
     is empty/not a subset of the flock's parameters. *)
 val param_set_plan :
@@ -45,8 +58,10 @@ val param_set_plan :
   param_sets:string list list ->
   (Plan.t, string) result
 
-(** Strategy 1 with every singleton parameter set (the Fig. 5 shape).
-    Parameter sets that admit no safe subquery are skipped silently. *)
+(** Strategy 1 with every singleton parameter set (the Fig. 5 shape),
+    one step per class ({!classes}): a pair basket flock's plan is
+    [ok_1] with [ok_1($1)] and [ok_1($2)].  Parameter sets that admit no
+    safe subquery are skipped silently. *)
 val singleton_plan : ?selection:selection -> Flock.t -> (Plan.t, string) result
 
 (** [chain_plan flock ~prefixes] (single-rule flocks): step [k] keeps the

@@ -63,7 +63,6 @@ type step_profile = {
   est_groups : float option;
   bound_rows : float option;
   bound_groups : float option;
-  reused_from : string option;
   memo_hit : bool;
   sip_pruned : int;
 }
@@ -77,7 +76,7 @@ type profile = {
   governor : Qf_governor.Governor.stats option;
 }
 
-let profile ?options ?(clamps = []) ?governor catalog (plan : Plan.t) =
+let profile ?(clamps = []) ?governor catalog (plan : Plan.t) =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Obs.reset ();
@@ -86,7 +85,7 @@ let profile ?options ?(clamps = []) ?governor catalog (plan : Plan.t) =
     (fun () ->
       let t0 = Obs.now () in
       let report =
-        let run () = Plan_exec.run_with_report ?options catalog plan in
+        let run () = Plan_exec.run_with_report catalog plan in
         match governor with
         | None -> run ()
         | Some g -> Qf_governor.Governor.with_ctx g run
@@ -120,7 +119,6 @@ let profile ?options ?(clamps = []) ?governor catalog (plan : Plan.t) =
                 Option.map (fun (e : Cost.step_estimate) -> e.Cost.est_groups) est;
               bound_rows = Option.map snd bounds;
               bound_groups = Option.map fst bounds;
-              reused_from = r.Plan_exec.reused_from;
               memo_hit = r.Plan_exec.memo_hit;
               sip_pruned = r.Plan_exec.sip_pruned;
             })
@@ -148,13 +146,7 @@ let profile_text ?(redact_timings = false) (p : profile) =
   Buffer.add_string buf (Printf.sprintf "plan: %s\n\n" p.summary);
   let name_width =
     List.fold_left
-      (fun acc (s : step_profile) ->
-        let n =
-          match s.reused_from with
-          | Some t -> String.length s.name + String.length t + 3
-          | None -> String.length s.name
-        in
-        max acc n)
+      (fun acc (s : step_profile) -> max acc (String.length s.name))
       (String.length "step") p.steps
   in
   (* Certified-bound columns appear only when bounds were supplied, so
@@ -173,14 +165,9 @@ let profile_text ?(redact_timings = false) (p : profile) =
        "rows_in" "groups" "rows_out" "sip_prune" "memo" "time_s");
   List.iter
     (fun (s : step_profile) ->
-      let shown =
-        match s.reused_from with
-        | Some t -> s.name ^ " = " ^ t
-        | None -> s.name
-      in
       Buffer.add_string buf
         (Printf.sprintf "%-*s %10s %10s%s %10d %10d %10d %10d %5s %12s\n"
-           name_width shown (est s.est_groups) (est s.est_rows)
+           name_width s.name (est s.est_groups) (est s.est_rows)
            (bound_cols (est s.bound_groups) (est s.bound_rows))
            s.rows_in s.groups s.rows_out s.sip_pruned
            (if s.memo_hit then "hit" else "-")
@@ -237,17 +224,12 @@ let profile_json ?(redact_timings = false) (p : profile) =
         (Printf.sprintf
            "    {\"name\": \"%s\", \"params\": [%s], \"est_groups\": %s, \
             \"est_rows\": %s%s, \"rows_in\": %d, \"groups\": %d, \"rows_out\": \
-            %d, \"sip_pruned\": %d, \"memo_hit\": %b, \"reused_from\": %s, \
-            \"seconds\": %s}%s\n"
+            %d, \"sip_pruned\": %d, \"memo_hit\": %b, \"seconds\": %s}%s\n"
            (Obs.json_escape s.name)
            (String.concat ", "
               (List.map (fun q -> "\"" ^ Obs.json_escape q ^ "\"") s.params))
            (opt_float s.est_groups) (opt_float s.est_rows) bounds s.rows_in
-           s.groups s.rows_out s.sip_pruned s.memo_hit
-           (match s.reused_from with
-           | None -> "null"
-           | Some t -> "\"" ^ Obs.json_escape t ^ "\"")
-           (time s.seconds)
+           s.groups s.rows_out s.sip_pruned s.memo_hit (time s.seconds)
            (if i = List.length p.steps - 1 then "" else ",")))
     p.steps;
   Buffer.add_string buf "  ],\n";

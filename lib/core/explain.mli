@@ -37,9 +37,6 @@ type step_profile = {
   est_groups : float option;  (** cost model's predicted [groups], clamped *)
   bound_rows : float option;  (** certified upper bound on [rows_out] *)
   bound_groups : float option;  (** certified upper bound on [groups] *)
-  reused_from : string option;
-      (** the α-equivalent earlier step of this plan whose result was
-          reused (e.g. Ex. 3.1's symmetric twin); not recomputed *)
   memo_hit : bool;  (** fetched from the cross-level subplan memo *)
   sip_pruned : int;  (** candidates rejected by the step's SIP reducers *)
 }
@@ -69,7 +66,6 @@ type profile = {
     partitions/bytes/rows — in the profile; resource faults
     ([Over_budget], [Deadline_exceeded]) propagate to the caller. *)
 val profile :
-  ?options:Plan_exec.options ->
   ?clamps:(string * (float * float)) list ->
   ?governor:Qf_governor.Governor.t ->
   Qf_relational.Catalog.t ->

@@ -20,37 +20,6 @@ let rec subsets = function
     let without = subsets rest in
     without @ List.map (fun s -> x :: s) without
 
-(* The α-classes of the viable steps, in order of first appearance: a
-   step joins the class of an earlier one whose {!Stepsig} signature, the
-   executor's reuse key, is its own and whose query, with its parameters
-   renamed rank to rank, is the step's query, so the renamed ok subgoal
-   is legal.  Each class is its first step and its members, each a
-   parameter set with its step. *)
-let classes catalog (flock : Flock.t) viable =
-  let renames (rep : Plan.step) (s : Plan.step) =
-    List.compare_lengths rep.params s.params = 0
-    && List.equal Ast.equal_rule s.query
-         (List.map
-            (Ast.rename_params (List.combine rep.params s.params))
-            rep.query)
-  in
-  let rec group = function
-    | [] -> []
-    | (key, ((_, rep) as first)) :: rest ->
-      let members, others =
-        List.partition
-          (fun (key', (_, s)) -> Option.is_some key && key = key' && renames rep s)
-          rest
-      in
-      (rep, first :: List.map snd members) :: group others
-  in
-  group
-    (List.map
-       (fun ((_, s) as member) ->
-         ( Stepsig.of_step ~work:catalog ~filter:flock.filter ~bounding:true s,
-           member ))
-       viable)
-
 let search ?param_sets catalog flock =
   let sets =
     match param_sets with Some s -> s | None -> default_param_sets flock
@@ -66,30 +35,22 @@ let search ?param_sets catalog flock =
     let viable =
       List.filter_map
         (fun set ->
-          match Apriori_gen.param_set_step ~selection flock set with
-          | Ok step -> Some (set, step)
-          | Error _ -> None)
+          Result.to_option (Apriori_gen.param_set_step ~selection flock set))
         sets
     in
     let choices =
       List.filter_map
         (fun chosen ->
-          let renamings (_, members) =
-            List.map (fun (_, (s : Plan.step)) -> s.params) members
-          in
-          match
-            Apriori_gen.plan_of_classes flock
-              (List.map (fun c -> fst c, renamings c) chosen)
-          with
+          match Apriori_gen.plan_of_classes flock chosen with
           | Ok plan ->
             Some
               {
                 plan;
-                param_sets = List.concat_map (fun (_, m) -> List.map fst m) chosen;
+                param_sets = List.concat_map snd chosen;
                 cost = Cost.estimate_plan env plan;
               }
           | Error _ -> None)
-        (subsets (classes catalog flock viable))
+        (subsets (Apriori_gen.classes viable))
     in
     List.sort (fun a b -> Float.compare a.cost b.cost) choices
   end

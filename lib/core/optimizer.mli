@@ -7,12 +7,11 @@
     singletons plus the full parameter set.
 
     Symmetric parameter sets share one step.  The steps are grouped into
-    α-classes by {!Stepsig.of_step}, the executor's reuse key (and the
-    renaming that makes a member's query the class step's, so the plan is
-    legal): a class enters a plan as one FILTER step with one renamed
-    [ok] subgoal per member, the paper's footnote-3 form, e.g. [ok_1($1)],
-    [ok_1($2)], [ok_1($3)] for a triple basket flock.  Every subset of
-    the classes is costed with {!Cost.estimate_plan} — 4 plans for a
+    classes by {!Apriori_gen.classes}, the renaming that makes a member's
+    query the class step's: a class enters a plan as one FILTER step with
+    one renamed [ok] subgoal per member, the paper's footnote-3 form, e.g.
+    [ok_1($1)], [ok_1($2)], [ok_1($3)] for a triple basket flock.  Every
+    subset of the classes is costed with {!Cost.estimate_plan} — 4 plans for a
     basket pair or triple flock — and the cheapest plan wins (the empty
     subset gives the trivial plan, so the optimizer never loses to
     {!Direct} under its own model). *)
@@ -20,8 +19,8 @@
 type choice = {
   plan : Plan.t;
   param_sets : string list list;
-      (** the parameter sets the chosen steps filter, every member of a
-          class listed *)
+      (** the parameter sets the chosen steps filter, each sorted, every
+          member of a class listed *)
   cost : float;
 }
 

@@ -27,13 +27,6 @@ type report = {
   steps : step_report list;
 }
 
-type options = {
-  semijoin_reduction : bool;
-  reuse : bool;
-}
-
-let default_options = { semijoin_reduction = true; reuse = true }
-
 (* Sideways information passing — the rewrite the paper's Sec. 1.3 measured:
    "first find those items that appeared in at least 20 baskets ... and then
    join the set of these items with the baskets relation before performing
@@ -57,8 +50,8 @@ let default_options = { semijoin_reduction = true; reuse = true }
    output has one column per step parameter, in sorted order, and an ok
    subgoal's i-th argument renames the step's i-th parameter ({!Plan}'s
    footnote-3 renaming), so it reads column i.  That holds too when the
-   reuse shortcut registered an α-equivalent step's relation under the
-   step's name: α-equivalence maps parameters rank to rank. *)
+   memo registered an α-equivalent step's relation under the step's
+   name: α-equivalence maps parameters rank to rank. *)
 let reducer_columns ~step_names (r : Ast.rule) =
   let param = function Ast.Param p -> Some p | _ -> None in
   List.concat_map
@@ -103,15 +96,11 @@ let query_reducers work ~step_names ~sips query =
       [] first
     |> List.rev
 
-let run_step work ~options ~step_names ~sips ~bounding (flock : Flock.t)
+let run_step work ~sip ~step_names ~sips ~bounding (flock : Flock.t)
     (s : Plan.step) =
   let t0 = Obs.now () in
   let compute () =
-    let sip =
-      if options.semijoin_reduction then
-        query_reducers work ~step_names ~sips s.query
-      else []
-    in
+    let sip = if sip then query_reducers work ~step_names ~sips s.query else [] in
     let func =
       Filter.to_aggregate flock.filter
         ~head_columns:(Eval.head_columns (List.hd s.query))
@@ -139,8 +128,7 @@ let run_step work ~options ~step_names ~sips ~bounding (flock : Flock.t)
             (Obs.Float
                (if groups = 0 then 1.
                 else float_of_int survived /. float_of_int groups));
-          if options.semijoin_reduction then
-            Obs.set_attr "sip_pruned" (Obs.Int pruned);
+          if sip then Obs.set_attr "sip_pruned" (Obs.Int pruned);
           r)
   in
   Log.debug (fun m ->
@@ -158,48 +146,31 @@ let run_step work ~options ~step_names ~sips ~bounding (flock : Flock.t)
       sip_pruned = pruned;
     } )
 
-let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
+let run_with_report ?(sip = true) catalog (plan : Plan.t) =
   Obs.with_span "plan.run"
     ~attrs:[ "steps", Obs.Int (List.length plan.steps + 1) ]
   @@ fun () ->
   let work = Catalog.copy catalog in
   let sips : (int * int, Sip.t) Hashtbl.t = Hashtbl.create 8 in
-  (* The plan-local memo: signature -> (first step name, its relation)
-     for every step this run has produced.  It serves Ex. 3.1's symmetry
-     ("the set of $1's that survive ... is exactly the same as the set of
-     $2's") and any other α-equivalent repeat, whatever the catalog's
-     memo budget. *)
-  let local : (string, string * Relation.t) Hashtbl.t = Hashtbl.create 8 in
-  (* One step, one lookup in two scopes: an α-equivalent step of this
-     plan, then the catalog's cross-level memo (possibly written by a
-     {e previous} plan — the k-1 levelwise pass, typically).  A hit
-     registers the {e stored relation object}, so its (id, version) pair
-     flows into the signatures of this plan's later steps and an entire
-     plan prefix can cascade into hits.  A miss computes the step and
-     publishes it into both scopes.  The auxiliary steps only bound the
-     final one, so they are bounding FILTERs ({!Eval.groups}). *)
+  (* One step, one lookup in the catalog's cross-level memo (possibly
+     written by a {e previous} plan — the k-1 levelwise pass,
+     typically).  A hit registers the {e stored relation object}, so its
+     (id, version) pair flows into the signatures of this plan's later
+     steps and an entire plan prefix can cascade into hits.  A miss
+     computes the step and publishes it.  At memo budget 0 no signature
+     is computed.  The auxiliary steps only bound the final one, so they
+     are bounding FILTERs ({!Eval.groups}). *)
   let exec_step ~defined ~bounding (s : Plan.step) =
     (* Step boundaries are the plan executor's cancellation checkpoints:
        a governed deadline interrupts a plan between steps. *)
     Qf_governor.Governor.check ();
     let key =
-      if options.reuse then
+      if Catalog.memo_enabled work then
         Stepsig.of_step ~work ~filter:plan.flock.filter ~bounding s
       else None
     in
-    let shortcut =
-      Option.bind key (fun k ->
-          match Hashtbl.find_opt local k with
-          | Some (earlier, rel) -> Some (rel, Some earlier)
-          | None ->
-            Option.map
-              (fun rel ->
-                Hashtbl.replace local k (s.name, rel);
-                rel, None)
-              (Catalog.memo_find work k))
-    in
-    match shortcut with
-    | Some (rel, reused_from) ->
+    match Option.bind key (Catalog.memo_find work) with
+    | Some rel ->
       let t0 = Obs.now () in
       Catalog.add work s.name rel;
       let rows = Relation.cardinal rel in
@@ -208,36 +179,26 @@ let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
           ~attrs:
             [
               "step", Obs.Str s.name;
-              (match reused_from with
-              | Some earlier -> "reused_from", Obs.Str earlier
-              | None -> "memo", Obs.Str "hit");
+              "memo", Obs.Str "hit";
               "rows_out", Obs.Int rows;
             ]
           (fun () -> ());
       ( rel,
         {
-          step_name =
-            (match reused_from with
-            | Some earlier -> s.name ^ " (= " ^ earlier ^ ")"
-            | None -> s.name ^ " (memo)");
+          step_name = s.name ^ " (memo)";
           tabulated_rows = 0;
           groups = rows;
           survivors = rows;
           seconds = Obs.now () -. t0;
-          reused_from;
-          memo_hit = reused_from = None;
+          reused_from = None;
+          memo_hit = true;
           sip_pruned = 0;
         } )
     | None ->
       let rel, report =
-        run_step work ~options ~step_names:defined ~sips ~bounding
-          plan.flock s
+        run_step work ~sip ~step_names:defined ~sips ~bounding plan.flock s
       in
-      Option.iter
-        (fun k ->
-          Hashtbl.replace local k (s.name, rel);
-          Catalog.memo_add work k rel)
-        key;
+      Option.iter (fun k -> Catalog.memo_add work k rel) key;
       rel, report
   in
   let _, reports =
@@ -254,4 +215,4 @@ let run_with_report ?(options = default_options) catalog (plan : Plan.t) =
   Obs.set_attr "rows_out" (Obs.Int (Relation.cardinal result));
   { result; steps = List.rev reports @ [ final_report ] }
 
-let run ?options catalog plan = (run_with_report ?options catalog plan).result
+let run ?sip catalog plan = (run_with_report ?sip catalog plan).result

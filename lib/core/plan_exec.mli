@@ -17,9 +17,10 @@ type step_report = {
   survivors : int;  (** assignments passing the filter *)
   seconds : float;  (** wall-clock time of the step *)
   reused_from : string option;
-      (** [Some earlier] when the step is α-equivalent to the earlier step
-          [earlier] of the same plan (the Ex. 3.1 symmetry, among others)
-          and was aliased to its result instead of being computed *)
+      (** always [None]: a plan's symmetric steps are one step when the
+          plan is built ({!Apriori_gen.classes}), and the catalog's memo
+          is the one run-time reuse ([memo_hit]).  Kept only because
+          [perfbench/qfbench.ml] reads it. *)
   memo_hit : bool;
       (** the step's result came from the catalog's cross-level subplan
           memo (an α-equivalent step computed by a previous plan run
@@ -35,35 +36,9 @@ type report = {
   steps : step_report list;  (** in execution order, final step last *)
 }
 
-(** Executor optimizations, exposed so the benchmarks can ablate them.
-
-    - [semijoin_reduction] hands the evaluator ([Eval.filter_query
-      ~sip]) one exact {!Qf_relational.Sip} reducer per parameter of
-      every [ok] subgoal, built over that [ok] relation's column: a
-      value outside it is dropped where the parameter is bound, and a
-      unary [ok($p)] the join order puts after [$p] is bound is not
-      probed — the rewrite behind the paper's Sec. 1.3 speedup, done
-      inside the join;
-    - [reuse] computes each α-equivalence class of steps once, keyed by
-      its {!Stepsig} signature.  The key is looked up first among this
-      plan's earlier steps (the Ex. 3.1 remark: "the set of $1's that
-      survive ... is exactly the same as the set of $2's"), whatever the
-      memo budget; then in the catalog's cross-level subplan memo
-      ({!Qf_relational.Catalog.memo_find}), where level k-1's final query
-      — exactly one of level k's auxiliary steps — is fetched instead of
-      recomputed.  The memo budget ([QF_MEMO_BUDGET]) alone turns the
-      cross-level scope on or off.  [false] computes every step. *)
-type options = {
-  semijoin_reduction : bool;
-  reuse : bool;
-}
-
-(** All enabled. *)
-val default_options : options
-
-(** The reducer columns of a rule, the rule [semijoin_reduction] reads
-    them by: every ok subgoal over [step_names] whose arguments are all
-    parameters gives each argument's parameter a reducer over the
+(** The reducer columns of a rule, the rule [~sip] reads them by: every
+    ok subgoal over [step_names] whose arguments are all parameters
+    gives each argument's parameter a reducer over the
     subgoal's relation, at the column of the argument's position (the
     step's parameter it renames).  Each entry is [(parameter, (ok
     predicate, column))], in body order.  {!Cost} prices a step's
@@ -71,11 +46,26 @@ val default_options : options
 val reducer_columns :
   step_names:string list -> Qf_datalog.Ast.rule -> (string * (string * int)) list
 
-(** Run a plan.  The input catalog is not modified. *)
-val run :
-  ?options:options -> Qf_relational.Catalog.t -> Plan.t -> Qf_relational.Relation.t
+(** Run a plan.  The input catalog is not modified.
 
-(** Like {!run} but also reports per-step sizes (for benchmarks and the
-    optimizer's calibration). *)
-val run_with_report :
-  ?options:options -> Qf_relational.Catalog.t -> Plan.t -> report
+    Each step is first looked up in the catalog's cross-level subplan
+    memo ({!Qf_relational.Catalog.memo_find}) under its {!Stepsig}
+    signature, where level k-1's final query — exactly one of level k's
+    auxiliary steps — is fetched instead of recomputed; a computed step
+    is published there.  The memo budget ([QF_MEMO_BUDGET]) alone turns
+    this on or off; at budget [0] every step is computed and no
+    signature is built.
+
+    [sip] (default [true]) hands the evaluator ([Eval.filter_query
+    ~sip]) one exact {!Qf_relational.Sip} reducer per parameter of every
+    [ok] subgoal, built over that [ok] relation's column: a value outside
+    it is dropped where the parameter is bound, and a unary [ok($p)] the
+    join order puts after [$p] is bound is not probed — the rewrite
+    behind the paper's Sec. 1.3 speedup, done inside the join.  [false]
+    is there so the benchmarks and tests can ablate it. *)
+val run :
+  ?sip:bool -> Qf_relational.Catalog.t -> Plan.t -> Qf_relational.Relation.t
+
+(** Like {!run} but also reports per-step sizes, for benchmarks and
+    [flockc explain --profile]. *)
+val run_with_report : ?sip:bool -> Qf_relational.Catalog.t -> Plan.t -> report

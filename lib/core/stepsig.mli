@@ -1,7 +1,8 @@
-(** Canonical α-equivalence signatures for FILTER steps — the one reuse
-    key of the plan executor, for both of its scopes: the earlier steps
-    of the same plan (Ex. 3.1's symmetric twins among them) and the
-    catalog's cross-level subplan memo.
+(** Canonical α-equivalence signatures for FILTER steps — the plan
+    executor's key into the catalog's cross-level subplan memo, computed
+    only when the memo has a budget.  A plan's own symmetric steps are
+    not found here: they are one class step when the plan is built
+    ({!Apriori_gen.classes}).
 
     Two steps get the same signature only when a bijective renaming of
     parameters (positional over the steps' sorted parameter lists, so it

@@ -66,8 +66,8 @@ val reset_index_stats : t -> unit
     mutation or rebinding invalidates by key change — the index cache's
     version discipline.  Bounded by one LRU byte budget from
     [QF_MEMO_BUDGET] (same syntax as [QF_INDEX_BUDGET]; default 64 MiB;
-    [0] disables this memo, not the plan executor's plan-local step
-    reuse).  Shared across {!copy}s, like the index cache. *)
+    [0] disables it, and every plan step is then computed).  Shared
+    across {!copy}s, like the index cache. *)
 
 (** A memo value.  Step outputs are stored through {!memo_find} and
     {!memo_add} under a constructor of the catalog's own; other libraries

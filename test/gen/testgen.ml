@@ -270,11 +270,10 @@ let assert_no_leaks context =
 type config = {
   memo : int;  (** the catalog's memo budget in bytes; [0] turns it off *)
   mem : int option;  (** a governor's memory budget; [None] is ungoverned *)
-  sip : bool;  (** [Plan_exec.options.semijoin_reduction] *)
-  reuse : bool;  (** [Plan_exec.options.reuse] *)
+  sip : bool;  (** [Plan_exec.run ~sip] *)
 }
 
-let default_config = { memo = max_int; mem = None; sip = true; reuse = true }
+let default_config = { memo = max_int; mem = None; sip = true }
 
 (* Small enough that the instances below spill somewhere. *)
 let tiny_mem = 4096
@@ -290,7 +289,6 @@ let space =
         List.map (fun mem -> { c with mem })
           [ None; Some tiny_mem; Some 65536 ]);
       (fun c -> List.map (fun sip -> { c with sip }) [ true; false ]);
-      (fun c -> List.map (fun reuse -> { c with reuse }) [ true; false ]);
     ]
 
 let budget_name n = if n = max_int then "unbounded" else string_of_int n
@@ -299,8 +297,8 @@ let mem_name mem =
   "mem " ^ Option.fold ~none:"ungoverned" ~some:budget_name mem
 
 let config_name c =
-  Printf.sprintf "memo %s, %s, sip %b, reuse %b" (budget_name c.memo)
-    (mem_name c.mem) c.sip c.reuse
+  Printf.sprintf "memo %s, %s, sip %b" (budget_name c.memo) (mem_name c.mem)
+    c.sip
 
 let arb_config = QCheck.make ~print:config_name (QCheck.Gen.oneofl space)
 
@@ -367,7 +365,7 @@ let catalog_of_instance inst =
 
 (* Every executor of [inst]: the plans (the optimizer's plan for [cat],
    the a-priori singleton plan, the levelwise plan), which read the
-   config's plan options and the catalog's memo, and the others (direct,
+   config's SIP switch and the catalog's memo, and the others (direct,
    §4.4's dynamic filter selection and, when governed, naive; ungoverned,
    naive is the oracle itself), which read only the memory budget.  Plans
    are built once here, not in every config. *)
@@ -454,16 +452,15 @@ let check_others cat mem inst ~others ~expected =
     (List.map (fun (name, run) -> name, fun () -> run cat) (others mem))
 
 (* The plans on [cat] under [config], cold and then warm.  With the memo
-   unbounded and reuse on, the warm plans are served by the memo; with
-   either off, never. *)
+   unbounded, the warm plans are served by the memo; with it off,
+   never. *)
 let check_plans cat config inst ~plans ~expected =
   Catalog.set_memo_budget cat config.memo;
-  let options =
-    { Plan_exec.semijoin_reduction = config.sip; reuse = config.reuse }
-  in
   let setting = config_name config in
   let runs =
-    List.map (fun (name, p) -> name, fun () -> Plan_exec.run ~options cat p) plans
+    List.map
+      (fun (name, p) -> name, fun () -> Plan_exec.run ~sip:config.sip cat p)
+      plans
   in
   let pass name = run_pass inst ~setting ~mem:config.mem ~expected name runs in
   let hits () =
@@ -474,9 +471,9 @@ let check_plans cat config inst ~plans ~expected =
   let before = hits () in
   let warm = pass "warm" in
   let warm_hits = hits () - before in
-  if (config.memo = 0 || not config.reuse) && warm_hits > 0 then
+  if config.memo = 0 && warm_hits > 0 then
     fail inst ~setting "warm" "the plans" "%d memo hits" warm_hits;
-  if config.memo = max_int && config.reuse && warm_hits = 0 then
+  if config.memo = max_int && warm_hits = 0 then
     fail inst ~setting "warm" "the plans" "no memo hit";
   cold + warm
 

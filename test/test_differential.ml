@@ -1,7 +1,7 @@
 (* Differential suite: on fixed seeds and on QCheck's random instances,
    every executor returns exactly the answer of naive generate-and-test
    at every point of {!Qf_testgen.Testgen.space} (memo budget, memory
-   budget, SIP, reuse), cold and warm; and neighbouring flocks relate
+   budget, SIP), cold and warm; and neighbouring flocks relate
    as monotonicity (§3) says, both sides on one catalog so the memo sits
    between them.  The driver lives in [test/gen/testgen.ml]; a failure
    names the seed, the executor and the config. *)
@@ -28,7 +28,7 @@ let test_pairs_corpus () =
   assert_spilled "pairs" (check_corpus (List.map (basket ~k:2) seeds))
 
 (* The triple flock, whose plans cost the optimizer more, on every fourth
-   seed and on seeds 11 and 42: the first twelve of these under three
+   seed and on seeds 11 and 42: the first six of these under three
    points of the space each, so every point runs on one triples
    instance, and the rest under the default config. *)
 let test_triples_corpus () =

@@ -65,9 +65,10 @@ let test_singleton_plan_structure () =
   match Apriori_gen.singleton_plan flock with
   | Error e -> Alcotest.failf "singleton: %s" e
   | Ok plan ->
-    check_int "two filter steps" 2 (Plan.filter_step_count plan);
+    check_int "one filter step for the symmetric class" 1
+      (Plan.filter_step_count plan);
     Alcotest.(check string)
-      "summary" "ok_1($1) -> ok_2($2) -> result($1,$2)"
+      "summary" "ok_1($1|$2) -> result($1,$2)"
       (Explain.plan_summary plan)
 
 let test_param_set_plan_errors () =
@@ -521,6 +522,100 @@ let test_optimizer_chooses_each_set_once () =
        (Optimizer.enumerate cat
           (Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20)))
 
+(* The grouping decides a class by renaming alone, with no catalog: that
+   is sound because a rank-to-rank renaming of parameters is an
+   α-equivalence, so over any catalog the members of a class have one
+   {!Stepsig} signature, the memo's key.  Checked on the differential
+   suite's basket corpus (pairs, and triples on every fourth seed) and
+   union corpus (its one-parameter union, the metamorphic suite's
+   asymmetric [p]/[q] join and union, and a symmetric two-parameter
+   union), for the steps of the singletons and the full parameter set under
+   both selections; and each class plan, from {!Apriori_gen.singleton_plan}
+   and {!Apriori_gen.param_set_plan}, answers as [Direct] does. *)
+let test_classes_are_alpha_equivalent () =
+  let open Qf_testgen.Testgen in
+  let join = "answer(X) :- p(X,$a) AND q(X,$b)" in
+  let symmetric_union =
+    [
+      "answer(X) :- p(X,$a) AND p(X,$b) AND $a < $b";
+      "answer(X) :- q(X,$a) AND q(X,$b) AND $a < $b";
+    ]
+  in
+  let instances =
+    List.concat_map
+      (fun seed ->
+        let baskets = instance ~seed gen_basket_instance in
+        let pq = instance ~seed gen_union_instance in
+        let name = Printf.sprintf "seed %d" seed in
+        [
+          basket_instance ~name ~k:2 baskets;
+          pq_instance ~name pq [ "answer(X) :- p(X,$a)"; "answer(X) :- q(X,$a)" ];
+          pq_instance ~name pq [ join ];
+          pq_instance ~name pq [ join; "answer(X) :- q(X,$a) AND p(X,$b)" ];
+          pq_instance ~name pq symmetric_union;
+        ]
+        @ if seed mod 4 = 0 then [ basket_instance ~name ~k:3 baskets ] else [])
+      (List.init 100 Fun.id)
+  in
+  let shared = ref 0 in
+  List.iter
+    (fun inst ->
+      let cat = catalog_of_instance inst in
+      Catalog.set_memo_budget cat 0;
+      let flock = inst.flock in
+      let params = Flock.params flock in
+      let sets =
+        List.map (fun p -> [ p ]) params
+        @ if List.length params >= 2 then [ params ] else []
+      in
+      List.iter
+        (fun selection ->
+          let steps =
+            List.filter_map
+              (fun set ->
+                Result.to_option (Apriori_gen.param_set_step ~selection flock set))
+              sets
+          in
+          List.iter
+            (fun ((rep : Plan.step), members) ->
+              let signature params =
+                Stepsig.of_step ~work:cat ~filter:flock.Flock.filter
+                  ~bounding:true
+                  (List.find (fun (s : Plan.step) -> s.params = params) steps)
+              in
+              let first = signature rep.params in
+              if first = None then
+                Alcotest.failf "%s: %s has no signature" inst.name rep.name;
+              if List.length members > 1 then incr shared;
+              List.iter
+                (fun m ->
+                  if signature m <> first then
+                    Alcotest.failf "%s: class %s: member {%s} signs apart"
+                      inst.name rep.name (String.concat "," m))
+                members)
+            (Apriori_gen.classes steps))
+        [ `Fewest_subgoals; `Cheapest (Sizes.of_catalog cat) ];
+      let expected = Direct.run cat flock in
+      let viable =
+        List.filter
+          (fun set -> Result.is_ok (Apriori_gen.param_set_step flock set))
+          sets
+      in
+      List.iter
+        (fun (what, plan) ->
+          match plan with
+          | Error e -> Alcotest.failf "%s: %s: %s" inst.name what e
+          | Ok plan ->
+            Alcotest.check Test_util.relation
+              (Printf.sprintf "%s: %s = direct" inst.name what)
+              expected (Plan_exec.run cat plan))
+        [
+          "singleton plan", Apriori_gen.singleton_plan flock;
+          "param_set_plan", Apriori_gen.param_set_plan flock ~param_sets:viable;
+        ])
+    instances;
+  check_bool "some class has several members" true (!shared > 0)
+
 (* perfbench's market data (3,000 baskets of about six of 800 items,
    Zipf 0.9, seed 7): at supports 36 and 24 the pair and triple flocks
    choose a plan whose final step has a reducer on every parameter — the
@@ -766,6 +861,9 @@ let suite =
       test_optimizer_prefers_filters_on_skewed_data;
     Alcotest.test_case "optimizer chooses each set's subquery once" `Quick
       test_optimizer_chooses_each_set_once;
+    Alcotest.test_case
+      "classes: members share a step signature, class plans = direct" `Quick
+      test_classes_are_alpha_equivalent;
     Alcotest.test_case "optimizer reduces every parameter on market data" `Slow
       test_optimizer_reduces_every_parameter;
     Alcotest.test_case "plan memo: a repeat returns the stored list" `Quick

@@ -141,11 +141,11 @@ let test_span_tree_well_nested () =
 (* {1 FILTER-step metric invariants (QCheck)} *)
 
 let filter_step_invariants (s : Obs.span) =
-  match attr "reused_from" s with
-  | Some _ ->
-    (* Plan-local reuse: no tabulation happened, only an aliased output. *)
+  match attr "memo" s with
+  | Some (Obs.Str "hit") ->
+    (* A memo hit: no tabulation happened, only a stored output. *)
     attr "rows_out" s <> None
-  | None -> (
+  | _ -> (
     match
       attr "rows_in" s, attr "groups" s, attr "rows_out" s,
       attr "pruning_ratio" s
@@ -221,8 +221,7 @@ let test_profile_matches_execution () =
         (Printf.sprintf "step %s: rows_out <= groups <= rows_in" s.Explain.name)
         true
         (s.Explain.rows_out <= s.Explain.groups
-        && (s.Explain.reused_from <> None
-           || s.Explain.groups <= s.Explain.rows_in));
+        && s.Explain.groups <= s.Explain.rows_in);
       check_bool
         (Printf.sprintf "step %s: estimates present on a stored catalog"
            s.Explain.name)
@@ -243,10 +242,10 @@ let test_profile_matches_execution () =
     (Explain.profile_json ~redact_timings:true p)
     (Explain.profile_json ~redact_timings:true p2)
 
-let test_step_reuse_visible_in_spans () =
-  (* A two-parameter basket flock whose singleton plan has ok_1 and ok_2:
-     by symmetry the second is aliased to the first, and the span says
-     so. *)
+let test_symmetric_class_is_one_span () =
+  (* A two-parameter basket flock's singleton plan computes one class
+     step, [ok_1] with [ok_1($1)] and [ok_1($2)]: one filter.step span
+     for the class, one for the final step, and none for an [ok_2]. *)
   let rel, _ = instance ~seed:12 gen_basket_instance in
   let cat = catalog_of rel in
   let flock = pair_flock 1 in
@@ -258,13 +257,19 @@ let test_step_reuse_visible_in_spans () =
           ignore (Plan_exec.run cat plan);
           (Obs.report ()).Obs.spans)
     in
-    let reused =
-      List.filter
-        (fun (s : Obs.span) ->
-          s.Obs.name = "filter.step" && attr "reused_from" s <> None)
-        spans
+    let steps =
+      List.filter (fun (s : Obs.span) -> s.Obs.name = "filter.step") spans
     in
-    check_bool "at least one step reused by symmetry" true (reused <> [])
+    Alcotest.(check (list string))
+      "one filter.step span per computed step" [ "ok_1"; "result" ]
+      (List.map
+         (fun s ->
+           match attr "step" s with
+           | Some (Obs.Str name) -> name
+           | _ -> Alcotest.fail "filter.step span without a step name")
+         steps);
+    check_bool "the class step tabulates" true
+      (List.for_all (fun s -> attr "rows_in" s <> None) steps)
 
 (* {1 Binding-extension spans} *)
 
@@ -397,8 +402,8 @@ let suite =
       test_metrics_repeat;
     Alcotest.test_case "Explain.profile agrees with execution" `Quick
       test_profile_matches_execution;
-    Alcotest.test_case "symmetric reuse is visible in spans" `Quick
-      test_step_reuse_visible_in_spans;
+    Alcotest.test_case "a symmetric class is one filter.step span" `Quick
+      test_symmetric_class_is_one_span;
     Alcotest.test_case "eval.extend spans account for fused filters" `Quick
       test_extend_spans;
   ]

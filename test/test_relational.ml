@@ -398,9 +398,10 @@ let test_stats_shared_with_copy () =
 
 let test_plan_exec_cache_hits () =
   (* A multi-step plan must hit the cache: with the semijoin rewrite and
-     symmetric-step aliasing disabled, the two FILTER steps and the final
-     step all tabulate over the *same* base relation with the same join
-     positions, so only the first step pays for the index build. *)
+     the memo off, and one step per parameter, the two FILTER steps and
+     the final step all tabulate over the *same* base relation with the
+     same join positions, so only the first step pays for the index
+     build. *)
   let cat =
     Qf_workload.Market.catalog
       {
@@ -414,20 +415,18 @@ let test_plan_exec_cache_hits () =
     Qf_core.Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:8
   in
   let plan =
-    match
-      Qf_core.Apriori_gen.param_set_plan flock ~param_sets:[ [ "1" ]; [ "2" ] ]
-    with
+    let step p =
+      match Qf_core.Apriori_gen.param_set_step flock [ p ] with
+      | Ok s -> s, [ [ p ] ]
+      | Error e -> failwith e
+    in
+    match Qf_core.Apriori_gen.plan_of_classes flock [ step "1"; step "2" ] with
     | Ok p -> p
     | Error e -> failwith e
   in
   Catalog.reset_index_stats cat;
-  let options =
-    {
-      Qf_core.Plan_exec.semijoin_reduction = false;
-      reuse = false;
-    }
-  in
-  ignore (Qf_core.Plan_exec.run ~options cat plan);
+  Catalog.set_memo_budget cat 0;
+  ignore (Qf_core.Plan_exec.run ~sip:false cat plan);
   let hits, misses = Catalog.index_stats cat in
   check_bool
     (Printf.sprintf "multi-step plan hits the index cache (%d/%d)" hits misses)

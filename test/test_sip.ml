@@ -256,50 +256,27 @@ let test_stepsig_distinguishes_constants () =
         ("0.1234567", Real 0.1234567), ("0.1234568", Real 0.1234568);
       ]
 
-(* {1 Plan-local reuse}
+(* {1 One class step}
 
-   Two steps equal up to renaming their parameter {e and} a variable are
-   computed once, whatever the catalog's memo budget, and the aliased
-   pair shares its SIP reducer.  A step keeps the flock's head, so
-   the renamed variable is a body-only one: [T] in [ok_1], [U] in
-   [ok_2]. *)
-let test_plan_local_reuse () =
-  (* Items 1 and 2 in every basket, one rare item per basket: the ok
-     steps keep 2 of 22 items. *)
+   A pair basket flock's singleton plan is one class step, [ok_1] with
+   [ok_1($1)] and [ok_1($2)] in the final step.  At memo budget 0, where
+   no step is served from the catalog, the class is tabulated once and
+   both parameters' reducers are read from it: one reducer for the
+   two. *)
+let test_class_step_at_budget_0 () =
+  (* Items 1 and 2 in every basket, one rare item per basket: the class
+     step keeps 2 of 22 items. *)
   let rel =
-    R.of_values [ "B"; "T"; "I" ]
+    R.of_values [ "BID"; "Item" ]
       (List.concat_map
-         (fun b ->
-           V.
-             [
-               [ Int b; Int 0; Int 1 ];
-               [ Int b; Int 0; Int 2 ];
-               [ Int b; Int 1; Int (100 + b) ];
-             ])
+         (fun b -> V.[ [ Int b; Int 1 ]; [ Int b; Int 2 ]; [ Int b; Int (100 + b) ] ])
          (List.init 20 Fun.id))
   in
-  let cat = Catalog.create () in
-  Catalog.add cat "r" rel;
+  let cat = catalog_of rel in
   Catalog.set_memo_budget cat 0;
-  let flock =
-    Parse.flock_exn
-      "QUERY:\nanswer(B) :- r(B,T,$1) AND r(B,U,$2) AND $1 < $2\n\
-       FILTER:\nCOUNT(answer.B) >= 3"
-  in
-  let step name text = Plan.step ~name [ rule_exn text ] in
+  let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:3 in
   let plan =
-    match
-      Plan.make flock
-        ~steps:
-          [
-            step "ok_1" "answer(B) :- r(B,T,$1)";
-            step "ok_2" "answer(B) :- r(B,U,$2)";
-          ]
-        ~final:
-          (step "result"
-             "answer(B) :- r(B,T,$1) AND r(B,U,$2) AND $1 < $2 AND \
-              ok_1($1) AND ok_2($2)")
-    with
+    match Apriori_gen.singleton_plan flock with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
@@ -307,27 +284,25 @@ let test_plan_local_reuse () =
   check_bool "plan = direct" true
     (R.equal (Direct.run cat flock) report.Plan_exec.result);
   (match report.Plan_exec.steps with
-  | [ ok_1; ok_2; result ] ->
-    check_bool "ok_1 is computed" true (ok_1.Plan_exec.reused_from = None);
-    check_bool "ok_2 reuses ok_1" true
-      (ok_2.Plan_exec.reused_from = Some "ok_1");
-    check_int "ok_2 tabulates nothing" 0 ok_2.Plan_exec.tabulated_rows;
-    check_bool "a plan-local hit is no memo hit" false ok_2.Plan_exec.memo_hit;
-    (* The two-row ok relations come first in the join order and bind
-       both parameters, so both are probed and no reducer rejects. *)
-    check_bool "the final step probes both ok subgoals" true
-      (List.mem_assoc "ok_1" (extends trace)
-      && List.mem_assoc "ok_2" (extends trace));
-    check_int "no candidate is pruned" 0 result.Plan_exec.sip_pruned
-  | _ -> Alcotest.fail "expected three step reports");
-  check_int "one reducer for the aliased pair" 1
-    (counter trace "sip.reducer_built");
-  check_int "and the counter agrees" 0 (counter trace "sip.rows_pruned")
+  | [ ok_1; result ] ->
+    Alcotest.(check string) "the class step" "ok_1" ok_1.Plan_exec.step_name;
+    check_int "ok_1 tabulates every basket row" 60 ok_1.Plan_exec.tabulated_rows;
+    check_int "and keeps items 1 and 2" 2 ok_1.Plan_exec.survivors;
+    check_bool "no step is a memo hit" false
+      (ok_1.Plan_exec.memo_hit || result.Plan_exec.memo_hit)
+  | _ -> Alcotest.fail "expected two step reports");
+  Alcotest.(check (list (pair string (pair string int))))
+    "both parameters' reducers read ok_1's column"
+    [ "1", ("ok_1", 0); "2", ("ok_1", 0) ]
+    (Plan_exec.reducer_columns ~step_names:[ "ok_1" ]
+       (List.hd plan.Plan.final.Plan.query));
+  check_int "one reducer for the class" 1 (counter trace "sip.reducer_built")
 
 (* {1 Reducers at binding time}
 
-   E1's plan shape: [ok_1] and [ok_2] over the pair flock's items, then
-   [baskets(B,$1) AND baskets(B,$2) AND $1 < $2 AND ok_1($1) AND
+   A pair flock's plan with one step per parameter, built one class a
+   step so each is its own relation: [ok_1] and [ok_2] over the items,
+   then [baskets(B,$1) AND baskets(B,$2) AND $1 < $2 AND ok_1($1) AND
    ok_2($2)].  Basket [b] holds the frequent items [b], [b+1] and [b+3]
    (mod 10) and one rare item of its own.  The final step's join order
    binds [$1] from [ok_1], then [B] and [$2] from [baskets]: the reducer
@@ -346,7 +321,12 @@ let e1_catalog () =
 let test_reducers_at_binding_time () =
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:5 in
   let plan =
-    match Apriori_gen.singleton_plan flock with
+    let step p =
+      match Apriori_gen.param_set_step flock [ p ] with
+      | Ok s -> s, [ [ p ] ]
+      | Error e -> Alcotest.fail e
+    in
+    match Apriori_gen.plan_of_classes flock [ step "1"; step "2" ] with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
@@ -354,8 +334,7 @@ let test_reducers_at_binding_time () =
   let run sip =
     let cat = e1_catalog () in
     Catalog.set_memo_budget cat 0;
-    let options = { Plan_exec.default_options with semijoin_reduction = sip } in
-    traced (fun () -> Plan_exec.run_with_report ~options cat plan)
+    traced (fun () -> Plan_exec.run_with_report ~sip cat plan)
   in
   let report, trace = run true in
   check_bool "SIP on: plan = naive" true
@@ -414,26 +393,22 @@ let test_renamed_reducer_columns () =
   in
   let expected = Direct.run (catalog ()) flock in
   check_int "direct finds (10,20,10)" 1 (R.cardinal expected);
-  let run cat ~sip ~reuse =
-    Plan_exec.run_with_report
-      ~options:{ Plan_exec.semijoin_reduction = sip; reuse }
-      cat plan
-  in
-  let on = run (catalog ()) ~sip:true ~reuse:true in
+  let run cat ~sip = Plan_exec.run_with_report ~sip cat plan in
+  let on = run (catalog ()) ~sip:true in
   check_bool "SIP on: plan = direct" true
     (R.equal expected on.Plan_exec.result);
   check_int "SIP on: no candidate of the answer is pruned" 0
     (List.fold_left
        (fun n (s : Plan_exec.step_report) -> n + s.sip_pruned)
        0 on.Plan_exec.steps);
-  let off = run (catalog ()) ~sip:false ~reuse:false in
-  check_bool "SIP and reuse off: plan = direct" true
+  let off = run (catalog ()) ~sip:false in
+  check_bool "SIP off: plan = direct" true
     (R.equal expected off.Plan_exec.result);
   (* At the default memo budget a later SIP-off run is served the SIP-on
      run's steps: they must hold the right answer. *)
   let cat = catalog () in
-  ignore (run cat ~sip:true ~reuse:true);
-  let later = run cat ~sip:false ~reuse:true in
+  ignore (run cat ~sip:true);
+  let later = run cat ~sip:false in
   check_bool "a memo-served SIP-off run = direct" true
     (R.equal expected later.Plan_exec.result)
 
@@ -451,11 +426,8 @@ let test_reducers_never_add_candidates () =
         let run sip =
           let cat = catalog_of rel in
           Catalog.set_memo_budget cat 0;
-          let options =
-            { Plan_exec.default_options with semijoin_reduction = sip }
-          in
           let result, trace =
-            traced (fun () -> Plan_exec.run ~options cat choice.plan)
+            traced (fun () -> Plan_exec.run ~sip cat choice.plan)
           in
           result, List.fold_left (fun n (_, c) -> n + c) 0 (extends trace)
         in
@@ -604,8 +576,9 @@ let suite =
       test_stepsig_version_sensitivity;
     Alcotest.test_case "step signatures tell 1 from 1.0" `Quick
       test_stepsig_distinguishes_constants;
-    Alcotest.test_case "plan-local reuse at memo budget 0" `Quick
-      test_plan_local_reuse;
+    Alcotest.test_case
+      "a singleton pair plan computes one class step at memo budget 0" `Quick
+      test_class_step_at_budget_0;
     Alcotest.test_case "reducers enforce ok subgoals at binding time" `Quick
       test_reducers_at_binding_time;
     Alcotest.test_case "renamed ok subgoals read the argument's column" `Quick
