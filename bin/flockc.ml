@@ -382,13 +382,17 @@ let make_governor ~timeout ~mem_budget =
 
 (* Resource faults become the conventional shell exit codes: 124 for a
    deadline (mirroring timeout(1)), 125 for an unsatisfiable budget.  A
-   SUM over a value that is not a number is an input error (exit 1). *)
+   SUM over a value that is not a number is an input error, and a spill
+   directory that cannot be created an environment error (exit 1). *)
 let governed ~context f =
   try f () with
   | Qf_relational.Aggregate.Non_numeric { column; value } ->
     Printf.eprintf "flockc: %s: SUM(%s) over the non-numeric value %s\n"
       context column
       (Qf_relational.Value.to_string value);
+    exit 1
+  | Sys_error e ->
+    Printf.eprintf "flockc: %s: %s\n" context e;
     exit 1
   | Governor.Deadline_exceeded { timeout; _ } ->
     Printf.eprintf "flockc: %s: deadline exceeded (timeout %gs)\n" context

@@ -20,10 +20,7 @@ let rec subsets = function
     let without = subsets rest in
     without @ List.map (fun s -> x :: s) without
 
-let search ?param_sets catalog flock =
-  let sets =
-    match param_sets with Some s -> s | None -> default_param_sets flock
-  in
+let search catalog flock =
   if not (Filter.is_monotone flock.Flock.filter) then
     [ { plan = Plan.trivial flock; param_sets = []; cost = 0. } ]
   else begin
@@ -36,7 +33,7 @@ let search ?param_sets catalog flock =
       List.filter_map
         (fun set ->
           Result.to_option (Apriori_gen.param_set_step ~selection flock set))
-        sets
+        (default_param_sets flock)
     in
     let choices =
       List.filter_map
@@ -104,9 +101,8 @@ let plan_key catalog (flock : Flock.t) =
     flock.query;
   Buffer.contents b
 
-let enumerate ?param_sets catalog flock =
-  if Option.is_some param_sets || not (Catalog.memo_enabled catalog) then
-    search ?param_sets catalog flock
+let enumerate catalog flock =
+  if not (Catalog.memo_enabled catalog) then search catalog flock
   else begin
     let key = plan_key catalog flock in
     match Catalog.memo_find_entry catalog key with
@@ -119,7 +115,7 @@ let enumerate ?param_sets catalog flock =
       choices
   end
 
-let optimize ?param_sets catalog flock =
-  match enumerate ?param_sets catalog flock with
+let optimize catalog flock =
+  match enumerate catalog flock with
   | [] -> Plan.trivial flock
   | best :: _ -> best.plan

@@ -3,7 +3,7 @@
     The space of legal plans is not even exponentially bounded, so the
     optimizer searches the paper's first exponential restriction: choose a
     set of parameter sets; for each, one FILTER step; finally the original
-    query plus all [ok] subgoals.  Candidate parameter sets default to the
+    query plus all [ok] subgoals.  The candidate parameter sets are the
     singletons plus the full parameter set.
 
     Symmetric parameter sets share one step.  The steps are grouped into
@@ -24,12 +24,12 @@ type choice = {
   cost : float;
 }
 
-(** All costed alternatives, cheapest first.  [param_sets] defaults to
+(** All costed alternatives, cheapest first.  The parameter sets are the
     singletons plus (when there are at least two parameters) the full set.
     Alternatives whose parameter set admits no safe subquery are skipped.
     Non-monotone filters yield only the trivial plan.
 
-    Without [param_sets], the list is memoized in the catalog's subplan
+    The list is memoized in the catalog's subplan
     memo ({!Qf_relational.Catalog.memo_find_entry}), so a session that
     asks for a flock again over unchanged relations gets the physically
     same list and pays no search.  The key is a hash of the flock's rules
@@ -41,18 +41,9 @@ type choice = {
     {!Qf_relational.Catalog.remove} changes the key, and the stale entry
     ages out through the memo's LRU budget.  A stored list is returned
     only when its flock is {!Flock.equal} to [flock], so a hash collision
-    is a miss.  With [param_sets],
-    or at memo budget [0], the search runs every time and no key is
-    computed.  Plan lookups count in no memo statistic. *)
-val enumerate :
-  ?param_sets:string list list ->
-  Qf_relational.Catalog.t ->
-  Flock.t ->
-  choice list
+    is a miss.  At memo budget [0] the search runs every time and no key
+    is computed.  Plan lookups count in no memo statistic. *)
+val enumerate : Qf_relational.Catalog.t -> Flock.t -> choice list
 
 (** The cheapest plan under the model. *)
-val optimize :
-  ?param_sets:string list list ->
-  Qf_relational.Catalog.t ->
-  Flock.t ->
-  Plan.t
+val optimize : Qf_relational.Catalog.t -> Flock.t -> Plan.t

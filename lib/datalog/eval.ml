@@ -731,8 +731,8 @@ let run_steps ~sip catalog steps =
   List.fold_left
     (fun (envs, pruned) step ->
       (* Step boundaries are the evaluator's cancellation checkpoints:
-         a governed deadline interrupts a rule between joins (one atomic
-         load per step when ungoverned). *)
+         a governed deadline interrupts a rule between joins (one load
+         per step when ungoverned). *)
       Qf_governor.Governor.check ();
       match step with
       | `Extend (a, filters) ->

@@ -2,26 +2,26 @@ exception Injected of { point : string; index : int }
 
 type mode = Off | Count | Inject of int
 
-let mode : mode Atomic.t = Atomic.make Off
-let counter = Atomic.make 0
+let mode = ref Off
+let counter = ref 0
 
 let point name =
-  match Atomic.get mode with
+  match !mode with
   | Off -> ()
-  | Count -> ignore (Atomic.fetch_and_add counter 1)
+  | Count -> incr counter
   | Inject k ->
-    let i = Atomic.fetch_and_add counter 1 + 1 in
+    incr counter;
     (* Only the armed index fires; points crossed later (error-handling
        and cleanup paths included) pass through, so a cleanup that itself
        contains points can never raise a second injection. *)
-    if i = k then raise (Injected { point = name; index = k })
+    if !counter = k then raise (Injected { point = name; index = k })
 
-let points_hit () = Atomic.get counter
+let points_hit () = !counter
 
 let run_in m f =
-  Atomic.set counter 0;
-  Atomic.set mode m;
-  Fun.protect ~finally:(fun () -> Atomic.set mode Off) f
+  counter := 0;
+  mode := m;
+  Fun.protect ~finally:(fun () -> mode := Off) f
 
 let with_count f =
   let v = run_in Count f in

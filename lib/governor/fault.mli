@@ -1,7 +1,7 @@
 (** Deterministic fault injection.
 
     Storage and governor code marks its failure-prone operations with
-    {!point}.  Normally a point is a single atomic load.  A test harness
+    {!point}.  Normally a point is a single load.  A test harness
     first runs a scenario in counting mode to learn how many points the
     run crosses, then replays it once per point with that point armed:
     the armed point raises {!Injected}, simulating a block-write error, a
@@ -10,15 +10,13 @@
     a failure at {e every} counted operation of the scenario.
 
     The global mode is process-wide and not reentrant: the sweep drives
-    one scenario at a time (worker domains of that scenario share the
-    counter atomically, so parallel scenarios still count and trip
-    deterministically only if their schedule is). *)
+    one scenario at a time, on the one domain the engine runs on. *)
 
 (** Raised by an armed injection point.  [point] is the site label,
     [index] the 1-based position in the run's point sequence. *)
 exception Injected of { point : string; index : int }
 
-(** Mark a failure-prone operation.  Off mode: one atomic load. *)
+(** Mark a failure-prone operation.  Off mode: one load. *)
 val point : string -> unit
 
 (** [with_count f] runs [f] with counting enabled; returns [f ()]'s

@@ -16,40 +16,40 @@ type t = {
   timeout : float option;
   mutable started : float;
   mutable deadline : float;  (** absolute; [infinity] without a timeout *)
-  used : int Atomic.t;
-  peak : int Atomic.t;
-  spill_partitions : int Atomic.t;
-  spilled_bytes : int Atomic.t;
-  spilled_rows : int Atomic.t;
-  cancelled : bool Atomic.t;
+  mutable used : int;
+  mutable peak : int;
+  mutable spill_partitions : int;
+  mutable spilled_bytes : int;
+  mutable spilled_rows : int;
+  mutable cancelled : bool;
   seq : int;  (** distinguishes spill dirs of governors in one process *)
-  dir : string option Atomic.t;
-  dir_mutex : Mutex.t;
-  file_seq : int Atomic.t;
+  mutable dir : string option;
+  mutable file_seq : int;
 }
 
-let seq_counter = Atomic.make 0
+let seq_counter = ref 0
 
 let create ?(mem_budget = max_int) ?timeout_s () =
   if mem_budget < 0 then invalid_arg "Governor.create: negative budget";
   (match timeout_s with
   | Some s when s < 0. -> invalid_arg "Governor.create: negative timeout"
   | _ -> ());
+  let seq = !seq_counter in
+  incr seq_counter;
   {
     budget = mem_budget;
     timeout = timeout_s;
     started = 0.;
     deadline = infinity;
-    used = Atomic.make 0;
-    peak = Atomic.make 0;
-    spill_partitions = Atomic.make 0;
-    spilled_bytes = Atomic.make 0;
-    spilled_rows = Atomic.make 0;
-    cancelled = Atomic.make false;
-    seq = Atomic.fetch_and_add seq_counter 1;
-    dir = Atomic.make None;
-    dir_mutex = Mutex.create ();
-    file_seq = Atomic.make 0;
+    used = 0;
+    peak = 0;
+    spill_partitions = 0;
+    spilled_bytes = 0;
+    spilled_rows = 0;
+    cancelled = false;
+    seq;
+    dir = None;
+    file_seq = 0;
   }
 
 (* Bytes, k/m/g suffixes, "unbounded"/"inf"; also the syntax of the
@@ -72,29 +72,29 @@ let budget_of_string raw =
     | Some _ | None -> None)
 
 let budget g = g.budget
-let used g = Atomic.get g.used
+let used g = g.used
 
 let stats g =
   {
-    peak_bytes = Atomic.get g.peak;
-    spill_partitions = Atomic.get g.spill_partitions;
-    spilled_bytes = Atomic.get g.spilled_bytes;
-    spilled_rows = Atomic.get g.spilled_rows;
+    peak_bytes = g.peak;
+    spill_partitions = g.spill_partitions;
+    spilled_bytes = g.spilled_bytes;
+    spilled_rows = g.spilled_rows;
   }
 
-let cancel g = Atomic.set g.cancelled true
+let cancel g = g.cancelled <- true
 
 (* {1 The ambient governor} *)
 
-let ambient : t option Atomic.t = Atomic.make None
+let ambient : t option ref = ref None
 
-let current () = Atomic.get ambient
+let current () = !ambient
 
 (* {1 Checkpoints} *)
 
 let check_in g =
   Fault.point "governor.check";
-  if Atomic.get g.cancelled then begin
+  if g.cancelled then begin
     if Obs.enabled () then Obs.count "governor.cancelled" 1;
     raise Cancelled
   end;
@@ -112,38 +112,32 @@ let check_in g =
   end
 
 let check () =
-  match Atomic.get ambient with None -> () | Some g -> check_in g
+  match !ambient with None -> () | Some g -> check_in g
 
 (* {1 Byte accounting} *)
 
-let rec bump_peak g u =
-  let p = Atomic.get g.peak in
-  if u > p && not (Atomic.compare_and_set g.peak p u) then bump_peak g u
-
 let try_charge g n =
   Fault.point "governor.charge";
-  let u = Atomic.fetch_and_add g.used n + n in
-  if u > g.budget then begin
-    ignore (Atomic.fetch_and_add g.used (-n));
-    false
-  end
+  let u = g.used + n in
+  if u > g.budget then false
   else begin
-    bump_peak g u;
+    g.used <- u;
+    g.peak <- max g.peak u;
     true
   end
 
 let charge g n =
   if not (try_charge g n) then begin
     if Obs.enabled () then Obs.count "governor.over_budget" 1;
-    raise (Over_budget { requested = n; used = Atomic.get g.used; budget = g.budget })
+    raise (Over_budget { requested = n; used = g.used; budget = g.budget })
   end
 
-let release g n = ignore (Atomic.fetch_and_add g.used (-n))
+let release g n = g.used <- g.used - n
 
 let note_spill g ~partitions ~bytes ~rows =
-  ignore (Atomic.fetch_and_add g.spill_partitions partitions);
-  ignore (Atomic.fetch_and_add g.spilled_bytes bytes);
-  ignore (Atomic.fetch_and_add g.spilled_rows rows);
+  g.spill_partitions <- g.spill_partitions + partitions;
+  g.spilled_bytes <- g.spilled_bytes + bytes;
+  g.spilled_rows <- g.spilled_rows + rows;
   if Obs.enabled () then begin
     Obs.count "governor.spill.partitions" partitions;
     Obs.count "governor.spill.bytes" bytes;
@@ -153,38 +147,36 @@ let note_spill g ~partitions ~bytes ~rows =
 (* {1 Spill directory lifecycle} *)
 
 let spill_dir g =
-  match Atomic.get g.dir with
+  match g.dir with
   | Some d -> d
   | None ->
-    Mutex.lock g.dir_mutex;
     let d =
-      match Atomic.get g.dir with
-      | Some d -> d
-      | None ->
-        let d =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "qf_spill.%d.%d" (Unix.getpid ()) g.seq)
-        in
-        (try Unix.mkdir d 0o700
-         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        Atomic.set g.dir (Some d);
-        d
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "qf_spill.%d.%d" (Unix.getpid ()) g.seq)
     in
-    Mutex.unlock g.dir_mutex;
+    (match Unix.mkdir d 0o700 with
+    | () | (exception Unix.Unix_error (Unix.EEXIST, _, _)) -> ()
+    | exception Unix.Unix_error (e, _, _) ->
+      raise
+        (Sys_error
+           (Printf.sprintf "cannot create spill directory %s: %s" d
+              (Unix.error_message e))));
+    g.dir <- Some d;
     d
 
 let fresh_spill_path g =
-  Filename.concat (spill_dir g)
-    (Printf.sprintf "part.%d.qfs" (Atomic.fetch_and_add g.file_seq 1))
+  let n = g.file_seq in
+  g.file_seq <- n + 1;
+  Filename.concat (spill_dir g) (Printf.sprintf "part.%d.qfs" n)
 
 (* Best-effort recursive removal: runs inside [with_ctx]'s finally, so it
    must never raise (the original result or exception wins). *)
 let cleanup g =
-  match Atomic.get g.dir with
+  match g.dir with
   | None -> ()
   | Some d ->
-    Atomic.set g.dir None;
+    g.dir <- None;
     (match Sys.readdir d with
     | entries ->
       Array.iter
@@ -194,17 +186,17 @@ let cleanup g =
     (try Unix.rmdir d with Unix.Unix_error _ -> ())
 
 let with_ctx g f =
-  let prev = Atomic.get ambient in
+  let prev = !ambient in
   g.started <- Unix.gettimeofday ();
   g.deadline <-
     (match g.timeout with Some s -> g.started +. s | None -> infinity);
-  Atomic.set ambient (Some g);
+  ambient := Some g;
   Fun.protect
     ~finally:(fun () ->
-      Atomic.set ambient prev;
+      ambient := prev;
       cleanup g;
       if Obs.enabled () then
-        Obs.gauge_max "governor.peak_bytes" (float_of_int (Atomic.get g.peak)))
+        Obs.gauge_max "governor.peak_bytes" (float_of_int g.peak))
     f
 
 let () =

@@ -5,7 +5,7 @@
     A governor is installed around a query with {!with_ctx}; the kernels
     and executors consult the ambient governor through {!current},
     {!check}, and the charge API.  When no governor is installed every
-    entry point is one atomic load, so ungoverned runs pay nothing.
+    entry point is one load, so ungoverned runs pay nothing.
 
     Accounting is cooperative and approximate — at chunk/hash-table
     granularity, using the same byte sizing as the [Lru] caches
@@ -61,12 +61,13 @@ val budget : t -> int
 val used : t -> int
 val stats : t -> stats
 
-(** Request cancellation: the next {!check} (on any domain) raises
-    {!Cancelled}. *)
+(** Request cancellation: the next {!check} raises {!Cancelled}.  The
+    engine runs on one domain, so this is called from code the query
+    itself runs, or before it starts. *)
 val cancel : t -> unit
 
 (** Cooperative checkpoint: raises {!Cancelled} or {!Deadline_exceeded}
-    when the ambient governor says so; a no-op (one atomic load) when no
+    when the ambient governor says so; a no-op (one load) when no
     governor is installed.  Called at kernel loop heads and executor
     step boundaries. *)
 val check : unit -> unit
@@ -88,5 +89,7 @@ val note_spill : t -> partitions:int -> bytes:int -> rows:int -> unit
 
 (** A fresh file path inside the query's private spill directory
     ([qf_spill.<pid>.<n>] under the system temp directory), created on
-    first use and removed by {!with_ctx} on every exit. *)
+    first use and removed by {!with_ctx} on every exit.  Raises
+    [Sys_error], naming the directory and the OS error, when the directory
+    cannot be created. *)
 val fresh_spill_path : t -> string

@@ -1,7 +1,7 @@
-(* Tracing spans + metrics.  One global collector under a mutex; the
-   current span is a per-domain stack (Domain.DLS), so instrumented code
-   never threads a context value.  All entry points are gated on a single
-   atomic flag: the disabled fast path is one load and a tail call. *)
+(* Tracing spans + metrics.  One global collector; the current span is a
+   stack of open spans, so instrumented code never threads a context
+   value.  All entry points are gated on a single flag: the disabled fast
+   path is one load and a tail call. *)
 
 type value =
   | Int of int
@@ -30,48 +30,39 @@ let truthy = function
   | Some ("1" | "true" | "yes" | "on") -> true
   | Some _ | None -> false
 
-let enabled_flag = Atomic.make (truthy (Sys.getenv_opt "QF_PROFILE"))
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+let enabled_flag = ref (truthy (Sys.getenv_opt "QF_PROFILE"))
+let enabled () = !enabled_flag
+let set_enabled b = enabled_flag := b
 
-let mutex = Mutex.create ()
 let next_id = ref 0
 let finished : span list ref = ref []
 let counters_tbl : (string, int ref) Hashtbl.t = Hashtbl.create 32
 let gauges_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 32
 
-(* Stack of open spans on this domain, innermost first. *)
-let stack_key : span list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+(* Open spans, innermost first. *)
+let stack : span list ref = ref []
 
 let now = Unix.gettimeofday
 
 (* {1 Spans} *)
 
 let start_span ?(attrs = []) name =
-  let parent =
-    match Domain.DLS.get stack_key with
-    | [] -> None
-    | s :: _ -> Some s.id
-  in
-  Mutex.lock mutex;
+  let parent = match !stack with [] -> None | s :: _ -> Some s.id in
   let id = !next_id in
   incr next_id;
-  Mutex.unlock mutex;
   let s = { id; parent; name; attrs; start_s = now (); stop_s = neg_infinity } in
-  Domain.DLS.set stack_key (s :: Domain.DLS.get stack_key);
+  stack := s :: !stack;
   s
 
 let finish_span s =
   s.stop_s <- now ();
-  (match Domain.DLS.get stack_key with
-  | top :: rest when top == s -> Domain.DLS.set stack_key rest
-  | stack ->
+  (match !stack with
+  | top :: rest when top == s -> stack := rest
+  | open_spans ->
     (* Out-of-order finish (an exception unwound through several spans):
        drop [s] wherever it sits. *)
-    Domain.DLS.set stack_key (List.filter (fun x -> x != s) stack));
-  Mutex.lock mutex;
-  finished := s :: !finished;
-  Mutex.unlock mutex
+    stack := List.filter (fun x -> x != s) open_spans);
+  finished := s :: !finished
 
 let with_span ?attrs name f =
   if not (enabled ()) then f ()
@@ -82,7 +73,7 @@ let with_span ?attrs name f =
 
 let set_attr key v =
   if enabled () then
-    match Domain.DLS.get stack_key with
+    match !stack with
     | [] -> ()
     | s :: _ ->
       s.attrs <-
@@ -93,29 +84,22 @@ let set_attr key v =
 (* {1 Metrics} *)
 
 let count name n =
-  if enabled () then begin
-    Mutex.lock mutex;
-    (match Hashtbl.find_opt counters_tbl name with
+  if enabled () then
+    match Hashtbl.find_opt counters_tbl name with
     | Some r -> r := !r + n
-    | None -> Hashtbl.replace counters_tbl name (ref n));
-    Mutex.unlock mutex
-  end
+    | None -> Hashtbl.replace counters_tbl name (ref n)
 
 let gauge_max name v =
-  if enabled () then begin
-    Mutex.lock mutex;
-    (match Hashtbl.find_opt gauges_tbl name with
+  if enabled () then
+    match Hashtbl.find_opt gauges_tbl name with
     | Some r -> r := Float.max !r v
-    | None -> Hashtbl.replace gauges_tbl name (ref v));
-    Mutex.unlock mutex
-  end
+    | None -> Hashtbl.replace gauges_tbl name (ref v)
 
 (* {1 Reports} *)
 
 let by_name (a, _) (b, _) = String.compare a b
 
 let report () =
-  Mutex.lock mutex;
   let spans = List.sort (fun a b -> Int.compare a.id b.id) !finished in
   let counters =
     Hashtbl.fold (fun k r acc -> (k, !r) :: acc) counters_tbl []
@@ -125,17 +109,14 @@ let report () =
     Hashtbl.fold (fun k r acc -> (k, !r) :: acc) gauges_tbl []
     |> List.sort by_name
   in
-  Mutex.unlock mutex;
   { spans; counters; gauges }
 
 let reset () =
-  Mutex.lock mutex;
   finished := [];
   next_id := 0;
   Hashtbl.reset counters_tbl;
   Hashtbl.reset gauges_tbl;
-  Mutex.unlock mutex;
-  Domain.DLS.set stack_key []
+  stack := []
 
 (* {1 Rendering} *)
 

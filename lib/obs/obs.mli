@@ -1,13 +1,14 @@
 (** Execution observability: hierarchical tracing spans and process-wide
     metrics, collected in memory and rendered on demand as text or JSON.
 
-    The subsystem is a single global collector guarded by one mutex, plus a
-    per-domain stack of open spans (so nesting is tracked without threading
-    a context value through every executor signature).  Everything is
-    gated on {!enabled}: when disabled — the default unless [QF_PROFILE] is
-    set — every entry point is a single atomic load followed by a direct
-    call of the instrumented function, so the overhead on hot paths is
-    negligible.
+    The subsystem is a single global collector plus a stack of open spans
+    (so nesting is tracked without threading a context value through every
+    executor signature).  It holds plain mutable state and no locks: the
+    engine runs on one domain, and nothing may call in from another.
+    Everything is gated on {!enabled}: when disabled — the default unless
+    [QF_PROFILE] is set — every entry point is a single load followed by a
+    direct call of the instrumented function, so the overhead on hot paths
+    is negligible.
 
     Conventions used by the instrumented kernels and executors:
 
@@ -36,7 +37,7 @@ type value =
 
 type span = {
   id : int;  (** allocation order = start order; unique per {!reset} epoch *)
-  parent : int option;  (** enclosing span on the same domain *)
+  parent : int option;  (** the innermost span open when this one started *)
   name : string;
   mutable attrs : (string * value) list;  (** insertion order *)
   start_s : float;  (** wall clock, {!now} *)
@@ -47,8 +48,8 @@ type span = {
     returns or raises.  When disabled this is just [f ()]. *)
 val with_span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
 
-(** Set (or replace) an attribute on the innermost open span of the calling
-    domain.  No-op when disabled or when no span is open. *)
+(** Set (or replace) an attribute on the innermost open span.  No-op when
+    disabled or when no span is open. *)
 val set_attr : string -> value -> unit
 
 (** {1 Metrics} *)

@@ -13,7 +13,7 @@
    the relation's own identity, so sharing across working copies is safe
    and is exactly what lets one plan's FILTER steps, the optimizer's
    candidate probes and the bench's per-support loops reuse each other's
-   work.  A small mutex guards the table.
+   work.
 
    Residency is bounded by an LRU byte budget ([QF_INDEX_BUDGET],
    default 128 MiB) instead of the old wipe-everything entry cap: a
@@ -24,7 +24,6 @@
 type index_cache = {
   entries :
     (int * int list * (int * Index.direction) option, int * Index.t) Lru.t;
-  cache_mutex : Mutex.t;
   mutable hits : int;
   mutable misses : int;
 }
@@ -46,7 +45,6 @@ type entry += Step of Relation.t
 
 type memo = {
   memo_entries : (string, entry) Lru.t;
-  memo_mutex : Mutex.t;
   mutable memo_hits : int;
   mutable memo_misses : int;
 }
@@ -67,14 +65,9 @@ let default_memo_budget = 64 * 1024 * 1024
    entry for an older version, or for a different relation bound to the
    same name (in this catalog or a copy), is a miss and is replaced. *)
 
-type stats_cache = {
-  profiles : (string, int * int * Statistics.t) Hashtbl.t;
-  stats_mutex : Mutex.t;
-}
-
 type t = {
   relations : (string, Relation.t) Hashtbl.t;
-  stats_cache : stats_cache;
+  profiles : (string, int * int * Statistics.t) Hashtbl.t;
   indexes : index_cache;
   memo : memo;
 }
@@ -82,13 +75,12 @@ type t = {
 let create () =
   {
     relations = Hashtbl.create 16;
-    stats_cache = { profiles = Hashtbl.create 16; stats_mutex = Mutex.create () };
+    profiles = Hashtbl.create 16;
     indexes =
       {
         entries =
           Lru.create
             ~budget:(budget_of_env "QF_INDEX_BUDGET" ~default:default_index_budget);
-        cache_mutex = Mutex.create ();
         hits = 0;
         misses = 0;
       };
@@ -97,7 +89,6 @@ let create () =
         memo_entries =
           Lru.create
             ~budget:(budget_of_env "QF_MEMO_BUDGET" ~default:default_memo_budget);
-        memo_mutex = Mutex.create ();
         memo_hits = 0;
         memo_misses = 0;
       };
@@ -119,26 +110,19 @@ let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.relations []
 let stats t name =
   let rel = find t name in
   let id = Relation.id rel and version = Relation.version rel in
-  let c = t.stats_cache in
-  Mutex.lock c.stats_mutex;
-  let cached = Hashtbl.find_opt c.profiles name in
-  Mutex.unlock c.stats_mutex;
-  match cached with
+  match Hashtbl.find_opt t.profiles name with
   | Some (cached_id, cached_version, s)
     when cached_id = id && cached_version = version ->
     s
   | Some _ | None ->
     let s = Statistics.of_relation rel in
-    Mutex.lock c.stats_mutex;
-    Hashtbl.replace c.profiles name (id, version, s);
-    Mutex.unlock c.stats_mutex;
+    Hashtbl.replace t.profiles name (id, version, s);
     s
 
 let index ?order t rel positions =
   let c = t.indexes in
   let key = Relation.id rel, positions, order in
   let current = Relation.version rel in
-  Mutex.lock c.cache_mutex;
   let cached =
     match Lru.find c.entries key with
     | Some (version, idx) when version = current ->
@@ -148,7 +132,6 @@ let index ?order t rel positions =
       c.misses <- c.misses + 1;
       None
   in
-  Mutex.unlock c.cache_mutex;
   (* Mirror the per-catalog counters into the global metrics so profiled
      runs report cache effectiveness without threading the catalog out. *)
   (if Qf_obs.Obs.enabled () then
@@ -159,11 +142,9 @@ let index ?order t rel positions =
   | Some idx -> idx
   | None ->
     let idx = Index.build ?order rel positions in
-    Mutex.lock c.cache_mutex;
     let evicted =
       Lru.add c.entries key (current, idx) ~bytes:(Index.approx_bytes idx)
     in
-    Mutex.unlock c.cache_mutex;
     if evicted > 0 && Qf_obs.Obs.enabled () then
       Qf_obs.Obs.count "index_cache.evict" evicted;
     idx
@@ -184,7 +165,6 @@ let memo_find t key =
   if not (memo_enabled t) then None
   else begin
     let m = t.memo in
-    Mutex.lock m.memo_mutex;
     let cached =
       match Lru.find m.memo_entries key with
       | Some (Step rel) -> Some rel
@@ -193,7 +173,6 @@ let memo_find t key =
     (match cached with
     | Some _ -> m.memo_hits <- m.memo_hits + 1
     | None -> m.memo_misses <- m.memo_misses + 1);
-    Mutex.unlock m.memo_mutex;
     (if Qf_obs.Obs.enabled () then
        match cached with
        | Some _ -> Qf_obs.Obs.count "memo.hit" 1
@@ -202,20 +181,13 @@ let memo_find t key =
   end
 
 let memo_find_entry t key =
-  if not (memo_enabled t) then None
-  else begin
-    Mutex.lock t.memo.memo_mutex;
-    let cached = Lru.find t.memo.memo_entries key in
-    Mutex.unlock t.memo.memo_mutex;
-    cached
-  end
+  if memo_enabled t then Lru.find t.memo.memo_entries key else None
 
 let memo_add_entry t key entry ~bytes =
   if memo_enabled t then begin
-    let m = t.memo in
-    Mutex.lock m.memo_mutex;
-    let evicted = Lru.add m.memo_entries key entry ~bytes:(bytes + String.length key) in
-    Mutex.unlock m.memo_mutex;
+    let evicted =
+      Lru.add t.memo.memo_entries key entry ~bytes:(bytes + String.length key)
+    in
     if evicted > 0 && Qf_obs.Obs.enabled () then
       Qf_obs.Obs.count "memo.evict" evicted
   end
@@ -227,10 +199,7 @@ let memo_stats t =
 
 let set_memo_budget t budget = ignore (Lru.set_budget t.memo.memo_entries budget)
 
-let memo_clear t =
-  Mutex.lock t.memo.memo_mutex;
-  Lru.clear t.memo.memo_entries;
-  Mutex.unlock t.memo.memo_mutex
+let memo_clear t = Lru.clear t.memo.memo_entries
 
 let memo_bytes t = Lru.total_bytes t.memo.memo_entries
 

@@ -5,7 +5,7 @@
     kernels — index probes, grouping, duplicate elimination — run entirely
     over flat integer arrays with no per-row allocation.  Readers look at
     the first [nrows] entries of each column only, and those never
-    change, so worker domains may read [cols] freely. *)
+    change. *)
 
 type t = {
   nrows : int;  (** explicit, so arity-0 relations keep their cardinality *)

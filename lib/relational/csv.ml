@@ -1,9 +1,8 @@
 (* A small state-machine CSV reader: handles quoted fields with embedded
    commas, doubled quotes, and newlines.  The header's fields name the
    columns; every later field goes through {!Value.of_string} straight to
-   its code, under one dictionary lock for the whole text, and each
-   record is inserted as a code row.  Error positions are physical
-   1-based (line, byte column) pairs. *)
+   its code, and each record is inserted as a code row.  Error positions
+   are physical 1-based (line, byte column) pairs. *)
 let parse_string text =
   let n = String.length text and buf = Buffer.create 32 in
   let line = ref 1 and line_start = ref 0 in
@@ -13,7 +12,6 @@ let parse_string text =
   in
   let header = ref [] and rel = ref None and row = ref [||] and k = ref 0 in
   let record_pos = ref (1, 1) and field_pos = ref (1, 1) in
-  Dict.with_encoder @@ fun encode ->
   let end_field () =
     let s = Buffer.contents buf in
     Buffer.clear buf;
@@ -22,7 +20,8 @@ let parse_string text =
       if List.mem s !header then fail !field_pos "duplicate column %S" s;
       header := s :: !header
     | Some _ ->
-      if !k < Array.length !row then !row.(!k) <- encode (Value.of_string s));
+      if !k < Array.length !row then
+        !row.(!k) <- Dict.encode (Value.of_string s));
     incr k
   in
   let end_record () =

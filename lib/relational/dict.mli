@@ -7,19 +7,11 @@
     string interning: {!Value.str} already canonicalizes strings, so
     encode probes compare interned strings pointer-first.
 
-    Encoding is guarded by a mutex (use {!with_encoder} to amortize the
-    lock over a bulk conversion).  Decoding is lock-free: codes index an
-    append-only array republished through an [Atomic] after every
-    extension, so worker domains may decode concurrently with an encoder
-    on another domain. *)
+    Codes index an append-only array.  The dictionary is plain global
+    state with no locks: the engine runs on one domain. *)
 
 (** The code for [v], assigning a fresh one on first sight. *)
 val encode : Value.t -> int
-
-(** [with_encoder f] runs [f encode] holding the dictionary lock once,
-    for bulk conversions.  The encoder must not escape [f], and [f] must
-    not call {!encode}/{!with_encoder} itself. *)
-val with_encoder : ((Value.t -> int) -> 'a) -> 'a
 
 (** The code already assigned to [v], if any.  Never assigns one, so
     {!size} does not move: a value with no code occurs in no relation. *)

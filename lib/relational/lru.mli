@@ -9,9 +9,7 @@
     determinism tests rely on.
 
     A budget of [0] disables the table entirely ({!add} is a no-op and
-    {!find} always misses); [max_int] means unbounded.  The table itself
-    is not synchronized — callers guard it with their own mutex, exactly
-    as the catalog does for its caches. *)
+    {!find} always misses); [max_int] means unbounded. *)
 
 type ('k, 'v) t
 

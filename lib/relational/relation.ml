@@ -19,11 +19,13 @@ type t = {
 (* Identity for the catalog's index cache: ids are process-unique, and
    [version] bumps on every successful insertion, so (id, version) names
    one immutable snapshot of the tuple set. *)
-let next_id = Atomic.make 0
+let next_id = ref 0
 
 let make schema cols nrows =
+  let id = !next_id in
+  incr next_id;
   {
-    id = Atomic.fetch_and_add next_id 1;
+    id;
     schema;
     cols;
     nrows;
@@ -113,8 +115,7 @@ let add_codes t codes =
 
 let add t tup =
   add_codes t
-    (Dict.with_encoder (fun encode ->
-         Array.init (Tuple.arity tup) (fun c -> encode (Tuple.get tup c))))
+    (Array.init (Tuple.arity tup) (fun c -> Dict.encode (Tuple.get tup c)))
 
 (* A value the dictionary has never seen occurs in no relation. *)
 let mem t tup =

@@ -51,7 +51,7 @@ val is_empty : t -> bool
 val add : t -> Tuple.t -> unit
 
 (** [add_codes rel codes] is {!add} for a row already encoded (by a
-    bulk loader under {!Dict.with_encoder}); [codes] is copied. *)
+    bulk loader, through {!Dict.encode}); [codes] is copied. *)
 val add_codes : t -> int array -> unit
 
 (** [add_all ?unless dst src] adds every row of [src] (positionally)

@@ -8,26 +8,18 @@ type t =
    String-keyed workloads (items, symptoms, words) compare the same small
    set of strings over and over in hash probes.  Interning maps every
    distinct string to one canonical copy so equality can try pointer
-   comparison before falling back to [String.equal].  The table is guarded
-   by a mutex, so values may be built on any domain; [equal] itself never
-   touches the table, so the fast path stays lock-free.  Interning is an
+   comparison before falling back to [String.equal].  Interning is an
    optimization, not an invariant: [Str] values built without {!str}
    still compare correctly. *)
 
 let intern_table : (string, string) Hashtbl.t = Hashtbl.create 1024
-let intern_mutex = Mutex.create ()
 
 let intern s =
-  Mutex.lock intern_mutex;
-  let canonical =
-    match Hashtbl.find_opt intern_table s with
-    | Some c -> c
-    | None ->
-      Hashtbl.add intern_table s s;
-      s
-  in
-  Mutex.unlock intern_mutex;
-  canonical
+  match Hashtbl.find_opt intern_table s with
+  | Some c -> c
+  | None ->
+    Hashtbl.add intern_table s s;
+    s
 
 let str s = Str (intern s)
 let interned_count () = Hashtbl.length intern_table

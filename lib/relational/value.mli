@@ -23,7 +23,7 @@ val equal : t -> t -> bool
 
 (** [str s] is [Str (intern s)]: the canonical copy of [s], shared by
     every value built through {!str} or {!of_string}.  Equality between
-    interned strings is (usually) a pointer comparison.  Thread-safe. *)
+    interned strings is (usually) a pointer comparison. *)
 val str : string -> t
 
 (** Number of distinct strings interned so far (for diagnostics). *)

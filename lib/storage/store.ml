@@ -106,7 +106,7 @@ let with_codes t name f =
 
 let load t name =
   with_codes t name @@ fun values file ->
-  let remap = Dict.with_encoder (fun encode -> Array.map encode values) in
+  let remap = Array.map Dict.encode values in
   let ({ Chunkrel.nrows; cols } as chunk) = Heap_file.to_chunk file in
   let size = Array.length remap in
   Array.iter

@@ -1,12 +1,12 @@
 (* The flockc binary's input boundaries: a missing, misplaced or corrupt
    [-D] store, a malformed CSV, a flock naming an unloaded predicate, a
-   bad timeout or memory budget, a SUM over strings and a bad [rules] /
-   [maximal] argument are input errors (exit 1 with a
-   one-line message; 2 under [lint]), never an uncaught exception
-   (cmdliner's exit 125, which flockc also uses for an exceeded memory
-   budget).  [rules] and [maximal] output on
-   baskets.csv is pinned byte for byte.  Each case runs the built
-   executable as a subprocess. *)
+   bad timeout or memory budget, a SUM over strings, a spill directory
+   that cannot be created and a bad [rules] / [maximal] argument are
+   errors (exit 1 with a one-line message; 2 under [lint]), never an
+   uncaught exception (cmdliner's exit 125, which flockc also uses for an
+   exceeded memory budget).  [rules] and [maximal] output on baskets.csv
+   is pinned byte for byte.  Each case runs the built executable as a
+   subprocess. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -268,6 +268,52 @@ let test_explain_reads_governor_variables () =
       [], [ "--mem-budget=1k" ], 125;
       [ "QF_TIMEOUT=0.000000001" ], [], 124;
     ]
+
+(* A spill directory that cannot be created is an environment error: a
+   3,000-basket CSV spills under a 64 KiB budget, and with [TMPDIR] under
+   a missing directory [mine] exits 1 naming the directory and the OS
+   error, leaving no spill directory anywhere. *)
+let test_spill_dir_uncreatable () =
+  let rows =
+    List.init 3000 (fun b ->
+        String.concat ""
+          (List.init 8 (fun j ->
+               Printf.sprintf "b%d,i%d\n" b (((b * 7) + (j * 13)) mod 40))))
+  in
+  with_csv (String.concat "" ("BID,Item\n" :: rows)) @@ fun csv ->
+  let missing = fresh_path () in
+  let tmpdir = Filename.concat missing "x" in
+  let code, msg =
+    run ~env:[ "TMPDIR=" ^ tmpdir ]
+      [ "mine"; "--mem-budget=64k"; "-d"; "baskets=" ^ csv; pairs ]
+  in
+  check_int ("exit status of: " ^ msg) 1 code;
+  let prefix =
+    Printf.sprintf "flockc: mine: cannot create spill directory %s/qf_spill."
+      tmpdir
+  in
+  if
+    not
+      (String.starts_with ~prefix msg
+      && Test_util.contains ~sub:": No such file or directory" msg)
+  then
+    Alcotest.failf "expected %S<pid>.<n>: No such file or directory in: %s"
+      prefix msg;
+  check_bool "one line" false (String.contains msg '\n');
+  check_bool "the missing directory is not created" false
+    (Sys.file_exists missing);
+  (* The directory is [qf_spill.<pid>.<n>]: no directory of that run is
+     left in the ordinary temp directory either. *)
+  let rest =
+    String.sub msg (String.length prefix)
+      (String.length msg - String.length prefix)
+  in
+  let pid = List.hd (String.split_on_char '.' rest) in
+  let leftovers =
+    Sys.readdir (Filename.get_temp_dir_name ())
+    |> Array.exists (String.starts_with ~prefix:("qf_spill." ^ pid ^ "."))
+  in
+  check_bool "no spill directory left behind" false leftovers
 
 let with_flock text f =
   let path = Filename.temp_file "qfcli" ".flock" in
@@ -543,6 +589,8 @@ let suite =
       `Quick test_explain_reads_governor_variables;
     Alcotest.test_case "arity mismatch exits 1 in mine/run/explain" `Quick
       test_arity_mismatch;
+    Alcotest.test_case "uncreatable spill directory exits 1 naming it" `Quick
+      test_spill_dir_uncreatable;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xf1ce |])
       prop_mutants;
   ]

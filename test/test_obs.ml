@@ -99,6 +99,34 @@ let test_report_renderers_are_stable () =
   check_bool "counters sorted by name" true
     (before "a.counter" "z.counter" t1 && before "a.counter" "z.counter" j1)
 
+let test_span_stack_unwinds () =
+  let r =
+    with_obs (fun () ->
+        (match
+           Obs.with_span "a" (fun () ->
+               Obs.with_span "b" (fun () ->
+                   Obs.with_span "c" (fun () -> failwith "boom")))
+         with
+        | () -> Alcotest.fail "the exception must escape the spans"
+        | exception Failure _ -> ());
+        Obs.with_span "next" (fun () -> ());
+        Obs.report ())
+  in
+  match r.Obs.spans with
+  | [ a; b; c; next ] ->
+    Alcotest.(check (list string)) "all four finished, in start order"
+      [ "a"; "b"; "c"; "next" ]
+      (List.map (fun (s : Obs.span) -> s.Obs.name) [ a; b; c; next ]);
+    check_bool "a is a root" true (a.Obs.parent = None);
+    check_bool "b inside a" true (b.Obs.parent = Some a.Obs.id);
+    check_bool "c inside b" true (c.Obs.parent = Some b.Obs.id);
+    check_bool "the unwound spans have stop times" true
+      (List.for_all
+         (fun (s : Obs.span) -> s.Obs.stop_s >= s.Obs.start_s)
+         [ a; b; c ]);
+    check_bool "the next top-level span is a root" true (next.Obs.parent = None)
+  | spans -> Alcotest.failf "expected 4 spans, got %d" (List.length spans)
+
 (* {1 Span-tree well-nestedness on real executions} *)
 
 let spans_of_execution seed =
@@ -155,23 +183,32 @@ let filter_step_invariants (s : Obs.span) =
       0 <= ro && ro <= g && g <= ri && pr >= 0. && pr <= 1.
     | _ -> false)
 
+(* The plan runs twice on one catalog, so the second run is served by
+   the memo when it is on (a [memo = hit] span) and by tabulation when it
+   is off ([QF_MEMO_BUDGET=0]). *)
 let prop_filter_step_metrics =
   QCheck.Test.make
     ~name:"filter.step spans: rows_out <= groups <= rows_in, ratio in [0,1]"
     ~count:60 arb_basket_instance (fun (rel, threshold) ->
       let cat = catalog_of rel in
-      let flock = pair_flock threshold in
+      let plan =
+        match Apriori_gen.singleton_plan (pair_flock threshold) with
+        | Ok p -> p
+        | Error e -> failwith e
+      in
       let spans =
         with_obs (fun () ->
-            (match Apriori_gen.singleton_plan flock with
-            | Ok p -> ignore (Plan_exec.run cat p)
-            | Error e -> failwith e);
+            ignore (Plan_exec.run cat plan);
+            ignore (Plan_exec.run cat plan);
             (Obs.report ()).Obs.spans)
       in
       let steps =
         List.filter (fun (s : Obs.span) -> s.Obs.name = "filter.step") spans
       in
-      steps <> [] && List.for_all filter_step_invariants steps)
+      let memo_hit s = attr "memo" s = Some (Obs.Str "hit") in
+      steps <> []
+      && List.for_all filter_step_invariants steps
+      && List.exists memo_hit steps = Qf_relational.Catalog.memo_enabled cat)
 
 (* {1 Repeatability of the deterministic metrics} *)
 
@@ -396,6 +433,8 @@ let suite =
       test_span_nesting_and_metrics;
     Alcotest.test_case "redacted renderers are byte-stable" `Quick
       test_report_renderers_are_stable;
+    Alcotest.test_case "an exception unwinds three nested spans" `Quick
+      test_span_stack_unwinds;
     Alcotest.test_case "span trees are well-nested on real runs" `Quick
       test_span_tree_well_nested;
     Alcotest.test_case "deterministic metrics repeat across runs" `Slow
