@@ -664,12 +664,10 @@ let e11 () =
 
 (* {1 E13 — estimator accuracy: System-R estimates vs observed counts}
 
-   Each step's estimate is judged against what the step observed, plain
-   and clamped.  The multi-parameter final steps are the estimator's weak
-   spot: their group estimate is a product of per-parameter distinct
-   counts and ignores every join constraint.  The abstract interpreter's
-   certified bounds (Absint.clamps_of_plan) cap exactly those products, so
-   each plan is also costed with min(estimate, bound). *)
+   Each step's estimate is judged against what the step observed.  The
+   multi-parameter final steps are the estimator's weak spot: their group
+   estimate is a product of per-parameter distinct counts and ignores
+   every join constraint. *)
 
 (* Multiplicative estimation error, floored at 1 on both sides so empty
    steps do not divide by zero: q = max(est/act, act/est) >= 1, with 1
@@ -688,36 +686,31 @@ let median = function
 
 let e13 () =
   header "E13"
-    "estimator accuracy — per-step estimated vs observed cardinalities, \
-     plain and clamped to certified bounds (q-error, 1.0 = perfect)";
-  (* The group q-errors, plain and clamped, of the multi-parameter steps. *)
+    "estimator accuracy — per-step estimated vs observed cardinalities \
+     (q-error, 1.0 = perfect)";
+  (* The group q-errors of the multi-parameter steps. *)
   let multi = ref [] in
   let examine name catalog plan =
-    let env = Qf_datalog.Sizes.of_catalog catalog in
-    let clamps = Qf_analysis.Absint.clamps_of_plan catalog plan in
-    let plain = Cost.plan_step_estimates env plan in
-    let clamped = Cost.plan_step_estimates ~clamps env plan in
+    let estimates =
+      Cost.plan_step_estimates (Qf_datalog.Sizes.of_catalog catalog) plan
+    in
     let report = Plan_exec.run_with_report catalog plan in
-    row "@.%-26s %-8s %6s %10s %7s %9s %8s %7s %7s %8s %7s@." name "step"
-      "params" "est_grps" "groups" "est_rows" "rows_out" "q(grp)" "clamped"
-      "q(rows)" "clamped";
+    row "@.%-26s %-8s %6s %10s %7s %9s %8s %7s %8s@." name "step" "params"
+      "est_grps" "groups" "est_rows" "rows_out" "q(grp)" "q(rows)";
     let worst = ref 1. in
     let entries =
       List.mapi
         (fun i (s : Plan.step) ->
-          let p = List.nth plain i
-          and c = List.nth clamped i
+          let p = List.nth estimates i
           and r = List.nth report.Plan_exec.steps i in
           let params = List.length s.Plan.params in
           let qg = q_error p.Cost.est_groups r.Plan_exec.groups
-          and qgc = q_error c.Cost.est_groups r.Plan_exec.groups in
-          let qr = q_error p.Cost.est_rows r.Plan_exec.survivors
-          and qrc = q_error c.Cost.est_rows r.Plan_exec.survivors in
+          and qr = q_error p.Cost.est_rows r.Plan_exec.survivors in
           worst := Float.max !worst (Float.max qg qr);
-          if params >= 2 then multi := (qg, qgc) :: !multi;
-          row "%-26s %-8s %6d %10.1f %7d %9.1f %8d %6.2fx %6.2fx %7.2fx %6.2fx@."
-            "" s.Plan.name params p.Cost.est_groups r.Plan_exec.groups
-            p.Cost.est_rows r.Plan_exec.survivors qg qgc qr qrc;
+          if params >= 2 then multi := qg :: !multi;
+          row "%-26s %-8s %6d %10.1f %7d %9.1f %8d %6.2fx %7.2fx@." ""
+            s.Plan.name params p.Cost.est_groups r.Plan_exec.groups
+            p.Cost.est_rows r.Plan_exec.survivors qg qr;
           [
             "workload", Str name;
             "step", Str s.Plan.name;
@@ -728,8 +721,6 @@ let e13 () =
             "rows_out", Int r.Plan_exec.survivors;
             "q_groups", Float qg;
             "q_rows", Float qr;
-            "q_groups_clamped", Float qgc;
-            "q_rows_clamped", Float qrc;
           ])
         (Plan.all_steps plan)
     in
@@ -757,22 +748,14 @@ let e13 () =
     examine "E3 medical / Fig. 5 plan" catalog plan
   in
   (* The headline number: median q-error of the GROUP estimates on the
-     multi-parameter steps — the per-parameter products the certified
-     bounds provably cap. *)
-  let median_plain = median (List.map fst !multi)
-  and median_clamped = median (List.map snd !multi) in
-  row "@.%-26s median group q-error (multi-param steps): %.2fx -> %.2fx@." ""
-    median_plain median_clamped;
-  if not (median_clamped < median_plain) then
-    row "%-26s WARNING: clamping did not strictly reduce the median@." "";
+     multi-parameter steps, the per-parameter products. *)
+  let median_groups = median !multi in
+  row "@.%-26s median group q-error (multi-param steps): %.2fx@." ""
+    median_groups;
   write_record "BENCH_estimator.json" ~experiment:"E13"
     ~workload:"E1 market a-priori plan and E3 medical Fig. 5 plan"
     ~summary:
-      [
-        "metric", Str "q_error";
-        "median_q_groups_plain", Float median_plain;
-        "median_q_groups_clamped", Float median_clamped;
-      ]
+      [ "metric", Str "q_error"; "median_q_groups", Float median_groups ]
     (market @ medical)
 
 (* {1 E16 — sideways information passing and the cross-level subplan memo} *)

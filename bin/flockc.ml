@@ -282,7 +282,8 @@ let lint_cmd =
           consistency, redundant subgoals (Sec. 3.1), arithmetic \
           contradictions, join hygiene, and FILTER sanity, as stable \
           QF0xx diagnostics with source spans.  With $(b,--absint), also \
-          run abstract-interpretation bound certification (QF07x).  Exit \
+          run the abstract interpreter's dead-code and monotonicity \
+          certificates (QF07x).  Exit \
           status: 0 clean, 1 findings, 2 unreadable input, 3 internal \
           plan-legality failure.")
     Term.(
@@ -458,15 +459,12 @@ let explain_cmd =
         prerr_endline "flockc: explain --profile: no plan to profile";
         exit 1
       | best :: _ ->
-        let clamps =
-          Qf_analysis.Absint.clamps_of_plan catalog best.Optimizer.plan
-        in
         (* A governor is installed only when asked for, so ungoverned
            profiles keep their exact historical output. *)
         let governor = or_die (make_governor ~timeout ~mem_budget) in
         let p =
           governed ~context:"explain" @@ fun () ->
-          Explain.profile ~clamps ?governor catalog best.Optimizer.plan
+          Explain.profile ?governor catalog best.Optimizer.plan
         in
         if json then print_string (Explain.profile_json ~redact_timings:redact p)
         else begin

@@ -7,7 +7,6 @@ module Schema = Qf_relational.Schema
 module Statistics = Qf_relational.Statistics
 module Flock = Qf_core.Flock
 module Filter = Qf_core.Filter
-module Plan = Qf_core.Plan
 module Parse = Qf_core.Parse
 module D = Diagnostic
 
@@ -89,46 +88,26 @@ let equal_interval a b = equal_bound a.lo b.lo && equal_bound a.hi b.hi
 (* {1 Environments}
 
    Sizes come from the one size model; the abstract domain adds each
-   column's certified range: a relation's from its catalog profile, an
-   earlier plan step's output's from [outputs], by step name. *)
+   column's certified range from its relation's catalog profile. *)
 
-type env = {
-  catalog : Catalog.t;
-  sizes : Sizes.t;
-  outputs : (string * interval list) list;
-}
+type env = { catalog : Catalog.t; sizes : Sizes.t }
 
-let environment catalog =
-  { catalog; sizes = Sizes.of_catalog catalog; outputs = [] }
-
-(* An earlier step's output: at most [rows] distinct parameter tuples,
-   each column within its interval. *)
-let add_output env name ~rows intervals =
-  {
-    env with
-    sizes =
-      Sizes.add env.sizes name
-        (Sizes.output ~rows (List.map (fun _ -> rows) intervals));
-    outputs = (name, intervals) :: env.outputs;
-  }
+let environment catalog = { catalog; sizes = Sizes.of_catalog catalog }
 
 (* The certified range of every column of [pred]; [None] when unknown. *)
 let column_intervals env pred =
-  match List.assoc_opt pred env.outputs with
-  | Some _ as ivs -> ivs
-  | None ->
-    Option.map
-      (fun rel ->
-        let stats = Catalog.stats env.catalog pred in
-        List.map
-          (fun c ->
-            let p = Statistics.column_profile stats c in
-            match p.Statistics.min_value, p.Statistics.max_value with
-            | Some lo, Some hi -> { lo = Some (lo, true); hi = Some (hi, true) }
-            | _ -> (* empty relation: the column holds no value at all *)
-              { lo = Some (Value.Int 0, false); hi = Some (Value.Int 0, false) })
-          (Schema.columns (Relation.schema rel)))
-      (Catalog.find_opt env.catalog pred)
+  Option.map
+    (fun rel ->
+      let stats = Catalog.stats env.catalog pred in
+      List.map
+        (fun c ->
+          let p = Statistics.column_profile stats c in
+          match p.Statistics.min_value, p.Statistics.max_value with
+          | Some lo, Some hi -> { lo = Some (lo, true); hi = Some (hi, true) }
+          | _ -> (* empty relation: the column holds no value at all *)
+            { lo = Some (Value.Int 0, false); hi = Some (Value.Int 0, false) })
+        (Schema.columns (Relation.schema rel)))
+    (Catalog.find_opt env.catalog pred)
 
 (* {1 Abstract state}
 
@@ -399,21 +378,7 @@ let analyze env (r : Ast.rule) =
 
 let analyze_rule catalog r = analyze (environment catalog) r
 
-(* {1 Plan certification} *)
-
-type step_bound = {
-  sb_step : string;
-  sb_rows : float;
-  sb_groups : float;
-  sb_survivors : float;
-  sb_dead_rules : int;
-}
-
-(* Distinct-assignment bound for one parameter within one rule: the
-   smallest ndv bound among its positive occurrences.  [infinity] when the
-   parameter never occurs positively (safety normally prevents this). *)
-let param_ndv env (r : Ast.rule) param =
-  Sizes.param_ndv env.sizes (Ast.positive_atoms r) param
+(* {1 Survivor bounds} *)
 
 (* The certified interval of the head column the filter aggregates, joined
    across live rules (a surviving tuple comes from {e some} rule). *)
@@ -458,19 +423,15 @@ let hi_float iv =
   | Some (v, _) -> Value.to_float v
   | None -> None
 
-(* Survivor bound for one step under the flock's filter.  [rows] and
-   [groups] are the step's certified tabulation/group bounds; [summand]
-   the certified interval of the aggregated head column (if any). *)
-let survivors_bound (filter : Filter.t) ~rows ~groups ~summand ~exact_count =
+(* Survivor bound of a FILTER under [filter].  [rows] and [groups] are
+   certified tabulation/group bounds; [summand] the certified interval of
+   the aggregated head column (if any). *)
+let survivors_bound (filter : Filter.t) ~rows ~groups ~summand =
   let t = filter.threshold in
   match filter.agg with
   | Filter.Count ->
-    let by_mass =
-      let c = Float.ceil t in
-      if c >= 1. then Float.floor (rows /. c) else groups
-    in
-    let by_exact = Option.value ~default:infinity exact_count in
-    Float.min groups (Float.min by_mass by_exact)
+    let c = Float.ceil t in
+    if c >= 1. then Float.min groups (Float.floor (rows /. c)) else groups
   | Filter.Sum _ -> (
     match summand with
     | None -> groups
@@ -489,175 +450,6 @@ let survivors_bound (filter : Filter.t) ~rows ~groups ~summand ~exact_count =
       match hi_float iv with
       | Some h when h < t -> 0.
       | _ -> groups))
-
-(* The earlier step an [ok]-style unary atom on parameter [p] refers to,
-   if any: a positive subgoal [step($p)] naming an earlier plan step. *)
-let ok_step_of earlier (r : Ast.rule) p =
-  List.find_map
-    (function
-      | Ast.Pos (a : Ast.atom) -> (
-        match a.args with
-        | [ Ast.Param q ] when String.equal q p ->
-          List.find_opt
-            (fun (s : Plan.step) -> String.equal s.Plan.name a.pred)
-            earlier
-        | _ -> None)
-      | Ast.Neg _ | Ast.Cmp _ -> None)
-    r.body
-
-(* Two unary auxiliary steps are alpha-equivalent when renaming one's
-   parameter to the other's makes their queries syntactically equal.  On
-   one catalog under one filter, alpha-equivalent steps compute the SAME
-   output relation (the symmetry one class step serves, paper
-   footnote 3). *)
-let alpha_equivalent (s1 : Plan.step) (s2 : Plan.step) =
-  match s1.Plan.params, s2.Plan.params with
-  | [ a ], [ b ] ->
-    List.map (Ast.rename_params [ a, b ]) s1.Plan.query = s2.Plan.query
-  | _ -> false
-
-(* Disjoint parameter pairs (p, q) of [r] under a strict order comparison
-   whose values are both drawn from alpha-equivalent earlier steps.  Such
-   a pair ranges over ordered 2-subsets of ONE value set: if the set has
-   at most n elements, the pair admits at most n(n-1)/2 assignments —
-   strictly sharper than the n^2 product the independence bound gives. *)
-let symmetric_pairs earlier (s : Plan.step) (r : Ast.rule) =
-  let strict_pairs =
-    List.filter_map
-      (function
-        | Ast.Cmp (Ast.Param p, (Ast.Lt | Ast.Gt), Ast.Param q)
-          when (not (String.equal p q))
-               && List.mem p s.Plan.params
-               && List.mem q s.Plan.params ->
-          Some (p, q)
-        | _ -> None)
-      r.body
-  in
-  let used = Hashtbl.create 4 in
-  List.filter
-    (fun (p, q) ->
-      (not (Hashtbl.mem used p))
-      && (not (Hashtbl.mem used q))
-      &&
-      match ok_step_of earlier r p, ok_step_of earlier r q with
-      | Some sp, Some sq when alpha_equivalent sp sq ->
-        Hashtbl.replace used p ();
-        Hashtbl.replace used q ();
-        true
-      | _ -> false)
-    strict_pairs
-
-let certify_step env (filter : Filter.t) ~earlier (s : Plan.step) =
-  let reports = List.map (analyze env) s.query in
-  let dead_rules =
-    List.length (List.filter (fun r -> r.dead <> None) reports)
-  in
-  let rows =
-    List.fold_left (fun acc r -> acc +. r.rows_bound) 0. reports
-  in
-  let groups =
-    (* Per rule: the product of its parameters' ndv bounds (with
-       symmetric strict-order pairs counted as 2-subsets of one set); a
-       param tuple in the output must satisfy some rule, so per-rule
-       bounds add up.  Each rule's group bound is also capped by its row
-       bound (grouping only merges tabulated tuples). *)
-    let per_rule (report : rule_report) (r : Ast.rule) =
-      match report.dead with
-      | Some _ -> 0.
-      | None ->
-        let pairs = symmetric_pairs earlier s r in
-        let paired p = List.exists (fun (a, b) -> p = a || p = b) pairs in
-        let by_ndv =
-          List.fold_left
-            (fun acc (p, q) ->
-              let n = Float.min (param_ndv env r p) (param_ndv env r q) in
-              acc *. Float.max 0. (n *. (n -. 1.) /. 2.))
-            (List.fold_left
-               (fun acc p ->
-                 if paired p then acc else acc *. param_ndv env r p)
-               1. s.params)
-            pairs
-        in
-        Float.min report.rows_bound by_ndv
-    in
-    let rec sum acc reports rules =
-      match reports, rules with
-      | rep :: reps, r :: rs -> sum (acc +. per_rule rep r) reps rs
-      | _ -> acc
-    in
-    sum 0. reports s.query
-  in
-  let summand =
-    match filter.agg with
-    | Filter.Count -> None
-    | Filter.Sum c | Filter.Min c | Filter.Max c ->
-      summand_interval reports s.query c
-  in
-  let exact_count =
-    (* With one positive subgoal, every tabulated tuple is the image of a
-       distinct base tuple, so a parameter value surviving [COUNT >= t]
-       occurs in at least [t] base tuples, even with extra negations and
-       comparisons. *)
-    match filter.agg, s.query, s.params with
-    | Filter.Count, [ rule ], [ p ] when (List.nth reports 0).dead = None -> (
-      match Ast.positive_atoms rule with
-      | [ a ] -> Sizes.values_at_least env.sizes a p ~threshold:filter.threshold
-      | _ -> None)
-    | _ -> None
-  in
-  let survivors =
-    survivors_bound filter ~rows ~groups ~summand ~exact_count
-  in
-  (* Certified ranges of the step's output columns (its sorted params):
-     join each param's interval across live rules. *)
-  let param_intervals =
-    List.map
-      (fun p ->
-        let key = "$" ^ p in
-        let rec joined acc = function
-          | [] -> acc
-          | (rep : rule_report) :: reps -> (
-            match rep.dead with
-            | Some _ -> joined acc reps
-            | None -> (
-              let iv =
-                Option.value ~default:top (List.assoc_opt key rep.intervals)
-              in
-              match acc with
-              | None -> joined (Some iv) reps
-              | Some a -> joined (Some (join a iv)) reps))
-        in
-        Option.value ~default:top (joined None reports))
-      s.params
-  in
-  ( {
-      sb_step = s.name;
-      sb_rows = rows;
-      sb_groups = groups;
-      sb_survivors = survivors;
-      sb_dead_rules = dead_rules;
-    },
-    param_intervals )
-
-let certify_plan catalog (plan : Plan.t) =
-  let filter = plan.flock.Flock.filter in
-  let env, bounds, earlier =
-    List.fold_left
-      (fun (env, acc, earlier) (s : Plan.step) ->
-        let sb, param_ivs = certify_step env filter ~earlier s in
-        ( add_output env s.Plan.name ~rows:sb.sb_survivors param_ivs,
-          sb :: acc,
-          earlier @ [ s ] ))
-      (environment catalog, [], [])
-      plan.steps
-  in
-  let sb, _ = certify_step env filter ~earlier plan.final in
-  List.rev (sb :: bounds)
-
-let clamps_of_plan catalog plan =
-  List.map
-    (fun sb -> sb.sb_step, (sb.sb_groups, sb.sb_survivors))
-    (certify_plan catalog plan)
 
 (* {1 Monotonicity certificates} *)
 
@@ -783,29 +575,27 @@ let check_program ~catalog (lp : Parse.located_program) =
       let empty_by_bound =
         (* The trivial one-step plan's survivor bound: certified empty
            when even the unpruned result cannot pass the filter. *)
-        let params =
-          Ast.query_params rules
-        in
+        let params = Ast.query_params rules in
         let rows =
           List.fold_left (fun acc (r : rule_report) -> acc +. r.rows_bound) 0. reports
         in
         let groups =
-          let rec sum acc reps rs =
-            match reps, rs with
-            | (rep : rule_report) :: reps, r :: rs ->
-              let g =
-                match rep.dead with
-                | Some _ -> 0.
-                | None ->
-                  Float.min rep.rows_bound
-                    (List.fold_left
-                       (fun acc p -> acc *. param_ndv env r p)
-                       1. params)
-              in
-              sum (acc +. g) reps rs
-            | _ -> acc
-          in
-          sum 0. reports rules
+          (* Per live rule: the product of its parameters' distinct-count
+             bounds, capped by its row bound (grouping only merges
+             tabulated tuples); an output tuple satisfies some rule, so
+             the per-rule bounds add up. *)
+          List.fold_left2
+            (fun acc (rep : rule_report) (r : Ast.rule) ->
+              match rep.dead with
+              | Some _ -> acc
+              | None ->
+                let atoms = Ast.positive_atoms r in
+                acc
+                +. Float.min rep.rows_bound
+                     (List.fold_left
+                        (fun acc p -> acc *. Sizes.param_ndv env.sizes atoms p)
+                        1. params))
+            0. reports rules
         in
         let summand =
           match filter.Filter.agg with
@@ -813,7 +603,7 @@ let check_program ~catalog (lp : Parse.located_program) =
           | Filter.Sum c | Filter.Min c | Filter.Max c ->
             summand_interval reports rules c
         in
-        survivors_bound filter ~rows ~groups ~summand ~exact_count:None = 0.
+        survivors_bound filter ~rows ~groups ~summand = 0.
       in
       let empties =
         if all_dead then

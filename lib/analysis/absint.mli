@@ -6,18 +6,14 @@
     an {e interval} of possible {!Qf_relational.Value.t}s, seeds the
     intervals from the certified min/max of the columns the term occurs in,
     and propagates arithmetic subgoals to a fixpoint.  From the resulting
-    abstract state it derives three kinds of certificates:
+    abstract state it derives two kinds of certificates:
 
-    - {e dead-code certificates}: a rule (or a whole flock) whose abstract
-      state is provably unsatisfiable can return no answers — surfaced as
-      [QF07x] diagnostics by {!check_program};
-    - {e cardinality certificates}: sound per-step upper bounds on the
-      tabulated rows, candidate groups, and surviving assignments of every
-      FILTER step of a plan ({!certify_plan}), usable as a
-      [min(estimate, bound)] clamp on the cost model.  Their sizes (rows,
-      distinct counts, max frequencies, and the per-subgoal
-      {!Qf_datalog.Sizes.max_matches}) come from the one size model,
-      {!Qf_datalog.Sizes}, which also gives the cost model its estimates;
+    - {e dead-code certificates}: a rule whose abstract state is provably
+      unsatisfiable can return no answers, and a flock is empty when every
+      rule is dead or a survivor bound built from each rule's certified
+      row bound ([rows_bound], along the sizes of the one size model,
+      {!Qf_datalog.Sizes}) is 0 — surfaced as [QF07x] diagnostics by
+      {!check_program};
     - {e monotonicity certificates}: for [SUM] filters, whether the
       certified range of the summand column proves the non-negativity
       assumption behind {!Qf_core.Filter.is_monotone}
@@ -85,31 +81,6 @@ type rule_report = {
     predicates contribute top intervals and infinite bounds (sound, not
     precise). *)
 val analyze_rule : Qf_relational.Catalog.t -> Ast.rule -> rule_report
-
-(** {1 Plan certification} *)
-
-type step_bound = {
-  sb_step : string;  (** step name, matching {!Qf_core.Plan.step.name} *)
-  sb_rows : float;  (** certified bound on tabulated rows *)
-  sb_groups : float;  (** certified bound on candidate assignments *)
-  sb_survivors : float;  (** certified bound on assignments passing the filter *)
-  sb_dead_rules : int;  (** rules of the step certified dead *)
-}
-
-(** Certified bounds for every step of a plan, auxiliary steps first and
-    the final step last (the order of {!Qf_core.Plan.all_steps}).  Each
-    auxiliary step's survivor bound feeds later steps' [ok]-subgoals,
-    mirroring the executor's dataflow: it is overlaid on the size model
-    as the output's rows and per-column distinct counts
-    ({!Qf_datalog.Sizes.output}), beside the certified ranges of its
-    columns. *)
-val certify_plan : Qf_relational.Catalog.t -> Qf_core.Plan.t -> step_bound list
-
-(** The clamp pairs consumed by {!Qf_core.Cost.plan_step_estimates}:
-    [(step name, (groups bound, rows bound))] with the survivor bound as
-    the rows component. *)
-val clamps_of_plan :
-  Qf_relational.Catalog.t -> Qf_core.Plan.t -> (string * (float * float)) list
 
 (** {1 Monotonicity certificates} *)
 

@@ -177,22 +177,6 @@ let estimate_step ?(step_names = []) env ~(filter : Filter.t) (s : Plan.step) =
      the join it prunes. *)
   e.work +. e.rows, out_stats
 
-(* Apply a certified (groups, rows) upper bound to a step's estimated
-   output: survivors cannot exceed the certified survivor bound, and the
-   per-column distinct counts cannot exceed the clamped row count.  The
-   clamp only ever tightens — [min(estimate, bound)] — so an absent or
-   infinite bound leaves the estimate untouched. *)
-let clamp_out clamps name (out : Sizes.profile) =
-  match List.assoc_opt name clamps with
-  | None -> out
-  | Some (_groups_bound, rows) ->
-    if out.rows <= rows then out
-    else
-      Sizes.output ~rows
-        (List.map
-           (fun d -> Float.min d (Float.max 1. rows))
-           (Array.to_list out.ndv))
-
 type step_estimate = {
   step : string;
   est_work : float;
@@ -204,21 +188,15 @@ type step_estimate = {
    feed the later steps, whose ok subgoals over them are priced as the
    executor's reducers. *)
 
-let plan_step_estimates ?(clamps = []) env (plan : Plan.t) =
+let plan_step_estimates env (plan : Plan.t) =
   let filter = plan.flock.filter in
   let one env step_names (s : Plan.step) =
     let w, out = estimate_step env ~step_names ~filter s in
-    let out = clamp_out clamps s.Plan.name out in
-    let groups_bound =
-      match List.assoc_opt s.Plan.name clamps with
-      | Some (g, _) -> g
-      | None -> infinity
-    in
     ( out,
       {
         step = s.name;
         est_work = w;
-        est_groups = Float.min groups_bound (estimate_groups env s.query s.params);
+        est_groups = estimate_groups env s.query s.params;
         est_rows = out.rows;
       } )
   in
@@ -232,7 +210,7 @@ let plan_step_estimates ?(clamps = []) env (plan : Plan.t) =
   let _, e = one env step_names plan.final in
   List.rev (e :: acc)
 
-(* The optimizer's cost: the same walk, unclamped, summed in step order. *)
+(* The optimizer's cost: the same walk, summed in step order. *)
 let estimate_plan env plan =
   List.fold_left
     (fun acc e -> acc +. e.est_work)

@@ -80,18 +80,11 @@ type step_estimate = {
     each step priced with the reducers of its ok subgoals over the earlier
     steps ({!estimate_step}) —
     the estimated half of [flockc explain --profile]'s
-    estimated-vs-observed report.  [clamps] maps step names to certified
-    [(groups, rows)] upper bounds (from
-    [Qf_analysis.Absint.clamps_of_plan]); they cap
-    [est_groups]/[est_rows] ([min(estimate, bound)]) and the output
-    statistics fed forward.  Raises [Failure] when [env]
-    lacks a referenced predicate. *)
+    estimated-vs-observed report.  Raises [Failure] when [env] lacks a
+    referenced predicate. *)
 val plan_step_estimates :
-  ?clamps:(string * (float * float)) list ->
-  Qf_datalog.Sizes.t ->
-  Plan.t ->
-  step_estimate list
+  Qf_datalog.Sizes.t -> Plan.t -> step_estimate list
 
 (** Total estimated work of a plan: the sum of {!plan_step_estimates}'
-    [est_work] without clamps.  This is the optimizer's cost. *)
+    [est_work].  This is the optimizer's cost. *)
 val estimate_plan : Qf_datalog.Sizes.t -> Plan.t -> float

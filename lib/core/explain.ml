@@ -61,8 +61,6 @@ type step_profile = {
   seconds : float;
   est_rows : float option;
   est_groups : float option;
-  bound_rows : float option;
-  bound_groups : float option;
   memo_hit : bool;
   sip_pruned : int;
 }
@@ -76,7 +74,7 @@ type profile = {
   governor : Qf_governor.Governor.stats option;
 }
 
-let profile ?(clamps = []) ?governor catalog (plan : Plan.t) =
+let profile ?governor catalog (plan : Plan.t) =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Obs.reset ();
@@ -93,7 +91,7 @@ let profile ?(clamps = []) ?governor catalog (plan : Plan.t) =
       let total_seconds = Obs.now () -. t0 in
       let obs = Obs.report () in
       let estimates =
-        match Cost.plan_step_estimates ~clamps (Qf_datalog.Sizes.of_catalog catalog) plan with
+        match Cost.plan_step_estimates (Qf_datalog.Sizes.of_catalog catalog) plan with
         | ests -> ests
         | exception Failure _ -> []
       in
@@ -106,7 +104,6 @@ let profile ?(clamps = []) ?governor catalog (plan : Plan.t) =
         List.map2
           (fun (s : Plan.step) (r : Plan_exec.step_report) ->
             let est = est_for s.name in
-            let bounds = List.assoc_opt s.name clamps in
             {
               name = s.name;
               params = s.params;
@@ -117,8 +114,6 @@ let profile ?(clamps = []) ?governor catalog (plan : Plan.t) =
               est_rows = Option.map (fun (e : Cost.step_estimate) -> e.Cost.est_rows) est;
               est_groups =
                 Option.map (fun (e : Cost.step_estimate) -> e.Cost.est_groups) est;
-              bound_rows = Option.map snd bounds;
-              bound_groups = Option.map fst bounds;
               memo_hit = r.Plan_exec.memo_hit;
               sip_pruned = r.Plan_exec.sip_pruned;
             })
@@ -149,27 +144,16 @@ let profile_text ?(redact_timings = false) (p : profile) =
       (fun acc (s : step_profile) -> max acc (String.length s.name))
       (String.length "step") p.steps
   in
-  (* Certified-bound columns appear only when bounds were supplied, so
-     unclamped profiles keep the original layout. *)
-  let have_bounds =
-    List.exists
-      (fun (s : step_profile) ->
-        s.bound_rows <> None || s.bound_groups <> None)
-      p.steps
-  in
-  let bound_cols a b = if have_bounds then Printf.sprintf " %10s %10s" a b else "" in
   Buffer.add_string buf
-    (Printf.sprintf "%-*s %10s %10s%s %10s %10s %10s %10s %5s %12s\n"
-       name_width "step" "est_grps" "est_rows"
-       (bound_cols "cert_grps" "cert_rows")
-       "rows_in" "groups" "rows_out" "sip_prune" "memo" "time_s");
+    (Printf.sprintf "%-*s %10s %10s %10s %10s %10s %10s %5s %12s\n"
+       name_width "step" "est_grps" "est_rows" "rows_in" "groups" "rows_out"
+       "sip_prune" "memo" "time_s");
   List.iter
     (fun (s : step_profile) ->
       Buffer.add_string buf
-        (Printf.sprintf "%-*s %10s %10s%s %10d %10d %10d %10d %5s %12s\n"
-           name_width s.name (est s.est_groups) (est s.est_rows)
-           (bound_cols (est s.bound_groups) (est s.bound_rows))
-           s.rows_in s.groups s.rows_out s.sip_pruned
+        (Printf.sprintf "%-*s %10s %10s %10d %10d %10d %10d %5s %12s\n"
+           name_width s.name (est s.est_groups) (est s.est_rows) s.rows_in
+           s.groups s.rows_out s.sip_pruned
            (if s.memo_hit then "hit" else "-")
            (time s.seconds)))
     p.steps;
@@ -211,24 +195,15 @@ let profile_json ?(redact_timings = false) (p : profile) =
   Buffer.add_string buf "  \"steps\": [\n";
   List.iteri
     (fun i (s : step_profile) ->
-      let bounds =
-        (* Only clamped profiles carry the certified-bound fields, so
-           unclamped JSON stays byte-identical to the pre-bound format. *)
-        match s.bound_groups, s.bound_rows with
-        | None, None -> ""
-        | g, r ->
-          Printf.sprintf ", \"bound_groups\": %s, \"bound_rows\": %s"
-            (opt_float g) (opt_float r)
-      in
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"name\": \"%s\", \"params\": [%s], \"est_groups\": %s, \
-            \"est_rows\": %s%s, \"rows_in\": %d, \"groups\": %d, \"rows_out\": \
+            \"est_rows\": %s, \"rows_in\": %d, \"groups\": %d, \"rows_out\": \
             %d, \"sip_pruned\": %d, \"memo_hit\": %b, \"seconds\": %s}%s\n"
            (Obs.json_escape s.name)
            (String.concat ", "
               (List.map (fun q -> "\"" ^ Obs.json_escape q ^ "\"") s.params))
-           (opt_float s.est_groups) (opt_float s.est_rows) bounds s.rows_in
+           (opt_float s.est_groups) (opt_float s.est_rows) s.rows_in
            s.groups s.rows_out s.sip_pruned s.memo_hit (time s.seconds)
            (if i = List.length p.steps - 1 then "" else ",")))
     p.steps;

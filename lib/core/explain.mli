@@ -33,10 +33,8 @@ type step_profile = {
   groups : int;  (** candidate parameter assignments *)
   rows_out : int;  (** assignments surviving the filter *)
   seconds : float;
-  est_rows : float option;  (** cost model's predicted [rows_out], clamped *)
-  est_groups : float option;  (** cost model's predicted [groups], clamped *)
-  bound_rows : float option;  (** certified upper bound on [rows_out] *)
-  bound_groups : float option;  (** certified upper bound on [groups] *)
+  est_rows : float option;  (** cost model's predicted [rows_out] *)
+  est_groups : float option;  (** cost model's predicted [groups] *)
   memo_hit : bool;  (** fetched from the cross-level subplan memo *)
   sip_pruned : int;  (** candidates rejected by the step's SIP reducers *)
 }
@@ -56,17 +54,12 @@ type profile = {
 (** Run [plan] with {!Qf_obs.Obs} enabled (restoring the previous enabled
     state afterwards) and collect per-step observed-vs-estimated numbers.
     Estimates are omitted when the cost model lacks statistics for a
-    referenced predicate.  [clamps] maps step names to certified
-    [(groups, rows)] bounds (from [Qf_analysis.Absint.clamps_of_plan]):
-    estimates are clamped to [min(estimate, bound)] and the bounds are
-    reported alongside them; without [clamps] the profile is identical to
-    the unclamped format (no bound columns/fields).  [governor] installs
-    the given governor around the run ({!Qf_governor.Governor.with_ctx})
-    and reports its {!Qf_governor.Governor.stats} — peak bytes, spill
+    referenced predicate.  [governor] installs the given governor around
+    the run ({!Qf_governor.Governor.with_ctx}) and reports its
+    {!Qf_governor.Governor.stats} — peak bytes, spill
     partitions/bytes/rows — in the profile; resource faults
     ([Over_budget], [Deadline_exceeded]) propagate to the caller. *)
 val profile :
-  ?clamps:(string * (float * float)) list ->
   ?governor:Qf_governor.Governor.t ->
   Qf_relational.Catalog.t ->
   Plan.t ->

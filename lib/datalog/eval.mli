@@ -89,8 +89,8 @@ end
 
 (** The join order: the one greedy subgoal-ordering algorithm, shared by
     the evaluator ({!order_body}), the cost model
-    ([Qf_core.Cost.estimate_rule]) and the bound certifier
-    ([Qf_analysis.Absint]), each with its per-atom estimate from the
+    ([Qf_core.Cost.estimate_rule]) and the abstract interpreter's row
+    bound ([Qf_analysis.Absint]), each with its per-atom estimate from the
     one size model ({!Sizes}).
     [greedy_order ~matches body] repeatedly
     - emits every negated and arithmetic literal whose terms (binding

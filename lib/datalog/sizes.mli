@@ -2,16 +2,16 @@
     System-R match estimates read off them.
 
     The evaluator's join order ({!Eval.order_body}), the cost model
-    ([Qf_core.Cost]) and the bound certifier ([Qf_analysis.Absint]) all
-    size a subgoal here, so the order the executor runs, the order
-    [Cost] prices and the order [Absint] certifies along rest on the same
-    numbers by construction.
+    ([Qf_core.Cost]) and the row bound of the abstract interpreter
+    ([Qf_analysis.Absint]) all size a subgoal here, so the order the
+    executor runs, the order [Cost] prices and the order [Absint] bounds
+    along rest on the same numbers by construction.
 
     An environment wraps a catalog's shared statistics cache
     ({!Qf_relational.Catalog.stats}): building one copies nothing, and a
     predicate's profile is resolved on its first lookup.  An {e overlay}
     ({!add}) holds the outputs of plan steps that are not materialized
-    yet: [Cost] adds its estimated outputs, [Absint] its certified ones. *)
+    yet: [Cost] adds its estimated outputs. *)
 
 (** One predicate's sizes.  Every array has one entry per column
     position. *)

@@ -1,10 +1,10 @@
-(* Abstract-interpretation bound certification (qf_analysis.Absint) and
-   translation validation (qf_analysis.Validate):
+(* Abstract interpretation (qf_analysis.Absint) and translation
+   validation (qf_analysis.Validate):
 
    - the interval domain's lattice operations behave;
-   - SOUNDNESS over the seeded corpus: for every plan the optimizer picks,
-     the observed per-step cardinalities from [Explain.profile] never
-     exceed the certified bounds of [Absint.certify_plan];
+   - SOUNDNESS over the seeded corpus: for every rule of every step of
+     every plan the optimizer costs, the tabulated rows never exceed the
+     certified [rows_bound] of [Absint.analyze_rule];
    - the translation validator accepts every rewrite the optimizer and the
      levelwise generator produce, and REJECTS a corrupted lowering that
      drops a subgoal (fail-closed mutation test);
@@ -13,7 +13,7 @@
    - [flockc lint --format json]'s diagnostic stream is deterministic and
      every record carries the paper-section field;
    - QF07x diagnostics fire on certifiably dead programs and stay quiet on
-     live ones. *)
+     live ones, and QF072 never fires on a flock that has answers. *)
 open Qf_core
 module Ast = Qf_datalog.Ast
 module R = Qf_relational.Relation
@@ -60,61 +60,58 @@ let test_interval_lattice () =
   in
   check_bool "half-open point is empty" true (is_empty pinched)
 
-(* {1 Soundness: observed <= certified over the seeded corpus} *)
+(* {1 Soundness: tabulated rows <= certified rows_bound} *)
 
 let corpus_seeds = List.init 100 Fun.id
 
-let test_bounds_sound () =
+(* Every rule of every step of every plan the optimizer costs, against a
+   catalog holding the earlier steps' outputs as the executor binds them:
+   the rule's certified [rows_bound] is at least the size of its
+   tabulation.  The corpus must hold rules over earlier steps' outputs,
+   or the property would not test the plans' later steps. *)
+let test_rows_bound_sound () =
+  let over_steps = ref 0 in
   List.iter
     (fun seed ->
       let rel, threshold = instance ~seed gen_basket_instance in
       let cat = catalog_of rel in
       let flock = pair_flock threshold in
-      let plan = Optimizer.optimize cat flock in
-      let bounds = Absint.certify_plan cat plan in
-      let p = Explain.profile cat plan in
       List.iter
-        (fun (s : Explain.step_profile) ->
-          match
-            List.find_opt
-              (fun (b : Absint.step_bound) ->
-                String.equal b.Absint.sb_step s.Explain.name)
-              bounds
-          with
-          | None -> Alcotest.failf "seed %d: no bound for step %s" seed s.name
-          | Some b ->
-            let leq what obs bound =
-              if not (float_of_int obs <= bound) then
-                Alcotest.failf
-                  "seed %d step %s: observed %s %d exceeds certified %g" seed
-                  s.Explain.name what obs bound
-            in
-            leq "rows_in" s.Explain.rows_in b.Absint.sb_rows;
-            leq "groups" s.Explain.groups b.Absint.sb_groups;
-            leq "rows_out" s.Explain.rows_out b.Absint.sb_survivors)
-        p.Explain.steps)
-    corpus_seeds
-
-(* The clamp never raises an estimate: costing with clamps is <= without. *)
-let test_clamped_cost_leq () =
-  List.iter
-    (fun seed ->
-      let rel, threshold = instance ~seed gen_basket_instance in
-      let cat = catalog_of rel in
-      let flock = pair_flock threshold in
-      let plan = Optimizer.optimize cat flock in
-      let env = Qf_datalog.Sizes.of_catalog cat in
-      let clamps = Absint.clamps_of_plan cat plan in
-      let plain = Cost.plan_step_estimates env plan in
-      let clamped = Cost.plan_step_estimates ~clamps env plan in
-      List.iter2
-        (fun (a : Cost.step_estimate) (b : Cost.step_estimate) ->
-          check_bool "clamped rows <= plain rows" true
-            (b.Cost.est_rows <= a.Cost.est_rows);
-          check_bool "clamped groups <= plain groups" true
-            (b.Cost.est_groups <= a.Cost.est_groups))
-        plain clamped)
-    (List.init 20 Fun.id)
+        (fun (c : Optimizer.choice) ->
+          let work = Catalog.copy cat in
+          List.iter
+            (fun (s : Plan.step) ->
+              List.iter
+                (fun (r : Ast.rule) ->
+                  if
+                    List.exists
+                      (fun (a : Ast.atom) -> not (Catalog.mem cat a.Ast.pred))
+                      (Ast.positive_atoms r)
+                  then incr over_steps;
+                  let bound = (Absint.analyze_rule work r).Absint.rows_bound
+                  and rows = R.cardinal (Qf_datalog.Eval.tabulate work r) in
+                  if not (float_of_int rows <= bound) then
+                    Alcotest.failf
+                      "seed %d plan %s step %s: %d tabulated rows exceed \
+                       rows_bound %g"
+                      seed
+                      (Explain.plan_summary c.Optimizer.plan)
+                      s.Plan.name rows bound)
+                s.Plan.query;
+              let out, _, _, _ =
+                Qf_datalog.Eval.filter_query work s.Plan.query
+                  ~keys:(List.map (fun p -> "$" ^ p) s.Plan.params)
+                  ~func:
+                    (Filter.to_aggregate flock.Flock.filter
+                       ~head_columns:
+                         (Qf_datalog.Eval.head_columns (List.hd s.Plan.query)))
+                  ~threshold:flock.Flock.filter.Filter.threshold
+              in
+              Catalog.add work s.Plan.name out)
+            (Plan.all_steps c.Optimizer.plan))
+        (Optimizer.enumerate cat flock))
+    corpus_seeds;
+  check_bool "the corpus has rules over earlier steps" true (!over_steps > 0)
 
 (* The certified row bound is taken along [Eval]'s join order: on the
    tie between [s(Y)] and [r(X,Y,"3")] (10 each), [r(X,Y,"3")] first
@@ -332,6 +329,57 @@ let test_qf07x_codes () =
     ([] = codes
        "QUERY:\nanswer(B) :- baskets(B,$1)\n\nFILTER:\nSUM(answer.B) >= 2\n")
 
+(* A random flock over the tiny catalogs: a safe rule under a COUNT, or
+   a SUM, MAX or MIN of one of its head variables, with a threshold from
+   0 to 5.  QF072 certifies the flock's result empty on the catalog, so
+   it may fire only when [Direct.run] is empty.  The corpus must hold
+   QF072 verdicts, or the property would test nothing. *)
+let gen_filtered_rule =
+  QCheck.Gen.(
+    let* rule = gen_safe_rule in
+    let* catalog = gen_tiny_catalog in
+    let columns =
+      List.filter_map
+        (function Ast.Var v -> Some v | Ast.Param _ | Ast.Const _ -> None)
+        rule.Ast.head.Ast.args
+    in
+    let* agg =
+      oneof
+        (return Filter.Count
+        :: List.map
+             (fun f -> map f (oneofl columns))
+             (if columns = [] then []
+              else
+                [
+                  (fun c -> Filter.Sum c);
+                  (fun c -> Filter.Max c);
+                  (fun c -> Filter.Min c);
+                ]))
+    in
+    let* threshold = int_range 0 5 in
+    return (rule, catalog, { Filter.agg; threshold = float_of_int threshold }))
+
+let test_qf072_sound () =
+  let verdicts = ref 0 in
+  for seed = 0 to 1999 do
+    let rule, catalog, filter = instance ~seed gen_filtered_rule in
+    match Flock.make [ rule ] filter with
+    | Error _ -> ()  (* no parameter: not a flock *)
+    | Ok flock ->
+      let src = Flock.to_string flock in
+      let codes =
+        Diag.distinct_codes (Absint.check_program ~catalog (located src))
+      in
+      if List.mem "QF072" codes then begin
+        incr verdicts;
+        let answers = R.cardinal (Direct.run catalog flock) in
+        if answers > 0 then
+          Alcotest.failf "seed %d: QF072 on a flock with %d answers:\n%s"
+            seed answers src
+      end
+  done;
+  check_bool "the corpus has QF072 verdicts" true (!verdicts > 0)
+
 let test_monotonicity_certificates () =
   let rel, _ = instance ~seed:11 gen_basket_instance in
   let catalog = catalog_of rel in
@@ -358,10 +406,8 @@ let suite =
   [
     Alcotest.test_case "interval lattice operations" `Quick
       test_interval_lattice;
-    Alcotest.test_case "100-seed corpus: observed <= certified bounds" `Quick
-      test_bounds_sound;
-    Alcotest.test_case "clamping never raises an estimate" `Quick
-      test_clamped_cost_leq;
+    Alcotest.test_case "100-seed corpus: tabulated rows <= rows_bound" `Quick
+      test_rows_bound_sound;
     Alcotest.test_case "rows_bound along Eval's join order" `Quick
       test_rows_bound_eval_order;
     Alcotest.test_case "validator accepts every optimizer rewrite" `Quick
@@ -376,6 +422,8 @@ let suite =
       test_lint_json_deterministic;
     Alcotest.test_case "QF07x diagnostics fire exactly when certifiable"
       `Quick test_qf07x_codes;
+    Alcotest.test_case "QF072 fires only on flocks with no answers" `Quick
+      test_qf072_sound;
     Alcotest.test_case "SUM monotonicity certificates" `Quick
       test_monotonicity_certificates;
   ]

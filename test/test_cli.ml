@@ -478,8 +478,8 @@ let test_arity_mismatch () =
    three per case, applied to one fixture at a time.  Every mutant must
    give an exit code [flockc --help] documents for the command, with no
    uncaught exception on stderr: [lint] exits 0 (clean), 1 (findings) or
-   2 (unreadable input), and an ungoverned [mine] 0 or 1 (an input
-   error).  The seed is fixed and the case count small, so each pass of
+   2 (unreadable input), and an ungoverned [mine] or [explain --profile]
+   0 or 1 (an input error).  The seed is fixed and the case count small, so each pass of
    the suite runs the same sixty mutants. *)
 
 type mutation = Delete of int | Insert of int * char | Flip of int * int | Truncate of int
@@ -547,6 +547,7 @@ let prop_mutants =
         [
           ("lint" :: flock_path :: data), [ 0; 1; 2 ];
           ("mine" :: data) @ [ flock_path ], [ 0; 1 ];
+          ("explain" :: "--profile" :: data) @ [ flock_path ], [ 0; 1 ];
         ])
 
 let suite =

@@ -532,7 +532,7 @@ let test_optimizer_chooses_each_set_once () =
    union), for the steps of the singletons and the full parameter set under
    both selections; and each class plan, from {!Apriori_gen.singleton_plan}
    and {!Apriori_gen.param_set_plan}, answers as [Direct] does. *)
-let test_classes_are_alpha_equivalent () =
+let test_classes_share_signature () =
   let open Qf_testgen.Testgen in
   let join = "answer(X) :- p(X,$a) AND q(X,$b)" in
   let symmetric_union =
@@ -863,7 +863,7 @@ let suite =
       test_optimizer_chooses_each_set_once;
     Alcotest.test_case
       "classes: members share a step signature, class plans = direct" `Quick
-      test_classes_are_alpha_equivalent;
+      test_classes_share_signature;
     Alcotest.test_case "optimizer reduces every parameter on market data" `Slow
       test_optimizer_reduces_every_parameter;
     Alcotest.test_case "plan memo: a repeat returns the stored list" `Quick
